@@ -69,12 +69,11 @@ def run(args) -> int:
         state = scenario.initial_state()
         model = scenario.frequency_model()
         integrator = resolve_integrator(scenario, state, model)
+        equilibrium = steady_state(state)
+        constants = decay_constants(state, model)
     except (ScenarioError, ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-
-    equilibrium = steady_state(state)
-    constants = decay_constants(state, model)
 
     try:
         trajectory = simulate(state, integrator, model)

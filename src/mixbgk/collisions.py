@@ -27,9 +27,9 @@ mixture velocities/temperatures, and the coupling matrices
     mixture_speed_sq[i, j]  = |u_mix[i, j]|^2
     kinetic_coupling        = energy_coupling * mixture_speed_sq
 
-plus their diagonal row-sum ("degree") matrices.  Self pairs (i = j) are
-included throughout; they cancel identically in all relaxation
-differences.
+plus their row sums ("degrees") and Laplacians diag(degree) - coupling.
+Self pairs (i = j) are included throughout; they cancel identically in
+all relaxation differences.
 """
 
 from __future__ import annotations
@@ -193,21 +193,35 @@ class CollisionMatrices:
     energy_coupling: np.ndarray  # (N, N) symmetric, positive entries
     mixture_speed_sq: np.ndarray  # (N, N) |u_mix|^2
     kinetic_coupling: np.ndarray  # (N, N) energy_coupling * mixture_speed_sq
-    momentum_degree: np.ndarray  # (N, N) diagonal of row sums
+    momentum_degree: np.ndarray  # (N,) row sums of momentum_coupling
     energy_degree: np.ndarray
     kinetic_degree: np.ndarray
 
     @property
     def momentum_laplacian(self) -> np.ndarray:
-        return self.momentum_degree - self.momentum_coupling
+        return _laplacian(self.momentum_coupling, self.momentum_degree)
 
     @property
     def energy_laplacian(self) -> np.ndarray:
-        return self.energy_degree - self.energy_coupling
+        return _laplacian(self.energy_coupling, self.energy_degree)
 
     @property
     def kinetic_laplacian(self) -> np.ndarray:
-        return self.kinetic_degree - self.kinetic_coupling
+        return _laplacian(self.kinetic_coupling, self.kinetic_degree)
+
+
+def _laplacian(coupling, degree=None) -> np.ndarray:
+    """diag(degree) - coupling, the degree defaulting to the row sums."""
+    if degree is None:
+        degree = coupling.sum(axis=1)
+    return np.diag(degree) - coupling
+
+
+def _kinetic_coupling(energy_coupling, velocities, velocity_weights):
+    """(|u_mix|^2, energy_coupling * |u_mix|^2) over all species pairs."""
+    u_mix = _pair_velocities(velocities, velocity_weights)
+    mixture_speed_sq = np.einsum("ijk,ijk->ij", u_mix, u_mix)
+    return mixture_speed_sq, energy_coupling * mixture_speed_sq
 
 
 def coupling_from_frequencies(frequencies, weights) -> np.ndarray:
@@ -230,9 +244,9 @@ def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:
     momentum_coupling = coupling_from_frequencies(lam, comp.mass_densities)
     energy_coupling = coupling_from_frequencies(lam, comp.number_densities)
 
-    u_mix = _pair_velocities(state.velocities, alpha)
-    mixture_speed_sq = np.einsum("ijk,ijk->ij", u_mix, u_mix)
-    kinetic_coupling = energy_coupling * mixture_speed_sq
+    mixture_speed_sq, kinetic_coupling = _kinetic_coupling(
+        energy_coupling, state.velocities, alpha
+    )
 
     return CollisionMatrices(
         frequencies=lam,
@@ -242,9 +256,9 @@ def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:
         energy_coupling=energy_coupling,
         mixture_speed_sq=mixture_speed_sq,
         kinetic_coupling=kinetic_coupling,
-        momentum_degree=np.diag(momentum_coupling.sum(axis=1)),
-        energy_degree=np.diag(energy_coupling.sum(axis=1)),
-        kinetic_degree=np.diag(kinetic_coupling.sum(axis=1)),
+        momentum_degree=momentum_coupling.sum(axis=1),
+        energy_degree=energy_coupling.sum(axis=1),
+        kinetic_degree=kinetic_coupling.sum(axis=1),
     )
 
 

@@ -121,15 +121,19 @@ def scaled_energies(state: MomentState) -> np.ndarray:
     return state.energies / np.sqrt(state.composition.number_densities)
 
 
+def _scaled(laplacian, sqrt_weights) -> np.ndarray:
+    """A Laplacian in the scaled variables: laplacian_ij / (sqrt(w_i) sqrt(w_j))."""
+    return laplacian / np.outer(sqrt_weights, sqrt_weights)
+
+
 def scaled_operators(
     state: MomentState, mats: CollisionMatrices, eps: float = 1.0
 ) -> ScaledOperators:
     """Build the scaled-system operators for one state evaluation."""
     _check_eps(eps)
     comp = state.composition
-    sqrt_rho = np.sqrt(comp.mass_densities)
     sqrt_n = np.sqrt(comp.number_densities)
-    momentum_relaxation = mats.momentum_laplacian / np.outer(sqrt_rho, sqrt_rho)
-    energy_relaxation = mats.energy_laplacian / np.outer(sqrt_n, sqrt_n)
+    momentum_relaxation = _scaled(mats.momentum_laplacian, np.sqrt(comp.mass_densities))
+    energy_relaxation = _scaled(mats.energy_laplacian, sqrt_n)
     heating_source = 0.5 * (mats.kinetic_laplacian @ comp.masses) / sqrt_n / eps
     return ScaledOperators(momentum_relaxation, energy_relaxation, heating_source)

@@ -152,8 +152,11 @@ def velocity_component_bound(state: MomentState) -> float:
     Componentwise, every bulk velocity stays inside its initial min/max
     envelope, so |u_i(t)| <= || max(|min_j U_jk|, |max_j U_jk|) ||_2.
     """
-    u = state.velocities
-    extreme = np.maximum(np.abs(u.min(axis=0)), np.abs(u.max(axis=0)))
+    return _component_bound(state.velocities)
+
+
+def _component_bound(velocities) -> float:
+    extreme = np.maximum(np.abs(velocities.min(axis=0)), np.abs(velocities.max(axis=0)))
     return float(np.linalg.norm(extreme))
 
 
@@ -321,7 +324,9 @@ def symmetric_eigenvalues(matrix, max_sweeps: int = 60) -> np.ndarray:
     Uses closed forms for 1x1 and 2x2 inputs and a cyclic Jacobi rotation
     scheme otherwise, sweeping until the off-diagonal Frobenius norm drops
     below 1e-14 of the matrix norm.  Convergence is quadratic; small dense
-    matrices finish in a handful of sweeps.
+    matrices finish in a handful of sweeps.  Kept as an oracle independent
+    of LAPACK for tests and demos; the runtime path uses
+    ``numpy.linalg.eigvalsh``.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

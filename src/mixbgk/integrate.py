@@ -29,16 +29,30 @@ import numpy as np
 from .collisions import (
     FrequencyModel,
     HardSphere,
-    _pair_velocities,
+    _kinetic_coupling,
+    _laplacian,
     assemble,
     collision_frequencies,
     coupling_from_frequencies,
     mixing_weights,
 )
-from .dynamics import energy_rhs, momentum_rhs
-from .species import MomentState, is_realizable, temperatures_of
+from .dynamics import _scaled, energy_rhs, momentum_rhs
+from .equilibrium import _component_bound
+from .species import (
+    MixtureComposition,
+    MomentState,
+    _temperatures,
+    is_realizable,
+    temperatures_of,
+)
 
 _MAX_HALVINGS = 10
+
+# Monitor slacks, relative: a temperature may sit FLOOR_SLACK below the
+# initial minimum, and a velocity component BOUND_SLACK times the initial
+# component bound outside its initial range, before a check fails.
+FLOOR_SLACK = 1e-9
+BOUND_SLACK = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -85,6 +99,10 @@ class IntegratorConfig:
             raise ValueError(f"method must be 'be' or 'rk4', got {self.method!r}")
         if self.output_stride < 1:
             raise ValueError("output_stride must be a positive integer")
+        if self.picard_max_iter < 1:
+            raise ValueError("picard_max_iter must be a positive integer")
+        if not (np.isfinite(self.picard_tol) and self.picard_tol > 0.0):
+            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
 
 
 @dataclass
@@ -129,11 +147,6 @@ def _relative_change(new, old) -> float:
     return float(np.max(np.abs(new - old)) / scale)
 
 
-def _derived_temperatures(comp, velocities, energies, dimension):
-    speed_sq = np.einsum("ik,ik->i", velocities, velocities)
-    return (2.0 / dimension) * energies / comp.number_densities - comp.masses / dimension * speed_sq
-
-
 def _picard_solve(state, dt, eps, model, tol, max_iter):
     """Solve one implicit step; returns (velocities, energies, sweeps).
 
@@ -150,7 +163,6 @@ def _picard_solve(state, dt, eps, model, tol, max_iter):
     comp = state.composition
     rho = comp.mass_densities
     n = comp.number_densities
-    m = comp.masses
     d = state.dimension
     sqrt_rho = np.sqrt(rho)
     sqrt_n = np.sqrt(n)
@@ -169,7 +181,7 @@ def _picard_solve(state, dt, eps, model, tol, max_iter):
 
     u_k, e_k = state.velocities, state.energies
     for sweep in range(1, max_iter + 1):
-        temps = _derived_temperatures(comp, u_k, e_k, d)
+        temps = _temperatures(comp, u_k, e_k)
         if hard_sphere and not np.all(temps > 0.0):
             raise RealizabilityError(
                 f"iterate temperature dropped to {temps.min():.6e} J during the "
@@ -180,20 +192,16 @@ def _picard_solve(state, dt, eps, model, tol, max_iter):
         momentum_coupling = coupling_from_frequencies(lam, rho)
         energy_coupling = coupling_from_frequencies(lam, n)
 
-        momentum_laplacian = (
-            np.diag(momentum_coupling.sum(axis=1)) - momentum_coupling
-        )
-        momentum_relaxation = momentum_laplacian / np.outer(sqrt_rho, sqrt_rho)
+        momentum_relaxation = _scaled(_laplacian(momentum_coupling), sqrt_rho)
         w_new = np.linalg.solve(identity + (dt / eps) * momentum_relaxation, w_old)
         u_new = w_new / sqrt_rho[:, None]
 
-        u_mix = _pair_velocities(u_new, alpha)
-        kinetic_coupling = energy_coupling * np.einsum("ijk,ijk->ij", u_mix, u_mix)
-        kinetic_laplacian = np.diag(kinetic_coupling.sum(axis=1)) - kinetic_coupling
-        energy_laplacian = np.diag(energy_coupling.sum(axis=1)) - energy_coupling
-        energy_relaxation = energy_laplacian / np.outer(sqrt_n, sqrt_n)
+        # The kinetic coupling pairs the new velocities with the mixing
+        # weights of the current iterate.
+        _, kinetic_coupling = _kinetic_coupling(energy_coupling, u_new, alpha)
+        energy_relaxation = _scaled(_laplacian(energy_coupling), sqrt_n)
 
-        rhs = xi_old + (0.5 * dt / eps) * (kinetic_laplacian @ m) / sqrt_n
+        rhs = xi_old + (0.5 * dt / eps) * (_laplacian(kinetic_coupling) @ comp.masses) / sqrt_n
         xi_new = np.linalg.solve(identity + (dt / eps) * energy_relaxation, rhs)
         e_new = xi_new * sqrt_n
 
@@ -286,65 +294,44 @@ def rk4_step(
 
 
 @dataclass(frozen=True)
-class _MonitorReferences:
-    """Initial-condition scales against which monitors are evaluated."""
+class RecordMonitors:
+    """Monitor values of R stacked records; record 0 sets every reference."""
 
-    momentum_total: np.ndarray  # (d,)
-    momentum_scale: float
-    energy_total: float
-    temperature_floor: float  # min_i T_i(0), J
-    velocity_low: np.ndarray  # (d,) componentwise minima at t=0
-    velocity_high: np.ndarray
-    velocity_tol: float
+    momentum_drift: np.ndarray  # (R,) relative to the initial momentum scale
+    energy_drift: np.ndarray  # (R,) relative to the initial total energy
+    temperatures: np.ndarray  # (R, N), J
+    velocity_bounds_ok: np.ndarray  # (R,) bool
+    realizable: np.ndarray  # (R,) bool, temperatures above the initial floor
 
 
-def _monitor_references(state: MomentState) -> _MonitorReferences:
-    comp = state.composition
-    rho = comp.mass_densities
-    momentum_total = rho @ state.velocities
-    energy_total = float(state.energies.sum())
+def record_monitors(
+    composition: MixtureComposition, velocities: np.ndarray, energies: np.ndarray
+) -> RecordMonitors:
+    """Conservation, temperature-floor and velocity-bound monitors per record.
+
+    ``velocities`` is (R, N, d) and ``energies`` (R, N).  Velocity
+    components must stay inside their initial range and temperatures
+    above the initial minimum, each up to its slack.
+    """
+    rho = composition.mass_densities
+    momentum = velocities.transpose(0, 2, 1) @ rho  # (R, d), the CSV k_tot columns
+    energy = energies.sum(axis=1)
     # Momentum scale: the initial total momentum when nonzero, else the
     # momentum density carried by the total energy.
     momentum_scale = max(
-        float(np.linalg.norm(momentum_total)),
-        float(np.sqrt(2.0 * rho.sum() * abs(energy_total))),
+        float(np.linalg.norm(momentum[0])),
+        float(np.sqrt(2.0 * rho.sum() * abs(energy[0]))),
     )
-    u = state.velocities
-    u_scale = float(np.linalg.norm(np.maximum(np.abs(u.min(0)), np.abs(u.max(0)))))
-    return _MonitorReferences(
-        momentum_total=momentum_total,
-        momentum_scale=momentum_scale,
-        energy_total=energy_total,
-        temperature_floor=float(temperatures_of(state).min()),
-        velocity_low=u.min(axis=0),
-        velocity_high=u.max(axis=0),
-        velocity_tol=1e-9 * u_scale,
-    )
-
-
-def _monitor(state, refs: _MonitorReferences, picard_iterations: int) -> MonitorReport:
-    comp = state.composition
-    momentum_total = comp.mass_densities @ state.velocities
-    momentum_drift = float(
-        np.linalg.norm(momentum_total - refs.momentum_total) / refs.momentum_scale
-    )
-    energy_drift = float(
-        abs(state.energies.sum() - refs.energy_total) / abs(refs.energy_total)
-    )
-    temps = temperatures_of(state)
-    u = state.velocities
-    bounds_ok = bool(
-        np.all(u >= refs.velocity_low[None, :] - refs.velocity_tol)
-        and np.all(u <= refs.velocity_high[None, :] + refs.velocity_tol)
-    )
-    realizable = is_realizable(state, floor=refs.temperature_floor * (1.0 - 1e-9))
-    return MonitorReport(
-        total_momentum_drift=momentum_drift,
-        total_energy_drift=energy_drift,
-        min_temperature=float(temps.min()),
-        velocity_bounds_ok=bounds_ok,
-        realizable=realizable,
-        picard_iterations=picard_iterations,
+    temps = _temperatures(composition, velocities, energies)
+    u0 = velocities[0]
+    tol = BOUND_SLACK * _component_bound(u0)
+    inside = (velocities >= u0.min(axis=0) - tol) & (velocities <= u0.max(axis=0) + tol)
+    return RecordMonitors(
+        momentum_drift=np.linalg.norm(momentum - momentum[0], axis=1) / momentum_scale,
+        energy_drift=np.abs(energy - energy[0]) / abs(energy[0]),
+        temperatures=temps,
+        velocity_bounds_ok=inside.all(axis=(1, 2)),
+        realizable=np.all(temps >= temps[0].min() * (1.0 - FLOOR_SLACK), axis=1),
     )
 
 
@@ -366,13 +353,9 @@ def simulate(
             time=0.0,
         )
 
-    refs = _monitor_references(initial)
     times = [0.0]
     states = [initial]
-    monitors = [_monitor(initial, refs, 0)]
-    if cfg.t_final == 0.0:
-        return Trajectory(np.asarray(times), states, monitors)
-
+    sweeps_recorded = [0]
     n_full = int(np.floor(cfg.t_final / cfg.dt * (1.0 + 1e-12)))
     remainder = cfg.t_final - n_full * cfg.dt
     step_sizes = [cfg.dt] * n_full
@@ -380,7 +363,6 @@ def simulate(
         step_sizes.append(remainder)
 
     state = initial
-    t = 0.0
     sweeps_window = 0
     for index, dt in enumerate(step_sizes, start=1):
         is_last = index == len(step_sizes)
@@ -398,7 +380,23 @@ def simulate(
         if is_last or index % cfg.output_stride == 0:
             times.append(t)
             states.append(state)
-            monitors.append(_monitor(state, refs, sweeps_window))
+            sweeps_recorded.append(sweeps_window)
             sweeps_window = 0
 
+    records = record_monitors(
+        initial.composition,
+        np.array([s.velocities for s in states]),
+        np.array([s.energies for s in states]),
+    )
+    monitors = [
+        MonitorReport(
+            total_momentum_drift=float(records.momentum_drift[r]),
+            total_energy_drift=float(records.energy_drift[r]),
+            min_temperature=float(records.temperatures[r].min()),
+            velocity_bounds_ok=bool(records.velocity_bounds_ok[r]),
+            realizable=bool(records.realizable[r]),
+            picard_iterations=sweeps,
+        )
+        for r, sweeps in enumerate(sweeps_recorded)
+    ]
     return Trajectory(np.asarray(times), states, monitors)

@@ -18,19 +18,12 @@ import numpy as np
 
 from .collisions import assemble
 from .dynamics import scaled_operators
-from .equilibrium import (
-    DecayConstants,
-    EquilibriumData,
-    spectral_bounds,
-    steady_state,
-    symmetric_eigenvalues,
-)
-from .integrate import IntegratorConfig, Trajectory
+from .equilibrium import DecayConstants, EquilibriumData, spectral_bounds, steady_state
+from .integrate import IntegratorConfig, Trajectory, record_monitors
 from .scenarios import ScenarioConfig
 from .species import MixtureComposition, MomentState, energy_to_kelvin, temperatures_of
 
 DRIFT_LIMIT = 1e-9
-FLOOR_SLACK = 1e-9
 ENVELOPE_SLACK = 1e-9
 BRACKET_SLACK = 1e-10
 
@@ -132,7 +125,7 @@ def read_trajectory_csv(path) -> TrajectoryTable:
     width = len(header) - 1 - (n * 2) - 5  # velocity columns: species + totals
     dimension = width // (n + 1)
     expected = _trajectory_header(labels, dimension)
-    if header != expected:
+    if header != expected or data.ndim != 2 or data.shape[1] != len(header):
         raise ValueError(f"{path}: unexpected column layout")
 
     rows = data.shape[0]
@@ -184,14 +177,6 @@ def write_envelope_csv(path, table: TrajectoryTable, equilibrium: EquilibriumDat
             handle.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _states_from_table(table: TrajectoryTable, config: ScenarioConfig):
-    comp = MixtureComposition(config.species, config.number_densities)
-    return [
-        MomentState(comp, table.velocities[r], table.energies[r])
-        for r in range(len(table.times))
-    ]
-
-
 def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
     """The ``[monitors]`` summary lines, a pure function of table + scenario.
 
@@ -199,10 +184,10 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
     velocity bounds, realizability, dominance of all three decay
     envelopes, and the eigenvalue bracket at every recorded state.
     """
-    states = _states_from_table(table, config)
-    comp = states[0].composition
+    comp = MixtureComposition(config.species, config.number_densities)
     rho = comp.mass_densities
     model = config.frequency_model()
+    records = record_monitors(comp, table.velocities, table.energies)
 
     lines = ["[monitors]"]
     checks: list[bool] = []
@@ -213,44 +198,20 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
         prefix = f"{name} = {detail}" if detail else name
         lines.append(f"{prefix} -> {verdict}")
 
-    momentum_scale = max(
-        float(np.linalg.norm(table.momentum_total[0])),
-        float(np.sqrt(2.0 * rho.sum() * abs(table.energy_total[0]))),
-    )
-    momentum_drift = float(
-        np.max(np.linalg.norm(table.momentum_total - table.momentum_total[0], axis=1))
-        / momentum_scale
-    )
+    momentum_drift = float(records.momentum_drift.max())
     report("momentum_drift_max", momentum_drift <= DRIFT_LIMIT, _fmt(momentum_drift))
-
-    energy_drift = float(
-        np.max(np.abs(table.energy_total - table.energy_total[0]))
-        / abs(table.energy_total[0])
-    )
+    energy_drift = float(records.energy_drift.max())
     report("energy_drift_max", energy_drift <= DRIFT_LIMIT, _fmt(energy_drift))
 
-    floor_k = float(table.min_temperature_kelvin[0])
-    floor_ok = bool(np.all(table.min_temperature_kelvin >= floor_k * (1.0 - FLOOR_SLACK)))
-    report(
-        "temperature_floor_min_K",
-        floor_ok,
-        _fmt(float(table.min_temperature_kelvin.min())),
-    )
+    # Every temperature above the floor is both the floor check and realizability.
+    above_floor = bool(records.realizable.all())
+    min_temperature_k = float(energy_to_kelvin(records.temperatures.min()))
+    report("temperature_floor_min_K", above_floor, _fmt(min_temperature_k))
+    report("velocity_bounds", bool(records.velocity_bounds_ok.all()))
+    report("realizability", above_floor)
 
-    u0 = table.velocities[0]
-    u_scale = float(np.linalg.norm(np.maximum(np.abs(u0.min(0)), np.abs(u0.max(0)))))
-    tol = 1e-9 * u_scale
-    low = u0.min(axis=0)[None, None, :] - tol
-    high = u0.max(axis=0)[None, None, :] + tol
-    bounds_ok = bool(np.all(table.velocities >= low) and np.all(table.velocities <= high))
-    report("velocity_bounds", bounds_ok)
-
-    realizable = bool(
-        np.all(table.temperatures_kelvin >= floor_k * (1.0 - FLOOR_SLACK))
-    )
-    report("realizability", realizable)
-
-    equilibrium = steady_state(states[0])
+    initial = MomentState(comp, table.velocities[0], table.energies[0])
+    equilibrium = steady_state(initial)
     dev_u = np.linalg.norm(table.velocities - equilibrium.velocity[None, None, :], axis=2)
     env_u = table.envelope_velocity[:, None] * (1.0 + ENVELOPE_SLACK)
     report("envelope_velocity", bool(np.all(dev_u <= env_u)))
@@ -268,18 +229,22 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
 
     bracket_ok = True
     if comp.size > 1:
-        for state in states:
+        operators, brackets = [], []
+        for velocities, energies in zip(table.velocities, table.energies):
+            state = MomentState(comp, velocities, energies)
             mats = assemble(state, model)
             bounds = spectral_bounds(mats, rho, comp.number_densities)
             ops = scaled_operators(state, mats, 1.0)
-            for operator, lower, upper in (
-                (ops.momentum_relaxation, bounds.velocity_lower, bounds.velocity_upper),
-                (ops.energy_relaxation, bounds.energy_lower, bounds.energy_upper),
-            ):
-                spectrum = symmetric_eigenvalues(operator)[1:]  # drop the null mode
-                slack = BRACKET_SLACK * max(upper, abs(lower))
-                if np.any(spectrum < lower - slack) or np.any(spectrum > upper + slack):
-                    bracket_ok = False
+            operators.append((ops.momentum_relaxation, ops.energy_relaxation))
+            brackets.append(
+                ((bounds.velocity_lower, bounds.velocity_upper),
+                 (bounds.energy_lower, bounds.energy_upper))
+            )
+        spectra = np.linalg.eigvalsh(np.array(operators))[..., 1:]  # drop the null mode
+        brackets = np.array(brackets)  # (R, operator, end)
+        lower, upper = brackets[..., :1], brackets[..., 1:]
+        slack = BRACKET_SLACK * np.maximum(upper, np.abs(lower))
+        bracket_ok = not (np.any(spectra < lower - slack) or np.any(spectra > upper + slack))
     report("eigenvalue_bracket", bracket_ok)
 
     overall = all(checks)
@@ -328,7 +293,3 @@ def summary_text(
     ]
     lines += monitor_block(table, config)
     return "\n".join(lines) + "\n"
-
-
-def monitors_pass(table: TrajectoryTable, config: ScenarioConfig) -> bool:
-    return monitor_block(table, config)[-1].endswith("PASS")

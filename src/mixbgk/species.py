@@ -141,10 +141,14 @@ def temperatures_of(state: MomentState) -> np.ndarray:
     negative values are returned as-is so realizability checks can see
     them.
     """
-    comp = state.composition
-    d = state.dimension
-    speed_sq = np.einsum("ik,ik->i", state.velocities, state.velocities)
-    return (2.0 / d) * state.energies / comp.number_densities - comp.masses / d * speed_sq
+    return _temperatures(state.composition, state.velocities, state.energies)
+
+
+def _temperatures(comp: MixtureComposition, velocities, energies) -> np.ndarray:
+    """The temperature map on raw arrays, (..., N, d) and (..., N) -> (..., N)."""
+    d = velocities.shape[-1]
+    speed_sq = np.einsum("...k,...k->...", velocities, velocities)
+    return (2.0 / d) * energies / comp.number_densities - comp.masses / d * speed_sq
 
 
 def energy_from(velocity, temperature, number_density, mass, dimension: int = 3):

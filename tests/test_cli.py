@@ -1,8 +1,11 @@
 """Presets, config parsing, CSV emission/round-trip, and CLI exit codes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import mixbgk.output as output_mod
 from mixbgk import (
     GASES,
     energy_to_kelvin,
@@ -10,6 +13,7 @@ from mixbgk import (
     parse_config,
     presets,
     resolve_integrator,
+    simulate,
     steady_state,
 )
 from mixbgk.cli import main
@@ -147,6 +151,29 @@ class TestCliRun:
         assert envelopes[0].startswith("t,dev_u_Ar")
         assert len(envelopes) == len(table.times) + 1
 
+    def test_too_tight_bracket_fails(self, tmp_path, monkeypatch):
+        main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        original = output_mod.spectral_bounds
+
+        def tight(mats, rho, n):
+            bounds = original(mats, rho, n)
+            return replace(bounds, velocity_lower=2.0 * bounds.velocity_upper)
+
+        monkeypatch.setattr(output_mod, "spectral_bounds", tight)
+        block = monitor_block(table, presets()[1])
+        assert "eigenvalue_bracket -> FAIL" in block
+        assert block[-1] == "overall -> FAIL"
+
+    def test_header_only_csv_rejected(self, tmp_path):
+        path = tmp_path / "empty_trajectory.csv"
+        path.write_text(
+            "t,u_a_1,T_a_K,E_a,k_tot_1,E_tot,T_min_K,"
+            "env_velocity,env_energy,env_temperature_K\n"
+        )
+        with pytest.raises(ValueError, match="column layout"):
+            read_trajectory_csv(path)
+
     def test_trajectory_csv_exact_round_trip(self, tmp_path):
         main(["run", "--example", "2", "--t-final", "3e-13", "--out", str(tmp_path)])
         path = tmp_path / "example2_trajectory.csv"
@@ -184,6 +211,22 @@ class TestCliRun:
         summary = (tmp_path / "unstable_summary.txt").read_text()
         assert "velocity_bounds -> FAIL" in summary
         assert "overall -> FAIL" in summary
+
+        # the trajectory's own monitors reach the same verdict
+        scenario = parse_config(path)
+        state, model = scenario.initial_state(), scenario.frequency_model()
+        trajectory = simulate(state, resolve_integrator(scenario, state, model), model)
+        assert not all(report.velocity_bounds_ok for report in trajectory.monitors)
+
+    def test_hard_sphere_in_two_dimensions_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "planar.cfg"
+        path.write_text(
+            GOOD_CONFIG.replace("80 0 0 ; -10 5 0", "80 0 ; -10 5")
+            + "dt_s = 1e-13\nt_final_s = 1e-12\n"
+        )
+        code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "d = 3" in capsys.readouterr().err
 
     def test_integrator_failure_exits_3(self, tmp_path, capsys):
         code = main(

@@ -274,6 +274,9 @@ class TestIntegratorConfigValidation:
             dict(dt=0.1, t_final=1.0, eps=0.0),
             dict(dt=0.1, t_final=1.0, method="euler"),
             dict(dt=0.1, t_final=1.0, output_stride=0),
+            dict(dt=0.1, t_final=1.0, picard_max_iter=0),
+            dict(dt=0.1, t_final=1.0, picard_tol=0.0),
+            dict(dt=0.1, t_final=1.0, picard_tol=float("nan")),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
