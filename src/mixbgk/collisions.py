@@ -28,6 +28,8 @@ mixture velocities/temperatures, and the coupling matrices
     kinetic_coupling        = energy_coupling * mixture_speed_sq
 
 plus their row sums ("degrees") and Laplacians diag(degree) - coupling.
+The frequency, weight, coupling and Laplacian helpers broadcast over
+leading record axes, so (R, N) temperatures give (R, N, N) matrices.
 Self pairs (i = j) are included throughout; they cancel identically in
 all relaxation differences.
 """
@@ -69,31 +71,31 @@ FrequencyModel = Union[HardSphere, ConstantMatrix]
 
 
 def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarray:
-    """Hard-sphere collision-frequency matrix lam[i, j].
+    """Hard-sphere collision-frequency matrices lam[..., i, j].
 
     Args:
         species: sequence of SpeciesParams.
         number_densities: (N,) 1/m^3.
-        temperatures: (N,) in J; all entries must be strictly positive
+        temperatures: (..., N) in J; all entries must be strictly positive
             (the square root is not Lipschitz at zero).
 
     Returns:
-        (N, N) array of positive, finite frequencies.
+        (..., N, N) array of positive, finite frequencies.
     """
     temperatures = np.asarray(temperatures, dtype=float)
     bad = ~(np.isfinite(temperatures) & (temperatures > 0.0))
     if np.any(bad):
-        label = species[int(np.argmax(bad))].label
+        first = np.unravel_index(np.argmax(bad), bad.shape)
         raise ValueError(
             f"hard-sphere frequencies need strictly positive temperatures; "
-            f"species {label!r} has T = {temperatures[int(np.argmax(bad))]:.6e} J"
+            f"species {species[first[-1]].label!r} has T = {temperatures[first]:.6e} J"
         )
     m = np.asarray([s.mass for s in species], dtype=float)
     diam = np.asarray([s.diameter for s in species], dtype=float)
     n = np.asarray(number_densities, dtype=float)
 
     m_i, m_j = m[:, None], m[None, :]
-    thermal_speed = np.sqrt(temperatures[:, None] / m_i + temperatures[None, :] / m_j)
+    thermal_speed = np.sqrt(temperatures[..., None] / m_i + temperatures[..., None, :] / m_j)
     return (
         HARD_SPHERE_PREFACTOR
         * (m_i * m_j) / (m_i + m_j) ** 2
@@ -125,18 +127,18 @@ def collision_frequencies(
 
 
 def mixing_weights(frequencies, mass_densities, number_densities):
-    """Pairwise mixing weights (alpha, beta) from a frequency matrix.
+    """Pairwise mixing weights (alpha, beta) from (..., N, N) frequencies.
 
     alpha weights the velocities and beta the temperatures in the pair
-    mixture values; each satisfies w[i, j] + w[j, i] = 1.
+    mixture values; each satisfies w[..., i, j] + w[..., j, i] = 1.
     """
     lam = np.asarray(frequencies, dtype=float)
     if np.any(lam <= 0.0):
         raise ValueError("mixing weights need strictly positive frequencies")
     rho_lam = np.asarray(mass_densities, dtype=float)[:, None] * lam
     n_lam = np.asarray(number_densities, dtype=float)[:, None] * lam
-    alpha = rho_lam / (rho_lam + rho_lam.T)
-    beta = n_lam / (n_lam + n_lam.T)
+    alpha = rho_lam / (rho_lam + rho_lam.swapaxes(-1, -2))
+    beta = n_lam / (n_lam + n_lam.swapaxes(-1, -2))
     return alpha, beta
 
 
@@ -211,10 +213,14 @@ class CollisionMatrices:
 
 
 def _laplacian(coupling, degree=None) -> np.ndarray:
-    """diag(degree) - coupling, the degree defaulting to the row sums."""
+    """diag(degree) - coupling over leading axes, the degree defaulting to row sums."""
     if degree is None:
-        degree = coupling.sum(axis=1)
-    return np.diag(degree) - coupling
+        degree = coupling.sum(axis=-1)
+    laplacian = np.negative(coupling, order="C")
+    n = coupling.shape[-1]
+    # In C order the diagonal of each trailing N x N block is every (N+1)-th entry.
+    laplacian.reshape(*coupling.shape[:-2], n * n)[..., :: n + 1] += degree
+    return laplacian
 
 
 def _kinetic_coupling(energy_coupling, velocities, velocity_weights):
@@ -227,7 +233,8 @@ def _kinetic_coupling(energy_coupling, velocities, velocity_weights):
 def coupling_from_frequencies(frequencies, weights) -> np.ndarray:
     """Symmetric coupling w_i lam_ij * w_j lam_ji / (w_i lam_ij + w_j lam_ji)."""
     scaled = np.asarray(weights, dtype=float)[:, None] * np.asarray(frequencies, float)
-    return scaled * scaled.T / (scaled + scaled.T)
+    transposed = scaled.swapaxes(-1, -2)
+    return scaled * transposed / (scaled + transposed)
 
 
 def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:

@@ -83,15 +83,16 @@ class SpectralBounds:
     vacuous: bool = False
 
 
-def _bounds_from_couplings(momentum_coupling, energy_coupling, rho, n) -> SpectralBounds:
-    n_species = len(rho)
-    return SpectralBounds(
-        velocity_lower=float(n_species * momentum_coupling.min() / rho.max()),
-        velocity_upper=float(n_species * momentum_coupling.max() / rho.min()),
-        energy_lower=float(n_species * energy_coupling.min() / n.max()),
-        energy_upper=float(n_species * energy_coupling.max() / n.min()),
-        vacuous=(n_species == 1),
-    )
+def _eigenvalue_brackets(momentum_coupling, energy_coupling, rho, n) -> np.ndarray:
+    """The ends of :func:`spectral_bounds` over leading record axes of the couplings.
+
+    Returns (..., 2, 2): [[velocity lower, upper], [energy lower, upper]].
+    """
+    size, pair = len(rho), (-2, -1)
+    return np.stack([
+        np.stack([size * c.min(axis=pair) / w.max(), size * c.max(axis=pair) / w.min()], axis=-1)
+        for c, w in ((momentum_coupling, rho), (energy_coupling, n))
+    ], axis=-2)
 
 
 def spectral_bounds(mats: CollisionMatrices, mass_densities, number_densities) -> SpectralBounds:
@@ -109,7 +110,9 @@ def spectral_bounds(mats: CollisionMatrices, mass_densities, number_densities) -
     """
     rho = np.asarray(mass_densities, dtype=float)
     n = np.asarray(number_densities, dtype=float)
-    return _bounds_from_couplings(mats.momentum_coupling, mats.energy_coupling, rho, n)
+    brackets = _eigenvalue_brackets(mats.momentum_coupling, mats.energy_coupling, rho, n)
+    # Field order: velocity lower/upper, then energy lower/upper.
+    return SpectralBounds(*map(float, brackets.ravel()), vacuous=(len(rho) == 1))
 
 
 def _couplings_at_uniform_temperature(state, model, temperature):
@@ -140,10 +143,10 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
         )
     momentum, energy = _couplings_at_uniform_temperature(state, model, t_floor)
     comp = state.composition
-    bounds = _bounds_from_couplings(
+    (velocity_rate, _), (energy_rate, _) = _eigenvalue_brackets(
         momentum, energy, comp.mass_densities, comp.number_densities
     )
-    return bounds.velocity_lower, bounds.energy_lower
+    return float(velocity_rate), float(energy_rate)
 
 
 def velocity_component_bound(state: MomentState) -> float:

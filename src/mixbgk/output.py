@@ -16,20 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import assemble
-from .dynamics import scaled_operators
-from .equilibrium import DecayConstants, EquilibriumData, spectral_bounds, steady_state
+from .collisions import _laplacian, collision_frequencies, coupling_from_frequencies
+from .dynamics import _scaled
+from .equilibrium import DecayConstants, EquilibriumData, _eigenvalue_brackets, steady_state
 from .integrate import IntegratorConfig, Trajectory, record_monitors
 from .scenarios import ScenarioConfig
-from .species import MixtureComposition, MomentState, energy_to_kelvin, temperatures_of
+from .species import MixtureComposition, MomentState, _temperatures, energy_to_kelvin
 
 DRIFT_LIMIT = 1e-9
 ENVELOPE_SLACK = 1e-9
 BRACKET_SLACK = 1e-10
+CSV_FORMAT = "%.17e"  # round-trip precision
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17e}"
+    return CSV_FORMAT % x
 
 
 @dataclass
@@ -60,7 +61,7 @@ def build_table(trajectory: Trajectory, envelopes) -> TrajectoryTable:
     rho = comp.mass_densities
     velocities = np.array([s.velocities for s in states])
     energies = np.array([s.energies for s in states])
-    temps_k = np.array([energy_to_kelvin(temperatures_of(s)) for s in states])
+    temps_k = energy_to_kelvin(_temperatures(comp, velocities, energies))
     env_velocity, env_energy, env_temperature = envelopes
     return TrajectoryTable(
         labels=comp.labels,
@@ -89,33 +90,29 @@ def _trajectory_header(labels, dimension) -> list[str]:
     return columns
 
 
+def _write_csv(path, columns, matrix) -> None:
+    header = ",".join(columns)
+    np.savetxt(path, matrix, CSV_FORMAT, ",", header=header, comments="", encoding="utf-8")
+
+
 def write_trajectory_csv(path, table: TrajectoryTable) -> None:
-    d = table.dimension
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(_trajectory_header(table.labels, d)) + "\n")
-        for r in range(len(table.times)):
-            row = [table.times[r]]
-            for i in range(len(table.labels)):
-                row += list(table.velocities[r, i])
-                row += [table.temperatures_kelvin[r, i], table.energies[r, i]]
-            row += list(table.momentum_total[r])
-            row += [
-                table.energy_total[r],
-                table.min_temperature_kelvin[r],
-                table.envelope_velocity[r],
-                table.envelope_energy[r],
-                table.envelope_temperature_kelvin[r],
-            ]
-            handle.write(",".join(_fmt(x) for x in row) + "\n")
+    per_species = np.concatenate(
+        [table.velocities, table.temperatures_kelvin[..., None], table.energies[..., None]],
+        axis=2,
+    )
+    matrix = np.column_stack([
+        table.times, per_species.reshape(len(table.times), -1), table.momentum_total,
+        table.energy_total, table.min_temperature_kelvin, table.envelope_velocity,
+        table.envelope_energy, table.envelope_temperature_kelvin,
+    ])
+    _write_csv(path, _trajectory_header(table.labels, table.dimension), matrix)
 
 
 def read_trajectory_csv(path) -> TrajectoryTable:
     """Re-read an emitted trajectory CSV into columnar form."""
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
-        data = np.array(
-            [[float(tok) for tok in line.strip().split(",")] for line in handle if line.strip()]
-        )
+        body = handle.read()
     labels = tuple(
         col[2:] for col in header if col.startswith("E_") and col != "E_tot"
     )
@@ -124,57 +121,51 @@ def read_trajectory_csv(path) -> TrajectoryTable:
     n = len(labels)
     width = len(header) - 1 - (n * 2) - 5  # velocity columns: species + totals
     dimension = width // (n + 1)
-    expected = _trajectory_header(labels, dimension)
-    if header != expected or data.ndim != 2 or data.shape[1] != len(header):
+    if header != _trajectory_header(labels, dimension) or not body.strip():
+        raise ValueError(f"{path}: unexpected column layout")
+    data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
         raise ValueError(f"{path}: unexpected column layout")
 
-    rows = data.shape[0]
-    velocities = np.empty((rows, n, dimension))
-    temps = np.empty((rows, n))
-    energies = np.empty((rows, n))
-    col = 1
-    for i in range(n):
-        velocities[:, i, :] = data[:, col : col + dimension]
-        temps[:, i] = data[:, col + dimension]
-        energies[:, i] = data[:, col + dimension + 1]
-        col += dimension + 2
-    momentum_total = data[:, col : col + dimension]
-    col += dimension
+    species_end = 1 + n * (dimension + 2)
+    per_species = data[:, 1:species_end].reshape(len(data), n, dimension + 2)
+    totals = data[:, species_end:]
     return TrajectoryTable(
         labels=labels,
         times=data[:, 0],
-        velocities=velocities,
-        temperatures_kelvin=temps,
-        energies=energies,
-        momentum_total=momentum_total,
-        energy_total=data[:, col],
-        min_temperature_kelvin=data[:, col + 1],
-        envelope_velocity=data[:, col + 2],
-        envelope_energy=data[:, col + 3],
-        envelope_temperature_kelvin=data[:, col + 4],
+        velocities=per_species[..., :dimension],
+        temperatures_kelvin=per_species[..., dimension],
+        energies=per_species[..., dimension + 1],
+        momentum_total=totals[:, :dimension],
+        energy_total=totals[:, dimension],
+        min_temperature_kelvin=totals[:, dimension + 1],
+        envelope_velocity=totals[:, dimension + 2],
+        envelope_energy=totals[:, dimension + 3],
+        envelope_temperature_kelvin=totals[:, dimension + 4],
     )
+
+
+def _deviations(table: TrajectoryTable, equilibrium: EquilibriumData):
+    """Distance from equilibrium per record: dev_u (R, N), dev_e (R,), dev_t (R, N) K."""
+    dev_u = np.linalg.norm(table.velocities - equilibrium.velocity[None, None, :], axis=2)
+    dev_e = np.linalg.norm(table.energies - equilibrium.energies[None, :], axis=1)
+    dev_t = np.abs(table.temperatures_kelvin - energy_to_kelvin(equilibrium.temperature))
+    return dev_u, dev_e, dev_t
 
 
 def write_envelope_csv(path, table: TrajectoryTable, equilibrium: EquilibriumData) -> None:
     """Deviation-from-equilibrium columns next to their analytic envelopes."""
-    u_eq = equilibrium.velocity
-    t_eq_k = energy_to_kelvin(equilibrium.temperature)
-    dev_u = np.linalg.norm(table.velocities - u_eq[None, None, :], axis=2)
-    dev_e = np.linalg.norm(table.energies - equilibrium.energies[None, :], axis=1)
-    dev_t = np.abs(table.temperatures_kelvin - t_eq_k)
-
+    dev_u, dev_e, dev_t = _deviations(table, equilibrium)
     columns = ["t"]
     columns += [f"dev_u_{label}" for label in table.labels]
     columns += ["env_velocity", "dev_energy", "env_energy"]
     columns += [f"dev_T_{label}_K" for label in table.labels]
     columns += ["env_temperature_K"]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(columns) + "\n")
-        for r in range(len(table.times)):
-            row = [table.times[r], *dev_u[r], table.envelope_velocity[r]]
-            row += [dev_e[r], table.envelope_energy[r]]
-            row += [*dev_t[r], table.envelope_temperature_kelvin[r]]
-            handle.write(",".join(_fmt(x) for x in row) + "\n")
+    matrix = np.column_stack([
+        table.times, dev_u, table.envelope_velocity, dev_e, table.envelope_energy,
+        dev_t, table.envelope_temperature_kelvin,
+    ])
+    _write_csv(path, columns, matrix)
 
 
 def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
@@ -186,7 +177,7 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
     """
     comp = MixtureComposition(config.species, config.number_densities)
     rho = comp.mass_densities
-    model = config.frequency_model()
+    n = comp.number_densities
     records = record_monitors(comp, table.velocities, table.energies)
 
     lines = ["[monitors]"]
@@ -210,38 +201,29 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
     report("velocity_bounds", bool(records.velocity_bounds_ok.all()))
     report("realizability", above_floor)
 
-    initial = MomentState(comp, table.velocities[0], table.energies[0])
-    equilibrium = steady_state(initial)
-    dev_u = np.linalg.norm(table.velocities - equilibrium.velocity[None, None, :], axis=2)
+    equilibrium = steady_state(MomentState(comp, table.velocities[0], table.energies[0]))
+    dev_u, dev_e, dev_t = _deviations(table, equilibrium)
     env_u = table.envelope_velocity[:, None] * (1.0 + ENVELOPE_SLACK)
     report("envelope_velocity", bool(np.all(dev_u <= env_u)))
-
-    dev_e = np.linalg.norm(table.energies - equilibrium.energies[None, :], axis=1)
-    report(
-        "envelope_energy",
-        bool(np.all(dev_e <= table.envelope_energy * (1.0 + ENVELOPE_SLACK))),
-    )
-
-    t_eq_k = energy_to_kelvin(equilibrium.temperature)
-    dev_t = np.abs(table.temperatures_kelvin - t_eq_k)
+    env_e = table.envelope_energy * (1.0 + ENVELOPE_SLACK)
+    report("envelope_energy", bool(np.all(dev_e <= env_e)))
     env_t = table.envelope_temperature_kelvin[:, None] * (1.0 + ENVELOPE_SLACK)
     report("envelope_temperature", bool(np.all(dev_t <= env_t)))
 
     bracket_ok = True
     if comp.size > 1:
-        operators, brackets = [], []
-        for velocities, energies in zip(table.velocities, table.energies):
-            state = MomentState(comp, velocities, energies)
-            mats = assemble(state, model)
-            bounds = spectral_bounds(mats, rho, comp.number_densities)
-            ops = scaled_operators(state, mats, 1.0)
-            operators.append((ops.momentum_relaxation, ops.energy_relaxation))
-            brackets.append(
-                ((bounds.velocity_lower, bounds.velocity_upper),
-                 (bounds.energy_lower, bounds.energy_upper))
-            )
-        spectra = np.linalg.eigvalsh(np.array(operators))[..., 1:]  # drop the null mode
-        brackets = np.array(brackets)  # (R, operator, end)
+        # A record with a nonpositive temperature already fails realizability
+        # and has no hard-sphere frequencies, so it gets no bracket.
+        temps = records.temperatures[np.all(records.temperatures > 0.0, axis=1)]
+        lam = collision_frequencies(config.frequency_model(), comp, temps, table.dimension)
+        momentum = coupling_from_frequencies(lam, rho)
+        energy = coupling_from_frequencies(lam, n)
+        brackets = _eigenvalue_brackets(momentum, energy, rho, n)  # (R, operator, end)
+        operators = np.stack(
+            [_scaled(_laplacian(momentum), np.sqrt(rho)), _scaled(_laplacian(energy), np.sqrt(n))],
+            axis=-3,
+        )
+        spectra = np.linalg.eigvalsh(operators)[..., 1:]  # drop the null mode
         lower, upper = brackets[..., :1], brackets[..., 1:]
         slack = BRACKET_SLACK * np.maximum(upper, np.abs(lower))
         bracket_ok = not (np.any(spectra < lower - slack) or np.any(spectra > upper + slack))

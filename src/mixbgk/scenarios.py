@@ -47,7 +47,7 @@ GASES = {
 
 # Backward-Euler default: ~20 implicit steps per e-fold of the slowest
 # conservative velocity rate.  RK4 default: half the stability limit of
-# the fastest instantaneous rate, horizon capped at RK4_MAX_STEPS.
+# the fastest instantaneous rate, a derived horizon capped at RK4_MAX_STEPS.
 BE_RATE_PER_STEP = 0.05
 RK4_RATE_PER_STEP = 0.5
 RK4_MAX_STEPS = 5_000
@@ -119,8 +119,8 @@ def resolve_integrator(config: ScenarioConfig, state=None, model=None) -> Integr
     The default horizon covers HORIZON_EFOLDS e-folds of the slowest
     conservative envelope rate.  The default step is BE_RATE_PER_STEP
     e-folds of the conservative velocity rate for backward Euler and a
-    stability-limited step (capped at RK4_MAX_STEPS steps of horizon) for
-    RK4.
+    stability-limited step for RK4; with both derived, the RK4 horizon is
+    capped at RK4_MAX_STEPS steps.  An explicit horizon is never capped.
     """
     state = config.initial_state() if state is None else state
     model = config.frequency_model() if model is None else model
@@ -129,15 +129,16 @@ def resolve_integrator(config: ScenarioConfig, state=None, model=None) -> Integr
     t_final = config.t_final
     if dt is None or t_final is None:
         velocity_rate, energy_rate = conservative_decay_rate(state, model)
-        slowest = min(velocity_rate, energy_rate)
-        if t_final is None:
-            t_final = HORIZON_EFOLDS * config.eps / slowest
+        rk4_derived = config.method == "rk4" and dt is None
         if dt is None:
             if config.method == "rk4":
                 dt = _rk4_stable_dt(state, model, config.eps)
-                t_final = min(t_final, RK4_MAX_STEPS * dt)
             else:
                 dt = BE_RATE_PER_STEP * config.eps / velocity_rate
+        if t_final is None:
+            t_final = HORIZON_EFOLDS * config.eps / min(velocity_rate, energy_rate)
+            if rk4_derived:
+                t_final = min(t_final, RK4_MAX_STEPS * dt)
     return IntegratorConfig(
         dt=float(dt),
         t_final=float(t_final),

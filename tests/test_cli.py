@@ -18,7 +18,7 @@ from mixbgk import (
 )
 from mixbgk.cli import main
 from mixbgk.output import monitor_block, read_trajectory_csv
-from mixbgk.scenarios import ScenarioError
+from mixbgk.scenarios import RK4_MAX_STEPS, ScenarioError
 
 GOOD_CONFIG = """\
 # argon-krypton drift relaxation
@@ -72,6 +72,14 @@ class TestPresets:
     def test_all_presets_realizable(self):
         for scenario in presets().values():
             assert is_realizable(scenario.initial_state(), floor=0.0)
+
+    def test_rk4_cap_spares_an_explicit_horizon(self):
+        scenario = replace(presets()[3], method="rk4")
+        derived = resolve_integrator(scenario)
+        assert derived.t_final == RK4_MAX_STEPS * derived.dt
+        explicit = resolve_integrator(replace(scenario, t_final=1e-9))
+        assert explicit.dt == derived.dt
+        assert explicit.t_final == 1e-9
 
     def test_default_settings_resolve(self):
         for scenario in presets().values():
@@ -154,16 +162,60 @@ class TestCliRun:
     def test_too_tight_bracket_fails(self, tmp_path, monkeypatch):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
-        original = output_mod.spectral_bounds
+        original = output_mod._eigenvalue_brackets
 
-        def tight(mats, rho, n):
-            bounds = original(mats, rho, n)
-            return replace(bounds, velocity_lower=2.0 * bounds.velocity_upper)
+        def tight(momentum, energy, rho, n):
+            brackets = original(momentum, energy, rho, n)
+            brackets[..., 0, 0] = 2.0 * brackets[..., 0, 1]  # velocity lower above upper
+            return brackets
 
-        monkeypatch.setattr(output_mod, "spectral_bounds", tight)
+        monkeypatch.setattr(output_mod, "_eigenvalue_brackets", tight)
         block = monitor_block(table, presets()[1])
         assert "eigenvalue_bracket -> FAIL" in block
         assert block[-1] == "overall -> FAIL"
+
+    def test_nonpositive_temperature_fails_without_raising(self, tmp_path):
+        main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        table.energies[len(table.energies) // 2, 0] *= -1.0
+        block = monitor_block(table, presets()[1])
+        assert "realizability -> FAIL" in block
+        assert block[-1] == "overall -> FAIL"
+
+    def test_envelope_csv_content(self, tmp_path):
+        main(["run", "--example", "2", "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / "example2_trajectory.csv")
+        path = tmp_path / "example2_envelopes.csv"
+        lines = path.read_text().splitlines()
+        matrix = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        # every value in round-trip precision, formatted one at a time
+        assert lines[1:] == [",".join(f"{x:.17e}" for x in row) for row in matrix]
+        columns = dict(zip(lines[0].split(","), matrix.T))
+
+        # deviations recompute from the re-read trajectory and the steady state
+        eq = steady_state(presets()[2].initial_state())
+        for i, label in enumerate(table.labels):
+            gap = table.velocities[:, i, :] - eq.velocity
+            np.testing.assert_allclose(
+                columns[f"dev_u_{label}"], np.sqrt((gap**2).sum(axis=1)), rtol=1e-14
+            )
+            np.testing.assert_allclose(
+                columns[f"dev_T_{label}_K"],
+                np.abs(table.temperatures_kelvin[:, i] - energy_to_kelvin(eq.temperature)),
+                rtol=1e-14,
+            )
+        np.testing.assert_allclose(
+            columns["dev_energy"],
+            np.sqrt(((table.energies - eq.energies) ** 2).sum(axis=1)),
+            rtol=1e-14,
+        )
+        # the envelopes and times are the trajectory CSV's, bit for bit
+        np.testing.assert_array_equal(columns["t"], table.times)
+        np.testing.assert_array_equal(columns["env_velocity"], table.envelope_velocity)
+        np.testing.assert_array_equal(columns["env_energy"], table.envelope_energy)
+        np.testing.assert_array_equal(
+            columns["env_temperature_K"], table.envelope_temperature_kelvin
+        )
 
     def test_header_only_csv_rejected(self, tmp_path):
         path = tmp_path / "empty_trajectory.csv"

@@ -21,7 +21,9 @@ from mixbgk import (
     state_from_temperatures,
     temperatures_of,
 )
-from mixbgk.collisions import collision_frequencies
+from mixbgk.collisions import _laplacian, collision_frequencies, coupling_from_frequencies
+from mixbgk.dynamics import _scaled, scaled_operators
+from mixbgk.equilibrium import _eigenvalue_brackets, spectral_bounds
 
 from conftest import random_composition, random_state
 
@@ -235,6 +237,63 @@ class TestAssemble:
         np.testing.assert_array_equal(
             mats.energy_degree, mats.energy_coupling.sum(axis=1)
         )
+
+
+class TestStackedRecords:
+    """The helpers broadcast over a leading record axis, bit for bit."""
+
+    @staticmethod
+    def _records(rng, comp, count=6):
+        velocities = rng.uniform(-500.0, 500.0, size=(count, comp.size, 3))
+        temperatures = rng.uniform(200.0, 3000.0, size=(count, comp.size)) * BOLTZMANN_J_PER_K
+        return [state_from_temperatures(comp, u, t) for u, t in zip(velocities, temperatures)]
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_match_per_record_assembly(self, constant):
+        rng = np.random.default_rng(79)
+        comp = random_composition(rng, 4)
+        model = ConstantMatrix(rng.uniform(1e9, 1e12, (4, 4))) if constant else HardSphere()
+        states = self._records(rng, comp)
+        temps = np.array([temperatures_of(s) for s in states])
+        rho, n = comp.mass_densities, comp.number_densities
+
+        lam = collision_frequencies(model, comp, temps, 3)
+        alpha, beta = mixing_weights(lam, rho, n)
+        momentum = coupling_from_frequencies(lam, rho)
+        energy = coupling_from_frequencies(lam, n)
+        momentum_relaxation = _scaled(_laplacian(momentum), np.sqrt(rho))
+        energy_relaxation = _scaled(_laplacian(energy), np.sqrt(n))
+        brackets = np.broadcast_to(_eigenvalue_brackets(momentum, energy, rho, n), (6, 2, 2))
+        for r, state in enumerate(states):
+            mats = assemble(state, model)
+            ops = scaled_operators(state, mats, 1.0)
+            bounds = spectral_bounds(mats, rho, n)
+            np.testing.assert_array_equal(
+                brackets[r],
+                [[bounds.velocity_lower, bounds.velocity_upper],
+                 [bounds.energy_lower, bounds.energy_upper]],
+            )
+            pairs = [
+                (lam, mats.frequencies),
+                (alpha, mats.velocity_weights),
+                (beta, mats.temperature_weights),
+                (momentum, mats.momentum_coupling),
+                (energy, mats.energy_coupling),
+                (_laplacian(momentum), np.diag(mats.momentum_degree) - mats.momentum_coupling),
+                (_laplacian(energy), np.diag(mats.energy_degree) - mats.energy_coupling),
+                (momentum_relaxation, ops.momentum_relaxation),
+                (energy_relaxation, ops.energy_relaxation),
+            ]
+            for stacked, single in pairs:
+                np.testing.assert_array_equal(np.broadcast_to(stacked, (6, 4, 4))[r], single)
+
+    def test_bad_temperature_names_its_species(self):
+        comp = random_composition(np.random.default_rng(83), 3)
+        temps = np.full((4, 3), T1000)
+        temps[2, 1] = -1.0
+        temps[3, 0] = -2.0
+        with pytest.raises(ValueError, match="'s1' has T = -1"):
+            hard_sphere_frequencies(comp.species, comp.number_densities, temps)
 
 
 class TestClosedFormCouplings:
