@@ -70,6 +70,41 @@ class ConstantMatrix:
 FrequencyModel = Union[HardSphere, ConstantMatrix]
 
 
+def _hard_sphere_factor(masses, diameters, number_densities) -> np.ndarray:
+    """The temperature-free part of the hard-sphere frequencies, (N, N).
+
+    PREF * m_i m_j / (m_i + m_j)^2 * (d_i + d_j)^2 * n_j is fixed for a
+    mixture; the frequencies are this factor times :func:`_thermal_speed`.
+    """
+    m_i, m_j = masses[:, None], masses[None, :]
+    return (
+        HARD_SPHERE_PREFACTOR
+        * (m_i * m_j) / (m_i + m_j) ** 2
+        * (diameters[:, None] + diameters[None, :]) ** 2
+        * number_densities[None, :]
+    )
+
+
+def _thermal_speed(masses, temperatures) -> np.ndarray:
+    """sqrt(T_i / m_i + T_j / m_j), (..., N) temperatures -> (..., N, N)."""
+    return np.sqrt(
+        temperatures[..., None] / masses[:, None] + temperatures[..., None, :] / masses[None, :]
+    )
+
+
+def _positive_temperatures(species, temperatures) -> np.ndarray:
+    """Temperatures as floats, or ValueError naming the first nonpositive species."""
+    temperatures = np.asarray(temperatures, dtype=float)
+    bad = ~(np.isfinite(temperatures) & (temperatures > 0.0))
+    if np.any(bad):
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"hard-sphere frequencies need strictly positive temperatures; "
+            f"species {species[first[-1]].label!r} has T = {temperatures[first]:.6e} J"
+        )
+    return temperatures
+
+
 def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarray:
     """Hard-sphere collision-frequency matrices lam[..., i, j].
 
@@ -82,27 +117,35 @@ def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarr
     Returns:
         (..., N, N) array of positive, finite frequencies.
     """
-    temperatures = np.asarray(temperatures, dtype=float)
-    bad = ~(np.isfinite(temperatures) & (temperatures > 0.0))
-    if np.any(bad):
-        first = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(
-            f"hard-sphere frequencies need strictly positive temperatures; "
-            f"species {species[first[-1]].label!r} has T = {temperatures[first]:.6e} J"
-        )
+    temperatures = _positive_temperatures(species, temperatures)
     m = np.asarray([s.mass for s in species], dtype=float)
     diam = np.asarray([s.diameter for s in species], dtype=float)
     n = np.asarray(number_densities, dtype=float)
+    return _hard_sphere_factor(m, diam, n) * _thermal_speed(m, temperatures)
 
-    m_i, m_j = m[:, None], m[None, :]
-    thermal_speed = np.sqrt(temperatures[..., None] / m_i + temperatures[..., None, :] / m_j)
-    return (
-        HARD_SPHERE_PREFACTOR
-        * (m_i * m_j) / (m_i + m_j) ** 2
-        * (diam[:, None] + diam[None, :]) ** 2
-        * n[None, :]
-        * thermal_speed
-    )
+
+def _frequency_factor(model: FrequencyModel, composition, dimension: int) -> np.ndarray:
+    """The temperature-free part of a model's frequencies, checked against the mixture.
+
+    Hard-sphere frequencies are this factor times :func:`_thermal_speed`;
+    constant frequencies are the factor itself.
+    """
+    if isinstance(model, HardSphere):
+        if dimension != 3:
+            raise ValueError(
+                f"the hard-sphere frequency model is specific to d = 3, got d = {dimension}"
+            )
+        return _hard_sphere_factor(
+            composition.masses, composition.diameters, composition.number_densities
+        )
+    if isinstance(model, ConstantMatrix):
+        if model.frequencies.shape != (composition.size, composition.size):
+            raise ValueError(
+                f"constant frequency matrix has shape {model.frequencies.shape}, "
+                f"mixture has {composition.size} species"
+            )
+        return model.frequencies
+    raise TypeError(f"unknown frequency model: {model!r}")
 
 
 def collision_frequencies(
@@ -110,20 +153,27 @@ def collision_frequencies(
 ) -> np.ndarray:
     """Evaluate a frequency model for a composition at given temperatures (J)."""
     comp = getattr(state_or_composition, "composition", state_or_composition)
+    factor = _frequency_factor(model, comp, dimension)
     if isinstance(model, HardSphere):
-        if dimension != 3:
-            raise ValueError(
-                f"the hard-sphere frequency model is specific to d = 3, got d = {dimension}"
-            )
-        return hard_sphere_frequencies(comp.species, comp.number_densities, temperatures)
-    if isinstance(model, ConstantMatrix):
-        if model.frequencies.shape != (comp.size, comp.size):
-            raise ValueError(
-                f"constant frequency matrix has shape {model.frequencies.shape}, "
-                f"mixture has {comp.size} species"
-            )
-        return model.frequencies
-    raise TypeError(f"unknown frequency model: {model!r}")
+        temperatures = _positive_temperatures(comp.species, temperatures)
+        return factor * _thermal_speed(comp.masses, temperatures)
+    return factor
+
+
+def _weight_and_coupling(frequencies, weights, with_weight: bool = True):
+    """Mixing weight and symmetric coupling of one density weighting w.
+
+        weight[i, j]   = w_i lam_ij / s_ij
+        coupling[i, j] = w_i lam_ij * w_j lam_ji / s_ij,  s_ij = w_i lam_ij + w_j lam_ji,
+
+    over leading axes of (..., N, N) frequencies; both share the product
+    w lam and the pair sum s.  The weight is None without ``with_weight``.
+    """
+    scaled = np.asarray(weights, dtype=float)[:, None] * np.asarray(frequencies, dtype=float)
+    transposed = scaled.swapaxes(-1, -2)
+    total = scaled + transposed
+    weight = scaled / total if with_weight else None
+    return weight, scaled * transposed / total
 
 
 def mixing_weights(frequencies, mass_densities, number_densities):
@@ -135,10 +185,8 @@ def mixing_weights(frequencies, mass_densities, number_densities):
     lam = np.asarray(frequencies, dtype=float)
     if np.any(lam <= 0.0):
         raise ValueError("mixing weights need strictly positive frequencies")
-    rho_lam = np.asarray(mass_densities, dtype=float)[:, None] * lam
-    n_lam = np.asarray(number_densities, dtype=float)[:, None] * lam
-    alpha = rho_lam / (rho_lam + rho_lam.swapaxes(-1, -2))
-    beta = n_lam / (n_lam + n_lam.swapaxes(-1, -2))
+    alpha, _ = _weight_and_coupling(lam, mass_densities)
+    beta, _ = _weight_and_coupling(lam, number_densities)
     return alpha, beta
 
 
@@ -232,24 +280,22 @@ def _kinetic_coupling(energy_coupling, velocities, velocity_weights):
 
 def coupling_from_frequencies(frequencies, weights) -> np.ndarray:
     """Symmetric coupling w_i lam_ij * w_j lam_ji / (w_i lam_ij + w_j lam_ji)."""
-    scaled = np.asarray(weights, dtype=float)[:, None] * np.asarray(frequencies, float)
-    transposed = scaled.swapaxes(-1, -2)
-    return scaled * transposed / (scaled + transposed)
+    return _weight_and_coupling(frequencies, weights, with_weight=False)[1]
 
 
 def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:
     """Build every coupling matrix for one state evaluation.
 
-    Matrices are recomputed from scratch (no caching): mixtures are small
-    and correctness wins over speed.
+    Nothing is cached between calls: mixtures are small and correctness
+    wins over speed.  The backward-Euler sweep evaluates the same formulas
+    but keeps the mixture's temperature-free hard-sphere factor
+    (:func:`_hard_sphere_factor`) for a whole run.
     """
     comp = state.composition
     temps = temperatures_of(state)
     lam = collision_frequencies(model, comp, temps, state.dimension)
-    alpha, beta = mixing_weights(lam, comp.mass_densities, comp.number_densities)
-
-    momentum_coupling = coupling_from_frequencies(lam, comp.mass_densities)
-    energy_coupling = coupling_from_frequencies(lam, comp.number_densities)
+    alpha, momentum_coupling = _weight_and_coupling(lam, comp.mass_densities)
+    beta, energy_coupling = _weight_and_coupling(lam, comp.number_densities)
 
     mixture_speed_sq, kinetic_coupling = _kinetic_coupling(
         energy_coupling, state.velocities, alpha

@@ -29,14 +29,14 @@ import numpy as np
 from .collisions import (
     FrequencyModel,
     HardSphere,
+    _frequency_factor,
     _kinetic_coupling,
     _laplacian,
+    _thermal_speed,
+    _weight_and_coupling,
     assemble,
-    collision_frequencies,
-    coupling_from_frequencies,
-    mixing_weights,
 )
-from .dynamics import _scaled, energy_rhs, momentum_rhs
+from .dynamics import energy_rhs, momentum_rhs
 from .equilibrium import _component_bound
 from .species import (
     MixtureComposition,
@@ -143,11 +143,46 @@ def _relative_change(new, old) -> float:
     them against their own magnitude would block convergence whenever a
     velocity component crosses zero.
     """
-    scale = max(float(np.max(np.abs(new))), 1e-300)
-    return float(np.max(np.abs(new - old)) / scale)
+    scale = max(float(abs(new).max()), 1e-300)
+    return float(abs(new - old).max() / scale)
 
 
-def _picard_solve(state, dt, eps, model, tol, max_iter):
+@dataclass(frozen=True)
+class _SweepConstants:
+    """The temperature-free data of the Picard sweep, built once per run.
+
+    ``frequency_factor`` is the hard-sphere factor (the frequencies are it
+    times the thermal speed) or, for a constant model, the frequency matrix.
+    ``momentum_scale`` and ``energy_scale`` are sqrt(rho) (x) sqrt(rho) and
+    sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians.  The
+    densities and masses are the composition's own cached arrays.
+    """
+
+    hard_sphere: bool
+    frequency_factor: np.ndarray  # (N, N)
+    sqrt_rho: np.ndarray  # (N,)
+    sqrt_n: np.ndarray  # (N,)
+    momentum_scale: np.ndarray  # (N, N)
+    energy_scale: np.ndarray  # (N, N)
+    identity: np.ndarray  # (N, N)
+
+
+def _sweep_constants(state: MomentState, model: FrequencyModel) -> _SweepConstants:
+    comp = state.composition
+    sqrt_rho = np.sqrt(comp.mass_densities)
+    sqrt_n = np.sqrt(comp.number_densities)
+    return _SweepConstants(
+        hard_sphere=isinstance(model, HardSphere),
+        frequency_factor=_frequency_factor(model, comp, state.dimension),
+        sqrt_rho=sqrt_rho,
+        sqrt_n=sqrt_n,
+        momentum_scale=np.outer(sqrt_rho, sqrt_rho),
+        energy_scale=np.outer(sqrt_n, sqrt_n),
+        identity=np.eye(comp.size),
+    )
+
+
+def _picard_solve(state, dt, cfg, const):
     """Solve one implicit step; returns (velocities, energies, sweeps).
 
     The two linear systems are solved in the symmetrically scaled
@@ -158,16 +193,15 @@ def _picard_solve(state, dt, eps, model, tol, max_iter):
 
     which are exact diagonal rescalings of the conserved-variable systems
     but symmetric positive definite, so stiff steps do not rattle at the
-    roundoff plateau of a badly scaled solve.
+    roundoff plateau of a badly scaled solve.  Each sweep evaluates the
+    frequencies once and shares w lam and its pair sum between each
+    weight and coupling; everything temperature-free comes from ``const``.
     """
     comp = state.composition
-    rho = comp.mass_densities
-    n = comp.number_densities
-    d = state.dimension
-    sqrt_rho = np.sqrt(rho)
-    sqrt_n = np.sqrt(n)
-    identity = np.eye(comp.size)
-    hard_sphere = isinstance(model, HardSphere)
+    rho, n, masses = comp.mass_densities, comp.number_densities, comp.masses
+    sqrt_rho, sqrt_n, identity = const.sqrt_rho, const.sqrt_n, const.identity
+    rate = dt / cfg.eps
+    heating_rate = 0.5 * dt / cfg.eps
 
     w_old = sqrt_rho[:, None] * state.velocities
     xi_old = state.energies / sqrt_n
@@ -180,41 +214,43 @@ def _picard_solve(state, dt, eps, model, tol, max_iter):
     stalled = 0
 
     u_k, e_k = state.velocities, state.energies
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, cfg.picard_max_iter + 1):
         temps = _temperatures(comp, u_k, e_k)
-        if hard_sphere and not np.all(temps > 0.0):
-            raise RealizabilityError(
-                f"iterate temperature dropped to {temps.min():.6e} J during the "
-                f"implicit solve (dt = {dt:.6e})"
-            )
-        lam = collision_frequencies(model, comp, temps, d)
-        alpha, _ = mixing_weights(lam, rho, n)
-        momentum_coupling = coupling_from_frequencies(lam, rho)
-        energy_coupling = coupling_from_frequencies(lam, n)
+        if const.hard_sphere:
+            if not (temps > 0.0).all():
+                raise RealizabilityError(
+                    f"iterate temperature dropped to {temps.min():.6e} J during the "
+                    f"implicit solve (dt = {dt:.6e})"
+                )
+            lam = const.frequency_factor * _thermal_speed(masses, temps)
+        else:
+            lam = const.frequency_factor
+        alpha, momentum_coupling = _weight_and_coupling(lam, rho)
+        _, energy_coupling = _weight_and_coupling(lam, n, with_weight=False)
 
-        momentum_relaxation = _scaled(_laplacian(momentum_coupling), sqrt_rho)
-        w_new = np.linalg.solve(identity + (dt / eps) * momentum_relaxation, w_old)
+        momentum_system = identity + rate * (_laplacian(momentum_coupling) / const.momentum_scale)
+        w_new = np.linalg.solve(momentum_system, w_old)
         u_new = w_new / sqrt_rho[:, None]
 
         # The kinetic coupling pairs the new velocities with the mixing
         # weights of the current iterate.
         _, kinetic_coupling = _kinetic_coupling(energy_coupling, u_new, alpha)
-        energy_relaxation = _scaled(_laplacian(energy_coupling), sqrt_n)
+        energy_system = identity + rate * (_laplacian(energy_coupling) / const.energy_scale)
 
-        rhs = xi_old + (0.5 * dt / eps) * (_laplacian(kinetic_coupling) @ comp.masses) / sqrt_n
-        xi_new = np.linalg.solve(identity + (dt / eps) * energy_relaxation, rhs)
+        rhs = xi_old + heating_rate * (_laplacian(kinetic_coupling) @ masses) / sqrt_n
+        xi_new = np.linalg.solve(energy_system, rhs)
         e_new = xi_new * sqrt_n
 
         if sweep == 1:
             cond_proxy = max(
-                np.abs(identity + (dt / eps) * momentum_relaxation).sum(axis=1).max(),
-                np.abs(identity + (dt / eps) * energy_relaxation).sum(axis=1).max(),
+                abs(momentum_system).sum(axis=1).max(),
+                abs(energy_system).sum(axis=1).max(),
             )
             roundoff_floor = 64.0 * np.finfo(float).eps * cond_proxy
 
         residual = max(_relative_change(u_new, u_k), _relative_change(e_new, e_k))
         u_k, e_k = u_new, e_new
-        if residual < tol:
+        if residual < cfg.picard_tol:
             return u_k, e_k, sweep
         if residual < roundoff_floor:
             stalled = stalled + 1 if residual > 0.5 * best_residual else 0
@@ -223,23 +259,21 @@ def _picard_solve(state, dt, eps, model, tol, max_iter):
         best_residual = min(best_residual, residual)
 
     raise PicardDivergenceError(
-        f"implicit solve did not converge in {max_iter} sweeps "
+        f"implicit solve did not converge in {cfg.picard_max_iter} sweeps "
         f"(last relative change {residual:.3e}, dt = {dt:.6e})"
     )
 
 
-def _be_advance(state, dt, cfg, model, depth=0):
+def _be_advance(state, dt, cfg, const, depth=0):
     """Advance by dt with backward Euler, halving on realizability loss."""
     try:
-        u, e, sweeps = _picard_solve(
-            state, dt, cfg.eps, model, cfg.picard_tol, cfg.picard_max_iter
-        )
+        u, e, sweeps = _picard_solve(state, dt, cfg, const)
         return replace(state, velocities=u, energies=e), sweeps
     except RealizabilityError:
         if depth >= _MAX_HALVINGS:
             raise
-        half, sweeps_a = _be_advance(state, 0.5 * dt, cfg, model, depth + 1)
-        full, sweeps_b = _be_advance(half, 0.5 * dt, cfg, model, depth + 1)
+        half, sweeps_a = _be_advance(state, 0.5 * dt, cfg, const, depth + 1)
+        full, sweeps_b = _be_advance(half, 0.5 * dt, cfg, const, depth + 1)
         return full, max(sweeps_a, sweeps_b)
 
 
@@ -247,7 +281,7 @@ def backward_euler_step(
     state: MomentState, cfg: IntegratorConfig, model: FrequencyModel
 ) -> MomentState:
     """One implicit step of size cfg.dt from a realizable state."""
-    return _be_advance(state, cfg.dt, cfg, model)[0]
+    return _be_advance(state, cfg.dt, cfg, _sweep_constants(state, model))[0]
 
 
 def _stage_rates(state, model, eps):
@@ -359,9 +393,12 @@ def simulate(
     n_full = int(np.floor(cfg.t_final / cfg.dt * (1.0 + 1e-12)))
     remainder = cfg.t_final - n_full * cfg.dt
     step_sizes = [cfg.dt] * n_full
-    if remainder > 1e-12 * cfg.dt:
+    # Relative to the horizon too, so a horizon shorter than one step
+    # takes one step of length t_final.
+    if remainder > 1e-12 * min(cfg.dt, cfg.t_final):
         step_sizes.append(remainder)
 
+    const = _sweep_constants(initial, model) if cfg.method == "be" and step_sizes else None
     state = initial
     sweeps_window = 0
     for index, dt in enumerate(step_sizes, start=1):
@@ -369,7 +406,7 @@ def simulate(
         t = cfg.t_final if is_last else index * cfg.dt
         try:
             if cfg.method == "be":
-                state, sweeps = _be_advance(state, dt, cfg, model)
+                state, sweeps = _be_advance(state, dt, cfg, const)
             else:
                 state = _rk4_advance(state, dt, cfg.eps, model)
                 sweeps = 0

@@ -123,7 +123,10 @@ def read_trajectory_csv(path) -> TrajectoryTable:
     dimension = width // (n + 1)
     if header != _trajectory_header(labels, dimension) or not body.strip():
         raise ValueError(f"{path}: unexpected column layout")
-    data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+    except ValueError as err:  # ragged rows or fields that are not numbers
+        raise ValueError(f"{path}: unexpected column layout") from err
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: unexpected column layout")
 

@@ -226,6 +226,16 @@ class TestCliRun:
         with pytest.raises(ValueError, match="column layout"):
             read_trajectory_csv(path)
 
+    def test_ragged_csv_rejected_with_path(self, tmp_path):
+        main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
+        path = tmp_path / "example1_trajectory.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = ",".join(lines[2].split(",")[:3]) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="unexpected column layout") as excinfo:
+            read_trajectory_csv(path)
+        assert str(excinfo.value).startswith(str(path))
+
     def test_trajectory_csv_exact_round_trip(self, tmp_path):
         main(["run", "--example", "2", "--t-final", "3e-13", "--out", str(tmp_path)])
         path = tmp_path / "example2_trajectory.csv"

@@ -13,10 +13,16 @@ from mixbgk import (
     PicardDivergenceError,
     RealizabilityError,
     SpeciesParams,
+    assemble,
     backward_euler_step,
+    conservative_decay_rate,
     kelvin_to_energy,
+    pairwise_mixture,
     presets,
     rk4_step,
+    scaled_energies,
+    scaled_operators,
+    scaled_velocities,
     simulate,
     state_from_temperatures,
     temperatures_of,
@@ -136,6 +142,121 @@ class TestBackwardEulerStep:
             backward_euler_step(state, cfg, model)
 
 
+def _oracle_solve(state, dt, cfg, model):
+    """One backward-Euler step from the public assembly, without halving.
+
+    Each Picard sweep freezes the coefficients at the iterate (``assemble``
+    and ``scaled_operators``), solves for the velocities, then pairs the new
+    velocities with the iterate's mixing weights in the kinetic coupling of
+    the energy solve.  Sweeps stop once the relative max-norm change of both
+    fields drops below ``picard_tol``.
+    """
+    comp = state.composition
+    identity = np.eye(comp.size)
+    sqrt_rho = np.sqrt(comp.mass_densities)
+    sqrt_n = np.sqrt(comp.number_densities)
+    w_old, xi_old = scaled_velocities(state), scaled_energies(state)
+    u_k, e_k = state.velocities, state.energies
+    for _ in range(cfg.picard_max_iter):
+        iterate = MomentState(comp, u_k, e_k)
+        if isinstance(model, HardSphere) and not np.all(temperatures_of(iterate) > 0.0):
+            raise RealizabilityError("oracle iterate left the realizable set")
+        mats = assemble(iterate, model)
+        ops = scaled_operators(iterate, mats, cfg.eps)
+        w_new = np.linalg.solve(identity + dt / cfg.eps * ops.momentum_relaxation, w_old)
+        u_new = w_new / sqrt_rho[:, None]
+        u_mix = pairwise_mixture(
+            MomentState(comp, u_new, e_k), mats.velocity_weights, mats.temperature_weights
+        ).velocities
+        kinetic = mats.energy_coupling * (u_mix**2).sum(axis=2)
+        heating = (np.diag(kinetic.sum(axis=1)) - kinetic) @ comp.masses
+        xi_new = np.linalg.solve(
+            identity + dt / cfg.eps * ops.energy_relaxation,
+            xi_old + (0.5 * dt / cfg.eps) * heating / sqrt_n,
+        )
+        e_new = xi_new * sqrt_n
+        change = max(
+            np.abs(u_new - u_k).max() / max(np.abs(u_new).max(), 1e-300),
+            np.abs(e_new - e_k).max() / np.abs(e_new).max(),
+        )
+        u_k, e_k = u_new, e_new
+        if change < cfg.picard_tol:
+            return MomentState(comp, u_k, e_k)
+    raise AssertionError("oracle Picard iteration did not converge")
+
+
+def _assert_same_step(stepped, expected):
+    u_scale = np.abs(expected.velocities).max()
+    np.testing.assert_allclose(
+        stepped.velocities, expected.velocities, rtol=0, atol=1e-13 * u_scale
+    )
+    np.testing.assert_allclose(stepped.energies, expected.energies, rtol=1e-13)
+
+
+class TestBackwardEulerOracle:
+    """backward_euler_step against Picard sweeps built from the public assembly."""
+
+    @staticmethod
+    def _case(n_species, model_kind, seed):
+        rng = np.random.default_rng([seed, n_species])
+        state = random_state(rng, n_species)
+        if model_kind == "hard_sphere":
+            model = HardSphere()
+        else:
+            lam = np.exp(rng.uniform(np.log(1e11), np.log(1e13), (n_species, n_species)))
+            model = ConstantMatrix(lam)
+        if n_species == 1:
+            dt = 1e-12
+        else:
+            # A mild step keeps the sweeps' roundoff plateau (~cond * machine
+            # eps) below the 1e-13 agreement checked here, even at N = 30.
+            dt = 0.05 / conservative_decay_rate(state, model)[0]
+        return state, model, IntegratorConfig(dt=dt, t_final=dt)
+
+    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
+    @pytest.mark.parametrize("n_species", [1, 2, 3, 10, 30])
+    def test_matches_oracle(self, n_species, model_kind):
+        for seed in range(3):
+            state, model, cfg = self._case(n_species, model_kind, seed)
+            expected = _oracle_solve(state, cfg.dt, cfg, model)
+            _assert_same_step(backward_euler_step(state, cfg, model), expected)
+
+    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
+    def test_matches_oracle_through_a_halving(self, model_kind, monkeypatch):
+        state, model, cfg = self._case(3, model_kind, 0)
+        original = integrate_mod._picard_solve
+        calls = []
+
+        def refuse_full_step(st, dt, *args):
+            calls.append(dt)
+            if dt == cfg.dt:
+                raise RealizabilityError("synthetic loss")
+            return original(st, dt, *args)
+
+        monkeypatch.setattr(integrate_mod, "_picard_solve", refuse_full_step)
+        stepped = backward_euler_step(state, cfg, model)
+        assert calls == [cfg.dt, 0.5 * cfg.dt, 0.5 * cfg.dt]
+        half = _oracle_solve(state, 0.5 * cfg.dt, cfg, model)
+        _assert_same_step(stepped, _oracle_solve(half, 0.5 * cfg.dt, cfg, model))
+
+    def test_nonpositive_iterate_temperature_raises_realizability(self):
+        comp = random_state(np.random.default_rng(4), 3).composition
+        velocities = np.array([[400.0, 0.0, 0.0], [-300.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        temperatures = kelvin_to_energy(np.array([300.0, 900.0, 0.0]))
+        state = state_from_temperatures(comp, velocities, temperatures)
+        cfg = IntegratorConfig(dt=1e-13, t_final=1e-13)
+        # every halved step fails too, so the typed error surfaces
+        with pytest.raises(RealizabilityError, match="iterate temperature"):
+            backward_euler_step(state, cfg, HardSphere())
+
+    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
+    def test_single_sweep_limit_raises_divergence(self, model_kind):
+        state, model, cfg = self._case(3, model_kind, 1)
+        tight = IntegratorConfig(dt=cfg.dt, t_final=cfg.dt, picard_tol=1e-15, picard_max_iter=1)
+        with pytest.raises(PicardDivergenceError, match="did not converge in 1 sweeps"):
+            backward_euler_step(state, tight, model)
+
+
 class TestRk4Step:
     def test_equilibrium_is_fixed_point(self):
         state = uniform_equilibrium_state()
@@ -220,6 +341,17 @@ class TestSimulate:
         assert trajectory.times[-1] == cfg.t_final
         steps = np.rint(np.diff(trajectory.times) / cfg.dt)
         assert np.all(steps[:-1] == 3)
+
+    def test_horizon_shorter_than_one_step_takes_one_step(self):
+        scenario = presets()[1]
+        state, model = scenario.initial_state(), scenario.frequency_model()
+        cfg = IntegratorConfig(dt=1e3, t_final=1e-9)
+        trajectory = simulate(state, cfg, model)
+        np.testing.assert_array_equal(trajectory.times, [0.0, 1e-9])
+        assert trajectory.monitors[1].picard_iterations >= 1
+        stepped = backward_euler_step(state, IntegratorConfig(dt=1e-9, t_final=1e-9), model)
+        np.testing.assert_array_equal(trajectory.final_state.velocities, stepped.velocities)
+        np.testing.assert_array_equal(trajectory.final_state.energies, stepped.energies)
 
     def test_zero_horizon_records_initial_only(self):
         state, model, _, _ = two_species_linear()
