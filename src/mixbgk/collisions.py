@@ -30,6 +30,14 @@ mixture velocities/temperatures, and the coupling matrices
 plus their row sums ("degrees") and Laplacians diag(degree) - coupling.
 The frequency, weight, coupling and Laplacian helpers broadcast over
 leading record axes, so (R, N) temperatures give (R, N, N) matrices.
+
+The operator core, on the temperature-free :class:`_RunConstants` built
+once per run: :func:`_couplings` gives alpha, A and B at temperatures,
+:func:`_operators` adds the scaled relaxation operators Z and Z-hat, and
+:func:`_heating` the kinetic heating of the scaled energies.  Both
+integrators, the monitors, the decay constants and the RK4 step size go
+through it; :func:`assemble` and ``dynamics.scaled_operators`` are thin
+calls into the same constants and helpers.
 Self pairs (i = j) are included throughout; they cancel identically in
 all relaxation differences.
 """
@@ -41,7 +49,7 @@ from typing import Union
 
 import numpy as np
 
-from .species import MomentState, _readonly, temperatures_of
+from .species import MixtureComposition, MomentState, _readonly, temperatures_of
 
 # 32 pi^2 / (3 (2 pi)^{3/2}), evaluated in full float precision.
 HARD_SPHERE_PREFACTOR = 32.0 * np.pi**2 / (3.0 * (2.0 * np.pi) ** 1.5)
@@ -118,46 +126,8 @@ def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarr
         (..., N, N) array of positive, finite frequencies.
     """
     temperatures = _positive_temperatures(species, temperatures)
-    m = np.asarray([s.mass for s in species], dtype=float)
-    diam = np.asarray([s.diameter for s in species], dtype=float)
-    n = np.asarray(number_densities, dtype=float)
-    return _hard_sphere_factor(m, diam, n) * _thermal_speed(m, temperatures)
-
-
-def _frequency_factor(model: FrequencyModel, composition, dimension: int) -> np.ndarray:
-    """The temperature-free part of a model's frequencies, checked against the mixture.
-
-    Hard-sphere frequencies are this factor times :func:`_thermal_speed`;
-    constant frequencies are the factor itself.
-    """
-    if isinstance(model, HardSphere):
-        if dimension != 3:
-            raise ValueError(
-                f"the hard-sphere frequency model is specific to d = 3, got d = {dimension}"
-            )
-        return _hard_sphere_factor(
-            composition.masses, composition.diameters, composition.number_densities
-        )
-    if isinstance(model, ConstantMatrix):
-        if model.frequencies.shape != (composition.size, composition.size):
-            raise ValueError(
-                f"constant frequency matrix has shape {model.frequencies.shape}, "
-                f"mixture has {composition.size} species"
-            )
-        return model.frequencies
-    raise TypeError(f"unknown frequency model: {model!r}")
-
-
-def collision_frequencies(
-    model: FrequencyModel, state_or_composition, temperatures, dimension: int
-) -> np.ndarray:
-    """Evaluate a frequency model for a composition at given temperatures (J)."""
-    comp = getattr(state_or_composition, "composition", state_or_composition)
-    factor = _frequency_factor(model, comp, dimension)
-    if isinstance(model, HardSphere):
-        temperatures = _positive_temperatures(comp.species, temperatures)
-        return factor * _thermal_speed(comp.masses, temperatures)
-    return factor
+    composition = MixtureComposition(species, number_densities)
+    return _run_constants(composition, HardSphere(), 3).frequencies(temperatures)
 
 
 def _weight_and_coupling(frequencies, weights, with_weight: bool = True):
@@ -249,21 +219,12 @@ class CollisionMatrices:
 
     @property
     def momentum_laplacian(self) -> np.ndarray:
-        return _laplacian(self.momentum_coupling, self.momentum_degree)
-
-    @property
-    def energy_laplacian(self) -> np.ndarray:
-        return _laplacian(self.energy_coupling, self.energy_degree)
-
-    @property
-    def kinetic_laplacian(self) -> np.ndarray:
-        return _laplacian(self.kinetic_coupling, self.kinetic_degree)
+        return _laplacian(self.momentum_coupling)
 
 
-def _laplacian(coupling, degree=None) -> np.ndarray:
-    """diag(degree) - coupling over leading axes, the degree defaulting to row sums."""
-    if degree is None:
-        degree = coupling.sum(axis=-1)
+def _laplacian(coupling) -> np.ndarray:
+    """diag(degree) - coupling over leading axes, the degree being the row sums."""
+    degree = coupling.sum(axis=-1)
     laplacian = np.negative(coupling, order="C")
     n = coupling.shape[-1]
     # In C order the diagonal of each trailing N x N block is every (N+1)-th entry.
@@ -278,24 +239,125 @@ def _kinetic_coupling(energy_coupling, velocities, velocity_weights):
     return mixture_speed_sq, energy_coupling * mixture_speed_sq
 
 
-def coupling_from_frequencies(frequencies, weights) -> np.ndarray:
-    """Symmetric coupling w_i lam_ij * w_j lam_ji / (w_i lam_ij + w_j lam_ji)."""
-    return _weight_and_coupling(frequencies, weights, with_weight=False)[1]
+@dataclass(frozen=True)
+class _RunConstants:
+    """The temperature-free data of Z, Z-hat and the heating, built once per run.
+
+    ``frequency_factor`` is the hard-sphere factor (the frequencies are it
+    times the thermal speed) or, for a constant model, the frequency matrix.
+    ``momentum_scale`` and ``energy_scale`` are sqrt(rho) (x) sqrt(rho) and
+    sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians.  The
+    densities and masses are the composition's own cached arrays.
+    """
+
+    hard_sphere: bool
+    frequency_factor: np.ndarray  # (N, N)
+    masses: np.ndarray  # (N,)
+    mass_densities: np.ndarray  # (N,)
+    number_densities: np.ndarray  # (N,)
+    sqrt_rho: np.ndarray  # (N,)
+    sqrt_n: np.ndarray  # (N,)
+    momentum_scale: np.ndarray  # (N, N)
+    energy_scale: np.ndarray  # (N, N)
+    identity: np.ndarray  # (N, N)
+
+    def frequencies(self, temperatures) -> np.ndarray:
+        """lam at (..., N) temperatures, which must be positive for hard spheres."""
+        if self.hard_sphere:
+            return self.frequency_factor * _thermal_speed(self.masses, temperatures)
+        return self.frequency_factor
+
+
+def _run_constants(composition, model: FrequencyModel, dimension: int) -> _RunConstants:
+    """Check a model against a mixture and build its run constants."""
+    hard_sphere = isinstance(model, HardSphere)
+    if hard_sphere:
+        if dimension != 3:
+            raise ValueError(
+                f"the hard-sphere frequency model is specific to d = 3, got d = {dimension}"
+            )
+        factor = _hard_sphere_factor(
+            composition.masses, composition.diameters, composition.number_densities
+        )
+    elif isinstance(model, ConstantMatrix):
+        if model.frequencies.shape != (composition.size, composition.size):
+            raise ValueError(
+                f"constant frequency matrix has shape {model.frequencies.shape}, "
+                f"mixture has {composition.size} species"
+            )
+        factor = model.frequencies
+    else:
+        raise TypeError(f"unknown frequency model: {model!r}")
+    sqrt_rho = np.sqrt(composition.mass_densities)
+    sqrt_n = np.sqrt(composition.number_densities)
+    return _RunConstants(
+        hard_sphere=hard_sphere,
+        frequency_factor=factor,
+        masses=composition.masses,
+        mass_densities=composition.mass_densities,
+        number_densities=composition.number_densities,
+        sqrt_rho=sqrt_rho,
+        sqrt_n=sqrt_n,
+        momentum_scale=np.outer(sqrt_rho, sqrt_rho),
+        energy_scale=np.outer(sqrt_n, sqrt_n),
+        identity=np.eye(composition.size),
+    )
+
+
+def _couplings(temperatures, const: _RunConstants):
+    """(alpha, A, B) at (..., N) temperatures, over any leading axes.
+
+    One frequency evaluation, then one w lam product and pair sum per
+    density weighting (the temperature weights beta are not formed).
+    Hard-sphere temperatures must be positive; callers check them.
+    """
+    lam = const.frequencies(temperatures)
+    alpha, momentum_coupling = _weight_and_coupling(lam, const.mass_densities)
+    _, energy_coupling = _weight_and_coupling(lam, const.number_densities, with_weight=False)
+    return alpha, momentum_coupling, energy_coupling
+
+
+def _operators(temperatures, const: _RunConstants):
+    """(alpha, A, B, Z, Z-hat) at (..., N) temperatures, over any leading axes.
+
+    The couplings of :func:`_couplings` and the scaled Laplacians
+    Z = P^{-1/2} (D - A) P^{-1/2}, Z-hat = Q^{-1/2} (F - B) Q^{-1/2}.
+    """
+    alpha, momentum_coupling, energy_coupling = _couplings(temperatures, const)
+    return (
+        alpha,
+        momentum_coupling,
+        energy_coupling,
+        _laplacian(momentum_coupling) / const.momentum_scale,
+        _laplacian(energy_coupling) / const.energy_scale,
+    )
+
+
+def _heating(energy_coupling, velocity_weights, velocities, const: _RunConstants, rate):
+    """rate * Q^{-1/2} (G - C) m, the kinetic heating of the scaled energies, (N,).
+
+    G - C is the Laplacian of the kinetic coupling B |u_mix|^2 built from
+    the given velocities and mixing weights; rate is 1/(2 eps) in the ODE.
+    """
+    _, kinetic_coupling = _kinetic_coupling(energy_coupling, velocities, velocity_weights)
+    return rate * (_laplacian(kinetic_coupling) @ const.masses) / const.sqrt_n
 
 
 def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:
     """Build every coupling matrix for one state evaluation.
 
-    Nothing is cached between calls: mixtures are small and correctness
-    wins over speed.  The backward-Euler sweep evaluates the same formulas
-    but keeps the mixture's temperature-free hard-sphere factor
-    (:func:`_hard_sphere_factor`) for a whole run.
+    For tests and demos, from the run constants and the weight/coupling
+    helper every runtime path uses; beta shares the energy coupling's pair
+    sum, and the kinetic coupling is built at the state's velocities.
     """
     comp = state.composition
+    const = _run_constants(comp, model, state.dimension)
     temps = temperatures_of(state)
-    lam = collision_frequencies(model, comp, temps, state.dimension)
-    alpha, momentum_coupling = _weight_and_coupling(lam, comp.mass_densities)
-    beta, energy_coupling = _weight_and_coupling(lam, comp.number_densities)
+    if const.hard_sphere:
+        temps = _positive_temperatures(comp.species, temps)
+    lam = const.frequencies(temps)
+    alpha, momentum_coupling = _weight_and_coupling(lam, const.mass_densities)
+    beta, energy_coupling = _weight_and_coupling(lam, const.number_densities)
 
     mixture_speed_sq, kinetic_coupling = _kinetic_coupling(
         energy_coupling, state.velocities, alpha

@@ -2,10 +2,12 @@
 
 Three equivalent formulations are exposed:
 
+* the scaled symmetric form of :func:`scaled_operators` (variables
+  W = P^{1/2} U and xi = Q^{-1/2} E), a call into the operator core of
+  :mod:`mixbgk.collisions` that both integrators and the monitors use,
 * the raw per-species rates :func:`momentum_rhs` / :func:`energy_rhs`
-  (conserved variables rho_i u_i and E_i -- the primary interface),
-* the scaled symmetric form of :func:`scaled_operators`, used by the
-  decay analysis (variables W = P^{1/2} U and xi = Q^{-1/2} E), and
+  (conserved variables rho_i u_i and E_i) in pairwise-difference form,
+  the reference the tests hold the core to, and
 * the derived temperature rate :func:`temperature_rhs`, kept only as an
   independent cross-check of the energy/momentum rates.
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import CollisionMatrices
+from .collisions import CollisionMatrices, ConstantMatrix, _heating, _operators, _run_constants
 from .species import MomentState, temperatures_of
 
 
@@ -121,19 +123,16 @@ def scaled_energies(state: MomentState) -> np.ndarray:
     return state.energies / np.sqrt(state.composition.number_densities)
 
 
-def _scaled(laplacian, sqrt_weights) -> np.ndarray:
-    """A Laplacian in the scaled variables: laplacian_ij / (sqrt(w_i) sqrt(w_j))."""
-    return laplacian / np.outer(sqrt_weights, sqrt_weights)
-
-
 def scaled_operators(
     state: MomentState, mats: CollisionMatrices, eps: float = 1.0
 ) -> ScaledOperators:
-    """Build the scaled-system operators for one state evaluation."""
+    """The scaled-system operators with the frequencies frozen at ``mats.frequencies``.
+
+    Only ``mats.frequencies`` is read: Z, Z-hat and the heating are rebuilt
+    from it by the operator core, the heating at ``state.velocities``.
+    """
     _check_eps(eps)
-    comp = state.composition
-    sqrt_n = np.sqrt(comp.number_densities)
-    momentum_relaxation = _scaled(mats.momentum_laplacian, np.sqrt(comp.mass_densities))
-    energy_relaxation = _scaled(mats.energy_laplacian, sqrt_n)
-    heating_source = 0.5 * (mats.kinetic_laplacian @ comp.masses) / sqrt_n / eps
-    return ScaledOperators(momentum_relaxation, energy_relaxation, heating_source)
+    const = _run_constants(state.composition, ConstantMatrix(mats.frequencies), state.dimension)
+    alpha, _, energy_coupling, z, z_hat = _operators(temperatures_of(state), const)
+    heating = _heating(energy_coupling, alpha, state.velocities, const, 0.5 / eps)
+    return ScaledOperators(z, z_hat, heating)

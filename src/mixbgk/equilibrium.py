@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import (
-    CollisionMatrices,
-    FrequencyModel,
-    assemble,
-    collision_frequencies,
-    coupling_from_frequencies,
-)
+from .collisions import CollisionMatrices, FrequencyModel, _couplings, _run_constants
 from .dynamics import scaled_energies, scaled_velocities
 from .species import MomentState, temperatures_of
 
@@ -115,15 +109,6 @@ def spectral_bounds(mats: CollisionMatrices, mass_densities, number_densities) -
     return SpectralBounds(*map(float, brackets.ravel()), vacuous=(len(rho) == 1))
 
 
-def _couplings_at_uniform_temperature(state, model, temperature):
-    comp = state.composition
-    uniform = np.full(comp.size, temperature)
-    lam = collision_frequencies(model, comp, uniform, state.dimension)
-    momentum = coupling_from_frequencies(lam, comp.mass_densities)
-    energy = coupling_from_frequencies(lam, comp.number_densities)
-    return momentum, energy
-
-
 def conservative_decay_rate(state: MomentState, model: FrequencyModel):
     """Trajectory-uniform decay rates (velocity_rate, energy_rate), 1/time.
 
@@ -134,19 +119,25 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
     constant frequency matrix they coincide with the instantaneous t=0
     bounds.
     """
-    temps = temperatures_of(state)
-    t_floor = temps.min()
+    comp = state.composition
+    t_floor = _temperature_floor(state)
+    const = _run_constants(comp, model, state.dimension)
+    _, momentum, energy = _couplings(np.full(comp.size, t_floor), const)
+    (velocity_rate, _), (energy_rate, _) = _eigenvalue_brackets(
+        momentum, energy, comp.mass_densities, comp.number_densities
+    )
+    return float(velocity_rate), float(energy_rate)
+
+
+def _temperature_floor(state: MomentState) -> float:
+    """min_i T_i, or ValueError when it is not positive."""
+    t_floor = temperatures_of(state).min()
     if not t_floor > 0.0:
         raise ValueError(
             f"conservative decay rates need a positive temperature floor, "
             f"got min T = {t_floor:.6e} J"
         )
-    momentum, energy = _couplings_at_uniform_temperature(state, model, t_floor)
-    comp = state.composition
-    (velocity_rate, _), (energy_rate, _) = _eigenvalue_brackets(
-        momentum, energy, comp.mass_densities, comp.number_densities
-    )
-    return float(velocity_rate), float(energy_rate)
+    return t_floor
 
 
 def velocity_component_bound(state: MomentState) -> float:
@@ -215,8 +206,18 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
     d = state.dimension
     n_species = comp.size
 
-    velocity_rate, energy_rate = conservative_decay_rate(state, model)
-    bounds_t0 = spectral_bounds(assemble(state, model), rho, n)
+    # The couplings with every temperature at the floor, at t = 0, and with
+    # every temperature at the ceiling 2 E_tot / (d min n), in one stack.
+    t_floor = _temperature_floor(state)
+    t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
+    uniform = np.ones(n_species)
+    temps = np.stack([t_floor * uniform, temperatures_of(state), t_ceiling * uniform])
+    _, momentum, energy = _couplings(temps, _run_constants(comp, model, d))
+    # A constant model gives one coupling pair for all three rows.
+    momentum, energy, _ = np.broadcast_arrays(momentum, energy, temps[..., None])
+    bounds_floor, bounds_t0, _ = _eigenvalue_brackets(momentum, energy, rho, n).tolist()
+    velocity_rate, energy_rate = bounds_floor[0][0], bounds_floor[1][0]
+    coupling_energy_max = float(energy[2].max())
 
     eq = steady_state(state)
     w_gap = scaled_velocities(state) - np.sqrt(rho)[:, None] * eq.velocity[None, :]
@@ -224,12 +225,6 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
 
     xi_gap = scaled_energies(state) - eq.energies / np.sqrt(n)
     energy_amplitude = float(np.sqrt(n.max()) * np.linalg.norm(xi_gap))
-
-    t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
-    _, energy_coupling_ceiling = _couplings_at_uniform_temperature(
-        state, model, t_ceiling
-    )
-    coupling_energy_max = float(energy_coupling_ceiling.max())
 
     speed_bound = velocity_component_bound(state)
     source_amplitude = (
@@ -246,10 +241,10 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
     return DecayConstants(
         velocity_rate=velocity_rate,
         energy_rate=energy_rate,
-        velocity_rate_t0=bounds_t0.velocity_lower,
-        velocity_rate_upper_t0=bounds_t0.velocity_upper,
-        energy_rate_t0=bounds_t0.energy_lower,
-        energy_rate_upper_t0=bounds_t0.energy_upper,
+        velocity_rate_t0=bounds_t0[0][0],
+        velocity_rate_upper_t0=bounds_t0[0][1],
+        energy_rate_t0=bounds_t0[1][0],
+        energy_rate_upper_t0=bounds_t0[1][1],
         velocity_amplitude=velocity_amplitude,
         speed_bound=speed_bound,
         speed_bound_energy=velocity_energy_bound(state),

@@ -26,17 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collisions import (
-    FrequencyModel,
-    HardSphere,
-    _frequency_factor,
-    _kinetic_coupling,
-    _laplacian,
-    _thermal_speed,
-    _weight_and_coupling,
-    assemble,
-)
-from .dynamics import energy_rhs, momentum_rhs
+from .collisions import FrequencyModel, HardSphere, _heating, _operators, _run_constants
 from .equilibrium import _component_bound
 from .species import (
     MixtureComposition,
@@ -97,10 +87,10 @@ class IntegratorConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.method not in ("be", "rk4"):
             raise ValueError(f"method must be 'be' or 'rk4', got {self.method!r}")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be a positive integer")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be a positive integer")
+        for name in ("output_stride", "picard_max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not (np.isfinite(self.picard_tol) and self.picard_tol > 0.0):
             raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
 
@@ -110,8 +100,10 @@ class MonitorReport:
     """Per-record verification data.
 
     Drifts are relative to fixed initial scales; ``min_temperature`` is in
-    J; ``picard_iterations`` is the largest sweep count of any step since
-    the previous record (0 for RK4 and for the initial record).
+    J; ``realizable`` means every temperature sits above the initial
+    floor min T(0), up to FLOOR_SLACK; ``picard_iterations`` is the
+    largest sweep count of any step since the previous record (0 for RK4
+    and for the initial record).
     """
 
     total_momentum_drift: float
@@ -147,41 +139,6 @@ def _relative_change(new, old) -> float:
     return float(abs(new - old).max() / scale)
 
 
-@dataclass(frozen=True)
-class _SweepConstants:
-    """The temperature-free data of the Picard sweep, built once per run.
-
-    ``frequency_factor`` is the hard-sphere factor (the frequencies are it
-    times the thermal speed) or, for a constant model, the frequency matrix.
-    ``momentum_scale`` and ``energy_scale`` are sqrt(rho) (x) sqrt(rho) and
-    sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians.  The
-    densities and masses are the composition's own cached arrays.
-    """
-
-    hard_sphere: bool
-    frequency_factor: np.ndarray  # (N, N)
-    sqrt_rho: np.ndarray  # (N,)
-    sqrt_n: np.ndarray  # (N,)
-    momentum_scale: np.ndarray  # (N, N)
-    energy_scale: np.ndarray  # (N, N)
-    identity: np.ndarray  # (N, N)
-
-
-def _sweep_constants(state: MomentState, model: FrequencyModel) -> _SweepConstants:
-    comp = state.composition
-    sqrt_rho = np.sqrt(comp.mass_densities)
-    sqrt_n = np.sqrt(comp.number_densities)
-    return _SweepConstants(
-        hard_sphere=isinstance(model, HardSphere),
-        frequency_factor=_frequency_factor(model, comp, state.dimension),
-        sqrt_rho=sqrt_rho,
-        sqrt_n=sqrt_n,
-        momentum_scale=np.outer(sqrt_rho, sqrt_rho),
-        energy_scale=np.outer(sqrt_n, sqrt_n),
-        identity=np.eye(comp.size),
-    )
-
-
 def _picard_solve(state, dt, cfg, const):
     """Solve one implicit step; returns (velocities, energies, sweeps).
 
@@ -193,12 +150,11 @@ def _picard_solve(state, dt, cfg, const):
 
     which are exact diagonal rescalings of the conserved-variable systems
     but symmetric positive definite, so stiff steps do not rattle at the
-    roundoff plateau of a badly scaled solve.  Each sweep evaluates the
-    frequencies once and shares w lam and its pair sum between each
-    weight and coupling; everything temperature-free comes from ``const``.
+    roundoff plateau of a badly scaled solve.  Each sweep makes one call
+    of the operator core and one of the heating, the latter with the new
+    velocities; everything temperature-free comes from ``const``.
     """
     comp = state.composition
-    rho, n, masses = comp.mass_densities, comp.number_densities, comp.masses
     sqrt_rho, sqrt_n, identity = const.sqrt_rho, const.sqrt_n, const.identity
     rate = dt / cfg.eps
     heating_rate = 0.5 * dt / cfg.eps
@@ -216,28 +172,21 @@ def _picard_solve(state, dt, cfg, const):
     u_k, e_k = state.velocities, state.energies
     for sweep in range(1, cfg.picard_max_iter + 1):
         temps = _temperatures(comp, u_k, e_k)
-        if const.hard_sphere:
-            if not (temps > 0.0).all():
-                raise RealizabilityError(
-                    f"iterate temperature dropped to {temps.min():.6e} J during the "
-                    f"implicit solve (dt = {dt:.6e})"
-                )
-            lam = const.frequency_factor * _thermal_speed(masses, temps)
-        else:
-            lam = const.frequency_factor
-        alpha, momentum_coupling = _weight_and_coupling(lam, rho)
-        _, energy_coupling = _weight_and_coupling(lam, n, with_weight=False)
+        if const.hard_sphere and not (temps > 0.0).all():
+            raise RealizabilityError(
+                f"iterate temperature dropped to {temps.min():.6e} J during the "
+                f"implicit solve (dt = {dt:.6e})"
+            )
+        alpha, _, energy_coupling, z, z_hat = _operators(temps, const)
 
-        momentum_system = identity + rate * (_laplacian(momentum_coupling) / const.momentum_scale)
+        momentum_system = identity + rate * z
         w_new = np.linalg.solve(momentum_system, w_old)
         u_new = w_new / sqrt_rho[:, None]
 
+        energy_system = identity + rate * z_hat
         # The kinetic coupling pairs the new velocities with the mixing
         # weights of the current iterate.
-        _, kinetic_coupling = _kinetic_coupling(energy_coupling, u_new, alpha)
-        energy_system = identity + rate * (_laplacian(energy_coupling) / const.energy_scale)
-
-        rhs = xi_old + heating_rate * (_laplacian(kinetic_coupling) @ masses) / sqrt_n
+        rhs = xi_old + _heating(energy_coupling, alpha, u_new, const, heating_rate)
         xi_new = np.linalg.solve(energy_system, rhs)
         e_new = xi_new * sqrt_n
 
@@ -281,50 +230,52 @@ def backward_euler_step(
     state: MomentState, cfg: IntegratorConfig, model: FrequencyModel
 ) -> MomentState:
     """One implicit step of size cfg.dt from a realizable state."""
-    return _be_advance(state, cfg.dt, cfg, _sweep_constants(state, model))[0]
+    const = _run_constants(state.composition, model, state.dimension)
+    return _be_advance(state, cfg.dt, cfg, const)[0]
 
 
-def _stage_rates(state, model, eps):
-    mats = assemble(state, model)
+def _rk4_advance(state, dt, eps, const):
+    """One classical RK4 step in the scaled variables W = P^{1/2} U, xi = Q^{-1/2} E,
+
+        dW/dt  = -(1/eps) Z W
+        dxi/dt = -(1/eps) Z-hat xi + heating,
+
+    with Z, Z-hat and the heating from the same core as the implicit sweep.
+    Stages are plain arrays; the step ends in one validated state.
+    """
     comp = state.composition
-    du_dt = momentum_rhs(state, mats, eps) / comp.mass_densities[:, None]
-    de_dt = energy_rhs(state, mats, eps)
-    return du_dt, de_dt
+    sqrt_rho, sqrt_n = const.sqrt_rho[:, None], const.sqrt_n
+    heating_rate = 0.5 / eps
 
-
-def _rk4_advance(state, dt, eps, model):
-    def stage(base, scale, du, de):
-        trial = replace(
-            base,
-            velocities=base.velocities + scale * du,
-            energies=base.energies + scale * de,
-        )
-        if isinstance(model, HardSphere) and not np.all(temperatures_of(trial) > 0.0):
+    def rates(w, xi):
+        u = w / sqrt_rho
+        temps = _temperatures(comp, u, xi * sqrt_n)
+        if const.hard_sphere and not (temps > 0.0).all():
             raise RealizabilityError(
                 f"RK4 stage state left the realizable set (dt = {dt:.6e}); "
                 "reduce the step size"
             )
-        return trial
+        alpha, _, energy_coupling, z, z_hat = _operators(temps, const)
+        heating = _heating(energy_coupling, alpha, u, const, heating_rate)
+        return -(z @ w) / eps, heating - (z_hat @ xi) / eps
 
-    k1 = _stage_rates(state, model, eps)
-    k2 = _stage_rates(stage(state, 0.5 * dt, *k1), model, eps)
-    k3 = _stage_rates(stage(state, 0.5 * dt, *k2), model, eps)
-    k4 = _stage_rates(stage(state, dt, *k3), model, eps)
+    w, xi = sqrt_rho * state.velocities, state.energies / sqrt_n
+    k1 = rates(w, xi)
+    k2 = rates(w + 0.5 * dt * k1[0], xi + 0.5 * dt * k1[1])
+    k3 = rates(w + 0.5 * dt * k2[0], xi + 0.5 * dt * k2[1])
+    k4 = rates(w + dt * k3[0], xi + dt * k3[1])
 
-    du = (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-    de = (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-    return replace(
-        state,
-        velocities=state.velocities + dt * du,
-        energies=state.energies + dt * de,
-    )
+    w = w + dt * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
+    xi = xi + dt * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
+    return replace(state, velocities=w / sqrt_rho, energies=xi * sqrt_n)
 
 
 def rk4_step(
     state: MomentState, cfg: IntegratorConfig, model: FrequencyModel
 ) -> MomentState:
     """One classical explicit Runge-Kutta step of size cfg.dt."""
-    return _rk4_advance(state, cfg.dt, cfg.eps, model)
+    const = _run_constants(state.composition, model, state.dimension)
+    return _rk4_advance(state, cfg.dt, cfg.eps, const)
 
 
 @dataclass(frozen=True)
@@ -335,13 +286,14 @@ class RecordMonitors:
     energy_drift: np.ndarray  # (R,) relative to the initial total energy
     temperatures: np.ndarray  # (R, N), J
     velocity_bounds_ok: np.ndarray  # (R,) bool
-    realizable: np.ndarray  # (R,) bool, temperatures above the initial floor
+    above_floor: np.ndarray  # (R,) bool, temperatures above the initial floor
+    realizable: np.ndarray  # (R,) bool, every temperature >= 0, as in is_realizable
 
 
 def record_monitors(
     composition: MixtureComposition, velocities: np.ndarray, energies: np.ndarray
 ) -> RecordMonitors:
-    """Conservation, temperature-floor and velocity-bound monitors per record.
+    """Conservation, temperature-floor, velocity-bound and realizability monitors per record.
 
     ``velocities`` is (R, N, d) and ``energies`` (R, N).  Velocity
     components must stay inside their initial range and temperatures
@@ -365,7 +317,8 @@ def record_monitors(
         energy_drift=np.abs(energy - energy[0]) / abs(energy[0]),
         temperatures=temps,
         velocity_bounds_ok=inside.all(axis=(1, 2)),
-        realizable=np.all(temps >= temps[0].min() * (1.0 - FLOOR_SLACK), axis=1),
+        above_floor=np.all(temps >= temps[0].min() * (1.0 - FLOOR_SLACK), axis=1),
+        realizable=np.all(temps >= 0.0, axis=1),
     )
 
 
@@ -398,7 +351,7 @@ def simulate(
     if remainder > 1e-12 * min(cfg.dt, cfg.t_final):
         step_sizes.append(remainder)
 
-    const = _sweep_constants(initial, model) if cfg.method == "be" and step_sizes else None
+    const = _run_constants(initial.composition, model, initial.dimension) if step_sizes else None
     state = initial
     sweeps_window = 0
     for index, dt in enumerate(step_sizes, start=1):
@@ -408,7 +361,7 @@ def simulate(
             if cfg.method == "be":
                 state, sweeps = _be_advance(state, dt, cfg, const)
             else:
-                state = _rk4_advance(state, dt, cfg.eps, model)
+                state = _rk4_advance(state, dt, cfg.eps, const)
                 sweeps = 0
         except IntegrationError as err:
             err.time = t
@@ -431,7 +384,7 @@ def simulate(
             total_energy_drift=float(records.energy_drift[r]),
             min_temperature=float(records.temperatures[r].min()),
             velocity_bounds_ok=bool(records.velocity_bounds_ok[r]),
-            realizable=bool(records.realizable[r]),
+            realizable=bool(records.above_floor[r]),
             picard_iterations=sweeps,
         )
         for r, sweeps in enumerate(sweeps_recorded)

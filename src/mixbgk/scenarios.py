@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import ConstantMatrix, FrequencyModel, HardSphere
+from .collisions import ConstantMatrix, FrequencyModel, HardSphere, _operators, _run_constants
 from .equilibrium import conservative_decay_rate
 from .integrate import IntegratorConfig
 from .species import (
@@ -35,6 +35,7 @@ from .species import (
     SpeciesParams,
     kelvin_to_energy,
     state_from_temperatures,
+    temperatures_of,
 )
 
 # Noble-gas reference data (SI units).
@@ -100,14 +101,9 @@ class ScenarioConfig:
 
 
 def _rk4_stable_dt(state, model, eps) -> float:
-    from .collisions import assemble
-    from .dynamics import scaled_operators
-
-    ops = scaled_operators(state, assemble(state, model), eps)
-    fastest = max(
-        np.linalg.eigvalsh(ops.momentum_relaxation).max(),
-        np.linalg.eigvalsh(ops.energy_relaxation).max(),
-    )
+    const = _run_constants(state.composition, model, state.dimension)
+    _, _, _, z, z_hat = _operators(temperatures_of(state), const)
+    fastest = max(np.linalg.eigvalsh(z).max(), np.linalg.eigvalsh(z_hat).max())
     if fastest <= 0.0:  # single species: nothing moves, any step works
         return 1.0
     return RK4_RATE_PER_STEP * eps / fastest

@@ -182,6 +182,20 @@ class TestCliRun:
         assert "realizability -> FAIL" in block
         assert block[-1] == "overall -> FAIL"
 
+    def test_temperature_below_floor_is_still_realizable(self, tmp_path):
+        main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        # Preset 1 has zero velocities and its first species starts coldest, so
+        # half that species' initial energy is half the floor: below it, yet positive.
+        table.energies[len(table.energies) // 2, 0] = 0.5 * table.energies[0, 0]
+        block = monitor_block(table, presets()[1])
+        assert any(
+            line.startswith("temperature_floor_min_K") and line.endswith("-> FAIL")
+            for line in block
+        )
+        assert "realizability -> PASS" in block
+        assert block[-1] == "overall -> FAIL"
+
     def test_envelope_csv_content(self, tmp_path):
         main(["run", "--example", "2", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example2_trajectory.csv")

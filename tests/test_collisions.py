@@ -21,8 +21,8 @@ from mixbgk import (
     state_from_temperatures,
     temperatures_of,
 )
-from mixbgk.collisions import _laplacian, collision_frequencies, coupling_from_frequencies
-from mixbgk.dynamics import _scaled, scaled_operators
+from mixbgk.collisions import _laplacian, _operators, _run_constants
+from mixbgk.dynamics import scaled_operators
 from mixbgk.equilibrium import _eigenvalue_brackets, spectral_bounds
 
 from conftest import random_composition, random_state
@@ -70,7 +70,7 @@ class TestHardSphereFrequencies:
         rng = np.random.default_rng(5)
         comp = random_composition(rng, 2)
         with pytest.raises(ValueError, match="d = 3"):
-            collision_frequencies(HardSphere(), comp, [T1000, T1000], dimension=2)
+            _run_constants(comp, HardSphere(), dimension=2)
 
     @given(factor=st.floats(min_value=1.001, max_value=100.0))
     @settings(max_examples=50, deadline=None)
@@ -257,12 +257,10 @@ class TestStackedRecords:
         temps = np.array([temperatures_of(s) for s in states])
         rho, n = comp.mass_densities, comp.number_densities
 
-        lam = collision_frequencies(model, comp, temps, 3)
+        const = _run_constants(comp, model, 3)
+        lam = const.frequencies(temps)
         alpha, beta = mixing_weights(lam, rho, n)
-        momentum = coupling_from_frequencies(lam, rho)
-        energy = coupling_from_frequencies(lam, n)
-        momentum_relaxation = _scaled(_laplacian(momentum), np.sqrt(rho))
-        energy_relaxation = _scaled(_laplacian(energy), np.sqrt(n))
+        _, momentum, energy, momentum_relaxation, energy_relaxation = _operators(temps, const)
         brackets = np.broadcast_to(_eigenvalue_brackets(momentum, energy, rho, n), (6, 2, 2))
         for r, state in enumerate(states):
             mats = assemble(state, model)

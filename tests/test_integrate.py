@@ -16,7 +16,9 @@ from mixbgk import (
     assemble,
     backward_euler_step,
     conservative_decay_rate,
+    energy_rhs,
     kelvin_to_energy,
+    momentum_rhs,
     pairwise_mixture,
     presets,
     rk4_step,
@@ -145,16 +147,18 @@ class TestBackwardEulerStep:
 def _oracle_solve(state, dt, cfg, model):
     """One backward-Euler step from the public assembly, without halving.
 
-    Each Picard sweep freezes the coefficients at the iterate (``assemble``
-    and ``scaled_operators``), solves for the velocities, then pairs the new
-    velocities with the iterate's mixing weights in the kinetic coupling of
-    the energy solve.  Sweeps stop once the relative max-norm change of both
-    fields drops below ``picard_tol``.
+    Each Picard sweep freezes the coefficients at the iterate (``assemble``),
+    forms Z and Z-hat from its couplings directly, solves for the
+    velocities, then pairs the new velocities with the iterate's mixing
+    weights in the kinetic coupling of the energy solve.  Sweeps stop once
+    the relative max-norm change of both fields drops below ``picard_tol``.
     """
     comp = state.composition
     identity = np.eye(comp.size)
     sqrt_rho = np.sqrt(comp.mass_densities)
     sqrt_n = np.sqrt(comp.number_densities)
+    momentum_scale = np.outer(sqrt_rho, sqrt_rho)
+    energy_scale = np.outer(sqrt_n, sqrt_n)
     w_old, xi_old = scaled_velocities(state), scaled_energies(state)
     u_k, e_k = state.velocities, state.energies
     for _ in range(cfg.picard_max_iter):
@@ -162,8 +166,9 @@ def _oracle_solve(state, dt, cfg, model):
         if isinstance(model, HardSphere) and not np.all(temperatures_of(iterate) > 0.0):
             raise RealizabilityError("oracle iterate left the realizable set")
         mats = assemble(iterate, model)
-        ops = scaled_operators(iterate, mats, cfg.eps)
-        w_new = np.linalg.solve(identity + dt / cfg.eps * ops.momentum_relaxation, w_old)
+        z = (np.diag(mats.momentum_degree) - mats.momentum_coupling) / momentum_scale
+        z_hat = (np.diag(mats.energy_degree) - mats.energy_coupling) / energy_scale
+        w_new = np.linalg.solve(identity + dt / cfg.eps * z, w_old)
         u_new = w_new / sqrt_rho[:, None]
         u_mix = pairwise_mixture(
             MomentState(comp, u_new, e_k), mats.velocity_weights, mats.temperature_weights
@@ -171,7 +176,7 @@ def _oracle_solve(state, dt, cfg, model):
         kinetic = mats.energy_coupling * (u_mix**2).sum(axis=2)
         heating = (np.diag(kinetic.sum(axis=1)) - kinetic) @ comp.masses
         xi_new = np.linalg.solve(
-            identity + dt / cfg.eps * ops.energy_relaxation,
+            identity + dt / cfg.eps * z_hat,
             xi_old + (0.5 * dt / cfg.eps) * heating / sqrt_n,
         )
         e_new = xi_new * sqrt_n
@@ -257,7 +262,51 @@ class TestBackwardEulerOracle:
             backward_euler_step(state, tight, model)
 
 
+def _reference_rk4_step(state, dt, eps, model):
+    """One classical RK4 step on the pairwise-difference rates of ``dynamics``."""
+    comp = state.composition
+
+    def rates(u, e):
+        stage = MomentState(comp, u, e)
+        mats = assemble(stage, model)
+        du = momentum_rhs(stage, mats, eps) / comp.mass_densities[:, None]
+        return du, energy_rhs(stage, mats, eps)
+
+    u, e = state.velocities, state.energies
+    k1 = rates(u, e)
+    k2 = rates(u + 0.5 * dt * k1[0], e + 0.5 * dt * k1[1])
+    k3 = rates(u + 0.5 * dt * k2[0], e + 0.5 * dt * k2[1])
+    k4 = rates(u + dt * k3[0], e + dt * k3[1])
+    return MomentState(
+        comp,
+        u + dt * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0,
+        e + dt * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0,
+    )
+
+
 class TestRk4Step:
+    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
+    @pytest.mark.parametrize("n_species", [1, 2, 3, 10])
+    def test_matches_pairwise_reference(self, n_species, model_kind):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n_species, 7])
+            state = random_state(rng, n_species)
+            if model_kind == "hard_sphere":
+                model = HardSphere()
+            else:
+                lam = np.exp(rng.uniform(np.log(1e11), np.log(1e13), (n_species, n_species)))
+                model = ConstantMatrix(lam)
+            eps = 0.3 + 0.4 * seed  # an eps away from 1 exposes a dropped 1/eps
+            ops = scaled_operators(state, assemble(state, model), eps)
+            fastest = max(
+                np.linalg.eigvalsh(ops.momentum_relaxation).max(),
+                np.linalg.eigvalsh(ops.energy_relaxation).max(),
+            )
+            dt = 0.5 * eps / fastest if fastest > 0.0 else 1e-12
+            cfg = IntegratorConfig(dt=dt, t_final=dt, eps=eps, method="rk4")
+            expected = _reference_rk4_step(state, dt, eps, model)
+            _assert_same_step(rk4_step(state, cfg, model), expected)
+
     def test_equilibrium_is_fixed_point(self):
         state = uniform_equilibrium_state()
         cfg = IntegratorConfig(dt=0.05, t_final=1.0, method="rk4")
@@ -409,11 +458,20 @@ class TestIntegratorConfigValidation:
             dict(dt=0.1, t_final=1.0, picard_max_iter=0),
             dict(dt=0.1, t_final=1.0, picard_tol=0.0),
             dict(dt=0.1, t_final=1.0, picard_tol=float("nan")),
+            dict(dt=1e-13, t_final=6e-13, output_stride=1.5),
+            dict(dt=1e-13, t_final=6e-13, picard_max_iter=2.5),
+            dict(dt=0.1, t_final=1.0, output_stride="2"),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = IntegratorConfig(
+            dt=0.1, t_final=1.0, output_stride=np.int64(2), picard_max_iter=np.int32(7)
+        )
+        assert cfg.output_stride == 2 and cfg.picard_max_iter == 7
 
 
 class TestMonitorFloorAndBounds:
