@@ -21,12 +21,22 @@ from mixbgk import (
     HardSphere,
     MixtureComposition,
     SpeciesParams,
-    assemble,
-    scaled_operators,
-    spectral_bounds,
     state_from_temperatures,
-    symmetric_eigenvalues,
+    temperatures_of,
 )
+from mixbgk.collisions import operators, run_constants
+from mixbgk.equilibrium import eigenvalue_brackets
+from mixbgk.oracles import symmetric_eigenvalues
+
+
+def velocity_operator(state, model):
+    """Z and its eigenvalue bracket (lower, upper) from the operator core."""
+    comp = state.composition
+    const = run_constants(comp, model, state.dimension)
+    _, momentum, energy, z, _ = operators(temperatures_of(state), const)
+    brackets = eigenvalue_brackets(momentum, energy, comp.mass_densities, comp.number_densities)
+    lower, upper = map(float, brackets[0])
+    return z, lower, upper
 
 
 def random_mixture_demo(rng, n_species):
@@ -41,18 +51,12 @@ def random_mixture_demo(rng, n_species):
     temps = rng.uniform(3e-21, 5e-20, n_species)
     state = state_from_temperatures(comp, velocities, temps)
 
-    mats = assemble(state, HardSphere())
-    ops = scaled_operators(state, mats)
-    bounds = spectral_bounds(mats, comp.mass_densities, comp.number_densities)
-
-    eigs = symmetric_eigenvalues(ops.momentum_relaxation)
-    lapack = np.linalg.eigvalsh(ops.momentum_relaxation)
-    inside = np.all(eigs[1:] >= bounds.velocity_lower * (1 - 1e-10)) and np.all(
-        eigs[1:] <= bounds.velocity_upper * (1 + 1e-10)
-    )
+    z, lower, upper = velocity_operator(state, HardSphere())
+    eigs = symmetric_eigenvalues(z)
+    lapack = np.linalg.eigvalsh(z)
+    inside = np.all(eigs[1:] >= lower * (1 - 1e-10)) and np.all(eigs[1:] <= upper * (1 + 1e-10))
     agreement = np.abs(eigs - np.sort(lapack)).max() / eigs.max()
-    print(f"N={n_species}: bracket [{bounds.velocity_lower:.3e}, "
-          f"{bounds.velocity_upper:.3e}] 1/s")
+    print(f"N={n_species}: bracket [{lower:.3e}, {upper:.3e}] 1/s")
     print(f"  Jacobi spectrum: {np.array2string(eigs, precision=3)}")
     print(f"  Jacobi vs LAPACK (relative): {agreement:.2e}; "
           f"positive eigenvalues inside bracket: {inside}")
@@ -67,13 +71,11 @@ def tight_witness():
     )
     state = state_from_temperatures(comp, np.zeros((n_species, 3)),
                                     np.full(n_species, 5.0))
-    mats = assemble(state, ConstantMatrix(np.full((n_species, n_species), a)))
-    ops = scaled_operators(state, mats)
-    bounds = spectral_bounds(mats, comp.mass_densities, comp.number_densities)
-    eigs = symmetric_eigenvalues(ops.momentum_relaxation)
+    z, lower, upper = velocity_operator(state, ConstantMatrix(np.full((n_species, n_species), a)))
+    eigs = symmetric_eigenvalues(z)
     print("\nTight witness (constant frequencies, equal densities):")
     print(f"  nonzero spectrum = {eigs[1:]} (expected N*a/2 = {n_species * a / 2})")
-    print(f"  bracket collapses to [{bounds.velocity_lower}, {bounds.velocity_upper}]")
+    print(f"  bracket collapses to [{lower}, {upper}]")
 
 
 def main():

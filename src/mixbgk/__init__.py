@@ -1,36 +1,14 @@
 """Multi-species BGK moment relaxation: stiff integration, equilibria, bounds."""
 
-from .collisions import (
-    CollisionMatrices,
-    ConstantMatrix,
-    FrequencyModel,
-    HardSphere,
-    PairwiseMixture,
-    assemble,
-    closed_form_couplings,
-    hard_sphere_frequencies,
-    mixing_weights,
-    pairwise_mixture,
-)
-from .dynamics import (
-    ScaledOperators,
-    energy_rhs,
-    momentum_rhs,
-    scaled_energies,
-    scaled_operators,
-    scaled_velocities,
-    temperature_rhs,
-)
+from .collisions import ConstantMatrix, FrequencyModel, HardSphere, hard_sphere_frequencies
+from .dynamics import scaled_energies, scaled_velocities
 from .equilibrium import (
     DecayConstants,
     EquilibriumData,
-    SpectralBounds,
     conservative_decay_rate,
     decay_constants,
     decay_envelopes,
-    spectral_bounds,
     steady_state,
-    symmetric_eigenvalues,
     velocity_component_bound,
     velocity_energy_bound,
 )

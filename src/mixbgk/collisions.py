@@ -1,4 +1,4 @@
-"""Collision-frequency models and assembly of the pairwise coupling matrices.
+"""Collision-frequency models and the operator core of the moment system.
 
 Two frequency models are provided:
 
@@ -20,26 +20,25 @@ From the frequencies the relaxation dynamics uses pairwise mixing weights
     beta[i, j]  = n_i  lam[i, j] / (n_i  lam[i, j] + n_j  lam[j, i])
 
 (complements sum to one: alpha[i, j] + alpha[j, i] = 1, same for beta),
-mixture velocities/temperatures, and the coupling matrices
+the pair mixture velocities u_mix[i, j] = alpha[i, j] u_i + alpha[j, i] u_j,
+and the coupling matrices
 
     momentum_coupling[i, j] = rho_i rho_j lam_ij lam_ji / (rho_i lam_ij + rho_j lam_ji)
     energy_coupling[i, j]   = n_i  n_j  lam_ij lam_ji / (n_i  lam_ij + n_j  lam_ji)
     mixture_speed_sq[i, j]  = |u_mix[i, j]|^2
     kinetic_coupling        = energy_coupling * mixture_speed_sq
 
-plus their row sums ("degrees") and Laplacians diag(degree) - coupling.
-The frequency, weight, coupling and Laplacian helpers broadcast over
-leading record axes, so (R, N) temperatures give (R, N, N) matrices.
+with their Laplacians diag(row sums) - coupling.
 
-The operator core, on the temperature-free :class:`_RunConstants` built
-once per run: :func:`_couplings` gives alpha, A and B at temperatures,
-:func:`_operators` adds the scaled relaxation operators Z and Z-hat, and
-:func:`_heating` the kinetic heating of the scaled energies.  Both
-integrators, the monitors, the decay constants and the RK4 step size go
-through it; :func:`assemble` and ``dynamics.scaled_operators`` are thin
-calls into the same constants and helpers.
-Self pairs (i = j) are included throughout; they cancel identically in
-all relaxation differences.
+The operator core works on the temperature-free :class:`RunConstants`,
+built once per run by :func:`run_constants`: :func:`couplings` gives
+alpha, A and B at (..., N) temperatures as (..., N, N) arrays for either
+model, :func:`operators` adds the scaled relaxation operators Z and
+Z-hat, and :func:`heating` gives the kinetic heating of the scaled
+energies.  Both integrators, the monitors, the decay constants and the
+RK4 step size go through it; the independent references the tests hold
+it to live in :mod:`mixbgk.oracles`.  Self pairs (i = j) are included
+throughout; they cancel identically in all relaxation differences.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Union
 
 import numpy as np
 
-from .species import MixtureComposition, MomentState, _readonly, temperatures_of
+from .species import MixtureComposition, _readonly
 
 # 32 pi^2 / (3 (2 pi)^{3/2}), evaluated in full float precision.
 HARD_SPHERE_PREFACTOR = 32.0 * np.pi**2 / (3.0 * (2.0 * np.pi) ** 1.5)
@@ -100,19 +99,6 @@ def _thermal_speed(masses, temperatures) -> np.ndarray:
     )
 
 
-def _positive_temperatures(species, temperatures) -> np.ndarray:
-    """Temperatures as floats, or ValueError naming the first nonpositive species."""
-    temperatures = np.asarray(temperatures, dtype=float)
-    bad = ~(np.isfinite(temperatures) & (temperatures > 0.0))
-    if np.any(bad):
-        first = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(
-            f"hard-sphere frequencies need strictly positive temperatures; "
-            f"species {species[first[-1]].label!r} has T = {temperatures[first]:.6e} J"
-        )
-    return temperatures
-
-
 def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarray:
     """Hard-sphere collision-frequency matrices lam[..., i, j].
 
@@ -124,10 +110,20 @@ def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarr
 
     Returns:
         (..., N, N) array of positive, finite frequencies.
+
+    Raises:
+        ValueError naming the first species with a nonpositive temperature.
     """
-    temperatures = _positive_temperatures(species, temperatures)
+    temperatures = np.asarray(temperatures, dtype=float)
+    bad = ~(np.isfinite(temperatures) & (temperatures > 0.0))
+    if np.any(bad):
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"hard-sphere frequencies need strictly positive temperatures; "
+            f"species {species[first[-1]].label!r} has T = {temperatures[first]:.6e} J"
+        )
     composition = MixtureComposition(species, number_densities)
-    return _run_constants(composition, HardSphere(), 3).frequencies(temperatures)
+    return run_constants(composition, HardSphere(), 3).frequencies(temperatures)
 
 
 def _weight_and_coupling(frequencies, weights, with_weight: bool = True):
@@ -146,82 +142,6 @@ def _weight_and_coupling(frequencies, weights, with_weight: bool = True):
     return weight, scaled * transposed / total
 
 
-def mixing_weights(frequencies, mass_densities, number_densities):
-    """Pairwise mixing weights (alpha, beta) from (..., N, N) frequencies.
-
-    alpha weights the velocities and beta the temperatures in the pair
-    mixture values; each satisfies w[..., i, j] + w[..., j, i] = 1.
-    """
-    lam = np.asarray(frequencies, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValueError("mixing weights need strictly positive frequencies")
-    alpha, _ = _weight_and_coupling(lam, mass_densities)
-    beta, _ = _weight_and_coupling(lam, number_densities)
-    return alpha, beta
-
-
-def _pair_velocities(velocities, velocity_weights) -> np.ndarray:
-    """u_mix[i, j] = alpha[i, j] u_i + alpha[j, i] u_j, shape (N, N, d)."""
-    u = np.asarray(velocities, dtype=float)
-    w = velocity_weights
-    return w[:, :, None] * u[:, None, :] + w.T[:, :, None] * u[None, :, :]
-
-
-@dataclass(frozen=True)
-class PairwiseMixture:
-    """Pairwise mixture velocities (N, N, d) and temperatures (N, N) in J."""
-
-    velocities: np.ndarray
-    temperatures: np.ndarray
-
-
-def pairwise_mixture(
-    state: MomentState, velocity_weights, temperature_weights
-) -> PairwiseMixture:
-    """Mixture velocities and temperatures for every species pair.
-
-    The pair temperature is the beta-weighted convex combination of the
-    two species temperatures plus a nonnegative velocity-difference term:
-
-        T_mix[i, j] = beta[i, j] T_i + beta[j, i] T_j
-                      + (1/d) m_i alpha[j, i] beta[i, j] |u_i - u_j|^2
-    """
-    temps = temperatures_of(state)
-    u = state.velocities
-    d = state.dimension
-    alpha, beta = velocity_weights, temperature_weights
-
-    du = u[:, None, :] - u[None, :, :]
-    speed_gap_sq = np.einsum("ijk,ijk->ij", du, du)
-    masses = state.composition.masses
-    t_mix = (
-        beta * temps[:, None]
-        + beta.T * temps[None, :]
-        + masses[:, None] * alpha.T * beta * speed_gap_sq / d
-    )
-    return PairwiseMixture(_pair_velocities(u, alpha), t_mix)
-
-
-@dataclass(frozen=True)
-class CollisionMatrices:
-    """All per-evaluation coupling data for the moment right-hand sides."""
-
-    frequencies: np.ndarray  # (N, N) lam
-    velocity_weights: np.ndarray  # (N, N) alpha
-    temperature_weights: np.ndarray  # (N, N) beta
-    momentum_coupling: np.ndarray  # (N, N) symmetric, positive entries
-    energy_coupling: np.ndarray  # (N, N) symmetric, positive entries
-    mixture_speed_sq: np.ndarray  # (N, N) |u_mix|^2
-    kinetic_coupling: np.ndarray  # (N, N) energy_coupling * mixture_speed_sq
-    momentum_degree: np.ndarray  # (N,) row sums of momentum_coupling
-    energy_degree: np.ndarray
-    kinetic_degree: np.ndarray
-
-    @property
-    def momentum_laplacian(self) -> np.ndarray:
-        return _laplacian(self.momentum_coupling)
-
-
 def _laplacian(coupling) -> np.ndarray:
     """diag(degree) - coupling over leading axes, the degree being the row sums."""
     degree = coupling.sum(axis=-1)
@@ -233,14 +153,15 @@ def _laplacian(coupling) -> np.ndarray:
 
 
 def _kinetic_coupling(energy_coupling, velocities, velocity_weights):
-    """(|u_mix|^2, energy_coupling * |u_mix|^2) over all species pairs."""
-    u_mix = _pair_velocities(velocities, velocity_weights)
-    mixture_speed_sq = np.einsum("ijk,ijk->ij", u_mix, u_mix)
-    return mixture_speed_sq, energy_coupling * mixture_speed_sq
+    """energy_coupling * |u_mix|^2, u_mix[i, j] = alpha[i, j] u_i + alpha[j, i] u_j."""
+    u = np.asarray(velocities, dtype=float)
+    w = velocity_weights
+    u_mix = w[:, :, None] * u[:, None, :] + w.T[:, :, None] * u[None, :, :]
+    return energy_coupling * np.einsum("ijk,ijk->ij", u_mix, u_mix)
 
 
 @dataclass(frozen=True)
-class _RunConstants:
+class RunConstants:
     """The temperature-free data of Z, Z-hat and the heating, built once per run.
 
     ``frequency_factor`` is the hard-sphere factor (the frequencies are it
@@ -262,13 +183,15 @@ class _RunConstants:
     identity: np.ndarray  # (N, N)
 
     def frequencies(self, temperatures) -> np.ndarray:
-        """lam at (..., N) temperatures, which must be positive for hard spheres."""
+        """lam at (..., N) temperatures as (..., N, N), which must be positive for hard spheres."""
         if self.hard_sphere:
             return self.frequency_factor * _thermal_speed(self.masses, temperatures)
-        return self.frequency_factor
+        return np.broadcast_to(
+            self.frequency_factor, np.shape(temperatures)[:-1] + self.frequency_factor.shape
+        )
 
 
-def _run_constants(composition, model: FrequencyModel, dimension: int) -> _RunConstants:
+def run_constants(composition, model: FrequencyModel, dimension: int) -> RunConstants:
     """Check a model against a mixture and build its run constants."""
     hard_sphere = isinstance(model, HardSphere)
     if hard_sphere:
@@ -290,7 +213,7 @@ def _run_constants(composition, model: FrequencyModel, dimension: int) -> _RunCo
         raise TypeError(f"unknown frequency model: {model!r}")
     sqrt_rho = np.sqrt(composition.mass_densities)
     sqrt_n = np.sqrt(composition.number_densities)
-    return _RunConstants(
+    return RunConstants(
         hard_sphere=hard_sphere,
         frequency_factor=factor,
         masses=composition.masses,
@@ -304,7 +227,7 @@ def _run_constants(composition, model: FrequencyModel, dimension: int) -> _RunCo
     )
 
 
-def _couplings(temperatures, const: _RunConstants):
+def couplings(temperatures, const: RunConstants):
     """(alpha, A, B) at (..., N) temperatures, over any leading axes.
 
     One frequency evaluation, then one w lam product and pair sum per
@@ -317,13 +240,13 @@ def _couplings(temperatures, const: _RunConstants):
     return alpha, momentum_coupling, energy_coupling
 
 
-def _operators(temperatures, const: _RunConstants):
+def operators(temperatures, const: RunConstants):
     """(alpha, A, B, Z, Z-hat) at (..., N) temperatures, over any leading axes.
 
-    The couplings of :func:`_couplings` and the scaled Laplacians
+    The couplings of :func:`couplings` and the scaled Laplacians
     Z = P^{-1/2} (D - A) P^{-1/2}, Z-hat = Q^{-1/2} (F - B) Q^{-1/2}.
     """
-    alpha, momentum_coupling, energy_coupling = _couplings(temperatures, const)
+    alpha, momentum_coupling, energy_coupling = couplings(temperatures, const)
     return (
         alpha,
         momentum_coupling,
@@ -333,87 +256,11 @@ def _operators(temperatures, const: _RunConstants):
     )
 
 
-def _heating(energy_coupling, velocity_weights, velocities, const: _RunConstants, rate):
+def heating(energy_coupling, velocity_weights, velocities, const: RunConstants, rate):
     """rate * Q^{-1/2} (G - C) m, the kinetic heating of the scaled energies, (N,).
 
     G - C is the Laplacian of the kinetic coupling B |u_mix|^2 built from
     the given velocities and mixing weights; rate is 1/(2 eps) in the ODE.
     """
-    _, kinetic_coupling = _kinetic_coupling(energy_coupling, velocities, velocity_weights)
+    kinetic_coupling = _kinetic_coupling(energy_coupling, velocities, velocity_weights)
     return rate * (_laplacian(kinetic_coupling) @ const.masses) / const.sqrt_n
-
-
-def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:
-    """Build every coupling matrix for one state evaluation.
-
-    For tests and demos, from the run constants and the weight/coupling
-    helper every runtime path uses; beta shares the energy coupling's pair
-    sum, and the kinetic coupling is built at the state's velocities.
-    """
-    comp = state.composition
-    const = _run_constants(comp, model, state.dimension)
-    temps = temperatures_of(state)
-    if const.hard_sphere:
-        temps = _positive_temperatures(comp.species, temps)
-    lam = const.frequencies(temps)
-    alpha, momentum_coupling = _weight_and_coupling(lam, const.mass_densities)
-    beta, energy_coupling = _weight_and_coupling(lam, const.number_densities)
-
-    mixture_speed_sq, kinetic_coupling = _kinetic_coupling(
-        energy_coupling, state.velocities, alpha
-    )
-
-    return CollisionMatrices(
-        frequencies=lam,
-        velocity_weights=alpha,
-        temperature_weights=beta,
-        momentum_coupling=momentum_coupling,
-        energy_coupling=energy_coupling,
-        mixture_speed_sq=mixture_speed_sq,
-        kinetic_coupling=kinetic_coupling,
-        momentum_degree=momentum_coupling.sum(axis=1),
-        energy_degree=energy_coupling.sum(axis=1),
-        kinetic_degree=kinetic_coupling.sum(axis=1),
-    )
-
-
-def closed_form_couplings(species, number_densities, temperatures):
-    """Hard-sphere momentum/energy couplings by the direct algebraic route.
-
-    Independent of :func:`assemble` (no intermediate frequency matrix):
-
-        A[i, j] = (16/3) sqrt(pi/2) m_i m_j (d_i + d_j)^2 / (m_i + m_j)^3
-                  * rho_i rho_j * sqrt(T_i/m_i + T_j/m_j)
-        B[i, j] = (8/3)  sqrt(pi/2) (d_i + d_j)^2 / (m_i + m_j)^2
-                  * rho_i rho_j * sqrt(T_i/m_i + T_j/m_j)
-
-    Serves as a cross-check oracle for the frequency-based assembly.
-    """
-    temperatures = np.asarray(temperatures, dtype=float)
-    if np.any(temperatures <= 0.0):
-        raise ValueError("closed-form couplings need strictly positive temperatures")
-    m = np.asarray([s.mass for s in species], dtype=float)
-    diam = np.asarray([s.diameter for s in species], dtype=float)
-    n = np.asarray(number_densities, dtype=float)
-    rho = m * n
-
-    m_i, m_j = m[:, None], m[None, :]
-    # Every factor below is an exactly symmetric matrix (commutative binary
-    # ops of transposed pairs), so the products are symmetric to the bit.
-    mass_prod = m_i * m_j
-    mass_sum = m_i + m_j
-    d_sum_sq = (diam[:, None] + diam[None, :]) ** 2
-    rho_prod = rho[:, None] * rho[None, :]
-    thermal_speed = np.sqrt(temperatures[:, None] / m_i + temperatures[None, :] / m_j)
-
-    momentum = (
-        (16.0 / 3.0) * np.sqrt(np.pi / 2.0)
-        * (mass_prod * d_sum_sq / mass_sum**3)
-        * rho_prod * thermal_speed
-    )
-    energy = (
-        (8.0 / 3.0) * np.sqrt(np.pi / 2.0)
-        * (d_sum_sq / mass_sum**2)
-        * rho_prod * thermal_speed
-    )
-    return momentum, energy

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import CollisionMatrices, FrequencyModel, _couplings, _run_constants
+from .collisions import FrequencyModel, couplings, run_constants
 from .dynamics import scaled_energies, scaled_velocities
 from .species import MomentState, temperatures_of
 
@@ -62,35 +62,8 @@ def steady_state(state: MomentState) -> EquilibriumData:
     return EquilibriumData(velocity=u_eq, temperature=float(t_eq), energies=energies)
 
 
-@dataclass(frozen=True)
-class SpectralBounds:
-    """Brackets on the positive eigenvalues of the relaxation operators.
-
-    ``vacuous`` flags the single-species case, where both operators are
-    identically zero and there is no positive spectrum to bracket.
-    """
-
-    velocity_lower: float  # <= every nonzero eigenvalue of Z
-    velocity_upper: float
-    energy_lower: float  # <= every nonzero eigenvalue of Z-hat
-    energy_upper: float
-    vacuous: bool = False
-
-
-def _eigenvalue_brackets(momentum_coupling, energy_coupling, rho, n) -> np.ndarray:
-    """The ends of :func:`spectral_bounds` over leading record axes of the couplings.
-
-    Returns (..., 2, 2): [[velocity lower, upper], [energy lower, upper]].
-    """
-    size, pair = len(rho), (-2, -1)
-    return np.stack([
-        np.stack([size * c.min(axis=pair) / w.max(), size * c.max(axis=pair) / w.min()], axis=-1)
-        for c, w in ((momentum_coupling, rho), (energy_coupling, n))
-    ], axis=-2)
-
-
-def spectral_bounds(mats: CollisionMatrices, mass_densities, number_densities) -> SpectralBounds:
-    """Instantaneous eigenvalue brackets from assembled coupling matrices.
+def eigenvalue_brackets(momentum_coupling, energy_coupling, rho, n) -> np.ndarray:
+    """Brackets on the positive eigenvalues of Z and Z-hat, over leading axes.
 
     velocity bracket: [N min(A) / max(rho), N max(A) / min(rho)]
     energy bracket:   [N min(B) / max(n),   N max(B) / min(n)]
@@ -100,13 +73,16 @@ def spectral_bounds(mats: CollisionMatrices, mass_densities, number_densities) -
     sum_ij (y_i - y_j)^2 = 2 N ||y||^2 - 2 (sum_i y_i)^2: bounding A_ij by
     its extremes gives the N-scaled brackets.  Both ends are attained at
     once by a constant-frequency equal-density mixture, where the nonzero
-    spectrum is the (N-1)-fold eigenvalue N * min(A) / rho.
+    spectrum is the (N-1)-fold eigenvalue N * min(A) / rho.  A single
+    species has no positive spectrum, so its brackets say nothing.
+
+    Returns (..., 2, 2): [[velocity lower, upper], [energy lower, upper]].
     """
-    rho = np.asarray(mass_densities, dtype=float)
-    n = np.asarray(number_densities, dtype=float)
-    brackets = _eigenvalue_brackets(mats.momentum_coupling, mats.energy_coupling, rho, n)
-    # Field order: velocity lower/upper, then energy lower/upper.
-    return SpectralBounds(*map(float, brackets.ravel()), vacuous=(len(rho) == 1))
+    size, pair = len(rho), (-2, -1)
+    return np.stack([
+        np.stack([size * c.min(axis=pair) / w.max(), size * c.max(axis=pair) / w.min()], axis=-1)
+        for c, w in ((momentum_coupling, rho), (energy_coupling, n))
+    ], axis=-2)
 
 
 def conservative_decay_rate(state: MomentState, model: FrequencyModel):
@@ -121,9 +97,9 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
     """
     comp = state.composition
     t_floor = _temperature_floor(state)
-    const = _run_constants(comp, model, state.dimension)
-    _, momentum, energy = _couplings(np.full(comp.size, t_floor), const)
-    (velocity_rate, _), (energy_rate, _) = _eigenvalue_brackets(
+    const = run_constants(comp, model, state.dimension)
+    _, momentum, energy = couplings(np.full(comp.size, t_floor), const)
+    (velocity_rate, _), (energy_rate, _) = eigenvalue_brackets(
         momentum, energy, comp.mass_densities, comp.number_densities
     )
     return float(velocity_rate), float(energy_rate)
@@ -212,10 +188,8 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
     t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
     uniform = np.ones(n_species)
     temps = np.stack([t_floor * uniform, temperatures_of(state), t_ceiling * uniform])
-    _, momentum, energy = _couplings(temps, _run_constants(comp, model, d))
-    # A constant model gives one coupling pair for all three rows.
-    momentum, energy, _ = np.broadcast_arrays(momentum, energy, temps[..., None])
-    bounds_floor, bounds_t0, _ = _eigenvalue_brackets(momentum, energy, rho, n).tolist()
+    _, momentum, energy = couplings(temps, run_constants(comp, model, d))
+    bounds_floor, bounds_t0, _ = eigenvalue_brackets(momentum, energy, rho, n).tolist()
     velocity_rate, energy_rate = bounds_floor[0][0], bounds_floor[1][0]
     coupling_energy_max = float(energy[2].max())
 
@@ -295,66 +269,3 @@ def decay_envelopes(constants: DecayConstants, eps: float, t):
         / constants.dimension
     )
     return velocity_env, energy_env, temperature_env
-
-
-def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] by a symmetric Givens rotation, in place."""
-    apq = a[p, q]
-    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-    # Smaller-magnitude root of t^2 + 2 tau t - 1 = 0: numerically stable.
-    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-
-def symmetric_eigenvalues(matrix, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    Uses closed forms for 1x1 and 2x2 inputs and a cyclic Jacobi rotation
-    scheme otherwise, sweeping until the off-diagonal Frobenius norm drops
-    below 1e-14 of the matrix norm.  Convergence is quadratic; small dense
-    matrices finish in a handful of sweeps.  Kept as an oracle independent
-    of LAPACK for tests and demos; the runtime path uses
-    ``numpy.linalg.eigvalsh``.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    norm = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > 1e-12 * max(norm, 1e-300):
-        raise ValueError("matrix is not symmetric to 1e-12 relative")
-    a = 0.5 * (a + a.T)  # exact symmetry for the rotations
-
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    if n == 2:
-        mean = 0.5 * (a[0, 0] + a[1, 1])
-        radius = np.hypot(0.5 * (a[0, 0] - a[1, 1]), a[0, 1])
-        return np.array([mean - radius, mean + radius])
-    if norm == 0.0:
-        return np.zeros(n)
-
-    off = np.linalg.norm(a - np.diag(a.diagonal()))
-    for _ in range(max_sweeps):
-        if off <= 1e-14 * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] != 0.0:
-                    _jacobi_rotate(a, p, q)
-        off = np.linalg.norm(a - np.diag(a.diagonal()))
-    else:
-        raise RuntimeError(
-            f"Jacobi sweep limit {max_sweeps} reached with off-diagonal norm {off:.3e}"
-        )
-    return np.sort(a.diagonal())

@@ -11,10 +11,11 @@ equations to two dense linear solves,
 (velocities first -- the kinetic couplings depend on them), after which
 the coefficients are refreshed and the sweep repeats until the joint
 relative change drops below ``picard_tol``.  Both solves conserve total
-momentum and total energy exactly in exact arithmetic because the
-coupling Laplacians annihilate the constant vector; the velocity solve is
-also an M-matrix system, so the componentwise velocity envelopes survive
-discretization.
+momentum and total energy in exact arithmetic because the coupling
+Laplacians annihilate the constant vector; each step then removes the
+roundoff left in those totals along the null vectors.  The velocity solve
+is also an M-matrix system, so the componentwise velocity envelopes
+survive discretization.
 
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collisions import FrequencyModel, HardSphere, _heating, _operators, _run_constants
+from .collisions import FrequencyModel, HardSphere, heating, operators, run_constants
 from .equilibrium import _component_bound
 from .species import (
     MixtureComposition,
@@ -79,12 +80,14 @@ class IntegratorConfig:
     output_stride: int = 1
 
     def __post_init__(self):
+        # eps first: a derived dt and t_final scale with it, so a bad eps
+        # would otherwise be reported as a bad dt.
+        if not (np.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
-        if not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.method not in ("be", "rk4"):
             raise ValueError(f"method must be 'be' or 'rk4', got {self.method!r}")
         for name in ("output_stride", "picard_max_iter"):
@@ -177,7 +180,7 @@ def _picard_solve(state, dt, cfg, const):
                 f"iterate temperature dropped to {temps.min():.6e} J during the "
                 f"implicit solve (dt = {dt:.6e})"
             )
-        alpha, _, energy_coupling, z, z_hat = _operators(temps, const)
+        alpha, _, energy_coupling, z, z_hat = operators(temps, const)
 
         momentum_system = identity + rate * z
         w_new = np.linalg.solve(momentum_system, w_old)
@@ -186,7 +189,7 @@ def _picard_solve(state, dt, cfg, const):
         energy_system = identity + rate * z_hat
         # The kinetic coupling pairs the new velocities with the mixing
         # weights of the current iterate.
-        rhs = xi_old + _heating(energy_coupling, alpha, u_new, const, heating_rate)
+        rhs = xi_old + heating(energy_coupling, alpha, u_new, const, heating_rate)
         xi_new = np.linalg.solve(energy_system, rhs)
         e_new = xi_new * sqrt_n
 
@@ -214,23 +217,32 @@ def _picard_solve(state, dt, cfg, const):
 
 
 def _be_advance(state, dt, cfg, const, depth=0):
-    """Advance by dt with backward Euler, halving on realizability loss."""
+    """Advance by dt with backward Euler, halving on realizability loss.
+
+    The solves conserve the totals only up to their roundoff, which grows
+    with the conditioning of stiff steps, so the step then restores them
+    along the null vectors sqrt(rho) of Z and sqrt(n) of Z-hat: one common
+    velocity shift and an energy correction in proportion to n.
+    """
     try:
         u, e, sweeps = _picard_solve(state, dt, cfg, const)
-        return replace(state, velocities=u, energies=e), sweeps
     except RealizabilityError:
         if depth >= _MAX_HALVINGS:
             raise
         half, sweeps_a = _be_advance(state, 0.5 * dt, cfg, const, depth + 1)
         full, sweeps_b = _be_advance(half, 0.5 * dt, cfg, const, depth + 1)
         return full, max(sweeps_a, sweeps_b)
+    rho, n = const.mass_densities, const.number_densities
+    u = u + (rho @ state.velocities - rho @ u) / rho.sum()
+    e = e + n * ((state.energies.sum() - e.sum()) / n.sum())
+    return replace(state, velocities=u, energies=e), sweeps
 
 
 def backward_euler_step(
     state: MomentState, cfg: IntegratorConfig, model: FrequencyModel
 ) -> MomentState:
     """One implicit step of size cfg.dt from a realizable state."""
-    const = _run_constants(state.composition, model, state.dimension)
+    const = run_constants(state.composition, model, state.dimension)
     return _be_advance(state, cfg.dt, cfg, const)[0]
 
 
@@ -255,9 +267,9 @@ def _rk4_advance(state, dt, eps, const):
                 f"RK4 stage state left the realizable set (dt = {dt:.6e}); "
                 "reduce the step size"
             )
-        alpha, _, energy_coupling, z, z_hat = _operators(temps, const)
-        heating = _heating(energy_coupling, alpha, u, const, heating_rate)
-        return -(z @ w) / eps, heating - (z_hat @ xi) / eps
+        alpha, _, energy_coupling, z, z_hat = operators(temps, const)
+        source = heating(energy_coupling, alpha, u, const, heating_rate)
+        return -(z @ w) / eps, source - (z_hat @ xi) / eps
 
     w, xi = sqrt_rho * state.velocities, state.energies / sqrt_n
     k1 = rates(w, xi)
@@ -274,7 +286,7 @@ def rk4_step(
     state: MomentState, cfg: IntegratorConfig, model: FrequencyModel
 ) -> MomentState:
     """One classical explicit Runge-Kutta step of size cfg.dt."""
-    const = _run_constants(state.composition, model, state.dimension)
+    const = run_constants(state.composition, model, state.dimension)
     return _rk4_advance(state, cfg.dt, cfg.eps, const)
 
 
@@ -351,7 +363,7 @@ def simulate(
     if remainder > 1e-12 * min(cfg.dt, cfg.t_final):
         step_sizes.append(remainder)
 
-    const = _run_constants(initial.composition, model, initial.dimension) if step_sizes else None
+    const = run_constants(initial.composition, model, initial.dimension) if step_sizes else None
     state = initial
     sweeps_window = 0
     for index, dt in enumerate(step_sizes, start=1):

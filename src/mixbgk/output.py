@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import _operators, _run_constants
-from .equilibrium import DecayConstants, EquilibriumData, _eigenvalue_brackets, steady_state
+from .collisions import operators, run_constants
+from .equilibrium import DecayConstants, EquilibriumData, eigenvalue_brackets, steady_state
 from .integrate import IntegratorConfig, Trajectory, record_monitors
 from .scenarios import ScenarioConfig
 from .species import MixtureComposition, MomentState, _temperatures, energy_to_kelvin
@@ -215,9 +215,9 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
         # A record with a nonpositive temperature has no hard-sphere
         # frequencies, so it gets no bracket.
         temps = records.temperatures[np.all(records.temperatures > 0.0, axis=1)]
-        const = _run_constants(comp, config.frequency_model(), table.dimension)
-        _, momentum, energy, z, z_hat = _operators(temps, const)
-        brackets = _eigenvalue_brackets(momentum, energy, rho, n)  # (R, operator, end)
+        const = run_constants(comp, config.frequency_model(), table.dimension)
+        _, momentum, energy, z, z_hat = operators(temps, const)
+        brackets = eigenvalue_brackets(momentum, energy, rho, n)  # (R, operator, end)
         spectra = np.linalg.eigvalsh(np.stack([z, z_hat], axis=-3))[..., 1:]  # drop the null mode
         lower, upper = brackets[..., :1], brackets[..., 1:]
         slack = BRACKET_SLACK * np.maximum(upper, np.abs(lower))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import ConstantMatrix, FrequencyModel, HardSphere, _operators, _run_constants
+from .collisions import ConstantMatrix, FrequencyModel, HardSphere, operators, run_constants
 from .equilibrium import conservative_decay_rate
 from .integrate import IntegratorConfig
 from .species import (
@@ -101,8 +101,8 @@ class ScenarioConfig:
 
 
 def _rk4_stable_dt(state, model, eps) -> float:
-    const = _run_constants(state.composition, model, state.dimension)
-    _, _, _, z, z_hat = _operators(temperatures_of(state), const)
+    const = run_constants(state.composition, model, state.dimension)
+    _, _, _, z, z_hat = operators(temperatures_of(state), const)
     fastest = max(np.linalg.eigvalsh(z).max(), np.linalg.eigvalsh(z_hat).max())
     if fastest <= 0.0:  # single species: nothing moves, any step works
         return 1.0

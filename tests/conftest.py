@@ -10,7 +10,10 @@ from mixbgk import (
     SpeciesParams,
     presets,
     state_from_temperatures,
+    temperatures_of,
 )
+from mixbgk.collisions import heating, operators, run_constants
+from mixbgk.equilibrium import eigenvalue_brackets
 from mixbgk.species import kelvin_to_energy
 
 
@@ -34,6 +37,20 @@ def random_state(rng, n_species=None, dimension=3, max_speed=500.0):
     velocities = rng.uniform(-max_speed, max_speed, size=(n_species, dimension))
     temperatures = kelvin_to_energy(rng.uniform(200.0, 3000.0, size=n_species))
     return state_from_temperatures(comp, velocities, temperatures)
+
+
+def core_operators(state, model, eps=1.0):
+    """The runtime operator core at one state: (Z, Z-hat, heating, brackets).
+
+    The heating carries its 1/(2 eps) prefactor; the brackets are
+    [[velocity lower, upper], [energy lower, upper]].
+    """
+    comp = state.composition
+    const = run_constants(comp, model, state.dimension)
+    alpha, momentum, energy, z, z_hat = operators(temperatures_of(state), const)
+    source = heating(energy, alpha, state.velocities, const, 0.5 / eps)
+    brackets = eigenvalue_brackets(momentum, energy, comp.mass_densities, comp.number_densities)
+    return z, z_hat, source, brackets
 
 
 @pytest.fixture(scope="session")

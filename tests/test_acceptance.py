@@ -17,27 +17,27 @@ from mixbgk import (
     IntegratorConfig,
     MixtureComposition,
     SpeciesParams,
-    assemble,
     conservative_decay_rate,
     decay_constants,
     decay_envelopes,
-    energy_rhs,
-    momentum_rhs,
     presets,
     resolve_integrator,
     scaled_energies,
-    scaled_operators,
     scaled_velocities,
     simulate,
-    spectral_bounds,
     state_from_temperatures,
     steady_state,
-    symmetric_eigenvalues,
-    temperature_rhs,
     temperatures_of,
 )
+from mixbgk.oracles import (
+    assemble,
+    energy_rhs,
+    momentum_rhs,
+    symmetric_eigenvalues,
+    temperature_rhs,
+)
 
-from conftest import random_state
+from conftest import core_operators, random_state
 
 DRIFT_TOL = 1e-9
 FLOOR_TOL = 1e-9
@@ -85,11 +85,8 @@ def random_suite():
         runs["be"] = simulate(
             state, IntegratorConfig(dt=dt_be, t_final=40 * dt_be), model
         )
-        ops = scaled_operators(state, assemble(state, model))
-        fastest = max(
-            symmetric_eigenvalues(ops.momentum_relaxation).max(),
-            symmetric_eigenvalues(ops.energy_relaxation).max(),
-        )
+        z, z_hat, _, _ = core_operators(state, model)
+        fastest = max(symmetric_eigenvalues(z).max(), symmetric_eigenvalues(z_hat).max())
         dt_rk4 = 0.5 / fastest if fastest > 0.0 else dt_be
         runs["rk4"] = simulate(
             state,
@@ -240,14 +237,8 @@ class TestCriterion6SpectralBracket:
         checked = 0
         for _ in range(200):
             state = random_state(rng, int(rng.integers(2, 5)))
-            comp = state.composition
-            mats = assemble(state, HardSphere())
-            bounds = spectral_bounds(mats, comp.mass_densities, comp.number_densities)
-            ops = scaled_operators(state, mats)
-            for operator, lo, hi in (
-                (ops.momentum_relaxation, bounds.velocity_lower, bounds.velocity_upper),
-                (ops.energy_relaxation, bounds.energy_lower, bounds.energy_upper),
-            ):
+            z, z_hat, _, brackets = core_operators(state, HardSphere())
+            for operator, (lo, hi) in zip((z, z_hat), brackets):
                 eigs = symmetric_eigenvalues(operator)
                 positive = eigs[1:]  # drop the single null mode
                 slack = BRACKET_SLACK * max(hi, abs(lo))
@@ -271,14 +262,15 @@ class TestCriterion6SpectralBracket:
         state = state_from_temperatures(
             comp, np.zeros((n_species, 3)), np.full(n_species, 5.0)
         )
-        mats = assemble(state, ConstantMatrix(np.full((n_species, n_species), a)))
-        ops = scaled_operators(state, mats)
-        bounds = spectral_bounds(mats, comp.mass_densities, comp.number_densities)
-        eigs = symmetric_eigenvalues(ops.momentum_relaxation)
+        z, _, _, brackets = core_operators(
+            state, ConstantMatrix(np.full((n_species, n_species), a))
+        )
+        eigs = symmetric_eigenvalues(z)
         expected = n_species * a / 2.0
         np.testing.assert_allclose(eigs[1:], expected, rtol=1e-12)
-        assert bounds.velocity_lower == pytest.approx(expected, rel=1e-14)
-        assert bounds.velocity_upper == pytest.approx(expected, rel=1e-14)
+        velocity_lower, velocity_upper = brackets[0]
+        assert velocity_lower == pytest.approx(expected, rel=1e-14)
+        assert velocity_upper == pytest.approx(expected, rel=1e-14)
         print(
             "\n[criterion 6b] PASS - constant-frequency equal-density spectrum "
             f"equals N*a/2 = {expected} and both bracket ends touch it"
@@ -294,17 +286,14 @@ class TestCriterion7FormulationEquivalence:
             comp = state.composition
             eps = float(rng.uniform(0.1, 2.0))
             mats = assemble(state, HardSphere())
-            ops = scaled_operators(state, mats, eps)
+            z, z_hat, source, _ = core_operators(state, HardSphere(), eps)
 
-            dw_scaled = -ops.momentum_relaxation @ scaled_velocities(state) / eps
+            dw_scaled = -z @ scaled_velocities(state) / eps
             dw_raw = momentum_rhs(state, mats, eps) / np.sqrt(comp.mass_densities)[:, None]
             scale_w = max(np.abs(dw_raw).max(), 1e-300)
             worst_rhs = max(worst_rhs, np.abs(dw_scaled - dw_raw).max() / scale_w)
 
-            dxi_scaled = (
-                -ops.energy_relaxation @ scaled_energies(state) / eps
-                + ops.heating_source
-            )
+            dxi_scaled = -z_hat @ scaled_energies(state) / eps + source
             dxi_raw = energy_rhs(state, mats, eps) / np.sqrt(comp.number_densities)
             scale_xi = max(np.abs(dxi_raw).max(), 1e-300)
             worst_rhs = max(worst_rhs, np.abs(dxi_scaled - dxi_raw).max() / scale_xi)

@@ -162,14 +162,14 @@ class TestCliRun:
     def test_too_tight_bracket_fails(self, tmp_path, monkeypatch):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
-        original = output_mod._eigenvalue_brackets
+        original = output_mod.eigenvalue_brackets
 
         def tight(momentum, energy, rho, n):
             brackets = original(momentum, energy, rho, n)
             brackets[..., 0, 0] = 2.0 * brackets[..., 0, 1]  # velocity lower above upper
             return brackets
 
-        monkeypatch.setattr(output_mod, "_eigenvalue_brackets", tight)
+        monkeypatch.setattr(output_mod, "eigenvalue_brackets", tight)
         block = monitor_block(table, presets()[1])
         assert "eigenvalue_bracket -> FAIL" in block
         assert block[-1] == "overall -> FAIL"
@@ -268,6 +268,18 @@ class TestCliRun:
         code = main(["run", "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
         assert "Kr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    def test_bad_eps_is_named(self, eps, tmp_path, capsys):
+        code = main(["run", "--example", "1", "--eps", eps, "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: eps must be positive" in capsys.readouterr().err
+
+        path = tmp_path / "bad_eps.cfg"
+        path.write_text(GOOD_CONFIG.replace("eps = 0.5", f"eps = {eps}"))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: eps must be positive" in capsys.readouterr().err
 
     def test_conflicting_sources_exit_1(self, tmp_path):
         code = main(

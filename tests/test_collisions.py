@@ -12,18 +12,14 @@ from mixbgk import (
     HardSphere,
     MixtureComposition,
     SpeciesParams,
-    assemble,
-    closed_form_couplings,
     hard_sphere_frequencies,
-    mixing_weights,
-    pairwise_mixture,
     presets,
     state_from_temperatures,
     temperatures_of,
 )
-from mixbgk.collisions import _laplacian, _operators, _run_constants
-from mixbgk.dynamics import scaled_operators
-from mixbgk.equilibrium import _eigenvalue_brackets, spectral_bounds
+from mixbgk.collisions import _laplacian, _weight_and_coupling, operators, run_constants
+from mixbgk.equilibrium import eigenvalue_brackets
+from mixbgk.oracles import assemble, closed_form_couplings, pairwise_mixture
 
 from conftest import random_composition, random_state
 
@@ -70,7 +66,7 @@ class TestHardSphereFrequencies:
         rng = np.random.default_rng(5)
         comp = random_composition(rng, 2)
         with pytest.raises(ValueError, match="d = 3"):
-            _run_constants(comp, HardSphere(), dimension=2)
+            run_constants(comp, HardSphere(), dimension=2)
 
     @given(factor=st.floats(min_value=1.001, max_value=100.0))
     @settings(max_examples=50, deadline=None)
@@ -88,7 +84,8 @@ class TestHardSphereFrequencies:
 class TestMixingWeights:
     def test_identical_species_give_half(self):
         lam = np.full((2, 2), 3.0)
-        alpha, beta = mixing_weights(lam, [2.0, 2.0], [1.0, 1.0])
+        alpha, _ = _weight_and_coupling(lam, [2.0, 2.0])
+        beta, _ = _weight_and_coupling(lam, [1.0, 1.0])
         np.testing.assert_allclose(alpha, 0.5)
         np.testing.assert_allclose(beta, 0.5)
 
@@ -100,7 +97,8 @@ class TestMixingWeights:
         lam = rng.uniform(0.1, 10.0, size=(n_species, n_species))
         rho = rng.uniform(0.1, 10.0, size=n_species)
         n = rng.uniform(0.1, 10.0, size=n_species)
-        alpha, beta = mixing_weights(lam, rho, n)
+        alpha, _ = _weight_and_coupling(lam, rho)
+        beta, _ = _weight_and_coupling(lam, n)
         np.testing.assert_allclose(alpha + alpha.T, 1.0, rtol=1e-15)
         np.testing.assert_allclose(beta + beta.T, 1.0, rtol=1e-15)
 
@@ -108,7 +106,8 @@ class TestMixingWeights:
         species, n = _hard_sphere_pair()
         lam = hard_sphere_frequencies(species, n, [T1000, T1000])
         rho = np.array([s.mass for s in species]) * n
-        alpha, beta = mixing_weights(lam, rho, n)
+        alpha, _ = _weight_and_coupling(lam, rho)
+        beta, _ = _weight_and_coupling(lam, n)
         assert alpha[0, 1] == pytest.approx(ALPHA_AR_KR, rel=1e-14)
         # hard-sphere frequencies make the temperature weights exactly 1/2
         assert beta[0, 1] == pytest.approx(0.5, rel=1e-14)
@@ -120,7 +119,7 @@ class TestMixingWeights:
         lam = hard_sphere_frequencies(
             comp.species, comp.number_densities, temperatures_of(state)
         )
-        alpha, _ = mixing_weights(lam, comp.mass_densities, comp.number_densities)
+        alpha, _ = _weight_and_coupling(lam, comp.mass_densities)
         m = comp.masses
         np.testing.assert_allclose(
             alpha, m[:, None] / (m[:, None] + m[None, :]), rtol=1e-13
@@ -195,7 +194,7 @@ class TestAssemble:
             mats.energy_coupling * np.einsum("ijk,ijk->ij", mix.velocities, mix.velocities),
             axis=1,
         )
-        np.testing.assert_allclose(mats.kinetic_degree, direct, rtol=1e-14)
+        np.testing.assert_allclose(mats.kinetic_coupling.sum(axis=1), direct, rtol=1e-14)
 
     def test_preset1_couplings_match_closed_form(self):
         state = presets()[1].initial_state()
@@ -231,12 +230,10 @@ class TestAssemble:
     def test_degree_matrices_are_row_sums(self):
         state = random_state(np.random.default_rng(59), 4)
         mats = assemble(state, HardSphere())
-        np.testing.assert_array_equal(
-            mats.momentum_degree, mats.momentum_coupling.sum(axis=1)
-        )
-        np.testing.assert_array_equal(
-            mats.energy_degree, mats.energy_coupling.sum(axis=1)
-        )
+        for coupling in (mats.momentum_coupling, mats.energy_coupling):
+            np.testing.assert_array_equal(
+                np.diag(_laplacian(coupling)), coupling.sum(axis=1) - np.diag(coupling)
+            )
 
 
 class TestStackedRecords:
@@ -257,19 +254,22 @@ class TestStackedRecords:
         temps = np.array([temperatures_of(s) for s in states])
         rho, n = comp.mass_densities, comp.number_densities
 
-        const = _run_constants(comp, model, 3)
+        const = run_constants(comp, model, 3)
         lam = const.frequencies(temps)
-        alpha, beta = mixing_weights(lam, rho, n)
-        _, momentum, energy, momentum_relaxation, energy_relaxation = _operators(temps, const)
-        brackets = np.broadcast_to(_eigenvalue_brackets(momentum, energy, rho, n), (6, 2, 2))
+        beta, _ = _weight_and_coupling(lam, n)
+        alpha, momentum, energy, momentum_relaxation, energy_relaxation = operators(temps, const)
+        brackets = eigenvalue_brackets(momentum, energy, rho, n)
+        # Both models give one matrix per record.
+        assert lam.shape == momentum_relaxation.shape == energy_relaxation.shape == (6, 4, 4)
+        assert brackets.shape == (6, 2, 2)
         for r, state in enumerate(states):
             mats = assemble(state, model)
-            ops = scaled_operators(state, mats, 1.0)
-            bounds = spectral_bounds(mats, rho, n)
             np.testing.assert_array_equal(
                 brackets[r],
-                [[bounds.velocity_lower, bounds.velocity_upper],
-                 [bounds.energy_lower, bounds.energy_upper]],
+                eigenvalue_brackets(mats.momentum_coupling, mats.energy_coupling, rho, n),
+            )
+            momentum_laplacian, energy_laplacian = (
+                np.diag(c.sum(axis=1)) - c for c in (mats.momentum_coupling, mats.energy_coupling)
             )
             pairs = [
                 (lam, mats.frequencies),
@@ -277,13 +277,13 @@ class TestStackedRecords:
                 (beta, mats.temperature_weights),
                 (momentum, mats.momentum_coupling),
                 (energy, mats.energy_coupling),
-                (_laplacian(momentum), np.diag(mats.momentum_degree) - mats.momentum_coupling),
-                (_laplacian(energy), np.diag(mats.energy_degree) - mats.energy_coupling),
-                (momentum_relaxation, ops.momentum_relaxation),
-                (energy_relaxation, ops.energy_relaxation),
+                (_laplacian(momentum), momentum_laplacian),
+                (_laplacian(energy), energy_laplacian),
+                (momentum_relaxation, momentum_laplacian / np.outer(np.sqrt(rho), np.sqrt(rho))),
+                (energy_relaxation, energy_laplacian / np.outer(np.sqrt(n), np.sqrt(n))),
             ]
             for stacked, single in pairs:
-                np.testing.assert_array_equal(np.broadcast_to(stacked, (6, 4, 4))[r], single)
+                np.testing.assert_array_equal(stacked[r], single)
 
     def test_bad_temperature_names_its_species(self):
         comp = random_composition(np.random.default_rng(83), 3)

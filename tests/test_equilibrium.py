@@ -10,22 +10,20 @@ from mixbgk import (
     HardSphere,
     MixtureComposition,
     SpeciesParams,
-    assemble,
     conservative_decay_rate,
     decay_constants,
     decay_envelopes,
     energy_to_kelvin,
     presets,
-    scaled_operators,
-    spectral_bounds,
     state_from_temperatures,
     steady_state,
-    symmetric_eigenvalues,
     velocity_component_bound,
     velocity_energy_bound,
 )
+from mixbgk.collisions import _laplacian
+from mixbgk.oracles import assemble, symmetric_eigenvalues
 
-from conftest import random_composition, random_state
+from conftest import core_operators, random_composition, random_state
 
 
 def uniform_constant_mixture(n_species=3, a=2.0, mass=3.0, n=7.0):
@@ -82,26 +80,18 @@ class TestSteadyState:
 class TestSpectralBounds:
     def test_constant_uniform_case_is_tight(self):
         state, model = uniform_constant_mixture(n_species=3, a=2.0)
-        mats = assemble(state, model)
-        comp = state.composition
-        bounds = spectral_bounds(mats, comp.mass_densities, comp.number_densities)
-        assert bounds.velocity_lower == pytest.approx(3.0, rel=1e-14)  # N*a/2
-        ops = scaled_operators(state, mats)
-        eigs = symmetric_eigenvalues(ops.momentum_relaxation)
-        np.testing.assert_allclose(eigs[1:], bounds.velocity_lower, rtol=1e-12)
+        z, _, _, brackets = core_operators(state, model)
+        velocity_lower = brackets[0, 0]
+        assert velocity_lower == pytest.approx(3.0, rel=1e-14)  # N*a/2
+        eigs = symmetric_eigenvalues(z)
+        np.testing.assert_allclose(eigs[1:], velocity_lower, rtol=1e-12)
 
     def test_brackets_hold_on_random_states(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             state = random_state(rng, int(rng.integers(2, 5)))
-            comp = state.composition
-            mats = assemble(state, HardSphere())
-            bounds = spectral_bounds(mats, comp.mass_densities, comp.number_densities)
-            ops = scaled_operators(state, mats)
-            for operator, lo, hi in (
-                (ops.momentum_relaxation, bounds.velocity_lower, bounds.velocity_upper),
-                (ops.energy_relaxation, bounds.energy_lower, bounds.energy_upper),
-            ):
+            z, z_hat, _, brackets = core_operators(state, HardSphere())
+            for operator, (lo, hi) in zip((z, z_hat), brackets):
                 eigs = symmetric_eigenvalues(operator)
                 assert abs(eigs[0]) <= 1e-12 * hi  # the null mode
                 positive = eigs[1:]
@@ -110,35 +100,25 @@ class TestSpectralBounds:
 
     def test_single_species_flagged_vacuous(self):
         state = random_state(np.random.default_rng(13), 1)
-        comp = state.composition
-        mats = assemble(state, HardSphere())
-        bounds = spectral_bounds(mats, comp.mass_densities, comp.number_densities)
-        assert bounds.vacuous
         # the operator itself is identically zero: nothing to bracket
-        ops = scaled_operators(state, mats)
-        np.testing.assert_allclose(ops.momentum_relaxation, 0.0, atol=1e-30)
+        z, _, _, _ = core_operators(state, HardSphere())
+        np.testing.assert_allclose(z, 0.0, atol=1e-30)
 
 
 class TestConservativeDecayRate:
     def test_constant_model_matches_instantaneous(self):
         state, model = uniform_constant_mixture()
-        comp = state.composition
         velocity_rate, energy_rate = conservative_decay_rate(state, model)
-        bounds = spectral_bounds(
-            assemble(state, model), comp.mass_densities, comp.number_densities
-        )
-        assert velocity_rate == pytest.approx(bounds.velocity_lower, rel=1e-14)
-        assert energy_rate == pytest.approx(bounds.energy_lower, rel=1e-14)
+        (velocity_lower, _), (energy_lower, _) = core_operators(state, model)[3]
+        assert velocity_rate == pytest.approx(velocity_lower, rel=1e-14)
+        assert energy_rate == pytest.approx(energy_lower, rel=1e-14)
 
     def test_preset1_floor_rate_below_instantaneous(self):
         state = presets()[1].initial_state()
-        comp = state.composition
         velocity_rate, energy_rate = conservative_decay_rate(state, HardSphere())
-        bounds = spectral_bounds(
-            assemble(state, HardSphere()), comp.mass_densities, comp.number_densities
-        )
-        assert velocity_rate <= bounds.velocity_lower * (1 + 1e-14)
-        assert energy_rate <= bounds.energy_lower * (1 + 1e-14)
+        (velocity_lower, _), (energy_lower, _) = core_operators(state, HardSphere())[3]
+        assert velocity_rate <= velocity_lower * (1 + 1e-14)
+        assert energy_rate <= energy_lower * (1 + 1e-14)
 
     def test_warmer_floor_gives_faster_rate(self):
         comp = random_composition(np.random.default_rng(17), 3)
@@ -239,7 +219,7 @@ class TestSymmetricEigenvalues:
         # constant lam = a, equal rho = r: spectrum {0} + {N a r / 2} * (N-1)
         n_species, a, mass, n = 5, 2.0, 3.0, 7.0
         state, model = uniform_constant_mixture(n_species, a, mass, n)
-        laplacian = assemble(state, model).momentum_laplacian
+        laplacian = _laplacian(assemble(state, model).momentum_coupling)
         eigs = symmetric_eigenvalues(laplacian)
         r = mass * n
         np.testing.assert_allclose(eigs[0], 0.0, atol=1e-13 * a * r)

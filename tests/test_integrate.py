@@ -13,24 +13,20 @@ from mixbgk import (
     PicardDivergenceError,
     RealizabilityError,
     SpeciesParams,
-    assemble,
     backward_euler_step,
     conservative_decay_rate,
-    energy_rhs,
     kelvin_to_energy,
-    momentum_rhs,
-    pairwise_mixture,
     presets,
     rk4_step,
     scaled_energies,
-    scaled_operators,
     scaled_velocities,
     simulate,
     state_from_temperatures,
     temperatures_of,
 )
+from mixbgk.oracles import assemble, energy_rhs, momentum_rhs, pairwise_mixture
 
-from conftest import random_state
+from conftest import core_operators, random_state
 
 
 def two_species_linear(gap=1.0, lam=1.0, rho=(1.0, 0.5)):
@@ -145,7 +141,7 @@ class TestBackwardEulerStep:
 
 
 def _oracle_solve(state, dt, cfg, model):
-    """One backward-Euler step from the public assembly, without halving.
+    """One backward-Euler step from the reference assembly, without halving.
 
     Each Picard sweep freezes the coefficients at the iterate (``assemble``),
     forms Z and Z-hat from its couplings directly, solves for the
@@ -166,8 +162,8 @@ def _oracle_solve(state, dt, cfg, model):
         if isinstance(model, HardSphere) and not np.all(temperatures_of(iterate) > 0.0):
             raise RealizabilityError("oracle iterate left the realizable set")
         mats = assemble(iterate, model)
-        z = (np.diag(mats.momentum_degree) - mats.momentum_coupling) / momentum_scale
-        z_hat = (np.diag(mats.energy_degree) - mats.energy_coupling) / energy_scale
+        z = (np.diag(mats.momentum_coupling.sum(axis=1)) - mats.momentum_coupling) / momentum_scale
+        z_hat = (np.diag(mats.energy_coupling.sum(axis=1)) - mats.energy_coupling) / energy_scale
         w_new = np.linalg.solve(identity + dt / cfg.eps * z, w_old)
         u_new = w_new / sqrt_rho[:, None]
         u_mix = pairwise_mixture(
@@ -199,7 +195,7 @@ def _assert_same_step(stepped, expected):
 
 
 class TestBackwardEulerOracle:
-    """backward_euler_step against Picard sweeps built from the public assembly."""
+    """backward_euler_step against Picard sweeps built from the reference assembly."""
 
     @staticmethod
     def _case(n_species, model_kind, seed):
@@ -263,7 +259,7 @@ class TestBackwardEulerOracle:
 
 
 def _reference_rk4_step(state, dt, eps, model):
-    """One classical RK4 step on the pairwise-difference rates of ``dynamics``."""
+    """One classical RK4 step on the pairwise-difference rates of ``oracles``."""
     comp = state.composition
 
     def rates(u, e):
@@ -297,11 +293,8 @@ class TestRk4Step:
                 lam = np.exp(rng.uniform(np.log(1e11), np.log(1e13), (n_species, n_species)))
                 model = ConstantMatrix(lam)
             eps = 0.3 + 0.4 * seed  # an eps away from 1 exposes a dropped 1/eps
-            ops = scaled_operators(state, assemble(state, model), eps)
-            fastest = max(
-                np.linalg.eigvalsh(ops.momentum_relaxation).max(),
-                np.linalg.eigvalsh(ops.energy_relaxation).max(),
-            )
+            z, z_hat, _, _ = core_operators(state, model, eps)
+            fastest = max(np.linalg.eigvalsh(z).max(), np.linalg.eigvalsh(z_hat).max())
             dt = 0.5 * eps / fastest if fastest > 0.0 else 1e-12
             cfg = IntegratorConfig(dt=dt, t_final=dt, eps=eps, method="rk4")
             expected = _reference_rk4_step(state, dt, eps, model)
@@ -500,6 +493,27 @@ class TestMonitorFloorAndBounds:
             floor = trajectory.monitors[0].min_temperature
             for report in trajectory.monitors:
                 assert report.min_temperature >= floor * (1.0 - 1e-9)
+
+
+class TestStiffConservation:
+    """Backward Euler keeps the totals at every stiffness, not only mild steps."""
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-6])
+    @pytest.mark.parametrize("rate_dt", [0.05, 5.0, 500.0, 5e4])
+    @pytest.mark.parametrize("n_species", [3, 10, 30])
+    def test_drift_bounds_and_floor(self, n_species, rate_dt, eps):
+        for seed in range(3):
+            state = random_state(np.random.default_rng([seed, n_species]), n_species)
+            velocity_rate, _ = conservative_decay_rate(state, HardSphere())
+            dt = rate_dt * eps / velocity_rate
+            cfg = IntegratorConfig(dt=dt, t_final=8 * dt, eps=eps)
+            trajectory = simulate(state, cfg, HardSphere())
+            assert len(trajectory.monitors) == 9
+            for report in trajectory.monitors:
+                assert report.total_momentum_drift <= 1e-9
+                assert report.total_energy_drift <= 1e-9
+                assert report.velocity_bounds_ok
+                assert report.realizable
 
 
 class TestSlabSymmetry:
