@@ -10,7 +10,8 @@ equations to two dense linear solves,
 
 (velocities first -- the kinetic couplings depend on them), after which
 the coefficients are refreshed and the sweep repeats until the joint
-relative change drops below ``picard_tol``.  Both solves conserve total
+relative change drops below ``PICARD_TOL`` (at most ``PICARD_MAX_ITER``
+sweeps, else :class:`PicardDivergenceError`).  Both solves conserve total
 momentum and total energy in exact arithmetic because the coupling
 Laplacians annihilate the constant vector; each step then removes the
 roundoff left in those totals along the null vectors.  The velocity solve
@@ -19,25 +20,27 @@ survive discretization.
 
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
+Both steppers map (state, dt, eps, run constants) to (state, sweeps) and
+evaluate the operator core only at admissible temperatures: finite, and
+positive for hard spheres.  Leaving that set, an overflowed (singular)
+implicit system or a non-finite RK4 result raises RealizabilityError;
+backward Euler first halves the step, up to ``_MAX_HALVINGS`` times.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collisions import FrequencyModel, HardSphere, heating, operators, run_constants
+from .collisions import FrequencyModel, heating, operators, run_constants
 from .equilibrium import _component_bound
-from .species import (
-    MixtureComposition,
-    MomentState,
-    _temperatures,
-    is_realizable,
-    temperatures_of,
-)
+from .species import MixtureComposition, MomentState, _temperatures, is_realizable
 
 _MAX_HALVINGS = 10
+PICARD_TOL = 1e-12  # the joint relative change that ends a Picard iteration
+PICARD_MAX_ITER = 100  # its sweep cap
 
 # Monitor slacks, relative: a temperature may sit FLOOR_SLACK below the
 # initial minimum, and a velocity component BOUND_SLACK times the initial
@@ -68,15 +71,14 @@ class IntegratorConfig:
 
     method is "be" (backward Euler, default) or "rk4".  ``output_stride``
     records every k-th step; the initial and final states are always
-    recorded.
+    recorded; t_final / dt must stay below ``sys.maxsize``.  The Picard
+    settings are the module constants PICARD_TOL and PICARD_MAX_ITER.
     """
 
     dt: float
     t_final: float
     eps: float = 1.0
     method: str = "be"
-    picard_tol: float = 1e-12
-    picard_max_iter: int = 100
     output_stride: int = 1
 
     def __post_init__(self):
@@ -88,14 +90,13 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
+        if self.t_final / self.dt >= sys.maxsize:
+            raise ValueError(f"t_final / dt = {self.t_final / self.dt:.3e} steps, too many")
         if self.method not in ("be", "rk4"):
             raise ValueError(f"method must be 'be' or 'rk4', got {self.method!r}")
-        for name in ("output_stride", "picard_max_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not (np.isfinite(self.picard_tol) and self.picard_tol > 0.0):
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
+        stride = self.output_stride
+        if not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ValueError(f"output_stride must be a positive integer, got {stride!r}")
 
 
 @dataclass
@@ -142,7 +143,22 @@ def _relative_change(new, old) -> float:
     return float(abs(new - old).max() / scale)
 
 
-def _picard_solve(state, dt, cfg, const):
+def _admissible_temperatures(comp, velocities, energies, const, where, time=None):
+    """Temperatures at which the operator core may be evaluated, else RealizabilityError.
+
+    Finite for every model, and positive for the hard-sphere frequencies;
+    under constant ones an unstable explicit step shows in the monitors.
+    """
+    temps = _temperatures(comp, velocities, energies)
+    floor = 0.0 if const.hard_sphere else -np.inf
+    if not (temps.min() > floor and temps.max() < np.inf):  # a NaN fails both
+        need = "finite and positive" if const.hard_sphere else "finite"
+        message = f"{where} temperatures must be {need}, got a minimum of {temps.min():.6e} J"
+        raise RealizabilityError(message, time=time)
+    return temps
+
+
+def _picard_solve(state, dt, eps, const):
     """Solve one implicit step; returns (velocities, energies, sweeps).
 
     The two linear systems are solved in the symmetrically scaled
@@ -159,8 +175,8 @@ def _picard_solve(state, dt, cfg, const):
     """
     comp = state.composition
     sqrt_rho, sqrt_n, identity = const.sqrt_rho, const.sqrt_n, const.identity
-    rate = dt / cfg.eps
-    heating_rate = 0.5 * dt / cfg.eps
+    rate = dt / eps
+    heating_rate = 0.5 * dt / eps
 
     w_old = sqrt_rho[:, None] * state.velocities
     xi_old = state.energies / sqrt_n
@@ -173,25 +189,20 @@ def _picard_solve(state, dt, cfg, const):
     stalled = 0
 
     u_k, e_k = state.velocities, state.energies
-    for sweep in range(1, cfg.picard_max_iter + 1):
-        temps = _temperatures(comp, u_k, e_k)
-        if const.hard_sphere and not (temps > 0.0).all():
-            raise RealizabilityError(
-                f"iterate temperature dropped to {temps.min():.6e} J during the "
-                f"implicit solve (dt = {dt:.6e})"
-            )
+    for sweep in range(1, PICARD_MAX_ITER + 1):
+        temps = _admissible_temperatures(comp, u_k, e_k, const, "iterate")
         alpha, _, energy_coupling, z, z_hat = operators(temps, const)
 
         momentum_system = identity + rate * z
-        w_new = np.linalg.solve(momentum_system, w_old)
-        u_new = w_new / sqrt_rho[:, None]
-
         energy_system = identity + rate * z_hat
-        # The kinetic coupling pairs the new velocities with the mixing
-        # weights of the current iterate.
-        rhs = xi_old + heating(energy_coupling, alpha, u_new, const, heating_rate)
-        xi_new = np.linalg.solve(energy_system, rhs)
-        e_new = xi_new * sqrt_n
+        try:
+            u_new = np.linalg.solve(momentum_system, w_old) / sqrt_rho[:, None]
+            # The kinetic coupling pairs the new velocities with the mixing
+            # weights of the current iterate.
+            rhs = xi_old + heating(energy_coupling, alpha, u_new, const, heating_rate)
+            e_new = np.linalg.solve(energy_system, rhs) * sqrt_n
+        except np.linalg.LinAlgError as err:  # an overflowed system
+            raise RealizabilityError(f"implicit system at dt = {dt:.6e}: {err}") from err
 
         if sweep == 1:
             cond_proxy = max(
@@ -202,7 +213,7 @@ def _picard_solve(state, dt, cfg, const):
 
         residual = max(_relative_change(u_new, u_k), _relative_change(e_new, e_k))
         u_k, e_k = u_new, e_new
-        if residual < cfg.picard_tol:
+        if residual < PICARD_TOL:
             return u_k, e_k, sweep
         if residual < roundoff_floor:
             stalled = stalled + 1 if residual > 0.5 * best_residual else 0
@@ -211,12 +222,12 @@ def _picard_solve(state, dt, cfg, const):
         best_residual = min(best_residual, residual)
 
     raise PicardDivergenceError(
-        f"implicit solve did not converge in {cfg.picard_max_iter} sweeps "
+        f"implicit solve did not converge in {PICARD_MAX_ITER} sweeps "
         f"(last relative change {residual:.3e}, dt = {dt:.6e})"
     )
 
 
-def _be_advance(state, dt, cfg, const, depth=0):
+def _be_advance(state, dt, eps, const, depth=0):
     """Advance by dt with backward Euler, halving on realizability loss.
 
     The solves conserve the totals only up to their roundoff, which grows
@@ -225,12 +236,12 @@ def _be_advance(state, dt, cfg, const, depth=0):
     velocity shift and an energy correction in proportion to n.
     """
     try:
-        u, e, sweeps = _picard_solve(state, dt, cfg, const)
+        u, e, sweeps = _picard_solve(state, dt, eps, const)
     except RealizabilityError:
         if depth >= _MAX_HALVINGS:
             raise
-        half, sweeps_a = _be_advance(state, 0.5 * dt, cfg, const, depth + 1)
-        full, sweeps_b = _be_advance(half, 0.5 * dt, cfg, const, depth + 1)
+        half, sweeps_a = _be_advance(state, 0.5 * dt, eps, const, depth + 1)
+        full, sweeps_b = _be_advance(half, 0.5 * dt, eps, const, depth + 1)
         return full, max(sweeps_a, sweeps_b)
     rho, n = const.mass_densities, const.number_densities
     u = u + (rho @ state.velocities - rho @ u) / rho.sum()
@@ -243,7 +254,7 @@ def backward_euler_step(
 ) -> MomentState:
     """One implicit step of size cfg.dt from a realizable state."""
     const = run_constants(state.composition, model, state.dimension)
-    return _be_advance(state, cfg.dt, cfg, const)[0]
+    return _be_advance(state, cfg.dt, cfg.eps, const)[0]
 
 
 def _rk4_advance(state, dt, eps, const):
@@ -253,7 +264,8 @@ def _rk4_advance(state, dt, eps, const):
         dxi/dt = -(1/eps) Z-hat xi + heating,
 
     with Z, Z-hat and the heating from the same core as the implicit sweep.
-    Stages are plain arrays; the step ends in one validated state.
+    Stages are plain arrays; the step ends in one validated state and
+    takes no Picard sweeps.
     """
     comp = state.composition
     sqrt_rho, sqrt_n = const.sqrt_rho[:, None], const.sqrt_n
@@ -261,12 +273,7 @@ def _rk4_advance(state, dt, eps, const):
 
     def rates(w, xi):
         u = w / sqrt_rho
-        temps = _temperatures(comp, u, xi * sqrt_n)
-        if const.hard_sphere and not (temps > 0.0).all():
-            raise RealizabilityError(
-                f"RK4 stage state left the realizable set (dt = {dt:.6e}); "
-                "reduce the step size"
-            )
+        temps = _admissible_temperatures(comp, u, xi * sqrt_n, const, "RK4 stage")
         alpha, _, energy_coupling, z, z_hat = operators(temps, const)
         source = heating(energy_coupling, alpha, u, const, heating_rate)
         return -(z @ w) / eps, source - (z_hat @ xi) / eps
@@ -279,7 +286,10 @@ def _rk4_advance(state, dt, eps, const):
 
     w = w + dt * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
     xi = xi + dt * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-    return replace(state, velocities=w / sqrt_rho, energies=xi * sqrt_n)
+    try:
+        return replace(state, velocities=w / sqrt_rho, energies=xi * sqrt_n), 0
+    except ValueError as err:  # MomentState refuses a non-finite result
+        raise RealizabilityError(f"RK4 step at dt = {dt:.6e}: {err}") from err
 
 
 def rk4_step(
@@ -287,7 +297,7 @@ def rk4_step(
 ) -> MomentState:
     """One classical explicit Runge-Kutta step of size cfg.dt."""
     const = run_constants(state.composition, model, state.dimension)
-    return _rk4_advance(state, cfg.dt, cfg.eps, const)
+    return _rk4_advance(state, cfg.dt, cfg.eps, const)[0]
 
 
 @dataclass(frozen=True)
@@ -346,37 +356,27 @@ def simulate(
     """
     if not is_realizable(initial):
         raise RealizabilityError("initial state is not realizable", time=0.0)
-    if isinstance(model, HardSphere) and not np.all(temperatures_of(initial) > 0.0):
-        raise RealizabilityError(
-            "hard-sphere integration needs strictly positive initial temperatures",
-            time=0.0,
-        )
+    comp = initial.composition
+    const = run_constants(comp, model, initial.dimension)
+    _admissible_temperatures(comp, initial.velocities, initial.energies, const, "initial", time=0.0)
+    advance = _be_advance if cfg.method == "be" else _rk4_advance
 
-    times = [0.0]
-    states = [initial]
-    sweeps_recorded = [0]
-    n_full = int(np.floor(cfg.t_final / cfg.dt * (1.0 + 1e-12)))
-    remainder = cfg.t_final - n_full * cfg.dt
-    step_sizes = [cfg.dt] * n_full
+    times, states, sweeps_recorded = [0.0], [initial], [0]
+    n_steps = int(np.floor(cfg.t_final / cfg.dt * (1.0 + 1e-12)))
+    remainder = cfg.t_final - n_steps * cfg.dt
     # Relative to the horizon too, so a horizon shorter than one step
     # takes one step of length t_final.
-    if remainder > 1e-12 * min(cfg.dt, cfg.t_final):
-        step_sizes.append(remainder)
+    partial = remainder > 1e-12 * min(cfg.dt, cfg.t_final)
+    n_steps += int(partial)
 
-    const = run_constants(initial.composition, model, initial.dimension) if step_sizes else None
-    state = initial
-    sweeps_window = 0
-    for index, dt in enumerate(step_sizes, start=1):
-        is_last = index == len(step_sizes)
+    state, sweeps_window = initial, 0
+    for index in range(1, n_steps + 1):
+        is_last = index == n_steps
         t = cfg.t_final if is_last else index * cfg.dt
+        dt = remainder if is_last and partial else cfg.dt
         try:
-            if cfg.method == "be":
-                state, sweeps = _be_advance(state, dt, cfg, const)
-            else:
-                state = _rk4_advance(state, dt, cfg.eps, const)
-                sweeps = 0
+            state, sweeps = advance(state, dt, cfg.eps, const)
         except IntegrationError as err:
-            err.time = t
             raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
         sweeps_window = max(sweeps_window, sweeps)
         if is_last or index % cfg.output_stride == 0:
@@ -386,7 +386,7 @@ def simulate(
             sweeps_window = 0
 
     records = record_monitors(
-        initial.composition,
+        comp,
         np.array([s.velocities for s in states]),
         np.array([s.energies for s in states]),
     )

@@ -1,6 +1,10 @@
 """Presets, config parsing, CSV emission/round-trip, and CLI exit codes."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,35 @@ method = rk4
 dt_s = 3.0
 t_final_s = 30.0
 """
+
+# A constant-model RK4 run far past its stability limit (rate * dt ~ 1e4):
+# the stages overflow to non-finite temperatures within ten steps.
+OVERFLOWING_RK4_CONFIG = """\
+labels = A B
+masses_kg = 6.6e-26 1.3e-25
+diameters_m = 3e-10 3e-10
+number_densities_m3 = 1e28 1e28
+temperatures_K = 1000 2000
+velocities_ms = 100 0 0 ; 0 0 0
+model = constant
+constant_frequencies = 1e10 1e10 1e10 1e10
+method = rk4
+dt_s = 1e-6
+t_final_s = 1e-5
+"""
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(args, cwd):
+    """``mixbgk`` in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    return subprocess.run(
+        [sys.executable, "-m", "mixbgk.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
 
 
 class TestPresets:
@@ -325,6 +358,27 @@ class TestCliRun:
         )
         assert code == 3
         assert "integrator failure" in capsys.readouterr().err
+
+    def test_overflowed_implicit_step_exits_3(self, tmp_path):
+        result = run_cli(
+            ["run", "--example", "2", "--dt", "1e290", "--t-final", "1e291", "--out", "."],
+            tmp_path,
+        )
+        assert result.returncode == 3
+        assert "integrator failure: " in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_overflowing_rk4_stages_exit_3(self, tmp_path):
+        (tmp_path / "overflow.cfg").write_text(OVERFLOWING_RK4_CONFIG)
+        result = run_cli(["run", "--config", "overflow.cfg", "--out", "."], tmp_path)
+        assert result.returncode == 3
+        assert "integrator failure: " in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_uncountable_step_count_exits_1(self, tmp_path, capsys):
+        code = main(["run", "--example", "1", "--dt", "1e-300", "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: t_final / dt" in capsys.readouterr().err
 
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"

@@ -24,6 +24,7 @@ from mixbgk import (
     state_from_temperatures,
     temperatures_of,
 )
+from mixbgk.collisions import run_constants
 from mixbgk.oracles import assemble, energy_rhs, momentum_rhs, pairwise_mixture
 
 from conftest import core_operators, random_state
@@ -102,9 +103,10 @@ class TestBackwardEulerStep:
                 state.energies.sum(), rel=1e-10
             )
 
-    def test_picard_divergence_reports_residual(self):
+    def test_picard_divergence_reports_residual(self, monkeypatch):
         state, model, _, _ = two_species_linear()
-        cfg = IntegratorConfig(dt=0.5, t_final=1.0, picard_tol=1e-12, picard_max_iter=1)
+        monkeypatch.setattr(integrate_mod, "PICARD_MAX_ITER", 1)
+        cfg = IntegratorConfig(dt=0.5, t_final=1.0)
         with pytest.raises(PicardDivergenceError, match="relative change"):
             backward_euler_step(state, cfg, model)
 
@@ -147,7 +149,7 @@ def _oracle_solve(state, dt, cfg, model):
     forms Z and Z-hat from its couplings directly, solves for the
     velocities, then pairs the new velocities with the iterate's mixing
     weights in the kinetic coupling of the energy solve.  Sweeps stop once
-    the relative max-norm change of both fields drops below ``picard_tol``.
+    the relative max-norm change of both fields drops below ``PICARD_TOL``.
     """
     comp = state.composition
     identity = np.eye(comp.size)
@@ -157,7 +159,7 @@ def _oracle_solve(state, dt, cfg, model):
     energy_scale = np.outer(sqrt_n, sqrt_n)
     w_old, xi_old = scaled_velocities(state), scaled_energies(state)
     u_k, e_k = state.velocities, state.energies
-    for _ in range(cfg.picard_max_iter):
+    for _ in range(integrate_mod.PICARD_MAX_ITER):
         iterate = MomentState(comp, u_k, e_k)
         if isinstance(model, HardSphere) and not np.all(temperatures_of(iterate) > 0.0):
             raise RealizabilityError("oracle iterate left the realizable set")
@@ -181,7 +183,7 @@ def _oracle_solve(state, dt, cfg, model):
             np.abs(e_new - e_k).max() / np.abs(e_new).max(),
         )
         u_k, e_k = u_new, e_new
-        if change < cfg.picard_tol:
+        if change < integrate_mod.PICARD_TOL:
             return MomentState(comp, u_k, e_k)
     raise AssertionError("oracle Picard iteration did not converge")
 
@@ -251,11 +253,12 @@ class TestBackwardEulerOracle:
             backward_euler_step(state, cfg, HardSphere())
 
     @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
-    def test_single_sweep_limit_raises_divergence(self, model_kind):
+    def test_single_sweep_limit_raises_divergence(self, model_kind, monkeypatch):
         state, model, cfg = self._case(3, model_kind, 1)
-        tight = IntegratorConfig(dt=cfg.dt, t_final=cfg.dt, picard_tol=1e-15, picard_max_iter=1)
+        monkeypatch.setattr(integrate_mod, "PICARD_TOL", 1e-15)
+        monkeypatch.setattr(integrate_mod, "PICARD_MAX_ITER", 1)
         with pytest.raises(PicardDivergenceError, match="did not converge in 1 sweeps"):
-            backward_euler_step(state, tight, model)
+            backward_euler_step(state, cfg, model)
 
 
 def _reference_rk4_step(state, dt, eps, model):
@@ -414,11 +417,10 @@ class TestSimulate:
             assert report.total_energy_drift <= 1e-12
         assert trajectory.monitors[1].picard_iterations >= 1
 
-    def test_failure_carries_time(self):
+    def test_failure_carries_time(self, monkeypatch):
         state, model, _, _ = two_species_linear()
-        cfg = IntegratorConfig(
-            dt=0.5, t_final=5.0, picard_tol=1e-12, picard_max_iter=1
-        )
+        monkeypatch.setattr(integrate_mod, "PICARD_MAX_ITER", 1)
+        cfg = IntegratorConfig(dt=0.5, t_final=5.0)
         with pytest.raises(PicardDivergenceError) as excinfo:
             simulate(state, cfg, model)
         assert excinfo.value.time == pytest.approx(0.5)
@@ -439,6 +441,71 @@ class TestSimulate:
             simulate(boundary, cfg, HardSphere())
 
 
+class TestTypedFailures:
+    """Steps that overflow fail with RealizabilityError, never an untyped error."""
+
+    def test_overflowed_implicit_system(self):
+        scenario = presets()[2]
+        cfg = IntegratorConfig(dt=1e290, t_final=1e291)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RealizabilityError, match="implicit system") as excinfo:
+                simulate(scenario.initial_state(), cfg, scenario.frequency_model())
+        assert excinfo.value.time == 1e290
+
+    def test_overflowing_constant_model_rk4(self):
+        comp = MixtureComposition(
+            (
+                SpeciesParams(mass=6.6e-26, diameter=3e-10, label="A"),
+                SpeciesParams(mass=1.3e-25, diameter=3e-10, label="B"),
+            ),
+            [1e28, 1e28],
+        )
+        state = state_from_temperatures(
+            comp, [[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]], kelvin_to_energy(np.array([1e3, 2e3]))
+        )
+        cfg = IntegratorConfig(dt=1e-6, t_final=1e-5, method="rk4")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RealizabilityError, match="stage temperatures must be finite,"):
+                simulate(state, cfg, ConstantMatrix(np.full((2, 2), 1e10)))
+
+    def test_non_finite_rk4_result(self, monkeypatch):
+        # Finite stages whose weighted sum overflows: a heating of 5e307 per
+        # stage keeps every stage finite, but k1 + 2 k2 + 2 k3 + k4 is not.
+        state, model, _, _ = two_species_linear()
+        monkeypatch.setattr(integrate_mod, "heating", lambda *args: np.full(2, 5e307))
+        cfg = IntegratorConfig(dt=1.0, t_final=1.0, eps=1e300, method="rk4")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RealizabilityError, match="RK4 step"):
+                simulate(state, cfg, model)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
+    def test_guard_rejects_non_finite_temperatures(self, model_kind, value):
+        state, model, _, _ = two_species_linear()
+        if model_kind == "hard_sphere":
+            model = HardSphere()
+        const = run_constants(state.composition, model, 3)
+        energies = np.array([value, state.energies[1]])
+        with pytest.raises(RealizabilityError, match="must be finite"):
+            integrate_mod._admissible_temperatures(
+                state.composition, state.velocities, energies, const, "test"
+            )
+
+    def test_guard_admits_negative_constant_model_temperatures(self):
+        state, model, _, _ = two_species_linear()
+        const = run_constants(state.composition, model, 3)
+        energies = np.array([-1.0, state.energies[1]])
+        temps = integrate_mod._admissible_temperatures(
+            state.composition, state.velocities, energies, const, "test"
+        )
+        assert temps[0] < 0.0
+        const = run_constants(state.composition, HardSphere(), 3)
+        with pytest.raises(RealizabilityError, match="finite and positive"):
+            integrate_mod._admissible_temperatures(
+                state.composition, state.velocities, energies, const, "test"
+            )
+
+
 class TestIntegratorConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -448,12 +515,10 @@ class TestIntegratorConfigValidation:
             dict(dt=0.1, t_final=1.0, eps=0.0),
             dict(dt=0.1, t_final=1.0, method="euler"),
             dict(dt=0.1, t_final=1.0, output_stride=0),
-            dict(dt=0.1, t_final=1.0, picard_max_iter=0),
-            dict(dt=0.1, t_final=1.0, picard_tol=0.0),
-            dict(dt=0.1, t_final=1.0, picard_tol=float("nan")),
             dict(dt=1e-13, t_final=6e-13, output_stride=1.5),
-            dict(dt=1e-13, t_final=6e-13, picard_max_iter=2.5),
             dict(dt=0.1, t_final=1.0, output_stride="2"),
+            pytest.param(dict(dt=1e-300, t_final=1.0), id="steps_beyond_maxsize"),
+            pytest.param(dict(dt=5e-324, t_final=1e300), id="steps_overflow_to_inf"),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -461,10 +526,8 @@ class TestIntegratorConfigValidation:
             IntegratorConfig(**kwargs)
 
     def test_accepts_numpy_integer_counts(self):
-        cfg = IntegratorConfig(
-            dt=0.1, t_final=1.0, output_stride=np.int64(2), picard_max_iter=np.int32(7)
-        )
-        assert cfg.output_stride == 2 and cfg.picard_max_iter == 7
+        cfg = IntegratorConfig(dt=0.1, t_final=1.0, output_stride=np.int64(2))
+        assert cfg.output_stride == 2
 
 
 class TestMonitorFloorAndBounds:
