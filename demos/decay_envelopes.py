@@ -27,8 +27,8 @@ from mixbgk import (
 def show(index):
     scenario = presets()[index]
     state = scenario.initial_state()
-    model = scenario.frequency_model()
-    cfg = resolve_integrator(scenario, state, model)
+    model = scenario.model
+    cfg = resolve_integrator(scenario, state)
     constants = decay_constants(state, model)
     eq = steady_state(state)
 

@@ -28,8 +28,8 @@ from mixbgk import (
 
 def describe(index, scenario):
     state = scenario.initial_state()
-    model = scenario.frequency_model()
-    cfg = resolve_integrator(scenario, state, model)
+    model = scenario.model
+    cfg = resolve_integrator(scenario, state)
     eq = steady_state(state)
 
     print(f"\n=== Example {index}: {' / '.join(s.label for s in scenario.species)} ===")

@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .equilibrium import decay_constants, decay_envelopes, steady_state
 from .integrate import IntegrationError, simulate
 from .output import (
@@ -56,7 +58,6 @@ def run(args) -> int:
         overrides = {}
         if args.method is not None:
             overrides["method"] = args.method
-            overrides["dt"] = None  # method change invalidates a derived dt
         if args.dt is not None:
             overrides["dt"] = args.dt
         if args.t_final is not None:
@@ -67,16 +68,18 @@ def run(args) -> int:
             scenario = replace(scenario, **overrides)
 
         state = scenario.initial_state()
-        model = scenario.frequency_model()
-        integrator = resolve_integrator(scenario, state, model)
+        integrator = resolve_integrator(scenario, state)
         equilibrium = steady_state(state)
-        constants = decay_constants(state, model)
+        constants = decay_constants(state, scenario.model)
     except (ScenarioError, ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        trajectory = simulate(state, integrator, model)
+        # An overflowing run ends in a typed failure; numpy's warnings on
+        # the way there would only print internal source lines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            trajectory = simulate(state, integrator, scenario.model)
     except IntegrationError as err:
         print(f"integrator failure: {err}", file=sys.stderr)
         return EXIT_INTEGRATOR

@@ -69,17 +69,16 @@ class RealizabilityError(IntegrationError):
 class IntegratorConfig:
     """Fixed-step integration settings.
 
-    method is "be" (backward Euler, default) or "rk4".  ``output_stride``
-    records every k-th step; the initial and final states are always
-    recorded; t_final / dt must stay below ``sys.maxsize``.  The Picard
-    settings are the module constants PICARD_TOL and PICARD_MAX_ITER.
+    method is "be" (backward Euler, default) or "rk4"; t_final / dt
+    must stay below ``sys.maxsize``.  Every step is recorded.  The
+    Picard settings are the module constants PICARD_TOL and
+    PICARD_MAX_ITER.
     """
 
     dt: float
     t_final: float
     eps: float = 1.0
     method: str = "be"
-    output_stride: int = 1
 
     def __post_init__(self):
         # eps first: a derived dt and t_final scale with it, so a bad eps
@@ -94,9 +93,6 @@ class IntegratorConfig:
             raise ValueError(f"t_final / dt = {self.t_final / self.dt:.3e} steps, too many")
         if self.method not in ("be", "rk4"):
             raise ValueError(f"method must be 'be' or 'rk4', got {self.method!r}")
-        stride = self.output_stride
-        if not isinstance(stride, (int, np.integer)) or stride < 1:
-            raise ValueError(f"output_stride must be a positive integer, got {stride!r}")
 
 
 @dataclass
@@ -106,8 +102,8 @@ class MonitorReport:
     Drifts are relative to fixed initial scales; ``min_temperature`` is in
     J; ``realizable`` means every temperature sits above the initial
     floor min T(0), up to FLOOR_SLACK; ``picard_iterations`` is the
-    largest sweep count of any step since the previous record (0 for RK4
-    and for the initial record).
+    sweep count of the step that ended at this record (0 for RK4 and for
+    the initial record).
     """
 
     total_momentum_drift: float
@@ -202,7 +198,7 @@ def _picard_solve(state, dt, eps, const):
             rhs = xi_old + heating(energy_coupling, alpha, u_new, const, heating_rate)
             e_new = np.linalg.solve(energy_system, rhs) * sqrt_n
         except np.linalg.LinAlgError as err:  # an overflowed system
-            raise RealizabilityError(f"implicit system at dt = {dt:.6e}: {err}") from err
+            raise RealizabilityError(f"implicit system: {err}") from err
 
         if sweep == 1:
             cond_proxy = max(
@@ -349,10 +345,10 @@ def simulate(
 ) -> Trajectory:
     """Integrate from t = 0 to cfg.t_final, recording states and monitors.
 
-    Every ``output_stride``-th step is recorded along with the initial
-    state; a final partial step guarantees the last recorded time equals
-    ``t_final`` exactly.  Step failures are re-raised with the failing
-    time attached.
+    The initial state and every step are recorded, so the monitors see
+    each state the integrator produced; a final partial step guarantees
+    the last recorded time equals ``t_final`` exactly.  Step failures are
+    re-raised with the failing time attached.
     """
     if not is_realizable(initial):
         raise RealizabilityError("initial state is not realizable", time=0.0)
@@ -369,7 +365,7 @@ def simulate(
     partial = remainder > 1e-12 * min(cfg.dt, cfg.t_final)
     n_steps += int(partial)
 
-    state, sweeps_window = initial, 0
+    state = initial
     for index in range(1, n_steps + 1):
         is_last = index == n_steps
         t = cfg.t_final if is_last else index * cfg.dt
@@ -378,12 +374,9 @@ def simulate(
             state, sweeps = advance(state, dt, cfg.eps, const)
         except IntegrationError as err:
             raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
-        sweeps_window = max(sweeps_window, sweeps)
-        if is_last or index % cfg.output_stride == 0:
-            times.append(t)
-            states.append(state)
-            sweeps_recorded.append(sweeps_window)
-            sweeps_window = 0
+        times.append(t)
+        states.append(state)
+        sweeps_recorded.append(sweeps)
 
     records = record_monitors(
         comp,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import operators, run_constants
+from .collisions import HardSphere, operators, run_constants
 from .equilibrium import DecayConstants, EquilibriumData, eigenvalue_brackets, steady_state
 from .integrate import IntegratorConfig, Trajectory, record_monitors
 from .scenarios import ScenarioConfig
@@ -215,7 +215,7 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
         # A record with a nonpositive temperature has no hard-sphere
         # frequencies, so it gets no bracket.
         temps = records.temperatures[np.all(records.temperatures > 0.0, axis=1)]
-        const = run_constants(comp, config.frequency_model(), table.dimension)
+        const = run_constants(comp, config.model, table.dimension)
         _, momentum, energy, z, z_hat = operators(temps, const)
         brackets = eigenvalue_brackets(momentum, energy, rho, n)  # (R, operator, end)
         spectra = np.linalg.eigvalsh(np.stack([z, z_hat], axis=-3))[..., 1:]  # drop the null mode
@@ -237,10 +237,11 @@ def summary_text(
     constants: DecayConstants,
 ) -> str:
     """Full verification summary: run settings, equilibria, decay data, monitors."""
+    model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
         f"scenario = {config.name}",
         f"species = {' '.join(table.labels)}",
-        f"model = {config.model_kind}",
+        f"model = {model}",
         f"method = {integrator.method}",
         f"eps = {_fmt(integrator.eps)}",
         f"dt_s = {_fmt(integrator.dt)}",

@@ -13,10 +13,12 @@ files are flat key/value text, one scenario per file::
     method = be
 
 Optional keys: ``dt_s``, ``t_final_s`` (defaults derived from the decay
-rates when omitted), ``output_stride``, ``name``, ``model``
-(``hard_sphere`` or ``constant``), and ``constant_frequencies`` (N*N
-values, row-major, required for the constant model).  Temperatures cross
-the Kelvin/Joule boundary here and in the CSV writer only.
+rates when omitted), ``name``, ``model`` (``hard_sphere`` or
+``constant``), and ``constant_frequencies`` (N*N values, row-major,
+required for the constant model).  The parser builds the frequency model
+once; a scenario carries it as a :class:`HardSphere` or
+:class:`ConstantMatrix`.  Temperatures cross the Kelvin/Joule boundary
+here and in the CSV writer only.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class ScenarioError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """One runnable scenario: species data, initial condition, settings."""
+    """One runnable scenario: species data, initial condition, frequency model, settings."""
 
     species: tuple[SpeciesParams, ...]
     number_densities: np.ndarray  # (N,) 1/m^3
@@ -71,9 +73,7 @@ class ScenarioConfig:
     method: str = "be"
     dt: float | None = None  # s; derived from the decay rates when None
     t_final: float | None = None  # s
-    output_stride: int = 1
-    model_kind: str = "hard_sphere"  # "hard_sphere" | "constant"
-    constant_frequencies: np.ndarray | None = None
+    model: FrequencyModel = HardSphere()
     name: str = "scenario"
 
     def initial_state(self) -> MomentState:
@@ -88,17 +88,6 @@ class ScenarioConfig:
             composition, self.velocities, kelvin_to_energy(np.asarray(self.temperatures_kelvin))
         )
 
-    def frequency_model(self) -> FrequencyModel:
-        if self.model_kind == "hard_sphere":
-            return HardSphere()
-        if self.model_kind == "constant":
-            if self.constant_frequencies is None:
-                raise ScenarioError(
-                    "constant model requires constant_frequencies (N*N values)"
-                )
-            return ConstantMatrix(self.constant_frequencies)
-        raise ScenarioError(f"unknown frequency model {self.model_kind!r}")
-
 
 def _rk4_stable_dt(state, model, eps) -> float:
     const = run_constants(state.composition, model, state.dimension)
@@ -109,7 +98,7 @@ def _rk4_stable_dt(state, model, eps) -> float:
     return RK4_RATE_PER_STEP * eps / fastest
 
 
-def resolve_integrator(config: ScenarioConfig, state=None, model=None) -> IntegratorConfig:
+def resolve_integrator(config: ScenarioConfig, state=None) -> IntegratorConfig:
     """Fill in dt / t_final defaults and build the integrator settings.
 
     The default horizon covers HORIZON_EFOLDS e-folds of the slowest
@@ -119,16 +108,15 @@ def resolve_integrator(config: ScenarioConfig, state=None, model=None) -> Integr
     capped at RK4_MAX_STEPS steps.  An explicit horizon is never capped.
     """
     state = config.initial_state() if state is None else state
-    model = config.frequency_model() if model is None else model
 
     dt = config.dt
     t_final = config.t_final
     if dt is None or t_final is None:
-        velocity_rate, energy_rate = conservative_decay_rate(state, model)
+        velocity_rate, energy_rate = conservative_decay_rate(state, config.model)
         rk4_derived = config.method == "rk4" and dt is None
         if dt is None:
             if config.method == "rk4":
-                dt = _rk4_stable_dt(state, model, config.eps)
+                dt = _rk4_stable_dt(state, config.model, config.eps)
             else:
                 dt = BE_RATE_PER_STEP * config.eps / velocity_rate
         if t_final is None:
@@ -140,7 +128,6 @@ def resolve_integrator(config: ScenarioConfig, state=None, model=None) -> Integr
         t_final=float(t_final),
         eps=config.eps,
         method=config.method,
-        output_stride=config.output_stride,
     )
 
 
@@ -193,7 +180,6 @@ _KNOWN_KEYS = _PER_SPECIES_KEYS + (
     "constant_frequencies",
     "dt_s",
     "t_final_s",
-    "output_stride",
     "name",
 )
 
@@ -280,7 +266,7 @@ def parse_config(path) -> ScenarioConfig:
         except ValueError as err:
             raise ScenarioError(f"{path}: key {key!r}: {err}") from None
 
-    model_kind = scalar("model", "hard_sphere", str)
+    kind = scalar("model", "hard_sphere", str)
     constant = None
     if "constant_frequencies" in raw:
         values = _parse_floats("constant_frequencies", raw["constant_frequencies"])
@@ -294,8 +280,17 @@ def parse_config(path) -> ScenarioConfig:
     method = scalar("method", "be", str)
     if method not in ("be", "rk4"):
         raise ScenarioError(f"{path}: method must be 'be' or 'rk4', got {method!r}")
-    if model_kind not in ("hard_sphere", "constant"):
+    if kind == "hard_sphere":
+        model = HardSphere()
+    elif kind != "constant":
         raise ScenarioError(f"{path}: model must be 'hard_sphere' or 'constant'")
+    elif constant is None:
+        raise ScenarioError("constant model requires constant_frequencies (N*N values)")
+    else:
+        try:
+            model = ConstantMatrix(constant)
+        except ValueError as err:
+            raise ScenarioError(str(err)) from None
 
     return ScenarioConfig(
         species=species,
@@ -306,8 +301,6 @@ def parse_config(path) -> ScenarioConfig:
         method=method,
         dt=scalar("dt_s", None),
         t_final=scalar("t_final_s", None),
-        output_stride=scalar("output_stride", 1, int),
-        model_kind=model_kind,
-        constant_frequencies=constant,
+        model=model,
         name=scalar("name", os.path.splitext(os.path.basename(path))[0], str),
     )

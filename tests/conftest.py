@@ -58,5 +58,5 @@ def preset_states():
     """(state, model) pairs for the three reference scenarios."""
     out = {}
     for k, scenario in presets().items():
-        out[k] = (scenario.initial_state(), scenario.frequency_model())
+        out[k] = (scenario.initial_state(), scenario.model)
     return out

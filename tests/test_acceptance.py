@@ -49,8 +49,8 @@ PROJECTION_TOL = 1e-10
 def run_preset(k, method):
     scenario = replace(presets()[k], method=method)
     state = scenario.initial_state()
-    model = scenario.frequency_model()
-    cfg = resolve_integrator(scenario, state, model)
+    model = scenario.model
+    cfg = resolve_integrator(scenario, state)
     start = time.perf_counter()
     trajectory = simulate(state, cfg, model)
     wall = time.perf_counter() - start

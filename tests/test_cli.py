@@ -34,7 +34,6 @@ temperatures_K = 500 1500
 velocities_ms = 80 0 0 ; -10 5 0
 eps = 0.5
 method = be
-output_stride = 2
 """
 
 # Two identical unit-scale species under a constant frequency matrix, with
@@ -135,7 +134,6 @@ class TestParseConfig:
         )
         np.testing.assert_array_equal(scenario.temperatures_kelvin, [500.0, 1500.0])
         assert scenario.eps == 0.5
-        assert scenario.output_stride == 2
         assert scenario.initial_state().dimension == 3
 
     def test_missing_diameter_names_species(self, tmp_path):
@@ -160,15 +158,20 @@ class TestParseConfig:
     def test_constant_model_needs_frequencies(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(GOOD_CONFIG + "model = constant\n")
-        scenario = parse_config(path)
         with pytest.raises(ScenarioError, match="constant_frequencies"):
-            scenario.frequency_model()
+            parse_config(path)
+
+    def test_constant_model_rejects_bad_frequencies(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(GOOD_CONFIG + "model = constant\nconstant_frequencies = 1 -1 1 1\n")
+        with pytest.raises(ScenarioError, match="must all be positive"):
+            parse_config(path)
 
     def test_unstable_config_parses(self, tmp_path):
         path = tmp_path / "unstable.cfg"
         path.write_text(UNSTABLE_CONFIG)
         scenario = parse_config(path)
-        np.testing.assert_array_equal(scenario.constant_frequencies, np.ones((2, 2)))
+        np.testing.assert_array_equal(scenario.model.frequencies, np.ones((2, 2)))
         assert scenario.method == "rk4"
         assert scenario.dt == 3.0
 
@@ -335,8 +338,8 @@ class TestCliRun:
 
         # the trajectory's own monitors reach the same verdict
         scenario = parse_config(path)
-        state, model = scenario.initial_state(), scenario.frequency_model()
-        trajectory = simulate(state, resolve_integrator(scenario, state, model), model)
+        state = scenario.initial_state()
+        trajectory = simulate(state, resolve_integrator(scenario, state), scenario.model)
         assert not all(report.velocity_bounds_ok for report in trajectory.monitors)
 
     def test_hard_sphere_in_two_dimensions_exits_1(self, tmp_path, capsys):
@@ -359,6 +362,15 @@ class TestCliRun:
         assert code == 3
         assert "integrator failure" in capsys.readouterr().err
 
+    def test_method_override_keeps_an_explicit_step(self, tmp_path):
+        path = tmp_path / "stepped.cfg"
+        path.write_text(GOOD_CONFIG + "dt_s = 2e-13\nt_final_s = 1e-12\n")
+        code = main(["run", "--config", str(path), "--method", "be", "--out", str(tmp_path)])
+        assert code == 0
+        summary = (tmp_path / "stepped_summary.txt").read_text().splitlines()
+        assert f"dt_s = {2e-13:.17e}" in summary
+        assert "records = 6" in summary
+
     def test_overflowed_implicit_step_exits_3(self, tmp_path):
         result = run_cli(
             ["run", "--example", "2", "--dt", "1e290", "--t-final", "1e291", "--out", "."],
@@ -367,6 +379,11 @@ class TestCliRun:
         assert result.returncode == 3
         assert "integrator failure: " in result.stderr
         assert "Traceback" not in result.stderr
+        # one line, naming the step asked for and not the deepest halving
+        [line] = result.stderr.splitlines()
+        assert line.startswith("integrator failure: ")
+        assert "t = 1.000000000e+290" in line
+        assert "9.765625e+286" not in line
 
     def test_overflowing_rk4_stages_exit_3(self, tmp_path):
         (tmp_path / "overflow.cfg").write_text(OVERFLOWING_RK4_CONFIG)
@@ -374,6 +391,8 @@ class TestCliRun:
         assert result.returncode == 3
         assert "integrator failure: " in result.stderr
         assert "Traceback" not in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("integrator failure: ")
 
     def test_uncountable_step_count_exits_1(self, tmp_path, capsys):
         code = main(["run", "--example", "1", "--dt", "1e-300", "--out", str(tmp_path)])

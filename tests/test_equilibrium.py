@@ -252,7 +252,7 @@ class TestEquilibriumInvariance:
 
         scenario = presets()[2]
         state = scenario.initial_state()
-        model = scenario.frequency_model()
+        model = scenario.model
         velocity_rate, _ = conservative_decay_rate(state, model)
         cfg = IntegratorConfig(dt=0.05 / velocity_rate, t_final=2.0 / velocity_rate)
         trajectory = simulate(state, cfg, model)

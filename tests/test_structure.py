@@ -2,13 +2,16 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import mixbgk
+from mixbgk.scenarios import _KNOWN_KEYS
 
 PACKAGE = Path(mixbgk.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The assembly helpers behind the operator core of ``collisions``.  Any use
 # outside that module would be a second assembly path.
@@ -80,3 +83,17 @@ def test_every_private_definition_is_used():
         and node.name not in used
     )
     assert unused == []
+
+
+def test_readme_scenario_block_names_every_config_key():
+    text = README.read_text()
+    section = text[text.index("### Scenario files"):]
+    block = section.split("```")[1]
+    missing = sorted(key for key in _KNOWN_KEYS if not re.search(rf"\b{key}\b", block))
+    assert missing == []
+
+
+def test_output_stride_is_gone_from_readme_and_package():
+    texts = {"README.md": README.read_text()}
+    texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
+    assert sorted(name for name, text in texts.items() if "output_stride" in text) == []
