@@ -33,10 +33,10 @@ def velocity_operator(state, model):
     """Z and its eigenvalue bracket (lower, upper) from the operator core."""
     comp = state.composition
     const = run_constants(comp, model, state.dimension)
-    _, momentum, energy, z, _ = operators(temperatures_of(state), const)
-    brackets = eigenvalue_brackets(momentum, energy, comp.mass_densities, comp.number_densities)
+    _, coupling, z = operators(temperatures_of(state), const)
+    brackets = eigenvalue_brackets(coupling, comp.mass_densities, comp.number_densities)
     lower, upper = map(float, brackets[0])
-    return z, lower, upper
+    return z[0], lower, upper
 
 
 def random_mixture_demo(rng, n_species):

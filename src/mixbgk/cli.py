@@ -26,7 +26,13 @@ from .output import (
     write_envelope_csv,
     write_trajectory_csv,
 )
-from .scenarios import ScenarioError, parse_config, presets, resolve_integrator
+from .scenarios import (
+    ScenarioError,
+    parse_config,
+    presets,
+    resolve_integrator,
+    rk4_horizon_coverage,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -98,6 +104,13 @@ def run(args) -> int:
 
     picard_max = max(m.picard_iterations for m in trajectory.monitors)
     print(f"wrote {base}_trajectory.csv, {base}_envelopes.csv, {base}_summary.txt")
+    coverage = rk4_horizon_coverage(scenario, integrator, constants)
+    if coverage is not None:
+        steps = round(integrator.t_final / integrator.dt)
+        print(
+            f"note: RK4 horizon capped at RK4_MAX_STEPS = {steps} steps, "
+            f"covering {coverage:.2%} of the derived horizon; set --t-final to run further"
+        )
     print(f"records = {len(table.times)}, max Picard sweeps per step = {picard_max}")
     passed = summary.rstrip().splitlines()[-1].endswith("PASS")
     print("verification: " + ("PASS" if passed else "FAIL"))

@@ -31,14 +31,19 @@ and the coupling matrices
 with their Laplacians diag(row sums) - coupling.
 
 The operator core works on the temperature-free :class:`RunConstants`,
-built once per run by :func:`run_constants`: :func:`couplings` gives
-alpha, A and B at (..., N) temperatures as (..., N, N) arrays for either
-model, :func:`operators` adds the scaled relaxation operators Z and
-Z-hat, and :func:`heating` gives the kinetic heating of the scaled
-energies.  Both integrators, the monitors, the decay constants and the
-RK4 step size go through it; the independent references the tests hold
-it to live in :mod:`mixbgk.oracles`.  Self pairs (i = j) are included
-throughout; they cancel identically in all relaxation differences.
+built once per run by :func:`run_constants`.  It carries the two density
+weightings rho (for A and Z) and n (for B and Z-hat) on one leading axis
+of length 2, so each step below is one numpy call for both:
+:func:`couplings` gives alpha as (..., N, N) and the coupling stack [A, B]
+as (..., 2, N, N) at (..., N) temperatures, for either model;
+:func:`operators` adds the stack [Z, Z-hat] of scaled relaxation
+operators; :func:`heating` gives the kinetic heating of the scaled
+energies as sum_j K_ij (m_i - m_j), without forming the Laplacian of the
+kinetic coupling K.  Both integrators, the monitors, the decay constants
+and the RK4 step size go through it; the independent references the
+tests hold it to live in :mod:`mixbgk.oracles`.  Self pairs (i = j) are
+included throughout; they cancel identically in all relaxation
+differences.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ def _hard_sphere_factor(masses, diameters, number_densities) -> np.ndarray:
     """The temperature-free part of the hard-sphere frequencies, (N, N).
 
     PREF * m_i m_j / (m_i + m_j)^2 * (d_i + d_j)^2 * n_j is fixed for a
-    mixture; the frequencies are this factor times :func:`_thermal_speed`.
+    mixture; the frequencies are this factor times the thermal speed
+    sqrt(T_i / m_i + T_j / m_j).
     """
     m_i, m_j = masses[:, None], masses[None, :]
     return (
@@ -89,13 +95,6 @@ def _hard_sphere_factor(masses, diameters, number_densities) -> np.ndarray:
         * (m_i * m_j) / (m_i + m_j) ** 2
         * (diameters[:, None] + diameters[None, :]) ** 2
         * number_densities[None, :]
-    )
-
-
-def _thermal_speed(masses, temperatures) -> np.ndarray:
-    """sqrt(T_i / m_i + T_j / m_j), (..., N) temperatures -> (..., N, N)."""
-    return np.sqrt(
-        temperatures[..., None] / masses[:, None] + temperatures[..., None, :] / masses[None, :]
     )
 
 
@@ -126,22 +125,6 @@ def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarr
     return run_constants(composition, HardSphere(), 3).frequencies(temperatures)
 
 
-def _weight_and_coupling(frequencies, weights, with_weight: bool = True):
-    """Mixing weight and symmetric coupling of one density weighting w.
-
-        weight[i, j]   = w_i lam_ij / s_ij
-        coupling[i, j] = w_i lam_ij * w_j lam_ji / s_ij,  s_ij = w_i lam_ij + w_j lam_ji,
-
-    over leading axes of (..., N, N) frequencies; both share the product
-    w lam and the pair sum s.  The weight is None without ``with_weight``.
-    """
-    scaled = np.asarray(weights, dtype=float)[:, None] * np.asarray(frequencies, dtype=float)
-    transposed = scaled.swapaxes(-1, -2)
-    total = scaled + transposed
-    weight = scaled / total if with_weight else None
-    return weight, scaled * transposed / total
-
-
 def _laplacian(coupling) -> np.ndarray:
     """diag(degree) - coupling over leading axes, the degree being the row sums."""
     degree = coupling.sum(axis=-1)
@@ -152,23 +135,17 @@ def _laplacian(coupling) -> np.ndarray:
     return laplacian
 
 
-def _kinetic_coupling(energy_coupling, velocities, velocity_weights):
-    """energy_coupling * |u_mix|^2, u_mix[i, j] = alpha[i, j] u_i + alpha[j, i] u_j."""
-    u = np.asarray(velocities, dtype=float)
-    w = velocity_weights
-    u_mix = w[:, :, None] * u[:, None, :] + w.T[:, :, None] * u[None, :, :]
-    return energy_coupling * np.einsum("ijk,ijk->ij", u_mix, u_mix)
-
-
 @dataclass(frozen=True)
 class RunConstants:
     """The temperature-free data of Z, Z-hat and the heating, built once per run.
 
     ``frequency_factor`` is the hard-sphere factor (the frequencies are it
     times the thermal speed) or, for a constant model, the frequency matrix.
-    ``momentum_scale`` and ``energy_scale`` are sqrt(rho) (x) sqrt(rho) and
-    sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians.  The
-    densities and masses are the composition's own cached arrays.
+    ``weights`` stacks the density weightings rho and n of A and B as
+    (2, N, 1) columns; ``scale`` stacks sqrt(rho) (x) sqrt(rho) and
+    sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians Z and Z-hat;
+    ``mass_gaps`` is m_i - m_j.  The densities and masses are the
+    composition's own cached arrays.
     """
 
     hard_sphere: bool
@@ -178,14 +155,18 @@ class RunConstants:
     number_densities: np.ndarray  # (N,)
     sqrt_rho: np.ndarray  # (N,)
     sqrt_n: np.ndarray  # (N,)
-    momentum_scale: np.ndarray  # (N, N)
-    energy_scale: np.ndarray  # (N, N)
+    weights: np.ndarray  # (2, N, 1)
+    scale: np.ndarray  # (2, N, N)
+    mass_gaps: np.ndarray  # (N, N)
     identity: np.ndarray  # (N, N)
 
     def frequencies(self, temperatures) -> np.ndarray:
         """lam at (..., N) temperatures as (..., N, N), which must be positive for hard spheres."""
         if self.hard_sphere:
-            return self.frequency_factor * _thermal_speed(self.masses, temperatures)
+            # T_i / m_i once per species; a division, not a product with 1/m,
+            # keeps the values at which an overflowing step fails.
+            per_mass = temperatures / self.masses
+            return self.frequency_factor * np.sqrt(per_mass[..., :, None] + per_mass[..., None, :])
         return np.broadcast_to(
             self.frequency_factor, np.shape(temperatures)[:-1] + self.frequency_factor.shape
         )
@@ -211,56 +192,60 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         factor = model.frequencies
     else:
         raise TypeError(f"unknown frequency model: {model!r}")
+    masses = composition.masses
     sqrt_rho = np.sqrt(composition.mass_densities)
     sqrt_n = np.sqrt(composition.number_densities)
     return RunConstants(
         hard_sphere=hard_sphere,
         frequency_factor=factor,
-        masses=composition.masses,
+        masses=masses,
         mass_densities=composition.mass_densities,
         number_densities=composition.number_densities,
         sqrt_rho=sqrt_rho,
         sqrt_n=sqrt_n,
-        momentum_scale=np.outer(sqrt_rho, sqrt_rho),
-        energy_scale=np.outer(sqrt_n, sqrt_n),
+        weights=np.stack([composition.mass_densities, composition.number_densities])[:, :, None],
+        scale=np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)]),
+        mass_gaps=masses[:, None] - masses[None, :],
         identity=np.eye(composition.size),
     )
 
 
 def couplings(temperatures, const: RunConstants):
-    """(alpha, A, B) at (..., N) temperatures, over any leading axes.
+    """(alpha, [A, B]) at (..., N) temperatures, over any leading axes.
 
-    One frequency evaluation, then one w lam product and pair sum per
-    density weighting (the temperature weights beta are not formed).
-    Hard-sphere temperatures must be positive; callers check them.
+    alpha is (..., N, N) and the coupling stack (..., 2, N, N).  One
+    frequency evaluation, then one w lam product, one pair sum
+    s = w_i lam_ij + w_j lam_ji and one quotient for both weightings w
+    (the temperature weights beta are not formed).  Hard-sphere
+    temperatures must be positive; callers check them.
     """
-    lam = const.frequencies(temperatures)
-    alpha, momentum_coupling = _weight_and_coupling(lam, const.mass_densities)
-    _, energy_coupling = _weight_and_coupling(lam, const.number_densities, with_weight=False)
-    return alpha, momentum_coupling, energy_coupling
+    scaled = const.weights * const.frequencies(temperatures)[..., None, :, :]
+    transposed = scaled.swapaxes(-1, -2)
+    total = scaled + transposed
+    return scaled[..., 0, :, :] / total[..., 0, :, :], scaled * transposed / total
 
 
 def operators(temperatures, const: RunConstants):
-    """(alpha, A, B, Z, Z-hat) at (..., N) temperatures, over any leading axes.
+    """(alpha, [A, B], [Z, Z-hat]) at (..., N) temperatures, over any leading axes.
 
-    The couplings of :func:`couplings` and the scaled Laplacians
-    Z = P^{-1/2} (D - A) P^{-1/2}, Z-hat = Q^{-1/2} (F - B) Q^{-1/2}.
+    The couplings of :func:`couplings` and the stack of scaled Laplacians
+    Z = P^{-1/2} (D - A) P^{-1/2}, Z-hat = Q^{-1/2} (F - B) Q^{-1/2}, both
+    (..., 2, N, N).
     """
-    alpha, momentum_coupling, energy_coupling = couplings(temperatures, const)
-    return (
-        alpha,
-        momentum_coupling,
-        energy_coupling,
-        _laplacian(momentum_coupling) / const.momentum_scale,
-        _laplacian(energy_coupling) / const.energy_scale,
-    )
+    alpha, coupling = couplings(temperatures, const)
+    return alpha, coupling, _laplacian(coupling) / const.scale
 
 
 def heating(energy_coupling, velocity_weights, velocities, const: RunConstants, rate):
-    """rate * Q^{-1/2} (G - C) m, the kinetic heating of the scaled energies, (N,).
+    """rate * Q^{-1/2} (G - C) m, the kinetic heating of the scaled energies, (..., N).
 
-    G - C is the Laplacian of the kinetic coupling B |u_mix|^2 built from
-    the given velocities and mixing weights; rate is 1/(2 eps) in the ODE.
+    G - C is the Laplacian of the kinetic coupling K = B |u_mix|^2, with
+    u_mix[i, j] = u_j + alpha[i, j] (u_i - u_j) from the given velocities
+    and mixing weights; it is applied to m without being formed, as
+    sum_j K_ij (m_i - m_j).  rate is 1/(2 eps) in the ODE.
     """
-    kinetic_coupling = _kinetic_coupling(energy_coupling, velocities, velocity_weights)
-    return rate * (_laplacian(kinetic_coupling) @ const.masses) / const.sqrt_n
+    u = np.asarray(velocities, dtype=float)
+    u_j = u[..., None, :, :]
+    u_mix = u_j + velocity_weights[..., None] * (u[..., :, None, :] - u_j)
+    kinetic = energy_coupling * np.einsum("...k,...k->...", u_mix, u_mix)
+    return rate * (kinetic * const.mass_gaps).sum(axis=-1) / const.sqrt_n

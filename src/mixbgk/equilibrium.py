@@ -62,8 +62,8 @@ def steady_state(state: MomentState) -> EquilibriumData:
     return EquilibriumData(velocity=u_eq, temperature=float(t_eq), energies=energies)
 
 
-def eigenvalue_brackets(momentum_coupling, energy_coupling, rho, n) -> np.ndarray:
-    """Brackets on the positive eigenvalues of Z and Z-hat, over leading axes.
+def eigenvalue_brackets(coupling, rho, n) -> np.ndarray:
+    """Brackets on the positive eigenvalues of Z and Z-hat from the (..., 2, N, N) stack [A, B].
 
     velocity bracket: [N min(A) / max(rho), N max(A) / min(rho)]
     energy bracket:   [N min(B) / max(n),   N max(B) / min(n)]
@@ -78,11 +78,10 @@ def eigenvalue_brackets(momentum_coupling, energy_coupling, rho, n) -> np.ndarra
 
     Returns (..., 2, 2): [[velocity lower, upper], [energy lower, upper]].
     """
-    size, pair = len(rho), (-2, -1)
-    return np.stack([
-        np.stack([size * c.min(axis=pair) / w.max(), size * c.max(axis=pair) / w.min()], axis=-1)
-        for c, w in ((momentum_coupling, rho), (energy_coupling, n))
-    ], axis=-2)
+    size, pair, weights = len(rho), (-2, -1), np.stack([rho, n])
+    lower = size * coupling.min(axis=pair) / weights.max(axis=1)
+    upper = size * coupling.max(axis=pair) / weights.min(axis=1)
+    return np.stack([lower, upper], axis=-1)
 
 
 def conservative_decay_rate(state: MomentState, model: FrequencyModel):
@@ -98,9 +97,9 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
     comp = state.composition
     t_floor = _temperature_floor(state)
     const = run_constants(comp, model, state.dimension)
-    _, momentum, energy = couplings(np.full(comp.size, t_floor), const)
+    coupling = couplings(np.full(comp.size, t_floor), const)[1]
     (velocity_rate, _), (energy_rate, _) = eigenvalue_brackets(
-        momentum, energy, comp.mass_densities, comp.number_densities
+        coupling, comp.mass_densities, comp.number_densities
     )
     return float(velocity_rate), float(energy_rate)
 
@@ -188,10 +187,10 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
     t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
     uniform = np.ones(n_species)
     temps = np.stack([t_floor * uniform, temperatures_of(state), t_ceiling * uniform])
-    _, momentum, energy = couplings(temps, run_constants(comp, model, d))
-    bounds_floor, bounds_t0, _ = eigenvalue_brackets(momentum, energy, rho, n).tolist()
+    coupling = couplings(temps, run_constants(comp, model, d))[1]
+    bounds_floor, bounds_t0, _ = eigenvalue_brackets(coupling, rho, n).tolist()
     velocity_rate, energy_rate = bounds_floor[0][0], bounds_floor[1][0]
-    coupling_energy_max = float(energy[2].max())
+    coupling_energy_max = float(coupling[2, 1].max())
 
     eq = steady_state(state)
     w_gap = scaled_velocities(state) - np.sqrt(rho)[:, None] * eq.velocity[None, :]

@@ -187,24 +187,20 @@ def _picard_solve(state, dt, eps, const):
     u_k, e_k = state.velocities, state.energies
     for sweep in range(1, PICARD_MAX_ITER + 1):
         temps = _admissible_temperatures(comp, u_k, e_k, const, "iterate")
-        alpha, _, energy_coupling, z, z_hat = operators(temps, const)
+        alpha, coupling, z = operators(temps, const)
 
-        momentum_system = identity + rate * z
-        energy_system = identity + rate * z_hat
+        systems = identity + rate * z  # the momentum and the energy system
         try:
-            u_new = np.linalg.solve(momentum_system, w_old) / sqrt_rho[:, None]
+            u_new = np.linalg.solve(systems[0], w_old) / sqrt_rho[:, None]
             # The kinetic coupling pairs the new velocities with the mixing
             # weights of the current iterate.
-            rhs = xi_old + heating(energy_coupling, alpha, u_new, const, heating_rate)
-            e_new = np.linalg.solve(energy_system, rhs) * sqrt_n
+            rhs = xi_old + heating(coupling[1], alpha, u_new, const, heating_rate)
+            e_new = np.linalg.solve(systems[1], rhs) * sqrt_n
         except np.linalg.LinAlgError as err:  # an overflowed system
             raise RealizabilityError(f"implicit system: {err}") from err
 
         if sweep == 1:
-            cond_proxy = max(
-                abs(momentum_system).sum(axis=1).max(),
-                abs(energy_system).sum(axis=1).max(),
-            )
+            cond_proxy = abs(systems).sum(axis=-1).max()
             roundoff_floor = 64.0 * np.finfo(float).eps * cond_proxy
 
         residual = max(_relative_change(u_new, u_k), _relative_change(e_new, e_k))
@@ -270,9 +266,9 @@ def _rk4_advance(state, dt, eps, const):
     def rates(w, xi):
         u = w / sqrt_rho
         temps = _admissible_temperatures(comp, u, xi * sqrt_n, const, "RK4 stage")
-        alpha, _, energy_coupling, z, z_hat = operators(temps, const)
-        source = heating(energy_coupling, alpha, u, const, heating_rate)
-        return -(z @ w) / eps, source - (z_hat @ xi) / eps
+        alpha, coupling, z = operators(temps, const)
+        source = heating(coupling[1], alpha, u, const, heating_rate)
+        return -(z[0] @ w) / eps, source - (z[1] @ xi) / eps
 
     w, xi = sqrt_rho * state.velocities, state.energies / sqrt_n
     k1 = rates(w, xi)

@@ -10,6 +10,10 @@ computes:
   only the frequencies with the core, and follows the core's operation
   order, so the two agree bit for bit);
 * :func:`pairwise_mixture` -- pair mixture velocities and temperatures;
+* :func:`thermal_speed` and :func:`weight_and_coupling` -- the
+  hard-sphere thermal speed and the mixing weight and coupling of one
+  density weighting at a time, the per-weighting reference of the
+  stacked core;
 * :func:`closed_form_couplings` -- hard-sphere couplings without a
   frequency matrix;
 * :func:`momentum_rhs` / :func:`energy_rhs` -- the moment rates in
@@ -47,6 +51,28 @@ def _pair_velocities(velocities, velocity_weights) -> np.ndarray:
     u = np.asarray(velocities, dtype=float)
     w = velocity_weights
     return w[:, :, None] * u[:, None, :] + w.T[:, :, None] * u[None, :, :]
+
+
+def thermal_speed(masses, temperatures) -> np.ndarray:
+    """sqrt(T_i / m_i + T_j / m_j), (..., N) temperatures -> (..., N, N)."""
+    return np.sqrt(
+        temperatures[..., None] / masses[:, None] + temperatures[..., None, :] / masses[None, :]
+    )
+
+
+def weight_and_coupling(frequencies, weights):
+    """Mixing weight and symmetric coupling of one density weighting w.
+
+        weight[i, j]   = w_i lam_ij / s_ij
+        coupling[i, j] = w_i lam_ij * w_j lam_ji / s_ij,  s_ij = w_i lam_ij + w_j lam_ji,
+
+    over leading axes of (..., N, N) frequencies.  With w = rho the weight
+    is alpha and the coupling A; with w = n they are beta and B.
+    """
+    scaled = np.asarray(weights, dtype=float)[:, None] * np.asarray(frequencies, dtype=float)
+    transposed = scaled.swapaxes(-1, -2)
+    total = scaled + transposed
+    return scaled / total, scaled * transposed / total
 
 
 def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:

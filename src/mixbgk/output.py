@@ -216,9 +216,9 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
         # frequencies, so it gets no bracket.
         temps = records.temperatures[np.all(records.temperatures > 0.0, axis=1)]
         const = run_constants(comp, config.model, table.dimension)
-        _, momentum, energy, z, z_hat = operators(temps, const)
-        brackets = eigenvalue_brackets(momentum, energy, rho, n)  # (R, operator, end)
-        spectra = np.linalg.eigvalsh(np.stack([z, z_hat], axis=-3))[..., 1:]  # drop the null mode
+        _, coupling, z = operators(temps, const)
+        brackets = eigenvalue_brackets(coupling, rho, n)  # (R, operator, end)
+        spectra = np.linalg.eigvalsh(z)[..., 1:]  # (R, operator, N - 1): drop the null mode
         lower, upper = brackets[..., :1], brackets[..., 1:]
         slack = BRACKET_SLACK * np.maximum(upper, np.abs(lower))
         bracket_ok = not (np.any(spectra < lower - slack) or np.any(spectra > upper + slack))

@@ -15,7 +15,7 @@ files are flat key/value text, one scenario per file::
 Optional keys: ``dt_s``, ``t_final_s`` (defaults derived from the decay
 rates when omitted), ``name``, ``model`` (``hard_sphere`` or
 ``constant``), and ``constant_frequencies`` (N*N values, row-major,
-required for the constant model).  The parser builds the frequency model
+required for the constant model and refused for the hard-sphere one).  The parser builds the frequency model
 once; a scenario carries it as a :class:`HardSphere` or
 :class:`ConstantMatrix`.  Temperatures cross the Kelvin/Joule boundary
 here and in the CSV writer only.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import ConstantMatrix, FrequencyModel, HardSphere, operators, run_constants
-from .equilibrium import conservative_decay_rate
+from .equilibrium import DecayConstants, conservative_decay_rate
 from .integrate import IntegratorConfig
 from .species import (
     MixtureComposition,
@@ -91,11 +91,36 @@ class ScenarioConfig:
 
 def _rk4_stable_dt(state, model, eps) -> float:
     const = run_constants(state.composition, model, state.dimension)
-    _, _, _, z, z_hat = operators(temperatures_of(state), const)
-    fastest = max(np.linalg.eigvalsh(z).max(), np.linalg.eigvalsh(z_hat).max())
+    fastest = np.linalg.eigvalsh(operators(temperatures_of(state), const)[2]).max()
     if fastest <= 0.0:  # single species: nothing moves, any step works
         return 1.0
     return RK4_RATE_PER_STEP * eps / fastest
+
+
+def _derived_horizon(eps, velocity_rate, energy_rate) -> float:
+    """HORIZON_EFOLDS e-folds of the slowest conservative envelope rate."""
+    return HORIZON_EFOLDS * eps / min(velocity_rate, energy_rate)
+
+
+def rk4_horizon_coverage(
+    config: ScenarioConfig, integrator: IntegratorConfig, constants: DecayConstants
+):
+    """The share of the derived horizon a run covers when RK4 capped it, else None.
+
+    :func:`resolve_integrator` caps only a derived RK4 horizon, with both
+    step and horizon derived, at RK4_MAX_STEPS derived steps.  The rates
+    come from the run's :class:`DecayConstants`.
+    """
+    capped = (
+        config.method == "rk4"
+        and config.dt is None
+        and config.t_final is None
+        and integrator.t_final == RK4_MAX_STEPS * integrator.dt
+    )
+    if not capped:
+        return None
+    horizon = _derived_horizon(config.eps, constants.velocity_rate, constants.energy_rate)
+    return integrator.t_final / horizon
 
 
 def resolve_integrator(config: ScenarioConfig, state=None) -> IntegratorConfig:
@@ -120,7 +145,7 @@ def resolve_integrator(config: ScenarioConfig, state=None) -> IntegratorConfig:
             else:
                 dt = BE_RATE_PER_STEP * config.eps / velocity_rate
         if t_final is None:
-            t_final = HORIZON_EFOLDS * config.eps / min(velocity_rate, energy_rate)
+            t_final = _derived_horizon(config.eps, velocity_rate, energy_rate)
             if rk4_derived:
                 t_final = min(t_final, RK4_MAX_STEPS * dt)
     return IntegratorConfig(
@@ -281,6 +306,11 @@ def parse_config(path) -> ScenarioConfig:
     if method not in ("be", "rk4"):
         raise ScenarioError(f"{path}: method must be 'be' or 'rk4', got {method!r}")
     if kind == "hard_sphere":
+        if constant is not None:
+            raise ScenarioError(
+                f"{path}: constant_frequencies needs model = constant; "
+                "this scenario runs the hard_sphere model"
+            )
         model = HardSphere()
     elif kind != "constant":
         raise ScenarioError(f"{path}: model must be 'hard_sphere' or 'constant'")

@@ -147,7 +147,7 @@ def temperatures_of(state: MomentState) -> np.ndarray:
 def _temperatures(comp: MixtureComposition, velocities, energies) -> np.ndarray:
     """The temperature map on raw arrays, (..., N, d) and (..., N) -> (..., N)."""
     d = velocities.shape[-1]
-    speed_sq = np.einsum("...k,...k->...", velocities, velocities)
+    speed_sq = (velocities * velocities).sum(axis=-1)
     return (2.0 / d) * energies / comp.number_densities - comp.masses / d * speed_sq
 
 

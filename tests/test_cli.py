@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mixbgk.output as output_mod
+import mixbgk.scenarios as scenarios_mod
 from mixbgk import (
     GASES,
     energy_to_kelvin,
@@ -113,6 +114,39 @@ class TestPresets:
         assert explicit.dt == derived.dt
         assert explicit.t_final == 1e-9
 
+    def test_capped_rk4_horizon_is_reported(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenarios_mod, "RK4_MAX_STEPS", 20)
+        scenario = replace(presets()[1], method="rk4")
+        capped = resolve_integrator(scenario)
+        derived = resolve_integrator(replace(scenario, method="be"))
+        assert capped.t_final == 20 * capped.dt < derived.t_final
+        coverage = capped.t_final / derived.t_final
+
+        code = main(["run", "--example", "1", "--method", "rk4", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        notes = [line for line in out.splitlines() if line.startswith("note:")]
+        assert notes == [
+            "note: RK4 horizon capped at RK4_MAX_STEPS = 20 steps, "
+            f"covering {coverage:.2%} of the derived horizon; set --t-final to run further"
+        ]
+        # The note is stdout only: the summary and its monitors are those of
+        # the capped run.
+        summary = (tmp_path / "example1_summary.txt").read_text()
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        assert len(table.times) == 21
+        assert "note" not in summary
+        assert "\n".join(monitor_block(table, presets()[1])) in summary
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "rk4"],
+        ["--method", "rk4", "--t-final", "3e-12"],
+        ["--method", "be"],
+    ])
+    def test_uncapped_horizon_prints_no_note(self, argv, tmp_path, capsys):
+        assert main(["run", "--example", "1", *argv, "--out", str(tmp_path)]) == 0
+        assert "note:" not in capsys.readouterr().out
+
     def test_default_settings_resolve(self):
         for scenario in presets().values():
             cfg = resolve_integrator(scenario)
@@ -167,6 +201,18 @@ class TestParseConfig:
         with pytest.raises(ScenarioError, match="must all be positive"):
             parse_config(path)
 
+    def test_hard_sphere_rejects_constant_frequencies(self, tmp_path):
+        # Without a model key the scenario is hard-sphere; frequencies given
+        # for a constant model must not be dropped silently.
+        path = tmp_path / "bad.cfg"
+        path.write_text(GOOD_CONFIG + "constant_frequencies = 1 1 1 1\n")
+        with pytest.raises(ScenarioError, match="constant_frequencies needs model = constant"):
+            parse_config(path)
+        path.write_text(GOOD_CONFIG + "model = hard_sphere\nconstant_frequencies = 1 1 1 1\n")
+        with pytest.raises(ScenarioError, match="constant_frequencies"):
+            parse_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+
     def test_unstable_config_parses(self, tmp_path):
         path = tmp_path / "unstable.cfg"
         path.write_text(UNSTABLE_CONFIG)
@@ -200,8 +246,8 @@ class TestCliRun:
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
         original = output_mod.eigenvalue_brackets
 
-        def tight(momentum, energy, rho, n):
-            brackets = original(momentum, energy, rho, n)
+        def tight(coupling, rho, n):
+            brackets = original(coupling, rho, n)
             brackets[..., 0, 0] = 2.0 * brackets[..., 0, 1]  # velocity lower above upper
             return brackets
 

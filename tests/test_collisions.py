@@ -17,9 +17,15 @@ from mixbgk import (
     state_from_temperatures,
     temperatures_of,
 )
-from mixbgk.collisions import _laplacian, _weight_and_coupling, operators, run_constants
+from mixbgk.collisions import _laplacian, couplings, heating, operators, run_constants
 from mixbgk.equilibrium import eigenvalue_brackets
-from mixbgk.oracles import assemble, closed_form_couplings, pairwise_mixture
+from mixbgk.oracles import (
+    assemble,
+    closed_form_couplings,
+    pairwise_mixture,
+    thermal_speed,
+    weight_and_coupling,
+)
 
 from conftest import random_composition, random_state
 
@@ -84,8 +90,8 @@ class TestHardSphereFrequencies:
 class TestMixingWeights:
     def test_identical_species_give_half(self):
         lam = np.full((2, 2), 3.0)
-        alpha, _ = _weight_and_coupling(lam, [2.0, 2.0])
-        beta, _ = _weight_and_coupling(lam, [1.0, 1.0])
+        alpha, _ = weight_and_coupling(lam, [2.0, 2.0])
+        beta, _ = weight_and_coupling(lam, [1.0, 1.0])
         np.testing.assert_allclose(alpha, 0.5)
         np.testing.assert_allclose(beta, 0.5)
 
@@ -97,8 +103,8 @@ class TestMixingWeights:
         lam = rng.uniform(0.1, 10.0, size=(n_species, n_species))
         rho = rng.uniform(0.1, 10.0, size=n_species)
         n = rng.uniform(0.1, 10.0, size=n_species)
-        alpha, _ = _weight_and_coupling(lam, rho)
-        beta, _ = _weight_and_coupling(lam, n)
+        alpha, _ = weight_and_coupling(lam, rho)
+        beta, _ = weight_and_coupling(lam, n)
         np.testing.assert_allclose(alpha + alpha.T, 1.0, rtol=1e-15)
         np.testing.assert_allclose(beta + beta.T, 1.0, rtol=1e-15)
 
@@ -106,8 +112,8 @@ class TestMixingWeights:
         species, n = _hard_sphere_pair()
         lam = hard_sphere_frequencies(species, n, [T1000, T1000])
         rho = np.array([s.mass for s in species]) * n
-        alpha, _ = _weight_and_coupling(lam, rho)
-        beta, _ = _weight_and_coupling(lam, n)
+        alpha, _ = weight_and_coupling(lam, rho)
+        beta, _ = weight_and_coupling(lam, n)
         assert alpha[0, 1] == pytest.approx(ALPHA_AR_KR, rel=1e-14)
         # hard-sphere frequencies make the temperature weights exactly 1/2
         assert beta[0, 1] == pytest.approx(0.5, rel=1e-14)
@@ -119,7 +125,7 @@ class TestMixingWeights:
         lam = hard_sphere_frequencies(
             comp.species, comp.number_densities, temperatures_of(state)
         )
-        alpha, _ = _weight_and_coupling(lam, comp.mass_densities)
+        alpha, _ = weight_and_coupling(lam, comp.mass_densities)
         m = comp.masses
         np.testing.assert_allclose(
             alpha, m[:, None] / (m[:, None] + m[None, :]), rtol=1e-13
@@ -237,7 +243,7 @@ class TestAssemble:
 
 
 class TestStackedRecords:
-    """The helpers broadcast over a leading record axis, bit for bit."""
+    """The core broadcasts over a leading record axis, bit for bit."""
 
     @staticmethod
     def _records(rng, comp, count=6):
@@ -256,34 +262,52 @@ class TestStackedRecords:
 
         const = run_constants(comp, model, 3)
         lam = const.frequencies(temps)
-        beta, _ = _weight_and_coupling(lam, n)
-        alpha, momentum, energy, momentum_relaxation, energy_relaxation = operators(temps, const)
-        brackets = eigenvalue_brackets(momentum, energy, rho, n)
-        # Both models give one matrix per record.
-        assert lam.shape == momentum_relaxation.shape == energy_relaxation.shape == (6, 4, 4)
+        beta, _ = weight_and_coupling(lam, n)
+        alpha, coupling, relaxation = operators(temps, const)
+        brackets = eigenvalue_brackets(coupling, rho, n)
+        # Both models give one matrix per record, and a pair per record
+        # for the two density weightings.
+        assert lam.shape == alpha.shape == (6, 4, 4)
+        assert coupling.shape == relaxation.shape == (6, 2, 4, 4)
         assert brackets.shape == (6, 2, 2)
+        laplacians = _laplacian(coupling)
         for r, state in enumerate(states):
             mats = assemble(state, model)
             np.testing.assert_array_equal(
                 brackets[r],
-                eigenvalue_brackets(mats.momentum_coupling, mats.energy_coupling, rho, n),
+                eigenvalue_brackets(
+                    np.stack([mats.momentum_coupling, mats.energy_coupling]), rho, n
+                ),
             )
             momentum_laplacian, energy_laplacian = (
                 np.diag(c.sum(axis=1)) - c for c in (mats.momentum_coupling, mats.energy_coupling)
             )
             pairs = [
-                (lam, mats.frequencies),
-                (alpha, mats.velocity_weights),
-                (beta, mats.temperature_weights),
-                (momentum, mats.momentum_coupling),
-                (energy, mats.energy_coupling),
-                (_laplacian(momentum), momentum_laplacian),
-                (_laplacian(energy), energy_laplacian),
-                (momentum_relaxation, momentum_laplacian / np.outer(np.sqrt(rho), np.sqrt(rho))),
-                (energy_relaxation, energy_laplacian / np.outer(np.sqrt(n), np.sqrt(n))),
+                (lam[r], mats.frequencies),
+                (alpha[r], mats.velocity_weights),
+                (beta[r], mats.temperature_weights),
+                (coupling[r, 0], mats.momentum_coupling),
+                (coupling[r, 1], mats.energy_coupling),
+                (laplacians[r, 0], momentum_laplacian),
+                (laplacians[r, 1], energy_laplacian),
+                (relaxation[r, 0], momentum_laplacian / np.outer(np.sqrt(rho), np.sqrt(rho))),
+                (relaxation[r, 1], energy_laplacian / np.outer(np.sqrt(n), np.sqrt(n))),
             ]
             for stacked, single in pairs:
-                np.testing.assert_array_equal(stacked[r], single)
+                np.testing.assert_array_equal(stacked, single)
+
+    def test_heating_matches_per_record(self):
+        rng = np.random.default_rng(89)
+        comp = random_composition(rng, 4)
+        states = self._records(rng, comp)
+        const = run_constants(comp, HardSphere(), 3)
+        velocities = np.array([s.velocities for s in states])
+        alpha, coupling = couplings(np.array([temperatures_of(s) for s in states]), const)
+        stacked = heating(coupling[:, 1], alpha, velocities, const, 0.5)
+        assert stacked.shape == (6, 4)
+        for r in range(len(states)):
+            single = heating(coupling[r, 1], alpha[r], velocities[r], const, 0.5)
+            np.testing.assert_array_equal(stacked[r], single)
 
     def test_bad_temperature_names_its_species(self):
         comp = random_composition(np.random.default_rng(83), 3)
@@ -292,6 +316,85 @@ class TestStackedRecords:
         temps[3, 0] = -2.0
         with pytest.raises(ValueError, match="'s1' has T = -1"):
             hard_sphere_frequencies(comp.species, comp.number_densities, temps)
+
+
+class TestStackedCore:
+    """The stacked core against one density weighting at a time.
+
+    The per-weighting reference (``thermal_speed`` and
+    ``weight_and_coupling`` from the oracles) takes the same operations in
+    the same order per entry, so every comparison is exact: no tolerance.
+    The matrix-free heating sums K_ij (m_i - m_j) where the reference
+    multiplies the kinetic Laplacian by m, and builds u_mix from
+    u_j + alpha_ij (u_i - u_j) where ``assemble`` takes
+    alpha_ij u_i + alpha_ji u_j.  So it is held to 1e-12 of the size of
+    its terms, rate * sum_j B_ij max|u|^2 (m_i + m_j) / sqrt(n_i), about
+    1e3 machine epsilons above the N eps rounding bound of a length-N sum.
+    """
+
+    @staticmethod
+    def _temperatures(rng, size, records):
+        shape = (size,) if records is None else (records, size)
+        return rng.uniform(200.0, 3000.0, size=shape) * BOLTZMANN_J_PER_K
+
+    @pytest.mark.parametrize("records", [None, 5])
+    @pytest.mark.parametrize("constant", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 30])
+    def test_matches_per_weighting_reference(self, size, constant, records):
+        rng = np.random.default_rng([97, size, constant])
+        comp = random_composition(rng, size)
+        model = ConstantMatrix(rng.uniform(1e9, 1e12, (size, size))) if constant else HardSphere()
+        const = run_constants(comp, model, 3)
+        temps = self._temperatures(rng, size, records)
+        rho, n = comp.mass_densities, comp.number_densities
+
+        lam = const.frequencies(temps)
+        if constant:
+            reference_lam = np.broadcast_to(model.frequencies, lam.shape)
+        else:
+            reference_lam = const.frequency_factor * thermal_speed(comp.masses, temps)
+        np.testing.assert_array_equal(lam, reference_lam)
+
+        alpha, coupling, relaxation = operators(temps, const)
+        lead = () if records is None else (records,)
+        assert alpha.shape == lead + (size, size)
+        assert coupling.shape == relaxation.shape == lead + (2, size, size)
+        reference_alpha, momentum = weight_and_coupling(reference_lam, rho)
+        _, energy = weight_and_coupling(reference_lam, n)
+        np.testing.assert_array_equal(alpha, reference_alpha)
+        np.testing.assert_array_equal(coupling[..., 0, :, :], momentum)
+        np.testing.assert_array_equal(coupling[..., 1, :, :], energy)
+        np.testing.assert_array_equal(
+            relaxation[..., 0, :, :], _laplacian(momentum) / np.outer(np.sqrt(rho), np.sqrt(rho))
+        )
+        np.testing.assert_array_equal(
+            relaxation[..., 1, :, :], _laplacian(energy) / np.outer(np.sqrt(n), np.sqrt(n))
+        )
+
+    @pytest.mark.parametrize("constant", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 30])
+    def test_matrix_free_heating_matches_laplacian(self, size, constant):
+        rng = np.random.default_rng([101, size, constant])
+        comp = random_composition(rng, size)
+        model = ConstantMatrix(rng.uniform(1e9, 1e12, (size, size))) if constant else HardSphere()
+        state = state_from_temperatures(
+            comp,
+            rng.uniform(-500.0, 500.0, size=(size, 3)),
+            self._temperatures(rng, size, None),
+        )
+        const = run_constants(comp, model, 3)
+        alpha, coupling = couplings(temperatures_of(state), const)
+        rate = 0.5 / 0.3
+        source = heating(coupling[1], alpha, state.velocities, const, rate)
+
+        mats = assemble(state, model)
+        m, sqrt_n = comp.masses, np.sqrt(comp.number_densities)
+        reference = rate * (_laplacian(mats.kinetic_coupling) @ m) / sqrt_n
+        speed_sq = float(np.abs(state.velocities).max()) ** 2 * 3.0
+        terms = rate * (mats.energy_coupling * speed_sq * (m[:, None] + m[None, :])).sum(1) / sqrt_n
+        np.testing.assert_array_less(np.abs(source - reference), 1e-12 * terms)
+        if size == 1:
+            np.testing.assert_array_equal(source, 0.0)
 
 
 class TestClosedFormCouplings:
