@@ -10,13 +10,15 @@ equations to two dense linear solves,
 
 (velocities first -- the kinetic couplings depend on them), after which
 the coefficients are refreshed and the sweep repeats until the joint
-relative change drops below ``PICARD_TOL`` (at most ``PICARD_MAX_ITER``
-sweeps, else :class:`PicardDivergenceError`).  Both solves conserve total
-momentum and total energy in exact arithmetic because the coupling
-Laplacians annihilate the constant vector; each step then removes the
-roundoff left in those totals along the null vectors.  The velocity solve
-is also an M-matrix system, so the componentwise velocity envelopes
-survive discretization.
+relative change drops below ``PICARD_TOL``, or, after a change below the
+roundoff floor of the solves, until the normwise backward error of the
+iterate in both systems is below N * ``BACKWARD_TOL_PER_SPECIES`` (at most
+``PICARD_MAX_ITER`` solve pairs, else :class:`PicardDivergenceError`).
+Both solves conserve total momentum and total energy in exact arithmetic
+because the coupling Laplacians annihilate the constant vector; each step
+then removes the roundoff left in those totals along the null vectors.
+The velocity solve is also an M-matrix system, so the componentwise
+velocity envelopes survive discretization.
 
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
@@ -40,7 +42,8 @@ from .species import MixtureComposition, MomentState, _temperatures, is_realizab
 
 _MAX_HALVINGS = 10
 PICARD_TOL = 1e-12  # the joint relative change that ends a Picard iteration
-PICARD_MAX_ITER = 100  # its sweep cap
+PICARD_MAX_ITER = 100  # its cap on solve pairs
+BACKWARD_TOL_PER_SPECIES = np.finfo(float).eps  # x N: what a backward-stable solve attains
 
 # Monitor slacks, relative: a temperature may sit FLOOR_SLACK below the
 # initial minimum, and a velocity component BOUND_SLACK times the initial
@@ -101,9 +104,9 @@ class MonitorReport:
 
     Drifts are relative to fixed initial scales; ``min_temperature`` is in
     J; ``realizable`` means every temperature sits above the initial
-    floor min T(0), up to FLOOR_SLACK; ``picard_iterations`` is the
-    sweep count of the step that ended at this record (0 for RK4 and for
-    the initial record).
+    floor min T(0), up to FLOOR_SLACK; ``picard_iterations`` counts the
+    Picard solve pairs of the step that ended at this record, summed over
+    the substeps of a halved step (0 for RK4 and for the initial record).
     """
 
     total_momentum_drift: float
@@ -139,6 +142,12 @@ def _relative_change(new, old) -> float:
     return float(abs(new - old).max() / scale)
 
 
+def _backward_error(system, x, b) -> float:
+    """Normwise backward error of x in system @ x = b, infinity norm (Higham, ASNA, sec. 7.1)."""
+    scale = abs(system).sum(axis=-1).max() * abs(x).max() + abs(b).max()
+    return float(abs(system @ x - b).max() / max(scale, 1e-300))  # 0/0 at rest
+
+
 def _admissible_temperatures(comp, velocities, energies, const, where, time=None):
     """Temperatures at which the operator core may be evaluated, else RealizabilityError.
 
@@ -167,7 +176,8 @@ def _picard_solve(state, dt, eps, const):
     but symmetric positive definite, so stiff steps do not rattle at the
     roundoff plateau of a badly scaled solve.  Each sweep makes one call
     of the operator core and one of the heating, the latter with the new
-    velocities; everything temperature-free comes from ``const``.
+    velocities (a sweep that tests the iterate first, one more at the
+    iterate); everything temperature-free comes from ``const``.
     """
     comp = state.composition
     sqrt_rho, sqrt_n, identity = const.sqrt_rho, const.sqrt_n, const.identity
@@ -179,10 +189,10 @@ def _picard_solve(state, dt, eps, const):
 
     # Attainable iterate agreement is limited by the conditioning of the
     # implicit systems (~cond * machine eps); below that floor the
-    # iteration can only rattle.  Stagnation there counts as converged.
+    # iteration can only rattle.  A change below it makes the next sweep
+    # test the iterate in its own equations before solving again.
     roundoff_floor = 0.0
-    best_residual = np.inf
-    stalled = 0
+    at_floor = False
 
     u_k, e_k = state.velocities, state.energies
     for sweep in range(1, PICARD_MAX_ITER + 1):
@@ -190,6 +200,12 @@ def _picard_solve(state, dt, eps, const):
         alpha, coupling, z = operators(temps, const)
 
         systems = identity + rate * z  # the momentum and the energy system
+        if at_floor:
+            rhs = xi_old + heating(coupling[1], alpha, u_k, const, heating_rate)
+            errors = (_backward_error(systems[0], sqrt_rho[:, None] * u_k, w_old),
+                      _backward_error(systems[1], e_k / sqrt_n, rhs))
+            if max(errors) < comp.size * BACKWARD_TOL_PER_SPECIES:
+                return u_k, e_k, sweep - 1  # solve pairs; this check is not one
         try:
             u_new = np.linalg.solve(systems[0], w_old) / sqrt_rho[:, None]
             # The kinetic coupling pairs the new velocities with the mixing
@@ -207,11 +223,7 @@ def _picard_solve(state, dt, eps, const):
         u_k, e_k = u_new, e_new
         if residual < PICARD_TOL:
             return u_k, e_k, sweep
-        if residual < roundoff_floor:
-            stalled = stalled + 1 if residual > 0.5 * best_residual else 0
-            if stalled >= 3:
-                return u_k, e_k, sweep
-        best_residual = min(best_residual, residual)
+        at_floor = residual < roundoff_floor
 
     raise PicardDivergenceError(
         f"implicit solve did not converge in {PICARD_MAX_ITER} sweeps "
@@ -234,7 +246,7 @@ def _be_advance(state, dt, eps, const, depth=0):
             raise
         half, sweeps_a = _be_advance(state, 0.5 * dt, eps, const, depth + 1)
         full, sweeps_b = _be_advance(half, 0.5 * dt, eps, const, depth + 1)
-        return full, max(sweeps_a, sweeps_b)
+        return full, sweeps_a + sweeps_b
     rho, n = const.mass_densities, const.number_densities
     u = u + (rho @ state.velocities - rho @ u) / rho.sum()
     e = e + n * ((state.energies.sum() - e.sum()) / n.sum())

@@ -1,5 +1,7 @@
 """Backward-Euler and RK4 steppers, trajectory recording, and monitors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,25 @@ class TestBackwardEulerStep:
         assert calls.count(0.2) == 2
         assert sum(1 for c in calls if c == pytest.approx(0.1)) == 4
         assert np.all(np.isfinite(stepped.energies))
+
+    def test_halved_step_reports_the_solves_of_every_substep(self, monkeypatch):
+        state, model, _, _ = two_species_linear()
+        cfg = IntegratorConfig(dt=0.4, t_final=0.4)
+        original = integrate_mod._picard_solve
+        substep_solves = []
+
+        def flaky(st, dt, *args):
+            if dt > 0.15:
+                raise RealizabilityError("synthetic loss")
+            u, e, solves = original(st, dt, *args)
+            substep_solves.append(solves)
+            return u, e, solves
+
+        monkeypatch.setattr(integrate_mod, "_picard_solve", flaky)
+        trajectory = simulate(state, cfg, model)
+        # four quarter steps make up the one recorded step
+        assert len(substep_solves) == 4 and len(trajectory.monitors) == 2
+        assert trajectory.monitors[1].picard_iterations == sum(substep_solves)
 
     def test_halving_depth_limit(self, monkeypatch):
         state, model, _, _ = two_species_linear()
@@ -559,6 +580,82 @@ class TestStiffConservation:
                 assert report.total_energy_drift <= 1e-9
                 assert report.velocity_bounds_ok
                 assert report.realizable
+
+
+def _reference_backward_errors(state, u, e, dt, model):
+    """Normwise backward errors of an iterate (u, e) in its own implicit equations, eps = 1.
+
+    Rebuilt from the reference assembly: S0 = I + dt Z and
+    S1 = I + dt Z-hat at the iterate's temperatures, the heating at
+    the iterate's velocities and mixing weights, and the infinity-norm
+    error |S x - b| / (||S|| |x| + |b|), with |.| the largest entry.
+    """
+    comp = state.composition
+    sqrt_rho = np.sqrt(comp.mass_densities)
+    sqrt_n = np.sqrt(comp.number_densities)
+    mats = assemble(MomentState(comp, u, e), model)
+    kinetic = mats.kinetic_coupling
+    heating = (np.diag(kinetic.sum(axis=1)) - kinetic) @ comp.masses
+    systems = [
+        (mats.momentum_coupling, sqrt_rho[:, None] * u, scaled_velocities(state), sqrt_rho),
+        (
+            mats.energy_coupling,
+            e / sqrt_n,
+            scaled_energies(state) + 0.5 * dt * heating / sqrt_n,
+            sqrt_n,
+        ),
+    ]
+    errors = []
+    for coupling, x, b, sqrt_w in systems:
+        z = (np.diag(coupling.sum(axis=1)) - coupling) / np.outer(sqrt_w, sqrt_w)
+        s = np.eye(comp.size) + dt * z
+        scale = np.linalg.norm(s, np.inf) * np.abs(x).max() + np.abs(b).max()
+        errors.append(np.abs(s @ x - b).max() / scale)
+    return errors
+
+
+class TestBackwardErrorExit:
+    """Stiff steps end once the iterate solves its own implicit equations to roundoff."""
+
+    @pytest.mark.parametrize("n_species", [3, 10, 30])
+    def test_stiff_steps_take_at_most_two_solves(self, n_species):
+        for seed in range(3):
+            state = random_state(np.random.default_rng([seed, n_species]), n_species)
+            dt = 5e4 / conservative_decay_rate(state, HardSphere())[0]
+            trajectory = simulate(state, IntegratorConfig(dt=dt, t_final=8 * dt), HardSphere())
+            solves = [report.picard_iterations for report in trajectory.monitors[1:]]
+            # The first step moves the temperatures by O(1), so its second
+            # solve still changes the iterate well above the roundoff floor.
+            assert len(solves) == 8 and min(solves) >= 1
+            assert solves[0] <= 3 and max(solves[1:]) <= 2
+
+    def test_state_at_rest_steps_without_warnings(self):
+        moving = random_state(np.random.default_rng(8), 3)
+        state = state_from_temperatures(
+            moving.composition, np.zeros((3, 3)), temperatures_of(moving)
+        )
+        dt = 5e4 / conservative_decay_rate(state, HardSphere())[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajectory = simulate(state, IntegratorConfig(dt=dt, t_final=8 * dt), HardSphere())
+        for report in trajectory.monitors:
+            assert report.total_momentum_drift <= 1e-9
+            assert report.total_energy_drift <= 1e-9
+            assert report.realizable
+
+    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
+    @pytest.mark.parametrize("rate_dt", [500.0, 5e4])
+    def test_returned_iterate_meets_the_reference_equations(self, rate_dt, model_kind):
+        for n_species in (3, 10, 30):
+            # The acceptance bound of the check, whichever exit was taken.
+            bound = n_species * integrate_mod.BACKWARD_TOL_PER_SPECIES
+            for seed in range(3):
+                state, model, _ = TestBackwardEulerOracle._case(n_species, model_kind, seed)
+                dt = rate_dt / conservative_decay_rate(state, model)[0]
+                const = run_constants(state.composition, model, state.dimension)
+                u, e, _ = integrate_mod._picard_solve(state, dt, 1.0, const)
+                errors = _reference_backward_errors(state, u, e, dt, model)
+                assert max(errors) < bound, (n_species, seed, errors)
 
 
 class TestSlabSymmetry:
