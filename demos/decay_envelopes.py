@@ -20,8 +20,8 @@ from mixbgk import (
     resolve_integrator,
     simulate,
     steady_state,
-    temperatures_of,
 )
+from mixbgk.integrate import record_monitors
 
 
 def show(index):
@@ -42,14 +42,11 @@ def show(index):
     trajectory = simulate(state, cfg, model)
     env_u, env_e, env_t = decay_envelopes(constants, cfg.eps, trajectory.times)
 
-    dev_u = np.array([
-        np.linalg.norm(s.velocities - eq.velocity[None, :], axis=1).max()
-        for s in trajectory.states
-    ])
-    dev_e = np.array([np.linalg.norm(s.energies - eq.energies)
-                      for s in trajectory.states])
-    dev_t = np.array([np.abs(temperatures_of(s) - eq.temperature).max()
-                      for s in trajectory.states])
+    velocities, energies = trajectory.velocities, trajectory.energies
+    temps = record_monitors(state.composition, velocities, energies).temperatures
+    dev_u = np.linalg.norm(velocities - eq.velocity, axis=2).max(axis=1)
+    dev_e = np.linalg.norm(energies - eq.energies, axis=1)
+    dev_t = np.abs(temps - eq.temperature).max(axis=1)
 
     print(f"{'t [s]':>12} {'|u - u_eq|':>12} {'envelope':>12} "
           f"{'|T - T_eq|':>12} {'envelope':>12}")

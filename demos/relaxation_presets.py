@@ -22,8 +22,8 @@ from mixbgk import (
     resolve_integrator,
     simulate,
     steady_state,
-    temperatures_of,
 )
+from mixbgk.integrate import record_monitors
 
 
 def describe(index, scenario):
@@ -39,6 +39,8 @@ def describe(index, scenario):
           f"T = {energy_to_kelvin(eq.temperature):.2f} K")
 
     trajectory = simulate(state, cfg, model)
+    records = record_monitors(state.composition, trajectory.velocities, trajectory.energies)
+    temps = energy_to_kelvin(records.temperatures)
     labels = state.composition.labels
     picks = np.linspace(0, len(trajectory.times) - 1, 6).astype(int)
 
@@ -46,21 +48,15 @@ def describe(index, scenario):
     header += "".join(f"  T_{lab} [K]".rjust(12) for lab in labels)
     print(header)
     for r in picks:
-        s = trajectory.states[r]
-        temps = energy_to_kelvin(temperatures_of(s))
         row = f"{trajectory.times[r]:12.3e}"
-        row += "".join(f"{u:14.4f}" for u in s.velocities[:, 0])
-        row += "".join(f"{t:12.2f}" for t in temps)
+        row += "".join(f"{u:14.4f}" for u in trajectory.velocities[r, :, 0])
+        row += "".join(f"{t:12.2f}" for t in temps[r])
         print(row)
 
-    final = trajectory.final_state
-    u_err = np.abs(final.velocities[:, 0] - eq.velocity[0]).max()
-    t_err = np.abs(energy_to_kelvin(temperatures_of(final)) -
-                   energy_to_kelvin(eq.temperature)).max()
-    drift = max(max(m.total_momentum_drift, m.total_energy_drift)
-                for m in trajectory.monitors)
-    floor_ok = all(m.min_temperature >= trajectory.monitors[0].min_temperature * (1 - 1e-9)
-                   for m in trajectory.monitors)
+    u_err = np.abs(trajectory.velocities[-1, :, 0] - eq.velocity[0]).max()
+    t_err = np.abs(temps[-1] - energy_to_kelvin(eq.temperature)).max()
+    drift = max(records.momentum_drift.max(), records.energy_drift.max())
+    floor_ok = bool(records.above_floor.all())
     print(f"final distance to equilibrium: {u_err:.2e} m/s, {t_err:.2e} K")
     print(f"conservation drift {drift:.1e}; temperature floor held: {floor_ok}")
 

@@ -102,7 +102,6 @@ def run(args) -> int:
     with open(base + "_summary.txt", "w", encoding="utf-8") as handle:
         handle.write(summary)
 
-    picard_max = max(m.picard_iterations for m in trajectory.monitors)
     print(f"wrote {base}_trajectory.csv, {base}_envelopes.csv, {base}_summary.txt")
     coverage = rk4_horizon_coverage(scenario, integrator, constants)
     if coverage is not None:
@@ -111,7 +110,10 @@ def run(args) -> int:
             f"note: RK4 horizon capped at RK4_MAX_STEPS = {steps} steps, "
             f"covering {coverage:.2%} of the derived horizon; set --t-final to run further"
         )
-    print(f"records = {len(table.times)}, max Picard sweeps per step = {picard_max}")
+    print(
+        f"records = {len(table.times)}, max Picard sweeps per step = {trajectory.sweeps.max()}, "
+        f"halved steps = {np.count_nonzero(trajectory.substeps > 1)}"
+    )
     passed = summary.rstrip().splitlines()[-1].endswith("PASS")
     print("verification: " + ("PASS" if passed else "FAIL"))
     return EXIT_OK if passed else EXIT_MONITOR

@@ -22,7 +22,9 @@ velocity envelopes survive discretization.
 
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
-Both steppers map (state, dt, eps, run constants) to (state, sweeps) and
+Backward Euler advances the arrays (u, e), RK4 one flat scaled vector
+y = [W.ravel(), xi]; one loop per method, shared by :func:`simulate`
+and the one-step functions, stacks every step into the records.  Both
 evaluate the operator core only at admissible temperatures: finite, and
 positive for hard spheres.  Leaving that set, an overflowed (singular)
 implicit system or a non-finite RK4 result raises RealizabilityError;
@@ -32,7 +34,8 @@ backward Euler first halves the step, up to ``_MAX_HALVINGS`` times.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,36 +101,62 @@ class IntegratorConfig:
             raise ValueError(f"method must be 'be' or 'rk4', got {self.method!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonitorReport:
-    """Per-record verification data.
+    """Verification data of one record, a view of :class:`RecordMonitors`.
 
     Drifts are relative to fixed initial scales; ``min_temperature`` is in
-    J; ``realizable`` means every temperature sits above the initial
-    floor min T(0), up to FLOOR_SLACK; ``picard_iterations`` counts the
-    Picard solve pairs of the step that ended at this record, summed over
-    the substeps of a halved step (0 for RK4 and for the initial record).
+    J; ``above_floor`` means every temperature sits above the initial
+    floor min T(0), up to FLOOR_SLACK; ``picard_iterations`` is the
+    record's entry of ``Trajectory.sweeps``.
     """
 
     total_momentum_drift: float
     total_energy_drift: float
     min_temperature: float
     velocity_bounds_ok: bool
-    realizable: bool
+    above_floor: bool
     picard_iterations: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Recorded times (strictly increasing, starting at 0) with states and monitors."""
+    """The R records of a run as read-only arrays, record 0 the initial state.
 
-    times: np.ndarray
-    states: list[MomentState]
-    monitors: list[MonitorReport]
+    ``sweeps`` counts the Picard solve pairs of the step that ended at
+    each record, summed over the substeps of a halved step, and
+    ``substeps`` the backward-Euler substeps of that step (1 unless it
+    was halved); both are 0 for record 0 and for RK4.  ``states``,
+    ``monitors`` and ``final_state`` are views built on first use.
+    """
 
-    @property
+    times: np.ndarray  # (R,) s, strictly increasing from 0
+    velocities: np.ndarray  # (R, N, d) m/s
+    energies: np.ndarray  # (R, N) J/m^3
+    sweeps: np.ndarray  # (R,) int
+    substeps: np.ndarray  # (R,) int
+    composition: MixtureComposition
+
+    def __post_init__(self):
+        for values in (self.times, self.velocities, self.energies, self.sweeps, self.substeps):
+            values.setflags(write=False)
+
+    @cached_property
+    def states(self) -> tuple[MomentState, ...]:
+        return tuple(
+            MomentState(self.composition, u, e) for u, e in zip(self.velocities, self.energies)
+        )
+
+    @cached_property
     def final_state(self) -> MomentState:
-        return self.states[-1]
+        return MomentState(self.composition, self.velocities[-1], self.energies[-1])
+
+    @cached_property
+    def monitors(self) -> tuple[MonitorReport, ...]:
+        records = record_monitors(self.composition, self.velocities, self.energies)
+        columns = (records.momentum_drift, records.energy_drift, records.temperatures.min(axis=1),
+                   records.velocity_bounds_ok, records.above_floor, self.sweeps)
+        return tuple(MonitorReport(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
 def _relative_change(new, old) -> float:
@@ -163,8 +192,8 @@ def _admissible_temperatures(comp, velocities, energies, const, where, time=None
     return temps
 
 
-def _picard_solve(state, dt, eps, const):
-    """Solve one implicit step; returns (velocities, energies, sweeps).
+def _picard_solve(u, e, dt, eps, comp, const):
+    """Solve one implicit step from (u, e); returns (velocities, energies, sweeps).
 
     The two linear systems are solved in the symmetrically scaled
     variables W = P^{1/2} U and xi = Q^{-1/2} E,
@@ -179,13 +208,12 @@ def _picard_solve(state, dt, eps, const):
     velocities (a sweep that tests the iterate first, one more at the
     iterate); everything temperature-free comes from ``const``.
     """
-    comp = state.composition
     sqrt_rho, sqrt_n, identity = const.sqrt_rho, const.sqrt_n, const.identity
     rate = dt / eps
     heating_rate = 0.5 * dt / eps
 
-    w_old = sqrt_rho[:, None] * state.velocities
-    xi_old = state.energies / sqrt_n
+    w_old = sqrt_rho[:, None] * u
+    xi_old = e / sqrt_n
 
     # Attainable iterate agreement is limited by the conditioning of the
     # implicit systems (~cond * machine eps); below that floor the
@@ -194,7 +222,7 @@ def _picard_solve(state, dt, eps, const):
     roundoff_floor = 0.0
     at_floor = False
 
-    u_k, e_k = state.velocities, state.energies
+    u_k, e_k = u, e
     for sweep in range(1, PICARD_MAX_ITER + 1):
         temps = _admissible_temperatures(comp, u_k, e_k, const, "iterate")
         alpha, coupling, z = operators(temps, const)
@@ -231,26 +259,45 @@ def _picard_solve(state, dt, eps, const):
     )
 
 
-def _be_advance(state, dt, eps, const, depth=0):
-    """Advance by dt with backward Euler, halving on realizability loss.
+def _be_advance(u, e, dt, eps, comp, const, depth=0):
+    """Advance (u, e) by dt with backward Euler, halving on realizability loss.
 
-    The solves conserve the totals only up to their roundoff, which grows
-    with the conditioning of stiff steps, so the step then restores them
-    along the null vectors sqrt(rho) of Z and sqrt(n) of Z-hat: one common
-    velocity shift and an energy correction in proportion to n.
+    Returns (velocities, energies, sweeps, substeps), the last two summed
+    over the substeps of a halved step.  The solves conserve the totals
+    only up to their roundoff, which grows with the conditioning of stiff
+    steps, so the step then restores them along the null vectors
+    sqrt(rho) of Z and sqrt(n) of Z-hat: one common velocity shift and an
+    energy correction in proportion to n.
     """
     try:
-        u, e, sweeps = _picard_solve(state, dt, eps, const)
+        u_new, e_new, sweeps = _picard_solve(u, e, dt, eps, comp, const)
     except RealizabilityError:
         if depth >= _MAX_HALVINGS:
             raise
-        half, sweeps_a = _be_advance(state, 0.5 * dt, eps, const, depth + 1)
-        full, sweeps_b = _be_advance(half, 0.5 * dt, eps, const, depth + 1)
-        return full, sweeps_a + sweeps_b
+        u, e, sweeps_a, parts_a = _be_advance(u, e, 0.5 * dt, eps, comp, const, depth + 1)
+        u, e, sweeps_b, parts_b = _be_advance(u, e, 0.5 * dt, eps, comp, const, depth + 1)
+        return u, e, sweeps_a + sweeps_b, parts_a + parts_b
     rho, n = const.mass_densities, const.number_densities
-    u = u + (rho @ state.velocities - rho @ u) / rho.sum()
-    e = e + n * ((state.energies.sum() - e.sum()) / n.sum())
-    return replace(state, velocities=u, energies=e), sweeps
+    u_new = u_new + (rho @ u - rho @ u_new) / rho.sum()
+    e_new = e_new + n * ((e.sum() - e_new.sum()) / n.sum())
+    return u_new, e_new, sweeps, 1
+
+
+def _failed_at(err: IntegrationError, t: float) -> IntegrationError:
+    return type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t)
+
+
+def _be_trajectory(state, schedule, eps, const) -> Trajectory:
+    """Backward Euler from ``state`` along ``schedule``, (t, dt) per step: every record."""
+    comp, u, e = state.composition, state.velocities, state.energies
+    records = [(0.0, u, e, 0, 0)]
+    for t, dt in schedule:
+        try:
+            u, e, sweeps, substeps = _be_advance(u, e, dt, eps, comp, const)
+        except IntegrationError as err:
+            raise _failed_at(err, t) from err
+        records.append((t, u, e, sweeps, substeps))
+    return Trajectory(*map(np.array, zip(*records)), comp)
 
 
 def backward_euler_step(
@@ -258,42 +305,65 @@ def backward_euler_step(
 ) -> MomentState:
     """One implicit step of size cfg.dt from a realizable state."""
     const = run_constants(state.composition, model, state.dimension)
-    return _be_advance(state, cfg.dt, cfg.eps, const)[0]
+    return _be_trajectory(state, [(cfg.dt, cfg.dt)], cfg.eps, const).final_state
 
 
-def _rk4_advance(state, dt, eps, const):
-    """One classical RK4 step in the scaled variables W = P^{1/2} U, xi = Q^{-1/2} E,
+def _rk4_advance(y, dt, eps, comp, const):
+    """One classical RK4 step of y = [W.ravel(), xi], W = P^{1/2} U and xi = Q^{-1/2} E,
 
         dW/dt  = -(1/eps) Z W
         dxi/dt = -(1/eps) Z-hat xi + heating,
 
     with Z, Z-hat and the heating from the same core as the implicit sweep.
-    Stages are plain arrays; the step ends in one validated state and
-    takes no Picard sweeps.
+    Every stage update and the final sum is one expression on y.
     """
-    comp = state.composition
+    n_vel = y.size - comp.size
     sqrt_rho, sqrt_n = const.sqrt_rho[:, None], const.sqrt_n
     heating_rate = 0.5 / eps
 
-    def rates(w, xi):
+    def rates(y):
+        w, xi = y[:n_vel].reshape(comp.size, -1), y[n_vel:]
         u = w / sqrt_rho
         temps = _admissible_temperatures(comp, u, xi * sqrt_n, const, "RK4 stage")
         alpha, coupling, z = operators(temps, const)
-        source = heating(coupling[1], alpha, u, const, heating_rate)
-        return -(z[0] @ w) / eps, source - (z[1] @ xi) / eps
+        k = np.concatenate([(z[0] @ w).ravel(), z[1] @ xi]) / -eps
+        k[n_vel:] += heating(coupling[1], alpha, u, const, heating_rate)
+        return k
 
-    w, xi = sqrt_rho * state.velocities, state.energies / sqrt_n
-    k1 = rates(w, xi)
-    k2 = rates(w + 0.5 * dt * k1[0], xi + 0.5 * dt * k1[1])
-    k3 = rates(w + 0.5 * dt * k2[0], xi + 0.5 * dt * k2[1])
-    k4 = rates(w + dt * k3[0], xi + dt * k3[1])
+    k1 = rates(y)
+    k2 = rates(y + 0.5 * dt * k1)
+    k3 = rates(y + 0.5 * dt * k2)
+    k4 = rates(y + dt * k3)
+    y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    if not np.isfinite(y).all():
+        raise RealizabilityError(
+            f"RK4 step at dt = {dt:.6e}: velocities and energies must be finite"
+        )
+    return y
 
-    w = w + dt * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-    xi = xi + dt * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-    try:
-        return replace(state, velocities=w / sqrt_rho, energies=xi * sqrt_n), 0
-    except ValueError as err:  # MomentState refuses a non-finite result
-        raise RealizabilityError(f"RK4 step at dt = {dt:.6e}: {err}") from err
+
+def _rk4_trajectory(state, schedule, eps, const) -> Trajectory:
+    """RK4 from ``state`` along ``schedule``, (t, dt) per step: every record.
+
+    The scaled vector is carried from step to step and converted back to
+    velocities and energies once, for all records.
+    """
+    comp, u, e = state.composition, state.velocities, state.energies
+    sqrt_rho = const.sqrt_rho[:, None]
+    y = np.concatenate([(sqrt_rho * u).ravel(), e / const.sqrt_n])
+    times, ys = [0.0], []
+    for t, dt in schedule:
+        try:
+            y = _rk4_advance(y, dt, eps, comp, const)
+        except IntegrationError as err:
+            raise _failed_at(err, t) from err
+        times.append(t)
+        ys.append(y)
+    ys = np.reshape(ys, (-1, y.size))
+    velocities = np.concatenate([u[None], ys[:, :u.size].reshape(-1, *u.shape) / sqrt_rho])
+    energies = np.concatenate([e[None], ys[:, u.size:] * const.sqrt_n])
+    no_sweeps = np.zeros(len(times), dtype=int)
+    return Trajectory(np.array(times), velocities, energies, no_sweeps, no_sweeps, comp)
 
 
 def rk4_step(
@@ -301,7 +371,7 @@ def rk4_step(
 ) -> MomentState:
     """One classical explicit Runge-Kutta step of size cfg.dt."""
     const = run_constants(state.composition, model, state.dimension)
-    return _rk4_advance(state, cfg.dt, cfg.eps, const)[0]
+    return _rk4_trajectory(state, [(cfg.dt, cfg.dt)], cfg.eps, const).final_state
 
 
 @dataclass(frozen=True)
@@ -348,10 +418,24 @@ def record_monitors(
     )
 
 
+def _schedule(cfg: IntegratorConfig):
+    """(t, dt) of every step, generated lazily: steps of cfg.dt, then a partial one to t_final."""
+    n_steps = int(np.floor(cfg.t_final / cfg.dt * (1.0 + 1e-12)))
+    remainder = cfg.t_final - n_steps * cfg.dt
+    # Relative to the horizon too, so a horizon shorter than one step
+    # takes one step of length t_final.
+    partial = remainder > 1e-12 * min(cfg.dt, cfg.t_final)
+    last = n_steps + int(partial)
+    for index in range(1, last):
+        yield index * cfg.dt, cfg.dt
+    if last:
+        yield cfg.t_final, remainder if partial else cfg.dt
+
+
 def simulate(
     initial: MomentState, cfg: IntegratorConfig, model: FrequencyModel
 ) -> Trajectory:
-    """Integrate from t = 0 to cfg.t_final, recording states and monitors.
+    """Integrate from t = 0 to cfg.t_final, recording every step.
 
     The initial state and every step are recorded, so the monitors see
     each state the integrator produced; a final partial step guarantees
@@ -363,43 +447,5 @@ def simulate(
     comp = initial.composition
     const = run_constants(comp, model, initial.dimension)
     _admissible_temperatures(comp, initial.velocities, initial.energies, const, "initial", time=0.0)
-    advance = _be_advance if cfg.method == "be" else _rk4_advance
-
-    times, states, sweeps_recorded = [0.0], [initial], [0]
-    n_steps = int(np.floor(cfg.t_final / cfg.dt * (1.0 + 1e-12)))
-    remainder = cfg.t_final - n_steps * cfg.dt
-    # Relative to the horizon too, so a horizon shorter than one step
-    # takes one step of length t_final.
-    partial = remainder > 1e-12 * min(cfg.dt, cfg.t_final)
-    n_steps += int(partial)
-
-    state = initial
-    for index in range(1, n_steps + 1):
-        is_last = index == n_steps
-        t = cfg.t_final if is_last else index * cfg.dt
-        dt = remainder if is_last and partial else cfg.dt
-        try:
-            state, sweeps = advance(state, dt, cfg.eps, const)
-        except IntegrationError as err:
-            raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
-        times.append(t)
-        states.append(state)
-        sweeps_recorded.append(sweeps)
-
-    records = record_monitors(
-        comp,
-        np.array([s.velocities for s in states]),
-        np.array([s.energies for s in states]),
-    )
-    monitors = [
-        MonitorReport(
-            total_momentum_drift=float(records.momentum_drift[r]),
-            total_energy_drift=float(records.energy_drift[r]),
-            min_temperature=float(records.temperatures[r].min()),
-            velocity_bounds_ok=bool(records.velocity_bounds_ok[r]),
-            realizable=bool(records.above_floor[r]),
-            picard_iterations=sweeps,
-        )
-        for r, sweeps in enumerate(sweeps_recorded)
-    ]
-    return Trajectory(np.asarray(times), states, monitors)
+    march = _be_trajectory if cfg.method == "be" else _rk4_trajectory
+    return march(initial, _schedule(cfg), cfg.eps, const)

@@ -55,16 +55,14 @@ class TrajectoryTable:
 
 def build_table(trajectory: Trajectory, envelopes) -> TrajectoryTable:
     """Assemble the columnar table from a trajectory and its envelopes."""
-    states = trajectory.states
-    comp = states[0].composition
+    comp = trajectory.composition
     rho = comp.mass_densities
-    velocities = np.array([s.velocities for s in states])
-    energies = np.array([s.energies for s in states])
+    velocities, energies = trajectory.velocities, trajectory.energies
     temps_k = energy_to_kelvin(_temperatures(comp, velocities, energies))
     env_velocity, env_energy, env_temperature = envelopes
     return TrajectoryTable(
         labels=comp.labels,
-        times=np.asarray(trajectory.times, dtype=float),
+        times=trajectory.times,
         velocities=velocities,
         temperatures_kelvin=temps_k,
         energies=energies,

@@ -29,6 +29,7 @@ from mixbgk import (
     steady_state,
     temperatures_of,
 )
+from mixbgk.integrate import record_monitors
 from mixbgk.oracles import (
     assemble,
     energy_rhs,
@@ -202,21 +203,11 @@ class TestCriterion5DecayEnvelopes:
             env_u, env_e, env_t = decay_envelopes(
                 constants, run["cfg"].eps, trajectory.times
             )
-            dev_u = np.array(
-                [
-                    np.linalg.norm(s.velocities - eq.velocity[None, :], axis=1).max()
-                    for s in trajectory.states
-                ]
-            )
-            dev_e = np.array(
-                [np.linalg.norm(s.energies - eq.energies) for s in trajectory.states]
-            )
-            dev_t = np.array(
-                [
-                    np.abs(temperatures_of(s) - eq.temperature).max()
-                    for s in trajectory.states
-                ]
-            )
+            velocities, energies = trajectory.velocities, trajectory.energies
+            temps = record_monitors(state.composition, velocities, energies).temperatures
+            dev_u = np.linalg.norm(velocities - eq.velocity, axis=2).max(axis=1)
+            dev_e = np.linalg.norm(energies - eq.energies, axis=1)
+            dev_t = np.abs(temps - eq.temperature).max(axis=1)
             assert np.all(dev_u <= env_u * (1.0 + ENVELOPE_TOL))
             assert np.all(dev_e <= env_e * (1.0 + ENVELOPE_TOL))
             assert np.all(dev_t <= env_t * (1.0 + ENVELOPE_TOL))
@@ -389,16 +380,13 @@ class TestCriterion9NullSpaceIdentities:
             np.linalg.norm(scaled_energies(state) - xi_eq) * np.linalg.norm(sqrt_n_vec),
             state.energies.sum(),
         )
-        worst = 0.0
-        for later in trajectory.states:
-            w_proj = (scaled_velocities(later) - w_eq).T @ sqrt_rho_vec
-            xi_proj = (scaled_energies(later) - xi_eq) @ sqrt_n_vec
-            worst = max(
-                worst,
-                np.linalg.norm(w_proj) / momentum_scale,
-                abs(xi_proj) / energy_scale,
-            )
-        return worst
+        w = sqrt_rho_vec[:, None] * trajectory.velocities
+        w_proj = (w - w_eq).transpose(0, 2, 1) @ sqrt_rho_vec  # (R, d)
+        xi_proj = (trajectory.energies / sqrt_n_vec - xi_eq) @ sqrt_n_vec  # (R,)
+        return max(
+            np.linalg.norm(w_proj, axis=1).max() / momentum_scale,
+            np.abs(xi_proj).max() / energy_scale,
+        )
 
     def test_projections_vanish_along_all_trajectories(self, preset_runs, random_suite):
         worst = 0.0

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mixbgk.integrate as integrate_mod
 import mixbgk.output as output_mod
 import mixbgk.scenarios as scenarios_mod
 from mixbgk import (
     GASES,
+    RealizabilityError,
     energy_to_kelvin,
     is_realizable,
     parse_config,
@@ -240,6 +242,24 @@ class TestCliRun:
         envelopes = (tmp_path / "example1_envelopes.csv").read_text().splitlines()
         assert envelopes[0].startswith("t,dev_u_Ar")
         assert len(envelopes) == len(table.times) + 1
+
+    def test_halved_steps_are_counted(self, tmp_path, capsys, monkeypatch):
+        argv = ["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert ", halved steps = 0\n" in capsys.readouterr().out
+
+        original = integrate_mod._picard_solve
+        refused = []
+
+        def refuse_the_first_full_step(u, e, dt, *args):
+            if not refused:
+                refused.append(dt)
+                raise RealizabilityError("synthetic loss")
+            return original(u, e, dt, *args)
+
+        monkeypatch.setattr(integrate_mod, "_picard_solve", refuse_the_first_full_step)
+        assert main(argv) == 0
+        assert ", halved steps = 1\n" in capsys.readouterr().out
 
     def test_too_tight_bracket_fails(self, tmp_path, monkeypatch):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 """Backward-Euler and RK4 steppers, trajectory recording, and monitors."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mixbgk import (
     conservative_decay_rate,
     kelvin_to_energy,
     presets,
+    resolve_integrator,
     rk4_step,
     scaled_energies,
     scaled_velocities,
@@ -27,6 +29,7 @@ from mixbgk import (
     temperatures_of,
 )
 from mixbgk.collisions import run_constants
+from mixbgk.integrate import record_monitors
 from mixbgk.oracles import assemble, energy_rhs, momentum_rhs, pairwise_mixture
 
 from conftest import core_operators, random_state
@@ -118,11 +121,11 @@ class TestBackwardEulerStep:
         original = integrate_mod._picard_solve
         calls = []
 
-        def flaky(st, dt, *args, **kwargs):
+        def flaky(u, e, dt, *args, **kwargs):
             calls.append(dt)
             if dt > 0.15:
                 raise RealizabilityError("synthetic loss")
-            return original(st, dt, *args, **kwargs)
+            return original(u, e, dt, *args, **kwargs)
 
         monkeypatch.setattr(integrate_mod, "_picard_solve", flaky)
         stepped = backward_euler_step(state, cfg, model)
@@ -138,10 +141,10 @@ class TestBackwardEulerStep:
         original = integrate_mod._picard_solve
         substep_solves = []
 
-        def flaky(st, dt, *args):
+        def flaky(u, e, dt, *args):
             if dt > 0.15:
                 raise RealizabilityError("synthetic loss")
-            u, e, solves = original(st, dt, *args)
+            u, e, solves = original(u, e, dt, *args)
             substep_solves.append(solves)
             return u, e, solves
 
@@ -150,6 +153,7 @@ class TestBackwardEulerStep:
         # four quarter steps make up the one recorded step
         assert len(substep_solves) == 4 and len(trajectory.monitors) == 2
         assert trajectory.monitors[1].picard_iterations == sum(substep_solves)
+        np.testing.assert_array_equal(trajectory.substeps, [0, 4])
 
     def test_halving_depth_limit(self, monkeypatch):
         state, model, _, _ = two_species_linear()
@@ -251,11 +255,11 @@ class TestBackwardEulerOracle:
         original = integrate_mod._picard_solve
         calls = []
 
-        def refuse_full_step(st, dt, *args):
+        def refuse_full_step(u, e, dt, *args):
             calls.append(dt)
             if dt == cfg.dt:
                 raise RealizabilityError("synthetic loss")
-            return original(st, dt, *args)
+            return original(u, e, dt, *args)
 
         monkeypatch.setattr(integrate_mod, "_picard_solve", refuse_full_step)
         stepped = backward_euler_step(state, cfg, model)
@@ -421,7 +425,7 @@ class TestSimulate:
         cfg = IntegratorConfig(dt=2e-14, t_final=4e-13)
         trajectory = simulate(state, cfg, scenario.model)
         for report in trajectory.monitors:
-            assert report.realizable
+            assert report.above_floor
             assert report.velocity_bounds_ok
             assert report.total_momentum_drift <= 1e-12
             assert report.total_energy_drift <= 1e-12
@@ -449,6 +453,122 @@ class TestSimulate:
         cfg = IntegratorConfig(dt=0.1, t_final=1.0)
         with pytest.raises(RealizabilityError, match="positive"):
             simulate(boundary, cfg, HardSphere())
+
+
+@pytest.fixture(scope="module")
+def preset2_runs():
+    """Preset 2 under both methods with its derived settings."""
+    runs = {}
+    for method in ("be", "rk4"):
+        scenario = replace(presets()[2], method=method)
+        state = scenario.initial_state()
+        runs[method] = simulate(state, resolve_integrator(scenario, state), scenario.model)
+    return runs
+
+
+class TestTrajectoryArrays:
+    """A trajectory is its arrays; states, monitors and final_state are views of them."""
+
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_shapes_and_read_only(self, preset2_runs, method):
+        trajectory = preset2_runs[method]
+        records = len(trajectory.times)
+        arrays = {
+            "times": (records,),
+            "velocities": (records, 3, 3),
+            "energies": (records, 3),
+            "sweeps": (records,),
+            "substeps": (records,),
+        }
+        for name, shape in arrays.items():
+            values = getattr(trajectory, name)
+            assert values.shape == shape, name
+            assert not values.flags.writeable, name
+        with pytest.raises(ValueError):
+            trajectory.energies[0, 0] = 0.0
+
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_views_equal_the_arrays(self, preset2_runs, method):
+        trajectory = preset2_runs[method]
+        assert trajectory.states is trajectory.states  # built once
+        assert len(trajectory.states) == len(trajectory.times)
+        for r, state in enumerate(trajectory.states):
+            np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
+            np.testing.assert_array_equal(state.energies, trajectory.energies[r])
+        np.testing.assert_array_equal(trajectory.final_state.velocities, trajectory.velocities[-1])
+        np.testing.assert_array_equal(trajectory.final_state.energies, trajectory.energies[-1])
+
+        records = record_monitors(
+            trajectory.composition, trajectory.velocities, trajectory.energies
+        )
+        assert len(trajectory.monitors) == len(trajectory.times)
+        for r, report in enumerate(trajectory.monitors):
+            assert report.total_momentum_drift == records.momentum_drift[r]
+            assert report.total_energy_drift == records.energy_drift[r]
+            assert report.min_temperature == records.temperatures[r].min()
+            assert report.velocity_bounds_ok == records.velocity_bounds_ok[r]
+            assert report.above_floor == records.above_floor[r]
+        assert trajectory.sweeps.tolist() == [m.picard_iterations for m in trajectory.monitors]
+
+    def test_above_floor_is_not_realizability(self):
+        # A record cooler than the initial floor but still at T >= 0.
+        state = presets()[2].initial_state()
+        cooled = state.energies * np.array([0.5, 1.0, 1.0])
+        trajectory = integrate_mod.Trajectory(
+            np.array([0.0, 1.0]),
+            np.array([state.velocities, state.velocities]),
+            np.array([state.energies, cooled]),
+            np.zeros(2, dtype=int),
+            np.zeros(2, dtype=int),
+            state.composition,
+        )
+        assert [m.above_floor for m in trajectory.monitors] == [True, False]
+        assert np.all(temperatures_of(trajectory.states[1]) >= 0.0)
+
+    def test_substeps_count_the_steps_that_end_at_each_record(self, preset2_runs):
+        be, rk4 = preset2_runs["be"], preset2_runs["rk4"]
+        assert be.substeps[0] == 0 and np.all(be.substeps[1:] == 1)
+        assert be.sweeps[0] == 0 and np.all(be.sweeps[1:] >= 1)
+        assert not rk4.substeps.any() and not rk4.sweeps.any()
+
+
+class TestOneSteppingPath:
+    """simulate and the one-step functions run the same loop, bit for bit."""
+
+    def test_backward_euler_records_are_a_chain_of_steps(self, preset2_runs):
+        scenario = presets()[2]
+        trajectory = preset2_runs["be"]
+        state = scenario.initial_state()
+        cfg = resolve_integrator(scenario, state)
+        for r in range(1, 21):
+            state = backward_euler_step(state, cfg, scenario.model)
+            np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
+            np.testing.assert_array_equal(state.energies, trajectory.energies[r])
+
+    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
+    def test_rk4_records_are_a_chain_of_steps(self, model_kind):
+        # simulate carries the scaled vector y from step to step, while each
+        # rk4_step derives it from the state it is given.  With sqrt(rho) and
+        # sqrt(n) powers of two that derivation is exact, so any other
+        # difference between the two paths would show.
+        comp = MixtureComposition(
+            tuple(SpeciesParams(mass=m, diameter=1.0, label=f"s{m:g}") for m in (1.0, 4.0, 16.0)),
+            [16.0, 4.0, 1.0],
+        )
+        state = state_from_temperatures(
+            comp, [[3.0, -1.0, 0.5], [-1.0, 2.0, 0.0], [0.5, 0.0, -2.0]], [1.0, 2.0, 3.0]
+        )
+        if model_kind == "hard_sphere":
+            model = HardSphere()
+        else:
+            model = ConstantMatrix(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 4.0], [3.0, 4.0, 1.0]]))
+        cfg = IntegratorConfig(dt=0.01, t_final=0.2, method="rk4")
+        trajectory = simulate(state, cfg, model)
+        assert len(trajectory.times) == 21
+        for r in range(1, 21):
+            state = rk4_step(state, cfg, model)
+            np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
+            np.testing.assert_array_equal(state.energies, trajectory.energies[r])
 
 
 class TestTypedFailures:
@@ -485,8 +605,9 @@ class TestTypedFailures:
         monkeypatch.setattr(integrate_mod, "heating", lambda *args: np.full(2, 5e307))
         cfg = IntegratorConfig(dt=1.0, t_final=1.0, eps=1e300, method="rk4")
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RealizabilityError, match="RK4 step"):
+            with pytest.raises(RealizabilityError, match="RK4 step at dt = ") as excinfo:
                 simulate(state, cfg, model)
+        assert excinfo.value.time == cfg.t_final
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
@@ -545,7 +666,7 @@ class TestMonitorFloorAndBounds:
             for report in trajectory.monitors:
                 assert report.min_temperature >= floor * (1.0 - 1e-9)
                 assert report.velocity_bounds_ok
-                assert report.realizable
+                assert report.above_floor
 
     def test_random_states_respect_floor(self):
         rng = np.random.default_rng(11)
@@ -579,7 +700,7 @@ class TestStiffConservation:
                 assert report.total_momentum_drift <= 1e-9
                 assert report.total_energy_drift <= 1e-9
                 assert report.velocity_bounds_ok
-                assert report.realizable
+                assert report.above_floor
 
 
 def _reference_backward_errors(state, u, e, dt, model):
@@ -641,7 +762,7 @@ class TestBackwardErrorExit:
         for report in trajectory.monitors:
             assert report.total_momentum_drift <= 1e-9
             assert report.total_energy_drift <= 1e-9
-            assert report.realizable
+            assert report.above_floor
 
     @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
     @pytest.mark.parametrize("rate_dt", [500.0, 5e4])
@@ -653,7 +774,9 @@ class TestBackwardErrorExit:
                 state, model, _ = TestBackwardEulerOracle._case(n_species, model_kind, seed)
                 dt = rate_dt / conservative_decay_rate(state, model)[0]
                 const = run_constants(state.composition, model, state.dimension)
-                u, e, _ = integrate_mod._picard_solve(state, dt, 1.0, const)
+                u, e, _ = integrate_mod._picard_solve(
+                    state.velocities, state.energies, dt, 1.0, state.composition, const
+                )
                 errors = _reference_backward_errors(state, u, e, dt, model)
                 assert max(errors) < bound, (n_species, seed, errors)
 
@@ -670,5 +793,4 @@ class TestSlabSymmetry:
         dt = 0.05 / velocity_rate if method == "be" else 1e-14
         cfg = IntegratorConfig(dt=dt, t_final=30 * dt, method=method)
         trajectory = simulate(state, cfg, model)
-        for later in trajectory.states:
-            np.testing.assert_array_equal(later.velocities[:, 1:], 0.0)
+        np.testing.assert_array_equal(trajectory.velocities[:, :, 1:], 0.0)
