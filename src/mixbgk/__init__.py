@@ -19,8 +19,6 @@ from .integrate import (
     PicardDivergenceError,
     RealizabilityError,
     Trajectory,
-    backward_euler_step,
-    rk4_step,
     simulate,
 )
 from .scenarios import GASES, ScenarioConfig, ScenarioError, parse_config, presets, resolve_integrator

@@ -6,7 +6,8 @@
 Writes ``<name>_trajectory.csv``, ``<name>_envelopes.csv`` and
 ``<name>_summary.txt`` into the output directory (the ``MIXBGK_OUT``
 environment variable overrides ``--out``).  Exit codes: 0 all monitors
-pass, 1 configuration error, 2 monitor violation, 3 integrator failure.
+pass, 1 configuration error or unusable output directory (found before
+the run), 2 monitor violation, 3 integrator failure.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def run(args) -> int:
         integrator = resolve_integrator(scenario, state)
         equilibrium = steady_state(state)
         constants = decay_constants(state, scenario.model)
+        out_dir = os.environ.get("MIXBGK_OUT", args.out)
+        os.makedirs(out_dir, exist_ok=True)  # a bad directory fails before the run
     except (ScenarioError, ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -93,8 +96,6 @@ def run(args) -> int:
     envelopes = decay_envelopes(constants, integrator.eps, trajectory.times)
     table = build_table(trajectory, envelopes)
 
-    out_dir = os.environ.get("MIXBGK_OUT", args.out)
-    os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, scenario.name)
     write_trajectory_csv(base + "_trajectory.csv", table)
     write_envelope_csv(base + "_envelopes.csv", table, equilibrium)

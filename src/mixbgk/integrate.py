@@ -23,12 +23,12 @@ velocity envelopes survive discretization.
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
 Backward Euler advances the arrays (u, e), RK4 one flat scaled vector
-y = [W.ravel(), xi]; one loop per method, shared by :func:`simulate`
-and the one-step functions, stacks every step into the records.  Both
-evaluate the operator core only at admissible temperatures: finite, and
-positive for hard spheres.  Leaving that set, an overflowed (singular)
-implicit system or a non-finite RK4 result raises RealizabilityError;
-backward Euler first halves the step, up to ``_MAX_HALVINGS`` times.
+y = [W.ravel(), xi]; the one loop of :func:`simulate` records every
+step of either method.  Both evaluate the operator core only at
+admissible temperatures: finite, and positive for hard spheres.  Leaving
+that set, an overflowed (singular) implicit system or a non-finite RK4
+result raises RealizabilityError; backward Euler first halves the step,
+up to ``_MAX_HALVINGS`` times.
 """
 
 from __future__ import annotations
@@ -283,31 +283,6 @@ def _be_advance(u, e, dt, eps, comp, const, depth=0):
     return u_new, e_new, sweeps, 1
 
 
-def _failed_at(err: IntegrationError, t: float) -> IntegrationError:
-    return type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t)
-
-
-def _be_trajectory(state, schedule, eps, const) -> Trajectory:
-    """Backward Euler from ``state`` along ``schedule``, (t, dt) per step: every record."""
-    comp, u, e = state.composition, state.velocities, state.energies
-    records = [(0.0, u, e, 0, 0)]
-    for t, dt in schedule:
-        try:
-            u, e, sweeps, substeps = _be_advance(u, e, dt, eps, comp, const)
-        except IntegrationError as err:
-            raise _failed_at(err, t) from err
-        records.append((t, u, e, sweeps, substeps))
-    return Trajectory(*map(np.array, zip(*records)), comp)
-
-
-def backward_euler_step(
-    state: MomentState, cfg: IntegratorConfig, model: FrequencyModel
-) -> MomentState:
-    """One implicit step of size cfg.dt from a realizable state."""
-    const = run_constants(state.composition, model, state.dimension)
-    return _be_trajectory(state, [(cfg.dt, cfg.dt)], cfg.eps, const).final_state
-
-
 def _rk4_advance(y, dt, eps, comp, const):
     """One classical RK4 step of y = [W.ravel(), xi], W = P^{1/2} U and xi = Q^{-1/2} E,
 
@@ -340,38 +315,6 @@ def _rk4_advance(y, dt, eps, comp, const):
             f"RK4 step at dt = {dt:.6e}: velocities and energies must be finite"
         )
     return y
-
-
-def _rk4_trajectory(state, schedule, eps, const) -> Trajectory:
-    """RK4 from ``state`` along ``schedule``, (t, dt) per step: every record.
-
-    The scaled vector is carried from step to step and converted back to
-    velocities and energies once, for all records.
-    """
-    comp, u, e = state.composition, state.velocities, state.energies
-    sqrt_rho = const.sqrt_rho[:, None]
-    y = np.concatenate([(sqrt_rho * u).ravel(), e / const.sqrt_n])
-    times, ys = [0.0], []
-    for t, dt in schedule:
-        try:
-            y = _rk4_advance(y, dt, eps, comp, const)
-        except IntegrationError as err:
-            raise _failed_at(err, t) from err
-        times.append(t)
-        ys.append(y)
-    ys = np.reshape(ys, (-1, y.size))
-    velocities = np.concatenate([u[None], ys[:, :u.size].reshape(-1, *u.shape) / sqrt_rho])
-    energies = np.concatenate([e[None], ys[:, u.size:] * const.sqrt_n])
-    no_sweeps = np.zeros(len(times), dtype=int)
-    return Trajectory(np.array(times), velocities, energies, no_sweeps, no_sweeps, comp)
-
-
-def rk4_step(
-    state: MomentState, cfg: IntegratorConfig, model: FrequencyModel
-) -> MomentState:
-    """One classical explicit Runge-Kutta step of size cfg.dt."""
-    const = run_constants(state.composition, model, state.dimension)
-    return _rk4_trajectory(state, [(cfg.dt, cfg.dt)], cfg.eps, const).final_state
 
 
 @dataclass(frozen=True)
@@ -439,13 +382,41 @@ def simulate(
 
     The initial state and every step are recorded, so the monitors see
     each state the integrator produced; a final partial step guarantees
-    the last recorded time equals ``t_final`` exactly.  Step failures are
-    re-raised with the failing time attached.
+    the last recorded time equals ``t_final`` exactly.  Backward Euler
+    carries (u, e) from step to step and RK4 the scaled vector y, whose
+    records are converted back to velocities and energies once.  Step
+    failures are re-raised with the failing time attached.  One step is
+    ``simulate(state, replace(cfg, t_final=cfg.dt), model)``.
     """
     if not is_realizable(initial):
         raise RealizabilityError("initial state is not realizable", time=0.0)
-    comp = initial.composition
+    comp, u, e = initial.composition, initial.velocities, initial.energies
     const = run_constants(comp, model, initial.dimension)
-    _admissible_temperatures(comp, initial.velocities, initial.energies, const, "initial", time=0.0)
-    march = _be_trajectory if cfg.method == "be" else _rk4_trajectory
-    return march(initial, _schedule(cfg), cfg.eps, const)
+    _admissible_temperatures(comp, u, e, const, "initial", time=0.0)
+    sqrt_rho = const.sqrt_rho[:, None]
+    if cfg.method == "be":
+        def advance(ue, dt):
+            u, e, sweeps, substeps = _be_advance(*ue, dt, cfg.eps, comp, const)
+            return (u, e), sweeps, substeps
+
+        carried = (u, e)
+    else:
+        def advance(y, dt):
+            return _rk4_advance(y, dt, cfg.eps, comp, const), 0, 0
+
+        carried = np.concatenate([(sqrt_rho * u).ravel(), e / const.sqrt_n])
+    records = [(0.0, carried, 0, 0)]
+    for t, dt in _schedule(cfg):
+        try:
+            records.append((t, *advance(records[-1][1], dt)))
+        except IntegrationError as err:
+            raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
+    times, carried, sweeps, substeps = zip(*records)
+    if cfg.method == "be":
+        velocities, energies = map(np.array, zip(*carried))
+    else:
+        ys = np.reshape(carried[1:], (-1, u.size + e.size))
+        velocities = np.concatenate([u[None], ys[:, :u.size].reshape(-1, *u.shape) / sqrt_rho])
+        energies = np.concatenate([e[None], ys[:, u.size:] * const.sqrt_n])
+    return Trajectory(np.array(times), velocities, energies, np.array(sweeps),
+                      np.array(substeps), comp)

@@ -12,13 +12,14 @@ files are flat key/value text, one scenario per file::
     eps = 1.0
     method = be
 
-Optional keys: ``dt_s``, ``t_final_s`` (defaults derived from the decay
-rates when omitted), ``name``, ``model`` (``hard_sphere`` or
-``constant``), and ``constant_frequencies`` (N*N values, row-major,
-required for the constant model and refused for the hard-sphere one).  The parser builds the frequency model
-once; a scenario carries it as a :class:`HardSphere` or
-:class:`ConstantMatrix`.  Temperatures cross the Kelvin/Joule boundary
-here and in the CSV writer only.
+A label may not be ``tot`` or contain ``,``, so that the trajectory CSV
+reads back.  Optional keys: ``dt_s``, ``t_final_s`` (defaults derived
+from the decay rates when omitted), ``name``, ``model`` (``hard_sphere``
+or ``constant``), and ``constant_frequencies`` (N*N values, row-major,
+required for the constant model and refused for the hard-sphere one).
+The parser builds the frequency model once; a scenario carries it as a
+:class:`HardSphere` or :class:`ConstantMatrix`.  Temperatures cross the
+Kelvin/Joule boundary here and in the CSV writer only.
 """
 
 from __future__ import annotations
@@ -250,6 +251,9 @@ def parse_config(path) -> ScenarioConfig:
         raise ScenarioError(f"{path}: missing species labels")
     labels = raw["labels"]
     n_species = len(labels)
+    bad = [label for label in labels if label == "tot" or "," in label]
+    if bad:  # a label heads its own trajectory CSV columns, which must read back
+        raise ScenarioError(f"{path}: species label {bad[0]!r} may not be 'tot' or contain ','")
 
     per_species = {}
     for key in _PER_SPECIES_KEYS:

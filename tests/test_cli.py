@@ -1,6 +1,7 @@
 """Presets, config parsing, CSV emission/round-trip, and CLI exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mixbgk.cli as cli_mod
 import mixbgk.integrate as integrate_mod
 import mixbgk.output as output_mod
 import mixbgk.scenarios as scenarios_mod
@@ -24,7 +26,7 @@ from mixbgk import (
     steady_state,
 )
 from mixbgk.cli import main
-from mixbgk.output import monitor_block, read_trajectory_csv
+from mixbgk.output import monitor_block, read_trajectory_csv, write_trajectory_csv
 from mixbgk.scenarios import RK4_MAX_STEPS, ScenarioError
 
 GOOD_CONFIG = """\
@@ -214,6 +216,32 @@ class TestParseConfig:
         with pytest.raises(ScenarioError, match="constant_frequencies"):
             parse_config(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("labels", ["tot Kr", "A,r Kr"])
+    def test_label_that_breaks_the_csv_header_is_rejected(self, labels, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(GOOD_CONFIG.replace("labels = Ar Kr", f"labels = {labels}"))
+        bad = repr(labels.split()[0])
+        with pytest.raises(ScenarioError, match=re.escape(bad)):
+            parse_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert bad in capsys.readouterr().err
+
+    def test_label_the_csv_can_carry_round_trips(self, tmp_path):
+        # T_min_K is also a totals column; the reader finds labels by E_<label>.
+        path = tmp_path / "minimum.cfg"
+        path.write_text(
+            GOOD_CONFIG.replace("labels = Ar Kr", "labels = min Kr")
+            + "dt_s = 2e-13\nt_final_s = 1e-12\n"
+        )
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        csv = tmp_path / "minimum_trajectory.csv"
+        table = read_trajectory_csv(csv)
+        assert table.labels == ("min", "Kr")
+        write_trajectory_csv(tmp_path / "copy.csv", table)
+        assert (tmp_path / "copy.csv").read_bytes() == csv.read_bytes()
+        summary = (tmp_path / "minimum_summary.txt").read_text()
+        assert "\n".join(monitor_block(table, parse_config(path))) in summary
 
     def test_unstable_config_parses(self, tmp_path):
         path = tmp_path / "unstable.cfg"
@@ -475,6 +503,27 @@ class TestCliRun:
         assert code == 0
         assert (env_dir / "example1_summary.txt").exists()
         assert not flag_dir.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("via", ["--out", "MIXBGK_OUT"])
+    def test_unusable_out_dir_fails_before_the_run(self, via, below, tmp_path, capsys,
+                                                   monkeypatch):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        target = blocker / "out" if below else blocker
+
+        def no_run(*args):
+            raise AssertionError("simulate ran before the output directory was checked")
+
+        monkeypatch.setattr(cli_mod, "simulate", no_run)
+        argv = ["run", "--example", "1", "--t-final", "3e-13"]
+        if via == "--out":
+            argv += ["--out", str(target)]
+        else:
+            monkeypatch.setenv("MIXBGK_OUT", str(target))
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(target) in line
 
     def test_summary_reports_decay_constants(self, tmp_path):
         main(["run", "--example", "2", "--t-final", "3e-13", "--out", str(tmp_path)])

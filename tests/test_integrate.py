@@ -16,12 +16,10 @@ from mixbgk import (
     PicardDivergenceError,
     RealizabilityError,
     SpeciesParams,
-    backward_euler_step,
     conservative_decay_rate,
     kelvin_to_energy,
     presets,
     resolve_integrator,
-    rk4_step,
     scaled_energies,
     scaled_velocities,
     simulate,
@@ -56,6 +54,11 @@ def two_species_linear(gap=1.0, lam=1.0, rho=(1.0, 0.5)):
     return state, model, a12, rate
 
 
+def one_step(state, cfg, model):
+    """One step of cfg.dt by cfg.method: a run whose horizon is that step."""
+    return simulate(state, replace(cfg, t_final=cfg.dt), model).final_state
+
+
 def uniform_equilibrium_state(n_species=3):
     comp = MixtureComposition(
         tuple(
@@ -72,14 +75,14 @@ class TestBackwardEulerStep:
     def test_equilibrium_is_fixed_point(self):
         state = uniform_equilibrium_state()
         cfg = IntegratorConfig(dt=0.1, t_final=1.0)
-        stepped = backward_euler_step(state, cfg, ConstantMatrix(np.full((3, 3), 2.0)))
+        stepped = one_step(state, cfg, ConstantMatrix(np.full((3, 3), 2.0)))
         np.testing.assert_allclose(stepped.velocities, state.velocities, rtol=1e-14)
         np.testing.assert_allclose(stepped.energies, state.energies, rtol=1e-14)
 
     def test_single_species_unchanged(self):
         state = random_state(np.random.default_rng(3), 1)
         cfg = IntegratorConfig(dt=1e-12, t_final=1e-11)
-        stepped = backward_euler_step(state, cfg, HardSphere())
+        stepped = one_step(state, cfg, HardSphere())
         np.testing.assert_allclose(stepped.velocities, state.velocities, rtol=1e-14)
         np.testing.assert_allclose(stepped.energies, state.energies, rtol=1e-14)
 
@@ -88,7 +91,7 @@ class TestBackwardEulerStep:
         state, model, _, rate = two_species_linear(gap=1.0)
         dt = 0.3
         cfg = IntegratorConfig(dt=dt, t_final=1.0)
-        stepped = backward_euler_step(state, cfg, model)
+        stepped = one_step(state, cfg, model)
         gap = stepped.velocities[0, 0] - stepped.velocities[1, 0]
         assert gap == pytest.approx(1.0 / (1.0 + dt * rate), rel=1e-12)
 
@@ -99,7 +102,7 @@ class TestBackwardEulerStep:
             rho = state.composition.mass_densities
             z_scale = 1e12  # typical rate scale for these states
             cfg = IntegratorConfig(dt=0.3 / z_scale, t_final=1.0)
-            stepped = backward_euler_step(state, cfg, HardSphere())
+            stepped = one_step(state, cfg, HardSphere())
             before = rho @ state.velocities
             after = rho @ stepped.velocities
             scale = np.linalg.norm(before) or 1.0
@@ -113,7 +116,7 @@ class TestBackwardEulerStep:
         monkeypatch.setattr(integrate_mod, "PICARD_MAX_ITER", 1)
         cfg = IntegratorConfig(dt=0.5, t_final=1.0)
         with pytest.raises(PicardDivergenceError, match="relative change"):
-            backward_euler_step(state, cfg, model)
+            one_step(state, cfg, model)
 
     def test_realizability_loss_triggers_halving(self, monkeypatch):
         state, model, _, _ = two_species_linear()
@@ -128,7 +131,7 @@ class TestBackwardEulerStep:
             return original(u, e, dt, *args, **kwargs)
 
         monkeypatch.setattr(integrate_mod, "_picard_solve", flaky)
-        stepped = backward_euler_step(state, cfg, model)
+        stepped = one_step(state, cfg, model)
         # 0.4 fails, two halves of 0.2 fail, four quarters of 0.1 succeed
         assert calls.count(0.4) == 1
         assert calls.count(0.2) == 2
@@ -164,7 +167,7 @@ class TestBackwardEulerStep:
 
         monkeypatch.setattr(integrate_mod, "_picard_solve", always_fails)
         with pytest.raises(RealizabilityError):
-            backward_euler_step(state, cfg, model)
+            one_step(state, cfg, model)
 
 
 def _oracle_solve(state, dt, cfg, model):
@@ -222,7 +225,7 @@ def _assert_same_step(stepped, expected):
 
 
 class TestBackwardEulerOracle:
-    """backward_euler_step against Picard sweeps built from the reference assembly."""
+    """One backward-Euler step against Picard sweeps built from the reference assembly."""
 
     @staticmethod
     def _case(n_species, model_kind, seed):
@@ -247,7 +250,7 @@ class TestBackwardEulerOracle:
         for seed in range(3):
             state, model, cfg = self._case(n_species, model_kind, seed)
             expected = _oracle_solve(state, cfg.dt, cfg, model)
-            _assert_same_step(backward_euler_step(state, cfg, model), expected)
+            _assert_same_step(one_step(state, cfg, model), expected)
 
     @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
     def test_matches_oracle_through_a_halving(self, model_kind, monkeypatch):
@@ -262,7 +265,7 @@ class TestBackwardEulerOracle:
             return original(u, e, dt, *args)
 
         monkeypatch.setattr(integrate_mod, "_picard_solve", refuse_full_step)
-        stepped = backward_euler_step(state, cfg, model)
+        stepped = one_step(state, cfg, model)
         assert calls == [cfg.dt, 0.5 * cfg.dt, 0.5 * cfg.dt]
         half = _oracle_solve(state, 0.5 * cfg.dt, cfg, model)
         _assert_same_step(stepped, _oracle_solve(half, 0.5 * cfg.dt, cfg, model))
@@ -272,10 +275,12 @@ class TestBackwardEulerOracle:
         velocities = np.array([[400.0, 0.0, 0.0], [-300.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         temperatures = kelvin_to_energy(np.array([300.0, 900.0, 0.0]))
         state = state_from_temperatures(comp, velocities, temperatures)
-        cfg = IntegratorConfig(dt=1e-13, t_final=1e-13)
-        # every halved step fails too, so the typed error surfaces
+        const = run_constants(comp, HardSphere(), state.dimension)
+        # simulate would reject this 0 K state before any iterate exists,
+        # so the step is taken directly; every halved step fails too, so
+        # the typed error surfaces
         with pytest.raises(RealizabilityError, match="iterate temperature"):
-            backward_euler_step(state, cfg, HardSphere())
+            integrate_mod._be_advance(state.velocities, state.energies, 1e-13, 1.0, comp, const)
 
     @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
     def test_single_sweep_limit_raises_divergence(self, model_kind, monkeypatch):
@@ -283,7 +288,7 @@ class TestBackwardEulerOracle:
         monkeypatch.setattr(integrate_mod, "PICARD_TOL", 1e-15)
         monkeypatch.setattr(integrate_mod, "PICARD_MAX_ITER", 1)
         with pytest.raises(PicardDivergenceError, match="did not converge in 1 sweeps"):
-            backward_euler_step(state, cfg, model)
+            one_step(state, cfg, model)
 
 
 def _reference_rk4_step(state, dt, eps, model):
@@ -326,12 +331,12 @@ class TestRk4Step:
             dt = 0.5 * eps / fastest if fastest > 0.0 else 1e-12
             cfg = IntegratorConfig(dt=dt, t_final=dt, eps=eps, method="rk4")
             expected = _reference_rk4_step(state, dt, eps, model)
-            _assert_same_step(rk4_step(state, cfg, model), expected)
+            _assert_same_step(one_step(state, cfg, model), expected)
 
     def test_equilibrium_is_fixed_point(self):
         state = uniform_equilibrium_state()
         cfg = IntegratorConfig(dt=0.05, t_final=1.0, method="rk4")
-        stepped = rk4_step(state, cfg, ConstantMatrix(np.full((3, 3), 2.0)))
+        stepped = one_step(state, cfg, ConstantMatrix(np.full((3, 3), 2.0)))
         np.testing.assert_allclose(stepped.velocities, state.velocities, rtol=1e-14)
         np.testing.assert_allclose(stepped.energies, state.energies, rtol=1e-14)
 
@@ -342,7 +347,7 @@ class TestRk4Step:
         cfg = IntegratorConfig(dt=t_final / steps, t_final=t_final, method="rk4")
         current = state
         for _ in range(steps):
-            current = rk4_step(current, cfg, model)
+            current = one_step(current, cfg, model)
         gap = current.velocities[0, 0] - current.velocities[1, 0]
         assert gap == pytest.approx(np.exp(-1.0), rel=1e-8)
 
@@ -350,7 +355,7 @@ class TestRk4Step:
         state = presets()[3].initial_state()
         cfg = IntegratorConfig(dt=1e-10, t_final=1e-9, method="rk4")
         with pytest.raises(RealizabilityError, match="stage"):
-            rk4_step(state, cfg, HardSphere())
+            one_step(state, cfg, HardSphere())
 
 
 class TestConvergenceOrders:
@@ -408,7 +413,7 @@ class TestSimulate:
         trajectory = simulate(state, cfg, model)
         np.testing.assert_array_equal(trajectory.times, [0.0, 1e-9])
         assert trajectory.monitors[1].picard_iterations >= 1
-        stepped = backward_euler_step(state, IntegratorConfig(dt=1e-9, t_final=1e-9), model)
+        stepped = one_step(state, IntegratorConfig(dt=1e-9, t_final=1e-9), model)
         np.testing.assert_array_equal(trajectory.final_state.velocities, stepped.velocities)
         np.testing.assert_array_equal(trajectory.final_state.energies, stepped.energies)
 
@@ -533,7 +538,7 @@ class TestTrajectoryArrays:
 
 
 class TestOneSteppingPath:
-    """simulate and the one-step functions run the same loop, bit for bit."""
+    """One simulate run equals a chain of one-step simulate runs, bit for bit."""
 
     def test_backward_euler_records_are_a_chain_of_steps(self, preset2_runs):
         scenario = presets()[2]
@@ -541,14 +546,14 @@ class TestOneSteppingPath:
         state = scenario.initial_state()
         cfg = resolve_integrator(scenario, state)
         for r in range(1, 21):
-            state = backward_euler_step(state, cfg, scenario.model)
+            state = one_step(state, cfg, scenario.model)
             np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
             np.testing.assert_array_equal(state.energies, trajectory.energies[r])
 
     @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
     def test_rk4_records_are_a_chain_of_steps(self, model_kind):
         # simulate carries the scaled vector y from step to step, while each
-        # rk4_step derives it from the state it is given.  With sqrt(rho) and
+        # one-step run derives it from the state it is given.  With sqrt(rho) and
         # sqrt(n) powers of two that derivation is exact, so any other
         # difference between the two paths would show.
         comp = MixtureComposition(
@@ -566,7 +571,7 @@ class TestOneSteppingPath:
         trajectory = simulate(state, cfg, model)
         assert len(trajectory.times) == 21
         for r in range(1, 21):
-            state = rk4_step(state, cfg, model)
+            state = one_step(state, cfg, model)
             np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
             np.testing.assert_array_equal(state.energies, trajectory.energies[r])
 

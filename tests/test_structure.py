@@ -85,6 +85,26 @@ def test_every_private_definition_is_used():
     assert unused == []
 
 
+def _top_level_users(name):
+    """(module, function) of every top-level function that refers to ``name``."""
+    return sorted(
+        (module, node.name)
+        for module, tree in _modules().items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and name in set(_referenced_names(node))
+    )
+
+
+def test_simulate_is_the_one_stepping_loop():
+    assert _top_level_users("_schedule") == [("integrate.py", "simulate")]
+    assert _top_level_users("_rk4_advance") == [("integrate.py", "simulate")]
+    assert _top_level_users("_be_advance") == [
+        ("integrate.py", "_be_advance"),  # its halving
+        ("integrate.py", "simulate"),
+    ]
+    assert sorted(name for name in mixbgk.__all__ if name.endswith("_step")) == []
+
+
 def test_readme_scenario_block_names_every_config_key():
     text = README.read_text()
     section = text[text.index("### Scenario files"):]
