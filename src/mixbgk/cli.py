@@ -27,13 +27,7 @@ from .output import (
     write_envelope_csv,
     write_trajectory_csv,
 )
-from .scenarios import (
-    ScenarioError,
-    parse_config,
-    presets,
-    resolve_integrator,
-    rk4_horizon_coverage,
-)
+from .scenarios import ScenarioError, _derived_horizon, parse_config, presets, resolve_integrator
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,12 +98,13 @@ def run(args) -> int:
         handle.write(summary)
 
     print(f"wrote {base}_trajectory.csv, {base}_envelopes.csv, {base}_summary.txt")
-    coverage = rk4_horizon_coverage(scenario, integrator, constants)
-    if coverage is not None:
+    horizon = _derived_horizon(integrator.eps, constants.velocity_rate, constants.energy_rate)
+    if scenario.t_final is None and integrator.t_final < horizon:  # the RK4 cap fired
         steps = round(integrator.t_final / integrator.dt)
         print(
             f"note: RK4 horizon capped at RK4_MAX_STEPS = {steps} steps, "
-            f"covering {coverage:.2%} of the derived horizon; set --t-final to run further"
+            f"covering {integrator.t_final / horizon:.2%} of the derived horizon; "
+            "set --t-final to run further"
         )
     print(
         f"records = {len(table.times)}, max Picard sweeps per step = {trajectory.sweeps.max()}, "

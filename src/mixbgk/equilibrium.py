@@ -95,24 +95,18 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
     bounds.
     """
     comp = state.composition
-    t_floor = _temperature_floor(state)
-    const = run_constants(comp, model, state.dimension)
-    coupling = couplings(np.full(comp.size, t_floor), const)[1]
-    (velocity_rate, _), (energy_rate, _) = eigenvalue_brackets(
-        coupling, comp.mass_densities, comp.number_densities
-    )
-    return float(velocity_rate), float(energy_rate)
-
-
-def _temperature_floor(state: MomentState) -> float:
-    """min_i T_i, or ValueError when it is not positive."""
     t_floor = temperatures_of(state).min()
     if not t_floor > 0.0:
         raise ValueError(
             f"conservative decay rates need a positive temperature floor, "
             f"got min T = {t_floor:.6e} J"
         )
-    return t_floor
+    const = run_constants(comp, model, state.dimension)
+    coupling = couplings(np.full(comp.size, t_floor), const)[1]
+    (velocity_rate, _), (energy_rate, _) = eigenvalue_brackets(
+        coupling, comp.mass_densities, comp.number_densities
+    )
+    return float(velocity_rate), float(energy_rate)
 
 
 def velocity_component_bound(state: MomentState) -> float:
@@ -181,16 +175,14 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
     d = state.dimension
     n_species = comp.size
 
-    # The couplings with every temperature at the floor, at t = 0, and with
-    # every temperature at the ceiling 2 E_tot / (d min n), in one stack.
-    t_floor = _temperature_floor(state)
+    # The couplings at t = 0 and with every temperature at the ceiling
+    # 2 E_tot / (d min n), in one stack.
+    velocity_rate, energy_rate = conservative_decay_rate(state, model)
     t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
-    uniform = np.ones(n_species)
-    temps = np.stack([t_floor * uniform, temperatures_of(state), t_ceiling * uniform])
+    temps = np.stack([temperatures_of(state), np.full(n_species, t_ceiling)])
     coupling = couplings(temps, run_constants(comp, model, d))[1]
-    bounds_floor, bounds_t0, _ = eigenvalue_brackets(coupling, rho, n).tolist()
-    velocity_rate, energy_rate = bounds_floor[0][0], bounds_floor[1][0]
-    coupling_energy_max = float(coupling[2, 1].max())
+    bounds_t0 = eigenvalue_brackets(coupling[0], rho, n).tolist()
+    coupling_energy_max = float(coupling[1, 1].max())
 
     eq = steady_state(state)
     w_gap = scaled_velocities(state) - np.sqrt(rho)[:, None] * eq.velocity[None, :]

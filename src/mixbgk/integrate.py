@@ -126,8 +126,8 @@ class Trajectory:
     ``sweeps`` counts the Picard solve pairs of the step that ended at
     each record, summed over the substeps of a halved step, and
     ``substeps`` the backward-Euler substeps of that step (1 unless it
-    was halved); both are 0 for record 0 and for RK4.  ``states``,
-    ``monitors`` and ``final_state`` are views built on first use.
+    was halved); both are 0 for record 0 and for RK4.  ``states`` and
+    ``monitors`` are views built on first use.
     """
 
     times: np.ndarray  # (R,) s, strictly increasing from 0
@@ -146,10 +146,6 @@ class Trajectory:
         return tuple(
             MomentState(self.composition, u, e) for u, e in zip(self.velocities, self.energies)
         )
-
-    @cached_property
-    def final_state(self) -> MomentState:
-        return MomentState(self.composition, self.velocities[-1], self.energies[-1])
 
     @cached_property
     def monitors(self) -> tuple[MonitorReport, ...]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import ConstantMatrix, FrequencyModel, HardSphere, operators, run_constants
-from .equilibrium import DecayConstants, conservative_decay_rate
+from .equilibrium import conservative_decay_rate
 from .integrate import IntegratorConfig
 from .species import (
     MixtureComposition,
@@ -103,35 +103,15 @@ def _derived_horizon(eps, velocity_rate, energy_rate) -> float:
     return HORIZON_EFOLDS * eps / min(velocity_rate, energy_rate)
 
 
-def rk4_horizon_coverage(
-    config: ScenarioConfig, integrator: IntegratorConfig, constants: DecayConstants
-):
-    """The share of the derived horizon a run covers when RK4 capped it, else None.
-
-    :func:`resolve_integrator` caps only a derived RK4 horizon, with both
-    step and horizon derived, at RK4_MAX_STEPS derived steps.  The rates
-    come from the run's :class:`DecayConstants`.
-    """
-    capped = (
-        config.method == "rk4"
-        and config.dt is None
-        and config.t_final is None
-        and integrator.t_final == RK4_MAX_STEPS * integrator.dt
-    )
-    if not capped:
-        return None
-    horizon = _derived_horizon(config.eps, constants.velocity_rate, constants.energy_rate)
-    return integrator.t_final / horizon
-
-
 def resolve_integrator(config: ScenarioConfig, state=None) -> IntegratorConfig:
     """Fill in dt / t_final defaults and build the integrator settings.
 
     The default horizon covers HORIZON_EFOLDS e-folds of the slowest
     conservative envelope rate.  The default step is BE_RATE_PER_STEP
     e-folds of the conservative velocity rate for backward Euler and a
-    stability-limited step for RK4; with both derived, the RK4 horizon is
-    capped at RK4_MAX_STEPS steps.  An explicit horizon is never capped.
+    stability-limited step for RK4.  A derived RK4 horizon is capped at
+    RK4_MAX_STEPS steps, whether the step was derived or given; an
+    explicit horizon is never capped.
     """
     state = config.initial_state() if state is None else state
 
@@ -139,7 +119,6 @@ def resolve_integrator(config: ScenarioConfig, state=None) -> IntegratorConfig:
     t_final = config.t_final
     if dt is None or t_final is None:
         velocity_rate, energy_rate = conservative_decay_rate(state, config.model)
-        rk4_derived = config.method == "rk4" and dt is None
         if dt is None:
             if config.method == "rk4":
                 dt = _rk4_stable_dt(state, config.model, config.eps)
@@ -147,7 +126,7 @@ def resolve_integrator(config: ScenarioConfig, state=None) -> IntegratorConfig:
                 dt = BE_RATE_PER_STEP * config.eps / velocity_rate
         if t_final is None:
             t_final = _derived_horizon(config.eps, velocity_rate, energy_rate)
-            if rk4_derived:
+            if config.method == "rk4":
                 t_final = min(t_final, RK4_MAX_STEPS * dt)
     return IntegratorConfig(
         dt=float(dt),

@@ -189,11 +189,6 @@ def state_from_temperatures(
     return MomentState(composition, velocities, energies)
 
 
-def is_realizable(state: MomentState, floor: float = 0.0) -> bool:
-    """True iff every derived temperature is >= floor (J).
-
-    floor = 0 tests membership in the realizable set; a positive floor
-    tests the stronger temperature-bounded set (the total-energy
-    constraint is monitored separately by the integrator).
-    """
-    return bool(np.all(temperatures_of(state) >= floor))
+def is_realizable(state: MomentState) -> bool:
+    """True iff every derived temperature is >= 0, membership in the realizable set."""
+    return bool(np.all(temperatures_of(state) >= 0.0))

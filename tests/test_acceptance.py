@@ -102,7 +102,7 @@ class TestCriterion1SteadyStates:
     def test_steady_state_values_and_runtime(self, preset_runs):
         # Example 1: temperatures relax to 2000 K (equal-density mean)
         run1 = preset_runs[(1, "be")]
-        final_temps = temperatures_of(run1["trajectory"].final_state)
+        final_temps = temperatures_of(run1["trajectory"].states[-1])
         from mixbgk.species import kelvin_to_energy
 
         target = kelvin_to_energy(2000.0)
@@ -113,7 +113,7 @@ class TestCriterion1SteadyStates:
         scenario2 = run2["scenario"]
         rho = np.array([s.mass for s in scenario2.species]) * scenario2.number_densities
         u_target = rho @ scenario2.velocities / rho.sum()  # one-line oracle
-        final_u = run2["trajectory"].final_state.velocities
+        final_u = run2["trajectory"].velocities[-1]
         assert np.all(
             np.linalg.norm(final_u - u_target[None, :], axis=1)
             <= 1e-3 * np.linalg.norm(u_target)
@@ -133,7 +133,7 @@ class TestCriterion1SteadyStates:
             n3 @ temps0
             + rho3 @ (np.einsum("ik,ik->i", u0, u0) - u_inf @ u_inf) / 3.0
         ) / n3.sum()
-        final3 = run3["trajectory"].final_state
+        final3 = run3["trajectory"].states[-1]
         assert np.all(
             np.linalg.norm(final3.velocities - u_inf[None, :], axis=1)
             <= 1e-3 * np.linalg.norm(u_inf)
@@ -337,8 +337,8 @@ class TestCriterion8IntegratorOracles:
         state, model, rate = self._linear_pair()
         t_final = 1.0 / rate
         cfg = IntegratorConfig(dt=t_final / steps, t_final=t_final, method=method)
-        final = simulate(state, cfg, model).final_state
-        gap = final.velocities[0, 0] - final.velocities[1, 0]
+        final = simulate(state, cfg, model).velocities[-1]
+        gap = final[0, 0] - final[1, 0]
         return abs(gap - np.exp(-1.0))
 
     def test_closed_form_match_and_convergence_orders(self):

@@ -108,7 +108,7 @@ class TestPresets:
 
     def test_all_presets_realizable(self):
         for scenario in presets().values():
-            assert is_realizable(scenario.initial_state(), floor=0.0)
+            assert is_realizable(scenario.initial_state())
 
     def test_rk4_cap_spares_an_explicit_horizon(self):
         scenario = replace(presets()[3], method="rk4")
@@ -141,6 +141,25 @@ class TestPresets:
         assert len(table.times) == 21
         assert "note" not in summary
         assert "\n".join(monitor_block(table, presets()[1])) in summary
+
+    def test_rk4_cap_applies_to_an_explicit_step(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenarios_mod, "RK4_MAX_STEPS", 20)
+        scenario = replace(presets()[1], method="rk4", dt=4e-14)
+        capped = resolve_integrator(scenario)
+        horizon = resolve_integrator(replace(scenario, method="be")).t_final
+        assert capped.dt == 4e-14
+        assert capped.t_final == 20 * 4e-14 < horizon
+
+        argv = ["run", "--example", "1", "--method", "rk4", "--dt", "4e-14"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+        assert notes == [
+            "note: RK4 horizon capped at RK4_MAX_STEPS = 20 steps, "
+            f"covering {capped.t_final / horizon:.2%} of the derived horizon; "
+            "set --t-final to run further"
+        ]
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        assert len(table.times) == 21
 
     @pytest.mark.parametrize("argv", [
         ["--method", "rk4"],

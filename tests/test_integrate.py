@@ -56,7 +56,7 @@ def two_species_linear(gap=1.0, lam=1.0, rho=(1.0, 0.5)):
 
 def one_step(state, cfg, model):
     """One step of cfg.dt by cfg.method: a run whose horizon is that step."""
-    return simulate(state, replace(cfg, t_final=cfg.dt), model).final_state
+    return simulate(state, replace(cfg, t_final=cfg.dt), model).states[-1]
 
 
 def uniform_equilibrium_state(n_species=3):
@@ -363,11 +363,8 @@ class TestConvergenceOrders:
         state, model, _, rate = two_species_linear(gap=1.0)
         t_final = 1.0 / rate
         cfg = IntegratorConfig(dt=t_final / steps, t_final=t_final, method=method)
-        trajectory = simulate(state, cfg, model)
-        gap = (
-            trajectory.final_state.velocities[0, 0]
-            - trajectory.final_state.velocities[1, 0]
-        )
+        final = simulate(state, cfg, model).velocities[-1]
+        gap = final[0, 0] - final[1, 0]
         return abs(gap - np.exp(-1.0))
 
     def test_backward_euler_first_order(self):
@@ -389,10 +386,8 @@ class TestConvergenceOrders:
             finals = []
             for method in ("be", "rk4"):
                 cfg = IntegratorConfig(dt=t_final / steps, t_final=t_final, method=method)
-                finals.append(simulate(state, cfg, model).final_state)
-            diffs.append(
-                np.linalg.norm(finals[0].velocities - finals[1].velocities)
-            )
+                finals.append(simulate(state, cfg, model).velocities[-1])
+            diffs.append(np.linalg.norm(finals[0] - finals[1]))
         ratios = np.array(diffs[:-1]) / np.array(diffs[1:])
         np.testing.assert_allclose(ratios, 2.0, rtol=0.15)
 
@@ -414,8 +409,8 @@ class TestSimulate:
         np.testing.assert_array_equal(trajectory.times, [0.0, 1e-9])
         assert trajectory.monitors[1].picard_iterations >= 1
         stepped = one_step(state, IntegratorConfig(dt=1e-9, t_final=1e-9), model)
-        np.testing.assert_array_equal(trajectory.final_state.velocities, stepped.velocities)
-        np.testing.assert_array_equal(trajectory.final_state.energies, stepped.energies)
+        np.testing.assert_array_equal(trajectory.velocities[-1], stepped.velocities)
+        np.testing.assert_array_equal(trajectory.energies[-1], stepped.energies)
 
     def test_zero_horizon_records_initial_only(self):
         state, model, _, _ = two_species_linear()
@@ -472,7 +467,7 @@ def preset2_runs():
 
 
 class TestTrajectoryArrays:
-    """A trajectory is its arrays; states, monitors and final_state are views of them."""
+    """A trajectory is its arrays; states and monitors are views of them."""
 
     @pytest.mark.parametrize("method", ["be", "rk4"])
     def test_shapes_and_read_only(self, preset2_runs, method):
@@ -500,8 +495,6 @@ class TestTrajectoryArrays:
         for r, state in enumerate(trajectory.states):
             np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
             np.testing.assert_array_equal(state.energies, trajectory.energies[r])
-        np.testing.assert_array_equal(trajectory.final_state.velocities, trajectory.velocities[-1])
-        np.testing.assert_array_equal(trajectory.final_state.energies, trajectory.energies[-1])
 
         records = record_monitors(
             trajectory.composition, trajectory.velocities, trajectory.energies

@@ -95,22 +95,13 @@ class TestIsRealizable:
             assert is_realizable(random_state(rng))
 
     def test_boundary_state(self):
-        # energy exactly kinetic: realizable at floor 0, not at any floor > 0
+        # energy exactly kinetic: temperature 0, still realizable
         state = single_species_state(n=2.0, m=3.0, u=(1, 0, 0), energy=0.5 * 3 * 2 * 1.0)
-        assert is_realizable(state, floor=0.0)
-        assert not is_realizable(state, floor=1e-12)
+        assert is_realizable(state)
 
     def test_below_kinetic_energy(self):
         state = single_species_state(n=2.0, m=3.0, u=(1, 0, 0), energy=0.9 * 3.0)
         assert not is_realizable(state)
-
-    def test_monotone_in_floor(self):
-        rng = np.random.default_rng(11)
-        state = random_state(rng)
-        floors = np.sort(rng.uniform(0, kelvin_to_energy(5000.0), size=10))
-        flags = [is_realizable(state, floor=f) for f in floors]
-        # once unrealizable at some floor, unrealizable at every larger floor
-        assert flags == sorted(flags, reverse=True)
 
 
 class TestValidation:
