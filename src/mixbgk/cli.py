@@ -6,8 +6,9 @@
 Writes ``<name>_trajectory.csv``, ``<name>_envelopes.csv`` and
 ``<name>_summary.txt`` into the output directory (the ``MIXBGK_OUT``
 environment variable overrides ``--out``).  Exit codes: 0 all monitors
-pass, 1 configuration error or unusable output directory (found before
-the run), 2 monitor violation, 3 integrator failure.
+pass, 1 configuration error, unusable output directory (found before
+the run) or unwritable output file, 2 monitor violation, 3 integrator
+failure.
 """
 
 from __future__ import annotations
@@ -91,11 +92,15 @@ def run(args) -> int:
     table = build_table(trajectory, envelopes)
 
     base = os.path.join(out_dir, scenario.name)
-    write_trajectory_csv(base + "_trajectory.csv", table)
-    write_envelope_csv(base + "_envelopes.csv", table, equilibrium)
     summary = summary_text(scenario, integrator, table, equilibrium, constants)
-    with open(base + "_summary.txt", "w", encoding="utf-8") as handle:
-        handle.write(summary)
+    try:
+        write_trajectory_csv(base + "_trajectory.csv", table)
+        write_envelope_csv(base + "_envelopes.csv", table, equilibrium)
+        with open(base + "_summary.txt", "w", encoding="utf-8") as handle:
+            handle.write(summary)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
     print(f"wrote {base}_trajectory.csv, {base}_envelopes.csv, {base}_summary.txt")
     horizon = _derived_horizon(integrator.eps, constants.velocity_rate, constants.energy_rate)

@@ -22,13 +22,13 @@ velocity envelopes survive discretization.
 
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
-Backward Euler advances the arrays (u, e), RK4 one flat scaled vector
-y = [W.ravel(), xi]; the one loop of :func:`simulate` records every
-step of either method.  Both evaluate the operator core only at
-admissible temperatures: finite, and positive for hard spheres.  Leaving
-that set, an overflowed (singular) implicit system or a non-finite RK4
-result raises RealizabilityError; backward Euler first halves the step,
-up to ``_MAX_HALVINGS`` times.
+Both steppers map (u, e, dt, eps, const) to (u, e, sweeps, substeps), so
+the one loop of :func:`simulate` records every step of either method.
+Both evaluate the operator core only at admissible temperatures: finite,
+and positive for hard spheres.  Leaving that set, an overflowed
+(singular) implicit system or a non-finite RK4 result raises
+RealizabilityError; backward Euler first halves the step, up to
+``_MAX_HALVINGS`` times.
 """
 
 from __future__ import annotations
@@ -173,13 +173,13 @@ def _backward_error(system, x, b) -> float:
     return float(abs(system @ x - b).max() / max(scale, 1e-300))  # 0/0 at rest
 
 
-def _admissible_temperatures(comp, velocities, energies, const, where, time=None):
+def _admissible_temperatures(velocities, energies, const, where, time=None):
     """Temperatures at which the operator core may be evaluated, else RealizabilityError.
 
     Finite for every model, and positive for the hard-sphere frequencies;
     under constant ones an unstable explicit step shows in the monitors.
     """
-    temps = _temperatures(comp, velocities, energies)
+    temps = _temperatures(const, velocities, energies)
     floor = 0.0 if const.hard_sphere else -np.inf
     if not (temps.min() > floor and temps.max() < np.inf):  # a NaN fails both
         need = "finite and positive" if const.hard_sphere else "finite"
@@ -188,7 +188,7 @@ def _admissible_temperatures(comp, velocities, energies, const, where, time=None
     return temps
 
 
-def _picard_solve(u, e, dt, eps, comp, const):
+def _picard_solve(u, e, dt, eps, const):
     """Solve one implicit step from (u, e); returns (velocities, energies, sweeps).
 
     The two linear systems are solved in the symmetrically scaled
@@ -220,7 +220,7 @@ def _picard_solve(u, e, dt, eps, comp, const):
 
     u_k, e_k = u, e
     for sweep in range(1, PICARD_MAX_ITER + 1):
-        temps = _admissible_temperatures(comp, u_k, e_k, const, "iterate")
+        temps = _admissible_temperatures(u_k, e_k, const, "iterate")
         alpha, coupling, z = operators(temps, const)
 
         systems = identity + rate * z  # the momentum and the energy system
@@ -228,7 +228,7 @@ def _picard_solve(u, e, dt, eps, comp, const):
             rhs = xi_old + heating(coupling[1], alpha, u_k, const, heating_rate)
             errors = (_backward_error(systems[0], sqrt_rho[:, None] * u_k, w_old),
                       _backward_error(systems[1], e_k / sqrt_n, rhs))
-            if max(errors) < comp.size * BACKWARD_TOL_PER_SPECIES:
+            if max(errors) < len(u) * BACKWARD_TOL_PER_SPECIES:
                 return u_k, e_k, sweep - 1  # solve pairs; this check is not one
         try:
             u_new = np.linalg.solve(systems[0], w_old) / sqrt_rho[:, None]
@@ -255,7 +255,7 @@ def _picard_solve(u, e, dt, eps, comp, const):
     )
 
 
-def _be_advance(u, e, dt, eps, comp, const, depth=0):
+def _be_advance(u, e, dt, eps, const, depth=0):
     """Advance (u, e) by dt with backward Euler, halving on realizability loss.
 
     Returns (velocities, energies, sweeps, substeps), the last two summed
@@ -266,12 +266,12 @@ def _be_advance(u, e, dt, eps, comp, const, depth=0):
     energy correction in proportion to n.
     """
     try:
-        u_new, e_new, sweeps = _picard_solve(u, e, dt, eps, comp, const)
+        u_new, e_new, sweeps = _picard_solve(u, e, dt, eps, const)
     except RealizabilityError:
         if depth >= _MAX_HALVINGS:
             raise
-        u, e, sweeps_a, parts_a = _be_advance(u, e, 0.5 * dt, eps, comp, const, depth + 1)
-        u, e, sweeps_b, parts_b = _be_advance(u, e, 0.5 * dt, eps, comp, const, depth + 1)
+        u, e, sweeps_a, parts_a = _be_advance(u, e, 0.5 * dt, eps, const, depth + 1)
+        u, e, sweeps_b, parts_b = _be_advance(u, e, 0.5 * dt, eps, const, depth + 1)
         return u, e, sweeps_a + sweeps_b, parts_a + parts_b
     rho, n = const.mass_densities, const.number_densities
     u_new = u_new + (rho @ u - rho @ u_new) / rho.sum()
@@ -279,8 +279,11 @@ def _be_advance(u, e, dt, eps, comp, const, depth=0):
     return u_new, e_new, sweeps, 1
 
 
-def _rk4_advance(y, dt, eps, comp, const):
-    """One classical RK4 step of y = [W.ravel(), xi], W = P^{1/2} U and xi = Q^{-1/2} E,
+def _rk4_advance(u, e, dt, eps, const):
+    """One classical RK4 step of (u, e); returns (velocities, energies, 0, 0).
+
+    The stages run on one flat vector y = [W.ravel(), xi], W = P^{1/2} U
+    and xi = Q^{-1/2} E,
 
         dW/dt  = -(1/eps) Z W
         dxi/dt = -(1/eps) Z-hat xi + heating,
@@ -288,19 +291,20 @@ def _rk4_advance(y, dt, eps, comp, const):
     with Z, Z-hat and the heating from the same core as the implicit sweep.
     Every stage update and the final sum is one expression on y.
     """
-    n_vel = y.size - comp.size
+    shape, n_vel = u.shape, u.size
     sqrt_rho, sqrt_n = const.sqrt_rho[:, None], const.sqrt_n
     heating_rate = 0.5 / eps
 
     def rates(y):
-        w, xi = y[:n_vel].reshape(comp.size, -1), y[n_vel:]
+        w, xi = y[:n_vel].reshape(shape), y[n_vel:]
         u = w / sqrt_rho
-        temps = _admissible_temperatures(comp, u, xi * sqrt_n, const, "RK4 stage")
+        temps = _admissible_temperatures(u, xi * sqrt_n, const, "RK4 stage")
         alpha, coupling, z = operators(temps, const)
         k = np.concatenate([(z[0] @ w).ravel(), z[1] @ xi]) / -eps
         k[n_vel:] += heating(coupling[1], alpha, u, const, heating_rate)
         return k
 
+    y = np.concatenate([(sqrt_rho * u).ravel(), e / sqrt_n])
     k1 = rates(y)
     k2 = rates(y + 0.5 * dt * k1)
     k3 = rates(y + 0.5 * dt * k2)
@@ -310,7 +314,7 @@ def _rk4_advance(y, dt, eps, comp, const):
         raise RealizabilityError(
             f"RK4 step at dt = {dt:.6e}: velocities and energies must be finite"
         )
-    return y
+    return y[:n_vel].reshape(shape) / sqrt_rho, y[n_vel:] * sqrt_n, 0, 0
 
 
 @dataclass(frozen=True)
@@ -378,41 +382,21 @@ def simulate(
 
     The initial state and every step are recorded, so the monitors see
     each state the integrator produced; a final partial step guarantees
-    the last recorded time equals ``t_final`` exactly.  Backward Euler
-    carries (u, e) from step to step and RK4 the scaled vector y, whose
-    records are converted back to velocities and energies once.  Step
-    failures are re-raised with the failing time attached.  One step is
-    ``simulate(state, replace(cfg, t_final=cfg.dt), model)``.
+    the last recorded time equals ``t_final`` exactly.  Either method
+    carries (u, e) from step to step, so a chain of one-step runs,
+    ``simulate(state, replace(cfg, t_final=cfg.dt), model)``, repeats one
+    run bit for bit.  Step failures are re-raised with the failing time
+    attached.
     """
     if not is_realizable(initial):
         raise RealizabilityError("initial state is not realizable", time=0.0)
-    comp, u, e = initial.composition, initial.velocities, initial.energies
-    const = run_constants(comp, model, initial.dimension)
-    _admissible_temperatures(comp, u, e, const, "initial", time=0.0)
-    sqrt_rho = const.sqrt_rho[:, None]
-    if cfg.method == "be":
-        def advance(ue, dt):
-            u, e, sweeps, substeps = _be_advance(*ue, dt, cfg.eps, comp, const)
-            return (u, e), sweeps, substeps
-
-        carried = (u, e)
-    else:
-        def advance(y, dt):
-            return _rk4_advance(y, dt, cfg.eps, comp, const), 0, 0
-
-        carried = np.concatenate([(sqrt_rho * u).ravel(), e / const.sqrt_n])
-    records = [(0.0, carried, 0, 0)]
+    const = run_constants(initial.composition, model, initial.dimension)
+    _admissible_temperatures(initial.velocities, initial.energies, const, "initial", time=0.0)
+    advance = _be_advance if cfg.method == "be" else _rk4_advance
+    records = [(0.0, initial.velocities, initial.energies, 0, 0)]
     for t, dt in _schedule(cfg):
         try:
-            records.append((t, *advance(records[-1][1], dt)))
+            records.append((t, *advance(*records[-1][1:3], dt, cfg.eps, const)))
         except IntegrationError as err:
             raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
-    times, carried, sweeps, substeps = zip(*records)
-    if cfg.method == "be":
-        velocities, energies = map(np.array, zip(*carried))
-    else:
-        ys = np.reshape(carried[1:], (-1, u.size + e.size))
-        velocities = np.concatenate([u[None], ys[:, :u.size].reshape(-1, *u.shape) / sqrt_rho])
-        energies = np.concatenate([e[None], ys[:, u.size:] * const.sqrt_n])
-    return Trajectory(np.array(times), velocities, energies, np.array(sweeps),
-                      np.array(substeps), comp)
+    return Trajectory(*map(np.array, zip(*records)), initial.composition)

@@ -230,9 +230,11 @@ def parse_config(path) -> ScenarioConfig:
         raise ScenarioError(f"{path}: missing species labels")
     labels = raw["labels"]
     n_species = len(labels)
-    bad = [label for label in labels if label == "tot" or "," in label]
+    bad = [lab for i, lab in enumerate(labels) if lab == "tot" or "," in lab or lab in labels[:i]]
     if bad:  # a label heads its own trajectory CSV columns, which must read back
-        raise ScenarioError(f"{path}: species label {bad[0]!r} may not be 'tot' or contain ','")
+        raise ScenarioError(
+            f"{path}: species label {bad[0]!r} may not be 'tot', contain ',' or repeat"
+        )
 
     per_species = {}
     for key in _PER_SPECIES_KEYS:
@@ -305,6 +307,9 @@ def parse_config(path) -> ScenarioConfig:
         except ValueError as err:
             raise ScenarioError(str(err)) from None
 
+    name = scalar("name", os.path.splitext(os.path.basename(path))[0], str)
+    if name != os.path.basename(name):  # the output files are <out>/<name>_*
+        raise ScenarioError(f"{path}: name {name!r} may not contain a path separator")
     return ScenarioConfig(
         species=species,
         number_densities=np.array(per_species["number_densities_m3"]),
@@ -315,5 +320,5 @@ def parse_config(path) -> ScenarioConfig:
         dt=scalar("dt_s", None),
         t_final=scalar("t_final_s", None),
         model=model,
-        name=scalar("name", os.path.splitext(os.path.basename(path))[0], str),
+        name=name,
     )

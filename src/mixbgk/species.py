@@ -144,8 +144,11 @@ def temperatures_of(state: MomentState) -> np.ndarray:
     return _temperatures(state.composition, state.velocities, state.energies)
 
 
-def _temperatures(comp: MixtureComposition, velocities, energies) -> np.ndarray:
-    """The temperature map on raw arrays, (..., N, d) and (..., N) -> (..., N)."""
+def _temperatures(comp, velocities, energies) -> np.ndarray:
+    """The temperature map on raw arrays, (..., N, d) and (..., N) -> (..., N).
+
+    ``comp`` is anything with the species ``masses`` and ``number_densities``.
+    """
     d = velocities.shape[-1]
     speed_sq = (velocities * velocities).sum(axis=-1)
     return (2.0 / d) * energies / comp.number_densities - comp.masses / d * speed_sq

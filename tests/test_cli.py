@@ -236,7 +236,7 @@ class TestParseConfig:
             parse_config(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("labels", ["tot Kr", "A,r Kr"])
+    @pytest.mark.parametrize("labels", ["tot Kr", "A,r Kr", "Ar Ar"])
     def test_label_that_breaks_the_csv_header_is_rejected(self, labels, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(GOOD_CONFIG.replace("labels = Ar Kr", f"labels = {labels}"))
@@ -245,6 +245,17 @@ class TestParseConfig:
             parse_config(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert bad in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/run"])
+    def test_name_with_a_path_separator_is_rejected(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(GOOD_CONFIG + f"name = {name}\n")
+        with pytest.raises(ScenarioError, match=re.escape(repr(name))):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert repr(name) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg"]
 
     def test_label_the_csv_can_carry_round_trips(self, tmp_path):
         # T_min_K is also a totals column; the reader finds labels by E_<label>.
@@ -543,6 +554,15 @@ class TestCliRun:
         assert main(argv) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and str(target) in line
+
+    def test_unwritable_output_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "example1_trajectory.csv").mkdir()
+        argv = ["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "example1_trajectory.csv" in line
+        assert "verification" not in captured.out
 
     def test_summary_reports_decay_constants(self, tmp_path):
         main(["run", "--example", "2", "--t-final", "3e-13", "--out", str(tmp_path)])

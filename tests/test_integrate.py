@@ -280,7 +280,7 @@ class TestBackwardEulerOracle:
         # so the step is taken directly; every halved step fails too, so
         # the typed error surfaces
         with pytest.raises(RealizabilityError, match="iterate temperature"):
-            integrate_mod._be_advance(state.velocities, state.energies, 1e-13, 1.0, comp, const)
+            integrate_mod._be_advance(state.velocities, state.energies, 1e-13, 1.0, const)
 
     @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
     def test_single_sweep_limit_raises_divergence(self, model_kind, monkeypatch):
@@ -543,12 +543,10 @@ class TestOneSteppingPath:
             np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
             np.testing.assert_array_equal(state.energies, trajectory.energies[r])
 
-    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
-    def test_rk4_records_are_a_chain_of_steps(self, model_kind):
-        # simulate carries the scaled vector y from step to step, while each
-        # one-step run derives it from the state it is given.  With sqrt(rho) and
-        # sqrt(n) powers of two that derivation is exact, so any other
-        # difference between the two paths would show.
+    @staticmethod
+    def _power_of_two_case(model_kind):
+        # sqrt(rho) and sqrt(n) are powers of two, so the scaling of the
+        # stages is exact and only the stepping itself is compared.
         comp = MixtureComposition(
             tuple(SpeciesParams(mass=m, diameter=1.0, label=f"s{m:g}") for m in (1.0, 4.0, 16.0)),
             [16.0, 4.0, 1.0],
@@ -560,7 +558,17 @@ class TestOneSteppingPath:
             model = HardSphere()
         else:
             model = ConstantMatrix(np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 4.0], [3.0, 4.0, 1.0]]))
-        cfg = IntegratorConfig(dt=0.01, t_final=0.2, method="rk4")
+        return state, model, IntegratorConfig(dt=0.01, t_final=0.2, method="rk4")
+
+    @pytest.mark.parametrize("case", ["hard_sphere", "constant", "preset1", "preset2", "preset3"])
+    def test_rk4_records_are_a_chain_of_steps(self, case):
+        if case.startswith("preset"):
+            scenario = replace(presets()[int(case[-1])], method="rk4")
+            state, model = scenario.initial_state(), scenario.model
+            cfg = resolve_integrator(scenario, state)
+            cfg = replace(cfg, t_final=20 * cfg.dt)
+        else:
+            state, model, cfg = self._power_of_two_case(case)
         trajectory = simulate(state, cfg, model)
         assert len(trajectory.times) == 21
         for r in range(1, 21):
@@ -616,23 +624,17 @@ class TestTypedFailures:
         const = run_constants(state.composition, model, 3)
         energies = np.array([value, state.energies[1]])
         with pytest.raises(RealizabilityError, match="must be finite"):
-            integrate_mod._admissible_temperatures(
-                state.composition, state.velocities, energies, const, "test"
-            )
+            integrate_mod._admissible_temperatures(state.velocities, energies, const, "test")
 
     def test_guard_admits_negative_constant_model_temperatures(self):
         state, model, _, _ = two_species_linear()
         const = run_constants(state.composition, model, 3)
         energies = np.array([-1.0, state.energies[1]])
-        temps = integrate_mod._admissible_temperatures(
-            state.composition, state.velocities, energies, const, "test"
-        )
+        temps = integrate_mod._admissible_temperatures(state.velocities, energies, const, "test")
         assert temps[0] < 0.0
         const = run_constants(state.composition, HardSphere(), 3)
         with pytest.raises(RealizabilityError, match="finite and positive"):
-            integrate_mod._admissible_temperatures(
-                state.composition, state.velocities, energies, const, "test"
-            )
+            integrate_mod._admissible_temperatures(state.velocities, energies, const, "test")
 
 
 class TestIntegratorConfigValidation:
@@ -773,7 +775,7 @@ class TestBackwardErrorExit:
                 dt = rate_dt / conservative_decay_rate(state, model)[0]
                 const = run_constants(state.composition, model, state.dimension)
                 u, e, _ = integrate_mod._picard_solve(
-                    state.velocities, state.energies, dt, 1.0, state.composition, const
+                    state.velocities, state.energies, dt, 1.0, const
                 )
                 errors = _reference_backward_errors(state, u, e, dt, model)
                 assert max(errors) < bound, (n_species, seed, errors)

@@ -105,6 +105,15 @@ def test_simulate_is_the_one_stepping_loop():
         ("integrate.py", "simulate"),
     ]
     assert sorted(name for name in mixbgk.__all__ if name.endswith("_step")) == []
+    private = {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in _modules()["integrate.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    }
+    # One contract; backward Euler adds the depth of its halving.
+    assert private["_be_advance"] == ["u", "e", "dt", "eps", "const", "depth"]
+    assert private["_rk4_advance"] == ["u", "e", "dt", "eps", "const"]
+    assert sorted(name for name, args in private.items() if "comp" in args) == []
 
 
 def test_readme_scenario_block_names_every_config_key():
