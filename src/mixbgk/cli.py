@@ -5,15 +5,17 @@
 
 Writes ``<name>_trajectory.csv``, ``<name>_envelopes.csv`` and
 ``<name>_summary.txt`` into the output directory (the ``MIXBGK_OUT``
-environment variable overrides ``--out``).  Exit codes: 0 all monitors
-pass, 1 configuration error, unusable output directory (found before
-the run) or unwritable output file, 2 monitor violation, 3 integrator
-failure.
+environment variable overrides ``--out``), all three or none of them.
+Exit codes: 0 all monitors pass, 1 configuration error, unusable output
+directory (found before the run) or unwritable output file, 2 monitor
+violation, 3 integrator failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -49,6 +51,33 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eps", type=float, help="Knudsen number override")
     run.add_argument("--out", type=str, default=".", help="output directory")
     return parser
+
+
+def _write_output_set(base, table, equilibrium, summary) -> None:
+    """Write the trajectory, envelope and summary files of ``base``, or none of them.
+
+    Each file is written to a temporary name beside its target, and the
+    three are moved into place only once all are written and no target
+    is a directory, the one case in which a rename within the directory
+    fails after its files could be created.  On failure no temporary
+    file remains and an older output set keeps its bytes.
+    """
+    targets = [base + suffix for suffix in ("_trajectory.csv", "_envelopes.csv", "_summary.txt")]
+    temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    try:
+        write_trajectory_csv(temporaries[0], table)
+        write_envelope_csv(temporaries[1], table, equilibrium)
+        with open(temporaries[2], "w", encoding="utf-8") as handle:
+            handle.write(summary)
+        for target in targets:
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        for temporary, target in zip(temporaries, targets):
+            os.replace(temporary, target)
+    finally:
+        for temporary in temporaries:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
 
 
 def run(args) -> int:
@@ -94,10 +123,7 @@ def run(args) -> int:
     base = os.path.join(out_dir, scenario.name)
     summary = summary_text(scenario, integrator, table, equilibrium, constants)
     try:
-        write_trajectory_csv(base + "_trajectory.csv", table)
-        write_envelope_csv(base + "_envelopes.csv", table, equilibrium)
-        with open(base + "_summary.txt", "w", encoding="utf-8") as handle:
-            handle.write(summary)
+        _write_output_set(base, table, equilibrium, summary)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

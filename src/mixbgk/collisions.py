@@ -127,7 +127,7 @@ def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarr
 
 def _laplacian(coupling) -> np.ndarray:
     """diag(degree) - coupling over leading axes, the degree being the row sums."""
-    degree = coupling.sum(axis=-1)
+    degree = np.add.reduce(coupling, axis=-1)
     laplacian = np.negative(coupling, order="C")
     n = coupling.shape[-1]
     # In C order the diagonal of each trailing N x N block is every (N+1)-th entry.
@@ -155,6 +155,8 @@ class RunConstants:
     number_densities: np.ndarray  # (N,)
     sqrt_rho: np.ndarray  # (N,)
     sqrt_n: np.ndarray  # (N,)
+    total_mass_density: float  # sum of rho
+    total_number_density: float  # sum of n
     weights: np.ndarray  # (2, N, 1)
     scale: np.ndarray  # (2, N, N)
     mass_gaps: np.ndarray  # (N, N)
@@ -203,6 +205,8 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         number_densities=composition.number_densities,
         sqrt_rho=sqrt_rho,
         sqrt_n=sqrt_n,
+        total_mass_density=composition.mass_densities.sum(),
+        total_number_density=composition.number_densities.sum(),
         weights=np.stack([composition.mass_densities, composition.number_densities])[:, :, None],
         scale=np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)]),
         mass_gaps=masses[:, None] - masses[None, :],
@@ -241,11 +245,11 @@ def heating(energy_coupling, velocity_weights, velocities, const: RunConstants, 
 
     G - C is the Laplacian of the kinetic coupling K = B |u_mix|^2, with
     u_mix[i, j] = u_j + alpha[i, j] (u_i - u_j) from the given velocities
-    and mixing weights; it is applied to m without being formed, as
-    sum_j K_ij (m_i - m_j).  rate is 1/(2 eps) in the ODE.
+    (a float array, (..., N, d)) and mixing weights; it is applied to m
+    without being formed, as sum_j K_ij (m_i - m_j).  rate is 1/(2 eps)
+    in the ODE.
     """
-    u = np.asarray(velocities, dtype=float)
-    u_j = u[..., None, :, :]
-    u_mix = u_j + velocity_weights[..., None] * (u[..., :, None, :] - u_j)
+    u_j = velocities[..., None, :, :]
+    u_mix = u_j + velocity_weights[..., None] * (velocities[..., :, None, :] - u_j)
     kinetic = energy_coupling * np.einsum("...k,...k->...", u_mix, u_mix)
-    return rate * (kinetic * const.mass_gaps).sum(axis=-1) / const.sqrt_n
+    return rate * np.add.reduce(kinetic * const.mass_gaps, axis=-1) / const.sqrt_n

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .collisions import FrequencyModel, heating, operators, run_constants
 from .equilibrium import _component_bound
@@ -163,14 +164,16 @@ def _relative_change(new, old) -> float:
     them against their own magnitude would block convergence whenever a
     velocity component crosses zero.
     """
-    scale = max(float(abs(new).max()), 1e-300)
-    return float(abs(new - old).max() / scale)
+    scale = max(float(np.maximum.reduce(abs(new), axis=None)), 1e-300)
+    return float(np.maximum.reduce(abs(new - old), axis=None) / scale)
 
 
 def _backward_error(system, x, b) -> float:
     """Normwise backward error of x in system @ x = b, infinity norm (Higham, ASNA, sec. 7.1)."""
-    scale = abs(system).sum(axis=-1).max() * abs(x).max() + abs(b).max()
-    return float(abs(system @ x - b).max() / max(scale, 1e-300))  # 0/0 at rest
+    largest = np.maximum.reduce
+    scale = (largest(np.add.reduce(abs(system), axis=-1))
+             * largest(abs(x), axis=None) + largest(abs(b), axis=None))
+    return float(largest(abs(system @ x - b), axis=None) / max(scale, 1e-300))  # 0/0 at rest
 
 
 def _admissible_temperatures(velocities, energies, const, where, time=None):
@@ -181,11 +184,30 @@ def _admissible_temperatures(velocities, energies, const, where, time=None):
     """
     temps = _temperatures(const, velocities, energies)
     floor = 0.0 if const.hard_sphere else -np.inf
-    if not (temps.min() > floor and temps.max() < np.inf):  # a NaN fails both
+    lowest = np.minimum.reduce(temps, axis=None)
+    if not (lowest > floor and np.maximum.reduce(temps, axis=None) < np.inf):  # a NaN fails both
         need = "finite and positive" if const.hard_sphere else "finite"
-        message = f"{where} temperatures must be {need}, got a minimum of {temps.min():.6e} J"
+        message = f"{where} temperatures must be {need}, got a minimum of {lowest:.6e} J"
         raise RealizabilityError(message, time=time)
     return temps
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(system, rhs):
+    """``np.linalg.solve`` of one float (N, N) system, without numpy's Python wrapper.
+
+    The same LAPACK gesv gufunc under the same floating-point error
+    state, so the result is the same to the bit and a singular (or
+    overflowed) system raises the same LinAlgError; the wrapper's type
+    promotion and array conversion are skipped, as both operands are
+    already float arrays.  ``rhs`` is (N,) or (N, k).
+    """
+    gufunc = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
+    return gufunc(system, rhs, signature="dd->d")
 
 
 def _picard_solve(u, e, dt, eps, const):
@@ -202,13 +224,14 @@ def _picard_solve(u, e, dt, eps, const):
     roundoff plateau of a badly scaled solve.  Each sweep makes one call
     of the operator core and one of the heating, the latter with the new
     velocities (a sweep that tests the iterate first, one more at the
-    iterate); everything temperature-free comes from ``const``.
+    iterate), and calls LAPACK gesv through :func:`_solve` for the two
+    systems; everything temperature-free comes from ``const``.
     """
-    sqrt_rho, sqrt_n, identity = const.sqrt_rho, const.sqrt_n, const.identity
+    sqrt_rho, sqrt_n, identity = const.sqrt_rho[:, None], const.sqrt_n, const.identity
     rate = dt / eps
     heating_rate = 0.5 * dt / eps
 
-    w_old = sqrt_rho[:, None] * u
+    w_old = sqrt_rho * u
     xi_old = e / sqrt_n
 
     # Attainable iterate agreement is limited by the conditioning of the
@@ -226,21 +249,21 @@ def _picard_solve(u, e, dt, eps, const):
         systems = identity + rate * z  # the momentum and the energy system
         if at_floor:
             rhs = xi_old + heating(coupling[1], alpha, u_k, const, heating_rate)
-            errors = (_backward_error(systems[0], sqrt_rho[:, None] * u_k, w_old),
+            errors = (_backward_error(systems[0], sqrt_rho * u_k, w_old),
                       _backward_error(systems[1], e_k / sqrt_n, rhs))
             if max(errors) < len(u) * BACKWARD_TOL_PER_SPECIES:
                 return u_k, e_k, sweep - 1  # solve pairs; this check is not one
         try:
-            u_new = np.linalg.solve(systems[0], w_old) / sqrt_rho[:, None]
+            u_new = _solve(systems[0], w_old) / sqrt_rho
             # The kinetic coupling pairs the new velocities with the mixing
             # weights of the current iterate.
             rhs = xi_old + heating(coupling[1], alpha, u_new, const, heating_rate)
-            e_new = np.linalg.solve(systems[1], rhs) * sqrt_n
+            e_new = _solve(systems[1], rhs) * sqrt_n
         except np.linalg.LinAlgError as err:  # an overflowed system
             raise RealizabilityError(f"implicit system: {err}") from err
 
         if sweep == 1:
-            cond_proxy = abs(systems).sum(axis=-1).max()
+            cond_proxy = np.maximum.reduce(np.add.reduce(abs(systems), axis=-1), axis=None)
             roundoff_floor = 64.0 * np.finfo(float).eps * cond_proxy
 
         residual = max(_relative_change(u_new, u_k), _relative_change(e_new, e_k))
@@ -274,8 +297,8 @@ def _be_advance(u, e, dt, eps, const, depth=0):
         u, e, sweeps_b, parts_b = _be_advance(u, e, 0.5 * dt, eps, const, depth + 1)
         return u, e, sweeps_a + sweeps_b, parts_a + parts_b
     rho, n = const.mass_densities, const.number_densities
-    u_new = u_new + (rho @ u - rho @ u_new) / rho.sum()
-    e_new = e_new + n * ((e.sum() - e_new.sum()) / n.sum())
+    u_new = u_new + (rho @ u - rho @ u_new) / const.total_mass_density
+    e_new = e_new + n * ((np.add.reduce(e) - np.add.reduce(e_new)) / const.total_number_density)
     return u_new, e_new, sweeps, 1
 
 

@@ -150,7 +150,7 @@ def _temperatures(comp, velocities, energies) -> np.ndarray:
     ``comp`` is anything with the species ``masses`` and ``number_densities``.
     """
     d = velocities.shape[-1]
-    speed_sq = (velocities * velocities).sum(axis=-1)
+    speed_sq = np.add.reduce(velocities * velocities, axis=-1)
     return (2.0 / d) * energies / comp.number_densities - comp.masses / d * speed_sq
 
 

@@ -564,6 +564,22 @@ class TestCliRun:
         assert line.startswith("error: ") and "example1_trajectory.csv" in line
         assert "verification" not in captured.out
 
+    @pytest.mark.parametrize("blocked", ["envelopes.csv", "summary.txt"])
+    def test_failed_output_set_leaves_no_file_behind(self, tmp_path, capsys, blocked):
+        older = b"t,older\n1,2\n"
+        (tmp_path / "example1_trajectory.csv").write_bytes(older)
+        (tmp_path / f"example1_{blocked}").mkdir()
+        argv = ["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and f"example1_{blocked}" in line
+        # No new output file and no temporary file; the older trajectory keeps its bytes.
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["example1_trajectory.csv", f"example1_{blocked}"]
+        )
+        assert (tmp_path / "example1_trajectory.csv").read_bytes() == older
+        assert list((tmp_path / f"example1_{blocked}").iterdir()) == []
+
     def test_summary_reports_decay_constants(self, tmp_path):
         main(["run", "--example", "2", "--t-final", "3e-13", "--out", str(tmp_path)])
         summary = (tmp_path / "example2_summary.txt").read_text()

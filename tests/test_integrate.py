@@ -637,6 +637,38 @@ class TestTypedFailures:
             integrate_mod._admissible_temperatures(state.velocities, energies, const, "test")
 
 
+class TestSolve:
+    """The sweep's direct gesv call is np.linalg.solve, bit for bit and error for error.
+
+    It calls a private gufunc of numpy.linalg, so a numpy release that
+    changes that gufunc fails here.
+    """
+
+    @pytest.mark.parametrize("rhs_shape", [(), (3,)])
+    @pytest.mark.parametrize("kind", ["spd", "nonsymmetric"])
+    @pytest.mark.parametrize("n", [1, 3, 30])
+    def test_equals_numpy_solve(self, n, kind, rhs_shape):
+        rng = np.random.default_rng([n, len(rhs_shape), kind == "spd"])
+        system = rng.standard_normal((n, n))
+        if kind == "spd":
+            system = system @ system.T + 1e-3 * np.eye(n)
+        rhs = rng.standard_normal((n, *rhs_shape))
+        expected = np.linalg.solve(system, rhs)
+        result = integrate_mod._solve(system, rhs)
+        assert (result.dtype, result.shape) == (expected.dtype, expected.shape)
+        assert result.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rhs_shape", [(), (3,)])
+    def test_singular_system_raises_like_numpy(self, rhs_shape):
+        system = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        rhs = np.ones((3, *rhs_shape))
+        # Also under the CLI's error state, which ignores invalid results.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for solve in (np.linalg.solve, integrate_mod._solve):
+                with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                    solve(system, rhs)
+
+
 class TestIntegratorConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

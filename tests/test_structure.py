@@ -17,6 +17,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # outside that module would be a second assembly path.
 ASSEMBLY_HELPERS = {"_hard_sphere_factor", "_laplacian"}
 
+# The one function of ``integrate`` that calls LAPACK gesv directly.
+LAPACK_HELPER = "_solve"
+
 
 def _modules():
     return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -114,6 +117,25 @@ def test_simulate_is_the_one_stepping_loop():
     assert private["_be_advance"] == ["u", "e", "dt", "eps", "const", "depth"]
     assert private["_rk4_advance"] == ["u", "e", "dt", "eps", "const"]
     assert sorted(name for name, args in private.items() if "comp" in args) == []
+
+
+def test_lapack_is_reached_through_one_helper():
+    # numpy.linalg's private gufunc module is imported once and called by
+    # LAPACK_HELPER alone, whose tests hold it to np.linalg.solve; the
+    # Picard sweep solves through that helper.
+    users = sorted(
+        (module, getattr(node, "name", type(node).__name__))
+        for module, tree in _modules().items()
+        for node in tree.body
+        if "_umath_linalg" in set(_referenced_names(node))
+    )
+    assert users == [("integrate.py", "ImportFrom"), ("integrate.py", LAPACK_HELPER)]
+    [picard] = [
+        node for node in _modules()["integrate.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_picard_solve"
+    ]
+    names = set(_referenced_names(picard))
+    assert LAPACK_HELPER in names and "solve" not in names  # no np.linalg.solve
 
 
 def test_readme_scenario_block_names_every_config_key():
