@@ -28,7 +28,7 @@ def show(index):
     scenario = presets()[index]
     state = scenario.initial_state()
     model = scenario.model
-    cfg = resolve_integrator(scenario, state)
+    cfg = resolve_integrator(scenario)
     constants = decay_constants(state, model)
     eq = steady_state(state)
 

@@ -29,7 +29,7 @@ from mixbgk.integrate import record_monitors
 def describe(index, scenario):
     state = scenario.initial_state()
     model = scenario.model
-    cfg = resolve_integrator(scenario, state)
+    cfg = resolve_integrator(scenario)
     eq = steady_state(state)
 
     print(f"\n=== Example {index}: {' / '.join(s.label for s in scenario.species)} ===")

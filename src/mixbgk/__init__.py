@@ -1,6 +1,6 @@
 """Multi-species BGK moment relaxation: stiff integration, equilibria, bounds."""
 
-from .collisions import ConstantMatrix, FrequencyModel, HardSphere, hard_sphere_frequencies
+from .collisions import ConstantMatrix, FrequencyModel, HardSphere
 from .dynamics import scaled_energies, scaled_velocities
 from .equilibrium import (
     DecayConstants,

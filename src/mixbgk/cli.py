@@ -99,7 +99,7 @@ def run(args) -> int:
             scenario = replace(scenario, **overrides)
 
         state = scenario.initial_state()
-        integrator = resolve_integrator(scenario, state)
+        integrator = resolve_integrator(scenario)
         equilibrium = steady_state(state)
         constants = decay_constants(state, scenario.model)
         out_dir = os.environ.get("MIXBGK_OUT", args.out)

@@ -33,17 +33,16 @@ with their Laplacians diag(row sums) - coupling.
 The operator core works on the temperature-free :class:`RunConstants`,
 built once per run by :func:`run_constants`.  It carries the two density
 weightings rho (for A and Z) and n (for B and Z-hat) on one leading axis
-of length 2, so each step below is one numpy call for both:
-:func:`couplings` gives alpha as (..., N, N) and the coupling stack [A, B]
-as (..., 2, N, N) at (..., N) temperatures, for either model;
-:func:`operators` adds the stack [Z, Z-hat] of scaled relaxation
-operators; :func:`heating` gives the kinetic heating of the scaled
-energies as sum_j K_ij (m_i - m_j), without forming the Laplacian of the
-kinetic coupling K.  Both integrators, the monitors, the decay constants
-and the RK4 step size go through it; the independent references the
-tests hold it to live in :mod:`mixbgk.oracles`.  Self pairs (i = j) are
-included throughout; they cancel identically in all relaxation
-differences.
+of length 2, so each step is one numpy call for both.  :func:`operators`
+evaluates the core at (..., N) temperatures, for either model: alpha as
+(..., N, N) and the stacks [A, B] of couplings and [Z, Z-hat] of scaled
+relaxation operators as (..., 2, N, N).  :func:`heating` gives the
+kinetic heating of the scaled energies at given velocities as
+sum_j K_ij (m_i - m_j), without forming the Laplacian of K.  Both
+integrators, the monitors, the decay constants and the RK4 step size go
+through it; the cross-checks the tests hold it to live in
+:mod:`mixbgk.oracles`.  Self pairs (i = j) are included throughout; they
+cancel identically in all relaxation differences.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from typing import Union
 
 import numpy as np
 
-from .species import MixtureComposition, _readonly
+from .species import _readonly
 
 # 32 pi^2 / (3 (2 pi)^{3/2}), evaluated in full float precision.
 HARD_SPHERE_PREFACTOR = 32.0 * np.pi**2 / (3.0 * (2.0 * np.pi) ** 1.5)
@@ -96,33 +95,6 @@ def _hard_sphere_factor(masses, diameters, number_densities) -> np.ndarray:
         * (diameters[:, None] + diameters[None, :]) ** 2
         * number_densities[None, :]
     )
-
-
-def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarray:
-    """Hard-sphere collision-frequency matrices lam[..., i, j].
-
-    Args:
-        species: sequence of SpeciesParams.
-        number_densities: (N,) 1/m^3.
-        temperatures: (..., N) in J; all entries must be strictly positive
-            (the square root is not Lipschitz at zero).
-
-    Returns:
-        (..., N, N) array of positive, finite frequencies.
-
-    Raises:
-        ValueError naming the first species with a nonpositive temperature.
-    """
-    temperatures = np.asarray(temperatures, dtype=float)
-    bad = ~(np.isfinite(temperatures) & (temperatures > 0.0))
-    if np.any(bad):
-        first = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(
-            f"hard-sphere frequencies need strictly positive temperatures; "
-            f"species {species[first[-1]].label!r} has T = {temperatures[first]:.6e} J"
-        )
-    composition = MixtureComposition(species, number_densities)
-    return run_constants(composition, HardSphere(), 3).frequencies(temperatures)
 
 
 def _laplacian(coupling) -> np.ndarray:
@@ -214,29 +186,20 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     )
 
 
-def couplings(temperatures, const: RunConstants):
-    """(alpha, [A, B]) at (..., N) temperatures, over any leading axes.
+def operators(temperatures, const: RunConstants):
+    """(alpha, [A, B], [Z, Z-hat]) at (..., N) temperatures, over any leading axes.
 
-    alpha is (..., N, N) and the coupling stack (..., 2, N, N).  One
-    frequency evaluation, then one w lam product, one pair sum
+    One frequency evaluation, then one w lam product, one pair sum
     s = w_i lam_ij + w_j lam_ji and one quotient for both weightings w
-    (the temperature weights beta are not formed).  Hard-sphere
-    temperatures must be positive; callers check them.
+    (beta is not formed), then Z = P^{-1/2} (D - A) P^{-1/2} and
+    Z-hat = Q^{-1/2} (F - B) Q^{-1/2}.  Hard-sphere temperatures must be
+    positive; callers check them.
     """
     scaled = const.weights * const.frequencies(temperatures)[..., None, :, :]
     transposed = scaled.swapaxes(-1, -2)
     total = scaled + transposed
-    return scaled[..., 0, :, :] / total[..., 0, :, :], scaled * transposed / total
-
-
-def operators(temperatures, const: RunConstants):
-    """(alpha, [A, B], [Z, Z-hat]) at (..., N) temperatures, over any leading axes.
-
-    The couplings of :func:`couplings` and the stack of scaled Laplacians
-    Z = P^{-1/2} (D - A) P^{-1/2}, Z-hat = Q^{-1/2} (F - B) Q^{-1/2}, both
-    (..., 2, N, N).
-    """
-    alpha, coupling = couplings(temperatures, const)
+    alpha = scaled[..., 0, :, :] / total[..., 0, :, :]
+    coupling = scaled * transposed / total
     return alpha, coupling, _laplacian(coupling) / const.scale
 
 

@@ -5,6 +5,9 @@ and ``import mixbgk`` does not load it.  Each reference takes another
 route to a quantity the operator core of :mod:`mixbgk.collisions`
 computes:
 
+* :func:`hard_sphere_frequencies` -- the hard-sphere frequency matrices
+  of a mixture at given temperatures, refusing a nonpositive temperature
+  with the name of its species;
 * :func:`assemble` -- every coupling matrix of one state, written out
   from the formulas in the :mod:`mixbgk.collisions` docstring (it shares
   only the frequencies with the core, and follows the core's operation
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import FrequencyModel, hard_sphere_frequencies, run_constants
-from .species import MomentState, temperatures_of
+from .collisions import FrequencyModel, HardSphere, run_constants
+from .species import MixtureComposition, MomentState, temperatures_of
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,33 @@ def weight_and_coupling(frequencies, weights):
     transposed = scaled.swapaxes(-1, -2)
     total = scaled + transposed
     return scaled / total, scaled * transposed / total
+
+
+def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarray:
+    """Hard-sphere collision-frequency matrices lam[..., i, j].
+
+    Args:
+        species: sequence of SpeciesParams.
+        number_densities: (N,) 1/m^3.
+        temperatures: (..., N) in J; all entries must be strictly positive
+            (the square root is not Lipschitz at zero).
+
+    Returns:
+        (..., N, N) array of positive, finite frequencies.
+
+    Raises:
+        ValueError naming the first species with a nonpositive temperature.
+    """
+    temperatures = np.asarray(temperatures, dtype=float)
+    bad = ~(np.isfinite(temperatures) & (temperatures > 0.0))
+    if np.any(bad):
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"hard-sphere frequencies need strictly positive temperatures; "
+            f"species {species[first[-1]].label!r} has T = {temperatures[first]:.6e} J"
+        )
+    composition = MixtureComposition(species, number_densities)
+    return run_constants(composition, HardSphere(), 3).frequencies(temperatures)
 
 
 def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:

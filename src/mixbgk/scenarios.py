@@ -103,7 +103,7 @@ def _derived_horizon(eps, velocity_rate, energy_rate) -> float:
     return HORIZON_EFOLDS * eps / min(velocity_rate, energy_rate)
 
 
-def resolve_integrator(config: ScenarioConfig, state=None) -> IntegratorConfig:
+def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
     """Fill in dt / t_final defaults and build the integrator settings.
 
     The default horizon covers HORIZON_EFOLDS e-folds of the slowest
@@ -111,9 +111,10 @@ def resolve_integrator(config: ScenarioConfig, state=None) -> IntegratorConfig:
     e-folds of the conservative velocity rate for backward Euler and a
     stability-limited step for RK4.  A derived RK4 horizon is capped at
     RK4_MAX_STEPS steps, whether the step was derived or given; an
-    explicit horizon is never capped.
+    explicit horizon is never capped.  The rates are those of
+    ``config.initial_state()``.
     """
-    state = config.initial_state() if state is None else state
+    state = config.initial_state()
 
     dt = config.dt
     t_final = config.t_final
@@ -191,9 +192,13 @@ _KNOWN_KEYS = _PER_SPECIES_KEYS + (
 
 def _parse_floats(key: str, tokens: list[str]) -> list[float]:
     try:
-        return [float(tok) for tok in tokens]
+        values = [float(tok) for tok in tokens]
     except ValueError as err:
         raise ScenarioError(f"key {key!r}: {err}") from None
+    bad = [tok for tok, value in zip(tokens, values) if not np.isfinite(value)]
+    if bad:
+        raise ScenarioError(f"key {key!r}: value {bad[0]!r} is not finite")
+    return values
 
 
 def _require_per_species(key, values, labels):

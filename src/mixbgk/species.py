@@ -30,8 +30,8 @@ def energy_to_kelvin(temperature_joule):
     return temperature_joule / BOLTZMANN_J_PER_K
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

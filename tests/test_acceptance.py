@@ -51,7 +51,7 @@ def run_preset(k, method):
     scenario = replace(presets()[k], method=method)
     state = scenario.initial_state()
     model = scenario.model
-    cfg = resolve_integrator(scenario, state)
+    cfg = resolve_integrator(scenario)
     start = time.perf_counter()
     trajectory = simulate(state, cfg, model)
     wall = time.perf_counter() - start

@@ -257,6 +257,23 @@ class TestParseConfig:
         assert repr(name) in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg"]
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("temperatures_K = 500 1500", "temperatures_K = 500 nan", "temperatures_K"),
+            ("temperatures_K = 500 1500", "temperatures_K = inf 1500", "temperatures_K"),
+            ("-10 5 0", "-10 nan 0", "velocities_ms"),
+        ],
+        ids=["nan_temperature", "inf_temperature", "nan_velocity"],
+    )
+    def test_non_finite_value_names_its_key(self, old, new, key, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        with pytest.raises(ScenarioError, match=f"key '{key}'.*not finite"):
+            parse_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_label_the_csv_can_carry_round_trips(self, tmp_path):
         # T_min_K is also a totals column; the reader finds labels by E_<label>.
         path = tmp_path / "minimum.cfg"
@@ -463,8 +480,17 @@ class TestCliRun:
         # the trajectory's own monitors reach the same verdict
         scenario = parse_config(path)
         state = scenario.initial_state()
-        trajectory = simulate(state, resolve_integrator(scenario, state), scenario.model)
+        trajectory = simulate(state, resolve_integrator(scenario), scenario.model)
         assert not all(report.velocity_bounds_ok for report in trajectory.monitors)
+
+    def test_large_backward_euler_step_fails_the_velocity_envelope(self, tmp_path, capsys):
+        # rate * dt ~ 5: the per-step damping 1/(1 + z dt) cannot keep up with
+        # exp(-z t), by far more than the rounding allowance.
+        code = main(["run", "--example", "2", "--dt", "7.3e-13", "--out", str(tmp_path)])
+        assert code == 2
+        assert "verification: FAIL" in capsys.readouterr().out
+        summary = (tmp_path / "example2_summary.txt").read_text()
+        assert "envelope_velocity -> FAIL" in summary
 
     def test_hard_sphere_in_two_dimensions_exits_1(self, tmp_path, capsys):
         path = tmp_path / "planar.cfg"
@@ -608,3 +634,51 @@ class TestCliRun:
         assert np.all(
             np.abs(table2.velocities[-1, :, 0] - u_target) <= 0.001 * abs(u_target)
         )
+
+
+# Argon, krypton and xenon at one temperature and one velocity: a mixture
+# that starts at its equilibrium, so the envelopes are rounding-sized.
+EQUILIBRIUM_CONFIG = """\
+labels = Ar Kr Xe
+masses_kg = 66.335209e-27 139.14984e-27 218.01714e-27
+diameters_m = 3.659e-10 4.199e-10 4.939e-10
+number_densities_m3 = 3e28 2e28 1e28
+temperatures_K = 1000 1000 1000
+velocities_ms = 100 0 0 ; 100 0 0 ; 100 0 0
+"""
+
+SINGLE_SPECIES_CONFIG = """\
+labels = Ar
+masses_kg = 66.335209e-27
+diameters_m = 3.659e-10
+number_densities_m3 = 3e28
+temperatures_K = 1000
+velocities_ms = 100 0 0
+"""
+
+
+class TestEnvelopeRoundingAllowance:
+    @pytest.mark.parametrize("text", [EQUILIBRIUM_CONFIG, SINGLE_SPECIES_CONFIG],
+                             ids=["equilibrium_start", "single_species"])
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_rounding_sized_deviations_pass(self, text, method, tmp_path):
+        path = tmp_path / "start.cfg"
+        path.write_text(text)
+        code = main(["run", "--config", str(path), "--method", method, "--out", str(tmp_path)])
+        summary = (tmp_path / "start_summary.txt").read_text()
+        assert "FAIL" not in summary
+        assert code == 0
+
+    def test_a_perturbed_energy_still_fails(self, tmp_path):
+        path = tmp_path / "start.cfg"
+        path.write_text(EQUILIBRIUM_CONFIG)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        scenario = parse_config(path)
+        table = read_trajectory_csv(tmp_path / "start_trajectory.csv")
+        assert "overall -> PASS" in monitor_block(table, scenario)
+        for species in range(3):
+            perturbed = read_trajectory_csv(tmp_path / "start_trajectory.csv")
+            perturbed.energies[len(perturbed.times) // 2, species] *= 1.0 + 1e-12
+            lines = monitor_block(perturbed, scenario)
+            assert "envelope_energy -> FAIL" in lines
+            assert "energy_drift_max" in lines[2] and lines[2].endswith("PASS")

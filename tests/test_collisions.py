@@ -12,16 +12,16 @@ from mixbgk import (
     HardSphere,
     MixtureComposition,
     SpeciesParams,
-    hard_sphere_frequencies,
     presets,
     state_from_temperatures,
     temperatures_of,
 )
-from mixbgk.collisions import _laplacian, couplings, heating, operators, run_constants
+from mixbgk.collisions import _laplacian, heating, operators, run_constants
 from mixbgk.equilibrium import eigenvalue_brackets
 from mixbgk.oracles import (
     assemble,
     closed_form_couplings,
+    hard_sphere_frequencies,
     pairwise_mixture,
     thermal_speed,
     weight_and_coupling,
@@ -302,7 +302,7 @@ class TestStackedRecords:
         states = self._records(rng, comp)
         const = run_constants(comp, HardSphere(), 3)
         velocities = np.array([s.velocities for s in states])
-        alpha, coupling = couplings(np.array([temperatures_of(s) for s in states]), const)
+        alpha, coupling, _ = operators(np.array([temperatures_of(s) for s in states]), const)
         stacked = heating(coupling[:, 1], alpha, velocities, const, 0.5)
         assert stacked.shape == (6, 4)
         for r in range(len(states)):
@@ -383,7 +383,7 @@ class TestStackedCore:
             self._temperatures(rng, size, None),
         )
         const = run_constants(comp, model, 3)
-        alpha, coupling = couplings(temperatures_of(state), const)
+        alpha, coupling, _ = operators(temperatures_of(state), const)
         rate = 0.5 / 0.3
         source = heating(coupling[1], alpha, state.velocities, const, rate)
 

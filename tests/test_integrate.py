@@ -462,7 +462,7 @@ def preset2_runs():
     for method in ("be", "rk4"):
         scenario = replace(presets()[2], method=method)
         state = scenario.initial_state()
-        runs[method] = simulate(state, resolve_integrator(scenario, state), scenario.model)
+        runs[method] = simulate(state, resolve_integrator(scenario), scenario.model)
     return runs
 
 
@@ -537,7 +537,7 @@ class TestOneSteppingPath:
         scenario = presets()[2]
         trajectory = preset2_runs["be"]
         state = scenario.initial_state()
-        cfg = resolve_integrator(scenario, state)
+        cfg = resolve_integrator(scenario)
         for r in range(1, 21):
             state = one_step(state, cfg, scenario.model)
             np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
@@ -565,7 +565,7 @@ class TestOneSteppingPath:
         if case.startswith("preset"):
             scenario = replace(presets()[int(case[-1])], method="rk4")
             state, model = scenario.initial_state(), scenario.model
-            cfg = resolve_integrator(scenario, state)
+            cfg = resolve_integrator(scenario)
             cfg = replace(cfg, t_final=20 * cfg.dt)
         else:
             state, model, cfg = self._power_of_two_case(case)

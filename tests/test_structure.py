@@ -17,6 +17,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # outside that module would be a second assembly path.
 ASSEMBLY_HELPERS = {"_hard_sphere_factor", "_laplacian"}
 
+# The public functions of ``collisions``: one evaluation of the operator core
+# at given temperatures, the heating at given velocities, and the run
+# constants they share.
+CORE_ENTRIES = {"run_constants", "operators", "heating"}
+
+# Cross-check-only names that no runtime module may define or use.
+ORACLE_ONLY = {"hard_sphere_frequencies", "couplings"}
+
 # The one function of ``integrate`` that calls LAPACK gesv directly.
 LAPACK_HELPER = "_solve"
 
@@ -48,6 +56,33 @@ def test_assembly_helpers_stay_in_collisions():
         if found and name != "collisions.py":
             outside[name] = sorted(found)
     assert outside == {}
+
+
+def test_collisions_has_one_way_into_the_core():
+    core = _modules()["collisions.py"].body
+    public = {
+        node.name for node in core
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public == CORE_ENTRIES
+
+
+def test_oracle_only_names_stay_out_of_the_runtime():
+    modules = _modules()
+    definers = sorted(
+        (name, node.name)
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ORACLE_ONLY
+    )
+    assert definers == [("oracles.py", "hard_sphere_frequencies")]
+    referring = sorted(
+        name
+        for name, tree in modules.items()
+        if name != "oracles.py" and ORACLE_ONLY.intersection(_referenced_names(tree))
+    )
+    assert referring == []
+    assert ORACLE_ONLY.isdisjoint(mixbgk.__all__)
 
 
 def test_no_runtime_module_refers_to_the_oracles():
