@@ -116,8 +116,10 @@ class RunConstants:
     ``weights`` stacks the density weightings rho and n of A and B as
     (2, N, 1) columns; ``scale`` stacks sqrt(rho) (x) sqrt(rho) and
     sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians Z and Z-hat;
-    ``mass_gaps`` is m_i - m_j.  The densities and masses are the
-    composition's own cached arrays.
+    ``mass_gaps`` is m_i - m_j.  ``momentum_map`` and ``energy_map`` take a
+    scaled implicit-step increment to the physical one with no change of
+    total momentum or energy (rho^T M_rho = 1^T M_n = 0).  The densities
+    and masses are the composition's own cached arrays.
     """
 
     hard_sphere: bool
@@ -127,8 +129,8 @@ class RunConstants:
     number_densities: np.ndarray  # (N,)
     sqrt_rho: np.ndarray  # (N,)
     sqrt_n: np.ndarray  # (N,)
-    total_mass_density: float  # sum of rho
-    total_number_density: float  # sum of n
+    momentum_map: np.ndarray  # (N, N) M_rho = (I - 1 rho^T / sum rho) P^{-1/2}
+    energy_map: np.ndarray  # (N, N) M_n = (I - n 1^T / sum n) Q^{1/2}
     weights: np.ndarray  # (2, N, 1)
     scale: np.ndarray  # (2, N, N)
     mass_gaps: np.ndarray  # (N, N)
@@ -166,23 +168,23 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         factor = model.frequencies
     else:
         raise TypeError(f"unknown frequency model: {model!r}")
-    masses = composition.masses
-    sqrt_rho = np.sqrt(composition.mass_densities)
-    sqrt_n = np.sqrt(composition.number_densities)
+    masses, rho, n = composition.masses, composition.mass_densities, composition.number_densities
+    sqrt_rho, sqrt_n = np.sqrt(rho), np.sqrt(n)
+    identity = np.eye(composition.size)
     return RunConstants(
         hard_sphere=hard_sphere,
         frequency_factor=factor,
         masses=masses,
-        mass_densities=composition.mass_densities,
-        number_densities=composition.number_densities,
+        mass_densities=rho,
+        number_densities=n,
         sqrt_rho=sqrt_rho,
         sqrt_n=sqrt_n,
-        total_mass_density=composition.mass_densities.sum(),
-        total_number_density=composition.number_densities.sum(),
-        weights=np.stack([composition.mass_densities, composition.number_densities])[:, :, None],
+        momentum_map=(identity - rho / rho.sum()) / sqrt_rho,
+        energy_map=(identity - n[:, None] / n.sum()) * sqrt_n,
+        weights=np.stack([rho, n])[:, :, None],
         scale=np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)]),
         mass_gaps=masses[:, None] - masses[None, :],
-        identity=np.eye(composition.size),
+        identity=identity,
     )
 
 

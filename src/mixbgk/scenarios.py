@@ -276,10 +276,8 @@ def parse_config(path) -> ScenarioConfig:
             return default
         if len(raw[key]) != 1:
             raise ScenarioError(f"{path}: key {key!r} expects a single value")
-        try:
-            return cast(raw[key][0])
-        except ValueError as err:
-            raise ScenarioError(f"{path}: key {key!r}: {err}") from None
+        # A number (dt_s, t_final_s, eps) must be finite, like every value of the file.
+        return _parse_floats(key, raw[key])[0] if cast is float else cast(raw[key][0])
 
     kind = scalar("model", "hard_sphere", str)
     constant = None

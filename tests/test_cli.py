@@ -263,8 +263,15 @@ class TestParseConfig:
             ("temperatures_K = 500 1500", "temperatures_K = 500 nan", "temperatures_K"),
             ("temperatures_K = 500 1500", "temperatures_K = inf 1500", "temperatures_K"),
             ("-10 5 0", "-10 nan 0", "velocities_ms"),
+            ("method = be", "method = be\ndt_s = inf", "dt_s"),
+            ("method = be", "method = be\ndt_s = nan", "dt_s"),
+            ("method = be", "method = be\nt_final_s = inf", "t_final_s"),
+            ("method = be", "method = be\nt_final_s = nan", "t_final_s"),
+            ("eps = 0.5", "eps = inf", "eps"),
+            ("eps = 0.5", "eps = nan", "eps"),
         ],
-        ids=["nan_temperature", "inf_temperature", "nan_velocity"],
+        ids=["nan_temperature", "inf_temperature", "nan_velocity", "inf_dt", "nan_dt",
+             "inf_t_final", "nan_t_final", "inf_eps", "nan_eps"],
     )
     def test_non_finite_value_names_its_key(self, old, new, key, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -456,7 +463,22 @@ class TestCliRun:
         path.write_text(GOOD_CONFIG.replace("eps = 0.5", f"eps = {eps}"))
         code = main(["run", "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
-        assert "error: eps must be positive" in capsys.readouterr().err
+        # The parser refuses a non-finite number itself and names its key.
+        expected = "error: key 'eps'" if eps == "nan" else "error: eps must be positive"
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--dt", "dt must be positive and finite"),
+         ("--t-final", "t_final must be nonnegative and finite"),
+         ("--eps", "eps must be positive and finite")],
+        ids=["dt", "t_final", "eps"],
+    )
+    def test_non_finite_setting_is_named_truly(self, option, message, value, tmp_path, capsys):
+        code = main(["run", "--example", "2", option, value, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: {message}, got {value}" in capsys.readouterr().err
 
     def test_conflicting_sources_exit_1(self, tmp_path):
         code = main(
@@ -657,6 +679,20 @@ velocities_ms = 100 0 0
 """
 
 
+# Two species of very different density at one temperature and one velocity:
+# an equilibrium start whose default step takes (dt/eps) times the largest
+# eigenvalue of Z to about 24, and of Z-hat to about 50.
+DISPARATE_EQUILIBRIUM_CONFIG = """\
+labels = a b
+masses_kg = 1.2135449509165878e-26 4.1173786279061756e-26
+diameters_m = 4.946245158333872e-10 2.886698074762746e-10
+number_densities_m3 = 1.0589003379490899e+28 1.8015146340918628e+26
+temperatures_K = 1859.0429543693763 1859.0429543693763
+velocities_ms = -115.97204919342202 152.87533547583277 87.58650153923055 ; \
+-115.97204919342202 152.87533547583277 87.58650153923055
+"""
+
+
 class TestEnvelopeRoundingAllowance:
     @pytest.mark.parametrize("text", [EQUILIBRIUM_CONFIG, SINGLE_SPECIES_CONFIG],
                              ids=["equilibrium_start", "single_species"])
@@ -682,3 +718,16 @@ class TestEnvelopeRoundingAllowance:
             lines = monitor_block(perturbed, scenario)
             assert "envelope_energy -> FAIL" in lines
             assert "energy_drift_max" in lines[2] and lines[2].endswith("PASS")
+
+    def test_stiff_equilibrium_start_passes_every_envelope(self, tmp_path):
+        # A step solved for the new state rounds by about (dt/eps) ||Z|| eps |u|,
+        # beyond the envelope allowance here; the increment of an equilibrium
+        # step is itself rounding-sized.
+        path = tmp_path / "start.cfg"
+        path.write_text(DISPARATE_EQUILIBRIUM_CONFIG)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+        summary = (tmp_path / "start_summary.txt").read_text()
+        for name in ("velocity", "energy", "temperature"):
+            assert f"envelope_{name} -> PASS" in summary
+        assert "FAIL" not in summary
+        assert code == 0

@@ -685,6 +685,13 @@ class TestIntegratorConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["dt", "t_final", "eps"])
+    def test_non_finite_settings_are_called_non_finite(self, name, value):
+        settings = {"dt": 0.1, "t_final": 1.0, "eps": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be [a-z]+ and finite, got {value}$"):
+            IntegratorConfig(**settings)
+
 
 class TestMonitorFloorAndBounds:
     def test_preset_trajectories_respect_floor_and_bounds(self, preset_states):
@@ -733,6 +740,85 @@ class TestStiffConservation:
                 assert report.total_energy_drift <= 1e-9
                 assert report.velocity_bounds_ok
                 assert report.above_floor
+
+
+class TestIncrementForm:
+    """Backward Euler solves for the step's increment and maps it with M_rho and M_n.
+
+    Neither map changes a total in exact arithmetic: rho^T M_rho = 0 and
+    1^T M_n = 0.  Computed, each entry of M_rho = (I - 1 rho^T / sum rho)
+    P^{-1/2} carries a rounding error of at most gamma_{N+3} (|I| + 1 rho^T /
+    sum rho) P^{-1/2}, a sum of N terms, a quotient, a difference, a square
+    root and a quotient (gamma_k = k eps / (1 - k eps), Higham, ASNA, ch. 3),
+    and that bound's rho-weighted column sums are 2 sqrt(rho)^T; M_n is the
+    same with n for rho and 1 for the weights, and Q^{1/2} for P^{-1/2}.
+    """
+
+    def test_maps_carry_no_total(self):
+        eps = np.finfo(float).eps
+        for n_species in (1, 3, 10, 30):
+            rng = np.random.default_rng([4, n_species])
+            composition = random_state(rng, n_species).composition
+            const = run_constants(composition, HardSphere(), 3)
+            rho, n = composition.mass_densities, composition.number_densities
+            # gamma_{N+3} from the maps, gamma_N from the test's own dot product.
+            bound = 2.0 * (2 * n_species + 3) * eps
+            assert np.all(abs(rho @ const.momentum_map) <= bound * np.sqrt(rho))
+            assert np.all(abs(np.ones(n_species) @ const.energy_map) <= bound * np.sqrt(n))
+
+    def test_a_steady_stiff_step_makes_one_core_call(self, monkeypatch):
+        moving = random_state(np.random.default_rng(21), 3)
+        state = state_from_temperatures(
+            moving.composition,
+            np.tile(moving.velocities[0], (3, 1)),
+            np.full(3, temperatures_of(moving).mean()),
+        )
+        dt = 500.0 / conservative_decay_rate(state, HardSphere())[0]
+        core, calls = integrate_mod.operators, []
+        monkeypatch.setattr(
+            integrate_mod, "operators", lambda *args: calls.append(1) or core(*args)
+        )
+        trajectory = simulate(state, IntegratorConfig(dt=dt, t_final=20 * dt), HardSphere())
+        # An equilibrium step's right-hand sides are rounding, which the maps
+        # keep rounding-sized: the first sweep already meets PICARD_TOL.
+        assert len(trajectory.times) == 21
+        assert len(calls) == 20
+        np.testing.assert_array_equal(trajectory.sweeps[1:], 1)
+
+    @pytest.mark.parametrize("rate_dt", [0.05, 5.0, 500.0, 5e4])
+    @pytest.mark.parametrize("n_species", [3, 10, 30])
+    def test_one_step_keeps_the_totals_without_restoring_them(self, n_species, rate_dt):
+        """Sum rho u and sum E after one step, bounded by the rounding of one M @ d.
+
+        A step returns u = fl(u0 - fl(M dW)) with the stored M = M_rho + E.
+        In exact arithmetic rho^T M_rho = 0, so rho^T (u - u0) is rounding:
+        rho^T E dW, bounded by gamma_{N+3} 2 sqrt(rho)^T |dW| (class
+        docstring); the product's own error F, |F| <= gamma_N |M| |dW|, whose
+        rho-weighted sum is at most gamma_N 2 sqrt(rho)^T |dW|; and the
+        difference with u0, at most eps rho^T |u|.  To first order in eps,
+        dW = P^{1/2} (u0 - u), as the sqrt(rho)-part of an exact increment
+        vanishes, so sqrt(rho)^T |dW| = rho^T |u - u0|.  The test's two
+        totals add gamma_N rho^T (|u| + |u0|).  With gamma_k = k eps,
+
+            |fl(rho^T u) - fl(rho^T u0)|
+                <= eps [(4N + 6) rho^T |u - u0| + (N + 1) rho^T |u| + N rho^T |u0|],
+
+        per velocity component, and the same for sum E with 1 for rho and
+        dxi = Q^{-1/2} (e0 - e).
+        """
+        eps = np.finfo(float).eps
+        cell = [0.05, 5.0, 500.0, 5e4].index(rate_dt)
+        for seed in range(3):
+            state = random_state(np.random.default_rng([seed, n_species, cell, 19]), n_species)
+            dt = rate_dt / conservative_decay_rate(state, HardSphere())[0]
+            stepped = one_step(state, IntegratorConfig(dt=dt, t_final=dt), HardSphere())
+            weights = (state.composition.mass_densities, np.ones(n_species))
+            for w, before, after in zip(weights, (state.velocities, state.energies),
+                                        (stepped.velocities, stepped.energies)):
+                bound = eps * ((4 * n_species + 6) * (w @ abs(after - before))
+                               + (n_species + 1) * (w @ abs(after))
+                               + n_species * (w @ abs(before)))
+                assert np.all(abs(w @ after - w @ before) <= bound), (seed, w @ after - w @ before)
 
 
 def _reference_backward_errors(state, u, e, dt, model):
