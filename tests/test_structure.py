@@ -154,6 +154,14 @@ def test_simulate_is_the_one_stepping_loop():
     assert sorted(name for name, args in private.items() if "comp" in args) == []
 
 
+def _picard_solve():
+    [picard] = [
+        node for node in _modules()["integrate.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_picard_solve"
+    ]
+    return picard
+
+
 def test_lapack_is_reached_through_one_helper():
     # numpy.linalg's private gufunc module is imported once and called by
     # LAPACK_HELPER alone, whose tests hold it to np.linalg.solve; the
@@ -165,12 +173,13 @@ def test_lapack_is_reached_through_one_helper():
         if "_umath_linalg" in set(_referenced_names(node))
     )
     assert users == [("integrate.py", "ImportFrom"), ("integrate.py", LAPACK_HELPER)]
-    [picard] = [
-        node for node in _modules()["integrate.py"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "_picard_solve"
-    ]
-    names = set(_referenced_names(picard))
+    names = set(_referenced_names(_picard_solve()))
     assert LAPACK_HELPER in names and "solve" not in names  # no np.linalg.solve
+
+
+def test_picard_loop_has_one_exit():
+    # PICARD_TOL ends the iteration; the only other way out is a raise.
+    assert sum(isinstance(node, ast.Return) for node in ast.walk(_picard_solve())) == 1
 
 
 def test_readme_scenario_block_names_every_config_key():
