@@ -137,10 +137,7 @@ def run(args) -> int:
             f"covering {integrator.t_final / horizon:.2%} of the derived horizon; "
             "set --t-final to run further"
         )
-    print(
-        f"records = {len(table.times)}, max Picard sweeps per step = {trajectory.sweeps.max()}, "
-        f"halved steps = {np.count_nonzero(trajectory.substeps > 1)}"
-    )
+    print(f"records = {len(table.times)}, max Picard sweeps per step = {trajectory.sweeps.max()}")
     passed = summary.rstrip().splitlines()[-1].endswith("PASS")
     print("verification: " + ("PASS" if passed else "FAIL"))
     return EXIT_OK if passed else EXIT_MONITOR

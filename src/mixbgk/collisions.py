@@ -118,8 +118,10 @@ class RunConstants:
     sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians Z and Z-hat;
     ``mass_gaps`` is m_i - m_j.  ``momentum_map`` and ``energy_map`` take a
     scaled implicit-step increment to the physical one with no change of
-    total momentum or energy (rho^T M_rho = 1^T M_n = 0).  The densities
-    and masses are the composition's own cached arrays.
+    total momentum or energy (rho^T M_rho = 1^T M_n = 0).  ``kernels``
+    stacks q q^T for the unit null vectors sqrt(rho)/|sqrt(rho)| of Z and
+    sqrt(n)/|sqrt(n)| of Z-hat.  The densities and masses are the
+    composition's own cached arrays.
     """
 
     hard_sphere: bool
@@ -133,6 +135,7 @@ class RunConstants:
     energy_map: np.ndarray  # (N, N) M_n = (I - n 1^T / sum n) Q^{1/2}
     weights: np.ndarray  # (2, N, 1)
     scale: np.ndarray  # (2, N, N)
+    kernels: np.ndarray  # (2, N, N)
     mass_gaps: np.ndarray  # (N, N)
     identity: np.ndarray  # (N, N)
 
@@ -171,6 +174,7 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     masses, rho, n = composition.masses, composition.mass_densities, composition.number_densities
     sqrt_rho, sqrt_n = np.sqrt(rho), np.sqrt(n)
     identity = np.eye(composition.size)
+    scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
     return RunConstants(
         hard_sphere=hard_sphere,
         frequency_factor=factor,
@@ -182,7 +186,8 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         momentum_map=(identity - rho / rho.sum()) / sqrt_rho,
         energy_map=(identity - n[:, None] / n.sum()) * sqrt_n,
         weights=np.stack([rho, n])[:, :, None],
-        scale=np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)]),
+        scale=scale,
+        kernels=scale / np.stack([rho.sum(), n.sum()])[:, None, None],
         mass_gaps=masses[:, None] - masses[None, :],
         identity=identity,
     )

@@ -14,18 +14,18 @@ relative change drops below ``PICARD_TOL``, the one exit (at most
 ``PICARD_MAX_ITER`` solve pairs, else :class:`PicardDivergenceError`).
 Each increment reaches the state through a projection that removes any
 change of total momentum and total energy, so both are conserved by
-construction.  The velocity system is also an M-matrix system, so the
-componentwise velocity envelopes survive discretization.
+construction.  The null vectors of the two systems are shifted to the
+scale of the operators, so they stay well conditioned at any step.  The
+velocity system is also an M-matrix system, so the componentwise
+velocity envelopes survive discretization.
 
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
-Both steppers map (u, e, dt, eps, const) to (u, e, sweeps, substeps), so
-the one loop of :func:`simulate` records every step of either method.
-Both evaluate the operator core only at admissible temperatures: finite,
-and positive for hard spheres.  Leaving that set, an overflowed
-(singular) implicit system or a non-finite RK4 result raises
-RealizabilityError; backward Euler first halves the step, up to
-``_MAX_HALVINGS`` times.
+Both steppers map (u, e, dt, eps, const) to (u, e, sweeps), so the one
+loop of :func:`simulate` records every step of either method.  Both
+evaluate the operator core only at admissible temperatures: finite, and
+positive for hard spheres.  Leaving that set, an overflowed implicit
+system or a non-finite RK4 result raises RealizabilityError.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .collisions import FrequencyModel, heating, operators, run_constants
 from .equilibrium import _component_bound
 from .species import MixtureComposition, MomentState, _temperatures, is_realizable
 
-_MAX_HALVINGS = 10
 PICARD_TOL = 1e-12  # the joint relative change that ends a Picard iteration
 PICARD_MAX_ITER = 100  # its cap on solve pairs
 
@@ -121,9 +120,7 @@ class Trajectory:
     """The R records of a run as read-only arrays, record 0 the initial state.
 
     ``sweeps`` counts the Picard solve pairs of the step that ended at
-    each record, summed over the substeps of a halved step, and
-    ``substeps`` the backward-Euler substeps of that step (1 unless it
-    was halved); both are 0 for record 0 and for RK4.  ``states`` and
+    each record, 0 for record 0 and for RK4.  ``states`` and
     ``monitors`` are views built on first use.
     """
 
@@ -131,11 +128,10 @@ class Trajectory:
     velocities: np.ndarray  # (R, N, d) m/s
     energies: np.ndarray  # (R, N) J/m^3
     sweeps: np.ndarray  # (R,) int
-    substeps: np.ndarray  # (R,) int
     composition: MixtureComposition
 
     def __post_init__(self):
-        for values in (self.times, self.velocities, self.energies, self.sweeps, self.substeps):
+        for values in (self.times, self.velocities, self.energies, self.sweeps):
             values.setflags(write=False)
 
     @cached_property
@@ -199,27 +195,39 @@ def _solve(system, rhs):
 
 
 def _picard_solve(u, e, dt, eps, const):
-    """Solve one implicit step from (u, e); returns (velocities, energies, sweeps).
+    """Advance (u, e) by dt with backward Euler; returns (velocities, energies, sweeps).
 
     Both systems are solved for the step's increment in the symmetrically
-    scaled variables W = P^{1/2} U and xi = Q^{-1/2} E,
+    scaled variables W = P^{1/2} U and xi = Q^{-1/2} E, with h = dt/eps,
 
-        (I + (dt/eps) Z) dW = (dt/eps) Z W_old,  U_new = U_old - M_rho dW
-        (I + (dt/eps) Zh) dxi = (dt/eps) Zh xi_old - (dt/2eps) Q^{-1/2} (G - C) m,
+        (I + h Z + sigma q q^T) dW = h Z W_old,  U_new = U_old - M_rho dW
+        (I + h Zh + sigma q q^T) dxi = h Zh xi_old - (h/2) Q^{-1/2} (G - C) m,
                                                  E_new = E_old - M_n dxi,
 
-    exact rewritings of the state systems (I + (dt/eps) Z) W_new = W_old
-    and its energy twin, symmetric positive definite.  The rounding of a
-    solve scales with the increment, not with the state, so the joint
-    relative change falls below PICARD_TOL even at rate * dt >> 1, and
-    that is the one way the iteration ends; a step at equilibrium ends
-    after one sweep.  The maps M_rho and M_n of ``const`` conserve total
-    momentum and energy by construction.  Each sweep makes one call of
-    the operator core and one of the heating, the latter with the new
-    velocities, and calls LAPACK gesv through :func:`_solve` for the two
-    systems; everything temperature-free comes from ``const``.
+    exact rewritings of the state systems (I + h Z) W_new = W_old and
+    its energy twin, symmetric positive definite.  q q^T (``const.kernels``)
+    projects onto the null vector sqrt(rho) of Z (sqrt(n) of Zh), along
+    which I + h Z keeps an eigenvalue 1 that rounding loses once
+    h * lambda_max nears 1/eps_mach.  Neither right-hand side has a
+    component along q and M_rho q = M_n q = 0, so the shift leaves the
+    update the same in exact arithmetic while it lifts that mode to the
+    scale of the operator (Bochev & Lehoucq, SIAM Review 47, 2005): both
+    systems stay well conditioned at any step.  sigma, formed once per
+    step, is the smallest diagonal entry of h Z (h Zh) at its start, which
+    bounds each entry of sigma q q^T by the diagonal at its row and column.
+
+    The rounding of a solve scales with the increment, not with the
+    state, so the joint relative change falls below PICARD_TOL even at
+    rate * dt >> 1, and that is the one way the iteration ends; a step at
+    equilibrium ends after one sweep.  A non-finite iterate (an overflowed
+    system) raises RealizabilityError.  The maps M_rho and
+    M_n of ``const`` conserve total momentum and energy by construction.
+    Each sweep makes one call of the operator core and one of the
+    heating, the latter with the new velocities, and calls LAPACK gesv
+    through :func:`_solve` for the two systems; everything
+    temperature-free comes from ``const``.
     """
-    sqrt_rho, sqrt_n, identity = const.sqrt_rho[:, None], const.sqrt_n, const.identity
+    sqrt_rho, sqrt_n = const.sqrt_rho[:, None], const.sqrt_n
     rate = dt / eps
     heating_rate = 0.5 * dt / eps
 
@@ -232,7 +240,11 @@ def _picard_solve(u, e, dt, eps, const):
         alpha, coupling, z = operators(temps, const)
 
         rate_z = rate * z
-        systems = identity + rate_z  # the momentum and the energy system
+        if sweep == 1:  # I + sigma q q^T, from the start-of-step operators
+            diagonal = rate_z.reshape(2, 1, -1)[..., :: len(u) + 1]  # (2, 1, N)
+            sigma = np.minimum.reduce(diagonal, axis=2, keepdims=True)
+            shifted_identity = const.identity + sigma * const.kernels
+        systems = shifted_identity + rate_z  # the momentum and the energy system
         try:
             # ndarray.dot: the same products as @, at half its call cost on N x N.
             u_new = u - const.momentum_map.dot(_solve(systems[0], rate_z[0].dot(w_old)))
@@ -243,7 +255,10 @@ def _picard_solve(u, e, dt, eps, const):
         except np.linalg.LinAlgError as err:  # an overflowed system
             raise RealizabilityError(f"implicit system: {err}") from err
 
-        residual = max(_relative_change(u_new, u_k), _relative_change(e_new, e_k))
+        change_u, change_e = _relative_change(u_new, u_k), _relative_change(e_new, e_k)
+        if not (change_u < np.inf and change_e < np.inf):  # a non-finite iterate gives NaN
+            raise RealizabilityError(f"implicit system: non-finite solution at dt = {dt:.6e}")
+        residual = max(change_u, change_e)
         u_k, e_k = u_new, e_new
         if residual < PICARD_TOL:
             return u_k, e_k, sweep
@@ -254,27 +269,8 @@ def _picard_solve(u, e, dt, eps, const):
     )
 
 
-def _be_advance(u, e, dt, eps, const, depth=0):
-    """Advance (u, e) by dt with backward Euler, halving on realizability loss.
-
-    Returns (velocities, energies, sweeps, substeps), the last two summed
-    over the substeps of a halved step.  The totals need no restoring:
-    each sweep's update is an increment mapped by M_rho and M_n, which
-    leave total momentum and energy unchanged up to the rounding of that
-    one product.
-    """
-    try:
-        return (*_picard_solve(u, e, dt, eps, const), 1)
-    except RealizabilityError:
-        if depth >= _MAX_HALVINGS:
-            raise
-        u, e, sweeps_a, parts_a = _be_advance(u, e, 0.5 * dt, eps, const, depth + 1)
-        u, e, sweeps_b, parts_b = _be_advance(u, e, 0.5 * dt, eps, const, depth + 1)
-        return u, e, sweeps_a + sweeps_b, parts_a + parts_b
-
-
 def _rk4_advance(u, e, dt, eps, const):
-    """One classical RK4 step of (u, e); returns (velocities, energies, 0, 0).
+    """One classical RK4 step of (u, e); returns (velocities, energies, 0).
 
     The stages run on one flat vector y = [W.ravel(), xi], W = P^{1/2} U
     and xi = Q^{-1/2} E,
@@ -308,7 +304,7 @@ def _rk4_advance(u, e, dt, eps, const):
         raise RealizabilityError(
             f"RK4 step at dt = {dt:.6e}: velocities and energies must be finite"
         )
-    return y[:n_vel].reshape(shape) / sqrt_rho, y[n_vel:] * sqrt_n, 0, 0
+    return y[:n_vel].reshape(shape) / sqrt_rho, y[n_vel:] * sqrt_n, 0
 
 
 @dataclass(frozen=True)
@@ -386,8 +382,8 @@ def simulate(
         raise RealizabilityError("initial state is not realizable", time=0.0)
     const = run_constants(initial.composition, model, initial.dimension)
     _admissible_temperatures(initial.velocities, initial.energies, const, "initial", time=0.0)
-    advance = _be_advance if cfg.method == "be" else _rk4_advance
-    records = [(0.0, initial.velocities, initial.energies, 0, 0)]
+    advance = _picard_solve if cfg.method == "be" else _rk4_advance
+    records = [(0.0, initial.velocities, initial.energies, 0)]
     for t, dt in _schedule(cfg):
         try:
             records.append((t, *advance(*records[-1][1:3], dt, cfg.eps, const)))

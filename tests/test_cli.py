@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 import mixbgk.cli as cli_mod
-import mixbgk.integrate as integrate_mod
 import mixbgk.output as output_mod
 import mixbgk.scenarios as scenarios_mod
 from mixbgk import (
     GASES,
-    RealizabilityError,
     energy_to_kelvin,
     is_realizable,
     parse_config,
@@ -325,24 +323,6 @@ class TestCliRun:
         assert envelopes[0].startswith("t,dev_u_Ar")
         assert len(envelopes) == len(table.times) + 1
 
-    def test_halved_steps_are_counted(self, tmp_path, capsys, monkeypatch):
-        argv = ["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        assert ", halved steps = 0\n" in capsys.readouterr().out
-
-        original = integrate_mod._picard_solve
-        refused = []
-
-        def refuse_the_first_full_step(u, e, dt, *args):
-            if not refused:
-                refused.append(dt)
-                raise RealizabilityError("synthetic loss")
-            return original(u, e, dt, *args)
-
-        monkeypatch.setattr(integrate_mod, "_picard_solve", refuse_the_first_full_step)
-        assert main(argv) == 0
-        assert ", halved steps = 1\n" in capsys.readouterr().out
-
     def test_too_tight_bracket_fails(self, tmp_path, monkeypatch):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
@@ -556,6 +536,25 @@ class TestCliRun:
         assert line.startswith("integrator failure: ")
         assert "t = 1.000000000e+290" in line
         assert "9.765625e+286" not in line
+
+    def test_non_finite_implicit_increment_exits_3(self, tmp_path):
+        result = run_cli(
+            ["run", "--example", "1", "--dt", "1e300", "--t-final", "1e300", "--out", "."],
+            tmp_path,
+        )
+        assert result.returncode == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith("integrator failure: implicit system: ")
+        assert "t = 1.000000000e+300" in line
+
+    def test_one_unbounded_step_reaches_equilibrium(self, tmp_path, capsys):
+        # Backward Euler at any step: dt = 1e100 solves both shifted
+        # systems and lands on the equilibrium in one step.
+        argv = ["run", "--example", "3", "--dt", "1e100", "--t-final", "1e100"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^records = 2, max Picard sweeps per step = \d+$", out, re.M)
+        assert out.endswith("verification: PASS\n")
 
     def test_overflowing_rk4_stages_exit_3(self, tmp_path):
         (tmp_path / "overflow.cfg").write_text(OVERFLOWING_RK4_CONFIG)

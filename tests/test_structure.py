@@ -28,6 +28,9 @@ ORACLE_ONLY = {"hard_sphere_frequencies", "couplings"}
 # The one function of ``integrate`` that calls LAPACK gesv directly.
 LAPACK_HELPER = "_solve"
 
+# The two steppers of ``integrate``: backward Euler and RK4.
+STEPPERS = ("_picard_solve", "_rk4_advance")
+
 
 def _modules():
     return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -137,20 +140,17 @@ def _top_level_users(name):
 
 def test_simulate_is_the_one_stepping_loop():
     assert _top_level_users("_schedule") == [("integrate.py", "simulate")]
-    assert _top_level_users("_rk4_advance") == [("integrate.py", "simulate")]
-    assert _top_level_users("_be_advance") == [
-        ("integrate.py", "_be_advance"),  # its halving
-        ("integrate.py", "simulate"),
-    ]
+    # simulate alone calls each stepper, and no stepper calls itself.
+    for stepper in STEPPERS:
+        assert _top_level_users(stepper) == [("integrate.py", "simulate")]
     assert sorted(name for name in mixbgk.__all__ if name.endswith("_step")) == []
     private = {
         node.name: [arg.arg for arg in node.args.args]
         for node in _modules()["integrate.py"].body
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
     }
-    # One contract; backward Euler adds the depth of its halving.
-    assert private["_be_advance"] == ["u", "e", "dt", "eps", "const", "depth"]
-    assert private["_rk4_advance"] == ["u", "e", "dt", "eps", "const"]
+    # One contract, (u, e, dt, eps, const) -> (u, e, sweeps).
+    assert [private[stepper] for stepper in STEPPERS] == [["u", "e", "dt", "eps", "const"]] * 2
     assert sorted(name for name, args in private.items() if "comp" in args) == []
 
 
@@ -194,3 +194,10 @@ def test_output_stride_is_gone_from_readme_and_package():
     texts = {"README.md": README.read_text()}
     texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
     assert sorted(name for name, text in texts.items() if "output_stride" in text) == []
+
+
+def test_step_halving_is_gone_from_readme_and_package():
+    texts = {"README.md": README.read_text()}
+    texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
+    gone = ("_MAX_HALVINGS", "substeps", "halved steps")
+    assert sorted((name, word) for name, text in texts.items() for word in gone if word in text) == []
