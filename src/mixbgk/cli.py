@@ -24,12 +24,7 @@ import numpy as np
 
 from .equilibrium import decay_constants, decay_envelopes, steady_state
 from .integrate import IntegrationError, simulate
-from .output import (
-    build_table,
-    summary_text,
-    write_envelope_csv,
-    write_trajectory_csv,
-)
+from .output import summary_text, write_envelope_csv, write_trajectory_csv
 from .scenarios import ScenarioError, _derived_horizon, parse_config, presets, resolve_integrator
 
 EXIT_OK = 0
@@ -53,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output_set(base, table, equilibrium, summary) -> None:
+def _write_output_set(base, trajectory, envelopes, equilibrium, summary) -> None:
     """Write the trajectory, envelope and summary files of ``base``, or none of them.
 
     Each file is written to a temporary name beside its target, and the
@@ -65,8 +60,8 @@ def _write_output_set(base, table, equilibrium, summary) -> None:
     targets = [base + suffix for suffix in ("_trajectory.csv", "_envelopes.csv", "_summary.txt")]
     temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
     try:
-        write_trajectory_csv(temporaries[0], table)
-        write_envelope_csv(temporaries[1], table, equilibrium)
+        write_trajectory_csv(temporaries[0], trajectory, envelopes)
+        write_envelope_csv(temporaries[1], trajectory, envelopes, equilibrium)
         with open(temporaries[2], "w", encoding="utf-8") as handle:
             handle.write(summary)
         for target in targets:
@@ -118,12 +113,10 @@ def run(args) -> int:
         return EXIT_INTEGRATOR
 
     envelopes = decay_envelopes(constants, integrator.eps, trajectory.times)
-    table = build_table(trajectory, envelopes)
-
     base = os.path.join(out_dir, scenario.name)
-    summary = summary_text(scenario, integrator, table, equilibrium, constants)
+    summary = summary_text(scenario, integrator, trajectory, equilibrium, constants)
     try:
-        _write_output_set(base, table, equilibrium, summary)
+        _write_output_set(base, trajectory, envelopes, equilibrium, summary)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -137,7 +130,8 @@ def run(args) -> int:
             f"covering {integrator.t_final / horizon:.2%} of the derived horizon; "
             "set --t-final to run further"
         )
-    print(f"records = {len(table.times)}, max Picard sweeps per step = {trajectory.sweeps.max()}")
+    sweeps = trajectory.sweeps.max()
+    print(f"records = {len(trajectory.times)}, max Picard sweeps per step = {sweeps}")
     passed = summary.rstrip().splitlines()[-1].endswith("PASS")
     print("verification: " + ("PASS" if passed else "FAIL"))
     return EXIT_OK if passed else EXIT_MONITOR

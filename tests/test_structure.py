@@ -1,6 +1,7 @@
 """Structural guards on the runtime package."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import mixbgk
+from mixbgk.output import TrajectoryTable
 from mixbgk.scenarios import _KNOWN_KEYS
 
 PACKAGE = Path(mixbgk.__file__).parent
@@ -201,3 +203,25 @@ def test_step_halving_is_gone_from_readme_and_package():
     texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
     gone = ("_MAX_HALVINGS", "substeps", "halved steps")
     assert sorted((name, word) for name, text in texts.items() for word in gone if word in text) == []
+
+
+def test_trajectory_table_is_the_state():
+    # A re-read CSV keeps its t, u and E columns; everything else derives
+    # from them plus the scenario, in the writers and in monitor_block.
+    fields = [field.name for field in dataclasses.fields(TrajectoryTable)]
+    assert fields == ["labels", "times", "velocities", "energies"]
+    texts = {"README.md": README.read_text()}
+    texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
+    assert sorted(name for name, text in texts.items() if "build_table" in text) == []
+
+    [monitors] = [
+        node for node in _modules()["output.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "monitor_block"
+    ]
+    table = monitors.args.args[0].arg
+    read = {
+        node.attr for node in ast.walk(monitors)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == table
+    }
+    assert read <= {"times", "velocities", "energies"}
