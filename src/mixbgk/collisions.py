@@ -127,7 +127,6 @@ class RunConstants:
     hard_sphere: bool
     frequency_factor: np.ndarray  # (N, N)
     masses: np.ndarray  # (N,)
-    mass_densities: np.ndarray  # (N,)
     number_densities: np.ndarray  # (N,)
     sqrt_rho: np.ndarray  # (N,)
     sqrt_n: np.ndarray  # (N,)
@@ -179,7 +178,6 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         hard_sphere=hard_sphere,
         frequency_factor=factor,
         masses=masses,
-        mass_densities=rho,
         number_densities=n,
         sqrt_rho=sqrt_rho,
         sqrt_n=sqrt_n,

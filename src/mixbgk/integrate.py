@@ -24,8 +24,9 @@ oracle for convergence studies.  It is not suitable for stiff steps.
 Both steppers map (u, e, dt, eps, const) to (u, e, sweeps), so the one
 loop of :func:`simulate` records every step of either method.  Both
 evaluate the operator core only at admissible temperatures: finite, and
-positive for hard spheres.  Leaving that set, an overflowed implicit
-system or a non-finite RK4 result raises RealizabilityError.
+positive for hard spheres.  Leaving that set, a singular or overflowed
+implicit system or a non-finite RK4 result raises RealizabilityError;
+numpy's floating-point errors are ignored inside :func:`simulate`.
 """
 
 from __future__ import annotations
@@ -176,19 +177,13 @@ def _admissible_temperatures(velocities, energies, const, where, time=None):
     return temps
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _solve(system, rhs):
     """``np.linalg.solve`` of one float (N, N) system, without numpy's Python wrapper.
 
-    The same LAPACK gesv gufunc under the same floating-point error
-    state, so the result is the same to the bit and a singular (or
-    overflowed) system raises the same LinAlgError; the wrapper's type
-    promotion and array conversion are skipped, as both operands are
-    already float arrays.  ``rhs`` is (N,) or (N, k).
+    The same LAPACK gesv gufunc, so the result is the same to the bit;
+    the wrapper's type promotion, array conversion and error state are
+    skipped, as both operands are already float arrays.  A singular or
+    overflowed system gives NaN.  ``rhs`` is (N,) or (N, k).
     """
     gufunc = _umath_linalg.solve1 if rhs.ndim == 1 else _umath_linalg.solve
     return gufunc(system, rhs, signature="dd->d")
@@ -219,13 +214,12 @@ def _picard_solve(u, e, dt, eps, const):
     The rounding of a solve scales with the increment, not with the
     state, so the joint relative change falls below PICARD_TOL even at
     rate * dt >> 1, and that is the one way the iteration ends; a step at
-    equilibrium ends after one sweep.  A non-finite iterate (an overflowed
-    system) raises RealizabilityError.  The maps M_rho and
+    equilibrium ends after one sweep.  A non-finite iterate (a singular
+    or overflowed system) raises RealizabilityError.  The maps M_rho and
     M_n of ``const`` conserve total momentum and energy by construction.
-    Each sweep makes one call of the operator core and one of the
-    heating, the latter with the new velocities, and calls LAPACK gesv
-    through :func:`_solve` for the two systems; everything
-    temperature-free comes from ``const``.
+    Each sweep calls the operator core once and the heating once (at the
+    new velocities), and LAPACK gesv through :func:`_solve` for the two
+    systems; everything temperature-free comes from ``const``.
     """
     sqrt_rho, sqrt_n = const.sqrt_rho[:, None], const.sqrt_n
     rate = dt / eps
@@ -245,18 +239,15 @@ def _picard_solve(u, e, dt, eps, const):
             sigma = np.minimum.reduce(diagonal, axis=2, keepdims=True)
             shifted_identity = const.identity + sigma * const.kernels
         systems = shifted_identity + rate_z  # the momentum and the energy system
-        try:
-            # ndarray.dot: the same products as @, at half its call cost on N x N.
-            u_new = u - const.momentum_map.dot(_solve(systems[0], rate_z[0].dot(w_old)))
-            # The kinetic coupling pairs the new velocities with the mixing
-            # weights of the current iterate.
-            rhs = rate_z[1].dot(xi_old) - heating(coupling[1], alpha, u_new, const, heating_rate)
-            e_new = e - const.energy_map.dot(_solve(systems[1], rhs))
-        except np.linalg.LinAlgError as err:  # an overflowed system
-            raise RealizabilityError(f"implicit system: {err}") from err
+        # ndarray.dot: the same products as @, at half its call cost on N x N.
+        u_new = u - const.momentum_map.dot(_solve(systems[0], rate_z[0].dot(w_old)))
+        # The kinetic coupling pairs the new velocities with the mixing
+        # weights of the current iterate.
+        rhs = rate_z[1].dot(xi_old) - heating(coupling[1], alpha, u_new, const, heating_rate)
+        e_new = e - const.energy_map.dot(_solve(systems[1], rhs))
 
         change_u, change_e = _relative_change(u_new, u_k), _relative_change(e_new, e_k)
-        if not (change_u < np.inf and change_e < np.inf):  # a non-finite iterate gives NaN
+        if not (change_u < np.inf and change_e < np.inf):  # a singular or overflowed system
             raise RealizabilityError(f"implicit system: non-finite solution at dt = {dt:.6e}")
         residual = max(change_u, change_e)
         u_k, e_k = u_new, e_new
@@ -332,10 +323,9 @@ def record_monitors(
     momentum = velocities.transpose(0, 2, 1) @ rho  # (R, d), the CSV k_tot columns
     energy = energies.sum(axis=1)
     # Momentum scale: the initial total momentum when nonzero, else the
-    # momentum density carried by the total energy.
-    momentum_scale = max(
-        float(np.linalg.norm(momentum[0])),
-        float(np.sqrt(2.0 * rho.sum() * abs(energy[0]))),
+    # momentum density carried by the total energy; NaN if either is.
+    momentum_scale = np.maximum(
+        np.linalg.norm(momentum[0]), np.sqrt(2.0 * rho.sum() * abs(energy[0]))
     )
     temps = _temperatures(composition, velocities, energies)
     u0 = velocities[0]
@@ -375,18 +365,19 @@ def simulate(
     the last recorded time equals ``t_final`` exactly.  Either method
     carries (u, e) from step to step, so a chain of one-step runs,
     ``simulate(state, replace(cfg, t_final=cfg.dt), model)``, repeats one
-    run bit for bit.  Step failures are re-raised with the failing time
-    attached.
+    run bit for bit.  numpy's floating-point errors are ignored; a failed
+    step raises an IntegrationError with the failing time attached.
     """
-    if not is_realizable(initial):
-        raise RealizabilityError("initial state is not realizable", time=0.0)
-    const = run_constants(initial.composition, model, initial.dimension)
-    _admissible_temperatures(initial.velocities, initial.energies, const, "initial", time=0.0)
-    advance = _picard_solve if cfg.method == "be" else _rk4_advance
-    records = [(0.0, initial.velocities, initial.energies, 0)]
-    for t, dt in _schedule(cfg):
-        try:
-            records.append((t, *advance(*records[-1][1:3], dt, cfg.eps, const)))
-        except IntegrationError as err:
-            raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
+    with np.errstate(all="ignore"):
+        if not is_realizable(initial):
+            raise RealizabilityError("initial state is not realizable", time=0.0)
+        const = run_constants(initial.composition, model, initial.dimension)
+        _admissible_temperatures(initial.velocities, initial.energies, const, "initial", time=0.0)
+        advance = _picard_solve if cfg.method == "be" else _rk4_advance
+        records = [(0.0, initial.velocities, initial.energies, 0)]
+        for t, dt in _schedule(cfg):
+            try:
+                records.append((t, *advance(*records[-1][1:3], dt, cfg.eps, const)))
+            except IntegrationError as err:
+                raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
     return Trajectory(*map(np.array, zip(*records)), initial.composition)

@@ -179,13 +179,13 @@ def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -
     report("velocity_bounds", bool(records.velocity_bounds_ok.all()))
     report("realizability", bool(records.realizable.all()))
 
-    first = MomentState(comp, velocities[0], energies[0])
     temps_k = energy_to_kelvin(records.temperatures)
-    dev_u, dev_e, dev_t = _deviations(table, temps_k, steady_state(first))
-    if np.all(records.temperatures[0] > 0.0):
-        constants = decay_constants(first, config.model)
-        envelopes = decay_envelopes(constants, config.eps, table.times)
+    if np.all(records.temperatures[0] > 0.0):  # False for a NaN too
+        first = MomentState(comp, velocities[0], energies[0])
+        dev_u, dev_e, dev_t = _deviations(table, temps_k, steady_state(first))
+        envelopes = decay_envelopes(decay_constants(first, config.model), config.eps, table.times)
     else:  # no decay rates without a positive floor; NaN fails every comparison
+        dev_u = dev_e = dev_t = np.nan
         envelopes = np.full((3, len(table.times)), np.nan)
     # A computed deviation also carries rounding that the exact one of the
     # theorem does not: k unit roundoffs of the run's own scale, k counting

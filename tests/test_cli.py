@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -380,6 +381,22 @@ class TestCliRun:
         for name in ("realizability", "envelope_velocity", "envelope_energy",
                      "envelope_temperature"):
             assert f"{name} -> FAIL" in block
+        assert block[-1] == "overall -> FAIL"
+
+    @pytest.mark.parametrize("example", [1, 2])
+    def test_nan_in_first_record_fails_without_raising(self, tmp_path, example):
+        # Preset 1 has zero momentum, preset 2 does not; either way a NaN
+        # there leaves no envelope or drift scale, and every line it feeds fails.
+        main(["run", "--example", str(example), "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / f"example{example}_trajectory.csv")
+        table.energies[0, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = monitor_block(table, presets()[example])
+        for name in ("momentum_drift_max", "energy_drift_max", "temperature_floor_min_K",
+                     "realizability", "envelope_velocity", "envelope_energy",
+                     "envelope_temperature"):
+            assert any(line.startswith(name) and line.endswith("-> FAIL") for line in block)
         assert block[-1] == "overall -> FAIL"
 
     def test_temperature_below_floor_is_still_realizable(self, tmp_path):

@@ -184,6 +184,21 @@ def test_picard_loop_has_one_exit():
     assert sum(isinstance(node, ast.Return) for node in ast.walk(_picard_solve())) == 1
 
 
+def test_simulate_owns_the_floating_point_policy():
+    # One error state per run, entered by simulate; a failed solve leaves
+    # through the sweep's finiteness test, not through a LinAlgError.
+    runtime = {name: tree for name, tree in _modules().items() if name != "oracles.py"}
+    names = {module: list(_referenced_names(tree)) for module, tree in runtime.items()}
+    assert sum(found.count("errstate") for found in names.values()) == 1
+    assert _top_level_users("errstate") == [("integrate.py", "simulate")]
+    assert sorted(module for module, found in names.items() if "LinAlgError" in found) == []
+    [solve] = [
+        node for node in runtime["integrate.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == LAPACK_HELPER
+    ]
+    assert solve.decorator_list == []
+
+
 def test_readme_scenario_block_names_every_config_key():
     text = README.read_text()
     section = text[text.index("### Scenario files"):]
