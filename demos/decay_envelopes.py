@@ -21,7 +21,7 @@ from mixbgk import (
     simulate,
     steady_state,
 )
-from mixbgk.integrate import record_monitors
+from mixbgk.output import record_monitors
 
 
 def show(index):

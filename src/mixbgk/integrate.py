@@ -1,4 +1,4 @@
-"""Time integration of the moment system with per-step monitors.
+"""Time integration of the moment system: two steppers and one recording loop.
 
 The reference scheme is fully implicit backward Euler solved by
 frozen-coefficient Picard iteration: within each sweep the coupling
@@ -27,6 +27,7 @@ evaluate the operator core only at admissible temperatures: finite, and
 positive for hard spheres.  Leaving that set, a singular or overflowed
 implicit system or a non-finite RK4 result raises RealizabilityError;
 numpy's floating-point errors are ignored inside :func:`simulate`.
+The recorded :class:`Trajectory` is verified in ``output``, not here.
 """
 
 from __future__ import annotations
@@ -39,17 +40,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .collisions import FrequencyModel, heating, operators, run_constants
-from .equilibrium import _component_bound
 from .species import MixtureComposition, MomentState, _temperatures, is_realizable
 
 PICARD_TOL = 1e-12  # the joint relative change that ends a Picard iteration
 PICARD_MAX_ITER = 100  # its cap on solve pairs
-
-# Monitor slacks, relative: a temperature may sit FLOOR_SLACK below the
-# initial minimum, and a velocity component BOUND_SLACK times the initial
-# component bound outside its initial range, before a check fails.
-FLOOR_SLACK = 1e-9
-BOUND_SLACK = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -100,12 +94,12 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class MonitorReport:
-    """Verification data of one record, a view of :class:`RecordMonitors`.
+    """Verification data of one record, a view of ``output.RecordMonitors``.
 
     Drifts are relative to fixed initial scales; ``min_temperature`` is in
     J; ``above_floor`` means every temperature sits above the initial
-    floor min T(0), up to FLOOR_SLACK; ``picard_iterations`` is the
-    record's entry of ``Trajectory.sweeps``.
+    floor min T(0), up to ``output.FLOOR_SLACK``; ``picard_iterations`` is
+    the record's entry of ``Trajectory.sweeps``.
     """
 
     total_momentum_drift: float
@@ -143,6 +137,8 @@ class Trajectory:
 
     @cached_property
     def monitors(self) -> tuple[MonitorReport, ...]:
+        from .output import record_monitors  # output imports this module at load
+
         records = record_monitors(self.composition, self.velocities, self.energies)
         columns = (records.momentum_drift, records.energy_drift, records.temperatures.min(axis=1),
                    records.velocity_bounds_ok, records.above_floor, self.sweeps)
@@ -296,49 +292,6 @@ def _rk4_advance(u, e, dt, eps, const):
             f"RK4 step at dt = {dt:.6e}: velocities and energies must be finite"
         )
     return y[:n_vel].reshape(shape) / sqrt_rho, y[n_vel:] * sqrt_n, 0
-
-
-@dataclass(frozen=True)
-class RecordMonitors:
-    """Monitor values of R stacked records; record 0 sets every reference."""
-
-    momentum_drift: np.ndarray  # (R,) relative to the initial momentum scale
-    energy_drift: np.ndarray  # (R,) relative to the initial total energy
-    temperatures: np.ndarray  # (R, N), J
-    velocity_bounds_ok: np.ndarray  # (R,) bool
-    above_floor: np.ndarray  # (R,) bool, temperatures above the initial floor
-    realizable: np.ndarray  # (R,) bool, every temperature >= 0, as in is_realizable
-
-
-def record_monitors(
-    composition: MixtureComposition, velocities: np.ndarray, energies: np.ndarray
-) -> RecordMonitors:
-    """Conservation, temperature-floor, velocity-bound and realizability monitors per record.
-
-    ``velocities`` is (R, N, d) and ``energies`` (R, N).  Velocity
-    components must stay inside their initial range and temperatures
-    above the initial minimum, each up to its slack.
-    """
-    rho = composition.mass_densities
-    momentum = velocities.transpose(0, 2, 1) @ rho  # (R, d), the CSV k_tot columns
-    energy = energies.sum(axis=1)
-    # Momentum scale: the initial total momentum when nonzero, else the
-    # momentum density carried by the total energy; NaN if either is.
-    momentum_scale = np.maximum(
-        np.linalg.norm(momentum[0]), np.sqrt(2.0 * rho.sum() * abs(energy[0]))
-    )
-    temps = _temperatures(composition, velocities, energies)
-    u0 = velocities[0]
-    tol = BOUND_SLACK * _component_bound(u0)
-    inside = (velocities >= u0.min(axis=0) - tol) & (velocities <= u0.max(axis=0) + tol)
-    return RecordMonitors(
-        momentum_drift=np.linalg.norm(momentum - momentum[0], axis=1) / momentum_scale,
-        energy_drift=np.abs(energy - energy[0]) / abs(energy[0]),
-        temperatures=temps,
-        velocity_bounds_ok=inside.all(axis=(1, 2)),
-        above_floor=np.all(temps >= temps[0].min() * (1.0 - FLOOR_SLACK), axis=1),
-        realizable=np.all(temps >= 0.0, axis=1),
-    )
 
 
 def _schedule(cfg: IntegratorConfig):

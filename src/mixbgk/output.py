@@ -1,35 +1,45 @@
-"""Trajectory/envelope CSV emission and the verification summary.
+"""The one verifier and writer of a run: its gates, its verdict and its output set.
 
-The trajectory CSV carries, per recorded time: per-species velocities,
-temperatures (Kelvin), and energy densities, the conserved totals, the
-minimum temperature, and the three analytic decay envelopes on the same
-time grid (so plots overlay without interpolation).  Only the ``t``, ``u``
-and ``E`` columns are state: the writers and the ``[monitors]`` block of
-the summary derive every other value from them plus the scenario.  Numbers
-are written in full round-trip precision, so the block reproduces
-bit-for-bit from a re-read file.
+The gates are DRIFT_LIMIT and the slacks FLOOR_SLACK, BOUND_SLACK,
+ENVELOPE_SLACK and BRACKET_SLACK; every bound derives from the first
+record.  The trajectory CSV carries, per recorded time: per-species
+velocities, temperatures (Kelvin), and energy densities, the conserved
+totals, the minimum temperature, and the three analytic decay envelopes
+on the same time grid (so plots overlay without interpolation).  Only the
+``t``, ``u`` and ``E`` columns are state: the writers and the
+``[monitors]`` block of the summary derive every other value from them
+plus the scenario.  Numbers are written in full round-trip precision, so
+the block reproduces bit-for-bit from a re-read file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collisions import HardSphere, operators, run_constants
 from .equilibrium import (
-    DecayConstants,
     EquilibriumData,
+    _component_bound,
     decay_constants,
     decay_envelopes,
     eigenvalue_brackets,
     steady_state,
 )
-from .integrate import IntegratorConfig, Trajectory, record_monitors
+from .integrate import IntegratorConfig, Trajectory
 from .scenarios import ScenarioConfig
 from .species import MixtureComposition, MomentState, _temperatures, energy_to_kelvin
 
 DRIFT_LIMIT = 1e-9
+# Relative slacks: a temperature may sit FLOOR_SLACK below the initial
+# minimum, and a velocity component BOUND_SLACK times the initial
+# component bound outside its initial range, before a check fails.
+FLOOR_SLACK = 1e-9
+BOUND_SLACK = 1e-9
 ENVELOPE_SLACK = 1e-9
 BRACKET_SLACK = 1e-10
 CSV_FORMAT = "%.17e"  # round-trip precision
@@ -145,6 +155,58 @@ def write_envelope_csv(
     _write_csv(path, columns, matrix)
 
 
+@dataclass(frozen=True)
+class RecordMonitors:
+    """Monitor values of R stacked records; record 0 sets every reference."""
+
+    momentum_drift: np.ndarray  # (R,) relative to the initial momentum scale
+    energy_drift: np.ndarray  # (R,) relative to the initial total energy
+    temperatures: np.ndarray  # (R, N), J
+    velocity_bounds_ok: np.ndarray  # (R,) bool
+    above_floor: np.ndarray  # (R,) bool, temperatures above the initial floor
+    realizable: np.ndarray  # (R,) bool, every temperature >= 0, as in is_realizable
+
+
+def record_monitors(
+    composition: MixtureComposition, velocities: np.ndarray, energies: np.ndarray
+) -> RecordMonitors:
+    """Conservation, temperature-floor, velocity-bound and realizability monitors per record.
+
+    ``velocities`` is (R, N, d) and ``energies`` (R, N).  Velocity
+    components must stay inside their initial range and temperatures
+    above the initial minimum, each up to its slack.
+    """
+    rho = composition.mass_densities
+    momentum = velocities.transpose(0, 2, 1) @ rho  # (R, d), the CSV k_tot columns
+    energy = energies.sum(axis=1)
+    # Momentum scale: the initial total momentum when nonzero, else the
+    # momentum density carried by the total energy; NaN if either is.
+    momentum_scale = np.maximum(
+        np.linalg.norm(momentum[0]), np.sqrt(2.0 * rho.sum() * abs(energy[0]))
+    )
+    temps = _temperatures(composition, velocities, energies)
+    u0 = velocities[0]
+    tol = BOUND_SLACK * _component_bound(u0)
+    inside = (velocities >= u0.min(axis=0) - tol) & (velocities <= u0.max(axis=0) + tol)
+    return RecordMonitors(
+        momentum_drift=np.linalg.norm(momentum - momentum[0], axis=1) / momentum_scale,
+        energy_drift=np.abs(energy - energy[0]) / abs(energy[0]),
+        temperatures=temps,
+        velocity_bounds_ok=inside.all(axis=(1, 2)),
+        above_floor=np.all(temps >= temps[0].min() * (1.0 - FLOOR_SLACK), axis=1),
+        realizable=np.all(temps >= 0.0, axis=1),
+    )
+
+
+def _first_record_bounds(table, composition, config: ScenarioConfig):
+    """(equilibrium, decay constants, envelopes on ``table.times``) of record 0,
+    the one reference of every bound of a run; its temperatures must be positive."""
+    first = MomentState(composition, table.velocities[0], table.energies[0])
+    constants = decay_constants(first, config.model)
+    envelopes = decay_envelopes(constants, config.eps, table.times)
+    return steady_state(first), constants, envelopes
+
+
 def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -> list[str]:
     """The ``[monitors]`` summary lines, a pure function of the state + scenario.
 
@@ -181,9 +243,8 @@ def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -
 
     temps_k = energy_to_kelvin(records.temperatures)
     if np.all(records.temperatures[0] > 0.0):  # False for a NaN too
-        first = MomentState(comp, velocities[0], energies[0])
-        dev_u, dev_e, dev_t = _deviations(table, temps_k, steady_state(first))
-        envelopes = decay_envelopes(decay_constants(first, config.model), config.eps, table.times)
+        equilibrium, _, envelopes = _first_record_bounds(table, comp, config)
+        dev_u, dev_e, dev_t = _deviations(table, temps_k, equilibrium)
     else:  # no decay rates without a positive floor; NaN fails every comparison
         dev_u = dev_e = dev_t = np.nan
         envelopes = np.full((3, len(table.times)), np.nan)
@@ -220,14 +281,22 @@ def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -
     return lines
 
 
-def summary_text(
-    config: ScenarioConfig,
-    integrator: IntegratorConfig,
-    trajectory: Trajectory,
-    equilibrium: EquilibriumData,
-    constants: DecayConstants,
-) -> str:
-    """Full verification summary: run settings, equilibria, decay data, monitors."""
+def write_output_set(
+    base: str, config: ScenarioConfig, integrator: IntegratorConfig, trajectory: Trajectory
+) -> tuple[bool, tuple[float, float]]:
+    """Verify a run and write its trajectory, envelope and summary files, or none of them.
+
+    Returns the verdict of the summary's ``[monitors]`` block and the
+    conservative (velocity, energy) decay rates of record 0.  Each file is
+    written to a temporary name beside its target, and the three are moved
+    into place only once all are written and no target is a directory, the
+    one case in which a rename within the directory fails after its files
+    could be created.  On failure no temporary file remains.
+    """
+    equilibrium, constants, envelopes = _first_record_bounds(
+        trajectory, trajectory.composition, config
+    )
+    monitors = monitor_block(trajectory, config)
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
         f"scenario = {config.name}",
@@ -259,6 +328,23 @@ def summary_text(
         f"source_amplitude = {_fmt(constants.source_amplitude)}",
         f"energy_coupling_max = {_fmt(constants.coupling_energy_max)}",
         "",
+        *monitors,
     ]
-    lines += monitor_block(trajectory, config)
-    return "\n".join(lines) + "\n"
+
+    targets = [base + suffix for suffix in ("_trajectory.csv", "_envelopes.csv", "_summary.txt")]
+    temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    try:
+        write_trajectory_csv(temporaries[0], trajectory, envelopes)
+        write_envelope_csv(temporaries[1], trajectory, envelopes, equilibrium)
+        with open(temporaries[2], "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        for target in targets:
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        for temporary, target in zip(temporaries, targets):
+            os.replace(temporary, target)
+    finally:
+        for temporary in temporaries:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+    return monitors[-1] == "overall -> PASS", (constants.velocity_rate, constants.energy_rate)

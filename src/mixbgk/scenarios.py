@@ -111,24 +111,24 @@ def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
     e-folds of the conservative velocity rate for backward Euler and a
     stability-limited step for RK4.  A derived RK4 horizon is capped at
     RK4_MAX_STEPS steps, whether the step was derived or given; an
-    explicit horizon is never capped.  The rates are those of
-    ``config.initial_state()``.
+    explicit horizon is never capped.  The rates, those of
+    ``config.initial_state()``, are derived even when both are given, so a
+    model that does not fit the mixture (hard spheres outside d = 3) fails here.
     """
     state = config.initial_state()
+    velocity_rate, energy_rate = conservative_decay_rate(state, config.model)
 
     dt = config.dt
+    if dt is None:
+        if config.method == "rk4":
+            dt = _rk4_stable_dt(state, config.model, config.eps)
+        else:
+            dt = BE_RATE_PER_STEP * config.eps / velocity_rate
     t_final = config.t_final
-    if dt is None or t_final is None:
-        velocity_rate, energy_rate = conservative_decay_rate(state, config.model)
-        if dt is None:
-            if config.method == "rk4":
-                dt = _rk4_stable_dt(state, config.model, config.eps)
-            else:
-                dt = BE_RATE_PER_STEP * config.eps / velocity_rate
-        if t_final is None:
-            t_final = _derived_horizon(config.eps, velocity_rate, energy_rate)
-            if config.method == "rk4":
-                t_final = min(t_final, RK4_MAX_STEPS * dt)
+    if t_final is None:
+        t_final = _derived_horizon(config.eps, velocity_rate, energy_rate)
+        if config.method == "rk4":
+            t_final = min(t_final, RK4_MAX_STEPS * dt)
     return IntegratorConfig(
         dt=float(dt),
         t_final=float(t_final),

@@ -139,7 +139,8 @@ def temperatures_of(state: MomentState) -> np.ndarray:
 
     Returns T_i = (2/(d n_i)) E_i - (m_i/d) |u_i|^2 with no clamping:
     negative values are returned as-is so realizability checks can see
-    them.
+    them.  Outside ``simulate`` the floating-point state is the caller's:
+    an overflowing |u_i|^2 warns, raises or passes as its ``np.errstate`` says.
     """
     return _temperatures(state.composition, state.velocities, state.energies)
 
@@ -193,5 +194,8 @@ def state_from_temperatures(
 
 
 def is_realizable(state: MomentState) -> bool:
-    """True iff every derived temperature is >= 0, membership in the realizable set."""
+    """True iff every derived temperature is >= 0, membership in the realizable set.
+
+    Under the caller's floating-point state, as :func:`temperatures_of`.
+    """
     return bool(np.all(temperatures_of(state) >= 0.0))

@@ -29,7 +29,6 @@ from mixbgk import (
     steady_state,
     temperatures_of,
 )
-from mixbgk.integrate import record_monitors
 from mixbgk.oracles import (
     assemble,
     energy_rhs,
@@ -37,6 +36,7 @@ from mixbgk.oracles import (
     symmetric_eigenvalues,
     temperature_rhs,
 )
+from mixbgk.output import record_monitors
 
 from conftest import core_operators, random_state
 

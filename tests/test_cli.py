@@ -304,6 +304,40 @@ class TestParseConfig:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("method = be\n", "method = be\nviscosity 3\n", r"bad\.cfg:10: expected 'key = values'"),
+            ("method = be\n", "method = be\neps = 0.7\n", r"bad\.cfg:10: duplicate key 'eps'"),
+            ("labels = Ar Kr\n", "", "missing species labels"),
+            ("masses_kg = 66.335209e-27 139.14984e-27\n", "", "missing key 'masses_kg'"),
+            ("velocities_ms = 80 0 0 ; -10 5 0\n", "", "missing key 'velocities_ms'"),
+            ("masses_kg = 66.335209e-27", "masses_kg = heavy", "key 'masses_kg': .*'heavy'"),
+            ("500 1500", "500 1500 2500", "key 'temperatures_K' has 3 values for 2 species"),
+            ("-10 5 0", "-10 5", "velocity rows have inconsistent lengths"),
+            ("3.659e-10 4.199e-10", "3.659e-10 0", "species 'Kr': diameter must be positive"),
+            ("eps = 0.5", "eps = 0.5 0.7", "key 'eps' expects a single value"),
+            ("eps = 0.5\n", "eps = 0.5\nmodel = constant\nconstant_frequencies = 1 1 1\n",
+             "constant_frequencies needs 4 values, got 3"),
+            ("method = be", "method = euler", "method must be 'be' or 'rk4', got 'euler'"),
+            ("eps = 0.5\n", "eps = 0.5\nmodel = bgk\n", "model must be 'hard_sphere' or 'constant'"),
+            ("500 1500", "500 0", "species 'Kr': initial temperature must be positive"),
+        ],
+        ids=["no_equals", "duplicate_key", "missing_labels", "missing_per_species_key",
+             "missing_velocities", "non_numeric", "too_many_values", "ragged_velocities",
+             "zero_diameter", "two_scalar_values", "constant_frequencies_size",
+             "unknown_method", "unknown_model", "zero_temperature"],
+    )
+    def test_refusal_names_its_subject(self, old, new, match, tmp_path, capsys):
+        assert old in GOOD_CONFIG
+        path = tmp_path / "bad.cfg"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        with pytest.raises(ScenarioError, match=match):
+            parse_config(path).initial_state()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and re.search(match, line)
+
     def test_label_the_csv_can_carry_round_trips(self, tmp_path):
         # T_min_K is also a totals column; the reader finds labels by E_<label>.
         path = tmp_path / "minimum.cfg"
@@ -572,6 +606,17 @@ class TestCliRun:
         code = main(["run", "--config", str(path), "--out", str(tmp_path)])
         assert code == 1
         assert "d = 3" in capsys.readouterr().err
+
+    def test_model_is_checked_against_the_mixture_with_both_settings_given(self, tmp_path):
+        # resolve_integrator derives the decay rates whatever is given, so it
+        # refuses hard spheres outside d = 3 before any run.
+        path = tmp_path / "planar.cfg"
+        path.write_text(
+            GOOD_CONFIG.replace("80 0 0 ; -10 5 0", "80 0 ; -10 5")
+            + "dt_s = 1e-13\nt_final_s = 1e-12\n"
+        )
+        with pytest.raises(ValueError, match="d = 3"):
+            resolve_integrator(parse_config(path))
 
     def test_integrator_failure_exits_3(self, tmp_path, capsys):
         code = main(

@@ -28,8 +28,8 @@ from mixbgk import (
     temperatures_of,
 )
 from mixbgk.collisions import run_constants
-from mixbgk.integrate import record_monitors
 from mixbgk.oracles import assemble, energy_rhs, momentum_rhs, pairwise_mixture
+from mixbgk.output import record_monitors
 
 from conftest import core_operators, random_state
 

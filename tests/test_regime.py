@@ -23,7 +23,7 @@ from mixbgk import (
     simulate,
     state_from_temperatures,
 )
-from mixbgk.integrate import record_monitors
+from mixbgk.output import record_monitors
 
 SPECIES_COUNTS = (2, 3, 5, 10, 30)
 RATE_DTS = (0.05, 5.0, 500.0, 5e4, 5e6, 5e8, 5e10)  # conservative velocity rate * dt

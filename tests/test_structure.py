@@ -33,6 +33,13 @@ LAPACK_HELPER = "_solve"
 # The two steppers of ``integrate``: backward Euler and RK4.
 STEPPERS = ("_picard_solve", "_rk4_advance")
 
+# The gates of a run: the conservation limit and the slacks of the floor,
+# velocity-bound, envelope and eigenvalue-bracket monitors.
+GATES = {"DRIFT_LIMIT", "FLOOR_SLACK", "BOUND_SLACK", "ENVELOPE_SLACK", "BRACKET_SLACK"}
+
+# The helper of ``output`` that derives every bound of a run from record 0.
+FIRST_RECORD = "_first_record_bounds"
+
 
 def _modules():
     return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -229,14 +236,46 @@ def test_trajectory_table_is_the_state():
     texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
     assert sorted(name for name, text in texts.items() if "build_table" in text) == []
 
-    [monitors] = [
+    # monitor_block and the helper that derives the bounds of record 0
+    # (which write_output_set shares) each read some of those columns only.
+    readers = [
         node for node in _modules()["output.py"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "monitor_block"
+        if isinstance(node, ast.FunctionDef) and node.name in ("monitor_block", FIRST_RECORD)
     ]
-    table = monitors.args.args[0].arg
-    read = {
-        node.attr for node in ast.walk(monitors)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name) and node.value.id == table
-    }
-    assert read <= {"times", "velocities", "energies"}
+    assert sorted(node.name for node in readers) == [FIRST_RECORD, "monitor_block"]
+    for reader in readers:
+        table = reader.args.args[0].arg
+        read = {
+            node.attr for node in ast.walk(reader)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == table
+        }
+        assert read and read <= {"times", "velocities", "energies"}, reader.name
+
+
+def test_output_is_the_one_verifier():
+    # Every gate and the per-record monitors live in output; the CLI takes
+    # the verdict that write_output_set returns, derives no bound itself
+    # and reads no summary text back.
+    modules = _modules()
+    assigned = sorted(
+        (module, target.id)
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in GATES
+    )
+    assert assigned == [("output.py", gate) for gate in sorted(GATES)]
+    definers = sorted(
+        module
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("record_monitors", "RecordMonitors")
+    )
+    assert definers == ["output.py", "output.py"]
+
+    names = set(_referenced_names(modules["cli.py"]))  # import sources included
+    assert "write_output_set" in names
+    assert names.isdisjoint({"equilibrium", "summary_text", "splitlines", "endswith", "open"})
