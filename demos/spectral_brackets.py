@@ -33,7 +33,7 @@ def velocity_operator(state, model):
     """Z and its eigenvalue bracket (lower, upper) from the operator core."""
     comp = state.composition
     const = run_constants(comp, model, state.dimension)
-    _, coupling, z = operators(temperatures_of(state), const)
+    coupling, z = operators(temperatures_of(state), const)
     brackets = eigenvalue_brackets(coupling, comp.mass_densities, comp.number_densities)
     lower, upper = map(float, brackets[0])
     return z[0], lower, upper

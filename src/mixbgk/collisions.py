@@ -30,19 +30,21 @@ and the coupling matrices
 
 with their Laplacians diag(row sums) - coupling.
 
-The operator core works on the temperature-free :class:`RunConstants`,
-built once per run by :func:`run_constants`.  It carries the two density
-weightings rho (for A and Z) and n (for B and Z-hat) on one leading axis
-of length 2, so each step is one numpy call for both.  :func:`operators`
-evaluates the core at (..., N) temperatures, for either model: alpha as
-(..., N, N) and the stacks [A, B] of couplings and [Z, Z-hat] of scaled
-relaxation operators as (..., 2, N, N).  :func:`heating` gives the
-kinetic heating of the scaled energies at given velocities as
-sum_j K_ij (m_i - m_j), without forming the Laplacian of K.  Both
-integrators, the monitors, the decay constants and the RK4 step size go
-through it; the cross-checks the tests hold it to live in
-:mod:`mixbgk.oracles`.  Self pairs (i = j) are included throughout; they
-cancel identically in all relaxation differences.
+The temperatures enter the hard-sphere frequencies only through the
+thermal speed s_ij = sqrt(T_i / m_i + T_j / m_j), symmetric in i and j,
+so s cancels from every weight and factors out of every coupling:
+alpha[i, j] = m_i / (m_i + m_j), beta[i, j] = 1/2 and [A, B] = C s, with
+C the couplings at unit speed (s = 1 for a constant model).
+:func:`run_constants` builds alpha, C, the pair-velocity map and the
+other temperature-free data once per run, with the density weightings
+rho (of A and Z) and n (of B and Z-hat) on one leading axis of length 2.
+:func:`operators` evaluates the stacks [A, B] and [Z, Z-hat] as
+(..., 2, N, N) at (..., N) temperatures, and :func:`heating` gives the
+kinetic heating sum_j K_ij (m_i - m_j) / sqrt(n_i) at given velocities
+without forming the Laplacian of K.  Every runtime path goes through
+them; the cross-checks, the frequency evaluation among them, live in
+:mod:`mixbgk.oracles`.  Self pairs (i = j) are included throughout;
+they cancel identically in all relaxation differences.
 """
 
 from __future__ import annotations
@@ -109,45 +111,33 @@ def _laplacian(coupling) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunConstants:
-    """The temperature-free data of Z, Z-hat and the heating, built once per run.
+    """The temperature-free data of the operator core, built once per run.
 
-    ``frequency_factor`` is the hard-sphere factor (the frequencies are it
-    times the thermal speed) or, for a constant model, the frequency matrix.
-    ``weights`` stacks the density weightings rho and n of A and B as
-    (2, N, 1) columns; ``scale`` stacks sqrt(rho) (x) sqrt(rho) and
-    sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians Z and Z-hat;
-    ``mass_gaps`` is m_i - m_j.  ``momentum_map`` and ``energy_map`` take a
-    scaled implicit-step increment to the physical one with no change of
-    total momentum or energy (rho^T M_rho = 1^T M_n = 0).  ``kernels``
-    stacks q q^T for the unit null vectors sqrt(rho)/|sqrt(rho)| of Z and
-    sqrt(n)/|sqrt(n)| of Z-hat.  The densities and masses are the
-    composition's own cached arrays.
+    ``alpha`` and ``unit_coupling`` are the weights and the stack [A, B] at
+    unit thermal speed; ``mixing`` maps (N, d) velocities to the (N * N, d)
+    pair velocities u_mix.  ``scale`` stacks sqrt(rho) (x) sqrt(rho) and
+    sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians Z and Z-hat.
+    ``momentum_map`` and ``energy_map`` take a scaled implicit-step
+    increment to the physical one with no change of total momentum or
+    energy (rho^T M_rho = 1^T M_n = 0).  ``kernels`` stacks q q^T for the
+    unit null vectors sqrt(rho)/|sqrt(rho)| of Z and sqrt(n)/|sqrt(n)| of
+    Z-hat.  The densities and masses are the composition's own cached arrays.
     """
 
     hard_sphere: bool
-    frequency_factor: np.ndarray  # (N, N)
     masses: np.ndarray  # (N,)
     number_densities: np.ndarray  # (N,)
     sqrt_rho: np.ndarray  # (N,)
     sqrt_n: np.ndarray  # (N,)
+    alpha: np.ndarray  # (N, N)
+    unit_coupling: np.ndarray  # (2, N, N) C, [A, B] at s = 1
+    mixing: np.ndarray  # (N * N, N): row (i, j) is alpha_ij e_i + alpha_ji e_j
     momentum_map: np.ndarray  # (N, N) M_rho = (I - 1 rho^T / sum rho) P^{-1/2}
     energy_map: np.ndarray  # (N, N) M_n = (I - n 1^T / sum n) Q^{1/2}
-    weights: np.ndarray  # (2, N, 1)
     scale: np.ndarray  # (2, N, N)
     kernels: np.ndarray  # (2, N, N)
-    mass_gaps: np.ndarray  # (N, N)
+    heating_gaps: np.ndarray  # (N, N) (m_i - m_j) / sqrt(n_i)
     identity: np.ndarray  # (N, N)
-
-    def frequencies(self, temperatures) -> np.ndarray:
-        """lam at (..., N) temperatures as (..., N, N), which must be positive for hard spheres."""
-        if self.hard_sphere:
-            # T_i / m_i once per species; a division, not a product with 1/m,
-            # keeps the values at which an overflowing step fails.
-            per_mass = temperatures / self.masses
-            return self.frequency_factor * np.sqrt(per_mass[..., :, None] + per_mass[..., None, :])
-        return np.broadcast_to(
-            self.frequency_factor, np.shape(temperatures)[:-1] + self.frequency_factor.shape
-        )
 
 
 def run_constants(composition, model: FrequencyModel, dimension: int) -> RunConstants:
@@ -171,53 +161,60 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     else:
         raise TypeError(f"unknown frequency model: {model!r}")
     masses, rho, n = composition.masses, composition.mass_densities, composition.number_densities
+    # One w f product, pair sum and quotient for both weightings w.
+    scaled = np.stack([rho, n])[:, :, None] * factor
+    transposed = scaled.swapaxes(-1, -2)
+    total = scaled + transposed
+    alpha = scaled[0] / total[0]
+    size, identity = composition.size, np.eye(composition.size)
+    mixing = alpha[:, :, None] * identity[:, None, :] + alpha.T[:, :, None] * identity
     sqrt_rho, sqrt_n = np.sqrt(rho), np.sqrt(n)
-    identity = np.eye(composition.size)
     scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
     return RunConstants(
         hard_sphere=hard_sphere,
-        frequency_factor=factor,
         masses=masses,
         number_densities=n,
         sqrt_rho=sqrt_rho,
         sqrt_n=sqrt_n,
+        alpha=alpha,
+        unit_coupling=scaled * transposed / total,
+        mixing=mixing.reshape(size * size, size),
         momentum_map=(identity - rho / rho.sum()) / sqrt_rho,
         energy_map=(identity - n[:, None] / n.sum()) * sqrt_n,
-        weights=np.stack([rho, n])[:, :, None],
         scale=scale,
         kernels=scale / np.stack([rho.sum(), n.sum()])[:, None, None],
-        mass_gaps=masses[:, None] - masses[None, :],
+        heating_gaps=(masses[:, None] - masses[None, :]) / sqrt_n[:, None],
         identity=identity,
     )
 
 
 def operators(temperatures, const: RunConstants):
-    """(alpha, [A, B], [Z, Z-hat]) at (..., N) temperatures, over any leading axes.
+    """([A, B], [Z, Z-hat]) at (..., N) temperatures, over any leading axes.
 
-    One frequency evaluation, then one w lam product, one pair sum
-    s = w_i lam_ij + w_j lam_ji and one quotient for both weightings w
-    (beta is not formed), then Z = P^{-1/2} (D - A) P^{-1/2} and
-    Z-hat = Q^{-1/2} (F - B) Q^{-1/2}.  Hard-sphere temperatures must be
-    positive; callers check them.
+    The couplings are C * s for hard spheres, whose temperatures must be
+    positive (callers check them), and C for a constant model; then
+    Z = P^{-1/2} (D - A) P^{-1/2} and Z-hat = Q^{-1/2} (F - B) Q^{-1/2}
+    from one Laplacian and one division of the stack.
     """
-    scaled = const.weights * const.frequencies(temperatures)[..., None, :, :]
-    transposed = scaled.swapaxes(-1, -2)
-    total = scaled + transposed
-    alpha = scaled[..., 0, :, :] / total[..., 0, :, :]
-    coupling = scaled * transposed / total
-    return alpha, coupling, _laplacian(coupling) / const.scale
+    if const.hard_sphere:
+        # T_i / m_i once per species; a division, not a product with 1/m,
+        # keeps the values at which an overflowing step fails.
+        per_mass = temperatures / const.masses
+        speed = np.sqrt(per_mass[..., :, None] + per_mass[..., None, :])
+        coupling = const.unit_coupling * speed[..., None, :, :]
+    else:
+        lead = np.shape(temperatures)[:-1]
+        coupling = np.broadcast_to(const.unit_coupling, lead + const.unit_coupling.shape)
+    return coupling, _laplacian(coupling) / const.scale
 
 
-def heating(energy_coupling, velocity_weights, velocities, const: RunConstants, rate):
+def heating(energy_coupling, velocities, const: RunConstants, rate):
     """rate * Q^{-1/2} (G - C) m, the kinetic heating of the scaled energies, (..., N).
 
-    G - C is the Laplacian of the kinetic coupling K = B |u_mix|^2, with
-    u_mix[i, j] = u_j + alpha[i, j] (u_i - u_j) from the given velocities
-    (a float array, (..., N, d)) and mixing weights; it is applied to m
-    without being formed, as sum_j K_ij (m_i - m_j).  rate is 1/(2 eps)
-    in the ODE.
+    G - C is the Laplacian of the kinetic coupling K = B |u_mix|^2, u_mix =
+    ``const.mixing`` @ u at the given (..., N, d) float velocities; it is applied
+    to m unformed, as sum_j K_ij (m_i - m_j) / sqrt(n_i).  rate is 1/(2 eps) in the ODE.
     """
-    u_j = velocities[..., None, :, :]
-    u_mix = u_j + velocity_weights[..., None] * (velocities[..., :, None, :] - u_j)
-    kinetic = energy_coupling * np.einsum("...k,...k->...", u_mix, u_mix)
-    return rate * np.add.reduce(kinetic * const.mass_gaps, axis=-1) / const.sqrt_n
+    u_mix = const.mixing @ velocities
+    speed_sq = np.einsum("...k,...k->...", u_mix, u_mix).reshape(energy_coupling.shape)
+    return rate * np.add.reduce(energy_coupling * speed_sq * const.heating_gaps, axis=-1)

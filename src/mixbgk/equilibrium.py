@@ -102,7 +102,7 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
             f"got min T = {t_floor:.6e} J"
         )
     const = run_constants(comp, model, state.dimension)
-    coupling = operators(np.full(comp.size, t_floor), const)[1]
+    coupling = operators(np.full(comp.size, t_floor), const)[0]
     (velocity_rate, _), (energy_rate, _) = eigenvalue_brackets(
         coupling, comp.mass_densities, comp.number_densities
     )
@@ -180,7 +180,7 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
     velocity_rate, energy_rate = conservative_decay_rate(state, model)
     t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
     temps = np.stack([temperatures_of(state), np.full(n_species, t_ceiling)])
-    coupling = operators(temps, run_constants(comp, model, d))[1]
+    coupling = operators(temps, run_constants(comp, model, d))[0]
     bounds_t0 = eigenvalue_brackets(coupling[0], rho, n).tolist()
     coupling_energy_max = float(coupling[1, 1].max())
 

@@ -227,7 +227,7 @@ def _picard_solve(u, e, dt, eps, const):
     u_k, e_k = u, e
     for sweep in range(1, PICARD_MAX_ITER + 1):
         temps = _admissible_temperatures(u_k, e_k, const, "iterate")
-        alpha, coupling, z = operators(temps, const)
+        coupling, z = operators(temps, const)
 
         rate_z = rate * z
         if sweep == 1:  # I + sigma q q^T, from the start-of-step operators
@@ -237,9 +237,9 @@ def _picard_solve(u, e, dt, eps, const):
         systems = shifted_identity + rate_z  # the momentum and the energy system
         # ndarray.dot: the same products as @, at half its call cost on N x N.
         u_new = u - const.momentum_map.dot(_solve(systems[0], rate_z[0].dot(w_old)))
-        # The kinetic coupling pairs the new velocities with the mixing
-        # weights of the current iterate.
-        rhs = rate_z[1].dot(xi_old) - heating(coupling[1], alpha, u_new, const, heating_rate)
+        # The kinetic coupling pairs the new velocities with the energy
+        # coupling of the current iterate.
+        rhs = rate_z[1].dot(xi_old) - heating(coupling[1], u_new, const, heating_rate)
         e_new = e - const.energy_map.dot(_solve(systems[1], rhs))
 
         change_u, change_e = _relative_change(u_new, u_k), _relative_change(e_new, e_k)
@@ -276,9 +276,9 @@ def _rk4_advance(u, e, dt, eps, const):
         w, xi = y[:n_vel].reshape(shape), y[n_vel:]
         u = w / sqrt_rho
         temps = _admissible_temperatures(u, xi * sqrt_n, const, "RK4 stage")
-        alpha, coupling, z = operators(temps, const)
+        coupling, z = operators(temps, const)
         k = np.concatenate([z[0].dot(w).ravel(), z[1].dot(xi)]) / -eps
-        k[n_vel:] += heating(coupling[1], alpha, u, const, heating_rate)
+        k[n_vel:] += heating(coupling[1], u, const, heating_rate)
         return k
 
     y = np.concatenate([(sqrt_rho * u).ravel(), e / sqrt_n])

@@ -7,11 +7,14 @@ computes:
 
 * :func:`hard_sphere_frequencies` -- the hard-sphere frequency matrices
   of a mixture at given temperatures, refusing a nonpositive temperature
-  with the name of its species;
+  with the name of its species; the runtime never forms them, since the
+  thermal speed factors out of its couplings;
 * :func:`assemble` -- every coupling matrix of one state, written out
-  from the formulas in the :mod:`mixbgk.collisions` docstring (it shares
-  only the frequencies with the core, and follows the core's operation
-  order, so the two agree bit for bit);
+  from the formulas in the :mod:`mixbgk.collisions` docstring.  It forms
+  each pair quotient from the frequencies at the state, where the core
+  scales quotients taken once per run by the thermal speed, so the two
+  differ by rounding only: the tests hold them to a bound derived by
+  counting the roundings on each side;
 * :func:`pairwise_mixture` -- pair mixture velocities and temperatures;
 * :func:`thermal_speed` and :func:`weight_and_coupling` -- the
   hard-sphere thermal speed and the mixing weight and coupling of one
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import FrequencyModel, HardSphere, run_constants
+from .collisions import HARD_SPHERE_PREFACTOR, FrequencyModel, run_constants
 from .species import MixtureComposition, MomentState, temperatures_of
 
 
@@ -101,8 +104,15 @@ def hard_sphere_frequencies(species, number_densities, temperatures) -> np.ndarr
             f"hard-sphere frequencies need strictly positive temperatures; "
             f"species {species[first[-1]].label!r} has T = {temperatures[first]:.6e} J"
         )
-    composition = MixtureComposition(species, number_densities)
-    return run_constants(composition, HardSphere(), 3).frequencies(temperatures)
+    comp = MixtureComposition(species, number_densities)
+    m_i, m_j = comp.masses[:, None], comp.masses[None, :]
+    factor = (
+        HARD_SPHERE_PREFACTOR
+        * (m_i * m_j) / (m_i + m_j) ** 2
+        * (comp.diameters[:, None] + comp.diameters[None, :]) ** 2
+        * comp.number_densities[None, :]
+    )
+    return factor * thermal_speed(comp.masses, temperatures)
 
 
 def assemble(state: MomentState, model: FrequencyModel) -> CollisionMatrices:

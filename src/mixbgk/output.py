@@ -216,9 +216,13 @@ def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -
     three decay envelopes from the first record, and the eigenvalue bracket
     at every recorded state.
     """
+    return _monitor_lines(table, config)
+
+
+def _monitor_lines(table, config: ScenarioConfig, first=None) -> list[str]:
+    """:func:`monitor_block`, given ``_first_record_bounds`` of the table if derived."""
     comp = MixtureComposition(config.species, config.number_densities)
-    rho = comp.mass_densities
-    n = comp.number_densities
+    rho, n = comp.mass_densities, comp.number_densities
     velocities, energies = table.velocities, table.energies
     records = record_monitors(comp, velocities, energies)
 
@@ -243,7 +247,7 @@ def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -
 
     temps_k = energy_to_kelvin(records.temperatures)
     if np.all(records.temperatures[0] > 0.0):  # False for a NaN too
-        equilibrium, _, envelopes = _first_record_bounds(table, comp, config)
+        equilibrium, _, envelopes = first or _first_record_bounds(table, comp, config)
         dev_u, dev_e, dev_t = _deviations(table, temps_k, equilibrium)
     else:  # no decay rates without a positive floor; NaN fails every comparison
         dev_u = dev_e = dev_t = np.nan
@@ -268,7 +272,7 @@ def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -
         # frequencies, so it gets no bracket.
         temps = records.temperatures[np.all(records.temperatures > 0.0, axis=1)]
         const = run_constants(comp, config.model, d)
-        _, coupling, z = operators(temps, const)
+        coupling, z = operators(temps, const)
         brackets = eigenvalue_brackets(coupling, rho, n)  # (R, operator, end)
         spectra = np.linalg.eigvalsh(z)[..., 1:]  # (R, operator, N - 1): drop the null mode
         lower, upper = brackets[..., :1], brackets[..., 1:]
@@ -293,10 +297,9 @@ def write_output_set(
     one case in which a rename within the directory fails after its files
     could be created.  On failure no temporary file remains.
     """
-    equilibrium, constants, envelopes = _first_record_bounds(
-        trajectory, trajectory.composition, config
-    )
-    monitors = monitor_block(trajectory, config)
+    first = _first_record_bounds(trajectory, trajectory.composition, config)
+    equilibrium, constants, envelopes = first
+    monitors = _monitor_lines(trajectory, config, first)
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
         f"scenario = {config.name}",

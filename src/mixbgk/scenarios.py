@@ -92,7 +92,7 @@ class ScenarioConfig:
 
 def _rk4_stable_dt(state, model, eps) -> float:
     const = run_constants(state.composition, model, state.dimension)
-    fastest = np.linalg.eigvalsh(operators(temperatures_of(state), const)[2]).max()
+    fastest = np.linalg.eigvalsh(operators(temperatures_of(state), const)[1]).max()
     if fastest <= 0.0:  # single species: nothing moves, any step works
         return 1.0
     return RK4_RATE_PER_STEP * eps / fastest

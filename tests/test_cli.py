@@ -638,16 +638,26 @@ class TestCliRun:
         assert "records = 6" in summary
 
     def test_overflowed_implicit_step_exits_3(self, tmp_path):
+        # h Z overflows at dt = 1e300 on preset 2.
         result = run_cli(
-            ["run", "--example", "2", "--dt", "1e290", "--t-final", "1e291", "--out", "."],
+            ["run", "--example", "2", "--dt", "1e300", "--t-final", "1e301", "--out", "."],
             tmp_path,
         )
         assert result.returncode == 3
         assert "integrator failure: " in result.stderr
         assert "Traceback" not in result.stderr
         [line] = result.stderr.splitlines()
-        assert line.startswith("integrator failure: ")
-        assert "t = 1.000000000e+290" in line
+        assert line.startswith("integrator failure: implicit system: non-finite solution")
+        assert "t = 1.000000000e+300" in line
+
+    def test_step_below_the_overflow_of_h_z_passes(self, tmp_path, capsys):
+        # At dt = 1e290 h Z and the heating stay finite, and every step
+        # lands on the equilibrium.
+        argv = ["run", "--example", "2", "--dt", "1e290", "--t-final", "1e291"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^records = 11, max Picard sweeps per step = \d+$", out, re.M)
+        assert out.endswith("verification: PASS\n")
 
     def test_non_finite_implicit_increment_exits_3(self, tmp_path):
         result = run_cli(

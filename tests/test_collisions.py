@@ -40,6 +40,34 @@ ALPHA_AR_KR = 0.32282255727520104
 T_MIX_AR_KR = 1.3881357845322057e-20
 
 
+UNIT = 0.5 * np.finfo(float).eps  # unit roundoff
+
+
+def _gamma(count):
+    """Relative error bound of ``count`` roundings, count u / (1 - count u) (Higham, Lemma 3.1)."""
+    return count * UNIT / (1.0 - count * UNIT)
+
+
+def _assert_within(actual, reference, bound):
+    """|actual - reference| <= bound, entrywise and broadcast."""
+    excess = np.abs(actual - reference) - bound
+    assert np.all(excess <= 0.0), f"largest excess over the bound: {excess.max():.3e}"
+
+
+def _assert_core_matches(const, coupling, relaxation, reference_alpha, reference, comp):
+    """The core's alpha, [A, B] and [Z, Z-hat] against per-state reference
+    quotients, within the roundings counted in :class:`TestStackedCore`."""
+    size = comp.size
+    _assert_within(const.alpha, reference_alpha, _gamma(10) * reference_alpha)
+    _assert_within(coupling, reference, _gamma(16) * reference)
+    sqrt_rho, sqrt_n = np.sqrt(comp.mass_densities), np.sqrt(comp.number_densities)
+    scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
+    identity = np.eye(size)
+    degree = reference.sum(axis=-1)[..., None] * identity
+    bound = (_gamma(18) * reference * (1.0 - identity) + _gamma(2 * size + 18) * degree) / scale
+    _assert_within(relaxation, (degree - reference) / scale, bound)
+
+
 def _hard_sphere_pair(rng=None):
     return (GASES["Ar"], GASES["Kr"]), np.array([3e28, 2e28])
 
@@ -130,6 +158,49 @@ class TestMixingWeights:
         np.testing.assert_allclose(
             alpha, m[:, None] / (m[:, None] + m[None, :]), rtol=1e-13
         )
+
+
+class TestClosedFormWeights:
+    """The thermal speed cancels from the hard-sphere weights and factors out of the couplings.
+
+    The factor f_ij = g_ij n_j has g formed from symmetric operands only,
+    so g_ij = g_ji to the bit, and f_ij carries the one rounding of the
+    product with n_j.  With lam = f s and rho = m n (one rounding each),
+    rho_i lam_ij = m_i n_i n_j g s within 4 roundings and n_i lam_ij within
+    3, the pair sum adds one and the quotient one.  So the reference
+    alpha is within gamma_10 of m_i / (m_i + m_j), whose own two roundings
+    make 12, and beta within gamma_8 of 1/2.  The run constant skips
+    lam: rho_i f_ij carries 3, so alpha is within gamma_8, 10 with the
+    closed form's.  C s / s is C within 2 roundings.
+    """
+
+    @staticmethod
+    def _draw(size):
+        rng = np.random.default_rng([107, size])
+        comp = random_composition(rng, size)
+        # 1 K to 1e6 K, log-uniform: the weights must not see the temperature.
+        kelvin = np.exp(rng.uniform(0.0, np.log(1e6), size=(4, size)))
+        return comp, kelvin * BOLTZMANN_J_PER_K
+
+    @pytest.mark.parametrize("size", [2, 3, 10, 30])
+    def test_weights_are_mass_fractions_and_one_half(self, size):
+        comp, temps = self._draw(size)
+        m = comp.masses
+        closed = m[:, None] / (m[:, None] + m[None, :])
+        lam = hard_sphere_frequencies(comp.species, comp.number_densities, temps)
+        alpha, _ = weight_and_coupling(lam, comp.mass_densities)
+        beta, _ = weight_and_coupling(lam, comp.number_densities)
+        _assert_within(alpha, closed, _gamma(12) * closed)
+        _assert_within(beta, 0.5, _gamma(8) * 0.5)
+        _assert_within(run_constants(comp, HardSphere(), 3).alpha, closed, _gamma(10) * closed)
+
+    @pytest.mark.parametrize("size", [2, 3, 10, 30])
+    def test_couplings_over_thermal_speed_are_temperature_free(self, size):
+        comp, temps = self._draw(size)
+        const = run_constants(comp, HardSphere(), 3)
+        coupling, _ = operators(temps, const)
+        unit = coupling / thermal_speed(comp.masses, temps)[:, None]
+        _assert_within(unit, const.unit_coupling, _gamma(2) * const.unit_coupling)
 
 
 class TestPairwiseMixture:
@@ -261,52 +332,38 @@ class TestStackedRecords:
         rho, n = comp.mass_densities, comp.number_densities
 
         const = run_constants(comp, model, 3)
-        lam = const.frequencies(temps)
-        beta, _ = weight_and_coupling(lam, n)
-        alpha, coupling, relaxation = operators(temps, const)
+        coupling, relaxation = operators(temps, const)
         brackets = eigenvalue_brackets(coupling, rho, n)
-        # Both models give one matrix per record, and a pair per record
-        # for the two density weightings.
-        assert lam.shape == alpha.shape == (6, 4, 4)
+        # Both models give a pair of matrices per record, one for each of
+        # the two density weightings.
         assert coupling.shape == relaxation.shape == (6, 2, 4, 4)
         assert brackets.shape == (6, 2, 2)
-        laplacians = _laplacian(coupling)
         for r, state in enumerate(states):
-            mats = assemble(state, model)
+            single_coupling, single_relaxation = operators(temps[r], const)
+            np.testing.assert_array_equal(coupling[r], single_coupling)
+            np.testing.assert_array_equal(relaxation[r], single_relaxation)
             np.testing.assert_array_equal(
-                brackets[r],
-                eigenvalue_brackets(
-                    np.stack([mats.momentum_coupling, mats.energy_coupling]), rho, n
-                ),
+                brackets[r], eigenvalue_brackets(single_coupling, rho, n)
             )
-            momentum_laplacian, energy_laplacian = (
-                np.diag(c.sum(axis=1)) - c for c in (mats.momentum_coupling, mats.energy_coupling)
+            mats = assemble(state, model)
+            reference = np.stack([mats.momentum_coupling, mats.energy_coupling])
+            _assert_core_matches(
+                const, coupling[r], relaxation[r], mats.velocity_weights, reference, comp
             )
-            pairs = [
-                (lam[r], mats.frequencies),
-                (alpha[r], mats.velocity_weights),
-                (beta[r], mats.temperature_weights),
-                (coupling[r, 0], mats.momentum_coupling),
-                (coupling[r, 1], mats.energy_coupling),
-                (laplacians[r, 0], momentum_laplacian),
-                (laplacians[r, 1], energy_laplacian),
-                (relaxation[r, 0], momentum_laplacian / np.outer(np.sqrt(rho), np.sqrt(rho))),
-                (relaxation[r, 1], energy_laplacian / np.outer(np.sqrt(n), np.sqrt(n))),
-            ]
-            for stacked, single in pairs:
-                np.testing.assert_array_equal(stacked, single)
 
-    def test_heating_matches_per_record(self):
-        rng = np.random.default_rng(89)
-        comp = random_composition(rng, 4)
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 10, 30])
+    def test_heating_matches_per_record(self, size):
+        # One matmul with the mixing map over the record axis.
+        rng = np.random.default_rng([89, size])
+        comp = random_composition(rng, size)
         states = self._records(rng, comp)
         const = run_constants(comp, HardSphere(), 3)
         velocities = np.array([s.velocities for s in states])
-        alpha, coupling, _ = operators(np.array([temperatures_of(s) for s in states]), const)
-        stacked = heating(coupling[:, 1], alpha, velocities, const, 0.5)
-        assert stacked.shape == (6, 4)
+        coupling, _ = operators(np.array([temperatures_of(s) for s in states]), const)
+        stacked = heating(coupling[:, 1], velocities, const, 0.5)
+        assert stacked.shape == (6, size)
         for r in range(len(states)):
-            single = heating(coupling[r, 1], alpha[r], velocities[r], const, 0.5)
+            single = heating(coupling[r, 1], velocities[r], const, 0.5)
             np.testing.assert_array_equal(stacked[r], single)
 
     def test_bad_temperature_names_its_species(self):
@@ -321,15 +378,39 @@ class TestStackedRecords:
 class TestStackedCore:
     """The stacked core against one density weighting at a time.
 
-    The per-weighting reference (``thermal_speed`` and
-    ``weight_and_coupling`` from the oracles) takes the same operations in
-    the same order per entry, so every comparison is exact: no tolerance.
-    The matrix-free heating sums K_ij (m_i - m_j) where the reference
-    multiplies the kinetic Laplacian by m, and builds u_mix from
-    u_j + alpha_ij (u_i - u_j) where ``assemble`` takes
-    alpha_ij u_i + alpha_ji u_j.  So it is held to 1e-12 of the size of
-    its terms, rate * sum_j B_ij max|u|^2 (m_i + m_j) / sqrt(n_i), about
-    1e3 machine epsilons above the N eps rounding bound of a length-N sum.
+    The core takes each pair quotient once per run, on the frequencies at
+    unit thermal speed f (the hard-sphere factor or the constant matrix),
+    and scales the couplings C by the thermal speed s; the per-weighting
+    reference (``hard_sphere_frequencies`` and ``weight_and_coupling``
+    from the oracles) forms lam = f s and takes the quotients at the
+    state.  Both read the same f (``hard_sphere_frequencies`` forms it by
+    the same expression) and the same rounded s, with s_ij = s_ji to the
+    bit, so each side differs from the exact quotients
+    of those inputs by its own roundings, counted per entry with w the
+    density weighting:
+
+    * weight: the reference 6 (lam and w lam 2, the pair sum 3, the
+      quotient 2 + 3 + 1), the core 4 (w f 1, the pair sum 2, the
+      quotient 1 + 2 + 1): together 10, of |alpha|;
+    * coupling: the reference 9 (the product of two 2-rounding terms 5,
+      the quotient by the 3-rounding sum 5 + 3 + 1), the core 7 (C by
+      3 + 2 + 1, then C s): together 16, of |A_ij|;
+    * Z off the diagonal: one division more on each side, 18 of
+      |A_ij| / sqrt(rho_i rho_j);
+    * Z on the diagonal: a side with k roundings per term sums N terms
+      and subtracts the self term (k + N roundings of the row sum D_i,
+      the error of the self term cancelling), then divides: k + N + 1,
+      together 2 N + 18 of D_i / rho_i.
+
+    Each count of k roundings bounds a relative error by
+    gamma_k = k u / (1 - k u), u the unit roundoff.  A constant model
+    takes the same steps on both sides, with no s, so there the two
+    agree to the bit.  The matrix-free heating sums K_ij (m_i - m_j) /
+    sqrt(n_i) where the reference multiplies the kinetic Laplacian by m,
+    and takes u_mix from the mixing map and the run's weights.  So it is
+    held to 1e-12 of the size of its terms, rate * sum_j B_ij max|u|^2
+    (m_i + m_j) / sqrt(n_i), about 1e3 machine epsilons above the N eps
+    rounding bound of a length-N sum.
     """
 
     @staticmethod
@@ -348,28 +429,20 @@ class TestStackedCore:
         temps = self._temperatures(rng, size, records)
         rho, n = comp.mass_densities, comp.number_densities
 
-        lam = const.frequencies(temps)
         if constant:
-            reference_lam = np.broadcast_to(model.frequencies, lam.shape)
+            lam = np.broadcast_to(model.frequencies, temps.shape + (size,))
         else:
-            reference_lam = const.frequency_factor * thermal_speed(comp.masses, temps)
-        np.testing.assert_array_equal(lam, reference_lam)
-
-        alpha, coupling, relaxation = operators(temps, const)
+            lam = hard_sphere_frequencies(comp.species, n, temps)
+        coupling, relaxation = operators(temps, const)
         lead = () if records is None else (records,)
-        assert alpha.shape == lead + (size, size)
+        assert const.alpha.shape == (size, size)
         assert coupling.shape == relaxation.shape == lead + (2, size, size)
-        reference_alpha, momentum = weight_and_coupling(reference_lam, rho)
-        _, energy = weight_and_coupling(reference_lam, n)
-        np.testing.assert_array_equal(alpha, reference_alpha)
-        np.testing.assert_array_equal(coupling[..., 0, :, :], momentum)
-        np.testing.assert_array_equal(coupling[..., 1, :, :], energy)
-        np.testing.assert_array_equal(
-            relaxation[..., 0, :, :], _laplacian(momentum) / np.outer(np.sqrt(rho), np.sqrt(rho))
-        )
-        np.testing.assert_array_equal(
-            relaxation[..., 1, :, :], _laplacian(energy) / np.outer(np.sqrt(n), np.sqrt(n))
-        )
+        alpha, momentum = weight_and_coupling(lam, rho)
+        _, energy = weight_and_coupling(lam, n)
+        reference = np.stack([momentum, energy], axis=-3)
+        _assert_core_matches(const, coupling, relaxation, alpha, reference, comp)
+        if constant:
+            np.testing.assert_array_equal(coupling, reference)
 
     @pytest.mark.parametrize("constant", [False, True])
     @pytest.mark.parametrize("size", [1, 2, 3, 10, 30])
@@ -383,9 +456,9 @@ class TestStackedCore:
             self._temperatures(rng, size, None),
         )
         const = run_constants(comp, model, 3)
-        alpha, coupling, _ = operators(temperatures_of(state), const)
+        coupling, _ = operators(temperatures_of(state), const)
         rate = 0.5 / 0.3
-        source = heating(coupling[1], alpha, state.velocities, const, rate)
+        source = heating(coupling[1], state.velocities, const, rate)
 
         mats = assemble(state, model)
         m, sqrt_n = comp.masses, np.sqrt(comp.number_densities)

@@ -531,11 +531,28 @@ class TestTypedFailures:
     """Steps that overflow fail with RealizabilityError, never an untyped error."""
 
     def test_overflowed_implicit_system(self):
+        # At dt = 1e300, preset 2's h Z (1.2e13 / s at most in Z) overflows.
         scenario = presets()[2]
-        cfg = IntegratorConfig(dt=1e290, t_final=1e291)
+        cfg = IntegratorConfig(dt=1e300, t_final=1e301)
         with pytest.raises(RealizabilityError, match="implicit system") as excinfo:
             simulate(scenario.initial_state(), cfg, scenario.model)
-        assert excinfo.value.time == 1e290
+        assert excinfo.value.time == 1e300
+
+    def test_step_below_the_overflow_of_h_z_is_taken(self):
+        # At dt = 1e290, h Z stays finite (1.2e303 at most), and so does the
+        # heating, whose mass gaps are divided by sqrt(n) before the rate
+        # multiplies them: every step lands on the conserved equilibrium.
+        scenario = presets()[2]
+        state = scenario.initial_state()
+        trajectory = simulate(state, IntegratorConfig(dt=1e290, t_final=1e291), scenario.model)
+        assert len(trajectory.times) == 11
+        assert np.isfinite(trajectory.velocities).all() and np.isfinite(trajectory.energies).all()
+        equilibrium = steady_state(state)
+        speed = np.abs(state.velocities).max()
+        np.testing.assert_allclose(
+            trajectory.velocities[-1], np.tile(equilibrium.velocity, (3, 1)), atol=1e-12 * speed
+        )
+        np.testing.assert_allclose(trajectory.energies[-1], equilibrium.energies, rtol=1e-12)
 
     def test_non_finite_implicit_increment(self):
         # At dt = 1e300, preset 1's h Z overflows and gesv returns a

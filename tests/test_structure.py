@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import mixbgk
+from mixbgk.collisions import RunConstants
 from mixbgk.output import TrajectoryTable
 from mixbgk.scenarios import _KNOWN_KEYS
 
@@ -24,6 +25,10 @@ ASSEMBLY_HELPERS = {"_hard_sphere_factor", "_laplacian"}
 # constants they share.
 CORE_ENTRIES = {"run_constants", "operators", "heating"}
 
+# The per-call entries of the core: they scale run constants by the
+# thermal speed and never form a frequency or a pair quotient.
+PER_CALL_CORE = ("operators", "heating")
+
 # Cross-check-only names that no runtime module may define or use.
 ORACLE_ONLY = {"hard_sphere_frequencies", "couplings"}
 
@@ -37,8 +42,10 @@ STEPPERS = ("_picard_solve", "_rk4_advance")
 # velocity-bound, envelope and eigenvalue-bracket monitors.
 GATES = {"DRIFT_LIMIT", "FLOOR_SLACK", "BOUND_SLACK", "ENVELOPE_SLACK", "BRACKET_SLACK"}
 
-# The helper of ``output`` that derives every bound of a run from record 0.
+# The helper of ``output`` that derives every bound of a run from record 0,
+# and the one that writes the [monitors] lines from it.
 FIRST_RECORD = "_first_record_bounds"
+MONITOR_LINES = "_monitor_lines"
 
 
 def _modules():
@@ -77,6 +84,39 @@ def test_collisions_has_one_way_into_the_core():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
     assert public == CORE_ENTRIES
+
+
+def test_frequencies_and_weights_are_run_constants():
+    # The thermal speed factors out of the hard-sphere couplings and cancels
+    # from the mixing weights, so run_constants forms the frequency factor
+    # and every pair quotient once per run, and no runtime call evaluates
+    # either: oracles.hard_sphere_frequencies is the one frequency evaluation.
+    assert not hasattr(RunConstants, "frequencies")
+    fields = {field.name for field in dataclasses.fields(RunConstants)}
+    assert fields.isdisjoint({"frequencies", "frequency_factor", "weights"})
+    runtime = {name: tree for name, tree in _modules().items() if name != "oracles.py"}
+    # swapaxes takes the pair sum w_i f_ij + w_j f_ji of the pair quotients.
+    for helper in ("_hard_sphere_factor", "swapaxes"):
+        users = sorted(
+            (module, node.name)
+            for module, tree in runtime.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and helper in set(_referenced_names(node))
+        )
+        assert users == [("collisions.py", "run_constants")], helper
+    core = {
+        node.name: node for node in runtime["collisions.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name in PER_CALL_CORE
+    }
+    divisions = {
+        name: sum(
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            for node in ast.walk(function)
+        )
+        for name, function in core.items()
+    }
+    # T_i / m_i and the scaling of the Laplacian stack; the heating divides nothing.
+    assert divisions == {"operators": 2, "heating": 0}
 
 
 def test_oracle_only_names_stay_out_of_the_runtime():
@@ -236,13 +276,19 @@ def test_trajectory_table_is_the_state():
     texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
     assert sorted(name for name, text in texts.items() if "build_table" in text) == []
 
-    # monitor_block and the helper that derives the bounds of record 0
-    # (which write_output_set shares) each read some of those columns only.
+    # The lines of monitor_block and the helper that derives the bounds of
+    # record 0 each read some of those columns only.  write_output_set
+    # derives those bounds once and hands them to the lines' helper, which
+    # monitor_block calls without them.
     readers = [
         node for node in _modules()["output.py"].body
-        if isinstance(node, ast.FunctionDef) and node.name in ("monitor_block", FIRST_RECORD)
+        if isinstance(node, ast.FunctionDef) and node.name in (MONITOR_LINES, FIRST_RECORD)
     ]
-    assert sorted(node.name for node in readers) == [FIRST_RECORD, "monitor_block"]
+    assert sorted(node.name for node in readers) == [FIRST_RECORD, MONITOR_LINES]
+    assert _top_level_users(MONITOR_LINES) == [
+        ("output.py", "monitor_block"), ("output.py", "write_output_set")
+    ]
+    assert _top_level_users("decay_constants") == [("output.py", FIRST_RECORD)]
     for reader in readers:
         table = reader.args.args[0].arg
         read = {
