@@ -38,11 +38,16 @@ C the couplings at unit speed (s = 1 for a constant model).
 :func:`run_constants` builds alpha, C, the pair-velocity map and the
 other temperature-free data once per run, with the density weightings
 rho (of A and Z) and n (of B and Z-hat) on one leading axis of length 2.
+It also holds what a stepper needs on either state: the weights of the
+temperature map for (u, E) and for the scaled (W, xi), the pair-velocity
+map for u and its product with P^{-1/2} for W, and a (d,) vector of ones
+whose dot sums the squares over the d axis.
 :func:`operators` evaluates the stacks [A, B] and [Z, Z-hat] as
-(..., 2, N, N) at (..., N) temperatures, and :func:`heating` gives the
-kinetic heating sum_j K_ij (m_i - m_j) / sqrt(n_i) at given velocities
-without forming the Laplacian of K.  Every runtime path goes through
-them; the cross-checks, the frequency evaluation among them, live in
+(..., 2, N, N) at (..., N) temperatures, the Laplacians as degree I - C s,
+and :func:`heating` gives the kinetic heating sum_j K_ij (m_i - m_j) /
+sqrt(n_i) at given velocities, u or W with the matching map, without
+forming the Laplacian of K.  Every runtime path goes through them; the
+cross-checks, the frequency evaluation among them, live in
 :mod:`mixbgk.oracles`.  Self pairs (i = j) are included throughout;
 they cancel identically in all relaxation differences.
 """
@@ -54,7 +59,7 @@ from typing import Union
 
 import numpy as np
 
-from .species import _readonly
+from .species import _readonly, _temperature_weights
 
 # 32 pi^2 / (3 (2 pi)^{3/2}), evaluated in full float precision.
 HARD_SPHERE_PREFACTOR = 32.0 * np.pi**2 / (3.0 * (2.0 * np.pi) ** 1.5)
@@ -99,14 +104,13 @@ def _hard_sphere_factor(masses, diameters, number_densities) -> np.ndarray:
     )
 
 
-def _laplacian(coupling) -> np.ndarray:
-    """diag(degree) - coupling over leading axes, the degree being the row sums."""
-    degree = np.add.reduce(coupling, axis=-1)
-    laplacian = np.negative(coupling, order="C")
-    n = coupling.shape[-1]
-    # In C order the diagonal of each trailing N x N block is every (N+1)-th entry.
-    laplacian.reshape(*coupling.shape[:-2], n * n)[..., :: n + 1] += degree
-    return laplacian
+def _laplacian(coupling, identity) -> np.ndarray:
+    """degree I - coupling over leading axes, the degree being the row sums.
+
+    Off the diagonal 0 - c_ij is exact, and a self pair cancels exactly on
+    it, so a single species gets Z = 0.
+    """
+    return np.add.reduce(coupling, axis=-1, keepdims=True) * identity - coupling
 
 
 @dataclass(frozen=True)
@@ -115,23 +119,31 @@ class RunConstants:
 
     ``alpha`` and ``unit_coupling`` are the weights and the stack [A, B] at
     unit thermal speed; ``mixing`` maps (N, d) velocities to the (N * N, d)
-    pair velocities u_mix.  ``scale`` stacks sqrt(rho) (x) sqrt(rho) and
+    pair velocities u_mix, and ``scaled_mixing`` = ``mixing`` P^{-1/2} maps
+    the scaled velocities W = P^{1/2} U to the same u_mix.
+    ``temperature_weights`` (a, b) give T = a E - b |u|^2, and
+    ``scaled_temperature_weights`` (a sqrt(n), b / rho) give the same T
+    from xi and |W|^2; ``ones`` is the (d,) vector of ones whose dot sums
+    the squares of a velocity.  ``scale`` stacks sqrt(rho) (x) sqrt(rho) and
     sqrt(n) (x) sqrt(n), the divisors of the scaled Laplacians Z and Z-hat.
     ``momentum_map`` and ``energy_map`` take a scaled implicit-step
     increment to the physical one with no change of total momentum or
     energy (rho^T M_rho = 1^T M_n = 0).  ``kernels`` stacks q q^T for the
     unit null vectors sqrt(rho)/|sqrt(rho)| of Z and sqrt(n)/|sqrt(n)| of
-    Z-hat.  The densities and masses are the composition's own cached arrays.
+    Z-hat.  The masses are the composition's own cached array.
     """
 
     hard_sphere: bool
     masses: np.ndarray  # (N,)
-    number_densities: np.ndarray  # (N,)
     sqrt_rho: np.ndarray  # (N,)
     sqrt_n: np.ndarray  # (N,)
     alpha: np.ndarray  # (N, N)
     unit_coupling: np.ndarray  # (2, N, N) C, [A, B] at s = 1
     mixing: np.ndarray  # (N * N, N): row (i, j) is alpha_ij e_i + alpha_ji e_j
+    scaled_mixing: np.ndarray  # (N * N, N) mixing P^{-1/2}
+    temperature_weights: tuple  # ((N,), (N,)) (2/d)/n and m/d
+    scaled_temperature_weights: tuple  # ((N,), (N,)) (2/d)/sqrt(n) and 1/(d n)
+    ones: np.ndarray  # (d,)
     momentum_map: np.ndarray  # (N, N) M_rho = (I - 1 rho^T / sum rho) P^{-1/2}
     energy_map: np.ndarray  # (N, N) M_n = (I - n 1^T / sum n) Q^{1/2}
     scale: np.ndarray  # (2, N, N)
@@ -168,17 +180,22 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     alpha = scaled[0] / total[0]
     size, identity = composition.size, np.eye(composition.size)
     mixing = alpha[:, :, None] * identity[:, None, :] + alpha.T[:, :, None] * identity
+    mixing = mixing.reshape(size * size, size)
     sqrt_rho, sqrt_n = np.sqrt(rho), np.sqrt(n)
+    energy_weight, speed_weight = _temperature_weights(masses, n, dimension)
     scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
     return RunConstants(
         hard_sphere=hard_sphere,
         masses=masses,
-        number_densities=n,
         sqrt_rho=sqrt_rho,
         sqrt_n=sqrt_n,
         alpha=alpha,
         unit_coupling=scaled * transposed / total,
-        mixing=mixing.reshape(size * size, size),
+        mixing=mixing,
+        scaled_mixing=mixing / sqrt_rho,
+        temperature_weights=(energy_weight, speed_weight),
+        scaled_temperature_weights=(energy_weight * sqrt_n, speed_weight / rho),
+        ones=np.ones(dimension),
         momentum_map=(identity - rho / rho.sum()) / sqrt_rho,
         energy_map=(identity - n[:, None] / n.sum()) * sqrt_n,
         scale=scale,
@@ -194,27 +211,32 @@ def operators(temperatures, const: RunConstants):
     The couplings are C * s for hard spheres, whose temperatures must be
     positive (callers check them), and C for a constant model; then
     Z = P^{-1/2} (D - A) P^{-1/2} and Z-hat = Q^{-1/2} (F - B) Q^{-1/2}
-    from one Laplacian and one division of the stack.
+    from one Laplacian of the stack, degree I - C s, and one division.
     """
     if const.hard_sphere:
         # T_i / m_i once per species; a division, not a product with 1/m,
         # keeps the values at which an overflowing step fails.
         per_mass = temperatures / const.masses
-        speed = np.sqrt(per_mass[..., :, None] + per_mass[..., None, :])
-        coupling = const.unit_coupling * speed[..., None, :, :]
+        # s on a unit axis of the stack: (..., 1, N, N).
+        speed = np.sqrt(per_mass[..., None, :, None] + per_mass[..., None, None, :])
+        coupling = const.unit_coupling * speed
     else:
         lead = np.shape(temperatures)[:-1]
         coupling = np.broadcast_to(const.unit_coupling, lead + const.unit_coupling.shape)
-    return coupling, _laplacian(coupling) / const.scale
+    return coupling, _laplacian(coupling, const.identity) / const.scale
 
 
-def heating(energy_coupling, velocities, const: RunConstants, rate):
+def heating(energy_coupling, velocities, mixing, const: RunConstants, rate):
     """rate * Q^{-1/2} (G - C) m, the kinetic heating of the scaled energies, (..., N).
 
     G - C is the Laplacian of the kinetic coupling K = B |u_mix|^2, u_mix =
-    ``const.mixing`` @ u at the given (..., N, d) float velocities; it is applied
-    to m unformed, as sum_j K_ij (m_i - m_j) / sqrt(n_i).  rate is 1/(2 eps) in the ODE.
+    ``mixing`` @ v at the given (..., N, d) float velocities: ``const.mixing``
+    takes the velocities u, ``const.scaled_mixing`` the scaled W.  It is
+    applied to m unformed, as sum_j K_ij (m_i - m_j) / sqrt(n_i): B times
+    |u_mix|^2, then times the gaps, an order that fixes where an
+    overflowing step fails.  rate is 1/(2 eps) in the ODE; the Picard
+    sweep passes dt/(2 eps), and an RK4 stage, whose rates carry eps, 1/2.
     """
-    u_mix = const.mixing @ velocities
-    speed_sq = np.einsum("...k,...k->...", u_mix, u_mix).reshape(energy_coupling.shape)
+    u_mix = mixing @ velocities
+    speed_sq = (u_mix * u_mix).dot(const.ones).reshape(energy_coupling.shape)
     return rate * np.add.reduce(energy_coupling * speed_sq * const.heating_gaps, axis=-1)

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .collisions import FrequencyModel, heating, operators, run_constants
-from .species import MixtureComposition, MomentState, _temperatures, is_realizable
+from .species import MixtureComposition, MomentState, _temperature_map, is_realizable
 
 PICARD_TOL = 1e-12  # the joint relative change that ends a Picard iteration
 PICARD_MAX_ITER = 100  # its cap on solve pairs
@@ -157,16 +157,18 @@ def _relative_change(new, old) -> float:
     return float(np.maximum.reduce(abs(new - old), axis=None) / scale)
 
 
-def _admissible_temperatures(velocities, energies, const, where, time=None):
+def _admissible_temperatures(velocities, energies, weights, const, where, time=None):
     """Temperatures at which the operator core may be evaluated, else RealizabilityError.
 
-    Finite for every model, and positive for the hard-sphere frequencies;
-    under constant ones an unstable explicit step shows in the monitors.
+    ``weights`` are ``const.temperature_weights`` for (u, E) and
+    ``const.scaled_temperature_weights`` for (W, xi).  Finite for every
+    model, and positive for the hard-sphere frequencies; under constant
+    ones an unstable explicit step shows in the monitors.
     """
-    temps = _temperatures(const, velocities, energies)
+    temps = _temperature_map(weights, const.ones, velocities, energies)
     floor = 0.0 if const.hard_sphere else -np.inf
-    lowest = np.minimum.reduce(temps, axis=None)
-    if not (lowest > floor and np.maximum.reduce(temps, axis=None) < np.inf):  # a NaN fails both
+    lowest = np.minimum.reduce(temps)
+    if not (lowest > floor and np.maximum.reduce(temps) < np.inf):  # a NaN fails both
         need = "finite and positive" if const.hard_sphere else "finite"
         message = f"{where} temperatures must be {need}, got a minimum of {lowest:.6e} J"
         raise RealizabilityError(message, time=time)
@@ -226,7 +228,7 @@ def _picard_solve(u, e, dt, eps, const):
 
     u_k, e_k = u, e
     for sweep in range(1, PICARD_MAX_ITER + 1):
-        temps = _admissible_temperatures(u_k, e_k, const, "iterate")
+        temps = _admissible_temperatures(u_k, e_k, const.temperature_weights, const, "iterate")
         coupling, z = operators(temps, const)
 
         rate_z = rate * z
@@ -239,7 +241,8 @@ def _picard_solve(u, e, dt, eps, const):
         u_new = u - const.momentum_map.dot(_solve(systems[0], rate_z[0].dot(w_old)))
         # The kinetic coupling pairs the new velocities with the energy
         # coupling of the current iterate.
-        rhs = rate_z[1].dot(xi_old) - heating(coupling[1], u_new, const, heating_rate)
+        kinetic = heating(coupling[1], u_new, const.mixing, const, heating_rate)
+        rhs = rate_z[1].dot(xi_old) - kinetic
         e_new = e - const.energy_map.dot(_solve(systems[1], rhs))
 
         change_u, change_e = _relative_change(u_new, u_k), _relative_change(e_new, e_k)
@@ -259,39 +262,39 @@ def _picard_solve(u, e, dt, eps, const):
 def _rk4_advance(u, e, dt, eps, const):
     """One classical RK4 step of (u, e); returns (velocities, energies, 0).
 
-    The stages run on one flat vector y = [W.ravel(), xi], W = P^{1/2} U
-    and xi = Q^{-1/2} E,
+    The stages run on the scaled state W = P^{1/2} U and xi = Q^{-1/2} E,
 
-        dW/dt  = -(1/eps) Z W
-        dxi/dt = -(1/eps) Z-hat xi + heating,
+        eps dW/dt  = -Z W
+        eps dxi/dt = -(Z-hat xi - eps heating),
 
-    with Z, Z-hat and the heating from the same core as the implicit sweep.
-    Every stage update and the final sum is one expression on y.
+    with Z, Z-hat and the heating from the same core as the implicit sweep;
+    each stage gives the two right-hand brackets, and h = dt/eps scales
+    them.  A stage never returns to (u, e): its temperatures come from xi
+    and |W|^2 through ``const.scaled_temperature_weights``, and its heating
+    from W through ``const.scaled_mixing``.
     """
-    shape, n_vel = u.shape, u.size
     sqrt_rho, sqrt_n = const.sqrt_rho[:, None], const.sqrt_n
-    heating_rate = 0.5 / eps
+    weights, mixing = const.scaled_temperature_weights, const.scaled_mixing
+    h = dt / eps
+    half_h = 0.5 * h
 
-    def rates(y):
-        w, xi = y[:n_vel].reshape(shape), y[n_vel:]
-        u = w / sqrt_rho
-        temps = _admissible_temperatures(u, xi * sqrt_n, const, "RK4 stage")
+    def rates(w, xi):
+        temps = _admissible_temperatures(w, xi, weights, const, "RK4 stage")
         coupling, z = operators(temps, const)
-        k = np.concatenate([z[0].dot(w).ravel(), z[1].dot(xi)]) / -eps
-        k[n_vel:] += heating(coupling[1], u, const, heating_rate)
-        return k
+        return z[0].dot(w), z[1].dot(xi) - heating(coupling[1], w, mixing, const, 0.5)
 
-    y = np.concatenate([(sqrt_rho * u).ravel(), e / sqrt_n])
-    k1 = rates(y)
-    k2 = rates(y + 0.5 * dt * k1)
-    k3 = rates(y + 0.5 * dt * k2)
-    k4 = rates(y + dt * k3)
-    y = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    if not np.isfinite(y).all():
+    w, xi = sqrt_rho * u, e / sqrt_n
+    k1w, k1x = rates(w, xi)
+    k2w, k2x = rates(w - half_h * k1w, xi - half_h * k1x)
+    k3w, k3x = rates(w - half_h * k2w, xi - half_h * k2x)
+    k4w, k4x = rates(w - h * k3w, xi - h * k3x)
+    w = w - h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
+    xi = xi - h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+    if not (np.isfinite(w).all() and np.isfinite(xi).all()):
         raise RealizabilityError(
             f"RK4 step at dt = {dt:.6e}: velocities and energies must be finite"
         )
-    return y[:n_vel].reshape(shape) / sqrt_rho, y[n_vel:] * sqrt_n, 0
+    return w / sqrt_rho, xi * sqrt_n, 0
 
 
 def _schedule(cfg: IntegratorConfig):
@@ -325,7 +328,10 @@ def simulate(
         if not is_realizable(initial):
             raise RealizabilityError("initial state is not realizable", time=0.0)
         const = run_constants(initial.composition, model, initial.dimension)
-        _admissible_temperatures(initial.velocities, initial.energies, const, "initial", time=0.0)
+        _admissible_temperatures(
+            initial.velocities, initial.energies, const.temperature_weights, const, "initial",
+            time=0.0,
+        )
         advance = _picard_solve if cfg.method == "be" else _rk4_advance
         records = [(0.0, initial.velocities, initial.energies, 0)]
         for t, dt in _schedule(cfg):

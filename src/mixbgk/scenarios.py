@@ -50,8 +50,10 @@ GASES = {
 }
 
 # Backward-Euler default: ~20 implicit steps per e-fold of the slowest
-# conservative velocity rate.  RK4 default: half the stability limit of
-# the fastest instantaneous rate, a derived horizon capped at RK4_MAX_STEPS.
+# conservative velocity rate.  RK4 default: (dt/eps) lambda_max = 0.5, with
+# lambda_max the largest eigenvalue of Z and Z-hat at t = 0, about 18 % of
+# classical RK4's real-axis stability limit of 2.785; a derived horizon is
+# capped at RK4_MAX_STEPS.
 BE_RATE_PER_STEP = 0.05
 RK4_RATE_PER_STEP = 0.5
 RK4_MAX_STEPS = 5_000
@@ -108,8 +110,10 @@ def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
 
     The default horizon covers HORIZON_EFOLDS e-folds of the slowest
     conservative envelope rate.  The default step is BE_RATE_PER_STEP
-    e-folds of the conservative velocity rate for backward Euler and a
-    stability-limited step for RK4.  A derived RK4 horizon is capped at
+    e-folds of the conservative velocity rate for backward Euler; for RK4
+    it is RK4_RATE_PER_STEP * eps / lambda_max, lambda_max the largest
+    eigenvalue of Z and Z-hat at the initial state, a step well inside
+    the real-axis stability limit.  A derived RK4 horizon is capped at
     RK4_MAX_STEPS steps, whether the step was derived or given; an
     explicit horizon is never capped.  The rates, those of
     ``config.initial_state()``, are derived even when both are given, so a

@@ -146,13 +146,29 @@ def temperatures_of(state: MomentState) -> np.ndarray:
 
 
 def _temperatures(comp, velocities, energies) -> np.ndarray:
-    """The temperature map on raw arrays, (..., N, d) and (..., N) -> (..., N).
+    """The temperature map on a composition's raw arrays, (..., N, d) and (..., N) -> (..., N).
 
     ``comp`` is anything with the species ``masses`` and ``number_densities``.
     """
     d = velocities.shape[-1]
-    speed_sq = np.add.reduce(velocities * velocities, axis=-1)
-    return (2.0 / d) * energies / comp.number_densities - comp.masses / d * speed_sq
+    weights = _temperature_weights(comp.masses, comp.number_densities, d)
+    return _temperature_map(weights, np.ones(d), velocities, energies)
+
+
+def _temperature_weights(masses, number_densities, dimension: int):
+    """The weights (a, b) of the temperature map T = a E - b |u|^2: a = (2/d)/n, b = m/d."""
+    return (2.0 / dimension) / number_densities, masses / dimension
+
+
+def _temperature_map(weights, ones, velocities, energies) -> np.ndarray:
+    """a E - b |v|^2 for ``weights`` (a, b), (..., N, d) and (..., N) -> (..., N).
+
+    With the weights of :func:`_temperature_weights` it takes (u, E) to T;
+    with a sqrt(n) and b / rho it takes the scaled state (W, xi) to the same
+    T.  ``ones`` is the (d,) vector of ones whose dot sums the squares.
+    """
+    energy_weight, speed_weight = weights
+    return energy_weight * energies - speed_weight * (velocities * velocities).dot(ones)
 
 
 def energy_from(velocity, temperature, number_density, mass, dimension: int = 3):

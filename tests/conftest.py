@@ -48,7 +48,7 @@ def core_operators(state, model, eps=1.0):
     comp = state.composition
     const = run_constants(comp, model, state.dimension)
     coupling, z = operators(temperatures_of(state), const)
-    source = heating(coupling[1], state.velocities, const, 0.5 / eps)
+    source = heating(coupling[1], state.velocities, const.mixing, const, 0.5 / eps)
     brackets = eigenvalue_brackets(coupling, comp.mass_densities, comp.number_densities)
     return z[0], z[1], source, brackets
 

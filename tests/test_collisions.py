@@ -309,7 +309,7 @@ class TestAssemble:
         mats = assemble(state, HardSphere())
         for coupling in (mats.momentum_coupling, mats.energy_coupling):
             np.testing.assert_array_equal(
-                np.diag(_laplacian(coupling)), coupling.sum(axis=1) - np.diag(coupling)
+                np.diag(_laplacian(coupling, np.eye(4))), coupling.sum(axis=1) - np.diag(coupling)
             )
 
 
@@ -360,10 +360,10 @@ class TestStackedRecords:
         const = run_constants(comp, HardSphere(), 3)
         velocities = np.array([s.velocities for s in states])
         coupling, _ = operators(np.array([temperatures_of(s) for s in states]), const)
-        stacked = heating(coupling[:, 1], velocities, const, 0.5)
+        stacked = heating(coupling[:, 1], velocities, const.mixing, const, 0.5)
         assert stacked.shape == (6, size)
         for r in range(len(states)):
-            single = heating(coupling[r, 1], velocities[r], const, 0.5)
+            single = heating(coupling[r, 1], velocities[r], const.mixing, const, 0.5)
             np.testing.assert_array_equal(stacked[r], single)
 
     def test_bad_temperature_names_its_species(self):
@@ -458,11 +458,12 @@ class TestStackedCore:
         const = run_constants(comp, model, 3)
         coupling, _ = operators(temperatures_of(state), const)
         rate = 0.5 / 0.3
-        source = heating(coupling[1], state.velocities, const, rate)
+        source = heating(coupling[1], state.velocities, const.mixing, const, rate)
 
         mats = assemble(state, model)
         m, sqrt_n = comp.masses, np.sqrt(comp.number_densities)
-        reference = rate * (_laplacian(mats.kinetic_coupling) @ m) / sqrt_n
+        laplacian = _laplacian(mats.kinetic_coupling, np.eye(size))
+        reference = rate * (laplacian @ m) / sqrt_n
         speed_sq = float(np.abs(state.velocities).max()) ** 2 * 3.0
         terms = rate * (mats.energy_coupling * speed_sq * (m[:, None] + m[None, :])).sum(1) / sqrt_n
         np.testing.assert_array_less(np.abs(source - reference), 1e-12 * terms)

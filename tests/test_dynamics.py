@@ -202,7 +202,7 @@ class TestScaledOperators:
         rng = np.random.default_rng(23)
         state = random_state(rng, 4)
         mats = assemble(state, HardSphere())
-        laplacian = _laplacian(mats.momentum_coupling)
+        laplacian = _laplacian(mats.momentum_coupling, np.eye(4))
         coupling = mats.momentum_coupling
         for _ in range(1000):
             y = rng.standard_normal(4)

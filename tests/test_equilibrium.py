@@ -219,7 +219,7 @@ class TestSymmetricEigenvalues:
         # constant lam = a, equal rho = r: spectrum {0} + {N a r / 2} * (N-1)
         n_species, a, mass, n = 5, 2.0, 3.0, 7.0
         state, model = uniform_constant_mixture(n_species, a, mass, n)
-        laplacian = _laplacian(assemble(state, model).momentum_coupling)
+        laplacian = _laplacian(assemble(state, model).momentum_coupling, np.eye(n_species))
         eigs = symmetric_eigenvalues(laplacian)
         r = mass * n
         np.testing.assert_allclose(eigs[0], 0.0, atol=1e-13 * a * r)

@@ -1,6 +1,8 @@
 """Backward-Euler and RK4 steppers, trajectory recording, and monitors."""
 
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -310,6 +312,29 @@ class TestRk4Step:
         with pytest.raises(RealizabilityError, match="stage"):
             one_step(state, cfg, HardSphere())
 
+    def test_a_step_makes_four_core_calls(self, monkeypatch):
+        # The RK4 twin of TestIncrementForm's one-core-call test: each of the
+        # four stages guards its temperatures, calls the core once and the
+        # heating once.
+        scenario = replace(presets()[2], method="rk4")
+        cfg = resolve_integrator(scenario)
+        calls = dict.fromkeys(("_admissible_temperatures", "operators", "heating"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _core=getattr(integrate_mod, name), **kwargs):
+                calls[_name] += 1
+                return _core(*args, **kwargs)
+
+            monkeypatch.setattr(integrate_mod, name, counted)
+        steps = 20
+        trajectory = simulate(
+            scenario.initial_state(), replace(cfg, t_final=steps * cfg.dt), scenario.model
+        )
+        assert len(trajectory.times) == steps + 1
+        # simulate guards the initial state once more.
+        assert calls == {
+            "_admissible_temperatures": 1 + 4 * steps, "operators": 4 * steps, "heating": 4 * steps
+        }
+
 
 class TestConvergenceOrders:
     def _final_gap_error(self, method, steps):
@@ -392,6 +417,25 @@ class TestSimulate:
             simulate(state, cfg, model)
         assert excinfo.value.time == pytest.approx(0.5)
         assert "t = " in str(excinfo.value)
+
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_no_run_state_outlives_simulate(self, method, monkeypatch):
+        # The run constants belong to one call: a cache of them outside
+        # simulate would grow with every mixture run and could hand a later
+        # run the constants of an earlier one.
+        built = []
+
+        def build(*args):
+            const = run_constants(*args)
+            built.append(weakref.ref(const))
+            return const
+
+        monkeypatch.setattr(integrate_mod, "run_constants", build)
+        scenario = replace(presets()[2], method=method)
+        cfg = resolve_integrator(scenario)
+        simulate(scenario.initial_state(), replace(cfg, t_final=5 * cfg.dt), scenario.model)
+        gc.collect()
+        assert len(built) == 1 and built[0]() is None
 
     def test_rejects_unrealizable_initial_state(self):
         comp = MixtureComposition((SpeciesParams(mass=1.0, diameter=1.0),), [1.0])
@@ -621,17 +665,23 @@ class TestTypedFailures:
         const = run_constants(state.composition, model, 3)
         energies = np.array([value, state.energies[1]])
         with pytest.raises(RealizabilityError, match="must be finite"):
-            integrate_mod._admissible_temperatures(state.velocities, energies, const, "test")
+            integrate_mod._admissible_temperatures(
+                state.velocities, energies, const.temperature_weights, const, "test"
+            )
 
     def test_guard_admits_negative_constant_model_temperatures(self):
         state, model, _, _ = two_species_linear()
         const = run_constants(state.composition, model, 3)
         energies = np.array([-1.0, state.energies[1]])
-        temps = integrate_mod._admissible_temperatures(state.velocities, energies, const, "test")
+        temps = integrate_mod._admissible_temperatures(
+            state.velocities, energies, const.temperature_weights, const, "test"
+        )
         assert temps[0] < 0.0
         const = run_constants(state.composition, HardSphere(), 3)
         with pytest.raises(RealizabilityError, match="finite and positive"):
-            integrate_mod._admissible_temperatures(state.velocities, energies, const, "test")
+            integrate_mod._admissible_temperatures(
+                state.velocities, energies, const.temperature_weights, const, "test"
+            )
 
 
 class TestSolve:

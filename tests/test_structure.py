@@ -211,6 +211,34 @@ def _picard_solve():
     return picard
 
 
+def test_one_temperature_map():
+    # T = a E - b |v|^2 is written once; the guard of the steppers and the
+    # composition's temperatures differ only in the weights they pass, and
+    # run_constants forms its weights with the composition's one formula.
+    assert _top_level_users("_temperature_map") == [
+        ("integrate.py", "_admissible_temperatures"), ("species.py", "_temperatures")
+    ]
+    assert _top_level_users("_temperature_weights") == [
+        ("collisions.py", "run_constants"), ("species.py", "_temperatures")
+    ]
+
+
+def test_rk4_stages_stay_in_the_scaled_variables():
+    # A stage takes its temperatures and heating from (W, xi) with the
+    # scaled run constants; only the step's ends convert to and from (u, e).
+    [rk4] = [
+        node for node in _modules()["integrate.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_rk4_advance"
+    ]
+    [stage] = [node for node in rk4.body if isinstance(node, ast.FunctionDef)]
+    names = set(_referenced_names(stage))
+    assert {"_admissible_temperatures", "operators", "heating"} <= names
+    assert names.isdisjoint({"sqrt_rho", "sqrt_n"})
+    constants = {node.attr for node in ast.walk(rk4) if isinstance(node, ast.Attribute)}
+    assert {"scaled_temperature_weights", "scaled_mixing"} <= constants
+    assert constants.isdisjoint({"temperature_weights", "mixing"})
+
+
 def test_lapack_is_reached_through_one_helper():
     # numpy.linalg's private gufunc module is imported once and called by
     # LAPACK_HELPER alone, whose tests hold it to np.linalg.solve; the
