@@ -109,16 +109,13 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
     return float(velocity_rate), float(energy_rate)
 
 
-def velocity_component_bound(state: MomentState) -> float:
+def velocity_component_bound(velocities: np.ndarray) -> float:
     """Largest velocity magnitude compatible with the componentwise bounds.
 
+    ``velocities`` is the (N, d) bulk velocities of one state.
     Componentwise, every bulk velocity stays inside its initial min/max
     envelope, so |u_i(t)| <= || max(|min_j U_jk|, |max_j U_jk|) ||_2.
     """
-    return _component_bound(state.velocities)
-
-
-def _component_bound(velocities) -> float:
     extreme = np.maximum(np.abs(velocities.min(axis=0)), np.abs(velocities.max(axis=0)))
     return float(np.linalg.norm(extreme))
 
@@ -191,7 +188,7 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
     xi_gap = scaled_energies(state) - eq.energies / np.sqrt(n)
     energy_amplitude = float(np.sqrt(n.max()) * np.linalg.norm(xi_gap))
 
-    speed_bound = velocity_component_bound(state)
+    speed_bound = velocity_component_bound(state.velocities)
     source_amplitude = (
         0.5
         * 4.0 * n_species * (n_species - 1)

@@ -6,10 +6,11 @@ record.  The trajectory CSV carries, per recorded time: per-species
 velocities, temperatures (Kelvin), and energy densities, the conserved
 totals, the minimum temperature, and the three analytic decay envelopes
 on the same time grid (so plots overlay without interpolation).  Only the
-``t``, ``u`` and ``E`` columns are state: the writers and the
-``[monitors]`` block of the summary derive every other value from them
-plus the scenario.  Numbers are written in full round-trip precision, so
-the block reproduces bit-for-bit from a re-read file.
+``t``, ``u`` and ``E`` columns are state: the writers and
+``monitor_block``, the one source of the summary's ``[monitors]`` block,
+derive every other value from them plus the scenario.  Numbers are
+written in full round-trip precision, so the block reproduces bit-for-bit
+from a re-read file of the same mixture.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import numpy as np
 from .collisions import HardSphere, operators, run_constants
 from .equilibrium import (
     EquilibriumData,
-    _component_bound,
     decay_constants,
     decay_envelopes,
     eigenvalue_brackets,
     steady_state,
+    velocity_component_bound,
 )
 from .integrate import IntegratorConfig, Trajectory
 from .scenarios import ScenarioConfig
@@ -186,7 +187,7 @@ def record_monitors(
     )
     temps = _temperatures(composition, velocities, energies)
     u0 = velocities[0]
-    tol = BOUND_SLACK * _component_bound(u0)
+    tol = BOUND_SLACK * velocity_component_bound(u0)
     inside = (velocities >= u0.min(axis=0) - tol) & (velocities <= u0.max(axis=0) + tol)
     return RecordMonitors(
         momentum_drift=np.linalg.norm(momentum - momentum[0], axis=1) / momentum_scale,
@@ -207,21 +208,23 @@ def _first_record_bounds(table, composition, config: ScenarioConfig):
     return steady_state(first), constants, envelopes
 
 
-def monitor_block(table: TrajectoryTable | Trajectory, config: ScenarioConfig) -> list[str]:
+def monitor_block(
+    table: TrajectoryTable | Trajectory, config: ScenarioConfig, first=None
+) -> list[str]:
     """The ``[monitors]`` summary lines, a pure function of the state + scenario.
 
     Reads ``times``, ``velocities`` and ``energies`` of a re-read CSV or of
-    the run, and nothing else.  Checks conservation drift, the temperature
+    the run; its species labels only to refuse, with ``ValueError``, another
+    mixture than the scenario's.  Checks conservation drift, the temperature
     floor, componentwise velocity bounds, realizability, dominance of all
     three decay envelopes from the first record, and the eigenvalue bracket
-    at every recorded state.
+    at every recorded state.  ``first`` is record 0's (equilibrium, decay
+    constants, envelopes on ``table.times``) if the caller derived them.
     """
-    return _monitor_lines(table, config)
-
-
-def _monitor_lines(table, config: ScenarioConfig, first=None) -> list[str]:
-    """:func:`monitor_block`, given ``_first_record_bounds`` of the table if derived."""
     comp = MixtureComposition(config.species, config.number_densities)
+    labels = table.labels if isinstance(table, TrajectoryTable) else table.composition.labels
+    if labels != comp.labels:
+        raise ValueError(f"table species {labels} are not the scenario's {comp.labels}")
     rho, n = comp.mass_densities, comp.number_densities
     velocities, energies = table.velocities, table.energies
     records = record_monitors(comp, velocities, energies)
@@ -299,7 +302,7 @@ def write_output_set(
     """
     first = _first_record_bounds(trajectory, trajectory.composition, config)
     equilibrium, constants, envelopes = first
-    monitors = _monitor_lines(trajectory, config, first)
+    monitors = monitor_block(trajectory, config, first)
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
         f"scenario = {config.name}",

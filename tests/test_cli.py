@@ -1,5 +1,6 @@
 """Presets, config parsing, CSV emission/round-trip, and CLI exit codes."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -381,6 +382,54 @@ class TestCliRun:
         envelopes = (tmp_path / "example1_envelopes.csv").read_text().splitlines()
         assert envelopes[0].startswith("t,dev_u_Ar")
         assert len(envelopes) == len(table.times) + 1
+
+    def test_cli_verdict_comes_from_monitor_block(self, tmp_path, monkeypatch):
+        # The run's [monitors] block and a re-read CSV's come from one public
+        # function; the run hands it the record-0 bounds it derived once.
+        calls = {"monitor_block": [], "decay_constants": []}
+        for name in calls:
+            original = getattr(output_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name].append((args, kwargs))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(output_mod, name, counted)
+        assert main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]) == 0
+        assert [len(made) for made in calls.values()] == [1, 1]
+        args, kwargs = calls["monitor_block"][0]
+        given = inspect.signature(monitor_block).bind(*args, **kwargs).arguments
+        assert isinstance(given["table"], Trajectory)
+        assert given["config"].name == "example1"
+        assert given.get("first") is not None
+
+    def test_a_table_of_another_mixture_is_refused(self, tmp_path):
+        # A re-read Ar/Kr/Xe table is not verified against the bounds of
+        # another mixture, nor of the same gases in another order.
+        main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        example1 = presets()[1]
+        reordered = replace(
+            example1, species=example1.species[::-1],
+            number_densities=example1.number_densities[::-1],
+            velocities=example1.velocities[::-1],
+            temperatures_kelvin=example1.temperatures_kelvin[::-1],
+        )
+        two_species = replace(
+            example1, species=example1.species[:2],
+            number_densities=example1.number_densities[:2],
+            velocities=example1.velocities[:2],
+            temperatures_kelvin=example1.temperatures_kelvin[:2],
+        )
+        for scenario, labels in [(presets()[3], ("He", "Kr", "Xe")),
+                                 (reordered, ("Xe", "Kr", "Ar")),
+                                 (two_species, ("Ar", "Kr"))]:
+            with pytest.raises(ValueError) as refused:
+                monitor_block(table, scenario)
+            assert str(("Ar", "Kr", "Xe")) in str(refused.value)
+            assert str(labels) in str(refused.value)
+        summary = (tmp_path / "example1_summary.txt").read_text()
+        assert "\n".join(monitor_block(table, example1)) in summary
 
     def test_too_tight_bracket_fails(self, tmp_path, monkeypatch):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])

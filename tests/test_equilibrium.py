@@ -144,12 +144,12 @@ class TestVelocityBounds:
         comp = random_composition(np.random.default_rng(19), 2)
         u = np.array([[3.0, -4.0, 0.0], [-1.0, 2.0, 0.0]])
         state = state_from_temperatures(comp, u, np.full(2, 1e-20))
-        assert velocity_component_bound(state) == pytest.approx(5.0)
+        assert velocity_component_bound(state.velocities) == pytest.approx(5.0)
 
     def test_energy_bound_is_looser_for_presets(self):
         for k in (2, 3):
             state = presets()[k].initial_state()
-            assert velocity_energy_bound(state) >= velocity_component_bound(state)
+            assert velocity_energy_bound(state) >= velocity_component_bound(state.velocities)
 
 
 class TestDecayEnvelopes:

@@ -43,9 +43,9 @@ STEPPERS = ("_picard_solve", "_rk4_advance")
 GATES = {"DRIFT_LIMIT", "FLOOR_SLACK", "BOUND_SLACK", "ENVELOPE_SLACK", "BRACKET_SLACK"}
 
 # The helper of ``output`` that derives every bound of a run from record 0,
-# and the one that writes the [monitors] lines from it.
+# and the public function that writes the [monitors] lines from it.
 FIRST_RECORD = "_first_record_bounds"
-MONITOR_LINES = "_monitor_lines"
+MONITOR_LINES = "monitor_block"
 
 
 def _modules():
@@ -304,19 +304,21 @@ def test_trajectory_table_is_the_state():
     texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
     assert sorted(name for name, text in texts.items() if "build_table" in text) == []
 
-    # The lines of monitor_block and the helper that derives the bounds of
-    # record 0 each read some of those columns only.  write_output_set
-    # derives those bounds once and hands them to the lines' helper, which
-    # monitor_block calls without them.
+    # monitor_block and the helper that derives the bounds of record 0 each
+    # read some of those columns only.  write_output_set derives those
+    # bounds once and hands them to monitor_block, whose other callers
+    # leave them to it.
     readers = [
         node for node in _modules()["output.py"].body
         if isinstance(node, ast.FunctionDef) and node.name in (MONITOR_LINES, FIRST_RECORD)
     ]
     assert sorted(node.name for node in readers) == [FIRST_RECORD, MONITOR_LINES]
-    assert _top_level_users(MONITOR_LINES) == [
-        ("output.py", "monitor_block"), ("output.py", "write_output_set")
-    ]
+    assert _top_level_users(MONITOR_LINES) == [("output.py", "write_output_set")]
     assert _top_level_users("decay_constants") == [("output.py", FIRST_RECORD)]
+    state = {"times", "velocities", "energies"}
+    # monitor_block also reads the table's species identity, to refuse a
+    # table of another mixture; no verdict depends on it.
+    identity = {MONITOR_LINES: {"labels", "composition"}, FIRST_RECORD: set()}
     for reader in readers:
         table = reader.args.args[0].arg
         read = {
@@ -324,7 +326,29 @@ def test_trajectory_table_is_the_state():
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == table
         }
-        assert read and read <= {"times", "velocities", "energies"}, reader.name
+        assert read & state and read <= state | identity[reader.name], reader.name
+
+
+def test_output_calls_equilibrium_through_public_names():
+    # One function per verifier job: output reaches equilibrium through its
+    # public names, and the private twins of monitor_block and
+    # velocity_component_bound stay gone.
+    modules = _modules()
+    imported = [
+        alias.name
+        for node in ast.walk(modules["output.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "equilibrium"
+        for alias in node.names
+    ]
+    assert "velocity_component_bound" in imported
+    assert sorted(name for name in imported if name.startswith("_")) == []
+    defined = sorted(
+        (module, node.name)
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_monitor_lines", "_component_bound")
+    )
+    assert defined == []
 
 
 def test_output_is_the_one_verifier():
