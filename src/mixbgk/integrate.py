@@ -32,6 +32,7 @@ The recorded :class:`Trajectory` is verified in ``output``, not here.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -166,9 +167,13 @@ def _admissible_temperatures(velocities, energies, weights, const, where, time=N
     ones an unstable explicit step shows in the monitors.
     """
     temps = _temperature_map(weights, const.ones, velocities, energies)
-    floor = 0.0 if const.hard_sphere else -np.inf
-    lowest = np.minimum.reduce(temps)
-    if not (lowest > floor and np.maximum.reduce(temps) < np.inf):  # a NaN fails both
+    floor = 0.0 if const.hard_sphere else -math.inf
+    # For the few species of a mixture, one chained comparison per value
+    # on a Python list costs less than two numpy reductions.  It is the
+    # same predicate: a NaN fails both comparisons, as it failed both
+    # reductions, and -0.0 > 0.0 is False for either.
+    if not all(floor < t < math.inf for t in temps.tolist()):
+        lowest = np.minimum.reduce(temps)
         need = "finite and positive" if const.hard_sphere else "finite"
         message = f"{where} temperatures must be {need}, got a minimum of {lowest:.6e} J"
         raise RealizabilityError(message, time=time)
@@ -290,7 +295,7 @@ def _rk4_advance(u, e, dt, eps, const):
     k4w, k4x = rates(w - h * k3w, xi - h * k3x)
     w = w - h * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
     xi = xi - h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-    if not (np.isfinite(w).all() and np.isfinite(xi).all()):
+    if not all(map(math.isfinite, w.ravel().tolist() + xi.tolist())):
         raise RealizabilityError(
             f"RK4 step at dt = {dt:.6e}: velocities and energies must be finite"
         )

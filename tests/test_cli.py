@@ -902,3 +902,82 @@ class TestEnvelopeRoundingAllowance:
             assert f"envelope_{name} -> PASS" in summary
         assert "FAIL" not in summary
         assert code == 0
+
+
+def savetxt_bytes(path, columns, matrix):
+    """The bytes ``np.savetxt`` writes for a CSV of ``columns`` over ``matrix``."""
+    np.savetxt(
+        path, matrix, output_mod.CSV_FORMAT, ",", header=",".join(columns), comments="",
+        encoding="utf-8",
+    )
+    return path.read_bytes()
+
+
+def special_values_matrix():
+    """Signed zeros in one column, infinities, NaNs of both signs and with a
+    payload, the extremes of the float range, and values repeated within and
+    across columns."""
+    signed_nan = np.copysign(np.nan, -1.0)
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    top = np.finfo(float).max
+    return np.array([
+        [0.0, np.inf, np.nan, 5e-324, top, 1.5],
+        [-0.0, -np.inf, signed_nan, -5e-324, -top, 1.5],
+        [0.0, 1.5, payload_nan, 5e-324, 0.1, -0.0],
+        [-0.0, np.inf, np.nan, 1.5, 0.1, 0.0],
+    ])
+
+
+class TestCsvWriter:
+    """``_write_csv`` formats each distinct value once and writes savetxt's bytes."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            pytest.param(special_values_matrix(), id="special_values"),
+            pytest.param(np.array([[0.0, -0.0, 1.0, np.nan]]), id="single_row"),
+            pytest.param(
+                np.random.default_rng(28).standard_normal((200, 24)), id="all_distinct"
+            ),
+        ],
+    )
+    def test_bytes_equal_savetxt(self, matrix, tmp_path):
+        columns = [f"c{k}" for k in range(matrix.shape[1])]
+        output_mod._write_csv(tmp_path / "written.csv", columns, matrix)
+        expected = savetxt_bytes(tmp_path / "savetxt.csv", columns, matrix)
+        assert (tmp_path / "written.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_preset_files_equal_savetxt(self, method, tmp_path, monkeypatch):
+        # The trajectory and envelope matrices of every preset, whose
+        # conserved totals, floor and equilibrium plateau repeat.
+        written = []
+        write_csv = output_mod._write_csv
+
+        def recorded(path, columns, matrix):
+            write_csv(path, columns, matrix)
+            written.append((Path(path).read_bytes(), columns, matrix.copy()))
+
+        monkeypatch.setattr(output_mod, "_write_csv", recorded)
+        for example in ("1", "2", "3"):
+            horizon = ["--t-final", "9.6e-12"] if (method, example) == ("rk4", "3") else []
+            args = ["run", "--example", example, "--method", method, *horizon]
+            assert main([*args, "--out", str(tmp_path)]) == 0
+        assert len(written) == 6
+        for data, columns, matrix in written:
+            assert data == savetxt_bytes(tmp_path / "savetxt.csv", columns, matrix)
+
+    def test_one_run_writes_each_csv_once(self, tmp_path, monkeypatch):
+        # All CSV work of a run sits inside the two public writers, which
+        # the benchmark's output.write_csv_ms times.
+        calls = dict.fromkeys(("write_trajectory_csv", "write_envelope_csv", "_write_csv"), 0)
+        for name in calls:
+            original = getattr(output_mod, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(output_mod, name, counted)
+        assert main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]) == 0
+        assert calls == {"write_trajectory_csv": 1, "write_envelope_csv": 1, "_write_csv": 2}

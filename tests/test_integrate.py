@@ -684,6 +684,111 @@ class TestTypedFailures:
             )
 
 
+def two_reduction_guard(temps, hard_sphere, where):
+    """The message of the guard's former predicate, two numpy reductions, or None."""
+    floor = 0.0 if hard_sphere else -np.inf
+    lowest = np.minimum.reduce(temps)
+    if lowest > floor and np.maximum.reduce(temps) < np.inf:
+        return None
+    need = "finite and positive" if hard_sphere else "finite"
+    return f"{where} temperatures must be {need}, got a minimum of {lowest:.6e} J"
+
+
+class TestRangeChecks:
+    """The stepper's range checks on Python lists, held to numpy's predicates."""
+
+    # (temperature of one species, whether the guard refuses it), with the
+    # other species' temperatures positive; a list, as 0.0 == -0.0.
+    HARD_SPHERE = [
+        (np.nan, True), (np.inf, True), (0.0, True), (-0.0, True), (-1.0, True), (1e-20, False)
+    ]
+    CONSTANT = [
+        (-np.inf, True), (np.nan, True), (np.inf, True), (0.0, False), (-0.0, False), (-1.0, False)
+    ]
+
+    @pytest.mark.parametrize("model_kind", ["hard_sphere", "constant"])
+    @pytest.mark.parametrize("n_species", [1, 3, 30])
+    def test_guard_matches_two_reductions(self, n_species, model_kind):
+        rng = np.random.default_rng([28, n_species])
+        state = random_state(rng, n_species)
+        hard_sphere = model_kind == "hard_sphere"
+        model = HardSphere() if hard_sphere else ConstantMatrix(np.full((n_species,) * 2, 1e10))
+        const = run_constants(state.composition, model, 3)
+        weights = const.temperature_weights
+        cases = self.HARD_SPHERE if hard_sphere else self.CONSTANT
+        for position in range(n_species):
+            for temperature, refused in cases:
+                # At rest, the species' temperature is its energy times a
+                # positive weight: its sign, zero, infinity or NaN.
+                velocities = state.velocities.copy()
+                velocities[position] = 0.0
+                energies = state.energies.copy()
+                energies[position] = temperature
+                temps = integrate_mod._temperature_map(weights, const.ones, velocities, energies)
+                assert np.signbit(temps[position]) == np.signbit(temperature)
+                expected = two_reduction_guard(temps, hard_sphere, "test")
+                assert (expected is not None) == refused
+                if refused:
+                    with pytest.raises(RealizabilityError) as excinfo:
+                        integrate_mod._admissible_temperatures(
+                            velocities, energies, weights, const, "test"
+                        )
+                    assert str(excinfo.value) == expected
+                else:
+                    result = integrate_mod._admissible_temperatures(
+                        velocities, energies, weights, const, "test"
+                    )
+                    assert result.tobytes() == temps.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("n_species", [1, 3, 30])
+    def test_rk4_result_must_be_finite_everywhere(self, n_species, value, monkeypatch):
+        # Stub rates make the weighted stage sum k1 + 2 k2 + 2 k3 + k4 of one
+        # entry of W or xi overflow (inf) or cancel infinities (NaN), while
+        # h = dt/eps is so small that every stage state stays at the start.
+        rng = np.random.default_rng([28, n_species])
+        state = random_state(rng, n_species)
+        const = run_constants(state.composition, HardSphere(), 3)
+        big = np.finfo(float).max
+        stage_rates = [0.0, big, big if value == np.inf else -big, 0.0]
+        dt, eps = 1e-20, 1e300
+
+        def check(entry):
+            """Run one step whose stage rates are nonzero at ``entry`` of W or xi only."""
+            calls = {"operators": 0, "heating": 0}
+            velocities = np.zeros_like(state.velocities)
+            if entry[0] == "W":
+                velocities[entry[1:]] = 1.0 / const.sqrt_rho[entry[1]]  # W = 1 there
+
+            def operators(*args):
+                z = np.zeros((2, n_species, n_species))
+                if entry[0] == "W":
+                    z[0, entry[1], entry[1]] = stage_rates[calls["operators"]]
+                calls["operators"] += 1
+                return z, z
+
+            def heating(*args):
+                source = np.zeros(n_species)
+                if entry[0] == "xi":
+                    source[entry[1]] = -stage_rates[calls["heating"]]
+                calls["heating"] += 1
+                return source
+
+            monkeypatch.setattr(integrate_mod, "operators", operators)
+            monkeypatch.setattr(integrate_mod, "heating", heating)
+            return integrate_mod._rk4_advance(velocities, state.energies, dt, eps, const)
+
+        entries = [("W", i, k) for i in range(n_species) for k in range(3)]
+        entries += [("xi", i) for i in range(n_species)]
+        message = "velocities and energies must be finite"
+        for entry in entries:
+            with np.errstate(all="ignore"), pytest.raises(RealizabilityError, match=message):
+                check(entry)
+        stage_rates[:] = [1.0] * 4  # finite everywhere: the step is taken
+        u, e, sweeps = check(entries[0])
+        assert np.isfinite(u).all() and np.isfinite(e).all() and sweeps == 0
+
+
 class TestSolve:
     """The sweep's direct gesv call is np.linalg.solve, bit for bit.
 

@@ -377,3 +377,12 @@ def test_output_is_the_one_verifier():
     names = set(_referenced_names(modules["cli.py"]))  # import sources included
     assert "write_output_set" in names
     assert names.isdisjoint({"equilibrium", "summary_text", "splitlines", "endswith", "open"})
+
+
+def test_no_module_calls_savetxt():
+    # The CSV writer formats each distinct value once; a savetxt call
+    # would be a second writer that output.write_csv_ms may not time.
+    users = sorted(
+        module for module, tree in _modules().items() if "savetxt" in set(_referenced_names(tree))
+    )
+    assert users == []
