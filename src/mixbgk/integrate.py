@@ -146,16 +146,21 @@ class Trajectory:
         return tuple(MonitorReport(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
-def _relative_change(new, old) -> float:
-    """Max-norm change of one field relative to the field's max norm.
+def _relative_changes(u_new, u_k, e_new, e_k, segments):
+    """Max-norm changes of the velocities and the energies, each relative to its field.
 
-    Components far below the field scale carry only solver noise (their
-    absolute error is eps * ||field||, whatever their size), so measuring
-    them against their own magnitude would block convergence whenever a
-    velocity component crosses zero.
+    One ``np.maximum.reduceat`` over |u_new|, |u_new - u_k|, |e_new| and
+    |e_new - e_k|, concatenated and cut at ``segments`` =
+    [0, N d, 2 N d, 2 N d + N], gives all four max norms.  Each maximum
+    is exact and any NaN propagates, so the two quotients are those of
+    one reduction per norm.  Components far below the field scale carry
+    only solver noise (their absolute error is eps * ||field||, whatever
+    their size), so measuring them against their own magnitude would
+    block convergence whenever a velocity component crosses zero.
     """
-    scale = max(float(np.maximum.reduce(abs(new), axis=None)), 1e-300)
-    return float(np.maximum.reduce(abs(new - old), axis=None) / scale)
+    stacked = np.concatenate((u_new.ravel(), (u_new - u_k).ravel(), e_new, e_new - e_k))
+    scale_u, step_u, scale_e, step_e = np.maximum.reduceat(abs(stacked), segments).tolist()
+    return step_u / max(scale_u, 1e-300), step_e / max(scale_e, 1e-300)
 
 
 def _admissible_temperatures(velocities, energies, weights, const, where, time=None):
@@ -217,9 +222,13 @@ def _picard_solve(u, e, dt, eps, const):
     The rounding of a solve scales with the increment, not with the
     state, so the joint relative change falls below PICARD_TOL even at
     rate * dt >> 1, and that is the one way the iteration ends; a step at
-    equilibrium ends after one sweep.  A non-finite iterate (a singular
-    or overflowed system) raises RealizabilityError.  The maps M_rho and
-    M_n of ``const`` conserve total momentum and energy by construction.
+    equilibrium ends after one sweep.  That change is the larger of the
+    two fields' max-norm changes relative to their max norms, and one
+    ``np.maximum.reduceat`` per sweep takes all four norms, cut at
+    ``segments``, formed once per step (:func:`_relative_changes`).  A
+    non-finite iterate (a singular or overflowed system) raises
+    RealizabilityError.  The maps M_rho and M_n of ``const`` conserve
+    total momentum and energy by construction.
     Each sweep calls the operator core once and the heating once (at the
     new velocities), and LAPACK gesv through :func:`_solve` for the two
     systems; everything temperature-free comes from ``const``.
@@ -231,6 +240,7 @@ def _picard_solve(u, e, dt, eps, const):
     w_old = sqrt_rho * u
     xi_old = e / sqrt_n
 
+    segments = [0, u.size, 2 * u.size, 2 * u.size + e.size]  # see _relative_changes
     u_k, e_k = u, e
     for sweep in range(1, PICARD_MAX_ITER + 1):
         temps = _admissible_temperatures(u_k, e_k, const.temperature_weights, const, "iterate")
@@ -250,7 +260,7 @@ def _picard_solve(u, e, dt, eps, const):
         rhs = rate_z[1].dot(xi_old) - kinetic
         e_new = e - const.energy_map.dot(_solve(systems[1], rhs))
 
-        change_u, change_e = _relative_change(u_new, u_k), _relative_change(e_new, e_k)
+        change_u, change_e = _relative_changes(u_new, u_k, e_new, e_k, segments)
         if not (change_u < np.inf and change_e < np.inf):  # a singular or overflowed system
             raise RealizabilityError(f"implicit system: non-finite solution at dt = {dt:.6e}")
         residual = max(change_u, change_e)

@@ -36,7 +36,8 @@ from mixbgk.oracles import (
     symmetric_eigenvalues,
     temperature_rhs,
 )
-from mixbgk.output import record_monitors
+from mixbgk.collisions import operators, run_constants
+from mixbgk.output import FLOOR_SLACK, record_monitors
 
 from conftest import core_operators, random_state
 
@@ -222,6 +223,35 @@ class TestCriterion5DecayEnvelopes:
         )
 
 
+def _gap_and_allowance(coupling, z, weights):
+    """lambda_2 of each operator of the (..., 2, N, N) stack [Z, Z-hat] and
+    the allowance for its rounding, given the couplings C s that formed it.
+
+    Two terms, in units of the unit roundoff u and to first order in u:
+    - forming Z = (degree I - C s) / scale, with the couplings as data:
+      a degree sums N terms ((N - 1) u), the diagonal subtraction, the
+      stored sqrt(w_i) sqrt(w_j) (3 u) and the division add 5 u, so
+      |dZ_ii| <= (N + 4) u degree_i / w_i; off the diagonal the negation
+      is exact, so |dZ_ij| <= 4 u C_ij s_ij / sqrt(w_i w_j).  Weyl's
+      inequality moves lambda_2 by at most ||dZ||_2 <= ||dZ||_F.
+    - eigvalsh returns the eigenvalues of Z + E with ||E||_2 <= p(N) u
+      ||Z||_2, p(N) a modestly growing function of N (LAPACK Users' Guide,
+      3rd ed., section 4.7), taken here as N^2.
+    ``weights`` is the (2, N) stack [rho, n].
+    """
+    u = np.finfo(float).eps / 2
+    size = weights.shape[-1]
+    eigenvalues = np.linalg.eigvalsh(z)
+    degree = coupling.sum(axis=-1)
+    root = np.sqrt(weights)
+    off = 4.0 * coupling / (root[:, :, None] * root[:, None, :])
+    off = off * (1.0 - np.eye(size))
+    diagonal = (size + 4) * degree / weights
+    forming = np.sqrt((off ** 2).sum(axis=(-2, -1)) + (diagonal ** 2).sum(axis=-1))
+    solving = size ** 2 * np.abs(eigenvalues).max(axis=-1)
+    return eigenvalues[..., 1], u * (forming + solving)
+
+
 class TestCriterion6SpectralBracket:
     def test_bracket_on_200_random_states(self):
         rng = np.random.default_rng(7)
@@ -265,6 +295,47 @@ class TestCriterion6SpectralBracket:
         print(
             "\n[criterion 6b] PASS - constant-frequency equal-density spectrum "
             f"equals N*a/2 = {expected} and both bracket ends touch it"
+        )
+
+    def test_floor_gap_bounds_every_recorded_gap(self, preset_runs, random_suite):
+        # Every temperature stays at or above (1 - FLOOR_SLACK) T_floor, and
+        # s_ij = sqrt(T_i/m_i + T_j/m_j), so the couplings C s are at least
+        # sqrt(1 - FLOOR_SLACK) >= 1 - FLOOR_SLACK times those with every
+        # species at T_floor, entrywise; C s rounds at most 3 u at each end,
+        # hence the factor 1 - 6 u.  The difference of the two Laplacians is
+        # a Laplacian with nonnegative weights, both operators share their
+        # null vector, so by Courant-Fischer each lambda_2 of Z and Z-hat is
+        # at least that factor times lambda_2 at the floor, which in turn is
+        # at least the paper's bracket N min(C s) / max(w), rounded twice.
+        # Each side allows for the rounding of the lambda_2 it reads.
+        u = np.finfo(float).eps / 2
+        factor = (1.0 - FLOOR_SLACK) * (1.0 - 6.0 * u)
+        cases = [(run["state"], run["model"], [run["trajectory"]]) for run in preset_runs.values()]
+        cases += [
+            (entry["state"], entry["model"], list(entry["runs"].values()))
+            for entry in random_suite
+            if entry["state"].composition.size >= 2
+        ]
+        checked = 0
+        for state, model, trajectories in cases:
+            comp = state.composition
+            const = run_constants(comp, model, state.dimension)
+            weights = np.stack([comp.mass_densities, comp.number_densities])
+            floor = np.full(comp.size, temperatures_of(state).min())
+            floor_gap, floor_allowance = _gap_and_allowance(*operators(floor, const), weights)
+            bracket = np.array(conservative_decay_rate(state, model))
+            assert np.all(floor_gap >= bracket * (1.0 - 2.0 * u) - floor_allowance)
+            lower = factor * (floor_gap - floor_allowance)
+            for trajectory in trajectories:
+                records = record_monitors(comp, trajectory.velocities, trajectory.energies)
+                assert records.above_floor.all()
+                coupling, z = operators(records.temperatures, const)
+                gap, allowance = _gap_and_allowance(coupling, z, weights)
+                assert np.all(gap >= lower - allowance)
+                checked += gap.size
+        print(
+            f"\n[criterion 6c] PASS - {checked} recorded lambda_2 of Z and Z-hat at or above "
+            f"lambda_2 at the floor, itself above the paper's bracket, on {len(cases)} mixtures"
         )
 
 

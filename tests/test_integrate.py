@@ -1,6 +1,7 @@
 """Backward-Euler and RK4 steppers, trajectory recording, and monitors."""
 
 import gc
+import itertools
 import warnings
 import weakref
 from dataclasses import replace
@@ -787,6 +788,118 @@ class TestRangeChecks:
         stage_rates[:] = [1.0] * 4  # finite everywhere: the step is taken
         u, e, sweeps = check(entries[0])
         assert np.isfinite(u).all() and np.isfinite(e).all() and sweeps == 0
+
+
+def two_call_relative_change(new, old):
+    """The convergence test's former formula: two reductions per field."""
+    scale = max(float(np.maximum.reduce(abs(new), axis=None)), 1e-300)
+    return float(np.maximum.reduce(abs(new - old), axis=None) / scale)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestConvergenceTest:
+    """The sweep's one reduceat, held bit for bit to two reductions per field."""
+
+    # Signed zeros, subnormals and magnitudes near the overflow threshold,
+    # then the non-finite values whose NaN every maximum must propagate.
+    SPECIAL = (0.0, -0.0, 5e-324, -3e-310, 2.2e-308, 1e308, -1.7e308, np.finfo(float).max)
+    NON_FINITE = (np.inf, -np.inf, np.nan)
+
+    @staticmethod
+    def _draws(rng, n_species, dimension):
+        """(u_new, u_k, e_new, e_k): seeded normals, then entries from the special values."""
+        shapes = [(n_species, dimension)] * 2 + [(n_species,)] * 2
+        pools = {"special": TestConvergenceTest.SPECIAL + (1.0, -2.5)}
+        pools["non-finite"] = pools["special"] + TestConvergenceTest.NON_FINITE
+        for kind in ("seeded", "special", "non-finite"):
+            for _ in range(20):
+                if kind == "seeded":
+                    scale = 10.0 ** rng.uniform(-3, 3)
+                    u_new, u_k, e_new, e_k = (rng.normal(size=shape) * scale for shape in shapes)
+                else:
+                    pool = np.array(pools[kind])
+                    u_new, u_k, e_new, e_k = (rng.choice(pool, size=shape) for shape in shapes)
+                yield u_new, u_k, e_new, e_k
+                # The same iterate changed by a few ulps: the converging case.
+                yield u_new, u_new * (1.0 + 1e-13), e_new, e_new - 1e-14 * e_new
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    @pytest.mark.parametrize("n_species", [1, 3, 30])
+    def test_matches_two_reductions_per_field(self, n_species, dimension):
+        rng = np.random.default_rng([29, n_species, dimension])
+        size = n_species * dimension
+        segments = [0, size, 2 * size, 2 * size + n_species]
+        u, e = rng.normal(size=(n_species, dimension)), rng.normal(size=n_species)
+        zero_u, zero_e = np.zeros_like(u), np.zeros_like(e)
+        exact = [  # (fields, their changes)
+            ((u, u.copy(), e, e.copy()), (0.0, 0.0)),  # equal fields
+            ((zero_u, -zero_u, zero_e, zero_e.copy()), (0.0, 0.0)),
+            # All-zero new fields: the 1e-300 floor is the scale.
+            ((zero_u, u, zero_e, e), (np.abs(u).max() / 1e-300, np.abs(e).max() / 1e-300)),
+        ]
+        with np.errstate(all="ignore"):  # the special values overflow
+            cases = list(self._draws(rng, n_species, dimension))
+            for u_new, u_k, e_new, e_k in cases + [fields for fields, _ in exact]:
+                change_u, change_e = integrate_mod._relative_changes(
+                    u_new, u_k, e_new, e_k, segments
+                )
+                assert _bits(change_u) == _bits(two_call_relative_change(u_new, u_k))
+                assert _bits(change_e) == _bits(two_call_relative_change(e_new, e_k))
+        for fields, changes in exact:
+            assert integrate_mod._relative_changes(*fields, segments) == changes
+
+    def test_every_sweep_of_a_run_matches_two_reductions_per_field(self, monkeypatch):
+        # The cuts _picard_solve forms once per step give the same two
+        # changes as the former formula at every sweep of preset 2.
+        seen = []
+        helper = integrate_mod._relative_changes
+
+        def recording(u_new, u_k, e_new, e_k, segments):
+            result = helper(u_new, u_k, e_new, e_k, segments)
+            seen.append((result, two_call_relative_change(u_new, u_k),
+                         two_call_relative_change(e_new, e_k)))
+            return result
+
+        monkeypatch.setattr(integrate_mod, "_relative_changes", recording)
+        scenario = presets()[2]
+        cfg = resolve_integrator(scenario)
+        trajectory = simulate(scenario.initial_state(), cfg, scenario.model)
+        assert len(seen) == trajectory.sweeps.sum() > 0
+        for (change_u, change_e), reference_u, reference_e in seen:
+            assert _bits(change_u) == _bits(reference_u) and _bits(change_e) == _bits(reference_e)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dimension", [1, 3])
+    @pytest.mark.parametrize("n_species", [2, 3, 30])
+    def test_a_non_finite_solve_entry_ends_the_step(self, n_species, dimension, value,
+                                                    monkeypatch):
+        # One non-finite entry, first, middle or last, of either system's
+        # solution in the first sweep reaches the convergence test and
+        # leaves through its one finiteness check.  (A single species has
+        # zero increment maps, so no solution of its reaches the state.)
+        rng = np.random.default_rng([29, n_species, dimension])
+        state = random_state(rng, n_species, dimension)
+        model = ConstantMatrix(np.full((n_species, n_species), 1e10))  # any d
+        cfg = IntegratorConfig(dt=1e-9, t_final=1e-9)
+        solve = integrate_mod._solve
+        for system in (0, 1):
+            size = n_species * (dimension if system == 0 else 1)
+            for entry in sorted({0, size // 2, size - 1}):
+                calls = itertools.count()  # the sweep solves system 0, then 1
+
+                def poisoned(matrix, rhs):
+                    result = solve(matrix, rhs)
+                    if next(calls) == system:
+                        result.reshape(-1)[entry] = value
+                    return result
+
+                monkeypatch.setattr(integrate_mod, "_solve", poisoned)
+                with pytest.raises(RealizabilityError,
+                                   match="^implicit system: non-finite solution"):
+                    simulate(state, cfg, model)
 
 
 class TestSolve:

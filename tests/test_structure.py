@@ -35,6 +35,10 @@ ORACLE_ONLY = {"hard_sphere_frequencies", "couplings"}
 # The one function of ``integrate`` that calls LAPACK gesv directly.
 LAPACK_HELPER = "_solve"
 
+# The helper of ``integrate`` that takes the four max norms of a Picard
+# sweep's convergence test.
+CONVERGENCE_TEST = "_relative_changes"
+
 # The two steppers of ``integrate``: backward Euler and RK4.
 STEPPERS = ("_picard_solve", "_rk4_advance")
 
@@ -257,6 +261,31 @@ def test_lapack_is_reached_through_one_helper():
 def test_picard_loop_has_one_exit():
     # PICARD_TOL ends the iteration; the only other way out is a raise.
     assert sum(isinstance(node, ast.Return) for node in ast.walk(_picard_solve())) == 1
+
+
+def test_picard_convergence_test_is_one_reduceat():
+    # The max norms of u, du, E and dE come from one np.maximum.reduceat,
+    # in one helper that the sweep calls once; the former helper, two
+    # reductions per field, is gone from every module.
+    assert _top_level_users("reduceat") == [("integrate.py", CONVERGENCE_TEST)]
+    [helper] = [
+        node for node in _modules()["integrate.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == CONVERGENCE_TEST
+    ]
+    calls = [
+        node.func.attr for node in ast.walk(helper)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert calls.count("reduceat") == 1 and "reduce" not in calls
+    names = list(_referenced_names(_picard_solve()))
+    assert names.count(CONVERGENCE_TEST) == 1 and "maximum" not in names
+    defined = sorted(
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_relative_change"
+    )
+    assert defined == []
 
 
 def test_simulate_owns_the_floating_point_policy():
