@@ -22,7 +22,10 @@ velocity envelopes survive discretization.
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
 Both steppers map (u, e, dt, eps, const) to (u, e, sweeps), so the one
-loop of :func:`simulate` records every step of either method.  Both
+loop of :func:`simulate` records every step of either method.  Within a
+run each is a function of (u, e, dt) that writes nothing it is given,
+so :func:`simulate` steps each distinct (u, e, dt) once: a step from an
+exact repeat of an earlier one repeats that step's record.  Both
 evaluate the operator core only at admissible temperatures: finite, and
 positive for hard spheres.  Leaving that set, a singular or overflowed
 implicit system or a non-finite RK4 result raises RealizabilityError;
@@ -116,8 +119,9 @@ class Trajectory:
     """The R records of a run as read-only arrays, record 0 the initial state.
 
     ``sweeps`` counts the Picard solve pairs of the step that ended at
-    each record, 0 for record 0 and for RK4.  ``states`` and
-    ``monitors`` are views built on first use.
+    each record, 0 for record 0 and for RK4; a step that repeats an
+    earlier one was not computed again and repeats its count.
+    ``states`` and ``monitors`` are views built on first use.
     """
 
     times: np.ndarray  # (R,) s, strictly increasing from 0
@@ -336,8 +340,13 @@ def simulate(
     the last recorded time equals ``t_final`` exactly.  Either method
     carries (u, e) from step to step, so a chain of one-step runs,
     ``simulate(state, replace(cfg, t_final=cfg.dt), model)``, repeats one
-    run bit for bit.  numpy's floating-point errors are ignored; a failed
-    step raises an IntegrationError with the failing time attached.
+    run bit for bit.  So a step from a (u, e, dt) that this run already
+    stepped from, bit for bit, is not computed again: its record, sweeps
+    included, repeats the one that step gave.  A run that settles onto a
+    fixed point or a short cycle of its step map before the horizon
+    computes no step after one pass round it.  numpy's floating-point
+    errors are ignored; a failed step raises an IntegrationError with the
+    failing time attached.
     """
     with np.errstate(all="ignore"):
         if not is_realizable(initial):
@@ -349,9 +358,17 @@ def simulate(
         )
         advance = _picard_solve if cfg.method == "be" else _rk4_advance
         records = [(0.0, initial.velocities, initial.energies, 0)]
+        successors = {}  # exact bits of (u, e, dt) -> index of the record its step gave
         for t, dt in _schedule(cfg):
+            u, e = records[-1][1:3]
+            key = (u.tobytes(), e.tobytes(), dt)
+            index = successors.get(key)
+            if index is not None:  # the same step again: repeat its record
+                records.append((t, *records[index][1:]))
+                continue
+            successors[key] = len(records)
             try:
-                records.append((t, *advance(*records[-1][1:3], dt, cfg.eps, const)))
+                records.append((t, *advance(u, e, dt, cfg.eps, const)))
             except IntegrationError as err:
                 raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
     return Trajectory(*map(np.array, zip(*records)), initial.composition)

@@ -8,7 +8,9 @@ totals, the minimum temperature, and the three analytic decay envelopes
 on the same time grid (so plots overlay without interpolation).  Only the
 ``t``, ``u`` and ``E`` columns are state: the writers and
 ``monitor_block``, the one source of the summary's ``[monitors]`` block,
-derive every other value from them plus the scenario.  Numbers are
+derive every other value from them plus the scenario.  A re-read table
+also keeps its labels and temperature columns, as the mixture's identity
+that ``monitor_block`` checks against the scenario.  Numbers are
 written in full round-trip precision, so the block reproduces bit-for-bit
 from a re-read file of the same mixture.  Conserved totals, the floor and
 the equilibrium plateau repeat down a table, so the CSV writer formats
@@ -54,12 +56,18 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class TrajectoryTable:
-    """The state columns of a re-read trajectory CSV; every other column derives from them."""
+    """The state columns of a re-read trajectory CSV; every other column derives from them.
+
+    ``labels`` and ``temperatures_kelvin`` are kept as the mixture's
+    identity only: ``monitor_block`` refuses a scenario that does not
+    give these temperatures from the state, and no verdict reads them.
+    """
 
     labels: tuple[str, ...]
     times: np.ndarray  # (R,)
     velocities: np.ndarray  # (R, N, d) m/s
     energies: np.ndarray  # (R, N) J/m^3
+    temperatures_kelvin: np.ndarray  # (R, N) K, the T_<label>_K columns
 
 
 def _trajectory_header(labels, dimension) -> list[str]:
@@ -142,6 +150,7 @@ def read_trajectory_csv(path) -> TrajectoryTable:
         times=data[:, 0],
         velocities=per_species[..., :dimension],
         energies=per_species[..., dimension + 1],
+        temperatures_kelvin=per_species[..., dimension],
     )
 
 
@@ -230,20 +239,39 @@ def monitor_block(
     """The ``[monitors]`` summary lines, a pure function of the state + scenario.
 
     Reads ``times``, ``velocities`` and ``energies`` of a re-read CSV or of
-    the run; its species labels only to refuse, with ``ValueError``, another
-    mixture than the scenario's.  Checks conservation drift, the temperature
-    floor, componentwise velocity bounds, realizability, dominance of all
-    three decay envelopes from the first record, and the eigenvalue bracket
-    at every recorded state.  ``first`` is record 0's (equilibrium, decay
-    constants, envelopes on ``table.times``) if the caller derived them.
+    the run.  It reads the mixture's identity only to refuse, with
+    ``ValueError``, another mixture than the scenario's: the species labels
+    of either, the masses and number densities of a run's composition, and
+    a table's ``T_<label>_K`` columns, which must equal the scenario's
+    temperatures of the table's state bit for bit.  Checks conservation
+    drift, the temperature floor, componentwise velocity bounds,
+    realizability, dominance of all three decay envelopes from the first
+    record, and the eigenvalue bracket at every recorded state.  ``first``
+    is record 0's (equilibrium, decay constants, envelopes on
+    ``table.times``) if the caller derived them.
     """
     comp = MixtureComposition(config.species, config.number_densities)
-    labels = table.labels if isinstance(table, TrajectoryTable) else table.composition.labels
+    reread = isinstance(table, TrajectoryTable)
+    labels = table.labels if reread else table.composition.labels
     if labels != comp.labels:
         raise ValueError(f"table species {labels} are not the scenario's {comp.labels}")
+    if not reread and not (
+        np.array_equal(table.composition.masses, comp.masses)
+        and np.array_equal(table.composition.number_densities, comp.number_densities)
+    ):
+        raise ValueError("the run's species masses or number densities are not the scenario's")
     rho, n = comp.mass_densities, comp.number_densities
     velocities, energies = table.velocities, table.energies
     records = record_monitors(comp, velocities, energies)
+    temps_k = energy_to_kelvin(records.temperatures)
+    # A CSV carries no densities or masses, but its temperatures depend on
+    # both; the bit patterns are compared, so NaN payloads must match too.
+    if reread and not np.array_equal(
+        table.temperatures_kelvin.view(np.int64), temps_k.view(np.int64)
+    ):
+        raise ValueError(
+            "table temperatures T_<label>_K are not the scenario's at the table's state"
+        )
 
     lines = ["[monitors]"]
     checks: list[bool] = []
@@ -264,7 +292,6 @@ def monitor_block(
     report("velocity_bounds", bool(records.velocity_bounds_ok.all()))
     report("realizability", bool(records.realizable.all()))
 
-    temps_k = energy_to_kelvin(records.temperatures)
     if np.all(records.temperatures[0] > 0.0):  # False for a NaN too
         equilibrium, _, envelopes = first or _first_record_bounds(table, comp, config)
         dev_u, dev_e, dev_t = _deviations(table, temps_k, equilibrium)

@@ -17,6 +17,7 @@ import mixbgk.output as output_mod
 import mixbgk.scenarios as scenarios_mod
 from mixbgk import (
     GASES,
+    IntegratorConfig,
     MixtureComposition,
     MomentState,
     Trajectory,
@@ -33,6 +34,7 @@ from mixbgk import (
 from mixbgk.cli import main
 from mixbgk.output import monitor_block, read_trajectory_csv, write_trajectory_csv
 from mixbgk.scenarios import RK4_MAX_STEPS, ScenarioError
+from mixbgk.species import _temperatures
 
 GOOD_CONFIG = """\
 # argon-krypton drift relaxation
@@ -111,6 +113,16 @@ def csv_columns(path):
     with open(path, encoding="utf-8") as handle:
         names = handle.readline().strip().split(",")
     return dict(zip(names, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
+
+
+def restate(table, scenario):
+    """An edited re-read table with its ``T_<label>_K`` columns derived again
+    from its state, as a CSV written from that state carries them."""
+    composition = MixtureComposition(scenario.species, scenario.number_densities)
+    table.temperatures_kelvin = energy_to_kelvin(
+        _temperatures(composition, table.velocities, table.energies)
+    )
+    return table
 
 
 class TestPresets:
@@ -431,6 +443,29 @@ class TestCliRun:
         summary = (tmp_path / "example1_summary.txt").read_text()
         assert "\n".join(monitor_block(table, example1)) in summary
 
+    @pytest.mark.parametrize("factor", [10.0, 2.0])
+    def test_a_table_of_other_densities_is_refused(self, tmp_path, factor):
+        # The CSV carries no densities, but its temperature columns do not
+        # come out of the same state under another argon density.  A run
+        # carries its composition, whose masses and densities are compared
+        # directly (preset 1 is at rest, where no temperature shows a mass).
+        main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        example1 = presets()[1]
+        scaled = np.array([factor, 1.0, 1.0])
+        denser = replace(example1, number_densities=example1.number_densities * scaled)
+        argon = replace(example1.species[0], mass=factor * example1.species[0].mass)
+        heavier = replace(example1, species=(argon, *example1.species[1:]))
+        with pytest.raises(ValueError, match="T_<label>_K"):
+            monitor_block(table, denser)
+        run = simulate(example1.initial_state(), IntegratorConfig(1e-13, 3e-13), example1.model)
+        for other in (denser, heavier):
+            with pytest.raises(ValueError, match="masses or number densities"):
+                monitor_block(run, other)
+        # A clean re-read still reproduces the summary's block.
+        summary = (tmp_path / "example1_summary.txt").read_text()
+        assert "\n".join(monitor_block(table, example1)) in summary
+
     def test_too_tight_bracket_fails(self, tmp_path, monkeypatch):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
@@ -450,7 +485,7 @@ class TestCliRun:
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
         table.energies[len(table.energies) // 2, 0] *= -1.0
-        block = monitor_block(table, presets()[1])
+        block = monitor_block(restate(table, presets()[1]), presets()[1])
         assert "realizability -> FAIL" in block
         assert block[-1] == "overall -> FAIL"
 
@@ -460,7 +495,7 @@ class TestCliRun:
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
         table.energies[0, 0] *= -1.0
-        block = monitor_block(table, presets()[1])
+        block = monitor_block(restate(table, presets()[1]), presets()[1])
         for name in ("realizability", "envelope_velocity", "envelope_energy",
                      "envelope_temperature"):
             assert f"{name} -> FAIL" in block
@@ -475,7 +510,7 @@ class TestCliRun:
         table.energies[0, 0] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = monitor_block(table, presets()[example])
+            block = monitor_block(restate(table, presets()[example]), presets()[example])
         for name in ("momentum_drift_max", "energy_drift_max", "temperature_floor_min_K",
                      "realizability", "envelope_velocity", "envelope_energy",
                      "envelope_temperature"):
@@ -488,7 +523,7 @@ class TestCliRun:
         # Preset 1 has zero velocities and its first species starts coldest, so
         # half that species' initial energy is half the floor: below it, yet positive.
         table.energies[len(table.energies) // 2, 0] = 0.5 * table.energies[0, 0]
-        block = monitor_block(table, presets()[1])
+        block = monitor_block(restate(table, presets()[1]), presets()[1])
         assert any(
             line.startswith("temperature_floor_min_K") and line.endswith("-> FAIL")
             for line in block
@@ -629,8 +664,9 @@ class TestCliRun:
         assert "envelope_velocity -> FAIL" in summary
 
     def test_edited_derived_columns_change_no_verdict(self, tmp_path):
-        # The monitors read the t, u and E columns only: an envelope column
-        # scaled to pass and an impossible temperature leave the block as is.
+        # The verdicts read the t, u and E columns only: an envelope column
+        # scaled to pass leaves the block as is.  The temperature columns
+        # are the mixture's identity, so an impossible temperature is refused.
         assert main(["run", "--example", "2", "--dt", "7.3e-13", "--out", str(tmp_path)]) == 2
         path = tmp_path / "example2_trajectory.csv"
         scenario = presets()[2]
@@ -642,9 +678,12 @@ class TestCliRun:
         names = header.split(",")
         matrix = np.loadtxt(rows, delimiter=",", ndmin=2)
         matrix[:, names.index("env_velocity")] *= 1e6
-        matrix[len(matrix) // 2, names.index("T_Ar_K")] = 1e9
         np.savetxt(path, matrix, "%.17e", ",", header=header, comments="")
         assert monitor_block(read_trajectory_csv(path), scenario) == block
+        matrix[len(matrix) // 2, names.index("T_Ar_K")] = 1e9
+        np.savetxt(path, matrix, "%.17e", ",", header=header, comments="")
+        with pytest.raises(ValueError, match="T_<label>_K"):
+            monitor_block(read_trajectory_csv(path), scenario)
 
     def test_hard_sphere_in_two_dimensions_exits_1(self, tmp_path, capsys):
         path = tmp_path / "planar.cfg"
@@ -886,7 +925,7 @@ class TestEnvelopeRoundingAllowance:
         for species in range(3):
             perturbed = read_trajectory_csv(tmp_path / "start_trajectory.csv")
             perturbed.energies[len(perturbed.times) // 2, species] *= 1.0 + 1e-12
-            lines = monitor_block(perturbed, scenario)
+            lines = monitor_block(restate(perturbed, scenario), scenario)
             assert "envelope_energy -> FAIL" in lines
             assert "energy_drift_max" in lines[2] and lines[2].endswith("PASS")
 

@@ -572,6 +572,86 @@ class TestOneSteppingPath:
             np.testing.assert_array_equal(state.energies, trajectory.energies[r])
 
 
+    @staticmethod
+    def _recurring_case(case):
+        """(state, model, cfg, step lengths) of a run whose states recur."""
+        if case == "mixture":  # a period-12 cycle from record 51
+            state, model = random_state(np.random.default_rng(9), 10), HardSphere()
+            dt = 5.0 / conservative_decay_rate(state, model)[0]
+            return state, model, IntegratorConfig(dt=dt, t_final=100 * dt), [dt] * 100
+        scenario = replace(presets()[3], method=case)
+        cfg = resolve_integrator(scenario)
+        steps = [cfg.dt] * 200  # backward Euler: a period-2 cycle from record 7
+        if case == "rk4":  # a fixed point from record 407, then a partial step
+            cfg = replace(cfg, t_final=450.5 * cfg.dt)
+            steps = [cfg.dt] * 450 + [cfg.t_final - 450 * cfg.dt]
+        return scenario.initial_state(), scenario.model, cfg, steps
+
+    @pytest.mark.parametrize("case", ["be", "rk4", "mixture"])
+    def test_a_recurring_run_is_a_chain_of_steps(self, case, monkeypatch):
+        # The whole run, past the point where its states recur, equals a
+        # chain of one-step runs, sweeps included, and the stepper runs once
+        # per distinct (u, E, dt) of the run.
+        state, model, cfg, steps = self._recurring_case(case)
+        name = "_rk4_advance" if cfg.method == "rk4" else "_picard_solve"
+        stepper, stepped = getattr(integrate_mod, name), []
+
+        def spying(u, e, dt, eps, const):
+            stepped.append((u.tobytes(), e.tobytes(), dt))
+            return stepper(u, e, dt, eps, const)
+
+        monkeypatch.setattr(integrate_mod, name, spying)
+        trajectory = simulate(state, cfg, model)
+        monkeypatch.undo()
+        assert len(trajectory.times) == len(steps) + 1
+        distinct = set()
+        for r, dt in enumerate(steps, start=1):
+            distinct.add((state.velocities.tobytes(), state.energies.tobytes(), dt))
+            run = simulate(state, replace(cfg, dt=dt, t_final=dt), model)
+            state = run.states[-1]
+            np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
+            np.testing.assert_array_equal(state.energies, trajectory.energies[r])
+            assert run.sweeps[-1] == trajectory.sweeps[r]
+        assert len(stepped) == len(set(stepped)) == len(distinct) < len(steps)
+        assert set(stepped) == distinct
+        if case == "be":
+            assert len(stepped) == 9
+
+
+class TestSteppersArePure:
+    """A stepper is a function of (u, e, dt) that writes nothing it was given:
+    the premise on which simulate repeats the record of a recurring step."""
+
+    @pytest.mark.parametrize("case", ["preset3", "mixture"])
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_read_only_inputs_give_equal_fresh_results(self, method, case):
+        if case == "preset3":
+            scenario = replace(presets()[3], method=method)
+            state, model = scenario.initial_state(), scenario.model
+            cfg = resolve_integrator(scenario)
+        else:
+            state, model = random_state(np.random.default_rng([30, 30]), 30), HardSphere()
+            # One unit of the fastest rate: inside RK4's stability interval.
+            fastest = max(np.linalg.eigvalsh(z).max() for z in core_operators(state, model)[:2])
+            cfg = IntegratorConfig(dt=1.0 / fastest, t_final=1.0 / fastest, method=method)
+        const = run_constants(state.composition, model, state.dimension)
+        u, e = state.velocities.copy(), state.energies.copy()
+        u.setflags(write=False)
+        e.setflags(write=False)
+        advance = integrate_mod._picard_solve if method == "be" else integrate_mod._rk4_advance
+        with np.errstate(all="ignore"):  # as inside simulate
+            first = advance(u, e, cfg.dt, cfg.eps, const)
+            second = advance(u, e, cfg.dt, cfg.eps, const)
+        assert first[2] == second[2]
+        for one, other in zip(first[:2], second[:2]):
+            assert one.tobytes() == other.tobytes()
+            for given in (u, e):
+                assert not np.shares_memory(one, given)
+                assert not np.shares_memory(other, given)
+        assert u.tobytes() == state.velocities.tobytes()
+        assert e.tobytes() == state.energies.tobytes()
+
+
 class TestTypedFailures:
     """Steps that overflow fail with RealizabilityError, never an untyped error."""
 
@@ -853,9 +933,10 @@ class TestConvergenceTest:
 
     def test_every_sweep_of_a_run_matches_two_reductions_per_field(self, monkeypatch):
         # The cuts _picard_solve forms once per step give the same two
-        # changes as the former formula at every sweep of preset 2.
-        seen = []
-        helper = integrate_mod._relative_changes
+        # changes as the former formula at every sweep of preset 2: one
+        # convergence test per sweep of each step the run computed.
+        seen, computed = [], []
+        helper, stepper = integrate_mod._relative_changes, integrate_mod._picard_solve
 
         def recording(u_new, u_k, e_new, e_k, segments):
             result = helper(u_new, u_k, e_new, e_k, segments)
@@ -863,11 +944,19 @@ class TestConvergenceTest:
                          two_call_relative_change(e_new, e_k)))
             return result
 
+        def stepping(*args):
+            tests = len(seen)
+            result = stepper(*args)
+            computed.append((len(seen) - tests, result[2]))
+            return result
+
         monkeypatch.setattr(integrate_mod, "_relative_changes", recording)
+        monkeypatch.setattr(integrate_mod, "_picard_solve", stepping)
         scenario = presets()[2]
         cfg = resolve_integrator(scenario)
-        trajectory = simulate(scenario.initial_state(), cfg, scenario.model)
-        assert len(seen) == trajectory.sweeps.sum() > 0
+        simulate(scenario.initial_state(), cfg, scenario.model)
+        assert computed and all(tests == sweeps >= 1 for tests, sweeps in computed)
+        assert len(seen) == sum(sweeps for _, sweeps in computed)
         for (change_u, change_e), reference_u, reference_e in seen:
             assert _bits(change_u) == _bits(reference_u) and _bits(change_e) == _bits(reference_e)
 
@@ -1029,15 +1118,25 @@ class TestIncrementForm:
             np.full(3, temperatures_of(moving).mean()),
         )
         dt = 500.0 / conservative_decay_rate(state, HardSphere())[0]
-        core, calls = integrate_mod.operators, []
+        core, stepper = integrate_mod.operators, integrate_mod._picard_solve
+        calls, per_step = [], []
         monkeypatch.setattr(
             integrate_mod, "operators", lambda *args: calls.append(1) or core(*args)
         )
+
+        def stepping(*args):
+            before = len(calls)
+            result = stepper(*args)
+            per_step.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(integrate_mod, "_picard_solve", stepping)
         trajectory = simulate(state, IntegratorConfig(dt=dt, t_final=20 * dt), HardSphere())
         # An equilibrium step's right-hand sides are rounding, which the maps
-        # keep rounding-sized: the first sweep already meets PICARD_TOL.
+        # keep rounding-sized: the first sweep already meets PICARD_TOL, so
+        # each step the run computed calls the core once.
         assert len(trajectory.times) == 21
-        assert len(calls) == 20
+        assert per_step and per_step == [1] * len(per_step) and len(calls) == len(per_step)
         np.testing.assert_array_equal(trajectory.sweeps[1:], 1)
 
     @pytest.mark.parametrize("rate_dt", [0.05, 5.0, 500.0, 5e4])

@@ -288,6 +288,18 @@ def test_picard_convergence_test_is_one_reduceat():
     assert defined == []
 
 
+def test_only_simulate_keys_a_state_and_only_exactly():
+    # A step is reused only when its (u, e, dt) repeats bit for bit: simulate
+    # alone builds the key, from the exact bytes, and integrate compares no
+    # floats up to a tolerance.
+    tree = _modules()["integrate.py"]
+    assert [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and "tobytes" in set(_referenced_names(node))
+    ] == ["simulate"]
+    assert {"isclose", "allclose"}.isdisjoint(_referenced_names(tree))
+
+
 def test_simulate_owns_the_floating_point_policy():
     # One error state per run, entered by simulate; a failed solve leaves
     # through the sweep's finiteness test, not through a LinAlgError.
@@ -325,10 +337,11 @@ def test_step_halving_is_gone_from_readme_and_package():
 
 
 def test_trajectory_table_is_the_state():
-    # A re-read CSV keeps its t, u and E columns; everything else derives
-    # from them plus the scenario, in the writers and in monitor_block.
+    # A re-read CSV keeps its t, u and E columns, and its labels and
+    # temperature columns as identity; everything else derives from the
+    # state plus the scenario, in the writers and in monitor_block.
     fields = [field.name for field in dataclasses.fields(TrajectoryTable)]
-    assert fields == ["labels", "times", "velocities", "energies"]
+    assert fields == ["labels", "times", "velocities", "energies", "temperatures_kelvin"]
     texts = {"README.md": README.read_text()}
     texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
     assert sorted(name for name, text in texts.items() if "build_table" in text) == []
@@ -345,9 +358,12 @@ def test_trajectory_table_is_the_state():
     assert _top_level_users(MONITOR_LINES) == [("output.py", "write_output_set")]
     assert _top_level_users("decay_constants") == [("output.py", FIRST_RECORD)]
     state = {"times", "velocities", "energies"}
-    # monitor_block also reads the table's species identity, to refuse a
-    # table of another mixture; no verdict depends on it.
-    identity = {MONITOR_LINES: {"labels", "composition"}, FIRST_RECORD: set()}
+    # monitor_block also reads the table's mixture identity, the labels and
+    # the temperature columns of a re-read CSV or a run's composition, to
+    # refuse a table of another mixture; no verdict depends on it.
+    identity = {
+        MONITOR_LINES: {"labels", "temperatures_kelvin", "composition"}, FIRST_RECORD: set()
+    }
     for reader in readers:
         table = reader.args.args[0].arg
         read = {
