@@ -24,7 +24,7 @@ from dataclasses import replace
 
 from .integrate import IntegrationError, simulate
 from .output import write_output_set
-from .scenarios import _derived_horizon, parse_config, presets, resolve_integrator
+from .scenarios import parse_config, presets, resolve_integrator
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,20 +72,12 @@ def run(args) -> int:
 
     base = os.path.join(out_dir, scenario.name)
     try:
-        passed, rates = write_output_set(base, scenario, integrator, trajectory)
+        passed = write_output_set(base, scenario, integrator, trajectory)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
     print(f"wrote {base}_trajectory.csv, {base}_envelopes.csv, {base}_summary.txt")
-    horizon = _derived_horizon(integrator.eps, *rates)
-    if scenario.t_final is None and integrator.t_final < horizon:  # the RK4 cap fired
-        steps = round(integrator.t_final / integrator.dt)
-        print(
-            f"note: RK4 horizon capped at RK4_MAX_STEPS = {steps} steps, "
-            f"covering {integrator.t_final / horizon:.2%} of the derived horizon; "
-            "set --t-final to run further"
-        )
     sweeps = trajectory.sweeps.max()
     print(f"records = {len(trajectory.times)}, max Picard sweeps per step = {sweeps}")
     print("verification: " + ("PASS" if passed else "FAIL"))

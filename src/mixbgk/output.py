@@ -333,11 +333,10 @@ def monitor_block(
 
 def write_output_set(
     base: str, config: ScenarioConfig, integrator: IntegratorConfig, trajectory: Trajectory
-) -> tuple[bool, tuple[float, float]]:
+) -> bool:
     """Verify a run and write its trajectory, envelope and summary files, or none of them.
 
-    Returns the verdict of the summary's ``[monitors]`` block and the
-    conservative (velocity, energy) decay rates of record 0.  Each file is
+    Returns the verdict of the summary's ``[monitors]`` block.  Each file is
     written to a temporary name beside its target, and the three are moved
     into place only once all are written and no target is a directory, the
     one case in which a rename within the directory fails after its files
@@ -396,4 +395,4 @@ def write_output_set(
         for temporary in temporaries:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temporary)
-    return monitors[-1] == "overall -> PASS", (constants.velocity_rate, constants.energy_rate)
+    return monitors[-1] == "overall -> PASS"

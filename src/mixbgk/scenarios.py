@@ -52,11 +52,11 @@ GASES = {
 # Backward-Euler default: ~20 implicit steps per e-fold of the slowest
 # conservative velocity rate.  RK4 default: (dt/eps) lambda_max = 0.5, with
 # lambda_max the largest eigenvalue of Z and Z-hat at t = 0, about 18 % of
-# classical RK4's real-axis stability limit of 2.785; a derived horizon is
-# capped at RK4_MAX_STEPS.
+# classical RK4's real-axis stability limit of 2.785.  A derived horizon
+# covers HORIZON_EFOLDS e-folds of a lower bound on the decay rate.
 BE_RATE_PER_STEP = 0.05
 RK4_RATE_PER_STEP = 0.5
-RK4_MAX_STEPS = 5_000
+RK4_MAX_DERIVED_STEPS = 5_000
 HORIZON_EFOLDS = 10.0
 
 
@@ -92,53 +92,58 @@ class ScenarioConfig:
         )
 
 
-def _rk4_stable_dt(state, model, eps) -> float:
+def _rk4_settings(state, model, eps) -> tuple[float, float]:
+    """RK4's default (dt, t_final) from one spectrum of Z and Z-hat.
+
+    dt is RK4_RATE_PER_STEP * eps / lambda_max, lambda_max the largest
+    eigenvalue at T(0).  t_final is HORIZON_EFOLDS * eps / lambda_2, the
+    smallest positive eigenvalue with every temperature at the floor
+    min T(0), a proven lower bound on the decay rate: A_ij grows with both
+    frequencies and a hard-sphere frequency with both temperatures, no
+    temperature falls below the floor, so A(T(t)) - A(floor) is a Laplacian
+    with nonnegative weights; both operators keep their null vector, so
+    Courant-Fischer gives lambda_2(Z(T(t))) >= lambda_2(Z(floor)), and
+    likewise for Z-hat.  A single species has no gap: horizon 0, one record.
+    """
     const = run_constants(state.composition, model, state.dimension)
-    fastest = np.linalg.eigvalsh(operators(temperatures_of(state), const)[1]).max()
-    if fastest <= 0.0:  # single species: nothing moves, any step works
-        return 1.0
-    return RK4_RATE_PER_STEP * eps / fastest
-
-
-def _derived_horizon(eps, velocity_rate, energy_rate) -> float:
-    """HORIZON_EFOLDS e-folds of the slowest conservative envelope rate."""
-    return HORIZON_EFOLDS * eps / min(velocity_rate, energy_rate)
+    temperatures = temperatures_of(state)
+    floor = np.full_like(temperatures, temperatures.min())
+    # (T(0) or floor, Z or Z-hat, N), ascending
+    spectra = np.linalg.eigvalsh(operators(np.stack([temperatures, floor]), const)[1])
+    fastest = spectra[0].max()
+    dt = RK4_RATE_PER_STEP * eps / fastest if fastest > 0.0 else 1.0  # 1.0: nothing moves
+    return dt, HORIZON_EFOLDS * eps / spectra[1, :, 1:].min(initial=np.inf)
 
 
 def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
     """Fill in dt / t_final defaults and build the integrator settings.
 
-    The default horizon covers HORIZON_EFOLDS e-folds of the slowest
-    conservative envelope rate.  The default step is BE_RATE_PER_STEP
-    e-folds of the conservative velocity rate for backward Euler; for RK4
-    it is RK4_RATE_PER_STEP * eps / lambda_max, lambda_max the largest
-    eigenvalue of Z and Z-hat at the initial state, a step well inside
-    the real-axis stability limit.  A derived RK4 horizon is capped at
-    RK4_MAX_STEPS steps, whether the step was derived or given; an
-    explicit horizon is never capped.  The rates, those of
-    ``config.initial_state()``, are derived even when both are given, so a
-    model that does not fit the mixture (hard spheres outside d = 3) fails here.
+    Backward Euler's default step is BE_RATE_PER_STEP e-folds of the
+    conservative velocity rate, and its horizon HORIZON_EFOLDS e-folds of
+    the slowest conservative envelope rate; RK4's come from
+    ``_rk4_settings``.  Both are derived, from ``config.initial_state()``,
+    even when both are given, so a model that does not fit the mixture
+    (hard spheres outside d = 3) fails here; a given ``dt`` or ``t_final``
+    then replaces its derived value.  A derived RK4 horizon not within
+    RK4_MAX_DERIVED_STEPS steps of the step in use (a mixture too stiff
+    for RK4, or a gap lost to roundoff) raises ScenarioError.
     """
     state = config.initial_state()
-    velocity_rate, energy_rate = conservative_decay_rate(state, config.model)
-
-    dt = config.dt
-    if dt is None:
-        if config.method == "rk4":
-            dt = _rk4_stable_dt(state, config.model, config.eps)
-        else:
-            dt = BE_RATE_PER_STEP * config.eps / velocity_rate
-    t_final = config.t_final
-    if t_final is None:
-        t_final = _derived_horizon(config.eps, velocity_rate, energy_rate)
-        if config.method == "rk4":
-            t_final = min(t_final, RK4_MAX_STEPS * dt)
-    return IntegratorConfig(
-        dt=float(dt),
-        t_final=float(t_final),
-        eps=config.eps,
-        method=config.method,
-    )
+    if config.method == "rk4":
+        dt, t_final = _rk4_settings(state, config.model, config.eps)
+    else:
+        velocity_rate, energy_rate = conservative_decay_rate(state, config.model)
+        dt = BE_RATE_PER_STEP * config.eps / velocity_rate
+        t_final = HORIZON_EFOLDS * config.eps / min(velocity_rate, energy_rate)
+    dt = float(dt if config.dt is None else config.dt)
+    if config.t_final is not None:
+        t_final = config.t_final
+    elif config.method == "rk4" and dt > 0.0 and not 0.0 <= t_final <= RK4_MAX_DERIVED_STEPS * dt:
+        raise ScenarioError(
+            f"derived rk4 horizon {t_final:.6e} s is not within RK4_MAX_DERIVED_STEPS = "
+            f"{RK4_MAX_DERIVED_STEPS} steps of dt = {dt:.6e} s; set --t-final or --method be"
+        )
+    return IntegratorConfig(dt=dt, t_final=float(t_final), eps=config.eps, method=config.method)
 
 
 def presets() -> dict[int, ScenarioConfig]:

@@ -1,6 +1,7 @@
 """Presets, config parsing, CSV emission/round-trip, and CLI exit codes."""
 
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -17,6 +18,8 @@ import mixbgk.output as output_mod
 import mixbgk.scenarios as scenarios_mod
 from mixbgk import (
     GASES,
+    ConstantMatrix,
+    HardSphere,
     IntegratorConfig,
     MixtureComposition,
     MomentState,
@@ -29,12 +32,34 @@ from mixbgk import (
     presets,
     resolve_integrator,
     simulate,
+    state_from_temperatures,
     steady_state,
+    temperatures_of,
 )
 from mixbgk.cli import main
+from mixbgk.collisions import operators, run_constants
+from mixbgk.oracles import assemble, symmetric_eigenvalues
 from mixbgk.output import monitor_block, read_trajectory_csv, write_trajectory_csv
-from mixbgk.scenarios import RK4_MAX_STEPS, ScenarioError
+from mixbgk.scenarios import HORIZON_EFOLDS, RK4_RATE_PER_STEP, ScenarioError
 from mixbgk.species import _temperatures
+
+from conftest import random_state
+
+# Ar, Kr and Xe under a constant frequency matrix in which argon and
+# krypton share a frequency of 1e6 and each couples to xenon at 1e-6: the
+# RK4 step resolves the fast pair, and ten e-folds of the slow coupling
+# would take about 1.3e13 of those steps.
+STIFF_CONFIG = """\
+labels = Ar Kr Xe
+masses_kg = 66.335209e-27 139.14984e-27 218.01714e-27
+diameters_m = 3.659e-10 4.199e-10 4.939e-10
+number_densities_m3 = 3e28 2e28 1e28
+temperatures_K = 1000 1000 1000
+velocities_ms = 100 0 0 ; 0 0 0 ; 0 0 0
+model = constant
+constant_frequencies = 1e6 1e6 1e-6 1e6 1e6 1e-6 1e-6 1e-6 1e6
+method = rk4
+"""
 
 GOOD_CONFIG = """\
 # argon-krypton drift relaxation
@@ -146,71 +171,149 @@ class TestPresets:
         for scenario in presets().values():
             assert is_realizable(scenario.initial_state())
 
-    def test_rk4_cap_spares_an_explicit_horizon(self):
-        scenario = replace(presets()[3], method="rk4")
-        derived = resolve_integrator(scenario)
-        assert derived.t_final == RK4_MAX_STEPS * derived.dt
-        explicit = resolve_integrator(replace(scenario, t_final=1e-9))
-        assert explicit.dt == derived.dt
-        assert explicit.t_final == 1e-9
-
-    def test_capped_rk4_horizon_is_reported(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(scenarios_mod, "RK4_MAX_STEPS", 20)
-        scenario = replace(presets()[1], method="rk4")
-        capped = resolve_integrator(scenario)
-        derived = resolve_integrator(replace(scenario, method="be"))
-        assert capped.t_final == 20 * capped.dt < derived.t_final
-        coverage = capped.t_final / derived.t_final
-
-        code = main(["run", "--example", "1", "--method", "rk4", "--out", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        notes = [line for line in out.splitlines() if line.startswith("note:")]
-        assert notes == [
-            "note: RK4 horizon capped at RK4_MAX_STEPS = 20 steps, "
-            f"covering {coverage:.2%} of the derived horizon; set --t-final to run further"
-        ]
-        # The note is stdout only: the summary and its monitors are those of
-        # the capped run.
-        summary = (tmp_path / "example1_summary.txt").read_text()
-        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
-        assert len(table.times) == 21
-        assert "note" not in summary
-        assert "\n".join(monitor_block(table, presets()[1])) in summary
-
-    def test_rk4_cap_applies_to_an_explicit_step(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(scenarios_mod, "RK4_MAX_STEPS", 20)
-        scenario = replace(presets()[1], method="rk4", dt=4e-14)
-        capped = resolve_integrator(scenario)
-        horizon = resolve_integrator(replace(scenario, method="be")).t_final
-        assert capped.dt == 4e-14
-        assert capped.t_final == 20 * 4e-14 < horizon
-
-        argv = ["run", "--example", "1", "--method", "rk4", "--dt", "4e-14"]
-        assert main([*argv, "--out", str(tmp_path)]) == 0
-        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
-        assert notes == [
-            "note: RK4 horizon capped at RK4_MAX_STEPS = 20 steps, "
-            f"covering {capped.t_final / horizon:.2%} of the derived horizon; "
-            "set --t-final to run further"
-        ]
-        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
-        assert len(table.times) == 21
-
-    @pytest.mark.parametrize("argv", [
-        ["--method", "rk4"],
-        ["--method", "rk4", "--t-final", "3e-12"],
-        ["--method", "be"],
-    ])
-    def test_uncapped_horizon_prints_no_note(self, argv, tmp_path, capsys):
-        assert main(["run", "--example", "1", *argv, "--out", str(tmp_path)]) == 0
-        assert "note:" not in capsys.readouterr().out
-
     def test_default_settings_resolve(self):
         for scenario in presets().values():
             cfg = resolve_integrator(scenario)
             assert cfg.dt > 0.0
             assert cfg.t_final > cfg.dt
+
+
+def _old_rk4_step(state, model, eps):
+    """RK4's default step as it was derived before the horizon joined it."""
+    const = run_constants(state.composition, model, state.dimension)
+    fastest = np.linalg.eigvalsh(operators(temperatures_of(state), const)[1]).max()
+    return 1.0 if fastest <= 0.0 else RK4_RATE_PER_STEP * eps / fastest
+
+
+def _floor_gap(state, model):
+    """The smallest positive eigenvalue of Z and Z-hat at the temperature
+    floor, from the oracle couplings and the Jacobi eigensolver."""
+    comp = state.composition
+    floor = np.full(comp.size, temperatures_of(state).min())
+    mats = assemble(state_from_temperatures(comp, state.velocities, floor), model)
+    gaps = []
+    for coupling, weight in (
+        (mats.momentum_coupling, comp.mass_densities),
+        (mats.energy_coupling, comp.number_densities),
+    ):
+        laplacian = np.diag(coupling.sum(axis=1)) - coupling
+        gaps.append(symmetric_eigenvalues(laplacian / np.sqrt(np.outer(weight, weight)))[1])
+    return min(gaps)
+
+
+def _seeded_cases():
+    """(state, model, eps) for N = 1..4 under both frequency models."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for n_species in (1, 2, 3, 4):
+        for _ in range(3):
+            state = random_state(rng, n_species)
+            eps = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+            constant = ConstantMatrix(np.exp(rng.uniform(0.0, 5.0, size=(n_species, n_species))))
+            cases += [(state, HardSphere(), eps), (state, constant, eps)]
+    return cases
+
+
+class TestRk4Settings:
+    """RK4's step and horizon come from one spectrum of Z and Z-hat."""
+
+    def test_step_is_the_stability_step(self):
+        for scenario in presets().values():
+            scenario = replace(scenario, method="rk4")
+            derived = resolve_integrator(scenario).dt
+            assert derived == _old_rk4_step(scenario.initial_state(), scenario.model, 1.0)
+        for state, model, eps in _seeded_cases():
+            derived, _ = scenarios_mod._rk4_settings(state, model, eps)
+            assert derived == _old_rk4_step(state, model, eps)
+
+    def test_horizon_covers_ten_efolds_of_the_floor_gap(self):
+        cases = [
+            (scenario.initial_state(), scenario.model, scenario.eps)
+            for scenario in presets().values()
+        ]
+        cases += [case for case in _seeded_cases() if case[0].composition.size > 1]
+        for state, model, eps in cases:
+            _, horizon = scenarios_mod._rk4_settings(state, model, eps)
+            expected = HORIZON_EFOLDS * eps / _floor_gap(state, model)
+            assert horizon == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_a_single_species_runs_one_record(self, tmp_path, capsys):
+        path = tmp_path / "argon.cfg"
+        path.write_text(
+            "labels = Ar\nmasses_kg = 66.335209e-27\ndiameters_m = 3.659e-10\n"
+            "number_densities_m3 = 1e28\ntemperatures_K = 500\nvelocities_ms = 80 0 0\n"
+            "method = rk4\n"
+        )
+        assert resolve_integrator(parse_config(path)).t_final == 0.0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert "records = 1," in capsys.readouterr().out
+        summary = (tmp_path / "argon_summary.txt").read_text().splitlines()
+        assert "t_final_s = 0.00000000000000000e+00" in summary
+        assert "records = 1" in summary
+        assert len(read_trajectory_csv(tmp_path / "argon_trajectory.csv").times) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--example", "1", "--method", "rk4"],
+        ["--example", "1", "--method", "rk4", "--t-final", "3e-12"],
+        ["--example", "1", "--method", "be"],
+        ["--example", "3", "--method", "rk4"],
+    ])
+    def test_a_run_ends_at_its_horizon(self, argv, tmp_path, capsys):
+        example, method = int(argv[1]), argv[3]
+        scenario = replace(presets()[example], method=method)
+        if "--t-final" in argv:
+            scenario = replace(scenario, t_final=float(argv[-1]))
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("wrote ") and out[1].startswith("records = ")
+        assert out[2:] == ["verification: PASS"]
+        table = read_trajectory_csv(tmp_path / f"{scenario.name}_trajectory.csv")
+        assert table.times[-1] == resolve_integrator(scenario).t_final
+
+    def test_a_stiff_mixture_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "stiff.cfg"
+        path.write_text(STIFF_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "RK4_MAX_DERIVED_STEPS = 5000 steps" in captured.err
+        assert "--t-final" in captured.err and "--method be" in captured.err
+        assert not out.exists()  # refused before the output directory is made
+        # A given horizon is not refused.
+        assert main(["run", "--config", str(path), "--t-final", "1e-5", "--out", str(out)]) == 0
+        assert read_trajectory_csv(out / "stiff_trajectory.csv").times[-1] == 1e-5
+
+    def test_the_step_limit_counts_steps_of_the_step_in_use(self, monkeypatch):
+        scenario = replace(presets()[1], method="rk4")
+        derived = resolve_integrator(scenario)
+        steps = derived.t_final / derived.dt
+        monkeypatch.setattr(scenarios_mod, "RK4_MAX_DERIVED_STEPS", math.ceil(steps))
+        assert resolve_integrator(scenario) == derived
+        with pytest.raises(ScenarioError, match="RK4_MAX_DERIVED_STEPS"):
+            resolve_integrator(replace(scenario, dt=derived.dt / 2))
+        assert resolve_integrator(replace(scenario, dt=derived.dt / 2, t_final=1.0)).t_final == 1.0
+        monkeypatch.setattr(scenarios_mod, "RK4_MAX_DERIVED_STEPS", math.floor(steps))
+        with pytest.raises(ScenarioError, match="RK4_MAX_DERIVED_STEPS"):
+            resolve_integrator(scenario)
+        # Backward Euler's derived horizon is not limited.
+        assert resolve_integrator(replace(scenario, method="be")).t_final > 0.0
+
+    @pytest.mark.parametrize("horizon", [np.inf, -1e-12, np.nan])
+    def test_a_gap_lost_to_roundoff_is_refused(self, horizon, monkeypatch):
+        # lambda_2 <= 0 gives a horizon of inf or below 0.
+        monkeypatch.setattr(scenarios_mod, "_rk4_settings", lambda *args: (1e-14, horizon))
+        with pytest.raises(ScenarioError, match="RK4_MAX_DERIVED_STEPS"):
+            resolve_integrator(replace(presets()[1], method="rk4"))
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_a_given_step_or_horizon_is_kept(self, example):
+        scenario = replace(presets()[example], method="rk4")
+        derived = resolve_integrator(scenario)
+        given_dt = resolve_integrator(replace(scenario, dt=4e-14))
+        assert (given_dt.dt, given_dt.t_final) == (4e-14, derived.t_final)
+        given_horizon = resolve_integrator(replace(scenario, t_final=1e-9))
+        assert (given_horizon.dt, given_horizon.t_final) == (derived.dt, 1e-9)
 
 
 class TestParseConfig:

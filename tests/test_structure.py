@@ -336,6 +336,22 @@ def test_step_halving_is_gone_from_readme_and_package():
     assert sorted((name, word) for name, text in texts.items() for word in gone if word in text) == []
 
 
+def test_rk4_step_cap_is_gone_from_readme_and_package():
+    texts = {"README.md": README.read_text()}
+    texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
+    assert sorted(name for name, text in texts.items() if "RK4_MAX_STEPS" in text) == []
+
+
+def test_cli_imports_only_public_names():
+    imported = [
+        alias.name
+        for node in ast.walk(_modules()["cli.py"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "write_output_set" in imported  # the guard reads the imports
+    assert sorted(name for name in imported if name.startswith("_")) == []
+
 def test_trajectory_table_is_the_state():
     # A re-read CSV keeps its t, u and E columns, and its labels and
     # temperature columns as identity; everything else derives from the
