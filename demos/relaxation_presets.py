@@ -31,14 +31,14 @@ def describe(index, scenario):
     model = scenario.model
     cfg = resolve_integrator(scenario)
     eq = steady_state(state)
+    trajectory = simulate(state, cfg, model)
 
     print(f"\n=== Example {index}: {' / '.join(s.label for s in scenario.species)} ===")
-    print(f"integrator: backward Euler, dt = {cfg.dt:.3e} s, "
-          f"horizon = {cfg.t_final:.3e} s ({cfg.t_final / cfg.dt:.0f} steps)")
+    print(f"integrator: backward Euler, {len(trajectory.times) - 1} error-controlled steps "
+          f"from dt = {cfg.dt:.3e} s to the horizon {cfg.t_final:.3e} s")
     print(f"predicted equilibrium: u = {eq.velocity[0]:+.4f} m/s, "
           f"T = {energy_to_kelvin(eq.temperature):.2f} K")
 
-    trajectory = simulate(state, cfg, model)
     records = record_monitors(state.composition, trajectory.velocities, trajectory.energies)
     temps = energy_to_kelvin(records.temperatures)
     labels = state.composition.labels

@@ -22,10 +22,12 @@ velocity envelopes survive discretization.
 An explicit classical RK4 stepper is provided as the high-order reference
 oracle for convergence studies.  It is not suitable for stiff steps.
 Both steppers map (u, e, dt, eps, const) to (u, e, sweeps), so the one
-loop of :func:`simulate` records every step of either method.  Within a
+loop of :func:`simulate` records every step of either method, the steps
+of a fixed schedule or, for backward Euler with ``IntegratorConfig.max_dt``,
+those a local-error controller accepts.  Within a
 run each is a function of (u, e, dt) that writes nothing it is given,
 so :func:`simulate` steps each distinct (u, e, dt) once: a step from an
-exact repeat of an earlier one repeats that step's record.  Both
+exact repeat of an earlier one repeats that step's result.  Both
 evaluate the operator core only at admissible temperatures: finite, and
 positive for hard spheres.  Leaving that set, a singular or overflowed
 implicit system or a non-finite RK4 result raises RealizabilityError;
@@ -44,10 +46,14 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .collisions import FrequencyModel, heating, operators, run_constants
+from .equilibrium import steady_state
 from .species import MixtureComposition, MomentState, _temperature_map, is_realizable
 
 PICARD_TOL = 1e-12  # the joint relative change that ends a Picard iteration
 PICARD_MAX_ITER = 100  # its cap on solve pairs
+# The largest local error, relative to each field's initial deviation from
+# equilibrium, of an error-controlled backward-Euler step (IntegratorConfig.max_dt).
+BE_ERROR_TOL = 3e-3
 
 
 class IntegrationError(RuntimeError):
@@ -68,18 +74,23 @@ class RealizabilityError(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration settings.
+    """Integration settings.
 
-    method is "be" (backward Euler, default) or "rk4"; t_final / dt
-    must stay below ``sys.maxsize``.  Every step is recorded.  The
-    Picard settings are the module constants PICARD_TOL and
-    PICARD_MAX_ITER.
+    method is "be" (backward Euler, default) or "rk4".  Without
+    ``max_dt`` every step is dt long but the last, which ends at t_final.
+    With ``max_dt`` (backward Euler only) dt is the first step of
+    error-controlled steps of at most max_dt (:func:`simulate`).  Either
+    way t_final over the longest step, dt or max_dt, the fewest steps the
+    run can take, must stay below ``sys.maxsize``.  Every accepted step is
+    recorded.  The Picard settings are the module constants PICARD_TOL
+    and PICARD_MAX_ITER, and the error tolerance is BE_ERROR_TOL.
     """
 
     dt: float
     t_final: float
     eps: float = 1.0
     method: str = "be"
+    max_dt: float | None = None
 
     def __post_init__(self):
         # eps first: a derived dt and t_final scale with it, so a bad eps
@@ -90,10 +101,15 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (np.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
-        if self.t_final / self.dt >= sys.maxsize:
-            raise ValueError(f"t_final / dt = {self.t_final / self.dt:.3e} steps, too many")
+        if self.max_dt is not None and not (np.isfinite(self.max_dt) and self.max_dt > 0.0):
+            raise ValueError(f"max_dt must be positive and finite, got {self.max_dt}")
+        name, step = ("dt", self.dt) if self.max_dt is None else ("max_dt", self.max_dt)
+        if self.t_final / step >= sys.maxsize:
+            raise ValueError(f"t_final / {name} = {self.t_final / step:.3e} steps, too many")
         if self.method not in ("be", "rk4"):
             raise ValueError(f"method must be 'be' or 'rk4', got {self.method!r}")
+        if self.max_dt is not None and self.method != "be":
+            raise ValueError(f"max_dt is a backward-Euler setting, got method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -316,18 +332,100 @@ def _rk4_advance(u, e, dt, eps, const):
     return w / sqrt_rho, xi * sqrt_n, 0
 
 
-def _schedule(cfg: IntegratorConfig):
-    """(t, dt) of every step, generated lazily: steps of cfg.dt, then a partial one to t_final."""
+def _schedule(cfg: IntegratorConfig, records):
+    """Fixed steps from the last record: steps of cfg.dt, then a partial one to t_final.
+
+    A generator: it yields each step's (t, u, e, dt) and appends
+    (t, *result) to ``records`` for the (u, e, sweeps) it is sent.
+    """
     n_steps = int(np.floor(cfg.t_final / cfg.dt * (1.0 + 1e-12)))
     remainder = cfg.t_final - n_steps * cfg.dt
     # Relative to the horizon too, so a horizon shorter than one step
     # takes one step of length t_final.
     partial = remainder > 1e-12 * min(cfg.dt, cfg.t_final)
     last = n_steps + int(partial)
-    for index in range(1, last):
-        yield index * cfg.dt, cfg.dt
-    if last:
-        yield cfg.t_final, remainder if partial else cfg.dt
+    for index in range(1, last + 1):
+        t, dt = index * cfg.dt, cfg.dt
+        if index == last:
+            t, dt = cfg.t_final, remainder if partial else cfg.dt
+        u, e = records[-1][1:3]
+        records.append((t, *(yield t, u, e, dt)))
+
+
+def _error_scales(initial, temps, cfg: IntegratorConfig, const):
+    """The scale of each field's step error: its initial deviation from equilibrium, or 0.
+
+    A step of h rounds the state by about (h/eps) ||Z|| eps_mach |y|, with
+    ||Z|| at most the largest absolute row sum of Z and Z-hat at T(0)
+    (``temps``).  A field whose tolerance, BE_ERROR_TOL times its
+    deviation, lies within that rounding at max_dt starts at equilibrium as
+    far as the steps can tell; it gets scale 0 and is skipped, so that
+    rounding does not set the step.
+    """
+    norm = np.abs(operators(temps, const)[1]).sum(axis=2).max()
+    rounding = cfg.max_dt / cfg.eps * norm * np.finfo(float).eps / BE_ERROR_TOL
+    equilibrium, scales = steady_state(initial), []
+    for field, steady in ((initial.velocities, equilibrium.velocity),
+                          (initial.energies, equilibrium.energies)):
+        deviation = float(np.abs(field - steady).max())
+        scales.append(deviation if deviation > rounding * np.abs(field).max() else 0.0)
+    return scales
+
+
+def _controlled_steps(cfg: IntegratorConfig, records, scales):
+    """Backward-Euler steps that follow their local error, from record 0 to t_final.
+
+    The same generator protocol as :func:`_schedule`, except that a
+    rejected step is not recorded.  A step's error is the max norm of its
+    local-error estimate per field, relative to that field's ``scales``
+    entry; a field of scale 0 is skipped.  The estimate is the divided
+    difference of the recorded states,
+
+        h_n^2 / (h_n + h_{n-1}) [(y_{n+1} - y_n) / h_n - (y_n - y_{n-1}) / h_{n-1}],
+
+    about h_n^2 y''/2, backward Euler's local error, and it costs no solve.
+    The first step, with no record before it, takes two half steps as
+    well: twice the difference of the two results estimates the error of
+    the full one, which is the one recorded.  A step whose error exceeds
+    BE_ERROR_TOL is taken again from the same record.  Either way the next
+    step is h clip(0.9 (BE_ERROR_TOL / error)^(1/2), 0.2, 5) (Hairer &
+    Wanner, Solving ODEs II, 2nd ed., section IV.8), at most cfg.max_dt,
+    and the last one lands on t_final exactly.  Each step is the
+    difference of its end time and its start time, so a record's own step
+    is the difference of its time and the one before.
+    """
+
+    def error(fields):
+        return max(
+            (float(np.abs(field).max()) / scale for field, scale in zip(fields, scales) if scale),
+            default=0.0,
+        )
+
+    t, h = 0.0, cfg.dt
+    u, e = records[0][1:3]
+    while t < cfg.t_final:
+        end = min(t + min(h, cfg.max_dt), cfg.t_final)
+        h = end - t
+        if not h > 0.0:
+            raise IntegrationError(f"error-controlled step vanished at t = {t:.9e} s", time=t)
+        result = yield end, u, e, h
+        if len(records) == 1:
+            half = yield t + 0.5 * h, u, e, 0.5 * h
+            halves = yield end, *half[:2], 0.5 * h
+            err = 2.0 * error([full - two for full, two in zip(result[:2], halves[:2])])
+        else:
+            before, u_before, e_before = records[-2][:3]
+            h_before = t - before
+            weight = h * h / (h + h_before)
+            err = error([
+                weight * ((new - now) / h - (now - old) / h_before)
+                for new, now, old in zip(result, (u, e), (u_before, e_before))
+            ])
+        if err <= BE_ERROR_TOL:
+            records.append((end, *result))
+            t, u, e = end, result[0], result[1]
+        # A NaN or infinite error shrinks the step by 0.2: max keeps 0.2 against NaN.
+        h *= min(5.0, max(0.2, 0.9 * math.sqrt(BE_ERROR_TOL / err))) if err else 5.0
 
 
 def simulate(
@@ -336,39 +434,48 @@ def simulate(
     """Integrate from t = 0 to cfg.t_final, recording every step.
 
     The initial state and every step are recorded, so the monitors see
-    each state the integrator produced; a final partial step guarantees
-    the last recorded time equals ``t_final`` exactly.  Either method
-    carries (u, e) from step to step, so a chain of one-step runs,
-    ``simulate(state, replace(cfg, t_final=cfg.dt), model)``, repeats one
-    run bit for bit.  So a step from a (u, e, dt) that this run already
-    stepped from, bit for bit, is not computed again: its record, sweeps
-    included, repeats the one that step gave.  A run that settles onto a
-    fixed point or a short cycle of its step map before the horizon
-    computes no step after one pass round it.  numpy's floating-point
-    errors are ignored; a failed step raises an IntegrationError with the
-    failing time attached.
+    each state the integrator produced, and the last recorded time equals
+    ``t_final`` exactly.  Without ``cfg.max_dt`` the steps are fixed
+    (:func:`_schedule`); with it, backward Euler's steps follow their
+    local error (:func:`_controlled_steps`), measured against each
+    field's initial deviation from ``steady_state``, and a rejected step
+    is not recorded.  Either method carries (u, e) from step to step, so
+    a chain of one-step runs, ``simulate(state, replace(cfg, dt=h,
+    t_final=h, max_dt=None), model)`` with h each record's own step,
+    repeats one run bit for bit.  So a step from a (u, e, dt) that this
+    run already stepped from, bit for bit, is not computed again: its
+    result, sweeps included, repeats the one that step gave.  A
+    fixed-step run that settles onto a fixed point or a short cycle of its
+    step map before the horizon computes no step after one pass round it.
+    numpy's floating-point errors are ignored; a failed step raises an
+    IntegrationError with the failing time attached.
     """
     with np.errstate(all="ignore"):
         if not is_realizable(initial):
             raise RealizabilityError("initial state is not realizable", time=0.0)
         const = run_constants(initial.composition, model, initial.dimension)
-        _admissible_temperatures(
+        temps = _admissible_temperatures(
             initial.velocities, initial.energies, const.temperature_weights, const, "initial",
             time=0.0,
         )
         advance = _picard_solve if cfg.method == "be" else _rk4_advance
         records = [(0.0, initial.velocities, initial.energies, 0)]
-        successors = {}  # exact bits of (u, e, dt) -> index of the record its step gave
-        for t, dt in _schedule(cfg):
-            u, e = records[-1][1:3]
-            key = (u.tobytes(), e.tobytes(), dt)
-            index = successors.get(key)
-            if index is not None:  # the same step again: repeat its record
-                records.append((t, *records[index][1:]))
-                continue
-            successors[key] = len(records)
+        if cfg.max_dt is None:
+            steps = _schedule(cfg, records)
+        else:
+            steps = _controlled_steps(cfg, records, _error_scales(initial, temps, cfg, const))
+        results = {}  # exact bits of (u, e, dt) -> the (u, e, sweeps) its step gave
+        result = None
+        while True:
             try:
-                records.append((t, *advance(u, e, dt, cfg.eps, const)))
-            except IntegrationError as err:
-                raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
+                t, u, e, dt = steps.send(result)
+            except StopIteration:
+                break
+            key = (u.tobytes(), e.tobytes(), dt)
+            result = results.get(key)
+            if result is None:  # a new step; a repeated one repeats its result
+                try:
+                    result = results[key] = advance(u, e, dt, cfg.eps, const)
+                except IntegrationError as err:
+                    raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
     return Trajectory(*map(np.array, zip(*records)), initial.composition)

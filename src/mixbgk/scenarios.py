@@ -49,12 +49,18 @@ GASES = {
     "Xe": SpeciesParams(mass=218.01714e-27, diameter=4.939e-10, label="Xe"),
 }
 
-# Backward-Euler default: ~20 implicit steps per e-fold of the slowest
-# conservative velocity rate.  RK4 default: (dt/eps) lambda_max = 0.5, with
-# lambda_max the largest eigenvalue of Z and Z-hat at t = 0, about 18 % of
-# classical RK4's real-axis stability limit of 2.785.  A derived horizon
-# covers HORIZON_EFOLDS e-folds of a lower bound on the decay rate.
-BE_RATE_PER_STEP = 0.05
+# RK4 default: (dt/eps) lambda_max = 0.5, with lambda_max the largest
+# eigenvalue of Z and Z-hat at t = 0, about 18 % of classical RK4's
+# real-axis stability limit of 2.785.  A derived horizon covers
+# HORIZON_EFOLDS e-folds of a lower bound on the decay rate.  A derived
+# backward-Euler step follows its local error (integrate.BE_ERROR_TOL) up to
+# BE_STEP_BOUND * min(eps / r, t_final / HORIZON_EFOLDS), r the larger of
+# the paper's two rates.  The tolerance and this bound replace one fixed
+# rate per step, one constant more: the error alone lets the late steps
+# grow until 1/(1 + h lambda) falls behind exp(-h r) and the continuous
+# envelopes fail (the eps / r term), and lets a horizon pass in so few
+# steps that the run ends short of equilibrium (the t_final term).
+BE_STEP_BOUND = 0.5
 RK4_RATE_PER_STEP = 0.5
 RK4_MAX_DERIVED_STEPS = 5_000
 HORIZON_EFOLDS = 10.0
@@ -92,10 +98,10 @@ class ScenarioConfig:
         )
 
 
-def _rk4_settings(state, model, eps) -> tuple[float, float]:
-    """RK4's default (dt, t_final) from one spectrum of Z and Z-hat.
+def _derived_settings(state, model, eps, rate_per_step) -> tuple[float, float]:
+    """The default (dt, t_final) of either method, from one spectrum of Z and Z-hat.
 
-    dt is RK4_RATE_PER_STEP * eps / lambda_max, lambda_max the largest
+    dt is rate_per_step * eps / lambda_max, lambda_max the largest
     eigenvalue at T(0).  t_final is HORIZON_EFOLDS * eps / lambda_2, the
     smallest positive eigenvalue with every temperature at the floor
     min T(0), a proven lower bound on the decay rate: A_ij grows with both
@@ -111,39 +117,62 @@ def _rk4_settings(state, model, eps) -> tuple[float, float]:
     # (T(0) or floor, Z or Z-hat, N), ascending
     spectra = np.linalg.eigvalsh(operators(np.stack([temperatures, floor]), const)[1])
     fastest = spectra[0].max()
-    dt = RK4_RATE_PER_STEP * eps / fastest if fastest > 0.0 else 1.0  # 1.0: nothing moves
+    dt = rate_per_step * eps / fastest if fastest > 0.0 else 1.0  # 1.0: nothing moves
     return dt, HORIZON_EFOLDS * eps / spectra[1, :, 1:].min(initial=np.inf)
 
 
 def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
     """Fill in dt / t_final defaults and build the integrator settings.
 
-    Backward Euler's default step is BE_RATE_PER_STEP e-folds of the
-    conservative velocity rate, and its horizon HORIZON_EFOLDS e-folds of
-    the slowest conservative envelope rate; RK4's come from
-    ``_rk4_settings``.  Both are derived, from ``config.initial_state()``,
-    even when both are given, so a model that does not fit the mixture
-    (hard spheres outside d = 3) fails here; a given ``dt`` or ``t_final``
-    then replaces its derived value.  A derived RK4 horizon not within
-    RK4_MAX_DERIVED_STEPS steps of the step in use (a mixture too stiff
-    for RK4, or a gap lost to roundoff) raises ScenarioError.
+    RK4 takes its step, RK4_RATE_PER_STEP e-folds of the fastest rate, and
+    its horizon from ``_derived_settings``.  Backward Euler with a derived
+    step takes the same horizon, and steps that follow their local error
+    (``IntegratorConfig.max_dt``) from a first step of 0.1 e-folds of the
+    fastest rate, each at most BE_STEP_BOUND * min(eps / r, t_final /
+    HORIZON_EFOLDS), r the larger of the paper's two rates
+    (``conservative_decay_rate``): the eps / r term keeps each step's
+    damping 1/(1 + h lambda) close enough to the continuous envelopes'
+    exp(-h r), and the t_final term gives the horizon at least
+    2 HORIZON_EFOLDS steps.  Backward Euler with a given ``dt`` keeps fixed
+    steps, over HORIZON_EFOLDS e-folds of the slower paper rate, so a
+    large-step study keeps its step count.  Everything is derived, from
+    ``config.initial_state()``, even when ``dt`` and ``t_final`` are both
+    given, so a model that does not fit the mixture (hard spheres outside
+    d = 3) fails here; a given ``dt`` or ``t_final`` then replaces its
+    derived value.  A derived lambda_2 horizon that is not finite and
+    nonnegative (a gap lost to roundoff), or an RK4 one not within
+    RK4_MAX_DERIVED_STEPS steps of the step in use (a mixture too stiff for
+    RK4), raises ScenarioError.
     """
     state = config.initial_state()
-    if config.method == "rk4":
-        dt, t_final = _rk4_settings(state, config.model, config.eps)
-    else:
-        velocity_rate, energy_rate = conservative_decay_rate(state, config.model)
-        dt = BE_RATE_PER_STEP * config.eps / velocity_rate
-        t_final = HORIZON_EFOLDS * config.eps / min(velocity_rate, energy_rate)
+    # Backward Euler's first step: a guess that its error control corrects.
+    rate_per_step = RK4_RATE_PER_STEP if config.method == "rk4" else 0.1
+    dt, t_final = _derived_settings(state, config.model, config.eps, rate_per_step)
+    fixed_be = config.method == "be" and config.dt is not None
+    if config.method == "be":
+        rates = conservative_decay_rate(state, config.model)
+        if fixed_be:  # fixed steps, over the paper's horizon
+            t_final = HORIZON_EFOLDS * config.eps / min(rates)
     dt = float(dt if config.dt is None else config.dt)
     if config.t_final is not None:
         t_final = config.t_final
-    elif config.method == "rk4" and dt > 0.0 and not 0.0 <= t_final <= RK4_MAX_DERIVED_STEPS * dt:
+    elif not fixed_be and 0.0 < config.eps < np.inf and not 0.0 <= t_final < np.inf:
+        # lambda_2 <= 0 or NaN; a bad eps is IntegratorConfig's to name.
+        raise ScenarioError(
+            f"derived {config.method} horizon {t_final:.6e} s is not finite and nonnegative: "
+            f"the spectral gap lambda_2 is lost to roundoff; set --t-final"
+        )
+    elif config.method == "rk4" and dt > 0.0 and not t_final <= RK4_MAX_DERIVED_STEPS * dt:
         raise ScenarioError(
             f"derived rk4 horizon {t_final:.6e} s is not within RK4_MAX_DERIVED_STEPS = "
             f"{RK4_MAX_DERIVED_STEPS} steps of dt = {dt:.6e} s; set --t-final or --method be"
         )
-    return IntegratorConfig(dt=dt, t_final=float(t_final), eps=config.eps, method=config.method)
+    max_dt = None
+    if config.method == "be" and config.dt is None and t_final != 0.0:  # 0: no step to take
+        max_dt = float(BE_STEP_BOUND * min(config.eps / max(rates), t_final / HORIZON_EFOLDS))
+    return IntegratorConfig(
+        dt=dt, t_final=float(t_final), eps=config.eps, method=config.method, max_dt=max_dt
+    )
 
 
 def presets() -> dict[int, ScenarioConfig]:

@@ -12,6 +12,7 @@ the configuration / output boundary (see :mod:`mixbgk.scenarios`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,8 @@ class MixtureComposition:
     """An ordered species list with fixed, strictly positive number densities.
 
     Mass densities rho_i = m_i * n_i are derived once at construction and
-    cached; they are never stored independently.
+    cached; they are never stored independently.  A species whose m_i * n_i
+    underflows to 0 or overflows to inf is refused, by its label.
     """
 
     species: tuple[SpeciesParams, ...]
@@ -89,11 +91,20 @@ class MixtureComposition:
             label = species[int(np.argmax(bad))].label
             raise ValueError(f"species {label!r}: number density must be positive")
         object.__setattr__(self, "number_densities", n)
+        # Python float products: an overflow or underflow gives inf or 0.0
+        # without a numpy warning, the same IEEE products as masses * n.
+        rho = [s.mass * density for s, density in zip(species, n.tolist())]
+        for s, value in zip(species, rho):
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"species {s.label!r}: mass density m * n must be positive and finite, "
+                    f"got {value} kg/m^3"
+                )
 
         # Cached derived arrays; frozen alongside the inputs.
         object.__setattr__(self, "masses", _readonly([s.mass for s in species]))
         object.__setattr__(self, "diameters", _readonly([s.diameter for s in species]))
-        object.__setattr__(self, "mass_densities", _readonly(self.masses * n))
+        object.__setattr__(self, "mass_densities", _readonly(rho))
         object.__setattr__(self, "labels", tuple(s.label for s in species))
 
     @property

@@ -148,21 +148,28 @@ class TestCriterion1SteadyStates:
             f"(walls: {', '.join(f'{w:.2f}s' for w in walls.values())})"
         )
 
-    def test_rk4_presets_end_at_equilibrium(self, preset_runs):
+    @pytest.mark.parametrize("method, margin", [("be", 2.0), ("rk4", 1.0)])
+    def test_presets_end_at_equilibrium(self, preset_runs, method, margin):
         # The measures of the benchmark's check: the velocity error relative
         # to the initial deviation, the temperature error relative to T_eq,
-        # both within 0.1 % at the last record, which sits at the horizon
-        # resolve_integrator derives (no override).
+        # both within 0.1 % at the last record (backward Euler with a 2x
+        # margin), which sits at the lambda_2 horizon resolve_integrator
+        # derives for RK4 (no override).
+        tolerance = 1e-3 / margin
         for k in (1, 2, 3):
-            run = preset_runs[(k, "rk4")]
+            run = preset_runs[(k, method)]
             eq, u0 = steady_state(run["state"]), run["state"].velocities
             final = run["trajectory"].states[-1]
             deviation = max(np.abs(u0 - eq.velocity).max(), 1e-300)
-            assert np.abs(final.velocities - eq.velocity).max() <= 1e-3 * deviation
-            assert np.abs(temperatures_of(final) - eq.temperature).max() <= 1e-3 * eq.temperature
+            assert np.abs(final.velocities - eq.velocity).max() <= tolerance * deviation
+            assert np.abs(temperatures_of(final) - eq.temperature).max() <= (
+                tolerance * eq.temperature
+            )
             assert run["trajectory"].times[-1] == run["cfg"].t_final
+            assert run["cfg"].t_final == preset_runs[(k, "rk4")]["cfg"].t_final
             assert run["scenario"].t_final is None
-        print("\n[criterion 1] PASS - rk4 presets within 0.1% of equilibrium at their horizons")
+        print(f"\n[criterion 1] PASS - {method} presets within {tolerance:g} of equilibrium "
+              "at their horizons")
 
 
 class TestCriterion2Conservation:

@@ -223,7 +223,7 @@ class TestRk4Settings:
             derived = resolve_integrator(scenario).dt
             assert derived == _old_rk4_step(scenario.initial_state(), scenario.model, 1.0)
         for state, model, eps in _seeded_cases():
-            derived, _ = scenarios_mod._rk4_settings(state, model, eps)
+            derived, _ = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
             assert derived == _old_rk4_step(state, model, eps)
 
     def test_horizon_covers_ten_efolds_of_the_floor_gap(self):
@@ -233,7 +233,7 @@ class TestRk4Settings:
         ]
         cases += [case for case in _seeded_cases() if case[0].composition.size > 1]
         for state, model, eps in cases:
-            _, horizon = scenarios_mod._rk4_settings(state, model, eps)
+            _, horizon = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
             expected = HORIZON_EFOLDS * eps / _floor_gap(state, model)
             assert horizon == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -284,6 +284,14 @@ class TestRk4Settings:
         assert main(["run", "--config", str(path), "--t-final", "1e-5", "--out", str(out)]) == 0
         assert read_trajectory_csv(out / "stiff_trajectory.csv").times[-1] == 1e-5
 
+    def test_the_refusals_advice_runs(self, tmp_path, capsys):
+        # --method be, as the refusal advises: error-controlled steps over the
+        # same lambda_2 horizon pass every monitor.
+        path = tmp_path / "stiff.cfg"
+        path.write_text(STIFF_CONFIG)
+        assert main(["run", "--config", str(path), "--method", "be", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verification: PASS"
+
     def test_the_step_limit_counts_steps_of_the_step_in_use(self, monkeypatch):
         scenario = replace(presets()[1], method="rk4")
         derived = resolve_integrator(scenario)
@@ -299,12 +307,20 @@ class TestRk4Settings:
         # Backward Euler's derived horizon is not limited.
         assert resolve_integrator(replace(scenario, method="be")).t_final > 0.0
 
-    @pytest.mark.parametrize("horizon", [np.inf, -1e-12, np.nan])
-    def test_a_gap_lost_to_roundoff_is_refused(self, horizon, monkeypatch):
-        # lambda_2 <= 0 gives a horizon of inf or below 0.
-        monkeypatch.setattr(scenarios_mod, "_rk4_settings", lambda *args: (1e-14, horizon))
-        with pytest.raises(ScenarioError, match="RK4_MAX_DERIVED_STEPS"):
-            resolve_integrator(replace(presets()[1], method="rk4"))
+    @pytest.mark.parametrize("method, horizon", [
+        pytest.param(method, horizon, id=f"{horizon}" if method == "rk4" else f"be-{horizon}")
+        for method in ("rk4", "be") for horizon in (np.inf, -1e-12, np.nan)
+    ])
+    def test_a_gap_lost_to_roundoff_is_refused(self, method, horizon, monkeypatch):
+        # lambda_2 <= 0 gives a horizon of inf or below 0.  Either method
+        # takes that horizon, so the refusal advises only --t-final.
+        monkeypatch.setattr(scenarios_mod, "_derived_settings", lambda *args: (1e-14, horizon))
+        scenario = replace(presets()[1], method=method)
+        with pytest.raises(ScenarioError, match="is not finite and nonnegative") as excinfo:
+            resolve_integrator(scenario)
+        assert str(excinfo.value).endswith("; set --t-final")
+        # A given horizon is not refused.
+        assert resolve_integrator(replace(scenario, t_final=1e-12)).t_final == 1e-12
 
     @pytest.mark.parametrize("example", [1, 2, 3])
     def test_a_given_step_or_horizon_is_kept(self, example):
@@ -741,6 +757,35 @@ class TestCliRun:
     def test_missing_command_exits_1(self):
         assert main([]) == 1
 
+    def test_stiff_constant_model_file_passes_under_backward_euler(self, tmp_path):
+        # h lambda_max reaches about 1e11 here; with fixed steps of 0.05 e-folds
+        # of the paper's velocity rate, late records jittered over the velocity
+        # envelope by rounding.
+        path = tmp_path / "stiff.cfg"
+        path.write_text(STIFF_CONFIG.replace("method = rk4", "method = be"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "stiff_summary.txt").read_text()
+        block = summary[summary.index("[monitors]"):].splitlines()[1:]
+        assert block and all(line.endswith("-> PASS") for line in block)
+
+    @pytest.mark.parametrize("masses, densities", [
+        ("66.335209e-27 139.14984e-27 218.01714e-27", "1e30 1e30 1e-300"),
+        ("66.335209e-27 139.14984e-27 1e10", "1e30 1e30 1e300"),
+    ], ids=["underflow", "overflow"])
+    def test_a_mass_density_out_of_range_is_named(self, masses, densities, tmp_path, capsys):
+        path = tmp_path / "dense.cfg"
+        path.write_text(
+            STIFF_CONFIG.replace("66.335209e-27 139.14984e-27 218.01714e-27", masses)
+            .replace("3e28 2e28 1e28", densities)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: species 'Xe': mass density m * n must be positive")
+
     def test_monitor_violation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "unstable.cfg"
         path.write_text(UNSTABLE_CONFIG)
@@ -883,6 +928,16 @@ class TestCliRun:
         assert code == 1
         assert "error: t_final / dt" in capsys.readouterr().err
 
+    def test_uncountable_controlled_step_count_exits_1(self, tmp_path, capsys):
+        # No --dt: error-controlled steps of at most max_dt, about 1e-13 s
+        # here, would need more than 1e113 of them, so the run is refused
+        # before it starts rather than stepping until memory runs out.
+        code = main(["run", "--example", "1", "--t-final", "1e100", "--out", str(tmp_path)])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: t_final / max_dt = ") and line.endswith(" steps, too many")
+        assert not list(tmp_path.iterdir())
+
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"
         flag_dir = tmp_path / "flag_out"
@@ -953,9 +1008,9 @@ class TestCliRun:
             assert key in summary
 
     def test_default_horizon_reaches_steady_state(self, tmp_path):
-        # full default horizon (10 e-folds of the slowest conservative
-        # rate): example 1 ends within 0.1% of 2000 K, example 2 within
-        # 0.1% of the mass-weighted mean velocity
+        # full default horizon (10 e-folds of the floor gap): example 1
+        # ends within 0.1% of 2000 K, example 2 within 0.1% of the
+        # mass-weighted mean velocity
         assert main(["run", "--example", "1", "--out", str(tmp_path)]) == 0
         columns1 = csv_columns(tmp_path / "example1_trajectory.csv")
         temperatures = [columns1[f"T_{sp.label}_K"][-1] for sp in presets()[1].species]
@@ -993,8 +1048,9 @@ velocities_ms = 100 0 0
 
 
 # Two species of very different density at one temperature and one velocity:
-# an equilibrium start whose default step takes (dt/eps) times the largest
-# eigenvalue of Z to about 24, and of Z-hat to about 50.
+# an equilibrium start whose fixed step DISPARATE_DT_S, 0.05 e-folds of the
+# paper's velocity rate, takes (dt/eps) times the largest eigenvalue of Z to
+# about 24, and of Z-hat to about 50.
 DISPARATE_EQUILIBRIUM_CONFIG = """\
 labels = a b
 masses_kg = 1.2135449509165878e-26 4.1173786279061756e-26
@@ -1004,6 +1060,7 @@ temperatures_K = 1859.0429543693763 1859.0429543693763
 velocities_ms = -115.97204919342202 152.87533547583277 87.58650153923055 ; \
 -115.97204919342202 152.87533547583277 87.58650153923055
 """
+DISPARATE_DT_S = "7.73093860325689055e-12"
 
 
 class TestEnvelopeRoundingAllowance:
@@ -1038,7 +1095,7 @@ class TestEnvelopeRoundingAllowance:
         # step is itself rounding-sized.
         path = tmp_path / "start.cfg"
         path.write_text(DISPARATE_EQUILIBRIUM_CONFIG)
-        code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+        code = main(["run", "--config", str(path), "--dt", DISPARATE_DT_S, "--out", str(tmp_path)])
         summary = (tmp_path / "start_summary.txt").read_text()
         for name in ("velocity", "energy", "temperature"):
             assert f"envelope_{name} -> PASS" in summary

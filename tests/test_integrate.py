@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import warnings
 import weakref
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 
 import mixbgk.integrate as integrate_mod
 from mixbgk import (
+    GASES,
     ConstantMatrix,
     HardSphere,
     IntegratorConfig,
@@ -18,6 +20,7 @@ from mixbgk import (
     MomentState,
     PicardDivergenceError,
     RealizabilityError,
+    ScenarioConfig,
     SpeciesParams,
     conservative_decay_rate,
     kelvin_to_energy,
@@ -30,9 +33,11 @@ from mixbgk import (
     steady_state,
     temperatures_of,
 )
-from mixbgk.collisions import run_constants
+from mixbgk.cli import main
+from mixbgk.collisions import operators, run_constants
 from mixbgk.oracles import assemble, energy_rhs, momentum_rhs, pairwise_mixture
 from mixbgk.output import record_monitors
+from mixbgk.scenarios import HORIZON_EFOLDS
 
 from conftest import core_operators, random_state
 
@@ -529,12 +534,15 @@ class TestOneSteppingPath:
     """One simulate run equals a chain of one-step simulate runs, bit for bit."""
 
     def test_backward_euler_records_are_a_chain_of_steps(self, preset2_runs):
+        # Each record is one fixed step from the record before, at its own
+        # step: the difference of the two times.
         scenario = presets()[2]
         trajectory = preset2_runs["be"]
         state = scenario.initial_state()
         cfg = resolve_integrator(scenario)
-        for r in range(1, 21):
-            state = one_step(state, cfg, scenario.model)
+        assert cfg.max_dt is not None  # error-controlled steps
+        for r, h in enumerate(np.diff(trajectory.times).tolist(), start=1):
+            state = one_step(state, replace(cfg, dt=h, max_dt=None), scenario.model)
             np.testing.assert_array_equal(state.velocities, trajectory.velocities[r])
             np.testing.assert_array_equal(state.energies, trajectory.energies[r])
 
@@ -580,6 +588,9 @@ class TestOneSteppingPath:
             dt = 5.0 / conservative_decay_rate(state, model)[0]
             return state, model, IntegratorConfig(dt=dt, t_final=100 * dt), [dt] * 100
         scenario = replace(presets()[3], method=case)
+        if case == "be":  # a given step: fixed steps, over the paper's horizon
+            state, model = scenario.initial_state(), scenario.model
+            scenario = replace(scenario, dt=0.05 / conservative_decay_rate(state, model)[0])
         cfg = resolve_integrator(scenario)
         steps = [cfg.dt] * 200  # backward Euler: a period-2 cycle from record 7
         if case == "rk4":  # a fixed point from record 407, then a partial step
@@ -650,6 +661,207 @@ class TestSteppersArePure:
                 assert not np.shares_memory(other, given)
         assert u.tobytes() == state.velocities.tobytes()
         assert e.tobytes() == state.energies.tobytes()
+
+
+# The derived horizons of the three be presets before their steps followed
+# their error: HORIZON_EFOLDS e-folds of the slower paper rate.
+PAPER_HORIZONS = {1: 3.79478524801639778e-12, 2: 3.44652915625057957e-12,
+                  3: 6.09327188605790957e-07}
+
+
+@pytest.fixture(scope="module")
+def controlled_runs():
+    """Each be preset at its derived settings, with the (u, e, dt, result)
+    of every stepper call the run made."""
+    stepper, runs = integrate_mod._picard_solve, {}
+    for k, scenario in presets().items():
+        calls = []
+
+        def spying(u, e, dt, eps, const):
+            result = stepper(u, e, dt, eps, const)
+            calls.append((u, e, dt, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrate_mod, "_picard_solve", spying)
+            cfg = resolve_integrator(scenario)
+            trajectory = simulate(scenario.initial_state(), cfg, scenario.model)
+        runs[k] = (scenario, cfg, trajectory, calls)
+    return runs
+
+
+def _deviation_scales(state):
+    """Each field's initial max-norm deviation from equilibrium, (velocities, energies)."""
+    equilibrium = steady_state(state)
+    return (np.abs(state.velocities - equilibrium.velocity).max(),
+            np.abs(state.energies - equilibrium.energies).max())
+
+
+def _relative_error(differences, scales):
+    """The largest max-norm difference of a field relative to its scale; scale 0 is skipped."""
+    return max(np.abs(d).max() / s for d, s in zip(differences, scales) if s > 0.0)
+
+
+def _rk4_reference(scenario, times):
+    """(velocities, energies) at ``times`` by RK4 at no more than 1/20 of its derived step."""
+    h = resolve_integrator(replace(scenario, method="rk4")).dt / 20.0
+    state = scenario.initial_state()
+    velocities, energies = [state.velocities], [state.energies]
+    for start, end in zip(times[:-1], times[1:]):
+        span = end - start
+        steps = math.ceil(span / h)
+        cfg = IntegratorConfig(dt=span / steps, t_final=span, method="rk4")
+        state = simulate(state, cfg, scenario.model).states[-1]
+        velocities.append(state.velocities)
+        energies.append(state.energies)
+    return np.array(velocities), np.array(energies)
+
+
+def _global_error(scenario, trajectory):
+    """The largest error of any record against the RK4 reference, relative to
+    each field's initial deviation."""
+    velocities, energies = _rk4_reference(scenario, trajectory.times)
+    differences = (trajectory.velocities - velocities, trajectory.energies - energies)
+    return _relative_error(differences, _deviation_scales(scenario.initial_state()))
+
+
+class TestErrorControlledStep:
+    """Backward Euler with a derived dt: steps that follow their local error."""
+
+    def test_times_increase_to_the_horizon(self, controlled_runs):
+        for scenario, cfg, trajectory, _ in controlled_runs.values():
+            assert cfg.max_dt is not None
+            assert trajectory.times[0] == 0.0 and np.all(np.diff(trajectory.times) > 0.0)
+            assert trajectory.times[-1] == cfg.t_final
+            # The horizon is RK4's: HORIZON_EFOLDS e-folds of the floor gap.
+            assert cfg.t_final == resolve_integrator(replace(scenario, method="rk4")).t_final
+
+    def test_rejected_steps_are_not_recorded(self, controlled_runs):
+        for _, _, trajectory, calls in controlled_runs.values():
+            records = len(trajectory.times)
+            index = {
+                (u.tobytes(), e.tobytes()): r
+                for r, (u, e) in enumerate(zip(trajectory.velocities, trajectory.energies))
+            }
+            steps = np.diff(trajectory.times).tolist()
+            half_step = steps[0] / 2.0
+            recorded, halves, rejected = [], [], []
+            for u, e, dt, (u_new, e_new, _) in calls:
+                start = index.get((u.tobytes(), e.tobytes()))
+                end = index.get((u_new.tobytes(), e_new.tobytes()))
+                if start is not None and end == start + 1 and dt == steps[start]:
+                    recorded.append(end)
+                elif dt == half_step and len(halves) < 2:
+                    halves.append((u, e, u_new, e_new))
+                else:
+                    rejected.append((start, dt, end))
+            # One call per record, at the record's own step.
+            assert sorted(recorded) == list(range(1, records))
+            # Step doubling of the first step: two halves from record 0, unrecorded.
+            assert index[(halves[0][0].tobytes(), halves[0][1].tobytes())] == 0
+            assert halves[1][0].tobytes() == halves[0][2].tobytes()
+            assert (halves[1][2].tobytes(), halves[1][3].tobytes()) not in index
+            # A rejected step is recorded nowhere and is longer than the step
+            # then taken again from its record (a rejected half: than half the first).
+            assert rejected
+            for start, dt, end in rejected:
+                assert end is None
+                assert dt > (steps[start] if start else half_step)
+            assert len(calls) == records - 1 + len(rejected) + 2
+
+    def test_every_step_is_within_the_bound(self, controlled_runs):
+        for scenario, cfg, trajectory, _ in controlled_runs.values():
+            rate = max(conservative_decay_rate(scenario.initial_state(), scenario.model))
+            assert cfg.max_dt == 0.5 * min(scenario.eps / rate, cfg.t_final / HORIZON_EFOLDS)
+            times = trajectory.times
+            assert np.all(times[1:] <= times[:-1] + cfg.max_dt)
+            assert times[1] <= cfg.dt  # a rejected first step is taken again shorter
+
+    def test_every_recorded_step_meets_the_tolerance(self, controlled_runs):
+        for scenario, cfg, trajectory, _ in controlled_runs.values():
+            state = scenario.initial_state()
+            scales = _deviation_scales(state)
+            times, fields = trajectory.times, (trajectory.velocities, trajectory.energies)
+            # The first step, against two half steps.
+            half = replace(cfg, dt=times[1] / 2.0, t_final=times[1], max_dt=None)
+            halves = simulate(state, half, scenario.model)
+            error = 2.0 * _relative_error(
+                (fields[0][1] - halves.velocities[-1], fields[1][1] - halves.energies[-1]), scales
+            )
+            assert error <= integrate_mod.BE_ERROR_TOL
+            # Every later step, by the divided difference of its records.
+            for r in range(2, len(times)):
+                h, h_before = times[r] - times[r - 1], times[r - 1] - times[r - 2]
+                weight = h * h / (h + h_before)
+                estimate = [
+                    weight * ((y[r] - y[r - 1]) / h - (y[r - 1] - y[r - 2]) / h_before)
+                    for y in fields
+                ]
+                assert _relative_error(estimate, scales) <= integrate_mod.BE_ERROR_TOL, r
+
+    def test_global_error_is_below_the_fixed_steps(self, controlled_runs):
+        # Fixed steps of 0.05 e-folds of the paper's velocity rate, the step
+        # derived before, over the same horizon.
+        for scenario, cfg, trajectory, _ in controlled_runs.values():
+            state = scenario.initial_state()
+            dt = 0.05 * scenario.eps / conservative_decay_rate(state, scenario.model)[0]
+            fixed = simulate(state, replace(cfg, dt=dt, max_dt=None), scenario.model)
+            error = _global_error(scenario, trajectory)
+            assert error <= _global_error(scenario, fixed)
+            assert error <= 10.0 * integrate_mod.BE_ERROR_TOL
+
+    def test_preset3_resolves_its_relaxation(self, controlled_runs):
+        scenario, cfg, trajectory, _ = controlled_runs[3]
+        state = scenario.initial_state()
+        const = run_constants(state.composition, scenario.model, state.dimension)
+        at_equilibrium = np.full(state.composition.size, steady_state(state).temperature)
+        gap = np.linalg.eigvalsh(operators(at_equilibrium, const)[1])[:, 1:].min()
+        assert np.sum(trajectory.times <= 14.0 * scenario.eps / gap) >= 50
+
+    def test_a_stiff_start_at_equilibrium_takes_few_steps(self, monkeypatch):
+        # Couplings of 1e6 and 1e-6 /s: a step of max_dt rounds the state
+        # by far more than BE_ERROR_TOL of its rounding-sized deviation from
+        # equilibrium, so no field sets the step, and the steps grow to
+        # their bound instead of following the rounding.
+        scenario = ScenarioConfig(
+            species=(GASES["Ar"], GASES["Kr"], GASES["Xe"]),
+            number_densities=np.array([3e28, 2e28, 1e28]),
+            velocities=np.tile([100.0, 0.0, 0.0], (3, 1)),
+            temperatures_kelvin=np.full(3, 1000.0),
+            model=ConstantMatrix(np.array([[1e6, 1e6, 1e-6], [1e6, 1e6, 1e-6],
+                                           [1e-6, 1e-6, 1e6]])),
+        )
+        cfg = resolve_integrator(scenario)
+        stepper, calls = integrate_mod._picard_solve, []
+
+        def counting(u, e, dt, eps, const):
+            calls.append(dt)
+            if len(calls) > 200:
+                raise AssertionError("more than 200 steps")
+            return stepper(u, e, dt, eps, const)
+
+        monkeypatch.setattr(integrate_mod, "_picard_solve", counting)
+        trajectory = simulate(scenario.initial_state(), cfg, scenario.model)
+        assert trajectory.times[-1] == cfg.t_final
+        assert cfg.t_final / cfg.dt > 1e13
+
+    def test_a_step_that_never_meets_the_tolerance_fails_typed(self, monkeypatch):
+        # With a zero tolerance every step with an error is rejected, and the
+        # step shrinks until it no longer moves the time.
+        state, model, _, rate = two_species_linear()
+        monkeypatch.setattr(integrate_mod, "BE_ERROR_TOL", 0.0)
+        monkeypatch.setattr(integrate_mod, "_error_scales", lambda *args: [1.0, 1.0])
+        cfg = IntegratorConfig(dt=0.1 / rate, t_final=10.0 / rate, max_dt=1.0 / rate)
+        with pytest.raises(integrate_mod.IntegrationError, match="error-controlled step vanished at t = "):
+            simulate(state, cfg, model)
+
+    @pytest.mark.parametrize("example", sorted(PAPER_HORIZONS))
+    def test_the_paper_horizons_pass_every_monitor(self, example, tmp_path):
+        horizon = repr(PAPER_HORIZONS[example])
+        argv = ["run", "--example", str(example), "--t-final", horizon, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        summary = (tmp_path / f"example{example}_summary.txt").read_text()
+        assert "FAIL" not in summary
 
 
 class TestTypedFailures:
@@ -1022,6 +1234,7 @@ class TestIntegratorConfigValidation:
             dict(dt=0.1, t_final=1.0, eps=0.0),
             dict(dt=0.1, t_final=1.0, method="euler"),
             pytest.param(dict(dt=1e-300, t_final=1.0), id="steps_beyond_maxsize"),
+            pytest.param(dict(dt=0.1, t_final=1.0, max_dt=1e-300), id="controlled_beyond_maxsize"),
             pytest.param(dict(dt=5e-324, t_final=1e300), id="steps_overflow_to_inf"),
         ],
     )

@@ -119,6 +119,18 @@ class TestValidation:
                 [1e28, -1e28],
             )
 
+    @pytest.mark.parametrize("mass, density", [(1e-26, 1e-300), (1e10, 1e300)],
+                             ids=["underflow", "overflow"])
+    def test_mass_density_out_of_range_names_species(self, mass, density):
+        with pytest.raises(ValueError, match="species 'Kr': mass density m \\* n must be "):
+            MixtureComposition(
+                (
+                    SpeciesParams(mass=1e-26, diameter=1e-10, label="Ar"),
+                    SpeciesParams(mass=mass, diameter=1e-10, label="Kr"),
+                ),
+                [1e28, density],
+            )
+
     def test_velocity_shape_mismatch(self):
         comp = MixtureComposition((SpeciesParams(mass=1.0, diameter=1.0),), [1.0])
         with pytest.raises(ValueError, match="velocities"):
