@@ -381,9 +381,10 @@ def _controlled_steps(cfg: IntegratorConfig, records, scales):
     entry; a field of scale 0 is skipped.  The estimate is the divided
     difference of the recorded states,
 
-        h_n^2 / (h_n + h_{n-1}) [(y_{n+1} - y_n) / h_n - (y_n - y_{n-1}) / h_{n-1}],
+        s [(y_{n+1} - y_n) - r (y_n - y_{n-1})],  s = h_n / (h_n + h_{n-1}),  r = h_n / h_{n-1},
 
     about h_n^2 y''/2, backward Euler's local error, and it costs no solve.
+    In the step ratios s and r no factor overflows, or gives 0 * inf, at any eps.
     The first step, with no record before it, takes two half steps as
     well: twice the difference of the two results estimates the error of
     the full one, which is the one recorded.  A step whose error exceeds
@@ -416,9 +417,9 @@ def _controlled_steps(cfg: IntegratorConfig, records, scales):
         else:
             before, u_before, e_before = records[-2][:3]
             h_before = t - before
-            weight = h * h / (h + h_before)
+            share, ratio = h / (h + h_before), h / h_before
             err = error([
-                weight * ((new - now) / h - (now - old) / h_before)
+                share * ((new - now) - ratio * (now - old))
                 for new, now, old in zip(result, (u, e), (u_before, e_before))
             ])
         if err <= BE_ERROR_TOL:

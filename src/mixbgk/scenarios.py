@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import ConstantMatrix, FrequencyModel, HardSphere, operators, run_constants
-from .equilibrium import conservative_decay_rate
+from .equilibrium import eigenvalue_brackets
 from .integrate import IntegratorConfig
 from .species import (
     MixtureComposition,
@@ -51,9 +51,10 @@ GASES = {
 
 # RK4 default: (dt/eps) lambda_max = 0.5, with lambda_max the largest
 # eigenvalue of Z and Z-hat at t = 0, about 18 % of classical RK4's
-# real-axis stability limit of 2.785.  A derived horizon covers
-# HORIZON_EFOLDS e-folds of a lower bound on the decay rate.  A derived
-# backward-Euler step follows its local error (integrate.BE_ERROR_TOL) up to
+# real-axis stability limit of 2.785.  A run without a given horizon runs
+# HORIZON_EFOLDS e-folds of lambda_2 at the temperature floor, a lower bound
+# on the decay rate, whatever its step.  A derived backward-Euler step
+# follows its local error (integrate.BE_ERROR_TOL) up to
 # BE_STEP_BOUND * min(eps / r, t_final / HORIZON_EFOLDS), r the larger of
 # the paper's two rates.  The tolerance and this bound replace one fixed
 # rate per step, one constant more: the error alone lets the late steps
@@ -86,20 +87,19 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def initial_state(self) -> MomentState:
-        if np.any(np.asarray(self.temperatures_kelvin) <= 0.0):
+        temperatures = kelvin_to_energy(np.asarray(self.temperatures_kelvin))
+        if np.any(temperatures <= 0.0):  # a positive Kelvin value may round to 0 J
             labels = [s.label for s in self.species]
-            bad = int(np.argmax(np.asarray(self.temperatures_kelvin) <= 0.0))
+            bad = int(np.argmax(temperatures <= 0.0))
             raise ScenarioError(
-                f"species {labels[bad]!r}: initial temperature must be positive Kelvin"
+                f"species {labels[bad]!r}: initial temperature must be positive, in K and in J"
             )
         composition = MixtureComposition(self.species, self.number_densities)
-        return state_from_temperatures(
-            composition, self.velocities, kelvin_to_energy(np.asarray(self.temperatures_kelvin))
-        )
+        return state_from_temperatures(composition, self.velocities, temperatures)
 
 
-def _derived_settings(state, model, eps, rate_per_step) -> tuple[float, float]:
-    """The default (dt, t_final) of either method, from one spectrum of Z and Z-hat.
+def _derived_settings(state, model, eps, rate_per_step) -> tuple[float, float, float]:
+    """The default (dt, t_final) of either method and the larger paper rate, from one spectrum.
 
     dt is rate_per_step * eps / lambda_max, lambda_max the largest
     eigenvalue at T(0).  t_final is HORIZON_EFOLDS * eps / lambda_2, the
@@ -110,36 +110,39 @@ def _derived_settings(state, model, eps, rate_per_step) -> tuple[float, float]:
     with nonnegative weights; both operators keep their null vector, so
     Courant-Fischer gives lambda_2(Z(T(t))) >= lambda_2(Z(floor)), and
     likewise for Z-hat.  A single species has no gap: horizon 0, one record.
+    The rate, the larger of ``conservative_decay_rate``'s two, is the
+    larger lower end of ``eigenvalue_brackets`` of the same floor couplings.
     """
-    const = run_constants(state.composition, model, state.dimension)
+    comp = state.composition
+    const = run_constants(comp, model, state.dimension)
     temperatures = temperatures_of(state)
     floor = np.full_like(temperatures, temperatures.min())
-    # (T(0) or floor, Z or Z-hat, N), ascending
-    spectra = np.linalg.eigvalsh(operators(np.stack([temperatures, floor]), const)[1])
+    # Both stacks are (T(0) or floor, velocity or energy, N, N).
+    coupling, operator = operators(np.stack([temperatures, floor]), const)
+    spectra = np.linalg.eigvalsh(operator)  # ascending
     fastest = spectra[0].max()
     dt = rate_per_step * eps / fastest if fastest > 0.0 else 1.0  # 1.0: nothing moves
-    return dt, HORIZON_EFOLDS * eps / spectra[1, :, 1:].min(initial=np.inf)
+    horizon = HORIZON_EFOLDS * eps / spectra[1, :, 1:].min(initial=np.inf)
+    rate = eigenvalue_brackets(coupling[1], comp.mass_densities, comp.number_densities)[:, 0]
+    return dt, horizon, float(rate.max())
 
 
 def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
     """Fill in dt / t_final defaults and build the integrator settings.
 
-    RK4 takes its step, RK4_RATE_PER_STEP e-folds of the fastest rate, and
-    its horizon from ``_derived_settings``.  Backward Euler with a derived
-    step takes the same horizon, and steps that follow their local error
-    (``IntegratorConfig.max_dt``) from a first step of 0.1 e-folds of the
-    fastest rate, each at most BE_STEP_BOUND * min(eps / r, t_final /
-    HORIZON_EFOLDS), r the larger of the paper's two rates
-    (``conservative_decay_rate``): the eps / r term keeps each step's
-    damping 1/(1 + h lambda) close enough to the continuous envelopes'
-    exp(-h r), and the t_final term gives the horizon at least
-    2 HORIZON_EFOLDS steps.  Backward Euler with a given ``dt`` keeps fixed
-    steps, over HORIZON_EFOLDS e-folds of the slower paper rate, so a
-    large-step study keeps its step count.  Everything is derived, from
+    A run without a given ``t_final`` runs to the horizon of
+    ``_derived_settings``, whatever its step.  RK4's derived step is
+    RK4_RATE_PER_STEP e-folds of the fastest rate.  Backward Euler takes
+    fixed steps of a given ``dt``; without one, steps that follow their
+    local error (``IntegratorConfig.max_dt``) from a first step of 0.1
+    e-folds of the fastest rate, each at most BE_STEP_BOUND * min(eps / r,
+    t_final / HORIZON_EFOLDS), r the larger of the paper's two rates: the
+    eps / r term keeps each step's damping 1/(1 + h lambda) close enough
+    to the continuous envelopes' exp(-h r), and the t_final term gives the
+    horizon at least 2 HORIZON_EFOLDS steps.  Everything is derived, from
     ``config.initial_state()``, even when ``dt`` and ``t_final`` are both
     given, so a model that does not fit the mixture (hard spheres outside
-    d = 3) fails here; a given ``dt`` or ``t_final`` then replaces its
-    derived value.  A derived lambda_2 horizon that is not finite and
+    d = 3) fails here.  A derived horizon that is not finite and
     nonnegative (a gap lost to roundoff), or an RK4 one not within
     RK4_MAX_DERIVED_STEPS steps of the step in use (a mixture too stiff for
     RK4), raises ScenarioError.
@@ -147,16 +150,11 @@ def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
     state = config.initial_state()
     # Backward Euler's first step: a guess that its error control corrects.
     rate_per_step = RK4_RATE_PER_STEP if config.method == "rk4" else 0.1
-    dt, t_final = _derived_settings(state, config.model, config.eps, rate_per_step)
-    fixed_be = config.method == "be" and config.dt is not None
-    if config.method == "be":
-        rates = conservative_decay_rate(state, config.model)
-        if fixed_be:  # fixed steps, over the paper's horizon
-            t_final = HORIZON_EFOLDS * config.eps / min(rates)
+    dt, t_final, rate = _derived_settings(state, config.model, config.eps, rate_per_step)
     dt = float(dt if config.dt is None else config.dt)
     if config.t_final is not None:
         t_final = config.t_final
-    elif not fixed_be and 0.0 < config.eps < np.inf and not 0.0 <= t_final < np.inf:
+    elif 0.0 < config.eps < np.inf and not 0.0 <= t_final < np.inf:
         # lambda_2 <= 0 or NaN; a bad eps is IntegratorConfig's to name.
         raise ScenarioError(
             f"derived {config.method} horizon {t_final:.6e} s is not finite and nonnegative: "
@@ -169,7 +167,7 @@ def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
         )
     max_dt = None
     if config.method == "be" and config.dt is None and t_final != 0.0:  # 0: no step to take
-        max_dt = float(BE_STEP_BOUND * min(config.eps / max(rates), t_final / HORIZON_EFOLDS))
+        max_dt = float(BE_STEP_BOUND * min(config.eps / rate, t_final / HORIZON_EFOLDS))
     return IntegratorConfig(
         dt=dt, t_final=float(t_final), eps=config.eps, method=config.method, max_dt=max_dt
     )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mixbgk.cli as cli_mod
+import mixbgk.equilibrium as equilibrium_mod
 import mixbgk.output as output_mod
 import mixbgk.scenarios as scenarios_mod
 from mixbgk import (
@@ -24,6 +25,7 @@ from mixbgk import (
     MixtureComposition,
     MomentState,
     Trajectory,
+    conservative_decay_rate,
     decay_constants,
     decay_envelopes,
     energy_to_kelvin,
@@ -215,7 +217,8 @@ def _seeded_cases():
 
 
 class TestRk4Settings:
-    """RK4's step and horizon come from one spectrum of Z and Z-hat."""
+    """Every derived setting, RK4's step, either method's horizon and the paper
+    rate of backward Euler's step bound, comes from one spectrum of Z and Z-hat."""
 
     def test_step_is_the_stability_step(self):
         for scenario in presets().values():
@@ -223,7 +226,7 @@ class TestRk4Settings:
             derived = resolve_integrator(scenario).dt
             assert derived == _old_rk4_step(scenario.initial_state(), scenario.model, 1.0)
         for state, model, eps in _seeded_cases():
-            derived, _ = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
+            derived, _, _ = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
             assert derived == _old_rk4_step(state, model, eps)
 
     def test_horizon_covers_ten_efolds_of_the_floor_gap(self):
@@ -233,9 +236,34 @@ class TestRk4Settings:
         ]
         cases += [case for case in _seeded_cases() if case[0].composition.size > 1]
         for state, model, eps in cases:
-            _, horizon = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
+            _, horizon, _ = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
             expected = HORIZON_EFOLDS * eps / _floor_gap(state, model)
             assert horizon == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_the_paper_rate_is_the_larger_conservative_rate(self):
+        cases = [
+            (scenario.initial_state(), scenario.model, scenario.eps)
+            for scenario in presets().values()
+        ]
+        for state, model, eps in cases + _seeded_cases():
+            _, _, rate = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
+            assert rate == max(conservative_decay_rate(state, model))
+
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    @pytest.mark.parametrize("dt", [None, 1e-13])
+    def test_one_operator_call_per_resolution(self, method, dt, monkeypatch):
+        calls = []
+
+        def spying(temperatures, const):
+            calls.append(np.shape(temperatures))
+            return operators(temperatures, const)
+
+        for module in (scenarios_mod, equilibrium_mod):
+            monkeypatch.setattr(module, "operators", spying)
+        for scenario in presets().values():
+            calls.clear()
+            resolve_integrator(replace(scenario, method=method, dt=dt))
+            assert calls == [(2, 3)]  # T(0) and the floor, stacked
 
     def test_a_single_species_runs_one_record(self, tmp_path, capsys):
         path = tmp_path / "argon.cfg"
@@ -257,18 +285,24 @@ class TestRk4Settings:
         ["--example", "1", "--method", "rk4", "--t-final", "3e-12"],
         ["--example", "1", "--method", "be"],
         ["--example", "3", "--method", "rk4"],
+        ["--example", "3", "--method", "be", "--dt", "1e-13"],
     ])
     def test_a_run_ends_at_its_horizon(self, argv, tmp_path, capsys):
         example, method = int(argv[1]), argv[3]
         scenario = replace(presets()[example], method=method)
         if "--t-final" in argv:
             scenario = replace(scenario, t_final=float(argv[-1]))
+        if "--dt" in argv:
+            scenario = replace(scenario, dt=float(argv[-1]))
         assert main(["run", *argv, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("wrote ") and out[1].startswith("records = ")
         assert out[2:] == ["verification: PASS"]
         table = read_trajectory_csv(tmp_path / f"{scenario.name}_trajectory.csv")
         assert table.times[-1] == resolve_integrator(scenario).t_final
+        # A given step keeps the lambda_2 horizon too: 115 steps of 1e-13 s on
+        # example 3, where the paper's horizon would take 6.09e6.
+        assert len(table.times) < 200
 
     def test_a_stiff_mixture_is_refused(self, tmp_path, capsys):
         path = tmp_path / "stiff.cfg"
@@ -307,27 +341,34 @@ class TestRk4Settings:
         # Backward Euler's derived horizon is not limited.
         assert resolve_integrator(replace(scenario, method="be")).t_final > 0.0
 
-    @pytest.mark.parametrize("method, horizon", [
-        pytest.param(method, horizon, id=f"{horizon}" if method == "rk4" else f"be-{horizon}")
-        for method in ("rk4", "be") for horizon in (np.inf, -1e-12, np.nan)
+    @pytest.mark.parametrize("method, dt, horizon", [
+        pytest.param(method, dt, horizon, id=f"{name}{horizon}")
+        for method, dt, name in (("rk4", None, ""), ("be", None, "be-"), ("be", 1e-13, "be-dt-"))
+        for horizon in (np.inf, -1e-12, np.nan)
     ])
-    def test_a_gap_lost_to_roundoff_is_refused(self, method, horizon, monkeypatch):
-        # lambda_2 <= 0 gives a horizon of inf or below 0.  Either method
-        # takes that horizon, so the refusal advises only --t-final.
-        monkeypatch.setattr(scenarios_mod, "_derived_settings", lambda *args: (1e-14, horizon))
-        scenario = replace(presets()[1], method=method)
+    def test_a_gap_lost_to_roundoff_is_refused(self, method, dt, horizon, monkeypatch):
+        # lambda_2 <= 0 gives a horizon of inf or below 0.  Every run takes
+        # that horizon, whatever its step, so the refusal advises only --t-final.
+        monkeypatch.setattr(
+            scenarios_mod, "_derived_settings", lambda *args: (1e-14, horizon, 1.0)
+        )
+        scenario = replace(presets()[1], method=method, dt=dt)
         with pytest.raises(ScenarioError, match="is not finite and nonnegative") as excinfo:
             resolve_integrator(scenario)
         assert str(excinfo.value).endswith("; set --t-final")
         # A given horizon is not refused.
         assert resolve_integrator(replace(scenario, t_final=1e-12)).t_final == 1e-12
 
-    @pytest.mark.parametrize("example", [1, 2, 3])
-    def test_a_given_step_or_horizon_is_kept(self, example):
-        scenario = replace(presets()[example], method="rk4")
+    @pytest.mark.parametrize("method, example", [
+        pytest.param(method, example, id=f"{example}" if method == "rk4" else f"be-{example}")
+        for method in ("rk4", "be") for example in (1, 2, 3)
+    ])
+    def test_a_given_step_or_horizon_is_kept(self, method, example):
+        # A given step replaces the step only: the horizon stays lambda_2's.
+        scenario = replace(presets()[example], method=method)
         derived = resolve_integrator(scenario)
         given_dt = resolve_integrator(replace(scenario, dt=4e-14))
-        assert (given_dt.dt, given_dt.t_final) == (4e-14, derived.t_final)
+        assert (given_dt.dt, given_dt.t_final, given_dt.max_dt) == (4e-14, derived.t_final, None)
         given_horizon = resolve_integrator(replace(scenario, t_final=1e-9))
         assert (given_horizon.dt, given_horizon.t_final) == (derived.dt, 1e-9)
 
@@ -454,11 +495,12 @@ class TestParseConfig:
             ("method = be", "method = euler", "method must be 'be' or 'rk4', got 'euler'"),
             ("eps = 0.5\n", "eps = 0.5\nmodel = bgk\n", "model must be 'hard_sphere' or 'constant'"),
             ("500 1500", "500 0", "species 'Kr': initial temperature must be positive"),
+            ("500 1500", "500 1e-310", "species 'Kr': initial temperature must be positive"),
         ],
         ids=["no_equals", "duplicate_key", "missing_labels", "missing_per_species_key",
              "missing_velocities", "non_numeric", "too_many_values", "ragged_velocities",
              "zero_diameter", "two_scalar_values", "constant_frequencies_size",
-             "unknown_method", "unknown_model", "zero_temperature"],
+             "unknown_method", "unknown_model", "zero_temperature", "temperature_below_0_J"],
     )
     def test_refusal_names_its_subject(self, old, new, match, tmp_path, capsys):
         assert old in GOOD_CONFIG
@@ -805,7 +847,8 @@ class TestCliRun:
     def test_large_backward_euler_step_fails_the_velocity_envelope(self, tmp_path, capsys):
         # rate * dt ~ 5: the per-step damping 1/(1 + z dt) cannot keep up with
         # exp(-z t), by far more than the rounding allowance.
-        code = main(["run", "--example", "2", "--dt", "7.3e-13", "--out", str(tmp_path)])
+        argv = ["--example", "2", "--dt", "7.3e-13", "--t-final", "3.44652915625057957e-12"]
+        code = main(["run", *argv, "--out", str(tmp_path)])
         assert code == 2
         assert "verification: FAIL" in capsys.readouterr().out
         summary = (tmp_path / "example2_summary.txt").read_text()
@@ -815,7 +858,8 @@ class TestCliRun:
         # The verdicts read the t, u and E columns only: an envelope column
         # scaled to pass leaves the block as is.  The temperature columns
         # are the mixture's identity, so an impossible temperature is refused.
-        assert main(["run", "--example", "2", "--dt", "7.3e-13", "--out", str(tmp_path)]) == 2
+        argv = ["--example", "2", "--dt", "7.3e-13", "--t-final", "3.44652915625057957e-12"]
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 2
         path = tmp_path / "example2_trajectory.csv"
         scenario = presets()[2]
         block = monitor_block(read_trajectory_csv(path), scenario)

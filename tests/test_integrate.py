@@ -36,7 +36,7 @@ from mixbgk import (
 from mixbgk.cli import main
 from mixbgk.collisions import operators, run_constants
 from mixbgk.oracles import assemble, energy_rhs, momentum_rhs, pairwise_mixture
-from mixbgk.output import record_monitors
+from mixbgk.output import monitor_block, record_monitors
 from mixbgk.scenarios import HORIZON_EFOLDS
 
 from conftest import core_operators, random_state
@@ -588,9 +588,10 @@ class TestOneSteppingPath:
             dt = 5.0 / conservative_decay_rate(state, model)[0]
             return state, model, IntegratorConfig(dt=dt, t_final=100 * dt), [dt] * 100
         scenario = replace(presets()[3], method=case)
-        if case == "be":  # a given step: fixed steps, over the paper's horizon
+        if case == "be":  # a given step and the paper's horizon: fixed steps
             state, model = scenario.initial_state(), scenario.model
-            scenario = replace(scenario, dt=0.05 / conservative_decay_rate(state, model)[0])
+            dt = 0.05 / conservative_decay_rate(state, model)[0]
+            scenario = replace(scenario, dt=dt, t_final=PAPER_HORIZONS[3])
         cfg = resolve_integrator(scenario)
         steps = [cfg.dt] * 200  # backward Euler: a period-2 cycle from record 7
         if case == "rk4":  # a fixed point from record 407, then a partial step
@@ -854,6 +855,20 @@ class TestErrorControlledStep:
         cfg = IntegratorConfig(dt=0.1 / rate, t_final=10.0 / rate, max_dt=1.0 / rate)
         with pytest.raises(integrate_mod.IntegrationError, match="error-controlled step vanished at t = "):
             simulate(state, cfg, model)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e300])
+    def test_an_extreme_eps_takes_the_steps_of_eps_1(self, eps, controlled_runs):
+        # Times scale with eps; the error estimate is scale-free, so no factor
+        # of it overflows or turns 0 * inf into NaN, and the steps stay those
+        # of eps = 1: 45, 43 and 56 records.
+        for scenario, _, reference, _ in controlled_runs.values():
+            scenario = replace(scenario, eps=eps)
+            cfg = resolve_integrator(scenario)
+            trajectory = simulate(scenario.initial_state(), cfg, scenario.model)
+            assert len(trajectory.times) == len(reference.times)
+            assert trajectory.times[-1] == cfg.t_final
+            block = monitor_block(trajectory, scenario)
+            assert [line for line in block[1:] if not line.endswith("-> PASS")] == []
 
     @pytest.mark.parametrize("example", sorted(PAPER_HORIZONS))
     def test_the_paper_horizons_pass_every_monitor(self, example, tmp_path):

@@ -217,7 +217,8 @@ def _trace_krypton(tmp_path, **overrides):
 
 
 def test_trace_krypton_file_at_its_derived_step(tmp_path):
-    scenario = _trace_krypton(tmp_path, dt=TRACE_KRYPTON_DT_S)
+    # The paper's horizon, 200 steps; the lambda_2 horizon is 2.2e-13 s, one short step.
+    scenario = _trace_krypton(tmp_path, dt=TRACE_KRYPTON_DT_S, t_final=200 * TRACE_KRYPTON_DT_S)
     config = resolve_integrator(scenario)
     assert config.dt > 100.0  # the step this file exists for
     trajectory = simulate(scenario.initial_state(), config, scenario.model)

@@ -300,6 +300,12 @@ def test_only_simulate_keys_a_state_and_only_exactly():
     assert {"isclose", "allclose"}.isdisjoint(_referenced_names(tree))
 
 
+def test_scenarios_take_the_paper_rate_from_their_one_spectrum():
+    # _derived_settings gives the rate of backward Euler's step bound, from
+    # the floor couplings of its one operator call.
+    assert "conservative_decay_rate" not in set(_referenced_names(_modules()["scenarios.py"]))
+
+
 def test_simulate_owns_the_floating_point_policy():
     # One error state per run, entered by simulate; a failed solve leaves
     # through the sweep's finiteness test, not through a LinAlgError.
