@@ -43,8 +43,20 @@ temperature map for (u, E) and for the scaled (W, xi), the pair-velocity
 map for u and its product with P^{-1/2} for W, and a (d,) vector of ones
 whose dot sums the squares over the d axis.
 :func:`operators` evaluates the stacks [A, B] and [Z, Z-hat] as
-(..., 2, N, N) at (..., N) temperatures, the Laplacians as degree I - C s,
-and :func:`heating` gives the kinetic heating sum_j K_ij (m_i - m_j) /
+(..., 2, N, N) at (..., N) temperatures.  Every entry of the four is
+linear in the N * N thermal speeds: A and B are C s, an off-diagonal
+entry of Z is -C_ij s_ij / sqrt(rho_i rho_j) and a diagonal one
+sum_{j != i} C_ij s_ij / rho_i (n for Z-hat).  So for hard-sphere
+mixtures of at most DENSE_OPERATOR_MAX_SPECIES species
+:func:`run_constants` folds C, the scaling and the Laplacian's row sums
+into one (N * N, 4 N * N) matrix, and a call is s^2 = (T / m) @ E, E
+holding two unit entries per column (an exact sum), a square root and
+one vector-matrix product per state.  The map grows as N^4 and the
+elementwise assembly, s on the pair grid, C s, the Laplacian
+degree I - C s and one division, as N^2, so larger mixtures keep the
+assembly; both kernels stay, chosen by N.
+A constant model's stacks are run constants, broadcast by a call.
+:func:`heating` gives the kinetic heating sum_j K_ij (m_i - m_j) /
 sqrt(n_i) at given velocities, u or W with the matching map, without
 forming the Laplacian of K.  Every runtime path goes through them; the
 cross-checks, the frequency evaluation among them, live in
@@ -63,6 +75,14 @@ from .species import _readonly, _temperature_weights
 
 # 32 pi^2 / (3 (2 pi)^{3/2}), evaluated in full float precision.
 HARD_SPHERE_PREFACTOR = 32.0 * np.pi**2 / (3.0 * (2.0 * np.pi) ** 1.5)
+
+# The largest hard-sphere mixture whose operator core is the dense map of
+# the thermal speeds.  Per `operators` call, map against assembly, on one
+# CPU of a 2-core machine (Python 3.11, numpy 2.4, OpenBLAS): one state
+# 2.6 against 5.7 us at N = 3, 5.1 against 6.2 at N = 8 and 8.0 against
+# 6.9 at N = 10; 1000 stacked records 0.09 against 0.37 ms at N = 3 and
+# 2.3 against 2.2 ms at N = 8.  `demos/operator_kernels.py` measures it again.
+DENSE_OPERATOR_MAX_SPECIES = 8
 
 
 @dataclass(frozen=True)
@@ -113,6 +133,28 @@ def _laplacian(coupling, identity) -> np.ndarray:
     return np.add.reduce(coupling, axis=-1, keepdims=True) * identity - coupling
 
 
+def _dense_operator_map(unit_coupling, scale, identity):
+    """(E, K): s^2 = (T / m) @ E and [A, B, Z, Z-hat] = s @ K, flattened.
+
+    Row (i, j) of K, the speed s_ij, holds C_ij in the columns of A_ij and
+    B_ij, -C_ij / scale_ij in those of Z_ij and Z-hat_ij (i != j), and
+    C_ij / scale_ii in those of the diagonal entries Z_ii and Z-hat_ii
+    (j != i): the Laplacian's row sums without the self pair, so a single
+    species gets Z = 0.  A column of A or B has one nonzero, so those
+    entries are C s exactly.
+    """
+    size = len(identity)
+    i, j = np.indices((size, size))
+    apart = identity == 0.0
+    rows = np.zeros((size, size, 4, size, size))  # (s_ij, stack entry)
+    rows[i, j, :2, i, j] = unit_coupling.transpose(1, 2, 0)
+    rows[i, j, 2:, i, j] = np.where(apart, -unit_coupling / scale, 0.0).transpose(1, 2, 0)
+    degree = scale.diagonal(axis1=1, axis2=2)[:, :, None]
+    rows[i, j, 2:, i, i] = np.where(apart, unit_coupling / degree, 0.0).transpose(1, 2, 0)
+    pair_sums = (identity[:, :, None] + identity[:, None, :]).reshape(size, size * size)
+    return pair_sums, rows.reshape(size * size, 4 * size * size)
+
+
 @dataclass(frozen=True)
 class RunConstants:
     """The temperature-free data of the operator core, built once per run.
@@ -131,6 +173,11 @@ class RunConstants:
     energy (rho^T M_rho = 1^T M_n = 0).  ``kernels`` stacks q q^T for the
     unit null vectors sqrt(rho)/|sqrt(rho)| of Z and sqrt(n)/|sqrt(n)| of
     Z-hat.  The masses are the composition's own cached array.
+    ``unit_relaxation`` is [Z, Z-hat] at unit thermal speed, the fixed
+    stack of a constant model.  ``pair_sums`` and ``operator_map`` are
+    the dense map of a hard-sphere mixture of at most
+    DENSE_OPERATOR_MAX_SPECIES species (:func:`_dense_operator_map`), and
+    None otherwise; ``operators`` assembles elementwise without them.
     """
 
     hard_sphere: bool
@@ -150,6 +197,9 @@ class RunConstants:
     kernels: np.ndarray  # (2, N, N)
     heating_gaps: np.ndarray  # (N, N) (m_i - m_j) / sqrt(n_i)
     identity: np.ndarray  # (N, N)
+    unit_relaxation: np.ndarray  # (2, N, N) [Z, Z-hat] of C, a constant model's
+    pair_sums: np.ndarray | None  # (N, N * N): (T / m) @ pair_sums = s^2
+    operator_map: np.ndarray | None  # (N * N, 4 N * N): s @ operator_map = [A, B, Z, Z-hat]
 
 
 def run_constants(composition, model: FrequencyModel, dimension: int) -> RunConstants:
@@ -184,13 +234,18 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     sqrt_rho, sqrt_n = np.sqrt(rho), np.sqrt(n)
     energy_weight, speed_weight = _temperature_weights(masses, n, dimension)
     scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
+    unit_coupling = scaled * transposed / total
+    dense = hard_sphere and size <= DENSE_OPERATOR_MAX_SPECIES
+    pair_sums, operator_map = (
+        _dense_operator_map(unit_coupling, scale, identity) if dense else (None, None)
+    )
     return RunConstants(
         hard_sphere=hard_sphere,
         masses=masses,
         sqrt_rho=sqrt_rho,
         sqrt_n=sqrt_n,
         alpha=alpha,
-        unit_coupling=scaled * transposed / total,
+        unit_coupling=unit_coupling,
         mixing=mixing,
         scaled_mixing=mixing / sqrt_rho,
         temperature_weights=(energy_weight, speed_weight),
@@ -202,6 +257,9 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         kernels=scale / np.stack([rho.sum(), n.sum()])[:, None, None],
         heating_gaps=(masses[:, None] - masses[None, :]) / sqrt_n[:, None],
         identity=identity,
+        unit_relaxation=_laplacian(unit_coupling, identity) / scale,
+        pair_sums=pair_sums,
+        operator_map=operator_map,
     )
 
 
@@ -210,20 +268,37 @@ def operators(temperatures, const: RunConstants):
 
     The couplings are C * s for hard spheres, whose temperatures must be
     positive (callers check them), and C for a constant model; then
-    Z = P^{-1/2} (D - A) P^{-1/2} and Z-hat = Q^{-1/2} (F - B) Q^{-1/2}
-    from one Laplacian of the stack, degree I - C s, and one division.
+    Z = P^{-1/2} (D - A) P^{-1/2} and Z-hat = Q^{-1/2} (F - B) Q^{-1/2}.
+    With ``const.operator_map`` (hard spheres, N at most
+    DENSE_OPERATOR_MAX_SPECIES) the four stacks are one product of s with
+    the map per state: stacked vector-matrix products equal the
+    single-state one bit for bit, where one matrix product over all
+    states would not.  Without it they come from one Laplacian of the
+    stack, degree I - C s, and one division, which cost N^2 per call
+    against the map's N^4; a constant model broadcasts the fixed C and
+    ``const.unit_relaxation``.
     """
-    if const.hard_sphere:
-        # T_i / m_i once per species; a division, not a product with 1/m,
-        # keeps the values at which an overflowing step fails.
-        per_mass = temperatures / const.masses
+    if not const.hard_sphere:
+        lead = np.shape(temperatures)[:-1]
+        return (
+            np.broadcast_to(const.unit_coupling, lead + const.unit_coupling.shape),
+            np.broadcast_to(const.unit_relaxation, lead + const.unit_relaxation.shape),
+        )
+    # T_i / m_i once per species; a division, not a product with 1/m,
+    # keeps the values at which an overflowing step fails.
+    per_mass = temperatures / const.masses
+    if const.operator_map is None:
         # s on a unit axis of the stack: (..., 1, N, N).
         speed = np.sqrt(per_mass[..., None, :, None] + per_mass[..., None, None, :])
         coupling = const.unit_coupling * speed
-    else:
-        lead = np.shape(temperatures)[:-1]
-        coupling = np.broadcast_to(const.unit_coupling, lead + const.unit_coupling.shape)
-    return coupling, _laplacian(coupling, const.identity) / const.scale
+        return coupling, _laplacian(coupling, const.identity) / const.scale
+    speed = np.sqrt(per_mass.dot(const.pair_sums))  # (..., N * N)
+    if speed.ndim == 1:  # ndarray.dot: the same product as @ at half its call cost
+        stack = speed.dot(const.operator_map)
+    else:  # one vector-matrix product per state
+        stack = speed[..., None, :] @ const.operator_map
+    stack = stack.reshape(per_mass.shape[:-1] + (4,) + const.identity.shape)
+    return stack[..., :2, :, :], stack[..., 2:, :, :]
 
 
 def heating(energy_coupling, velocities, mixing, const: RunConstants, rate):

@@ -94,6 +94,12 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
     constant frequency matrix they coincide with the instantaneous t=0
     bounds.
     """
+    const = run_constants(state.composition, model, state.dimension)
+    return _conservative_decay_rate(state, const)
+
+
+def _conservative_decay_rate(state: MomentState, const):
+    """:func:`conservative_decay_rate` from the run constants of its model."""
     comp = state.composition
     t_floor = temperatures_of(state).min()
     if not t_floor > 0.0:
@@ -101,7 +107,6 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
             f"conservative decay rates need a positive temperature floor, "
             f"got min T = {t_floor:.6e} J"
         )
-    const = run_constants(comp, model, state.dimension)
     coupling = operators(np.full(comp.size, t_floor), const)[0]
     (velocity_rate, _), (energy_rate, _) = eigenvalue_brackets(
         coupling, comp.mass_densities, comp.number_densities
@@ -174,10 +179,11 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
 
     # The couplings at t = 0 and with every temperature at the ceiling
     # 2 E_tot / (d min n), in one stack.
-    velocity_rate, energy_rate = conservative_decay_rate(state, model)
+    const = run_constants(comp, model, d)
+    velocity_rate, energy_rate = _conservative_decay_rate(state, const)
     t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
     temps = np.stack([temperatures_of(state), np.full(n_species, t_ceiling)])
-    coupling = operators(temps, run_constants(comp, model, d))[0]
+    coupling = operators(temps, const)[0]
     bounds_t0 = eigenvalue_brackets(coupling[0], rho, n).tolist()
     coupling_energy_max = float(coupling[1, 1].max())
 

@@ -243,10 +243,14 @@ def monitor_block(
     ``ValueError``, another mixture than the scenario's: the species labels
     of either, the masses and number densities of a run's composition, and
     a table's ``T_<label>_K`` columns, which must equal the scenario's
-    temperatures of the table's state bit for bit.  Checks conservation
-    drift, the temperature floor, componentwise velocity bounds,
-    realizability, dominance of all three decay envelopes from the first
-    record, and the eigenvalue bracket at every recorded state.  ``first``
+    temperatures of the table's state bit for bit.  That check cannot
+    reveal a wrong mass of a species at rest in every record of a table,
+    as T = (2/(d n)) E - (m/d)|u|^2 does not involve m at u = 0; a run's
+    composition is compared whole.  Checks conservation drift, the
+    temperature floor, componentwise velocity bounds, realizability,
+    dominance of all three decay envelopes from the first record, and the
+    eigenvalue bracket at every recorded state, evaluated once for
+    consecutive records with equal temperatures.  ``first``
     is record 0's (equilibrium, decay constants, envelopes on
     ``table.times``) if the caller derived them.
     """
@@ -315,8 +319,14 @@ def monitor_block(
     bracket_ok = True
     if comp.size > 1:
         # A record with a nonpositive temperature has no hard-sphere
-        # frequencies, so it gets no bracket.
-        temps = records.temperatures[np.all(records.temperatures > 0.0, axis=1)]
+        # frequencies, so it gets no bracket, and one whose temperatures
+        # repeat the record before it has that record's operators and
+        # spectrum, so it is checked once: a run that settles onto a fixed
+        # point repeats its last record down to the horizon.
+        temps = records.temperatures
+        checked = np.all(temps > 0.0, axis=1)
+        checked[1:] &= np.any(temps[1:] != temps[:-1], axis=1)
+        temps = temps[checked]
         const = run_constants(comp, config.model, d)
         coupling, z = operators(temps, const)
         brackets = eigenvalue_brackets(coupling, rho, n)  # (R, operator, end)

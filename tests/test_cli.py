@@ -642,6 +642,32 @@ class TestCliRun:
         assert "eigenvalue_bracket -> FAIL" in block
         assert block[-1] == "overall -> FAIL"
 
+    def test_repeated_records_are_bracketed_once(self, tmp_path, monkeypatch):
+        # A run that settles onto a fixed point repeats its last record down
+        # to the horizon; the bracket takes the operator core once for each
+        # record whose temperatures differ from the record before it.
+        main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
+        table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
+        repeated = [len(table.times) - 1] * 4
+        later = table.times[-1] + 1e-13 * np.arange(1, 5)
+        padded = replace(
+            table,
+            times=np.concatenate([table.times, later]),
+            **{
+                name: np.concatenate([getattr(table, name), getattr(table, name)[repeated]])
+                for name in ("velocities", "energies", "temperatures_kelvin")
+            },
+        )
+        rows, original = [], output_mod.operators
+
+        def counted(temperatures, const):
+            rows.append(len(temperatures))
+            return original(temperatures, const)
+
+        monkeypatch.setattr(output_mod, "operators", counted)
+        assert "eigenvalue_bracket -> PASS" in monitor_block(padded, presets()[1])
+        assert rows == [len(table.times)]
+
     def test_nonpositive_temperature_fails_without_raising(self, tmp_path):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")

@@ -1,5 +1,7 @@
 """Collision frequencies, mixing weights, mixture values, and couplings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,13 @@ from mixbgk import (
     state_from_temperatures,
     temperatures_of,
 )
-from mixbgk.collisions import _laplacian, heating, operators, run_constants
+from mixbgk.collisions import (
+    DENSE_OPERATOR_MAX_SPECIES,
+    _laplacian,
+    heating,
+    operators,
+    run_constants,
+)
 from mixbgk.equilibrium import eigenvalue_brackets
 from mixbgk.oracles import (
     assemble,
@@ -66,6 +74,11 @@ def _assert_core_matches(const, coupling, relaxation, reference_alpha, reference
     degree = reference.sum(axis=-1)[..., None] * identity
     bound = (_gamma(18) * reference * (1.0 - identity) + _gamma(2 * size + 18) * degree) / scale
     _assert_within(relaxation, (degree - reference) / scale, bound)
+
+
+def _elementwise(const):
+    """The run constants without the dense map: ``operators`` assembles elementwise."""
+    return dataclasses.replace(const, pair_sums=None, operator_map=None)
 
 
 def _hard_sphere_pair(rng=None):
@@ -332,24 +345,27 @@ class TestStackedRecords:
         rho, n = comp.mass_densities, comp.number_densities
 
         const = run_constants(comp, model, 3)
-        coupling, relaxation = operators(temps, const)
-        brackets = eigenvalue_brackets(coupling, rho, n)
-        # Both models give a pair of matrices per record, one for each of
-        # the two density weightings.
-        assert coupling.shape == relaxation.shape == (6, 2, 4, 4)
-        assert brackets.shape == (6, 2, 2)
-        for r, state in enumerate(states):
-            single_coupling, single_relaxation = operators(temps[r], const)
-            np.testing.assert_array_equal(coupling[r], single_coupling)
-            np.testing.assert_array_equal(relaxation[r], single_relaxation)
-            np.testing.assert_array_equal(
-                brackets[r], eigenvalue_brackets(single_coupling, rho, n)
-            )
-            mats = assemble(state, model)
-            reference = np.stack([mats.momentum_coupling, mats.energy_coupling])
-            _assert_core_matches(
-                const, coupling[r], relaxation[r], mats.velocity_weights, reference, comp
-            )
+        # Hard spheres: the dense map, then the elementwise assembly.
+        assert (const.operator_map is None) == constant
+        for const in [const] if constant else [const, _elementwise(const)]:
+            coupling, relaxation = operators(temps, const)
+            brackets = eigenvalue_brackets(coupling, rho, n)
+            # Both models give a pair of matrices per record, one for each of
+            # the two density weightings.
+            assert coupling.shape == relaxation.shape == (6, 2, 4, 4)
+            assert brackets.shape == (6, 2, 2)
+            for r, state in enumerate(states):
+                single_coupling, single_relaxation = operators(temps[r], const)
+                np.testing.assert_array_equal(coupling[r], single_coupling)
+                np.testing.assert_array_equal(relaxation[r], single_relaxation)
+                np.testing.assert_array_equal(
+                    brackets[r], eigenvalue_brackets(single_coupling, rho, n)
+                )
+                mats = assemble(state, model)
+                reference = np.stack([mats.momentum_coupling, mats.energy_coupling])
+                _assert_core_matches(
+                    const, coupling[r], relaxation[r], mats.velocity_weights, reference, comp
+                )
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 10, 30])
     def test_heating_matches_per_record(self, size):
@@ -373,6 +389,91 @@ class TestStackedRecords:
         temps[3, 0] = -2.0
         with pytest.raises(ValueError, match="'s1' has T = -1"):
             hard_sphere_frequencies(comp.species, comp.number_densities, temps)
+
+
+class TestOperatorKernels:
+    """The dense map of the thermal speeds against the elementwise assembly.
+
+    A column of the map for A or B has one nonzero, C_ij, so both kernels
+    form A_ij = C_ij s_ij with one rounding, the same one.  An entry of Z
+    or Z-hat takes its roundings in another order (C / scale before the
+    product with s, and the diagonal summed over j != i), so the kernels
+    agree there within the roundings that :class:`TestStackedCore` counts
+    on the diagonal, gamma(2 N + 18), of the largest entry of each operator.
+    """
+
+    @staticmethod
+    def _temperatures(rng, shape):
+        return rng.uniform(200.0, 3000.0, size=shape) * BOLTZMANN_J_PER_K
+
+    @staticmethod
+    def _assert_kernels_agree(const, temps):
+        coupling, relaxation = operators(temps, const)
+        assembled_coupling, assembled = operators(temps, _elementwise(const))
+        np.testing.assert_array_equal(coupling, assembled_coupling)
+        size = const.identity.shape[0]
+        largest = np.abs(assembled).max(axis=(-2, -1), keepdims=True)
+        _assert_within(relaxation, assembled, _gamma(2 * size + 18) * largest)
+        return coupling, relaxation
+
+    @pytest.mark.parametrize("size", range(2, DENSE_OPERATOR_MAX_SPECIES + 1))
+    def test_kernels_agree_and_match_the_oracle(self, size):
+        rng = np.random.default_rng([107, size])
+        comp = random_composition(rng, size)
+        const = run_constants(comp, HardSphere(), 3)
+        assert const.operator_map is not None
+        temps = self._temperatures(rng, (5, size))
+        coupling, relaxation = self._assert_kernels_agree(const, temps)
+        lam = hard_sphere_frequencies(comp.species, comp.number_densities, temps)
+        alpha, momentum = weight_and_coupling(lam, comp.mass_densities)
+        _, energy = weight_and_coupling(lam, comp.number_densities)
+        reference = np.stack([momentum, energy], axis=-3)
+        _assert_core_matches(const, coupling, relaxation, alpha, reference, comp)
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_kernels_agree_on_the_presets(self, example):
+        state = presets()[example].initial_state()
+        const = run_constants(state.composition, HardSphere(), 3)
+        temps = temperatures_of(state)
+        floor = np.full_like(temps, temps.min())
+        self._assert_kernels_agree(const, temps)
+        self._assert_kernels_agree(const, np.stack([temps, floor]))
+
+    @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES])
+    def test_stacked_states_are_single_states_bit_for_bit(self, size):
+        # Stacked vector-matrix products, over any leading axes; a plain
+        # matrix product over the states would round otherwise.
+        rng = np.random.default_rng([109, size])
+        const = run_constants(random_composition(rng, size), HardSphere(), 3)
+        temps = self._temperatures(rng, (4, 250, size))
+        coupling, relaxation = operators(temps, const)
+        assert coupling.shape == relaxation.shape == (4, 250, 2, size, size)
+        for index in np.ndindex(4, 250):
+            single_coupling, single_relaxation = operators(temps[index], const)
+            np.testing.assert_array_equal(coupling[index], single_coupling)
+            np.testing.assert_array_equal(relaxation[index], single_relaxation)
+
+    def test_the_map_is_built_up_to_its_threshold(self):
+        rng = np.random.default_rng(113)
+        for size in (1, DENSE_OPERATOR_MAX_SPECIES, DENSE_OPERATOR_MAX_SPECIES + 1):
+            comp = random_composition(rng, size)
+            const = run_constants(comp, HardSphere(), 3)
+            if size <= DENSE_OPERATOR_MAX_SPECIES:
+                assert const.pair_sums.shape == (size, size * size)
+                assert const.operator_map.shape == (size * size, 4 * size * size)
+            else:
+                assert const.pair_sums is None and const.operator_map is None
+            constant = ConstantMatrix(rng.uniform(1e9, 1e12, (size, size)))
+            assert run_constants(comp, constant, 3).operator_map is None
+
+    def test_constant_stacks_are_the_laplacian_of_each_call(self):
+        rng = np.random.default_rng(137)
+        comp = random_composition(rng, 4)
+        const = run_constants(comp, ConstantMatrix(rng.uniform(1e9, 1e12, (4, 4))), 3)
+        coupling, relaxation = operators(self._temperatures(rng, (3, 4)), const)
+        assert coupling.shape == relaxation.shape == (3, 2, 4, 4)
+        laplacian = _laplacian(coupling, np.eye(4)) / const.scale
+        np.testing.assert_array_equal(relaxation, laplacian)
 
 
 class TestStackedCore:
@@ -401,6 +502,11 @@ class TestStackedCore:
       and subtracts the self term (k + N roundings of the row sum D_i,
       the error of the self term cancelling), then divides: k + N + 1,
       together 2 N + 18 of D_i / rho_i.
+
+    The core's dense map (hard spheres, N <= DENSE_OPERATOR_MAX_SPECIES)
+    stays within the same counts: it divides C by the scale before the
+    product with s, one rounding more per term, and sums the diagonal over
+    the N - 1 terms j != i with no subtraction: at most k + N roundings.
 
     Each count of k roundings bounds a relative error by
     gamma_k = k u / (1 - k u), u the unit roundoff.  A constant model

@@ -593,7 +593,7 @@ class TestOneSteppingPath:
             dt = 0.05 / conservative_decay_rate(state, model)[0]
             scenario = replace(scenario, dt=dt, t_final=PAPER_HORIZONS[3])
         cfg = resolve_integrator(scenario)
-        steps = [cfg.dt] * 200  # backward Euler: a period-2 cycle from record 7
+        steps = [cfg.dt] * 200  # backward Euler: a period-2 cycle from record 6
         if case == "rk4":  # a fixed point from record 407, then a partial step
             cfg = replace(cfg, t_final=450.5 * cfg.dt)
             steps = [cfg.dt] * 450 + [cfg.t_final - 450 * cfg.dt]
@@ -627,7 +627,7 @@ class TestOneSteppingPath:
         assert len(stepped) == len(set(stepped)) == len(distinct) < len(steps)
         assert set(stepped) == distinct
         if case == "be":
-            assert len(stepped) == 9
+            assert len(stepped) == 8
 
 
 class TestSteppersArePure:

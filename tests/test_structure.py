@@ -18,7 +18,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The private helpers behind the operator core of ``collisions``.  Any use
 # outside that module would be a second assembly path.
-ASSEMBLY_HELPERS = {"_hard_sphere_factor", "_laplacian"}
+ASSEMBLY_HELPERS = {"_hard_sphere_factor", "_laplacian", "_dense_operator_map"}
 
 # The public functions of ``collisions``: one evaluation of the operator core
 # at given temperatures, the heating at given velocities, and the run
