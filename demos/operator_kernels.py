@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Cost of the two kernels of the operator core, per mixture size.
+"""Cost of the two kernels of the operator core and of the heating, per mixture size.
 
-``collisions.operators`` gives [A, B] and [Z, Z-hat] of a hard-sphere
-mixture from one dense linear map of the thermal speeds when the mixture
-has at most DENSE_OPERATOR_MAX_SPECIES species, and from the elementwise
-Laplacian assembly otherwise.  This script times both kernels at N = 2..12,
-for one state (a Picard sweep or an RK4 stage) and for 1000 stacked
-records (the verifier's eigenvalue bracket), so the threshold can be
-measured again on another machine:
+``collisions.relaxation`` gives the thermal speeds and [Z, Z-hat] of a
+hard-sphere mixture from one dense linear map of the speeds when the
+mixture has at most DENSE_OPERATOR_MAX_SPECIES species, and from the
+elementwise Laplacian assembly otherwise.  ``collisions.heating`` takes
+the same threshold: one product of s |u_mix|^2 with a dense map, or one
+reduction over the pair grid.  This script times the core's kernels at
+N = 2..12, for one state (a Picard sweep or an RK4 stage) and for 1000
+stacked records (the verifier's eigenvalue bracket), and the heating's
+at N = 2..12 and 30 for one state, so the threshold can be measured
+again on another machine:
 
     PYTHONPATH=src python demos/operator_kernels.py
 
@@ -22,12 +25,15 @@ import numpy as np
 from mixbgk import BOLTZMANN_J_PER_K, HardSphere, MixtureComposition, SpeciesParams
 from mixbgk.collisions import (
     DENSE_OPERATOR_MAX_SPECIES,
-    _dense_operator_map,  # to build the map above the threshold too
-    operators,
+    _dense_heating_map,  # to build the maps above the threshold too
+    _dense_operator_map,
+    heating,
+    relaxation,
     run_constants,
 )
 
 SIZES = range(2, 13)
+HEATING_SIZES = (*SIZES, 30)
 RECORDS = 1000
 BUDGET_S = 0.003  # per repeat
 
@@ -42,12 +48,18 @@ def mixture(rng, size):
     return MixtureComposition(species, rng.uniform(1e27, 3e28, size))
 
 
-def kernels(composition):
-    """(dense, elementwise) run constants of one mixture."""
+def kernels(composition, operator=True):
+    """(dense, elementwise) run constants of one mixture; ``operator``
+    builds the dense map of [Z, Z-hat] too, not only that of the heating."""
     const = run_constants(composition, HardSphere(), 3)
-    pair_sums, operator_map = _dense_operator_map(const.unit_coupling, const.scale, const.identity)
-    dense = dataclasses.replace(const, pair_sums=pair_sums, operator_map=operator_map)
-    return dense, dataclasses.replace(const, pair_sums=None, operator_map=None)
+    maps = {"heating_map": _dense_heating_map(const.heating_weights)}
+    if operator:
+        pair_sums, operator_map = _dense_operator_map(
+            const.unit_coupling, const.scale, const.identity
+        )
+        maps.update(pair_sums=pair_sums, operator_map=operator_map)
+    elementwise = dict.fromkeys(maps)
+    return dataclasses.replace(const, **maps), dataclasses.replace(const, **elementwise)
 
 
 def best_us(call):
@@ -57,9 +69,12 @@ def best_us(call):
     return min(timeit.repeat(call, number=number, repeat=3)) / number * 1e6
 
 
-def main():
-    rng = np.random.default_rng(2024)
-    print(f"operators() per call, µs (DENSE_OPERATOR_MAX_SPECIES = {DENSE_OPERATOR_MAX_SPECIES})")
+def winner(times):
+    return "dense" if times[0] < times[1] else "elem."
+
+
+def core_table(rng):
+    print(f"relaxation() per call, µs (DENSE_OPERATOR_MAX_SPECIES = {DENSE_OPERATOR_MAX_SPECIES})")
     print(f"{'N':>3} | {'one state':^26} | {f'{RECORDS} stacked records':^30}")
     print(f"{'':>3} | {'dense':>8} {'elementwise':>12} {'':4} |", end="")
     print(f" {'dense':>10} {'elementwise':>12}")
@@ -69,10 +84,32 @@ def main():
         stacked = rng.uniform(200.0, 3000.0, (RECORDS, size)) * BOLTZMANN_J_PER_K
         row = []
         for temps in (single, stacked):
-            times = [best_us(lambda c=c: operators(temps, c)) for c in (dense, elementwise)]
-            row.append((*times, "dense" if times[0] < times[1] else "elem."))
+            times = [best_us(lambda c=c: relaxation(temps, c)) for c in (dense, elementwise)]
+            row.append((*times, winner(times)))
         (d1, e1, w1), (dn, en, wn) = row
         print(f"{size:>3} | {d1:8.2f} {e1:12.2f} {w1:>4} | {dn:10.1f} {en:12.1f} {wn:>6}")
+
+
+def heating_table(rng):
+    print()
+    print("heating() per call, one state, µs")
+    print(f"{'N':>3} | {'dense':>8} {'elementwise':>12}")
+    for size in HEATING_SIZES:
+        dense, elementwise = kernels(mixture(rng, size), operator=False)
+        temps = rng.uniform(200.0, 3000.0, size) * BOLTZMANN_J_PER_K
+        velocities = rng.uniform(-500.0, 500.0, (size, 3))
+        speeds, _ = relaxation(temps, elementwise)
+        times = [
+            best_us(lambda c=c: heating(speeds, velocities, c.mixing, c, 0.5))
+            for c in (dense, elementwise)
+        ]
+        print(f"{size:>3} | {times[0]:8.2f} {times[1]:12.2f} {winner(times):>4}")
+
+
+def main():
+    rng = np.random.default_rng(2024)
+    core_table(rng)
+    heating_table(rng)
 
 
 if __name__ == "__main__":

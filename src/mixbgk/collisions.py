@@ -42,26 +42,31 @@ It also holds what a stepper needs on either state: the weights of the
 temperature map for (u, E) and for the scaled (W, xi), the pair-velocity
 map for u and its product with P^{-1/2} for W, and a (d,) vector of ones
 whose dot sums the squares over the d axis.
-:func:`operators` evaluates the stacks [A, B] and [Z, Z-hat] as
-(..., 2, N, N) at (..., N) temperatures.  Every entry of the four is
-linear in the N * N thermal speeds: A and B are C s, an off-diagonal
-entry of Z is -C_ij s_ij / sqrt(rho_i rho_j) and a diagonal one
-sum_{j != i} C_ij s_ij / rho_i (n for Z-hat).  So for hard-sphere
-mixtures of at most DENSE_OPERATOR_MAX_SPECIES species
-:func:`run_constants` folds C, the scaling and the Laplacian's row sums
-into one (N * N, 4 N * N) matrix, and a call is s^2 = (T / m) @ E, E
-holding two unit entries per column (an exact sum), a square root and
-one vector-matrix product per state.  The map grows as N^4 and the
-elementwise assembly, s on the pair grid, C s, the Laplacian
-degree I - C s and one division, as N^2, so larger mixtures keep the
-assembly; both kernels stay, chosen by N.
-A constant model's stacks are run constants, broadcast by a call.
-:func:`heating` gives the kinetic heating sum_j K_ij (m_i - m_j) /
-sqrt(n_i) at given velocities, u or W with the matching map, without
-forming the Laplacian of K.  Every runtime path goes through them; the
-cross-checks, the frequency evaluation among them, live in
-:mod:`mixbgk.oracles`.  Self pairs (i = j) are included throughout;
-they cancel identically in all relaxation differences.
+The temperatures enter a call only through s, and every entry of
+[Z, Z-hat] and of the kinetic heating is linear in the N * N speeds (or
+in the products s_ij |u_mix,ij|^2): an off-diagonal entry of Z is
+-C_ij s_ij / sqrt(rho_i rho_j), a diagonal one sum_{j != i} C_ij s_ij /
+rho_i (n for Z-hat), and the heating sum_j B_ij |u_mix,ij|^2 (m_i - m_j)
+/ sqrt(n_i) is sum_j H_ij s_ij |u_mix,ij|^2 with H = C^B (m_i - m_j) /
+sqrt(n_i) fixed per run.  :func:`relaxation` is the steppers' call: the
+speeds s and the stack [Z, Z-hat], (..., 2, N, N), at (..., N)
+temperatures.  :func:`heating` takes those speeds and the velocities.
+:func:`operators` adds the coupling stack [A, B] = C s for the
+verifiers.  For mixtures of at most DENSE_OPERATOR_MAX_SPECIES species
+:func:`run_constants` folds the linear maps into fixed matrices: for hard
+spheres s^2 = (T / m) @ E, E holding two unit entries per column (an
+exact sum), and [Z, Z-hat] = s @ K with K (N * N, 2 N * N), C, the
+scaling and the Laplacian's row sums folded in; for any model the
+heating is (s |u_mix|^2) @ H', H' (N * N, N) holding H.  The maps grow
+as N^4 and N^3 and the elementwise forms (s on the pair grid, the
+Laplacian degree I - C s and one division; the sum over j of H times
+s |u_mix|^2) as N^2, so larger mixtures keep the elementwise forms;
+both kernels stay, chosen by N.  A constant model has s = 1 and its
+[Z, Z-hat] is a run constant, broadcast by a call.  Every runtime path
+goes through these calls; the cross-checks, the frequency evaluation
+among them, live in :mod:`mixbgk.oracles`.  Self pairs (i = j) are
+included throughout; they cancel identically in all relaxation
+differences.
 """
 
 from __future__ import annotations
@@ -76,12 +81,13 @@ from .species import _readonly, _temperature_weights
 # 32 pi^2 / (3 (2 pi)^{3/2}), evaluated in full float precision.
 HARD_SPHERE_PREFACTOR = 32.0 * np.pi**2 / (3.0 * (2.0 * np.pi) ** 1.5)
 
-# The largest hard-sphere mixture whose operator core is the dense map of
-# the thermal speeds.  Per `operators` call, map against assembly, on one
-# CPU of a 2-core machine (Python 3.11, numpy 2.4, OpenBLAS): one state
-# 2.6 against 5.7 us at N = 3, 5.1 against 6.2 at N = 8 and 8.0 against
-# 6.9 at N = 10; 1000 stacked records 0.09 against 0.37 ms at N = 3 and
-# 2.3 against 2.2 ms at N = 8.  `demos/operator_kernels.py` measures it again.
+# The largest mixture whose operator core (hard spheres) and heating (any
+# model) are dense maps.  Per call, map against elementwise, on one CPU of a
+# 2-core machine (Python 3.11, numpy 2.4, OpenBLAS): `relaxation` on one
+# state 2.2 against 6.8 us at N = 3 and 3.3 against 7.3 at N = 8, on 1000
+# stacked records 0.08 against 0.39 ms at N = 3 and 1.9 against 1.7 ms at
+# N = 8; `heating` on one state 2.8 against 4.4 us at N = 3 and 18 against
+# 17 at N = 30.  `demos/operator_kernels.py` measures it again.
 DENSE_OPERATOR_MAX_SPECIES = 8
 
 
@@ -134,25 +140,34 @@ def _laplacian(coupling, identity) -> np.ndarray:
 
 
 def _dense_operator_map(unit_coupling, scale, identity):
-    """(E, K): s^2 = (T / m) @ E and [A, B, Z, Z-hat] = s @ K, flattened.
+    """(E, K): s^2 = (T / m) @ E and [Z, Z-hat] = s @ K, flattened.
 
-    Row (i, j) of K, the speed s_ij, holds C_ij in the columns of A_ij and
-    B_ij, -C_ij / scale_ij in those of Z_ij and Z-hat_ij (i != j), and
-    C_ij / scale_ii in those of the diagonal entries Z_ii and Z-hat_ii
-    (j != i): the Laplacian's row sums without the self pair, so a single
-    species gets Z = 0.  A column of A or B has one nonzero, so those
-    entries are C s exactly.
+    Row (i, j) of K, the speed s_ij, holds -C_ij / scale_ij in the columns
+    of Z_ij and Z-hat_ij (i != j), and C_ij / scale_ii in those of the
+    diagonal entries Z_ii and Z-hat_ii (j != i): the Laplacian's row sums
+    without the self pair, so a single species gets Z = 0.
     """
     size = len(identity)
     i, j = np.indices((size, size))
     apart = identity == 0.0
-    rows = np.zeros((size, size, 4, size, size))  # (s_ij, stack entry)
-    rows[i, j, :2, i, j] = unit_coupling.transpose(1, 2, 0)
-    rows[i, j, 2:, i, j] = np.where(apart, -unit_coupling / scale, 0.0).transpose(1, 2, 0)
+    rows = np.zeros((size, size, 2, size, size))  # (s_ij, stack entry)
+    rows[i, j, :, i, j] = np.where(apart, -unit_coupling / scale, 0.0).transpose(1, 2, 0)
     degree = scale.diagonal(axis1=1, axis2=2)[:, :, None]
-    rows[i, j, 2:, i, i] = np.where(apart, unit_coupling / degree, 0.0).transpose(1, 2, 0)
+    rows[i, j, :, i, i] = np.where(apart, unit_coupling / degree, 0.0).transpose(1, 2, 0)
     pair_sums = (identity[:, :, None] + identity[:, None, :]).reshape(size, size * size)
-    return pair_sums, rows.reshape(size * size, 4 * size * size)
+    return pair_sums, rows.reshape(size * size, 2 * size * size)
+
+
+def _dense_heating_map(heating_weights):
+    """H' with (s |u_mix|^2) @ H' = sum_j H_ij s_ij |u_mix,ij|^2, flattened.
+
+    Row (i, j) of H', the product s_ij |u_mix,ij|^2, holds H_ij in column i.
+    """
+    size = len(heating_weights)
+    rows = np.zeros((size, size, size))
+    species = np.arange(size)
+    rows[species, :, species] = heating_weights
+    return rows.reshape(size * size, size)
 
 
 @dataclass(frozen=True)
@@ -174,10 +189,13 @@ class RunConstants:
     unit null vectors sqrt(rho)/|sqrt(rho)| of Z and sqrt(n)/|sqrt(n)| of
     Z-hat.  The masses are the composition's own cached array.
     ``unit_relaxation`` is [Z, Z-hat] at unit thermal speed, the fixed
-    stack of a constant model.  ``pair_sums`` and ``operator_map`` are
-    the dense map of a hard-sphere mixture of at most
-    DENSE_OPERATOR_MAX_SPECIES species (:func:`_dense_operator_map`), and
-    None otherwise; ``operators`` assembles elementwise without them.
+    stack of a constant model.  ``heating_weights`` is H = C^B (m_i - m_j)
+    / sqrt(n_i), the kinetic heating per unit s_ij |u_mix,ij|^2.
+    ``pair_sums`` and ``operator_map`` are the dense map of [Z, Z-hat] of a
+    hard-sphere mixture, and ``heating_map`` the dense map of the heating
+    of any mixture (:func:`_dense_operator_map`, :func:`_dense_heating_map`),
+    for at most DENSE_OPERATOR_MAX_SPECIES species and None otherwise;
+    without them the calls take the elementwise forms.
     """
 
     hard_sphere: bool
@@ -195,11 +213,12 @@ class RunConstants:
     energy_map: np.ndarray  # (N, N) M_n = (I - n 1^T / sum n) Q^{1/2}
     scale: np.ndarray  # (2, N, N)
     kernels: np.ndarray  # (2, N, N)
-    heating_gaps: np.ndarray  # (N, N) (m_i - m_j) / sqrt(n_i)
+    heating_weights: np.ndarray  # (N, N) H = C^B (m_i - m_j) / sqrt(n_i)
     identity: np.ndarray  # (N, N)
     unit_relaxation: np.ndarray  # (2, N, N) [Z, Z-hat] of C, a constant model's
     pair_sums: np.ndarray | None  # (N, N * N): (T / m) @ pair_sums = s^2
-    operator_map: np.ndarray | None  # (N * N, 4 N * N): s @ operator_map = [A, B, Z, Z-hat]
+    operator_map: np.ndarray | None  # (N * N, 2 N * N): s @ operator_map = [Z, Z-hat]
+    heating_map: np.ndarray | None  # (N * N, N): (s |u_mix|^2) @ heating_map = H (s |u_mix|^2)
 
 
 def run_constants(composition, model: FrequencyModel, dimension: int) -> RunConstants:
@@ -235,9 +254,11 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     energy_weight, speed_weight = _temperature_weights(masses, n, dimension)
     scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
     unit_coupling = scaled * transposed / total
-    dense = hard_sphere and size <= DENSE_OPERATOR_MAX_SPECIES
+    heating_weights = unit_coupling[1] * ((masses[:, None] - masses) / sqrt_n[:, None])
+    dense = size <= DENSE_OPERATOR_MAX_SPECIES
     pair_sums, operator_map = (
-        _dense_operator_map(unit_coupling, scale, identity) if dense else (None, None)
+        _dense_operator_map(unit_coupling, scale, identity) if dense and hard_sphere
+        else (None, None)
     )
     return RunConstants(
         hard_sphere=hard_sphere,
@@ -255,63 +276,87 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         energy_map=(identity - n[:, None] / n.sum()) * sqrt_n,
         scale=scale,
         kernels=scale / np.stack([rho.sum(), n.sum()])[:, None, None],
-        heating_gaps=(masses[:, None] - masses[None, :]) / sqrt_n[:, None],
+        heating_weights=heating_weights,
         identity=identity,
         unit_relaxation=_laplacian(unit_coupling, identity) / scale,
         pair_sums=pair_sums,
         operator_map=operator_map,
+        heating_map=_dense_heating_map(heating_weights) if dense else None,
     )
 
 
-def operators(temperatures, const: RunConstants):
-    """([A, B], [Z, Z-hat]) at (..., N) temperatures, over any leading axes.
+def relaxation(temperatures, const: RunConstants):
+    """(s, [Z, Z-hat]) at (..., N) temperatures, over any leading axes: the steppers' call.
 
-    The couplings are C * s for hard spheres, whose temperatures must be
-    positive (callers check them), and C for a constant model; then
-    Z = P^{-1/2} (D - A) P^{-1/2} and Z-hat = Q^{-1/2} (F - B) Q^{-1/2}.
-    With ``const.operator_map`` (hard spheres, N at most
-    DENSE_OPERATOR_MAX_SPECIES) the four stacks are one product of s with
-    the map per state: stacked vector-matrix products equal the
-    single-state one bit for bit, where one matrix product over all
-    states would not.  Without it they come from one Laplacian of the
-    stack, degree I - C s, and one division, which cost N^2 per call
-    against the map's N^4; a constant model broadcasts the fixed C and
-    ``const.unit_relaxation``.
+    s is the thermal speed, (..., N * N) for hard spheres, whose
+    temperatures must be positive (callers check them), and 1.0 for a
+    constant model; Z = P^{-1/2} (D - A) P^{-1/2} and Z-hat = Q^{-1/2}
+    (F - B) Q^{-1/2} with [A, B] = C s.  With ``const.operator_map``
+    (hard spheres, N at most DENSE_OPERATOR_MAX_SPECIES) the stack is one
+    product of s with the map per state: stacked vector-matrix products
+    equal the single-state one bit for bit, where one matrix product over
+    all states would not.  Without it the stack is one Laplacian of C s,
+    degree I - C s, and one division, which cost N^2 per call against
+    the map's N^4; a constant model broadcasts ``const.unit_relaxation``.
     """
     if not const.hard_sphere:
         lead = np.shape(temperatures)[:-1]
-        return (
-            np.broadcast_to(const.unit_coupling, lead + const.unit_coupling.shape),
-            np.broadcast_to(const.unit_relaxation, lead + const.unit_relaxation.shape),
-        )
+        return 1.0, np.broadcast_to(const.unit_relaxation, lead + const.unit_relaxation.shape)
     # T_i / m_i once per species; a division, not a product with 1/m,
     # keeps the values at which an overflowing step fails.
     per_mass = temperatures / const.masses
     if const.operator_map is None:
         # s on a unit axis of the stack: (..., 1, N, N).
-        speed = np.sqrt(per_mass[..., None, :, None] + per_mass[..., None, None, :])
-        coupling = const.unit_coupling * speed
-        return coupling, _laplacian(coupling, const.identity) / const.scale
-    speed = np.sqrt(per_mass.dot(const.pair_sums))  # (..., N * N)
-    if speed.ndim == 1:  # ndarray.dot: the same product as @ at half its call cost
-        stack = speed.dot(const.operator_map)
-    else:  # one vector-matrix product per state
-        stack = speed[..., None, :] @ const.operator_map
-    stack = stack.reshape(per_mass.shape[:-1] + (4,) + const.identity.shape)
-    return stack[..., :2, :, :], stack[..., 2:, :, :]
+        speeds = np.sqrt(per_mass[..., None, :, None] + per_mass[..., None, None, :])
+        stack = _laplacian(const.unit_coupling * speeds, const.identity) / const.scale
+        return speeds.reshape(per_mass.shape[:-1] + (const.identity.size,)), stack
+    speeds = np.sqrt(per_mass.dot(const.pair_sums))  # (..., N * N)
+    if speeds.ndim == 1:  # ndarray.dot: the same product as @ at half its call cost
+        return speeds, speeds.dot(const.operator_map).reshape(const.scale.shape)
+    # One vector-matrix product per state.
+    stack = speeds[..., None, :] @ const.operator_map
+    return speeds, stack.reshape(per_mass.shape[:-1] + const.scale.shape)
 
 
-def heating(energy_coupling, velocities, mixing, const: RunConstants, rate):
+def operators(temperatures, const: RunConstants):
+    """([A, B], [Z, Z-hat]) at (..., N) temperatures, over any leading axes.
+
+    [Z, Z-hat] and the speeds s come from :func:`relaxation`, and the
+    couplings are C s for hard spheres and C, broadcast, for a constant
+    model.  For the verifiers and the derived settings; the steppers read
+    only s and [Z, Z-hat].
+    """
+    speeds, stack = relaxation(temperatures, const)
+    if not const.hard_sphere:
+        return np.broadcast_to(const.unit_coupling, stack.shape), stack
+    pair_grid = speeds.reshape(stack.shape[:-3] + (1,) + stack.shape[-2:])  # (..., 1, N, N)
+    return const.unit_coupling * pair_grid, stack
+
+
+def heating(speeds, velocities, mixing, const: RunConstants, rate):
     """rate * Q^{-1/2} (G - C) m, the kinetic heating of the scaled energies, (..., N).
 
     G - C is the Laplacian of the kinetic coupling K = B |u_mix|^2, u_mix =
     ``mixing`` @ v at the given (..., N, d) float velocities: ``const.mixing``
-    takes the velocities u, ``const.scaled_mixing`` the scaled W.  It is
-    applied to m unformed, as sum_j K_ij (m_i - m_j) / sqrt(n_i): B times
-    |u_mix|^2, then times the gaps, an order that fixes where an
-    overflowing step fails.  rate is 1/(2 eps) in the ODE; the Picard
-    sweep passes dt/(2 eps), and an RK4 stage, whose rates carry eps, 1/2.
+    takes the velocities u, ``const.scaled_mixing`` the scaled W.  With
+    B = C^B s, ``speeds`` the s of :func:`relaxation`, it is applied to m
+    unformed, as sum_j H_ij s_ij |u_mix,ij|^2 with H =
+    ``const.heating_weights``: s times |u_mix|^2, then times H, then
+    times the rate, an order that fixes where an overflowing step fails.
+    With ``const.heating_map`` (N at most DENSE_OPERATOR_MAX_SPECIES) the
+    sum is one product with the map per state, and otherwise one
+    reduction of H times s |u_mix|^2.  rate is 1/(2 eps) in the ODE; the
+    Picard sweep passes dt/(2 eps), and an RK4 stage, whose rates carry
+    eps, 1/2.
     """
-    u_mix = mixing @ velocities
-    speed_sq = (u_mix * u_mix).dot(const.ones).reshape(energy_coupling.shape)
-    return rate * np.add.reduce(energy_coupling * speed_sq * const.heating_gaps, axis=-1)
+    if velocities.ndim == 2:  # ndarray.dot: the same product as @ at half its call cost
+        u_mix = mixing.dot(velocities)
+    else:
+        u_mix = mixing @ velocities
+    weighted = speeds * (u_mix * u_mix).dot(const.ones)  # (..., N * N)
+    if const.heating_map is None:
+        weighted = weighted.reshape(weighted.shape[:-1] + const.identity.shape)
+        return rate * np.add.reduce(const.heating_weights * weighted, axis=-1)
+    if weighted.ndim == 1:
+        return rate * weighted.dot(const.heating_map)
+    return rate * (weighted[..., None, :] @ const.heating_map)[..., 0, :]

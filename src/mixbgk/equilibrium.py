@@ -171,6 +171,11 @@ class DecayConstants:
 
 def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants:
     """Assemble all envelope constants for a realizable initial state."""
+    return _decay_constants(state, run_constants(state.composition, model, state.dimension))
+
+
+def _decay_constants(state: MomentState, const) -> DecayConstants:
+    """:func:`decay_constants` from the run constants of its model."""
     comp = state.composition
     rho = comp.mass_densities
     n = comp.number_densities
@@ -179,7 +184,6 @@ def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants
 
     # The couplings at t = 0 and with every temperature at the ceiling
     # 2 E_tot / (d min n), in one stack.
-    const = run_constants(comp, model, d)
     velocity_rate, energy_rate = _conservative_decay_rate(state, const)
     t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
     temps = np.stack([temperatures_of(state), np.full(n_species, t_ceiling)])

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .collisions import FrequencyModel, heating, operators, run_constants
+from .collisions import FrequencyModel, heating, relaxation, run_constants
 from .equilibrium import steady_state
 from .species import MixtureComposition, MomentState, _temperature_map, is_realizable
 
@@ -249,9 +249,11 @@ def _picard_solve(u, e, dt, eps, const):
     non-finite iterate (a singular or overflowed system) raises
     RealizabilityError.  The maps M_rho and M_n of ``const`` conserve
     total momentum and energy by construction.
-    Each sweep calls the operator core once and the heating once (at the
-    new velocities), and LAPACK gesv through :func:`_solve` for the two
-    systems; everything temperature-free comes from ``const``.
+    Each sweep calls the operator core once, for the thermal speeds and
+    [Z, Z-hat] (``relaxation``; the couplings [A, B] are never formed),
+    and the heating once, at those speeds and the new velocities, and
+    LAPACK gesv through :func:`_solve` for the two systems; everything
+    temperature-free comes from ``const``.
     """
     sqrt_rho, sqrt_n = const.sqrt_rho[:, None], const.sqrt_n
     rate = dt / eps
@@ -264,7 +266,7 @@ def _picard_solve(u, e, dt, eps, const):
     u_k, e_k = u, e
     for sweep in range(1, PICARD_MAX_ITER + 1):
         temps = _admissible_temperatures(u_k, e_k, const.temperature_weights, const, "iterate")
-        coupling, z = operators(temps, const)
+        speeds, z = relaxation(temps, const)
 
         rate_z = rate * z
         if sweep == 1:  # I + sigma q q^T, from the start-of-step operators
@@ -274,9 +276,9 @@ def _picard_solve(u, e, dt, eps, const):
         systems = shifted_identity + rate_z  # the momentum and the energy system
         # ndarray.dot: the same products as @, at half its call cost on N x N.
         u_new = u - const.momentum_map.dot(_solve(systems[0], rate_z[0].dot(w_old)))
-        # The kinetic coupling pairs the new velocities with the energy
-        # coupling of the current iterate.
-        kinetic = heating(coupling[1], u_new, const.mixing, const, heating_rate)
+        # The heating pairs the new velocities with the thermal speeds of
+        # the current iterate.
+        kinetic = heating(speeds, u_new, const.mixing, const, heating_rate)
         rhs = rate_z[1].dot(xi_old) - kinetic
         e_new = e - const.energy_map.dot(_solve(systems[1], rhs))
 
@@ -302,9 +304,9 @@ def _rk4_advance(u, e, dt, eps, const):
         eps dW/dt  = -Z W
         eps dxi/dt = -(Z-hat xi - eps heating),
 
-    with Z, Z-hat and the heating from the same core as the implicit sweep;
-    each stage gives the two right-hand brackets, and h = dt/eps scales
-    them.  A stage never returns to (u, e): its temperatures come from xi
+    with the speeds, Z, Z-hat and the heating from the same core calls as
+    the implicit sweep; each stage gives the two right-hand brackets, and
+    h = dt/eps scales them.  A stage never returns to (u, e): its temperatures come from xi
     and |W|^2 through ``const.scaled_temperature_weights``, and its heating
     from W through ``const.scaled_mixing``.
     """
@@ -315,8 +317,8 @@ def _rk4_advance(u, e, dt, eps, const):
 
     def rates(w, xi):
         temps = _admissible_temperatures(w, xi, weights, const, "RK4 stage")
-        coupling, z = operators(temps, const)
-        return z[0].dot(w), z[1].dot(xi) - heating(coupling[1], w, mixing, const, 0.5)
+        speeds, z = relaxation(temps, const)
+        return z[0].dot(w), z[1].dot(xi) - heating(speeds, w, mixing, const, 0.5)
 
     w, xi = sqrt_rho * u, e / sqrt_n
     k1w, k1x = rates(w, xi)
@@ -362,7 +364,7 @@ def _error_scales(initial, temps, cfg: IntegratorConfig, const):
     far as the steps can tell; it gets scale 0 and is skipped, so that
     rounding does not set the step.
     """
-    norm = np.abs(operators(temps, const)[1]).sum(axis=2).max()
+    norm = np.abs(relaxation(temps, const)[1]).sum(axis=2).max()
     rounding = cfg.max_dt / cfg.eps * norm * np.finfo(float).eps / BE_ERROR_TOL
     equilibrium, scales = steady_state(initial), []
     for field, steady in ((initial.velocities, equilibrium.velocity),

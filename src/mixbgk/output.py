@@ -13,8 +13,10 @@ also keeps its labels and temperature columns, as the mixture's identity
 that ``monitor_block`` checks against the scenario.  Numbers are
 written in full round-trip precision, so the block reproduces bit-for-bit
 from a re-read file of the same mixture.  Conserved totals, the floor and
-the equilibrium plateau repeat down a table, so the CSV writer formats
-each distinct value once and indexes the strings back into the rows.
+the equilibrium plateau repeat down a table, and the time and envelope
+columns across the two CSVs of a run, so the CSV writer formats each
+distinct value of an output set once and indexes the strings back into
+the rows of each file.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .collisions import HardSphere, operators, run_constants
 from .equilibrium import (
     EquilibriumData,
-    decay_constants,
+    _decay_constants,
     decay_envelopes,
     eigenvalue_brackets,
     steady_state,
@@ -80,23 +82,29 @@ def _trajectory_header(labels, dimension) -> list[str]:
     return columns
 
 
-def _write_csv(path, columns, matrix) -> None:
-    """Write a float (R, C) matrix under a header row, every cell as ``CSV_FORMAT``.
+def _write_csvs(files) -> None:
+    """Write each (path, columns, matrix) of ``files``: a float (R, C) matrix
+    under a header row, every cell as ``CSV_FORMAT``.
 
-    Each distinct value is formatted once: values are keyed by their bit
-    patterns, so 0.0 and -0.0, NaN payloads and subnormals stay apart,
-    and the strings are indexed back into the grid.  The bytes are those
-    of ``np.savetxt(path, matrix, CSV_FORMAT, ",", header=..., comments="")``.
+    Each distinct value of all the matrices is formatted once: values are
+    keyed by their bit patterns, so 0.0 and -0.0, NaN payloads and
+    subnormals stay apart, and the strings are indexed back into each
+    grid, one file at a time.  The bytes of each file are those of
+    ``np.savetxt(path, matrix, CSV_FORMAT, ",", header=..., comments="")``.
     """
-    keys, inverse = np.unique(matrix.view(np.int64), return_inverse=True)
+    bits = [matrix.view(np.int64) for _, _, matrix in files]
+    keys, inverse = np.unique(np.concatenate([b.ravel() for b in bits]), return_inverse=True)
     values = keys.view(np.float64).tolist()
     # One template over all values formats them faster than one % per value.
-    texts = ("\n".join([CSV_FORMAT] * len(values)) % tuple(values)).split("\n")
-    grid = inverse.reshape(matrix.shape)  # inverse is 1-D before numpy 2
-    rows = np.array(texts, dtype=object)[grid].tolist()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(columns) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in rows)
+    texts = np.array(("\n".join([CSV_FORMAT] * len(values)) % tuple(values)).split("\n"), object)
+    end = 0
+    for (path, columns, _), grid in zip(files, bits):
+        start, end = end, end + grid.size
+        rows = texts[inverse[start:end].reshape(grid.shape)]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(columns) + "\n")
+            # The lists of one file only, freed when the writes end.
+            handle.writelines(",".join(row) + "\n" for row in rows.tolist())
 
 
 def _kelvin(trajectory: Trajectory) -> np.ndarray:
@@ -105,11 +113,10 @@ def _kelvin(trajectory: Trajectory) -> np.ndarray:
     return energy_to_kelvin(_temperatures(comp, trajectory.velocities, trajectory.energies))
 
 
-def write_trajectory_csv(path, trajectory: Trajectory, envelopes) -> None:
-    """The run's state columns, the columns derived from them, and its envelopes."""
+def _trajectory_file(trajectory: Trajectory, envelopes, temps_k):
+    """(header, matrix) of the trajectory CSV, from the run's Kelvin temperatures."""
     rho = trajectory.composition.mass_densities
     velocities, energies = trajectory.velocities, trajectory.energies
-    temps_k = _kelvin(trajectory)
     env_velocity, env_energy, env_temperature = envelopes
     per_species = np.concatenate([velocities, temps_k[..., None], energies[..., None]], axis=2)
     matrix = np.column_stack([
@@ -117,8 +124,12 @@ def write_trajectory_csv(path, trajectory: Trajectory, envelopes) -> None:
         velocities.transpose(0, 2, 1) @ rho, energies.sum(axis=1), temps_k.min(axis=1),
         env_velocity, env_energy, energy_to_kelvin(env_temperature),
     ])
-    header = _trajectory_header(trajectory.composition.labels, velocities.shape[2])
-    _write_csv(path, header, matrix)
+    return _trajectory_header(trajectory.composition.labels, velocities.shape[2]), matrix
+
+
+def write_trajectory_csv(path, trajectory: Trajectory, envelopes) -> None:
+    """The run's state columns, the columns derived from them, and its envelopes."""
+    _write_csvs([(path, *_trajectory_file(trajectory, envelopes, _kelvin(trajectory)))])
 
 
 def read_trajectory_csv(path) -> TrajectoryTable:
@@ -162,12 +173,10 @@ def _deviations(table, temperatures_kelvin, equilibrium: EquilibriumData):
     return dev_u, dev_e, dev_t
 
 
-def write_envelope_csv(
-    path, trajectory: Trajectory, envelopes, equilibrium: EquilibriumData
-) -> None:
-    """Deviation-from-equilibrium columns next to their analytic envelopes."""
+def _envelope_file(trajectory: Trajectory, envelopes, equilibrium: EquilibriumData, temps_k):
+    """(header, matrix) of the envelope CSV, from the run's Kelvin temperatures."""
     labels = trajectory.composition.labels
-    dev_u, dev_e, dev_t = _deviations(trajectory, _kelvin(trajectory), equilibrium)
+    dev_u, dev_e, dev_t = _deviations(trajectory, temps_k, equilibrium)
     env_velocity, env_energy, env_temperature = envelopes
     columns = ["t"]
     columns += [f"dev_u_{label}" for label in labels]
@@ -178,7 +187,15 @@ def write_envelope_csv(
         trajectory.times, dev_u, env_velocity, dev_e, env_energy,
         dev_t, energy_to_kelvin(env_temperature),
     ])
-    _write_csv(path, columns, matrix)
+    return columns, matrix
+
+
+def write_envelope_csv(
+    path, trajectory: Trajectory, envelopes, equilibrium: EquilibriumData
+) -> None:
+    """Deviation-from-equilibrium columns next to their analytic envelopes."""
+    temps_k = _kelvin(trajectory)
+    _write_csvs([(path, *_envelope_file(trajectory, envelopes, equilibrium, temps_k))])
 
 
 @dataclass(frozen=True)
@@ -225,12 +242,15 @@ def record_monitors(
 
 
 def _first_record_bounds(table, composition, config: ScenarioConfig):
-    """(equilibrium, decay constants, envelopes on ``table.times``) of record 0,
-    the one reference of every bound of a run; its temperatures must be positive."""
+    """(equilibrium, decay constants, envelopes on ``table.times``, run constants)
+    of record 0, the one reference of every bound of a run; its temperatures
+    must be positive.  The run constants of the scenario's model, built once
+    for the decay constants, serve the eigenvalue bracket too."""
     first = MomentState(composition, table.velocities[0], table.energies[0])
-    constants = decay_constants(first, config.model)
+    const = run_constants(composition, config.model, first.dimension)
+    constants = _decay_constants(first, const)
     envelopes = decay_envelopes(constants, config.eps, table.times)
-    return steady_state(first), constants, envelopes
+    return steady_state(first), constants, envelopes, const
 
 
 def monitor_block(
@@ -252,7 +272,8 @@ def monitor_block(
     eigenvalue bracket at every recorded state, evaluated once for
     consecutive records with equal temperatures.  ``first``
     is record 0's (equilibrium, decay constants, envelopes on
-    ``table.times``) if the caller derived them.
+    ``table.times``, run constants) if the caller derived them; the
+    bracket takes the operators with the same run constants.
     """
     comp = MixtureComposition(config.species, config.number_densities)
     reread = isinstance(table, TrajectoryTable)
@@ -297,7 +318,8 @@ def monitor_block(
     report("realizability", bool(records.realizable.all()))
 
     if np.all(records.temperatures[0] > 0.0):  # False for a NaN too
-        equilibrium, _, envelopes = first or _first_record_bounds(table, comp, config)
+        first = first or _first_record_bounds(table, comp, config)
+        equilibrium, _, envelopes, _ = first
         dev_u, dev_e, dev_t = _deviations(table, temps_k, equilibrium)
     else:  # no decay rates without a positive floor; NaN fails every comparison
         dev_u = dev_e = dev_t = np.nan
@@ -327,7 +349,7 @@ def monitor_block(
         checked = np.all(temps > 0.0, axis=1)
         checked[1:] &= np.any(temps[1:] != temps[:-1], axis=1)
         temps = temps[checked]
-        const = run_constants(comp, config.model, d)
+        const = first[3] if first else run_constants(comp, config.model, d)
         coupling, z = operators(temps, const)
         brackets = eigenvalue_brackets(coupling, rho, n)  # (R, operator, end)
         spectra = np.linalg.eigvalsh(z)[..., 1:]  # (R, operator, N - 1): drop the null mode
@@ -353,7 +375,7 @@ def write_output_set(
     could be created.  On failure no temporary file remains.
     """
     first = _first_record_bounds(trajectory, trajectory.composition, config)
-    equilibrium, constants, envelopes = first
+    equilibrium, constants, envelopes, _ = first
     monitors = monitor_block(trajectory, config, first)
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
@@ -391,9 +413,13 @@ def write_output_set(
 
     targets = [base + suffix for suffix in ("_trajectory.csv", "_envelopes.csv", "_summary.txt")]
     temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    temps_k = _kelvin(trajectory)
     try:
-        write_trajectory_csv(temporaries[0], trajectory, envelopes)
-        write_envelope_csv(temporaries[1], trajectory, envelopes, equilibrium)
+        # Both CSVs in one call: the values they share are formatted once.
+        _write_csvs([
+            (temporaries[0], *_trajectory_file(trajectory, envelopes, temps_k)),
+            (temporaries[1], *_envelope_file(trajectory, envelopes, equilibrium, temps_k)),
+        ])
         with open(temporaries[2], "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
         for target in targets:

@@ -12,7 +12,7 @@ from mixbgk import (
     state_from_temperatures,
     temperatures_of,
 )
-from mixbgk.collisions import heating, operators, run_constants
+from mixbgk.collisions import heating, operators, relaxation, run_constants
 from mixbgk.equilibrium import eigenvalue_brackets
 from mixbgk.species import kelvin_to_energy
 
@@ -47,8 +47,10 @@ def core_operators(state, model, eps=1.0):
     """
     comp = state.composition
     const = run_constants(comp, model, state.dimension)
-    coupling, z = operators(temperatures_of(state), const)
-    source = heating(coupling[1], state.velocities, const.mixing, const, 0.5 / eps)
+    temperatures = temperatures_of(state)
+    coupling, z = operators(temperatures, const)
+    speeds, _ = relaxation(temperatures, const)
+    source = heating(speeds, state.velocities, const.mixing, const, 0.5 / eps)
     brackets = eigenvalue_brackets(coupling, comp.mass_densities, comp.number_densities)
     return z[0], z[1], source, brackets
 

@@ -15,6 +15,7 @@ import pytest
 
 import mixbgk.cli as cli_mod
 import mixbgk.equilibrium as equilibrium_mod
+import mixbgk.integrate as integrate_mod
 import mixbgk.output as output_mod
 import mixbgk.scenarios as scenarios_mod
 from mixbgk import (
@@ -94,7 +95,7 @@ t_final_s = 30.0
 """
 
 # A constant-model RK4 run far past its stability limit (rate * dt ~ 1e4):
-# the stages overflow to non-finite temperatures within ten steps.
+# the stages overflow to non-finite temperatures in the eleventh step.
 OVERFLOWING_RK4_CONFIG = """\
 labels = A B
 masses_kg = 6.6e-26 1.3e-25
@@ -106,7 +107,7 @@ model = constant
 constant_frequencies = 1e10 1e10 1e10 1e10
 method = rk4
 dt_s = 1e-6
-t_final_s = 1e-5
+t_final_s = 2e-5
 """
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -558,8 +559,10 @@ class TestCliRun:
 
     def test_cli_verdict_comes_from_monitor_block(self, tmp_path, monkeypatch):
         # The run's [monitors] block and a re-read CSV's come from one public
-        # function; the run hands it the record-0 bounds it derived once.
-        calls = {"monitor_block": [], "decay_constants": []}
+        # function; the run hands it the record-0 bounds it derived once,
+        # with the one build of run constants that its decay constants and
+        # eigenvalue bracket share.
+        calls = {"monitor_block": [], "_decay_constants": [], "run_constants": []}
         for name in calls:
             original = getattr(output_mod, name)
 
@@ -569,12 +572,28 @@ class TestCliRun:
 
             monkeypatch.setattr(output_mod, name, counted)
         assert main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]) == 0
-        assert [len(made) for made in calls.values()] == [1, 1]
+        assert [len(made) for made in calls.values()] == [1, 1, 1]
         args, kwargs = calls["monitor_block"][0]
         given = inspect.signature(monitor_block).bind(*args, **kwargs).arguments
         assert isinstance(given["table"], Trajectory)
         assert given["config"].name == "example1"
         assert given.get("first") is not None
+
+    def test_a_run_builds_its_run_constants_three_times(self, tmp_path, monkeypatch):
+        # Once for the derived settings, once for the stepping and once for
+        # the output set; the decay constants of record 0 build none of their own.
+        built = []
+        for module in (scenarios_mod, integrate_mod, equilibrium_mod, output_mod):
+            def counted(*args, _module=module.__name__, _original=module.run_constants):
+                built.append(_module)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "run_constants", counted)
+        for method in ("be", "rk4"):
+            built.clear()
+            args = ["run", "--example", "1", "--method", method, "--t-final", "3e-13"]
+            assert main([*args, "--out", str(tmp_path)]) == 0
+            assert sorted(built) == ["mixbgk.integrate", "mixbgk.output", "mixbgk.scenarios"]
 
     def test_a_table_of_another_mixture_is_refused(self, tmp_path):
         # A re-read Ar/Kr/Xe table is not verified against the bounds of
@@ -1198,7 +1217,7 @@ def special_values_matrix():
 
 
 class TestCsvWriter:
-    """``_write_csv`` formats each distinct value once and writes savetxt's bytes."""
+    """``_write_csvs`` formats each distinct value once and writes savetxt's bytes."""
 
     @pytest.mark.parametrize(
         "matrix",
@@ -1212,22 +1231,36 @@ class TestCsvWriter:
     )
     def test_bytes_equal_savetxt(self, matrix, tmp_path):
         columns = [f"c{k}" for k in range(matrix.shape[1])]
-        output_mod._write_csv(tmp_path / "written.csv", columns, matrix)
+        output_mod._write_csvs([(tmp_path / "written.csv", columns, matrix)])
         expected = savetxt_bytes(tmp_path / "savetxt.csv", columns, matrix)
         assert (tmp_path / "written.csv").read_bytes() == expected
+
+    def test_files_of_one_call_equal_savetxt(self, tmp_path):
+        # Values shared across the files, and values of one file only.
+        shared = special_values_matrix()
+        other = np.column_stack([shared[:, ::-1], np.arange(4.0)])
+        files = [
+            (tmp_path / "first.csv", [f"a{k}" for k in range(6)], shared),
+            (tmp_path / "second.csv", [f"b{k}" for k in range(7)], other),
+        ]
+        output_mod._write_csvs(files)
+        for path, columns, matrix in files:
+            assert path.read_bytes() == savetxt_bytes(tmp_path / "savetxt.csv", columns, matrix)
 
     @pytest.mark.parametrize("method", ["be", "rk4"])
     def test_preset_files_equal_savetxt(self, method, tmp_path, monkeypatch):
         # The trajectory and envelope matrices of every preset, whose
         # conserved totals, floor and equilibrium plateau repeat.
         written = []
-        write_csv = output_mod._write_csv
+        write_csvs = output_mod._write_csvs
 
-        def recorded(path, columns, matrix):
-            write_csv(path, columns, matrix)
-            written.append((Path(path).read_bytes(), columns, matrix.copy()))
+        def recorded(files):
+            write_csvs(files)
+            written.extend(
+                (Path(path).read_bytes(), columns, matrix.copy()) for path, columns, matrix in files
+            )
 
-        monkeypatch.setattr(output_mod, "_write_csv", recorded)
+        monkeypatch.setattr(output_mod, "_write_csvs", recorded)
         for example in ("1", "2", "3"):
             horizon = ["--t-final", "9.6e-12"] if (method, example) == ("rk4", "3") else []
             args = ["run", "--example", example, "--method", method, *horizon]
@@ -1236,17 +1269,63 @@ class TestCsvWriter:
         for data, columns, matrix in written:
             assert data == savetxt_bytes(tmp_path / "savetxt.csv", columns, matrix)
 
-    def test_one_run_writes_each_csv_once(self, tmp_path, monkeypatch):
-        # All CSV work of a run sits inside the two public writers, which
-        # the benchmark's output.write_csv_ms times.
-        calls = dict.fromkeys(("write_trajectory_csv", "write_envelope_csv", "_write_csv"), 0)
+    def test_one_run_writes_both_csvs_in_one_call(self, tmp_path, monkeypatch):
+        # The two CSVs of a run share their time and envelope columns, so
+        # the output set formats both in one call, each distinct value once,
+        # rather than through the two standalone writers.
+        calls = {"write_trajectory_csv": [], "write_envelope_csv": [], "_write_csvs": []}
         for name in calls:
             original = getattr(output_mod, name)
 
             def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _original(*args)
 
             monkeypatch.setattr(output_mod, name, counted)
         assert main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]) == 0
-        assert calls == {"write_trajectory_csv": 1, "write_envelope_csv": 1, "_write_csv": 2}
+        assert [len(made) for made in calls.values()] == [0, 0, 1]
+        [(files,)] = calls["_write_csvs"]
+        assert [Path(path).name.split(".")[0] for path, _, _ in files] == [
+            "example1_trajectory", "example1_envelopes"
+        ]
+
+    def test_output_set_equals_the_standalone_writers(self, tmp_path):
+        # A run's table with shared values, -0.0, a NaN payload and a
+        # subnormal: the output set writes the bytes of the two standalone
+        # writers, and those are savetxt's.
+        scenario = presets()[1]
+        cfg = replace(resolve_integrator(scenario), t_final=3e-13)
+        run = simulate(scenario.initial_state(), cfg, scenario.model)
+        velocities, energies = run.velocities.copy(), run.energies.copy()
+        velocities[1:, 0, 0] = -0.0
+        velocities[2, 1, 2] = 5e-324
+        energies[-1, 2] = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
+        trajectory = Trajectory(run.times, velocities, energies, run.sweeps, run.composition)
+        matrices = []
+        write_csvs = output_mod._write_csvs
+
+        def recorded(files):
+            matrices.extend((columns, matrix.copy()) for _, columns, matrix in files)
+            write_csvs(files)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(output_mod, "_write_csvs", recorded)
+            output_mod.write_output_set(str(tmp_path / "set"), scenario, cfg, trajectory)
+        equilibrium, _, envelopes, _ = output_mod._first_record_bounds(
+            trajectory, trajectory.composition, scenario
+        )
+        output_mod.write_trajectory_csv(tmp_path / "alone_trajectory.csv", trajectory, envelopes)
+        output_mod.write_envelope_csv(
+            tmp_path / "alone_envelopes.csv", trajectory, envelopes, equilibrium
+        )
+        for kind, (columns, matrix) in zip(("trajectory", "envelopes"), matrices):
+            data = (tmp_path / f"set_{kind}.csv").read_bytes()
+            assert data == (tmp_path / f"alone_{kind}.csv").read_bytes()
+            assert data == savetxt_bytes(tmp_path / "savetxt.csv", columns, matrix)
+        trajectory_matrix = matrices[0][1]
+        bits = trajectory_matrix.view(np.int64)
+        assert np.signbit(trajectory_matrix[1:, 1]).all()  # -0.0 in u_Ar_1
+        assert (trajectory_matrix == 5e-324).any()
+        assert (bits == 0x7FF8000000000123).any()
+        # The time column and the envelopes are shared by both files.
+        assert np.array_equal(trajectory_matrix[:, 0], matrices[1][1][:, 0])

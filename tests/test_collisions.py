@@ -20,15 +20,18 @@ from mixbgk import (
 )
 from mixbgk.collisions import (
     DENSE_OPERATOR_MAX_SPECIES,
+    _dense_heating_map,
     _laplacian,
     heating,
     operators,
+    relaxation,
     run_constants,
 )
 from mixbgk.equilibrium import eigenvalue_brackets
 from mixbgk.oracles import (
     assemble,
     closed_form_couplings,
+    energy_rhs,
     hard_sphere_frequencies,
     pairwise_mixture,
     thermal_speed,
@@ -77,8 +80,13 @@ def _assert_core_matches(const, coupling, relaxation, reference_alpha, reference
 
 
 def _elementwise(const):
-    """The run constants without the dense map: ``operators`` assembles elementwise."""
-    return dataclasses.replace(const, pair_sums=None, operator_map=None)
+    """The run constants without the dense maps: the core and the heating go elementwise."""
+    return dataclasses.replace(const, pair_sums=None, operator_map=None, heating_map=None)
+
+
+def _with_heating_map(const):
+    """The run constants with the dense heating map, at any mixture size."""
+    return dataclasses.replace(const, heating_map=_dense_heating_map(const.heating_weights))
 
 
 def _hard_sphere_pair(rng=None):
@@ -375,11 +383,11 @@ class TestStackedRecords:
         states = self._records(rng, comp)
         const = run_constants(comp, HardSphere(), 3)
         velocities = np.array([s.velocities for s in states])
-        coupling, _ = operators(np.array([temperatures_of(s) for s in states]), const)
-        stacked = heating(coupling[:, 1], velocities, const.mixing, const, 0.5)
+        speeds, _ = relaxation(np.array([temperatures_of(s) for s in states]), const)
+        stacked = heating(speeds, velocities, const.mixing, const, 0.5)
         assert stacked.shape == (6, size)
         for r in range(len(states)):
-            single = heating(coupling[r, 1], velocities[r], const.mixing, const, 0.5)
+            single = heating(speeds[r], velocities[r], const.mixing, const, 0.5)
             np.testing.assert_array_equal(stacked[r], single)
 
     def test_bad_temperature_names_its_species(self):
@@ -458,13 +466,17 @@ class TestOperatorKernels:
         for size in (1, DENSE_OPERATOR_MAX_SPECIES, DENSE_OPERATOR_MAX_SPECIES + 1):
             comp = random_composition(rng, size)
             const = run_constants(comp, HardSphere(), 3)
+            constant = run_constants(comp, ConstantMatrix(rng.uniform(1e9, 1e12, (size, size))), 3)
+            assert constant.pair_sums is None and constant.operator_map is None
             if size <= DENSE_OPERATOR_MAX_SPECIES:
                 assert const.pair_sums.shape == (size, size * size)
-                assert const.operator_map.shape == (size * size, 4 * size * size)
+                assert const.operator_map.shape == (size * size, 2 * size * size)
+                # The heating map follows N alone, whatever the model.
+                for built in (const, constant):
+                    assert built.heating_map.shape == (size * size, size)
             else:
                 assert const.pair_sums is None and const.operator_map is None
-            constant = ConstantMatrix(rng.uniform(1e9, 1e12, (size, size)))
-            assert run_constants(comp, constant, 3).operator_map is None
+                assert const.heating_map is None and constant.heating_map is None
 
     def test_constant_stacks_are_the_laplacian_of_each_call(self):
         rng = np.random.default_rng(137)
@@ -474,6 +486,85 @@ class TestOperatorKernels:
         assert coupling.shape == relaxation.shape == (3, 2, 4, 4)
         laplacian = _laplacian(coupling, np.eye(4)) / const.scale
         np.testing.assert_array_equal(relaxation, laplacian)
+
+
+class TestHeatingKernels:
+    """The dense heating map against the reduction of H times s |u_mix|^2.
+
+    Both kernels sum the same N products H_ij (s_ij |u_mix,ij|^2) over j,
+    in two orders, so each lies within gamma(N) of the exact sum of their
+    magnitudes, and the two within twice that.  Both are held to the
+    oracles' energy rates with the relaxation switched off (B = 0 there),
+    sum_j K_ij (m_i - m_j) / (2 eps), within the 1e-12 of the size of
+    their terms that :class:`TestStackedCore` allows.
+    """
+
+    @staticmethod
+    def _assert_kernels_match_the_oracle(state, model, eps=0.3):
+        comp = state.composition
+        const = run_constants(comp, model, 3)
+        speeds, _ = relaxation(temperatures_of(state), const)
+        rate = 0.5 / eps
+        reduced, mapped = (
+            heating(speeds, state.velocities, const.mixing, kernel, rate)
+            for kernel in (dataclasses.replace(const, heating_map=None), _with_heating_map(const))
+        )
+        u_mix = const.mixing @ state.velocities
+        products = speeds * (u_mix * u_mix).sum(axis=-1) * const.heating_weights.ravel()
+        magnitudes = rate * np.abs(products).reshape(comp.size, comp.size).sum(axis=1)
+        _assert_within(mapped, reduced, 2.0 * _gamma(comp.size) * magnitudes)
+
+        mats = assemble(state, model)
+        no_relaxation = dataclasses.replace(mats, energy_coupling=0.0 * mats.energy_coupling)
+        reference = energy_rhs(state, no_relaxation, eps)
+        m, sqrt_n = comp.masses, np.sqrt(comp.number_densities)
+        terms = rate * (mats.kinetic_coupling * (m[:, None] + m[None, :])).sum(axis=1)
+        for source in (reduced, mapped):
+            _assert_within(source * sqrt_n, reference, 1e-12 * terms)
+
+    @pytest.mark.parametrize("constant", [False, True])
+    @pytest.mark.parametrize("size", range(2, 13))
+    def test_kernels_agree_and_match_the_oracle(self, size, constant):
+        rng = np.random.default_rng([149, size, constant])
+        state = random_state(rng, size)
+        model = ConstantMatrix(rng.uniform(1e9, 1e12, (size, size))) if constant else HardSphere()
+        self._assert_kernels_match_the_oracle(state, model)
+
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    def test_kernels_agree_on_the_presets(self, example):
+        scenario = presets()[example]
+        self._assert_kernels_match_the_oracle(scenario.initial_state(), scenario.model)
+
+    @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES, 10])
+    def test_stacked_speeds_are_single_states_bit_for_bit(self, size):
+        # Stacked vector-matrix products with the map, over any leading axes.
+        rng = np.random.default_rng([151, size])
+        const = run_constants(random_composition(rng, size), HardSphere(), 3)
+        temps = rng.uniform(200.0, 3000.0, size=(4, 250, size)) * BOLTZMANN_J_PER_K
+        velocities = rng.uniform(-500.0, 500.0, size=(4, 250, size, 3))
+        speeds, _ = relaxation(temps, const)
+        assert speeds.shape == (4, 250, size * size)
+        for kernel in (dataclasses.replace(const, heating_map=None), _with_heating_map(const)):
+            stacked = heating(speeds, velocities, const.mixing, kernel, 0.5)
+            assert stacked.shape == (4, 250, size)
+            for index in np.ndindex(4, 250):
+                single_speeds, _ = relaxation(temps[index], const)
+                np.testing.assert_array_equal(single_speeds, speeds[index])
+                single = heating(single_speeds, velocities[index], const.mixing, kernel, 0.5)
+                np.testing.assert_array_equal(stacked[index], single)
+
+    @pytest.mark.parametrize("records", [(), (7,), (2, 3)])
+    @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES, 10])
+    def test_operators_couplings_are_c_times_s_bit_for_bit(self, size, records):
+        rng = np.random.default_rng([157, size, len(records)])
+        const = run_constants(random_composition(rng, size), HardSphere(), 3)
+        temps = rng.uniform(200.0, 3000.0, size=records + (size,)) * BOLTZMANN_J_PER_K
+        for kernel in (const, _elementwise(const)):
+            coupling, stack = operators(temps, kernel)
+            speeds, relaxation_stack = relaxation(temps, kernel)
+            pair_grid = speeds.reshape(records + (1, size, size))
+            np.testing.assert_array_equal(coupling, kernel.unit_coupling * pair_grid)
+            np.testing.assert_array_equal(stack, relaxation_stack)
 
 
 class TestStackedCore:
@@ -511,9 +602,10 @@ class TestStackedCore:
     Each count of k roundings bounds a relative error by
     gamma_k = k u / (1 - k u), u the unit roundoff.  A constant model
     takes the same steps on both sides, with no s, so there the two
-    agree to the bit.  The matrix-free heating sums K_ij (m_i - m_j) /
-    sqrt(n_i) where the reference multiplies the kinetic Laplacian by m,
-    and takes u_mix from the mixing map and the run's weights.  So it is
+    agree to the bit.  The matrix-free heating sums H_ij s_ij
+    |u_mix,ij|^2, with H = C^B (m_i - m_j) / sqrt(n_i) formed once per run,
+    where the reference multiplies the kinetic Laplacian by m, and takes
+    u_mix from the mixing map and the run's weights.  So it is
     held to 1e-12 of the size of its terms, rate * sum_j B_ij max|u|^2
     (m_i + m_j) / sqrt(n_i), about 1e3 machine epsilons above the N eps
     rounding bound of a length-N sum.
@@ -562,9 +654,9 @@ class TestStackedCore:
             self._temperatures(rng, size, None),
         )
         const = run_constants(comp, model, 3)
-        coupling, _ = operators(temperatures_of(state), const)
+        speeds, _ = relaxation(temperatures_of(state), const)
         rate = 0.5 / 0.3
-        source = heating(coupling[1], state.velocities, const.mixing, const, rate)
+        source = heating(speeds, state.velocities, const.mixing, const, rate)
 
         mats = assemble(state, model)
         m, sqrt_n = comp.masses, np.sqrt(comp.number_densities)

@@ -324,7 +324,7 @@ class TestRk4Step:
         # heating once.
         scenario = replace(presets()[2], method="rk4")
         cfg = resolve_integrator(scenario)
-        calls = dict.fromkeys(("_admissible_temperatures", "operators", "heating"), 0)
+        calls = dict.fromkeys(("_admissible_temperatures", "relaxation", "heating"), 0)
         for name in calls:
             def counted(*args, _name=name, _core=getattr(integrate_mod, name), **kwargs):
                 calls[_name] += 1
@@ -338,7 +338,7 @@ class TestRk4Step:
         assert len(trajectory.times) == steps + 1
         # simulate guards the initial state once more.
         assert calls == {
-            "_admissible_temperatures": 1 + 4 * steps, "operators": 4 * steps, "heating": 4 * steps
+            "_admissible_temperatures": 1 + 4 * steps, "relaxation": 4 * steps, "heating": 4 * steps
         }
 
 
@@ -927,7 +927,9 @@ class TestTypedFailures:
         state = state_from_temperatures(
             comp, [[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]], kelvin_to_energy(np.array([1e3, 2e3]))
         )
-        cfg = IntegratorConfig(dt=1e-6, t_final=1e-5, method="rk4")
+        # Each unstable step multiplies the energies by about 1e29: the 11th
+        # step's stage overflows them.
+        cfg = IntegratorConfig(dt=1e-6, t_final=2e-5, method="rk4")
         with pytest.raises(RealizabilityError, match="stage temperatures must be finite,"):
             simulate(state, cfg, ConstantMatrix(np.full((2, 2), 1e10)))
 
@@ -1063,17 +1065,17 @@ class TestRangeChecks:
 
         def check(entry):
             """Run one step whose stage rates are nonzero at ``entry`` of W or xi only."""
-            calls = {"operators": 0, "heating": 0}
+            calls = {"relaxation": 0, "heating": 0}
             velocities = np.zeros_like(state.velocities)
             if entry[0] == "W":
                 velocities[entry[1:]] = 1.0 / const.sqrt_rho[entry[1]]  # W = 1 there
 
-            def operators(*args):
+            def relaxation(*args):
                 z = np.zeros((2, n_species, n_species))
                 if entry[0] == "W":
-                    z[0, entry[1], entry[1]] = stage_rates[calls["operators"]]
-                calls["operators"] += 1
-                return z, z
+                    z[0, entry[1], entry[1]] = stage_rates[calls["relaxation"]]
+                calls["relaxation"] += 1
+                return 1.0, z
 
             def heating(*args):
                 source = np.zeros(n_species)
@@ -1082,7 +1084,7 @@ class TestRangeChecks:
                 calls["heating"] += 1
                 return source
 
-            monkeypatch.setattr(integrate_mod, "operators", operators)
+            monkeypatch.setattr(integrate_mod, "relaxation", relaxation)
             monkeypatch.setattr(integrate_mod, "heating", heating)
             return integrate_mod._rk4_advance(velocities, state.energies, dt, eps, const)
 
@@ -1346,10 +1348,10 @@ class TestIncrementForm:
             np.full(3, temperatures_of(moving).mean()),
         )
         dt = 500.0 / conservative_decay_rate(state, HardSphere())[0]
-        core, stepper = integrate_mod.operators, integrate_mod._picard_solve
+        core, stepper = integrate_mod.relaxation, integrate_mod._picard_solve
         calls, per_step = [], []
         monkeypatch.setattr(
-            integrate_mod, "operators", lambda *args: calls.append(1) or core(*args)
+            integrate_mod, "relaxation", lambda *args: calls.append(1) or core(*args)
         )
 
         def stepping(*args):

@@ -18,16 +18,19 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The private helpers behind the operator core of ``collisions``.  Any use
 # outside that module would be a second assembly path.
-ASSEMBLY_HELPERS = {"_hard_sphere_factor", "_laplacian", "_dense_operator_map"}
+ASSEMBLY_HELPERS = {
+    "_hard_sphere_factor", "_laplacian", "_dense_operator_map", "_dense_heating_map"
+}
 
 # The public functions of ``collisions``: one evaluation of the operator core
-# at given temperatures, the heating at given velocities, and the run
-# constants they share.
-CORE_ENTRIES = {"run_constants", "operators", "heating"}
+# at given temperatures (the thermal speeds and [Z, Z-hat] for the steppers,
+# with the couplings [A, B] for the verifiers), the heating at given speeds
+# and velocities, and the run constants they share.
+CORE_ENTRIES = {"run_constants", "relaxation", "operators", "heating"}
 
 # The per-call entries of the core: they scale run constants by the
 # thermal speed and never form a frequency or a pair quotient.
-PER_CALL_CORE = ("operators", "heating")
+PER_CALL_CORE = ("relaxation", "operators", "heating")
 
 # Cross-check-only names that no runtime module may define or use.
 ORACLE_ONLY = {"hard_sphere_frequencies", "couplings"}
@@ -119,8 +122,9 @@ def test_frequencies_and_weights_are_run_constants():
         )
         for name, function in core.items()
     }
-    # T_i / m_i and the scaling of the Laplacian stack; the heating divides nothing.
-    assert divisions == {"operators": 2, "heating": 0}
+    # T_i / m_i and the scaling of the Laplacian stack, both in the one
+    # evaluation of [Z, Z-hat]; operators and the heating divide nothing.
+    assert divisions == {"relaxation": 2, "operators": 0, "heating": 0}
 
 
 def test_oracle_only_names_stay_out_of_the_runtime():
@@ -236,11 +240,22 @@ def test_rk4_stages_stay_in_the_scaled_variables():
     ]
     [stage] = [node for node in rk4.body if isinstance(node, ast.FunctionDef)]
     names = set(_referenced_names(stage))
-    assert {"_admissible_temperatures", "operators", "heating"} <= names
+    assert {"_admissible_temperatures", "relaxation", "heating"} <= names
     assert names.isdisjoint({"sqrt_rho", "sqrt_n"})
     constants = {node.attr for node in ast.walk(rk4) if isinstance(node, ast.Attribute)}
     assert {"scaled_temperature_weights", "scaled_mixing"} <= constants
     assert constants.isdisjoint({"temperature_weights", "mixing"})
+
+
+def test_steppers_never_form_the_coupling_stack():
+    # The steppers and the error scales read the thermal speeds and
+    # [Z, Z-hat] of one core call, and the heating takes those speeds:
+    # integrate neither calls operators nor reads the couplings C.
+    names = set(_referenced_names(_modules()["integrate.py"]))
+    assert {"relaxation", "heating"} <= names
+    assert names.isdisjoint({"operators", "unit_coupling", "heating_weights"})
+    callers = [user for user in _top_level_users("relaxation") if user[0] == "integrate.py"]
+    assert [name for _, name in callers] == ["_error_scales", *sorted(STEPPERS)]
 
 
 def test_lapack_is_reached_through_one_helper():
@@ -378,7 +393,11 @@ def test_trajectory_table_is_the_state():
     ]
     assert sorted(node.name for node in readers) == [FIRST_RECORD, MONITOR_LINES]
     assert _top_level_users(MONITOR_LINES) == [("output.py", "write_output_set")]
-    assert _top_level_users("decay_constants") == [("output.py", FIRST_RECORD)]
+    # The helper builds the run constants once for the decay constants and
+    # the eigenvalue bracket, so it calls decay_constants' private twin.
+    assert _top_level_users("_decay_constants") == [
+        ("equilibrium.py", "decay_constants"), ("output.py", FIRST_RECORD)
+    ]
     state = {"times", "velocities", "energies"}
     # monitor_block also reads the table's mixture identity, the labels and
     # the temperature columns of a re-read CSV or a run's composition, to
@@ -398,8 +417,9 @@ def test_trajectory_table_is_the_state():
 
 def test_output_calls_equilibrium_through_public_names():
     # One function per verifier job: output reaches equilibrium through its
-    # public names, and the private twins of monitor_block and
-    # velocity_component_bound stay gone.
+    # public names, but for the decay constants from given run constants,
+    # and the private twins of monitor_block and velocity_component_bound
+    # stay gone.
     modules = _modules()
     imported = [
         alias.name
@@ -408,7 +428,7 @@ def test_output_calls_equilibrium_through_public_names():
         for alias in node.names
     ]
     assert "velocity_component_bound" in imported
-    assert sorted(name for name in imported if name.startswith("_")) == []
+    assert sorted(name for name in imported if name.startswith("_")) == ["_decay_constants"]
     defined = sorted(
         (module, node.name)
         for module, tree in modules.items()
