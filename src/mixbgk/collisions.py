@@ -87,7 +87,11 @@ HARD_SPHERE_PREFACTOR = 32.0 * np.pi**2 / (3.0 * (2.0 * np.pi) ** 1.5)
 # state 2.2 against 6.8 us at N = 3 and 3.3 against 7.3 at N = 8, on 1000
 # stacked records 0.08 against 0.39 ms at N = 3 and 1.9 against 1.7 ms at
 # N = 8; `heating` on one state 2.8 against 4.4 us at N = 3 and 18 against
-# 17 at N = 30.  `demos/operator_kernels.py` measures it again.
+# 17 at N = 30.  The value is set by `relaxation` on stacked records; the
+# heating inherits it unmeasured on any workload.  Its map is faster on one
+# state up to N = 12 (3.5 against 5.1 us at N = 10), so mixtures of 9 to 12
+# species, stiff_sweep's N = 10 among them, take its slower reduce.
+# `demos/operator_kernels.py` measures both again.
 DENSE_OPERATOR_MAX_SPECIES = 8
 
 

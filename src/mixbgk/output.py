@@ -82,28 +82,38 @@ def _trajectory_header(labels, dimension) -> list[str]:
     return columns
 
 
-def _write_csvs(files) -> None:
-    """Write each (path, columns, matrix) of ``files``: a float (R, C) matrix
-    under a header row, every cell as ``CSV_FORMAT``.
-
-    Each distinct value of all the matrices is formatted once: values are
-    keyed by their bit patterns, so 0.0 and -0.0, NaN payloads and
-    subnormals stay apart, and the strings are indexed back into each
-    grid, one file at a time.  The bytes of each file are those of
-    ``np.savetxt(path, matrix, CSV_FORMAT, ",", header=..., comments="")``.
-    """
-    bits = [matrix.view(np.int64) for _, _, matrix in files]
-    keys, inverse = np.unique(np.concatenate([b.ravel() for b in bits]), return_inverse=True)
+def _formatted(keys: np.ndarray) -> list[str]:
+    """``CSV_FORMAT`` of each float64 of the int64 bit patterns ``keys``."""
     values = keys.view(np.float64).tolist()
     # One template over all values formats them faster than one % per value.
-    texts = np.array(("\n".join([CSV_FORMAT] * len(values)) % tuple(values)).split("\n"), object)
-    end = 0
-    for (path, columns, _), grid in zip(files, bits):
-        start, end = end, end + grid.size
-        rows = texts[inverse[start:end].reshape(grid.shape)]
+    return ("\n".join([CSV_FORMAT] * len(values)) % tuple(values)).split("\n") if values else []
+
+
+def _write_csvs(files) -> None:
+    """Write each (path, columns, matrix) of ``files`` in turn: a float (R, C)
+    matrix under a header row, every cell as ``CSV_FORMAT``.
+
+    Each distinct value of a matrix is formatted once, and not at all if
+    the file before it held the value: values are keyed by their bit
+    patterns, so 0.0 and -0.0, NaN payloads and subnormals stay apart, and
+    the strings are indexed back into the grid.  Each matrix is keyed on
+    its own, and of the file before it only the strings this file shares
+    are kept, so one file's keys and strings are alive at a time.  The
+    bytes of each file are those of
+    ``np.savetxt(path, matrix, CSV_FORMAT, ",", header=..., comments="")``.
+    """
+    keys, texts = np.empty(0, np.int64), np.empty(0, object)  # the previous file's, sorted
+    for path, columns, matrix in files:
+        grid_keys, inverse = np.unique(matrix.view(np.int64), return_inverse=True)
+        known = np.isin(grid_keys, keys, assume_unique=True)
+        grid_texts = np.empty(len(grid_keys), object)
+        grid_texts[known] = texts[keys.searchsorted(grid_keys[known])]
+        # The previous file's other strings go before this file's new ones are made.
+        keys, texts = grid_keys, grid_texts
+        texts[~known] = np.array(_formatted(keys[~known]), object)
+        rows = texts[inverse.reshape(matrix.shape)]  # inverse is 1-D before numpy 2
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(",".join(columns) + "\n")
-            # The lists of one file only, freed when the writes end.
             handle.writelines(",".join(row) + "\n" for row in rows.tolist())
 
 
@@ -253,6 +263,7 @@ def _first_record_bounds(table, composition, config: ScenarioConfig):
     return steady_state(first), constants, envelopes, const
 
 
+@np.errstate(all="ignore")
 def monitor_block(
     table: TrajectoryTable | Trajectory, config: ScenarioConfig, first=None
 ) -> list[str]:
@@ -261,19 +272,21 @@ def monitor_block(
     Reads ``times``, ``velocities`` and ``energies`` of a re-read CSV or of
     the run.  It reads the mixture's identity only to refuse, with
     ``ValueError``, another mixture than the scenario's: the species labels
-    of either, the masses and number densities of a run's composition, and
-    a table's ``T_<label>_K`` columns, which must equal the scenario's
-    temperatures of the table's state bit for bit.  That check cannot
+    of either, the species (masses and diameters) and number densities of
+    a run's composition, and a table's ``T_<label>_K`` columns, which must
+    equal the scenario's temperatures of the table's state bit for bit.  That check cannot
     reveal a wrong mass of a species at rest in every record of a table,
     as T = (2/(d n)) E - (m/d)|u|^2 does not involve m at u = 0; a run's
     composition is compared whole.  Checks conservation drift, the
     temperature floor, componentwise velocity bounds, realizability,
     dominance of all three decay envelopes from the first record, and the
     eigenvalue bracket at every recorded state, evaluated once for
-    consecutive records with equal temperatures.  ``first``
-    is record 0's (equilibrium, decay constants, envelopes on
-    ``table.times``, run constants) if the caller derived them; the
-    bracket takes the operators with the same run constants.
+    consecutive records with equal temperatures.  As in a run, numpy's
+    floating-point errors are ignored: a value that overflows is infinite
+    and fails its comparison.  ``first`` is record 0's (equilibrium, decay
+    constants, envelopes on ``table.times``, run constants) if the caller
+    derived them; the bracket takes the operators with the same run
+    constants.
     """
     comp = MixtureComposition(config.species, config.number_densities)
     reread = isinstance(table, TrajectoryTable)
@@ -281,10 +294,10 @@ def monitor_block(
     if labels != comp.labels:
         raise ValueError(f"table species {labels} are not the scenario's {comp.labels}")
     if not reread and not (
-        np.array_equal(table.composition.masses, comp.masses)
+        table.composition.species == comp.species
         and np.array_equal(table.composition.number_densities, comp.number_densities)
     ):
-        raise ValueError("the run's species masses or number densities are not the scenario's")
+        raise ValueError("the run's species or number densities are not the scenario's")
     rho, n = comp.mass_densities, comp.number_densities
     velocities, energies = table.velocities, table.energies
     records = record_monitors(comp, velocities, energies)
@@ -363,6 +376,7 @@ def monitor_block(
     return lines
 
 
+@np.errstate(all="ignore")
 def write_output_set(
     base: str, config: ScenarioConfig, integrator: IntegratorConfig, trajectory: Trajectory
 ) -> bool:

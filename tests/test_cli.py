@@ -95,7 +95,8 @@ t_final_s = 30.0
 """
 
 # A constant-model RK4 run far past its stability limit (rate * dt ~ 1e4):
-# the stages overflow to non-finite temperatures in the eleventh step.
+# its ten steps multiply the energies by about 1e29 each, to finite but
+# huge values, and the stages of an eleventh step overflow.
 OVERFLOWING_RK4_CONFIG = """\
 labels = A B
 masses_kg = 6.6e-26 1.3e-25
@@ -107,7 +108,7 @@ model = constant
 constant_frequencies = 1e10 1e10 1e10 1e10
 method = rk4
 dt_s = 1e-6
-t_final_s = 2e-5
+t_final_s = 1e-5
 """
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -627,8 +628,9 @@ class TestCliRun:
     def test_a_table_of_other_densities_is_refused(self, tmp_path, factor):
         # The CSV carries no densities, but its temperature columns do not
         # come out of the same state under another argon density.  A run
-        # carries its composition, whose masses and densities are compared
-        # directly (preset 1 is at rest, where no temperature shows a mass).
+        # carries its composition, whose species and densities are compared
+        # directly (preset 1 is at rest, where no temperature shows a mass);
+        # a diameter, which no column shows, sets the run's bounds.
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
         example1 = presets()[1]
@@ -636,11 +638,13 @@ class TestCliRun:
         denser = replace(example1, number_densities=example1.number_densities * scaled)
         argon = replace(example1.species[0], mass=factor * example1.species[0].mass)
         heavier = replace(example1, species=(argon, *example1.species[1:]))
+        argon = replace(example1.species[0], diameter=factor * example1.species[0].diameter)
+        wider = replace(example1, species=(argon, *example1.species[1:]))
         with pytest.raises(ValueError, match="T_<label>_K"):
             monitor_block(table, denser)
         run = simulate(example1.initial_state(), IntegratorConfig(1e-13, 3e-13), example1.model)
-        for other in (denser, heavier):
-            with pytest.raises(ValueError, match="masses or number densities"):
+        for other in (denser, heavier, wider):
+            with pytest.raises(ValueError, match="species or number densities"):
                 monitor_block(run, other)
         # A clean re-read still reproduces the summary's block.
         summary = (tmp_path / "example1_summary.txt").read_text()
@@ -1004,13 +1008,24 @@ class TestCliRun:
         assert out.endswith("verification: PASS\n")
 
     def test_overflowing_rk4_stages_exit_3(self, tmp_path):
-        (tmp_path / "overflow.cfg").write_text(OVERFLOWING_RK4_CONFIG)
+        config = OVERFLOWING_RK4_CONFIG.replace("t_final_s = 1e-5", "t_final_s = 2e-5")
+        (tmp_path / "overflow.cfg").write_text(config)
         result = run_cli(["run", "--config", "overflow.cfg", "--out", "."], tmp_path)
         assert result.returncode == 3
         assert "integrator failure: " in result.stderr
         assert "Traceback" not in result.stderr
         [line] = result.stderr.splitlines()
         assert line.startswith("integrator failure: ")
+
+    def test_huge_finite_records_fail_without_a_warning(self, tmp_path):
+        # The run's ten steps end finite; its verifier ignores the overflows
+        # of their huge values, as the stepping does, and fails its monitors.
+        (tmp_path / "overflow.cfg").write_text(OVERFLOWING_RK4_CONFIG)
+        result = run_cli(["run", "--config", "overflow.cfg", "--out", "."], tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == ""
+        assert "records = 11," in result.stdout
+        assert result.stdout.endswith("verification: FAIL\n")
 
     def test_uncountable_step_count_exits_1(self, tmp_path, capsys):
         code = main(["run", "--example", "1", "--dt", "1e-300", "--out", str(tmp_path)])
@@ -1236,12 +1251,14 @@ class TestCsvWriter:
         assert (tmp_path / "written.csv").read_bytes() == expected
 
     def test_files_of_one_call_equal_savetxt(self, tmp_path):
-        # Values shared across the files, and values of one file only.
+        # Values shared across the files, values of one file only, and a
+        # last file all of whose values the file before it held.
         shared = special_values_matrix()
         other = np.column_stack([shared[:, ::-1], np.arange(4.0)])
         files = [
             (tmp_path / "first.csv", [f"a{k}" for k in range(6)], shared),
             (tmp_path / "second.csv", [f"b{k}" for k in range(7)], other),
+            (tmp_path / "third.csv", [f"c{k}" for k in range(6)], shared[::-1]),
         ]
         output_mod._write_csvs(files)
         for path, columns, matrix in files:

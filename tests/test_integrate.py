@@ -927,11 +927,14 @@ class TestTypedFailures:
         state = state_from_temperatures(
             comp, [[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]], kelvin_to_energy(np.array([1e3, 2e3]))
         )
-        # Each unstable step multiplies the energies by about 1e29: the 11th
-        # step's stage overflows them.
+        # Each unstable step multiplies the energies by about 1e29: ten steps
+        # end finite, and the 11th step's stage overflows them.
+        model = ConstantMatrix(np.full((2, 2), 1e10))
+        run = simulate(state, IntegratorConfig(dt=1e-6, t_final=1e-5, method="rk4"), model)
+        assert len(run.times) == 11 and np.isfinite(run.energies).all()
         cfg = IntegratorConfig(dt=1e-6, t_final=2e-5, method="rk4")
         with pytest.raises(RealizabilityError, match="stage temperatures must be finite,"):
-            simulate(state, cfg, ConstantMatrix(np.full((2, 2), 1e10)))
+            simulate(state, cfg, model)
 
     def test_non_finite_rk4_result(self, monkeypatch):
         # Finite stages whose weighted sum overflows: a heating of 5e307 per

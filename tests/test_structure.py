@@ -321,13 +321,18 @@ def test_scenarios_take_the_paper_rate_from_their_one_spectrum():
     assert "conservative_decay_rate" not in set(_referenced_names(_modules()["scenarios.py"]))
 
 
-def test_simulate_owns_the_floating_point_policy():
-    # One error state per run, entered by simulate; a failed solve leaves
-    # through the sweep's finiteness test, not through a LinAlgError.
+def test_the_run_and_its_verifier_own_the_floating_point_policy():
+    # One error state, entered by simulate and by the verifier's two entry
+    # points; a failed solve leaves through the sweep's finiteness test, not
+    # through a LinAlgError.
     runtime = {name: tree for name, tree in _modules().items() if name != "oracles.py"}
     names = {module: list(_referenced_names(tree)) for module, tree in runtime.items()}
-    assert sum(found.count("errstate") for found in names.values()) == 1
-    assert _top_level_users("errstate") == [("integrate.py", "simulate")]
+    assert sum(found.count("errstate") for found in names.values()) == 3
+    assert _top_level_users("errstate") == [
+        ("integrate.py", "simulate"),
+        ("output.py", "monitor_block"),
+        ("output.py", "write_output_set"),
+    ]
     assert sorted(module for module, found in names.items() if "LinAlgError" in found) == []
     [solve] = [
         node for node in runtime["integrate.py"].body
