@@ -246,10 +246,22 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     else:
         raise TypeError(f"unknown frequency model: {model!r}")
     masses, rho, n = composition.masses, composition.mass_densities, composition.number_densities
-    # One w f product, pair sum and quotient for both weightings w.
-    scaled = np.stack([rho, n])[:, :, None] * factor
-    transposed = scaled.swapaxes(-1, -2)
-    total = scaled + transposed
+    # One w f product, pair sum and quotient for both weightings w.  A
+    # product that overflows or underflows is refused below, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.stack([rho, n])[:, :, None] * factor
+        transposed = scaled.swapaxes(-1, -2)
+        total = scaled + transposed
+        unit_coupling = scaled * transposed / total
+    # A pair sum of 0 or inf gives a coupling of NaN or 0, so one test covers both.
+    bad = ~((unit_coupling > 0.0) & (unit_coupling < np.inf))
+    if bad.any():
+        weighting, i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"species {composition.labels[i]!r} and {composition.labels[j]!r}: the pair sum "
+            f"w_i f_ij + w_j f_ji (w = {('rho', 'n')[weighting]}) or its coupling is not "
+            f"positive and finite; their collision-rate products underflow or overflow"
+        )
     alpha = scaled[0] / total[0]
     size, identity = composition.size, np.eye(composition.size)
     mixing = alpha[:, :, None] * identity[:, None, :] + alpha.T[:, :, None] * identity
@@ -257,7 +269,6 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     sqrt_rho, sqrt_n = np.sqrt(rho), np.sqrt(n)
     energy_weight, speed_weight = _temperature_weights(masses, n, dimension)
     scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
-    unit_coupling = scaled * transposed / total
     heating_weights = unit_coupling[1] * ((masses[:, None] - masses) / sqrt_n[:, None])
     dense = size <= DENSE_OPERATOR_MAX_SPECIES
     pair_sums, operator_map = (

@@ -9,7 +9,10 @@ temperature stays above its initial minimum, evaluating the coupling
 minima at that temperature floor yields rates valid along the whole
 trajectory; coupling maxima are evaluated at the total-energy temperature
 ceiling for the same reason.  Instantaneous t=0 bracket values are
-exposed alongside for comparison.
+exposed alongside for comparison.  :func:`decay_constants` is the one
+evaluation of record 0's spectrum: the largest eigenvalue at t = 0 and
+lambda_2 at the floor, which set a run's derived step and horizon, come
+from its one core call too.
 """
 
 from __future__ import annotations
@@ -92,26 +95,27 @@ def conservative_decay_rate(state: MomentState, model: FrequencyModel):
     in temperature and no temperature ever drops below the floor, so the
     returned rates bound the positive spectrum for all t >= 0.  For a
     constant frequency matrix they coincide with the instantaneous t=0
-    bounds.
+    bounds.  The rates of :func:`decay_constants`, from the floor
+    couplings alone, with no eigenvalue solve.
     """
-    const = run_constants(state.composition, model, state.dimension)
-    return _conservative_decay_rate(state, const)
-
-
-def _conservative_decay_rate(state: MomentState, const):
-    """:func:`conservative_decay_rate` from the run constants of its model."""
     comp = state.composition
-    t_floor = temperatures_of(state).min()
+    const = run_constants(comp, model, state.dimension)
+    floor = np.full(comp.size, _temperature_floor(temperatures_of(state)))
+    (velocity_rate, _), (energy_rate, _) = eigenvalue_brackets(
+        operators(floor, const)[0], comp.mass_densities, comp.number_densities
+    )
+    return float(velocity_rate), float(energy_rate)
+
+
+def _temperature_floor(temperatures) -> float:
+    """min T(0), which the decay rates need positive."""
+    t_floor = temperatures.min()
     if not t_floor > 0.0:
         raise ValueError(
             f"conservative decay rates need a positive temperature floor, "
             f"got min T = {t_floor:.6e} J"
         )
-    coupling = operators(np.full(comp.size, t_floor), const)[0]
-    (velocity_rate, _), (energy_rate, _) = eigenvalue_brackets(
-        coupling, comp.mass_densities, comp.number_densities
-    )
-    return float(velocity_rate), float(energy_rate)
+    return t_floor
 
 
 def velocity_component_bound(velocities: np.ndarray) -> float:
@@ -134,7 +138,7 @@ def velocity_energy_bound(state: MomentState) -> float:
 
 @dataclass(frozen=True)
 class DecayConstants:
-    """Everything needed to evaluate the analytic decay envelopes.
+    """Everything needed to evaluate the analytic decay envelopes, and record 0's spectrum.
 
     Rates are trajectory-uniform lower bounds (temperature floor); the
     ``*_t0`` rates are the sharper instantaneous brackets at t = 0, kept
@@ -149,6 +153,19 @@ class DecayConstants:
     ``coupling_energy_max`` is the energy-coupling maximum at the
     temperature ceiling 2 E_tot / (d min n), so the source bound holds for
     all t.  dimension / n_min / m_max feed the temperature envelope.
+
+    ``fastest_rate_t0`` is the largest eigenvalue of Z and Z-hat at T(0),
+    and ``velocity_gap`` and ``energy_gap`` are lambda_2, the smallest
+    positive eigenvalue, of Z and of Z-hat with every temperature at the
+    floor min T(0) (inf for a single species, which has no gap).  Each gap
+    is a proven lower bound on its decay rate along the whole trajectory:
+    A_ij grows with both frequencies and a hard-sphere frequency with both
+    temperatures, no temperature falls below the floor, so A(T(t)) -
+    A(floor) is a Laplacian with nonnegative weights; both operators keep
+    their null vector, so Courant-Fischer gives lambda_2(Z(T(t))) >=
+    lambda_2(Z(floor)), and likewise for Z-hat.  The rates are the lower
+    ends of ``eigenvalue_brackets`` of the same floor couplings.
+    ``equilibrium`` is the state's ``steady_state``.
     """
 
     velocity_rate: float  # 1/time, conservative
@@ -167,6 +184,10 @@ class DecayConstants:
     dimension: int
     n_min: float
     m_max: float
+    fastest_rate_t0: float  # 1/time, lambda_max of Z and Z-hat at T(0)
+    velocity_gap: float  # 1/time, lambda_2 of Z at the floor
+    energy_gap: float  # 1/time, lambda_2 of Z-hat at the floor
+    equilibrium: EquilibriumData
 
 
 def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants:
@@ -182,14 +203,18 @@ def _decay_constants(state: MomentState, const) -> DecayConstants:
     d = state.dimension
     n_species = comp.size
 
-    # The couplings at t = 0 and with every temperature at the ceiling
-    # 2 E_tot / (d min n), in one stack.
-    velocity_rate, energy_rate = _conservative_decay_rate(state, const)
+    # The couplings and operators at T(0), with every temperature at the
+    # floor and at the ceiling 2 E_tot / (d min n), in one stack, and the
+    # spectra of the first two.
+    temperatures = temperatures_of(state)
+    t_floor = _temperature_floor(temperatures)
     t_ceiling = 2.0 * state.energies.sum() / (d * n.min())
-    temps = np.stack([temperatures_of(state), np.full(n_species, t_ceiling)])
-    coupling = operators(temps, const)[0]
-    bounds_t0 = eigenvalue_brackets(coupling[0], rho, n).tolist()
-    coupling_energy_max = float(coupling[1, 1].max())
+    levels = np.stack([temperatures, np.full(n_species, t_floor), np.full(n_species, t_ceiling)])
+    coupling, operator = operators(levels, const)
+    spectra = np.linalg.eigvalsh(operator[:2])  # (T(0) or floor, Z or Z-hat, N), ascending
+    bounds_t0, bounds_floor = eigenvalue_brackets(coupling[:2], rho, n).tolist()
+    velocity_gap, energy_gap = spectra[1, :, 1:].min(axis=-1, initial=np.inf).tolist()
+    coupling_energy_max = float(coupling[2, 1].max())
 
     eq = steady_state(state)
     w_gap = scaled_velocities(state) - np.sqrt(rho)[:, None] * eq.velocity[None, :]
@@ -211,8 +236,8 @@ def _decay_constants(state: MomentState, const) -> DecayConstants:
     heating_amplitude = source_amplitude * float(np.sqrt(n.max()))
 
     return DecayConstants(
-        velocity_rate=velocity_rate,
-        energy_rate=energy_rate,
+        velocity_rate=bounds_floor[0][0],
+        energy_rate=bounds_floor[1][0],
         velocity_rate_t0=bounds_t0[0][0],
         velocity_rate_upper_t0=bounds_t0[0][1],
         energy_rate_t0=bounds_t0[1][0],
@@ -227,6 +252,10 @@ def _decay_constants(state: MomentState, const) -> DecayConstants:
         dimension=d,
         n_min=float(n.min()),
         m_max=float(comp.masses.max()),
+        fastest_rate_t0=float(spectra[0].max()),
+        velocity_gap=velocity_gap,
+        energy_gap=energy_gap,
+        equilibrium=eq,
     )
 
 

@@ -334,11 +334,11 @@ def _rk4_advance(u, e, dt, eps, const):
     return w / sqrt_rho, xi * sqrt_n, 0
 
 
-def _schedule(cfg: IntegratorConfig, records):
+def _schedule(cfg: IntegratorConfig, records, step):
     """Fixed steps from the last record: steps of cfg.dt, then a partial one to t_final.
 
-    A generator: it yields each step's (t, u, e, dt) and appends
-    (t, *result) to ``records`` for the (u, e, sweeps) it is sent.
+    Each step to time t is ``step(t, u, e, dt)``; t and the (u, e, sweeps)
+    it returns are appended to ``records``.
     """
     n_steps = int(np.floor(cfg.t_final / cfg.dt * (1.0 + 1e-12)))
     remainder = cfg.t_final - n_steps * cfg.dt
@@ -351,7 +351,7 @@ def _schedule(cfg: IntegratorConfig, records):
         if index == last:
             t, dt = cfg.t_final, remainder if partial else cfg.dt
         u, e = records[-1][1:3]
-        records.append((t, *(yield t, u, e, dt)))
+        records.append((t, *step(t, u, e, dt)))
 
 
 def _error_scales(initial, temps, cfg: IntegratorConfig, const):
@@ -374,10 +374,10 @@ def _error_scales(initial, temps, cfg: IntegratorConfig, const):
     return scales
 
 
-def _controlled_steps(cfg: IntegratorConfig, records, scales):
+def _controlled_steps(cfg: IntegratorConfig, records, step, scales):
     """Backward-Euler steps that follow their local error, from record 0 to t_final.
 
-    The same generator protocol as :func:`_schedule`, except that a
+    Each step is ``step(t, u, e, dt)``, as in :func:`_schedule`, but a
     rejected step is not recorded.  A step's error is the max norm of its
     local-error estimate per field, relative to that field's ``scales``
     entry; a field of scale 0 is skipped.  The estimate is the divided
@@ -411,10 +411,10 @@ def _controlled_steps(cfg: IntegratorConfig, records, scales):
         h = end - t
         if not h > 0.0:
             raise IntegrationError(f"error-controlled step vanished at t = {t:.9e} s", time=t)
-        result = yield end, u, e, h
+        result = step(end, u, e, h)
         if len(records) == 1:
-            half = yield t + 0.5 * h, u, e, 0.5 * h
-            halves = yield end, *half[:2], 0.5 * h
+            half = step(t + 0.5 * h, u, e, 0.5 * h)
+            halves = step(end, *half[:2], 0.5 * h)
             err = 2.0 * error([full - two for full, two in zip(result[:2], halves[:2])])
         else:
             before, u_before, e_before = records[-2][:3]
@@ -462,18 +462,9 @@ def simulate(
             time=0.0,
         )
         advance = _picard_solve if cfg.method == "be" else _rk4_advance
-        records = [(0.0, initial.velocities, initial.energies, 0)]
-        if cfg.max_dt is None:
-            steps = _schedule(cfg, records)
-        else:
-            steps = _controlled_steps(cfg, records, _error_scales(initial, temps, cfg, const))
         results = {}  # exact bits of (u, e, dt) -> the (u, e, sweeps) its step gave
-        result = None
-        while True:
-            try:
-                t, u, e, dt = steps.send(result)
-            except StopIteration:
-                break
+
+        def step(t, u, e, dt):
             key = (u.tobytes(), e.tobytes(), dt)
             result = results.get(key)
             if result is None:  # a new step; a repeated one repeats its result
@@ -481,4 +472,11 @@ def simulate(
                     result = results[key] = advance(u, e, dt, cfg.eps, const)
                 except IntegrationError as err:
                     raise type(err)(f"{err} (failed advancing to t = {t:.9e} s)", time=t) from err
+            return result
+
+        records = [(0.0, initial.velocities, initial.energies, 0)]
+        if cfg.max_dt is None:
+            _schedule(cfg, records, step)
+        else:
+            _controlled_steps(cfg, records, step, _error_scales(initial, temps, cfg, const))
     return Trajectory(*map(np.array, zip(*records)), initial.composition)

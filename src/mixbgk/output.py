@@ -34,7 +34,6 @@ from .equilibrium import (
     _decay_constants,
     decay_envelopes,
     eigenvalue_brackets,
-    steady_state,
     velocity_component_bound,
 )
 from .integrate import IntegratorConfig, Trajectory
@@ -252,15 +251,15 @@ def record_monitors(
 
 
 def _first_record_bounds(table, composition, config: ScenarioConfig):
-    """(equilibrium, decay constants, envelopes on ``table.times``, run constants)
-    of record 0, the one reference of every bound of a run; its temperatures
-    must be positive.  The run constants of the scenario's model, built once
-    for the decay constants, serve the eigenvalue bracket too."""
+    """(decay constants, envelopes on ``table.times``, run constants) of
+    record 0, the one reference of every bound of a run; its temperatures
+    must be positive.  The decay constants carry the equilibrium.  The run
+    constants of the scenario's model, built once for the decay constants,
+    serve the eigenvalue bracket too."""
     first = MomentState(composition, table.velocities[0], table.energies[0])
     const = run_constants(composition, config.model, first.dimension)
     constants = _decay_constants(first, const)
-    envelopes = decay_envelopes(constants, config.eps, table.times)
-    return steady_state(first), constants, envelopes, const
+    return constants, decay_envelopes(constants, config.eps, table.times), const
 
 
 @np.errstate(all="ignore")
@@ -283,9 +282,9 @@ def monitor_block(
     eigenvalue bracket at every recorded state, evaluated once for
     consecutive records with equal temperatures.  As in a run, numpy's
     floating-point errors are ignored: a value that overflows is infinite
-    and fails its comparison.  ``first`` is record 0's (equilibrium, decay
-    constants, envelopes on ``table.times``, run constants) if the caller
-    derived them; the bracket takes the operators with the same run
+    and fails its comparison.  ``first`` is record 0's (decay constants,
+    envelopes on ``table.times``, run constants) if the caller derived
+    them; the bracket takes the operators with the same run
     constants.
     """
     comp = MixtureComposition(config.species, config.number_densities)
@@ -332,8 +331,8 @@ def monitor_block(
 
     if np.all(records.temperatures[0] > 0.0):  # False for a NaN too
         first = first or _first_record_bounds(table, comp, config)
-        equilibrium, _, envelopes, _ = first
-        dev_u, dev_e, dev_t = _deviations(table, temps_k, equilibrium)
+        constants, envelopes, _ = first
+        dev_u, dev_e, dev_t = _deviations(table, temps_k, constants.equilibrium)
     else:  # no decay rates without a positive floor; NaN fails every comparison
         dev_u = dev_e = dev_t = np.nan
         envelopes = np.full((3, len(table.times)), np.nan)
@@ -362,7 +361,7 @@ def monitor_block(
         checked = np.all(temps > 0.0, axis=1)
         checked[1:] &= np.any(temps[1:] != temps[:-1], axis=1)
         temps = temps[checked]
-        const = first[3] if first else run_constants(comp, config.model, d)
+        const = first[2] if first else run_constants(comp, config.model, d)
         coupling, z = operators(temps, const)
         brackets = eigenvalue_brackets(coupling, rho, n)  # (R, operator, end)
         spectra = np.linalg.eigvalsh(z)[..., 1:]  # (R, operator, N - 1): drop the null mode
@@ -389,7 +388,8 @@ def write_output_set(
     could be created.  On failure no temporary file remains.
     """
     first = _first_record_bounds(trajectory, trajectory.composition, config)
-    equilibrium, constants, envelopes, _ = first
+    constants, envelopes, _ = first
+    equilibrium = constants.equilibrium
     monitors = monitor_block(trajectory, config, first)
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [

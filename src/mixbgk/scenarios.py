@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import ConstantMatrix, FrequencyModel, HardSphere, operators, run_constants
-from .equilibrium import eigenvalue_brackets
+from .collisions import ConstantMatrix, FrequencyModel, HardSphere
+from .equilibrium import decay_constants
 from .integrate import IntegratorConfig
 from .species import (
     MixtureComposition,
@@ -87,55 +87,40 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def initial_state(self) -> MomentState:
+        """The initial state; each species' temperature must be positive in K, in J and
+        as T = (2/(d n)) E - (m/d)|u|^2 of the state, which can round to 0 J or below
+        when m |u|^2 dwarfs it."""
+        labels = [s.label for s in self.species]
         temperatures = kelvin_to_energy(np.asarray(self.temperatures_kelvin))
         if np.any(temperatures <= 0.0):  # a positive Kelvin value may round to 0 J
-            labels = [s.label for s in self.species]
             bad = int(np.argmax(temperatures <= 0.0))
             raise ScenarioError(
                 f"species {labels[bad]!r}: initial temperature must be positive, in K and in J"
             )
         composition = MixtureComposition(self.species, self.number_densities)
-        return state_from_temperatures(composition, self.velocities, temperatures)
-
-
-def _derived_settings(state, model, eps, rate_per_step) -> tuple[float, float, float]:
-    """The default (dt, t_final) of either method and the larger paper rate, from one spectrum.
-
-    dt is rate_per_step * eps / lambda_max, lambda_max the largest
-    eigenvalue at T(0).  t_final is HORIZON_EFOLDS * eps / lambda_2, the
-    smallest positive eigenvalue with every temperature at the floor
-    min T(0), a proven lower bound on the decay rate: A_ij grows with both
-    frequencies and a hard-sphere frequency with both temperatures, no
-    temperature falls below the floor, so A(T(t)) - A(floor) is a Laplacian
-    with nonnegative weights; both operators keep their null vector, so
-    Courant-Fischer gives lambda_2(Z(T(t))) >= lambda_2(Z(floor)), and
-    likewise for Z-hat.  A single species has no gap: horizon 0, one record.
-    The rate, the larger of ``conservative_decay_rate``'s two, is the
-    larger lower end of ``eigenvalue_brackets`` of the same floor couplings.
-    """
-    comp = state.composition
-    const = run_constants(comp, model, state.dimension)
-    temperatures = temperatures_of(state)
-    floor = np.full_like(temperatures, temperatures.min())
-    # Both stacks are (T(0) or floor, velocity or energy, N, N).
-    coupling, operator = operators(np.stack([temperatures, floor]), const)
-    spectra = np.linalg.eigvalsh(operator)  # ascending
-    fastest = spectra[0].max()
-    dt = rate_per_step * eps / fastest if fastest > 0.0 else 1.0  # 1.0: nothing moves
-    horizon = HORIZON_EFOLDS * eps / spectra[1, :, 1:].min(initial=np.inf)
-    rate = eigenvalue_brackets(coupling[1], comp.mass_densities, comp.number_densities)[:, 0]
-    return dt, horizon, float(rate.max())
+        state = state_from_temperatures(composition, self.velocities, temperatures)
+        derived = temperatures_of(state)
+        if not np.all(derived > 0.0):
+            bad = int(np.argmin(derived > 0.0))
+            raise ScenarioError(
+                f"species {labels[bad]!r}: initial temperature {derived[bad]:.6e} J, derived "
+                f"from its energy and velocity, must be positive"
+            )
+        return state
 
 
 def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
     """Fill in dt / t_final defaults and build the integrator settings.
 
-    A run without a given ``t_final`` runs to the horizon of
-    ``_derived_settings``, whatever its step.  RK4's derived step is
-    RK4_RATE_PER_STEP e-folds of the fastest rate.  Backward Euler takes
-    fixed steps of a given ``dt``; without one, steps that follow their
-    local error (``IntegratorConfig.max_dt``) from a first step of 0.1
-    e-folds of the fastest rate, each at most BE_STEP_BOUND * min(eps / r,
+    Every derived setting comes from record 0's spectrum in
+    ``decay_constants``.  A run without a given ``t_final`` runs
+    HORIZON_EFOLDS * eps / lambda_2, the smaller gap of Z and Z-hat at the
+    temperature floor (a single species has none: horizon 0, one record),
+    whatever its step.  RK4's derived step is RK4_RATE_PER_STEP e-folds of
+    the fastest rate, lambda_max at t = 0.  Backward Euler takes fixed
+    steps of a given ``dt``; without one, steps that follow their local
+    error (``IntegratorConfig.max_dt``) from a first step of 0.1 e-folds
+    of the fastest rate, each at most BE_STEP_BOUND * min(eps / r,
     t_final / HORIZON_EFOLDS), r the larger of the paper's two rates: the
     eps / r term keeps each step's damping 1/(1 + h lambda) close enough
     to the continuous envelopes' exp(-h r), and the t_final term gives the
@@ -147,11 +132,15 @@ def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
     RK4_MAX_DERIVED_STEPS steps of the step in use (a mixture too stiff for
     RK4), raises ScenarioError.
     """
-    state = config.initial_state()
+    constants = decay_constants(config.initial_state(), config.model)
     # Backward Euler's first step: a guess that its error control corrects.
     rate_per_step = RK4_RATE_PER_STEP if config.method == "rk4" else 0.1
-    dt, t_final, rate = _derived_settings(state, config.model, config.eps, rate_per_step)
+    fastest = constants.fastest_rate_t0
+    dt = rate_per_step * config.eps / fastest if fastest > 0.0 else 1.0  # 1.0: nothing moves
     dt = float(dt if config.dt is None else config.dt)
+    # np.min keeps a NaN gap, which min drops; a gap of 0 has an infinite horizon.
+    gap = float(np.min([constants.velocity_gap, constants.energy_gap]))
+    t_final = HORIZON_EFOLDS * config.eps / gap if gap else np.inf
     if config.t_final is not None:
         t_final = config.t_final
     elif 0.0 < config.eps < np.inf and not 0.0 <= t_final < np.inf:
@@ -167,6 +156,7 @@ def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
         )
     max_dt = None
     if config.method == "be" and config.dt is None and t_final != 0.0:  # 0: no step to take
+        rate = max(constants.velocity_rate, constants.energy_rate)
         max_dt = float(BE_STEP_BOUND * min(config.eps / rate, t_final / HORIZON_EFOLDS))
     return IntegratorConfig(
         dt=dt, t_final=float(t_final), eps=config.eps, method=config.method, max_dt=max_dt

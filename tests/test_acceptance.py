@@ -346,6 +346,9 @@ class TestCriterion6SpectralBracket:
             weights = np.stack([comp.mass_densities, comp.number_densities])
             floor = np.full(comp.size, temperatures_of(state).min())
             floor_gap, floor_allowance = _gap_and_allowance(*operators(floor, const), weights)
+            # The gaps that set every derived horizon are these, bit for bit.
+            constants = decay_constants(state, model)
+            assert [constants.velocity_gap, constants.energy_gap] == floor_gap.tolist()
             bracket = np.array(conservative_decay_rate(state, model))
             assert np.all(floor_gap >= bracket * (1.0 - 2.0 * u) - floor_allowance)
             lower = factor * (floor_gap - floor_allowance)

@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from mixbgk import (
     decay_envelopes,
     energy_to_kelvin,
     is_realizable,
+    kelvin_to_energy,
     parse_config,
     presets,
     resolve_integrator,
@@ -42,8 +44,13 @@ from mixbgk import (
 from mixbgk.cli import main
 from mixbgk.collisions import operators, run_constants
 from mixbgk.oracles import assemble, symmetric_eigenvalues
-from mixbgk.output import monitor_block, read_trajectory_csv, write_trajectory_csv
-from mixbgk.scenarios import HORIZON_EFOLDS, RK4_RATE_PER_STEP, ScenarioError
+from mixbgk.output import (
+    monitor_block,
+    read_trajectory_csv,
+    write_output_set,
+    write_trajectory_csv,
+)
+from mixbgk.scenarios import BE_STEP_BOUND, HORIZON_EFOLDS, RK4_RATE_PER_STEP, ScenarioError
 from mixbgk.species import _temperatures
 
 from conftest import random_state
@@ -189,8 +196,8 @@ def _old_rk4_step(state, model, eps):
     return 1.0 if fastest <= 0.0 else RK4_RATE_PER_STEP * eps / fastest
 
 
-def _floor_gap(state, model):
-    """The smallest positive eigenvalue of Z and Z-hat at the temperature
+def _floor_gaps(state, model):
+    """The smallest positive eigenvalues of Z and of Z-hat at the temperature
     floor, from the oracle couplings and the Jacobi eigensolver."""
     comp = state.composition
     floor = np.full(comp.size, temperatures_of(state).min())
@@ -202,7 +209,16 @@ def _floor_gap(state, model):
     ):
         laplacian = np.diag(coupling.sum(axis=1)) - coupling
         gaps.append(symmetric_eigenvalues(laplacian / np.sqrt(np.outer(weight, weight)))[1])
-    return min(gaps)
+    return tuple(gaps)
+
+
+def _scenario_of(state, model, eps, method, t_final=None):
+    """What ``resolve_integrator`` reads of a scenario, for a scenario whose
+    initial state is ``state`` itself, bit for bit."""
+    return SimpleNamespace(
+        initial_state=lambda: state, model=model, eps=eps, method=method, dt=None,
+        t_final=t_final,
+    )
 
 
 def _seeded_cases():
@@ -220,7 +236,8 @@ def _seeded_cases():
 
 class TestRk4Settings:
     """Every derived setting, RK4's step, either method's horizon and the paper
-    rate of backward Euler's step bound, comes from one spectrum of Z and Z-hat."""
+    rate of backward Euler's step bound, comes from the one spectrum of Z and
+    Z-hat that ``decay_constants`` evaluates on record 0."""
 
     def test_step_is_the_stability_step(self):
         for scenario in presets().values():
@@ -228,7 +245,8 @@ class TestRk4Settings:
             derived = resolve_integrator(scenario).dt
             assert derived == _old_rk4_step(scenario.initial_state(), scenario.model, 1.0)
         for state, model, eps in _seeded_cases():
-            derived, _, _ = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
+            # A given horizon of 0: a seeded mixture may be too stiff for RK4's own.
+            derived = resolve_integrator(_scenario_of(state, model, eps, "rk4", 0.0)).dt
             assert derived == _old_rk4_step(state, model, eps)
 
     def test_horizon_covers_ten_efolds_of_the_floor_gap(self):
@@ -236,10 +254,16 @@ class TestRk4Settings:
             (scenario.initial_state(), scenario.model, scenario.eps)
             for scenario in presets().values()
         ]
-        cases += [case for case in _seeded_cases() if case[0].composition.size > 1]
-        for state, model, eps in cases:
-            _, horizon, _ = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
-            expected = HORIZON_EFOLDS * eps / _floor_gap(state, model)
+        for state, model, eps in cases + _seeded_cases():
+            constants = decay_constants(state, model)
+            gaps = (constants.velocity_gap, constants.energy_gap)
+            horizon = resolve_integrator(_scenario_of(state, model, eps, "be")).t_final
+            if state.composition.size == 1:  # no gap: horizon 0, one record
+                assert (gaps, horizon) == ((math.inf, math.inf), 0.0)
+                continue
+            oracle = _floor_gaps(state, model)
+            assert gaps == pytest.approx(oracle, rel=1e-12, abs=0.0)
+            expected = HORIZON_EFOLDS * eps / min(oracle)
             assert horizon == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_the_paper_rate_is_the_larger_conservative_rate(self):
@@ -248,24 +272,37 @@ class TestRk4Settings:
             for scenario in presets().values()
         ]
         for state, model, eps in cases + _seeded_cases():
-            _, _, rate = scenarios_mod._derived_settings(state, model, eps, RK4_RATE_PER_STEP)
-            assert rate == max(conservative_decay_rate(state, model))
+            rates = conservative_decay_rate(state, model)
+            constants = decay_constants(state, model)
+            assert (constants.velocity_rate, constants.energy_rate) == rates
+            derived = resolve_integrator(_scenario_of(state, model, eps, "be"))
+            if derived.t_final == 0.0:  # a single species takes no step
+                assert derived.max_dt is None
+                continue
+            bound = min(eps / max(rates), derived.t_final / HORIZON_EFOLDS)
+            assert derived.max_dt == BE_STEP_BOUND * bound
 
     @pytest.mark.parametrize("method", ["be", "rk4"])
     @pytest.mark.parametrize("dt", [None, 1e-13])
     def test_one_operator_call_per_resolution(self, method, dt, monkeypatch):
-        calls = []
+        calls, solves = [], []
 
         def spying(temperatures, const):
             calls.append(np.shape(temperatures))
             return operators(temperatures, const)
 
-        for module in (scenarios_mod, equilibrium_mod):
-            monkeypatch.setattr(module, "operators", spying)
+        def solving(matrices, _eigvalsh=np.linalg.eigvalsh):
+            solves.append(np.shape(matrices))
+            return _eigvalsh(matrices)
+
+        monkeypatch.setattr(equilibrium_mod, "operators", spying)
+        monkeypatch.setattr(np.linalg, "eigvalsh", solving)
         for scenario in presets().values():
             calls.clear()
+            solves.clear()
             resolve_integrator(replace(scenario, method=method, dt=dt))
-            assert calls == [(2, 3)]  # T(0) and the floor, stacked
+            assert calls == [(3, 3)]  # T(0), the floor and the ceiling, stacked
+            assert solves == [(2, 2, 3, 3)]  # Z and Z-hat at T(0) and at the floor
 
     def test_a_single_species_runs_one_record(self, tmp_path, capsys):
         path = tmp_path / "argon.cfg"
@@ -343,23 +380,29 @@ class TestRk4Settings:
         # Backward Euler's derived horizon is not limited.
         assert resolve_integrator(replace(scenario, method="be")).t_final > 0.0
 
-    @pytest.mark.parametrize("method, dt, horizon", [
-        pytest.param(method, dt, horizon, id=f"{name}{horizon}")
+    @pytest.mark.parametrize("field", ["velocity_gap", "energy_gap"])
+    @pytest.mark.parametrize("method, dt, gap", [
+        pytest.param(method, dt, gap, id=f"{name}{gap}")
         for method, dt, name in (("rk4", None, ""), ("be", None, "be-"), ("be", 1e-13, "be-dt-"))
-        for horizon in (np.inf, -1e-12, np.nan)
+        for gap in (0.0, 5e-324, -1e-12, np.nan)
     ])
-    def test_a_gap_lost_to_roundoff_is_refused(self, method, dt, horizon, monkeypatch):
-        # lambda_2 <= 0 gives a horizon of inf or below 0.  Every run takes
-        # that horizon, whatever its step, so the refusal advises only --t-final.
+    def test_a_gap_lost_to_roundoff_is_refused(self, method, dt, gap, field, monkeypatch):
+        # lambda_2 <= 0 gives a horizon of inf or below 0, and a gap of
+        # 5e-324 one that overflows to inf; a NaN gap of either operator is
+        # kept.  Every run takes that horizon, whatever its step, so the
+        # refusal advises only --t-final, with no warning or other error first.
+        derive = scenarios_mod.decay_constants
         monkeypatch.setattr(
-            scenarios_mod, "_derived_settings", lambda *args: (1e-14, horizon, 1.0)
+            scenarios_mod, "decay_constants", lambda *args: replace(derive(*args), **{field: gap})
         )
         scenario = replace(presets()[1], method=method, dt=dt)
-        with pytest.raises(ScenarioError, match="is not finite and nonnegative") as excinfo:
-            resolve_integrator(scenario)
-        assert str(excinfo.value).endswith("; set --t-final")
-        # A given horizon is not refused.
-        assert resolve_integrator(replace(scenario, t_final=1e-12)).t_final == 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match="is not finite and nonnegative") as excinfo:
+                resolve_integrator(scenario)
+            assert str(excinfo.value).endswith("; set --t-final")
+            # A given horizon is not refused.
+            assert resolve_integrator(replace(scenario, t_final=1e-12)).t_final == 1e-12
 
     @pytest.mark.parametrize("method, example", [
         pytest.param(method, example, id=f"{example}" if method == "rk4" else f"be-{example}")
@@ -514,6 +557,57 @@ class TestParseConfig:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and re.search(match, line)
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--t-final", "1e-12"], ["--method", "rk4", "--t-final", "1e-12"],
+        ["--dt", "1e-15", "--t-final", "1e-12"],
+    ], ids=["derived", "t_final", "rk4", "dt"])
+    def test_a_temperature_derived_as_0_J_is_refused(self, flags, tmp_path, capfd):
+        # Argon at 1 K moving at 3e9 m/s: (2/(d n)) E - (m/d)|u|^2 is 0 J
+        # exactly, whatever the settings, and is refused by its species
+        # before any step, with no numpy warning or traceback.
+        path = tmp_path / "cold.cfg"
+        path.write_text(
+            "labels = Ar Xe\nmasses_kg = 66.335209e-27 218.01714e-27\n"
+            "diameters_m = 3.659e-10 4.939e-10\nnumber_densities_m3 = 1e28 1e28\n"
+            "temperatures_K = 1 1000\nvelocities_ms = 3e9 0 0 ; 0 0 0\n"
+        )
+        scenario = parse_config(path)
+        composition = MixtureComposition(scenario.species, scenario.number_densities)
+        temperatures = kelvin_to_energy(scenario.temperatures_kelvin)
+        built = state_from_temperatures(composition, scenario.velocities, temperatures)
+        assert temperatures[0] > 0.0 and temperatures_of(built)[0] == 0.0
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 1
+        assert caught == []
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: species 'Ar': ") and "must be positive" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--t-final", "1e-12"]], ids=["derived", "t_final"])
+    @pytest.mark.parametrize("densities", ["1e-200 1e-200", "1e300 1e300"])
+    def test_collision_rates_out_of_range_are_refused(self, densities, flags, tmp_path, capfd):
+        # The products w_i f_ij underflow to 0 or overflow to inf, so the
+        # pair sums and couplings are not numbers the operator core can use.
+        path = tmp_path / "sparse.cfg"
+        old = "number_densities_m3 = 1e28 2e28"
+        assert old in GOOD_CONFIG
+        path.write_text(GOOD_CONFIG.replace(old, f"number_densities_m3 = {densities}"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 1
+        assert caught == []
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: species 'Ar' and 'Ar': the pair sum w_i f_ij + w_j f_ji")
+        assert "not positive and finite" in line
+        assert not out.exists()
+
     def test_label_the_csv_can_carry_round_trips(self, tmp_path):
         # T_min_K is also a totals column; the reader finds labels by E_<label>.
         path = tmp_path / "minimum.cfg"
@@ -581,10 +675,11 @@ class TestCliRun:
         assert given.get("first") is not None
 
     def test_a_run_builds_its_run_constants_three_times(self, tmp_path, monkeypatch):
-        # Once for the derived settings, once for the stepping and once for
-        # the output set; the decay constants of record 0 build none of their own.
+        # Once for the decay constants that give the derived settings, once
+        # for the stepping and once for the output set, whose decay
+        # constants of record 0 build none of their own.
         built = []
-        for module in (scenarios_mod, integrate_mod, equilibrium_mod, output_mod):
+        for module in (integrate_mod, equilibrium_mod, output_mod):
             def counted(*args, _module=module.__name__, _original=module.run_constants):
                 built.append(_module)
                 return _original(*args)
@@ -594,7 +689,29 @@ class TestCliRun:
             built.clear()
             args = ["run", "--example", "1", "--method", method, "--t-final", "3e-13"]
             assert main([*args, "--out", str(tmp_path)]) == 0
-            assert sorted(built) == ["mixbgk.integrate", "mixbgk.output", "mixbgk.scenarios"]
+            assert sorted(built) == ["mixbgk.equilibrium", "mixbgk.integrate", "mixbgk.output"]
+
+    def test_an_output_set_evaluates_record_0_once(self, tmp_path, monkeypatch):
+        # One core call on record 0's stack, for the decay constants, which
+        # carry the equilibrium too; the bracket's call on the records is
+        # the output set's other one.
+        scenario = presets()[2]
+        integrator = resolve_integrator(scenario)
+        trajectory = simulate(scenario.initial_state(), integrator, scenario.model)
+        calls = {"record 0": [], "bracket": [], "steady_state": []}
+        spied = [(equilibrium_mod, "operators", "record 0"), (output_mod, "operators", "bracket"),
+                 (equilibrium_mod, "steady_state", "steady_state")]
+        for module, name, key in spied:
+            def counted(first, *args, _key=key, _original=getattr(module, name)):
+                calls[_key].append(first)
+                return _original(first, *args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert write_output_set(str(tmp_path / "set"), scenario, integrator, trajectory)
+        assert [np.shape(temperatures) for temperatures in calls["record 0"]] == [(3, 3)]
+        [temperatures] = calls["bracket"]
+        assert temperatures.shape[1] == 3 and 1 < len(temperatures) <= len(trajectory.times)
+        assert len(calls["steady_state"]) == 1
 
     def test_a_table_of_another_mixture_is_refused(self, tmp_path):
         # A re-read Ar/Kr/Xe table is not verified against the bounds of
@@ -1328,9 +1445,10 @@ class TestCsvWriter:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(output_mod, "_write_csvs", recorded)
             output_mod.write_output_set(str(tmp_path / "set"), scenario, cfg, trajectory)
-        equilibrium, _, envelopes, _ = output_mod._first_record_bounds(
+        constants, envelopes, _ = output_mod._first_record_bounds(
             trajectory, trajectory.composition, scenario
         )
+        equilibrium = constants.equilibrium
         output_mod.write_trajectory_csv(tmp_path / "alone_trajectory.csv", trajectory, envelopes)
         output_mod.write_envelope_csv(
             tmp_path / "alone_envelopes.csv", trajectory, envelopes, equilibrium

@@ -1,6 +1,7 @@
 """Collision frequencies, mixing weights, mixture values, and couplings."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -718,3 +719,23 @@ class TestConstantMatrixValidation:
         state = random_state(np.random.default_rng(71), 3)
         with pytest.raises(ValueError, match="3 species"):
             assemble(state, ConstantMatrix(np.ones((2, 2))))
+
+
+class TestRunConstantsRange:
+    @pytest.mark.parametrize("model, density, weighting", [
+        (HardSphere(), 1e-200, "rho"),  # w_i f_ij underflows: 0 / 0
+        (HardSphere(), 1e300, "rho"),  # w_i f_ij overflows: inf / inf
+        (ConstantMatrix(np.ones((2, 2))), 1e-200, "rho"),
+        (ConstantMatrix(np.ones((2, 2))), 1e160, "n"),  # the sum is finite, the product is not
+    ], ids=["hard_sphere_underflow", "hard_sphere_overflow", "constant_underflow",
+            "constant_product_overflow"])
+    def test_a_product_out_of_range_names_its_pair(self, model, density, weighting):
+        comp = MixtureComposition((GASES["Ar"], GASES["Kr"]), np.full(2, density))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                run_constants(comp, model, 3)
+        assert str(refused.value).startswith(
+            f"species 'Ar' and 'Ar': the pair sum w_i f_ij + w_j f_ji (w = {weighting}) "
+        )
+        assert "not positive and finite" in str(refused.value)

@@ -7,6 +7,7 @@ from mixbgk import (
     BOLTZMANN_J_PER_K,
     ConstantMatrix,
     DecayConstants,
+    EquilibriumData,
     HardSphere,
     MixtureComposition,
     SpeciesParams,
@@ -189,6 +190,10 @@ class TestDecayEnvelopes:
             dimension=3,
             n_min=1.0,
             m_max=1.0,
+            fastest_rate_t0=3.0,
+            velocity_gap=2.5,
+            energy_gap=2.5,
+            equilibrium=EquilibriumData(np.zeros(3), 1.0, np.ones(3)),
         )
         equal = DecayConstants(**base)
         near = DecayConstants(**{**base, "energy_rate": 2.0 * (1.0 + 1e-9)})

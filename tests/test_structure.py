@@ -316,19 +316,26 @@ def test_only_simulate_keys_a_state_and_only_exactly():
 
 
 def test_scenarios_take_the_paper_rate_from_their_one_spectrum():
-    # _derived_settings gives the rate of backward Euler's step bound, from
-    # the floor couplings of its one operator call.
-    assert "conservative_decay_rate" not in set(_referenced_names(_modules()["scenarios.py"]))
+    # decay_constants gives the step, the horizon and the rate of backward
+    # Euler's step bound from record 0's one spectrum; scenarios evaluates
+    # no part of the operator core itself.
+    referenced = set(_referenced_names(_modules()["scenarios.py"]))
+    assert "decay_constants" in referenced  # the guard reads the names
+    core = {"conservative_decay_rate", "operators", "relaxation", "run_constants",
+            "eigenvalue_brackets", "eigvalsh"}
+    assert sorted(core & referenced) == []
 
 
 def test_the_run_and_its_verifier_own_the_floating_point_policy():
     # One error state, entered by simulate and by the verifier's two entry
-    # points; a failed solve leaves through the sweep's finiteness test, not
-    # through a LinAlgError.
+    # points, and one narrow one in run_constants, whose products out of
+    # range are refused by name rather than warned of; a failed solve leaves
+    # through the sweep's finiteness test, not through a LinAlgError.
     runtime = {name: tree for name, tree in _modules().items() if name != "oracles.py"}
     names = {module: list(_referenced_names(tree)) for module, tree in runtime.items()}
-    assert sum(found.count("errstate") for found in names.values()) == 3
+    assert sum(found.count("errstate") for found in names.values()) == 4
     assert _top_level_users("errstate") == [
+        ("collisions.py", "run_constants"),
         ("integrate.py", "simulate"),
         ("output.py", "monitor_block"),
         ("output.py", "write_output_set"),
