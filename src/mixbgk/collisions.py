@@ -35,9 +35,10 @@ thermal speed s_ij = sqrt(T_i / m_i + T_j / m_j), symmetric in i and j,
 so s cancels from every weight and factors out of every coupling:
 alpha[i, j] = m_i / (m_i + m_j), beta[i, j] = 1/2 and [A, B] = C s, with
 C the couplings at unit speed (s = 1 for a constant model).
-:func:`run_constants` builds alpha, C, the pair-velocity map and the
-other temperature-free data once per run, with the density weightings
-rho (of A and Z) and n (of B and Z-hat) on one leading axis of length 2.
+:func:`run_constants` builds C, the pair-velocity map, which carries
+alpha, and the other temperature-free data once per run, with the
+density weightings rho (of A and Z) and n (of B and Z-hat) on one
+leading axis of length 2.
 It also holds what a stepper needs on either state: the weights of the
 temperature map for (u, E) and for the scaled (W, xi), the pair-velocity
 map for u and its product with P^{-1/2} for W, and a (d,) vector of ones
@@ -178,10 +179,11 @@ def _dense_heating_map(heating_weights):
 class RunConstants:
     """The temperature-free data of the operator core, built once per run.
 
-    ``alpha`` and ``unit_coupling`` are the weights and the stack [A, B] at
-    unit thermal speed; ``mixing`` maps (N, d) velocities to the (N * N, d)
-    pair velocities u_mix, and ``scaled_mixing`` = ``mixing`` P^{-1/2} maps
-    the scaled velocities W = P^{1/2} U to the same u_mix.
+    ``unit_coupling`` is the stack [A, B] at unit thermal speed;
+    ``mixing`` maps (N, d) velocities to the (N * N, d) pair velocities
+    u_mix, its row (i, j) holding the weights alpha_ij and alpha_ji, and
+    ``scaled_mixing`` = ``mixing`` P^{-1/2} maps the scaled velocities
+    W = P^{1/2} U to the same u_mix.
     ``temperature_weights`` (a, b) give T = a E - b |u|^2, and
     ``scaled_temperature_weights`` (a sqrt(n), b / rho) give the same T
     from xi and |W|^2; ``ones`` is the (d,) vector of ones whose dot sums
@@ -206,7 +208,6 @@ class RunConstants:
     masses: np.ndarray  # (N,)
     sqrt_rho: np.ndarray  # (N,)
     sqrt_n: np.ndarray  # (N,)
-    alpha: np.ndarray  # (N, N)
     unit_coupling: np.ndarray  # (2, N, N) C, [A, B] at s = 1
     mixing: np.ndarray  # (N * N, N): row (i, j) is alpha_ij e_i + alpha_ji e_j
     scaled_mixing: np.ndarray  # (N * N, N) mixing P^{-1/2}
@@ -280,7 +281,6 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         masses=masses,
         sqrt_rho=sqrt_rho,
         sqrt_n=sqrt_n,
-        alpha=alpha,
         unit_coupling=unit_coupling,
         mixing=mixing,
         scaled_mixing=mixing / sqrt_rho,

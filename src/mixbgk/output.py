@@ -6,17 +6,17 @@ record.  The trajectory CSV carries, per recorded time: per-species
 velocities, temperatures (Kelvin), and energy densities, the conserved
 totals, the minimum temperature, and the three analytic decay envelopes
 on the same time grid (so plots overlay without interpolation).  Only the
-``t``, ``u`` and ``E`` columns are state: the writers and
-``monitor_block``, the one source of the summary's ``[monitors]`` block,
-derive every other value from them plus the scenario.  A re-read table
-also keeps its labels and temperature columns, as the mixture's identity
-that ``monitor_block`` checks against the scenario.  Numbers are
-written in full round-trip precision, so the block reproduces bit-for-bit
-from a re-read file of the same mixture.  Conserved totals, the floor and
-the equilibrium plateau repeat down a table, and the time and envelope
-columns across the two CSVs of a run, so the CSV writer formats each
-distinct value of an output set once and indexes the strings back into
-the rows of each file.
+``t``, ``u`` and ``E`` columns are state: ``write_output_set``, the one
+writer of a run's files, and ``monitor_block``, the one source of the
+summary's ``[monitors]`` block, derive every other value from them plus
+the scenario.  A re-read table also keeps its labels and temperature
+columns, as the mixture's identity that ``monitor_block`` checks against
+the scenario.  Numbers are written in full round-trip precision, so the
+block reproduces bit-for-bit from a re-read file of the same mixture.
+Conserved totals, the floor and the equilibrium plateau repeat down a
+table, and the time and envelope columns across the two CSVs of a run,
+so the CSV writer formats each distinct value of an output set once and
+indexes the strings back into the rows of each file.
 """
 
 from __future__ import annotations
@@ -116,12 +116,6 @@ def _write_csvs(files) -> None:
             handle.writelines(",".join(row) + "\n" for row in rows.tolist())
 
 
-def _kelvin(trajectory: Trajectory) -> np.ndarray:
-    """Species temperatures of every record in Kelvin, (R, N)."""
-    comp = trajectory.composition
-    return energy_to_kelvin(_temperatures(comp, trajectory.velocities, trajectory.energies))
-
-
 def _trajectory_file(trajectory: Trajectory, envelopes, temps_k):
     """(header, matrix) of the trajectory CSV, from the run's Kelvin temperatures."""
     rho = trajectory.composition.mass_densities
@@ -134,11 +128,6 @@ def _trajectory_file(trajectory: Trajectory, envelopes, temps_k):
         env_velocity, env_energy, energy_to_kelvin(env_temperature),
     ])
     return _trajectory_header(trajectory.composition.labels, velocities.shape[2]), matrix
-
-
-def write_trajectory_csv(path, trajectory: Trajectory, envelopes) -> None:
-    """The run's state columns, the columns derived from them, and its envelopes."""
-    _write_csvs([(path, *_trajectory_file(trajectory, envelopes, _kelvin(trajectory)))])
 
 
 def read_trajectory_csv(path) -> TrajectoryTable:
@@ -197,14 +186,6 @@ def _envelope_file(trajectory: Trajectory, envelopes, equilibrium: EquilibriumDa
         dev_t, energy_to_kelvin(env_temperature),
     ])
     return columns, matrix
-
-
-def write_envelope_csv(
-    path, trajectory: Trajectory, envelopes, equilibrium: EquilibriumData
-) -> None:
-    """Deviation-from-equilibrium columns next to their analytic envelopes."""
-    temps_k = _kelvin(trajectory)
-    _write_csvs([(path, *_envelope_file(trajectory, envelopes, equilibrium, temps_k))])
 
 
 @dataclass(frozen=True)
@@ -269,22 +250,26 @@ def monitor_block(
     """The ``[monitors]`` summary lines, a pure function of the state + scenario.
 
     Reads ``times``, ``velocities`` and ``energies`` of a re-read CSV or of
-    the run.  It reads the mixture's identity only to refuse, with
-    ``ValueError``, another mixture than the scenario's: the species labels
-    of either, the species (masses and diameters) and number densities of
-    a run's composition, and a table's ``T_<label>_K`` columns, which must
-    equal the scenario's temperatures of the table's state bit for bit.  That check cannot
-    reveal a wrong mass of a species at rest in every record of a table,
-    as T = (2/(d n)) E - (m/d)|u|^2 does not involve m at u = 0; a run's
-    composition is compared whole.  Checks conservation drift, the
-    temperature floor, componentwise velocity bounds, realizability,
-    dominance of all three decay envelopes from the first record, and the
-    eigenvalue bracket at every recorded state, evaluated once for
-    consecutive records with equal temperatures.  As in a run, numpy's
-    floating-point errors are ignored: a value that overflows is infinite
-    and fails its comparison.  ``first`` is record 0's (decay constants,
-    envelopes on ``table.times``, run constants) if the caller derived
-    them; the bracket takes the operators with the same run
+    the run.  It refuses, with ``ValueError``, times that no run writes,
+    which do not start at 0 or do not strictly increase (a NaN among
+    them included): every envelope is largest at t = 0 and grows for
+    t < 0, so a table on such times could pass them.  It reads the
+    mixture's identity only to refuse, with ``ValueError``, another
+    mixture than the scenario's: the species labels of either, the
+    species (masses and diameters) and number densities of a run's
+    composition, and a table's ``T_<label>_K`` columns, which must equal
+    the scenario's temperatures of the table's state bit for bit.  That
+    check cannot reveal a wrong mass of a species at rest in every record
+    of a table, as T = (2/(d n)) E - (m/d)|u|^2 does not involve m at
+    u = 0; a run's composition is compared whole.  Checks conservation
+    drift, the temperature floor, componentwise velocity bounds,
+    realizability, dominance of all three decay envelopes from the first
+    record, and the eigenvalue bracket at every recorded state, evaluated
+    once for consecutive records with equal temperatures.  As in a run,
+    numpy's floating-point errors are ignored: a value that overflows is
+    infinite and fails its comparison.  ``first`` is record 0's (decay
+    constants, envelopes on ``table.times``, run constants) if the caller
+    derived them; the bracket takes the operators with the same run
     constants.
     """
     comp = MixtureComposition(config.species, config.number_densities)
@@ -297,6 +282,9 @@ def monitor_block(
         and np.array_equal(table.composition.number_densities, comp.number_densities)
     ):
         raise ValueError("the run's species or number densities are not the scenario's")
+    times = table.times
+    if not (times[0] == 0.0 and np.all(times[1:] > times[:-1])):  # False for a NaN too
+        raise ValueError("table times must start at 0 s and strictly increase")
     rho, n = comp.mass_densities, comp.number_densities
     velocities, energies = table.velocities, table.energies
     records = record_monitors(comp, velocities, energies)
@@ -335,7 +323,7 @@ def monitor_block(
         dev_u, dev_e, dev_t = _deviations(table, temps_k, constants.equilibrium)
     else:  # no decay rates without a positive floor; NaN fails every comparison
         dev_u = dev_e = dev_t = np.nan
-        envelopes = np.full((3, len(table.times)), np.nan)
+        envelopes = np.full((3, len(times)), np.nan)
     # A computed deviation also carries rounding that the exact one of the
     # theorem does not: k unit roundoffs of the run's own scale, k counting
     # the roundings between the stored state and the deviation (README).
@@ -387,14 +375,15 @@ def write_output_set(
     one case in which a rename within the directory fails after its files
     could be created.  On failure no temporary file remains.
     """
-    first = _first_record_bounds(trajectory, trajectory.composition, config)
+    comp = trajectory.composition
+    first = _first_record_bounds(trajectory, comp, config)
     constants, envelopes, _ = first
     equilibrium = constants.equilibrium
     monitors = monitor_block(trajectory, config, first)
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
         f"scenario = {config.name}",
-        f"species = {' '.join(trajectory.composition.labels)}",
+        f"species = {' '.join(comp.labels)}",
         f"model = {model}",
         f"method = {integrator.method}",
         f"eps = {_fmt(integrator.eps)}",
@@ -427,7 +416,7 @@ def write_output_set(
 
     targets = [base + suffix for suffix in ("_trajectory.csv", "_envelopes.csv", "_summary.txt")]
     temporaries = [f"{target}.{os.getpid()}.tmp" for target in targets]
-    temps_k = _kelvin(trajectory)
+    temps_k = energy_to_kelvin(_temperatures(comp, trajectory.velocities, trajectory.energies))
     try:
         # Both CSVs in one call: the values they share are formatted once.
         _write_csvs([

@@ -89,7 +89,7 @@ class ScenarioConfig:
     def initial_state(self) -> MomentState:
         """The initial state; each species' temperature must be positive in K, in J and
         as T = (2/(d n)) E - (m/d)|u|^2 of the state, which can round to 0 J or below
-        when m |u|^2 dwarfs it."""
+        when m |u|^2 dwarfs it, and its energy density E must be finite."""
         labels = [s.label for s in self.species]
         temperatures = kelvin_to_energy(np.asarray(self.temperatures_kelvin))
         if np.any(temperatures <= 0.0):  # a positive Kelvin value may round to 0 J
@@ -98,7 +98,15 @@ class ScenarioConfig:
                 f"species {labels[bad]!r}: initial temperature must be positive, in K and in J"
             )
         composition = MixtureComposition(self.species, self.number_densities)
-        state = state_from_temperatures(composition, self.velocities, temperatures)
+        # The energies (1/2) m n |u|^2 + (d/2) n T of the state, as Python
+        # float products: an overflow gives inf without a numpy warning.
+        velocities = np.asarray(self.velocities, dtype=float)
+        rows = zip(composition.masses.tolist(), composition.number_densities.tolist(),
+                   velocities.reshape(len(velocities), -1).tolist(), temperatures.tolist())
+        for label, (m, n, u, t) in zip(labels, rows):
+            if not np.isfinite(0.5 * m * n * sum(c * c for c in u) + 0.5 * len(u) * n * t):
+                raise ScenarioError(f"species {label!r}: initial energy density overflows")
+        state = state_from_temperatures(composition, velocities, temperatures)
         derived = temperatures_of(state)
         if not np.all(derived > 0.0):
             bad = int(np.argmin(derived > 0.0))

@@ -44,12 +44,7 @@ from mixbgk import (
 from mixbgk.cli import main
 from mixbgk.collisions import operators, run_constants
 from mixbgk.oracles import assemble, symmetric_eigenvalues
-from mixbgk.output import (
-    monitor_block,
-    read_trajectory_csv,
-    write_output_set,
-    write_trajectory_csv,
-)
+from mixbgk.output import monitor_block, read_trajectory_csv, write_output_set
 from mixbgk.scenarios import BE_STEP_BOUND, HORIZON_EFOLDS, RK4_RATE_PER_STEP, ScenarioError
 from mixbgk.species import _temperatures
 
@@ -134,14 +129,15 @@ def run_cli(args, cwd):
 
 def rewrite_trajectory_csv(path, table, scenario):
     """Write a re-read table back as a run: its state, the scenario's composition,
-    and the envelopes of its first record."""
+    and the envelopes of its first record, through the output set's CSV writer."""
     composition = MixtureComposition(scenario.species, scenario.number_densities)
     first = MomentState(composition, table.velocities[0], table.energies[0])
     constants = decay_constants(first, scenario.model)
     envelopes = decay_envelopes(constants, scenario.eps, table.times)
     sweeps = np.zeros(len(table.times), dtype=int)
     trajectory = Trajectory(table.times, table.velocities, table.energies, sweeps, composition)
-    write_trajectory_csv(path, trajectory, envelopes)
+    temps_k = energy_to_kelvin(_temperatures(composition, table.velocities, table.energies))
+    output_mod._write_csvs([(path, *output_mod._trajectory_file(trajectory, envelopes, temps_k))])
 
 
 def csv_columns(path):
@@ -608,6 +604,33 @@ class TestParseConfig:
         assert "not positive and finite" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("temperatures, velocities", [
+        ("1000 1e305", "0 0 0 ; 0 0 0"), ("1000 1000", "0 0 0 ; 1e160 0 0"),
+    ], ids=["hot", "fast"])
+    def test_an_initial_energy_that_overflows_is_refused(
+        self, temperatures, velocities, tmp_path, capfd
+    ):
+        # Krypton's (d/2) n T or (1/2) m n |u|^2 overflows: the scenario
+        # names the species before any product of arrays can warn.
+        path = tmp_path / "hot.cfg"
+        path.write_text(
+            "labels = Ar Kr\nmasses_kg = 66.335209e-27 139.14984e-27\n"
+            "diameters_m = 3.659e-10 4.199e-10\nnumber_densities_m3 = 3e28 2e28\n"
+            f"temperatures_K = {temperatures}\nvelocities_ms = {velocities}\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ScenarioError, match="^species 'Kr': initial energy density"):
+                parse_config(path).initial_state()
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert caught == []
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == "error: species 'Kr': initial energy density overflows"
+        assert not out.exists()
+
     def test_label_the_csv_can_carry_round_trips(self, tmp_path):
         # T_min_K is also a totals column; the reader finds labels by E_<label>.
         path = tmp_path / "minimum.cfg"
@@ -740,6 +763,27 @@ class TestCliRun:
             assert str(labels) in str(refused.value)
         summary = (tmp_path / "example1_summary.txt").read_text()
         assert "\n".join(monitor_block(table, example1)) in summary
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(np.zeros_like, id="zeroed"),
+        pytest.param(np.negative, id="negated"),
+        pytest.param(lambda t: t[[0, 2, 1, *range(3, len(t))]], id="swapped_pair"),
+        pytest.param(lambda t: t + 1e-15, id="late_start"),
+        pytest.param(lambda t: np.where(np.arange(len(t)) == 2, np.nan, t), id="nan"),
+    ])
+    def test_a_table_on_times_no_run_writes_is_refused(self, edit, tmp_path):
+        # Every envelope is largest at t = 0 and grows for t < 0, so this
+        # run's failing table passed its envelopes on zeroed or negated
+        # times: a table's times must start at 0 and strictly increase.
+        args = ["run", "--example", "2", "--dt", "7.3e-13", "--t-final", "3.44652915625057957e-12"]
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        table = read_trajectory_csv(tmp_path / "example2_trajectory.csv")
+        assert len(table.times) > 3
+        summary = (tmp_path / "example2_summary.txt").read_text()
+        assert "\n".join(monitor_block(table, presets()[2])) in summary
+        table.times = edit(table.times)
+        with pytest.raises(ValueError, match="times must start at 0 s and strictly increase"):
+            monitor_block(table, presets()[2])
 
     @pytest.mark.parametrize("factor", [10.0, 2.0])
     def test_a_table_of_other_densities_is_refused(self, tmp_path, factor):
@@ -1405,28 +1449,27 @@ class TestCsvWriter:
 
     def test_one_run_writes_both_csvs_in_one_call(self, tmp_path, monkeypatch):
         # The two CSVs of a run share their time and envelope columns, so
-        # the output set formats both in one call, each distinct value once,
-        # rather than through the two standalone writers.
-        calls = {"write_trajectory_csv": [], "write_envelope_csv": [], "_write_csvs": []}
-        for name in calls:
-            original = getattr(output_mod, name)
+        # the output set formats both in one call, each distinct value once.
+        calls = []
+        write_csvs = output_mod._write_csvs
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name].append(args)
-                return _original(*args)
+        def counted(*args):
+            calls.append(args)
+            return write_csvs(*args)
 
-            monkeypatch.setattr(output_mod, name, counted)
+        monkeypatch.setattr(output_mod, "_write_csvs", counted)
         assert main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]) == 0
-        assert [len(made) for made in calls.values()] == [0, 0, 1]
-        [(files,)] = calls["_write_csvs"]
+        [(files,)] = calls
         assert [Path(path).name.split(".")[0] for path, _, _ in files] == [
             "example1_trajectory", "example1_envelopes"
         ]
 
-    def test_output_set_equals_the_standalone_writers(self, tmp_path):
+    def test_output_set_writes_the_matrices_of_its_state(self, tmp_path):
         # A run's table with shared values, -0.0, a NaN payload and a
-        # subnormal: the output set writes the bytes of the two standalone
-        # writers, and those are savetxt's.
+        # subnormal: the output set's two matrices are, bit for bit, those
+        # the file builders make from the envelopes of record 0 and the
+        # temperatures of the state, derived here through public names, and
+        # its bytes are savetxt's.
         scenario = presets()[1]
         cfg = replace(resolve_integrator(scenario), t_final=3e-13)
         run = simulate(scenario.initial_state(), cfg, scenario.model)
@@ -1445,17 +1488,26 @@ class TestCsvWriter:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(output_mod, "_write_csvs", recorded)
             output_mod.write_output_set(str(tmp_path / "set"), scenario, cfg, trajectory)
-        constants, envelopes, _ = output_mod._first_record_bounds(
-            trajectory, trajectory.composition, scenario
+        composition = trajectory.composition
+        constants = decay_constants(
+            MomentState(composition, velocities[0], energies[0]), scenario.model
         )
-        equilibrium = constants.equilibrium
-        output_mod.write_trajectory_csv(tmp_path / "alone_trajectory.csv", trajectory, envelopes)
-        output_mod.write_envelope_csv(
-            tmp_path / "alone_envelopes.csv", trajectory, envelopes, equilibrium
-        )
-        for kind, (columns, matrix) in zip(("trajectory", "envelopes"), matrices):
+        envelopes = decay_envelopes(constants, scenario.eps, trajectory.times)
+        # temperatures_of reads only these three fields, so it takes the
+        # stacked records, the NaN one among them, that a MomentState refuses.
+        stacked = SimpleNamespace(composition=composition, velocities=velocities, energies=energies)
+        temps_k = energy_to_kelvin(temperatures_of(stacked))
+        expected = [
+            output_mod._trajectory_file(trajectory, envelopes, temps_k),
+            output_mod._envelope_file(trajectory, envelopes, constants.equilibrium, temps_k),
+        ]
+        assert len(matrices) == 2
+        for kind, (columns, matrix), (want_columns, want) in zip(
+            ("trajectory", "envelopes"), matrices, expected
+        ):
+            assert columns == want_columns
+            assert np.array_equal(matrix.view(np.int64), want.view(np.int64))
             data = (tmp_path / f"set_{kind}.csv").read_bytes()
-            assert data == (tmp_path / f"alone_{kind}.csv").read_bytes()
             assert data == savetxt_bytes(tmp_path / "savetxt.csv", columns, matrix)
         trajectory_matrix = matrices[0][1]
         bits = trajectory_matrix.view(np.int64)

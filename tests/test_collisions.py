@@ -66,11 +66,22 @@ def _assert_within(actual, reference, bound):
     assert np.all(excess <= 0.0), f"largest excess over the bound: {excess.max():.3e}"
 
 
+def _mixing_weights(const, size):
+    """alpha_ij as the pair-velocity map holds it: row i * N + j, column i.
+
+    Off the diagonal the entry is alpha_ij + 0.0, exactly; a self pair's
+    row holds alpha_ii twice in one column, an exact doubling.
+    """
+    i, j = np.indices((size, size))
+    return const.mixing.reshape(size, size, size)[i, j, i] / np.where(i == j, 2.0, 1.0)
+
+
 def _assert_core_matches(const, coupling, relaxation, reference_alpha, reference, comp):
     """The core's alpha, [A, B] and [Z, Z-hat] against per-state reference
     quotients, within the roundings counted in :class:`TestStackedCore`."""
     size = comp.size
-    _assert_within(const.alpha, reference_alpha, _gamma(10) * reference_alpha)
+    alpha = _mixing_weights(const, size)
+    _assert_within(alpha, reference_alpha, _gamma(10) * reference_alpha)
     _assert_within(coupling, reference, _gamma(16) * reference)
     sqrt_rho, sqrt_n = np.sqrt(comp.mass_densities), np.sqrt(comp.number_densities)
     scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
@@ -214,7 +225,8 @@ class TestClosedFormWeights:
         beta, _ = weight_and_coupling(lam, comp.number_densities)
         _assert_within(alpha, closed, _gamma(12) * closed)
         _assert_within(beta, 0.5, _gamma(8) * 0.5)
-        _assert_within(run_constants(comp, HardSphere(), 3).alpha, closed, _gamma(10) * closed)
+        mixing = _mixing_weights(run_constants(comp, HardSphere(), 3), size)
+        _assert_within(mixing, closed, _gamma(10) * closed)
 
     @pytest.mark.parametrize("size", [2, 3, 10, 30])
     def test_couplings_over_thermal_speed_are_temperature_free(self, size):
@@ -634,7 +646,7 @@ class TestStackedCore:
             lam = hard_sphere_frequencies(comp.species, n, temps)
         coupling, relaxation = operators(temps, const)
         lead = () if records is None else (records,)
-        assert const.alpha.shape == (size, size)
+        assert const.mixing.shape == (size * size, size)
         assert coupling.shape == relaxation.shape == lead + (2, size, size)
         alpha, momentum = weight_and_coupling(lam, rho)
         _, energy = weight_and_coupling(lam, n)

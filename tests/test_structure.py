@@ -127,6 +127,25 @@ def test_frequencies_and_weights_are_run_constants():
     assert divisions == {"relaxation": 2, "operators": 0, "heating": 0}
 
 
+def test_every_run_constant_is_read_at_run_time():
+    # A field that only the tests read is test-only runtime code: the run
+    # takes alpha through the pair-velocity map ``mixing``, not as a field.
+    # The runtime names its run constants ``const``.
+    runtime = {name: tree for name, tree in _modules().items() if name != "oracles.py"}
+    read = {
+        node.attr
+        for tree in runtime.values()
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name != "run_constants"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == "const"
+    }
+    fields = [field.name for field in dataclasses.fields(RunConstants)]
+    assert "mixing" in read  # the guard reads the fields
+    assert [name for name in fields if name not in read] == []
+
+
 def test_oracle_only_names_stay_out_of_the_runtime():
     modules = _modules()
     definers = sorted(
@@ -485,3 +504,9 @@ def test_no_module_calls_savetxt():
         module for module, tree in _modules().items() if "savetxt" in set(_referenced_names(tree))
     )
     assert users == []
+
+
+def test_the_output_set_is_the_one_csv_writer():
+    # A run's CSVs are written only as part of its verified, all-or-nothing
+    # output set; a standalone writer would skip the verdict and the rename.
+    assert _top_level_users("_write_csvs") == [("output.py", "write_output_set")]
