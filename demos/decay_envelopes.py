@@ -14,9 +14,9 @@ they are very loose, which this demo makes visible.
 import numpy as np
 
 from mixbgk import (
-    decay_constants,
     decay_envelopes,
     presets,
+    record_zero,
     resolve_integrator,
     simulate,
     steady_state,
@@ -26,10 +26,9 @@ from mixbgk.output import record_monitors
 
 def show(index):
     scenario = presets()[index]
-    state = scenario.initial_state()
-    model = scenario.model
-    cfg = resolve_integrator(scenario)
-    constants = decay_constants(state, model)
+    first = record_zero(scenario)
+    state, constants, model = first.state, first.constants, scenario.model
+    cfg = resolve_integrator(scenario, first)
     eq = steady_state(state)
 
     print(f"\n=== Example {index} ===")

@@ -19,6 +19,7 @@ import numpy as np
 from mixbgk import (
     energy_to_kelvin,
     presets,
+    record_zero,
     resolve_integrator,
     simulate,
     steady_state,
@@ -27,9 +28,9 @@ from mixbgk.output import record_monitors
 
 
 def describe(index, scenario):
-    state = scenario.initial_state()
-    model = scenario.model
-    cfg = resolve_integrator(scenario)
+    first = record_zero(scenario)
+    state, model = first.state, scenario.model
+    cfg = resolve_integrator(scenario, first)
     eq = steady_state(state)
     trajectory = simulate(state, cfg, model)
 

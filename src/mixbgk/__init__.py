@@ -21,7 +21,16 @@ from .integrate import (
     Trajectory,
     simulate,
 )
-from .scenarios import GASES, ScenarioConfig, ScenarioError, parse_config, presets, resolve_integrator
+from .scenarios import (
+    GASES,
+    RecordZero,
+    ScenarioConfig,
+    ScenarioError,
+    parse_config,
+    presets,
+    record_zero,
+    resolve_integrator,
+)
 from .species import (
     BOLTZMANN_J_PER_K,
     MixtureComposition,

@@ -3,9 +3,11 @@
     mixbgk run [--example N | --config PATH] [--method be|rk4]
                [--dt X] [--t-final X] [--eps X] [--out DIR]
 
-Resolves the scenario's settings (``resolve_integrator`` also checks its
-frequency model against the mixture), runs it, and hands the trajectory
-to ``output.write_output_set``, which verifies the run and writes
+Evaluates the scenario's record 0 once (``record_zero``: the initial
+state, the run constants of its model, which it checks against the
+mixture, and the decay constants), derives the settings from it
+(``resolve_integrator``), runs it, and hands the trajectory and the same
+record 0 to ``output.write_output_set``, which verifies the run and writes
 ``<name>_trajectory.csv``, ``<name>_envelopes.csv`` and
 ``<name>_summary.txt`` into the output directory (``MIXBGK_OUT``
 overrides ``--out``), all three or none of them.  Exit codes: 0 all
@@ -24,7 +26,7 @@ from dataclasses import replace
 
 from .integrate import IntegrationError, simulate
 from .output import write_output_set
-from .scenarios import parse_config, presets, resolve_integrator
+from .scenarios import parse_config, presets, record_zero, resolve_integrator
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,8 +58,8 @@ def run(args) -> int:
         overrides = {"method": args.method, "dt": args.dt, "t_final": args.t_final, "eps": args.eps}
         scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
 
-        state = scenario.initial_state()
-        integrator = resolve_integrator(scenario)
+        first = record_zero(scenario)
+        integrator = resolve_integrator(scenario, first)
         out_dir = os.environ.get("MIXBGK_OUT", args.out)
         os.makedirs(out_dir, exist_ok=True)  # a bad directory fails before the run
     except (ValueError, OSError) as err:  # ScenarioError is a ValueError
@@ -65,14 +67,14 @@ def run(args) -> int:
         return EXIT_CONFIG
 
     try:
-        trajectory = simulate(state, integrator, scenario.model)
+        trajectory = simulate(first.state, integrator, scenario.model)
     except IntegrationError as err:
         print(f"integrator failure: {err}", file=sys.stderr)
         return EXIT_INTEGRATOR
 
     base = os.path.join(out_dir, scenario.name)
     try:
-        passed = write_output_set(base, scenario, integrator, trajectory)
+        passed = write_output_set(base, scenario, integrator, trajectory, first)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import FrequencyModel, operators, run_constants
+from .collisions import FrequencyModel, RunConstants, operators, run_constants
 from .dynamics import scaled_energies, scaled_velocities
 from .species import MomentState, temperatures_of
 
@@ -190,13 +190,10 @@ class DecayConstants:
     equilibrium: EquilibriumData
 
 
-def decay_constants(state: MomentState, model: FrequencyModel) -> DecayConstants:
-    """Assemble all envelope constants for a realizable initial state."""
-    return _decay_constants(state, run_constants(state.composition, model, state.dimension))
-
-
-def _decay_constants(state: MomentState, const) -> DecayConstants:
-    """:func:`decay_constants` from the run constants of its model."""
+def decay_constants(state: MomentState, const: RunConstants) -> DecayConstants:
+    """Assemble all envelope constants for a realizable initial state, from
+    the run constants of its model, which the caller builds once for the
+    run (``collisions.run_constants``)."""
     comp = state.composition
     rho = comp.mass_densities
     n = comp.number_densities

@@ -54,6 +54,8 @@ PICARD_MAX_ITER = 100  # its cap on solve pairs
 # The largest local error, relative to each field's initial deviation from
 # equilibrium, of an error-controlled backward-Euler step (IntegratorConfig.max_dt).
 BE_ERROR_TOL = 3e-3
+# The factor by which the error controller shortens every step it proposes.
+BE_SAFETY = 0.9
 
 
 class IntegrationError(RuntimeError):
@@ -391,7 +393,7 @@ def _controlled_steps(cfg: IntegratorConfig, records, step, scales):
     well: twice the difference of the two results estimates the error of
     the full one, which is the one recorded.  A step whose error exceeds
     BE_ERROR_TOL is taken again from the same record.  Either way the next
-    step is h clip(0.9 (BE_ERROR_TOL / error)^(1/2), 0.2, 5) (Hairer &
+    step is h clip(BE_SAFETY (BE_ERROR_TOL / error)^(1/2), 0.2, 5) (Hairer &
     Wanner, Solving ODEs II, 2nd ed., section IV.8), at most cfg.max_dt,
     and the last one lands on t_final exactly.  Each step is the
     difference of its end time and its start time, so a record's own step
@@ -428,7 +430,7 @@ def _controlled_steps(cfg: IntegratorConfig, records, step, scales):
             records.append((end, *result))
             t, u, e = end, result[0], result[1]
         # A NaN or infinite error shrinks the step by 0.2: max keeps 0.2 against NaN.
-        h *= min(5.0, max(0.2, 0.9 * math.sqrt(BE_ERROR_TOL / err))) if err else 5.0
+        h *= min(5.0, max(0.2, BE_SAFETY * math.sqrt(BE_ERROR_TOL / err))) if err else 5.0
 
 
 def simulate(

@@ -31,13 +31,13 @@ import numpy as np
 from .collisions import HardSphere, operators, run_constants
 from .equilibrium import (
     EquilibriumData,
-    _decay_constants,
+    decay_constants,
     decay_envelopes,
     eigenvalue_brackets,
     velocity_component_bound,
 )
 from .integrate import IntegratorConfig, Trajectory
-from .scenarios import ScenarioConfig
+from .scenarios import RecordZero, ScenarioConfig
 from .species import MixtureComposition, MomentState, _temperatures, energy_to_kelvin
 
 DRIFT_LIMIT = 1e-9
@@ -239,7 +239,7 @@ def _first_record_bounds(table, composition, config: ScenarioConfig):
     serve the eigenvalue bracket too."""
     first = MomentState(composition, table.velocities[0], table.energies[0])
     const = run_constants(composition, config.model, first.dimension)
-    constants = _decay_constants(first, const)
+    constants = decay_constants(first, const)
     return constants, decay_envelopes(constants, config.eps, table.times), const
 
 
@@ -365,10 +365,16 @@ def monitor_block(
 
 @np.errstate(all="ignore")
 def write_output_set(
-    base: str, config: ScenarioConfig, integrator: IntegratorConfig, trajectory: Trajectory
+    base: str, config: ScenarioConfig, integrator: IntegratorConfig, trajectory: Trajectory,
+    first: RecordZero,
 ) -> bool:
     """Verify a run and write its trajectory, envelope and summary files, or none of them.
 
+    ``first`` is the scenario's ``record_zero``, from which the run's
+    settings were derived: its decay constants and run constants are every
+    bound of the verdict, so the output set evaluates record 0 no more and
+    only the envelopes on the record times.  A trajectory whose record 0
+    is not ``first.state``, bit for bit, is refused with ``ValueError``.
     Returns the verdict of the summary's ``[monitors]`` block.  Each file is
     written to a temporary name beside its target, and the three are moved
     into place only once all are written and no target is a directory, the
@@ -376,10 +382,14 @@ def write_output_set(
     could be created.  On failure no temporary file remains.
     """
     comp = trajectory.composition
-    first = _first_record_bounds(trajectory, comp, config)
-    constants, envelopes, _ = first
+    if (trajectory.velocities[0].tobytes(), trajectory.energies[0].tobytes()) != (
+        first.state.velocities.tobytes(), first.state.energies.tobytes()
+    ):
+        raise ValueError("record 0 of the trajectory is not the state of its record_zero")
+    constants = first.constants
+    envelopes = decay_envelopes(constants, config.eps, trajectory.times)
     equilibrium = constants.equilibrium
-    monitors = monitor_block(trajectory, config, first)
+    monitors = monitor_block(trajectory, config, (constants, envelopes, first.const))
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
         f"scenario = {config.name}",

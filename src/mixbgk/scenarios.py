@@ -24,14 +24,15 @@ Kelvin/Joule boundary here and in the CSV writer only.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import ConstantMatrix, FrequencyModel, HardSphere
-from .equilibrium import decay_constants
-from .integrate import IntegratorConfig
+from .collisions import ConstantMatrix, FrequencyModel, HardSphere, RunConstants, run_constants
+from .equilibrium import DecayConstants, decay_constants
+from .integrate import BE_ERROR_TOL, BE_SAFETY, IntegratorConfig
 from .species import (
     MixtureComposition,
     MomentState,
@@ -87,7 +88,8 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def initial_state(self) -> MomentState:
-        """The initial state; each species' temperature must be positive in K, in J and
+        """The initial state; the velocities must be shaped (N, d), one row per
+        species, and each species' temperature must be positive in K, in J and
         as T = (2/(d n)) E - (m/d)|u|^2 of the state, which can round to 0 J or below
         when m |u|^2 dwarfs it, and its energy density E must be finite."""
         labels = [s.label for s in self.species]
@@ -98,11 +100,16 @@ class ScenarioConfig:
                 f"species {labels[bad]!r}: initial temperature must be positive, in K and in J"
             )
         composition = MixtureComposition(self.species, self.number_densities)
+        velocities = np.asarray(self.velocities, dtype=float)
+        if not (velocities.ndim == 2 and len(velocities) == len(labels) and velocities.shape[1]):
+            raise ScenarioError(
+                f"velocities must be shaped (N, d) = ({len(labels)}, d) with d >= 1, "
+                f"got {velocities.shape}"
+            )
         # The energies (1/2) m n |u|^2 + (d/2) n T of the state, as Python
         # float products: an overflow gives inf without a numpy warning.
-        velocities = np.asarray(self.velocities, dtype=float)
         rows = zip(composition.masses.tolist(), composition.number_densities.tolist(),
-                   velocities.reshape(len(velocities), -1).tolist(), temperatures.tolist())
+                   velocities.tolist(), temperatures.tolist())
         for label, (m, n, u, t) in zip(labels, rows):
             if not np.isfinite(0.5 * m * n * sum(c * c for c in u) + 0.5 * len(u) * n * t):
                 raise ScenarioError(f"species {label!r}: initial energy density overflows")
@@ -117,32 +124,59 @@ class ScenarioConfig:
         return state
 
 
-def resolve_integrator(config: ScenarioConfig) -> IntegratorConfig:
+@dataclass(frozen=True)
+class RecordZero:
+    """Record 0 of a scenario's run, evaluated once: the initial state, the run
+    constants of the scenario's model and the decay constants evaluated with
+    them.  ``resolve_integrator`` derives the settings from it and
+    ``output.write_output_set`` every bound of the verdict."""
+
+    state: MomentState
+    const: RunConstants
+    constants: DecayConstants
+
+
+def record_zero(config: ScenarioConfig) -> RecordZero:
+    """The scenario's ``initial_state`` with its run constants and decay constants.
+
+    A model that does not fit the mixture (hard spheres outside d = 3)
+    fails here, before any setting is derived."""
+    state = config.initial_state()
+    const = run_constants(state.composition, config.model, state.dimension)
+    return RecordZero(state, const, decay_constants(state, const))
+
+
+def resolve_integrator(config: ScenarioConfig, first: RecordZero) -> IntegratorConfig:
     """Fill in dt / t_final defaults and build the integrator settings.
 
     Every derived setting comes from record 0's spectrum in
-    ``decay_constants``.  A run without a given ``t_final`` runs
-    HORIZON_EFOLDS * eps / lambda_2, the smaller gap of Z and Z-hat at the
-    temperature floor (a single species has none: horizon 0, one record),
-    whatever its step.  RK4's derived step is RK4_RATE_PER_STEP e-folds of
-    the fastest rate, lambda_max at t = 0.  Backward Euler takes fixed
-    steps of a given ``dt``; without one, steps that follow their local
-    error (``IntegratorConfig.max_dt``) from a first step of 0.1 e-folds
-    of the fastest rate, each at most BE_STEP_BOUND * min(eps / r,
+    ``first.constants``, the scenario's ``record_zero``.  A run without a
+    given ``t_final`` runs HORIZON_EFOLDS * eps / lambda_2, the smaller gap
+    of Z and Z-hat at the temperature floor (a single species has none:
+    horizon 0, one record), whatever its step.  RK4's derived step is
+    RK4_RATE_PER_STEP e-folds of the fastest rate, lambda_max at t = 0.
+    Backward Euler takes fixed steps of a given ``dt``; without one, steps
+    that follow their local error (``IntegratorConfig.max_dt``) from a
+    first step of BE_SAFETY (2 BE_ERROR_TOL)^(1/2) e-folds of the fastest
+    rate, whose one-step error (h lambda)^2 / 2 on that mode is then
+    BE_SAFETY^2 BE_ERROR_TOL, each at most BE_STEP_BOUND * min(eps / r,
     t_final / HORIZON_EFOLDS), r the larger of the paper's two rates: the
     eps / r term keeps each step's damping 1/(1 + h lambda) close enough
     to the continuous envelopes' exp(-h r), and the t_final term gives the
-    horizon at least 2 HORIZON_EFOLDS steps.  Everything is derived, from
-    ``config.initial_state()``, even when ``dt`` and ``t_final`` are both
-    given, so a model that does not fit the mixture (hard spheres outside
-    d = 3) fails here.  A derived horizon that is not finite and
-    nonnegative (a gap lost to roundoff), or an RK4 one not within
-    RK4_MAX_DERIVED_STEPS steps of the step in use (a mixture too stiff for
-    RK4), raises ScenarioError.
+    horizon at least 2 HORIZON_EFOLDS steps.  Everything is derived, even
+    when ``dt`` and ``t_final`` are both given.  A derived horizon that is
+    not finite and nonnegative (a gap lost to roundoff), or an RK4 one not
+    within RK4_MAX_DERIVED_STEPS steps of the step in use (a mixture too
+    stiff for RK4), raises ScenarioError.
     """
-    constants = decay_constants(config.initial_state(), config.model)
-    # Backward Euler's first step: a guess that its error control corrects.
-    rate_per_step = RK4_RATE_PER_STEP if config.method == "rk4" else 0.1
+    constants = first.constants
+    # Backward Euler's first step: its error (h lambda)^2 / 2 on the fastest
+    # mode meets BE_ERROR_TOL at h lambda = (2 BE_ERROR_TOL)^(1/2), which the
+    # controller's safety factor shortens as it does every step it proposes.
+    if config.method == "rk4":
+        rate_per_step = RK4_RATE_PER_STEP
+    else:
+        rate_per_step = BE_SAFETY * math.sqrt(2.0 * BE_ERROR_TOL)
     fastest = constants.fastest_rate_t0
     dt = rate_per_step * config.eps / fastest if fastest > 0.0 else 1.0  # 1.0: nothing moves
     dt = float(dt if config.dt is None else config.dt)

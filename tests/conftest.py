@@ -9,12 +9,24 @@ from mixbgk import (
     MixtureComposition,
     SpeciesParams,
     presets,
+    record_zero,
+    resolve_integrator,
     state_from_temperatures,
     temperatures_of,
 )
 from mixbgk.collisions import heating, operators, relaxation, run_constants
-from mixbgk.equilibrium import eigenvalue_brackets
+from mixbgk.equilibrium import decay_constants, eigenvalue_brackets
 from mixbgk.species import kelvin_to_energy
+
+
+def resolved(scenario):
+    """The scenario's integrator settings, derived from its record 0 as a CLI run derives them."""
+    return resolve_integrator(scenario, record_zero(scenario))
+
+
+def decay_constants_of(state, model):
+    """``decay_constants`` of a state under a frequency model, with run constants of its own."""
+    return decay_constants(state, run_constants(state.composition, model, state.dimension))
 
 
 def random_composition(rng, n_species):

@@ -21,7 +21,6 @@ from mixbgk import (
     decay_constants,
     decay_envelopes,
     presets,
-    resolve_integrator,
     scaled_energies,
     scaled_velocities,
     simulate,
@@ -39,7 +38,7 @@ from mixbgk.oracles import (
 from mixbgk.collisions import operators, run_constants
 from mixbgk.output import FLOOR_SLACK, record_monitors
 
-from conftest import core_operators, random_state
+from conftest import core_operators, decay_constants_of, random_state, resolved
 
 DRIFT_TOL = 1e-9
 FLOOR_TOL = 1e-9
@@ -52,7 +51,7 @@ def run_preset(k, method):
     scenario = replace(presets()[k], method=method)
     state = scenario.initial_state()
     model = scenario.model
-    cfg = resolve_integrator(scenario)
+    cfg = resolved(scenario)
     start = time.perf_counter()
     trajectory = simulate(state, cfg, model)
     wall = time.perf_counter() - start
@@ -222,7 +221,7 @@ class TestCriterion5DecayEnvelopes:
         for (k, method), run in preset_runs.items():
             state, model = run["state"], run["model"]
             trajectory = run["trajectory"]
-            constants = decay_constants(state, model)
+            constants = decay_constants_of(state, model)
             eq = steady_state(state)
             env_u, env_e, env_t = decay_envelopes(
                 constants, run["cfg"].eps, trajectory.times
@@ -347,7 +346,7 @@ class TestCriterion6SpectralBracket:
             floor = np.full(comp.size, temperatures_of(state).min())
             floor_gap, floor_allowance = _gap_and_allowance(*operators(floor, const), weights)
             # The gaps that set every derived horizon are these, bit for bit.
-            constants = decay_constants(state, model)
+            constants = decay_constants(state, const)
             assert [constants.velocity_gap, constants.energy_gap] == floor_gap.tolist()
             bracket = np.array(conservative_decay_rate(state, model))
             assert np.all(floor_gap >= bracket * (1.0 - 2.0 * u) - floor_allowance)

@@ -26,15 +26,16 @@ from mixbgk import (
     IntegratorConfig,
     MixtureComposition,
     MomentState,
+    ScenarioConfig,
     Trajectory,
     conservative_decay_rate,
-    decay_constants,
     decay_envelopes,
     energy_to_kelvin,
     is_realizable,
     kelvin_to_energy,
     parse_config,
     presets,
+    record_zero,
     resolve_integrator,
     simulate,
     state_from_temperatures,
@@ -48,7 +49,7 @@ from mixbgk.output import monitor_block, read_trajectory_csv, write_output_set
 from mixbgk.scenarios import BE_STEP_BOUND, HORIZON_EFOLDS, RK4_RATE_PER_STEP, ScenarioError
 from mixbgk.species import _temperatures
 
-from conftest import random_state
+from conftest import decay_constants_of, random_state, resolved
 
 # Ar, Kr and Xe under a constant frequency matrix in which argon and
 # krypton share a frequency of 1e6 and each couples to xenon at 1e-6: the
@@ -132,7 +133,7 @@ def rewrite_trajectory_csv(path, table, scenario):
     and the envelopes of its first record, through the output set's CSV writer."""
     composition = MixtureComposition(scenario.species, scenario.number_densities)
     first = MomentState(composition, table.velocities[0], table.energies[0])
-    constants = decay_constants(first, scenario.model)
+    constants = decay_constants_of(first, scenario.model)
     envelopes = decay_envelopes(constants, scenario.eps, table.times)
     sweeps = np.zeros(len(table.times), dtype=int)
     trajectory = Trajectory(table.times, table.velocities, table.energies, sweeps, composition)
@@ -180,7 +181,7 @@ class TestPresets:
 
     def test_default_settings_resolve(self):
         for scenario in presets().values():
-            cfg = resolve_integrator(scenario)
+            cfg = resolved(scenario)
             assert cfg.dt > 0.0
             assert cfg.t_final > cfg.dt
 
@@ -238,11 +239,11 @@ class TestRk4Settings:
     def test_step_is_the_stability_step(self):
         for scenario in presets().values():
             scenario = replace(scenario, method="rk4")
-            derived = resolve_integrator(scenario).dt
+            derived = resolved(scenario).dt
             assert derived == _old_rk4_step(scenario.initial_state(), scenario.model, 1.0)
         for state, model, eps in _seeded_cases():
             # A given horizon of 0: a seeded mixture may be too stiff for RK4's own.
-            derived = resolve_integrator(_scenario_of(state, model, eps, "rk4", 0.0)).dt
+            derived = resolved(_scenario_of(state, model, eps, "rk4", 0.0)).dt
             assert derived == _old_rk4_step(state, model, eps)
 
     def test_horizon_covers_ten_efolds_of_the_floor_gap(self):
@@ -251,9 +252,9 @@ class TestRk4Settings:
             for scenario in presets().values()
         ]
         for state, model, eps in cases + _seeded_cases():
-            constants = decay_constants(state, model)
+            constants = decay_constants_of(state, model)
             gaps = (constants.velocity_gap, constants.energy_gap)
-            horizon = resolve_integrator(_scenario_of(state, model, eps, "be")).t_final
+            horizon = resolved(_scenario_of(state, model, eps, "be")).t_final
             if state.composition.size == 1:  # no gap: horizon 0, one record
                 assert (gaps, horizon) == ((math.inf, math.inf), 0.0)
                 continue
@@ -269,9 +270,9 @@ class TestRk4Settings:
         ]
         for state, model, eps in cases + _seeded_cases():
             rates = conservative_decay_rate(state, model)
-            constants = decay_constants(state, model)
+            constants = decay_constants_of(state, model)
             assert (constants.velocity_rate, constants.energy_rate) == rates
-            derived = resolve_integrator(_scenario_of(state, model, eps, "be"))
+            derived = resolved(_scenario_of(state, model, eps, "be"))
             if derived.t_final == 0.0:  # a single species takes no step
                 assert derived.max_dt is None
                 continue
@@ -296,7 +297,7 @@ class TestRk4Settings:
         for scenario in presets().values():
             calls.clear()
             solves.clear()
-            resolve_integrator(replace(scenario, method=method, dt=dt))
+            resolved(replace(scenario, method=method, dt=dt))
             assert calls == [(3, 3)]  # T(0), the floor and the ceiling, stacked
             assert solves == [(2, 2, 3, 3)]  # Z and Z-hat at T(0) and at the floor
 
@@ -307,7 +308,7 @@ class TestRk4Settings:
             "number_densities_m3 = 1e28\ntemperatures_K = 500\nvelocities_ms = 80 0 0\n"
             "method = rk4\n"
         )
-        assert resolve_integrator(parse_config(path)).t_final == 0.0
+        assert resolved(parse_config(path)).t_final == 0.0
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert "records = 1," in capsys.readouterr().out
         summary = (tmp_path / "argon_summary.txt").read_text().splitlines()
@@ -334,7 +335,7 @@ class TestRk4Settings:
         assert out[0].startswith("wrote ") and out[1].startswith("records = ")
         assert out[2:] == ["verification: PASS"]
         table = read_trajectory_csv(tmp_path / f"{scenario.name}_trajectory.csv")
-        assert table.times[-1] == resolve_integrator(scenario).t_final
+        assert table.times[-1] == resolved(scenario).t_final
         # A given step keeps the lambda_2 horizon too: 115 steps of 1e-13 s on
         # example 3, where the paper's horizon would take 6.09e6.
         assert len(table.times) < 200
@@ -363,18 +364,18 @@ class TestRk4Settings:
 
     def test_the_step_limit_counts_steps_of_the_step_in_use(self, monkeypatch):
         scenario = replace(presets()[1], method="rk4")
-        derived = resolve_integrator(scenario)
+        derived = resolved(scenario)
         steps = derived.t_final / derived.dt
         monkeypatch.setattr(scenarios_mod, "RK4_MAX_DERIVED_STEPS", math.ceil(steps))
-        assert resolve_integrator(scenario) == derived
+        assert resolved(scenario) == derived
         with pytest.raises(ScenarioError, match="RK4_MAX_DERIVED_STEPS"):
-            resolve_integrator(replace(scenario, dt=derived.dt / 2))
-        assert resolve_integrator(replace(scenario, dt=derived.dt / 2, t_final=1.0)).t_final == 1.0
+            resolved(replace(scenario, dt=derived.dt / 2))
+        assert resolved(replace(scenario, dt=derived.dt / 2, t_final=1.0)).t_final == 1.0
         monkeypatch.setattr(scenarios_mod, "RK4_MAX_DERIVED_STEPS", math.floor(steps))
         with pytest.raises(ScenarioError, match="RK4_MAX_DERIVED_STEPS"):
-            resolve_integrator(scenario)
+            resolved(scenario)
         # Backward Euler's derived horizon is not limited.
-        assert resolve_integrator(replace(scenario, method="be")).t_final > 0.0
+        assert resolved(replace(scenario, method="be")).t_final > 0.0
 
     @pytest.mark.parametrize("field", ["velocity_gap", "energy_gap"])
     @pytest.mark.parametrize("method, dt, gap", [
@@ -395,10 +396,10 @@ class TestRk4Settings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ScenarioError, match="is not finite and nonnegative") as excinfo:
-                resolve_integrator(scenario)
+                resolved(scenario)
             assert str(excinfo.value).endswith("; set --t-final")
             # A given horizon is not refused.
-            assert resolve_integrator(replace(scenario, t_final=1e-12)).t_final == 1e-12
+            assert resolved(replace(scenario, t_final=1e-12)).t_final == 1e-12
 
     @pytest.mark.parametrize("method, example", [
         pytest.param(method, example, id=f"{example}" if method == "rk4" else f"be-{example}")
@@ -407,10 +408,10 @@ class TestRk4Settings:
     def test_a_given_step_or_horizon_is_kept(self, method, example):
         # A given step replaces the step only: the horizon stays lambda_2's.
         scenario = replace(presets()[example], method=method)
-        derived = resolve_integrator(scenario)
-        given_dt = resolve_integrator(replace(scenario, dt=4e-14))
+        derived = resolved(scenario)
+        given_dt = resolved(replace(scenario, dt=4e-14))
         assert (given_dt.dt, given_dt.t_final, given_dt.max_dt) == (4e-14, derived.t_final, None)
-        given_horizon = resolve_integrator(replace(scenario, t_final=1e-9))
+        given_horizon = resolved(replace(scenario, t_final=1e-9))
         assert (given_horizon.dt, given_horizon.t_final) == (derived.dt, 1e-9)
 
 
@@ -631,6 +632,23 @@ class TestParseConfig:
         assert line == "error: species 'Kr': initial energy density overflows"
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3), (3, 0), (3, 1, 3)])
+    def test_velocities_not_shaped_n_by_d_are_refused(self, shape):
+        # A library-built scenario, which parse_config's row checks do not
+        # see: one row of d >= 1 components per species, or a ScenarioError
+        # naming the expected shape, before any array product.
+        scenario = replace(presets()[1], velocities=np.zeros(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError) as refused:
+                scenario.initial_state()
+            with pytest.raises(ScenarioError):
+                record_zero(scenario)
+        assert str(refused.value) == (
+            f"velocities must be shaped (N, d) = (3, d) with d >= 1, got {shape}"
+        )
+        assert is_realizable(replace(scenario, velocities=np.zeros((3, 2))).initial_state())
+
     def test_label_the_csv_can_carry_round_trips(self, tmp_path):
         # T_min_K is also a totals column; the reader finds labels by E_<label>.
         path = tmp_path / "minimum.cfg"
@@ -656,6 +674,22 @@ class TestParseConfig:
         assert scenario.dt == 3.0
 
 
+# The core calls of equilibrium (record 0's stack) and of output (the
+# bracket), and equilibrium's steady_state, each under the key it counts by.
+RECORD_0_SPIES = [(equilibrium_mod, "operators", "record 0"), (output_mod, "operators", "bracket"),
+                  (equilibrium_mod, "steady_state", "steady_state")]
+
+
+def _record_first_arguments(monkeypatch, calls, spied):
+    """Append the first argument of each call of a spied (module, name, key) to calls[key]."""
+    for module, name, key in spied:
+        def counted(head, *args, _key=key, _original=getattr(module, name)):
+            calls[_key].append(head)
+            return _original(head, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
 class TestCliRun:
     def test_example_run_passes_and_round_trips(self, tmp_path, capsys):
         code = main(
@@ -677,10 +711,11 @@ class TestCliRun:
 
     def test_cli_verdict_comes_from_monitor_block(self, tmp_path, monkeypatch):
         # The run's [monitors] block and a re-read CSV's come from one public
-        # function; the run hands it the record-0 bounds it derived once,
-        # with the one build of run constants that its decay constants and
-        # eigenvalue bracket share.
-        calls = {"monitor_block": [], "_decay_constants": [], "run_constants": []}
+        # function; the run hands it the bounds of the record 0 that the CLI
+        # evaluated once: the decay constants and run constants of that
+        # record_zero, and their envelopes on the record times.  The output
+        # set builds no decay constants or run constants of its own.
+        calls = {"monitor_block": [], "decay_constants": [], "run_constants": []}
         for name in calls:
             original = getattr(output_mod, name)
 
@@ -689,52 +724,99 @@ class TestCliRun:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(output_mod, name, counted)
+        evaluated = []
+        monkeypatch.setattr(
+            cli_mod, "record_zero", lambda config: evaluated.append(record_zero(config)) or evaluated[-1]
+        )
         assert main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]) == 0
-        assert [len(made) for made in calls.values()] == [1, 1, 1]
+        assert [len(made) for made in calls.values()] == [1, 0, 0]
+        [first] = evaluated
         args, kwargs = calls["monitor_block"][0]
         given = inspect.signature(monitor_block).bind(*args, **kwargs).arguments
         assert isinstance(given["table"], Trajectory)
         assert given["config"].name == "example1"
-        assert given.get("first") is not None
+        constants, envelopes, const = given["first"]
+        assert constants is first.constants and const is first.const
+        expected = decay_envelopes(first.constants, given["config"].eps, given["table"].times)
+        assert np.array_equal(envelopes, expected)
 
-    def test_a_run_builds_its_run_constants_three_times(self, tmp_path, monkeypatch):
-        # Once for the decay constants that give the derived settings, once
-        # for the stepping and once for the output set, whose decay
-        # constants of record 0 build none of their own.
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_a_run_builds_its_run_constants_twice(self, method, tmp_path, monkeypatch):
+        # Once for record 0, whose decay constants give the derived settings
+        # and every bound of the output set, and once for the stepping.
         built = []
-        for module in (integrate_mod, equilibrium_mod, output_mod):
+        for module in (integrate_mod, scenarios_mod, equilibrium_mod, output_mod):
             def counted(*args, _module=module.__name__, _original=module.run_constants):
                 built.append(_module)
                 return _original(*args)
 
             monkeypatch.setattr(module, "run_constants", counted)
-        for method in ("be", "rk4"):
-            built.clear()
-            args = ["run", "--example", "1", "--method", method, "--t-final", "3e-13"]
-            assert main([*args, "--out", str(tmp_path)]) == 0
-            assert sorted(built) == ["mixbgk.equilibrium", "mixbgk.integrate", "mixbgk.output"]
+        args = ["run", "--example", "1", "--method", method, "--t-final", "3e-13"]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        assert sorted(built) == ["mixbgk.integrate", "mixbgk.scenarios"]
 
-    def test_an_output_set_evaluates_record_0_once(self, tmp_path, monkeypatch):
-        # One core call on record 0's stack, for the decay constants, which
-        # carry the equilibrium too; the bracket's call on the records is
-        # the output set's other one.
-        scenario = presets()[2]
-        integrator = resolve_integrator(scenario)
-        trajectory = simulate(scenario.initial_state(), integrator, scenario.model)
-        calls = {"record 0": [], "bracket": [], "steady_state": []}
-        spied = [(equilibrium_mod, "operators", "record 0"), (output_mod, "operators", "bracket"),
-                 (equilibrium_mod, "steady_state", "steady_state")]
-        for module, name, key in spied:
-            def counted(first, *args, _key=key, _original=getattr(module, name)):
-                calls[_key].append(first)
-                return _original(first, *args)
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_a_run_evaluates_record_0_once(self, method, tmp_path, monkeypatch):
+        # One initial state, one set of decay constants with one core call on
+        # record 0's stack and one steady state, for the settings and the
+        # output set alike.  The bracket's call on the records is the only
+        # other core call of equilibrium or output.
+        calls = {"initial_state": [], "decay_constants": [], "record 0": [], "bracket": [],
+                 "steady_state": []}
+        initial_state = ScenarioConfig.initial_state
 
-            monkeypatch.setattr(module, name, counted)
-        assert write_output_set(str(tmp_path / "set"), scenario, integrator, trajectory)
+        def counted_state(config):
+            calls["initial_state"].append(config.name)
+            return initial_state(config)
+
+        monkeypatch.setattr(ScenarioConfig, "initial_state", counted_state)
+        _record_first_arguments(monkeypatch, calls, [
+            (scenarios_mod, "decay_constants", "decay_constants"),
+            (output_mod, "decay_constants", "decay_constants"), *RECORD_0_SPIES,
+        ])
+        args = ["run", "--example", "2", "--method", method]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        assert calls["initial_state"] == ["example2"]
+        [state] = calls["decay_constants"]
+        assert state.velocities.tobytes() == presets()[2].initial_state().velocities.tobytes()
         assert [np.shape(temperatures) for temperatures in calls["record 0"]] == [(3, 3)]
         [temperatures] = calls["bracket"]
-        assert temperatures.shape[1] == 3 and 1 < len(temperatures) <= len(trajectory.times)
+        records = len(read_trajectory_csv(tmp_path / "example2_trajectory.csv").times)
+        assert temperatures.shape[1] == 3 and 1 < len(temperatures) <= records
         assert len(calls["steady_state"]) == 1
+
+    def test_an_output_set_evaluates_no_record_0_of_its_own(self, tmp_path, monkeypatch):
+        # Given the record_zero of its run, the output set makes no core call
+        # on record 0 and no steady_state: the bracket's call on the records
+        # is its one core call.
+        scenario = presets()[2]
+        first = record_zero(scenario)
+        integrator = resolve_integrator(scenario, first)
+        trajectory = simulate(first.state, integrator, scenario.model)
+        calls = {"record 0": [], "bracket": [], "steady_state": []}
+        _record_first_arguments(monkeypatch, calls, RECORD_0_SPIES)
+        assert write_output_set(str(tmp_path / "set"), scenario, integrator, trajectory, first)
+        assert calls["record 0"] == [] and calls["steady_state"] == []
+        [temperatures] = calls["bracket"]
+        assert temperatures.shape[1] == 3 and 1 < len(temperatures) <= len(trajectory.times)
+
+    def test_an_output_set_refuses_another_record_0(self, tmp_path):
+        # The bounds of one record 0 do not verify a run from another: a
+        # record_zero at another temperature, or the same one with its
+        # velocities moved by a bit, is refused before any file is written.
+        scenario = presets()[2]
+        first = record_zero(scenario)
+        integrator = resolve_integrator(scenario, first)
+        trajectory = simulate(first.state, integrator, scenario.model)
+        hotter = record_zero(replace(scenario, temperatures_kelvin=np.full(3, 1001.0)))
+        velocities = first.state.velocities.copy()
+        velocities[0, 0] = np.nextafter(velocities[0, 0], np.inf)
+        nudged = replace(first, state=replace(first.state, velocities=velocities))
+        for other in (hotter, nudged):
+            with pytest.raises(ValueError, match="record 0 of the trajectory"):
+                write_output_set(str(tmp_path / "set"), scenario, integrator, trajectory, other)
+        assert sorted(tmp_path.iterdir()) == []
+        assert write_output_set(str(tmp_path / "set"), scenario, integrator, trajectory, first)
 
     def test_a_table_of_another_mixture_is_refused(self, tmp_path):
         # A re-read Ar/Kr/Xe table is not verified against the bounds of
@@ -1051,7 +1133,7 @@ class TestCliRun:
         # the trajectory's own monitors reach the same verdict
         scenario = parse_config(path)
         state = scenario.initial_state()
-        trajectory = simulate(state, resolve_integrator(scenario), scenario.model)
+        trajectory = simulate(state, resolved(scenario), scenario.model)
         assert not all(report.velocity_bounds_ok for report in trajectory.monitors)
 
     def test_large_backward_euler_step_fails_the_velocity_envelope(self, tmp_path, capsys):
@@ -1098,7 +1180,7 @@ class TestCliRun:
         assert "d = 3" in capsys.readouterr().err
 
     def test_model_is_checked_against_the_mixture_with_both_settings_given(self, tmp_path):
-        # resolve_integrator derives the decay rates whatever is given, so it
+        # record_zero derives the decay constants whatever is given, so it
         # refuses hard spheres outside d = 3 before any run.
         path = tmp_path / "planar.cfg"
         path.write_text(
@@ -1106,7 +1188,7 @@ class TestCliRun:
             + "dt_s = 1e-13\nt_final_s = 1e-12\n"
         )
         with pytest.raises(ValueError, match="d = 3"):
-            resolve_integrator(parse_config(path))
+            record_zero(parse_config(path))
 
     def test_integrator_failure_exits_3(self, tmp_path, capsys):
         code = main(
@@ -1471,8 +1553,9 @@ class TestCsvWriter:
         # temperatures of the state, derived here through public names, and
         # its bytes are savetxt's.
         scenario = presets()[1]
-        cfg = replace(resolve_integrator(scenario), t_final=3e-13)
-        run = simulate(scenario.initial_state(), cfg, scenario.model)
+        first = record_zero(scenario)
+        cfg = replace(resolve_integrator(scenario, first), t_final=3e-13)
+        run = simulate(first.state, cfg, scenario.model)
         velocities, energies = run.velocities.copy(), run.energies.copy()
         velocities[1:, 0, 0] = -0.0
         velocities[2, 1, 2] = 5e-324
@@ -1487,9 +1570,9 @@ class TestCsvWriter:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(output_mod, "_write_csvs", recorded)
-            output_mod.write_output_set(str(tmp_path / "set"), scenario, cfg, trajectory)
+            output_mod.write_output_set(str(tmp_path / "set"), scenario, cfg, trajectory, first)
         composition = trajectory.composition
-        constants = decay_constants(
+        constants = decay_constants_of(
             MomentState(composition, velocities[0], energies[0]), scenario.model
         )
         envelopes = decay_envelopes(constants, scenario.eps, trajectory.times)

@@ -12,7 +12,6 @@ from mixbgk import (
     MixtureComposition,
     SpeciesParams,
     conservative_decay_rate,
-    decay_constants,
     decay_envelopes,
     energy_to_kelvin,
     presets,
@@ -24,7 +23,7 @@ from mixbgk import (
 from mixbgk.collisions import _laplacian
 from mixbgk.oracles import assemble, symmetric_eigenvalues
 
-from conftest import core_operators, random_composition, random_state
+from conftest import core_operators, decay_constants_of, random_composition, random_state
 
 
 def uniform_constant_mixture(n_species=3, a=2.0, mass=3.0, n=7.0):
@@ -156,14 +155,14 @@ class TestVelocityBounds:
 class TestDecayEnvelopes:
     def test_time_zero_amplitudes(self):
         state = presets()[2].initial_state()
-        constants = decay_constants(state, HardSphere())
+        constants = decay_constants_of(state, HardSphere())
         vel, energy, _ = decay_envelopes(constants, 1.0, 0.0)
         assert vel == pytest.approx(constants.velocity_amplitude, rel=1e-14)
         assert energy == pytest.approx(constants.energy_amplitude, rel=1e-14)
 
     def test_decays_to_zero(self):
         state = presets()[2].initial_state()
-        constants = decay_constants(state, HardSphere())
+        constants = decay_constants_of(state, HardSphere())
         horizon = 60.0 / min(constants.velocity_rate, constants.energy_rate)
         t = np.linspace(0.0, horizon, 200)
         vel, energy, temp = decay_envelopes(constants, 1.0, t)
@@ -205,7 +204,7 @@ class TestDecayEnvelopes:
 
     def test_kinetic_free_state_has_zero_cross_terms(self):
         # zero velocities: no velocity amplitude, pure thermal relaxation
-        constants = decay_constants(presets()[1].initial_state(), HardSphere())
+        constants = decay_constants_of(presets()[1].initial_state(), HardSphere())
         assert constants.velocity_amplitude == 0.0
         assert constants.heating_amplitude == 0.0
         assert constants.speed_bound == 0.0

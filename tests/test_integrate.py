@@ -25,6 +25,7 @@ from mixbgk import (
     conservative_decay_rate,
     kelvin_to_energy,
     presets,
+    record_zero,
     resolve_integrator,
     scaled_energies,
     scaled_velocities,
@@ -39,7 +40,7 @@ from mixbgk.oracles import assemble, energy_rhs, momentum_rhs, pairwise_mixture
 from mixbgk.output import monitor_block, record_monitors
 from mixbgk.scenarios import HORIZON_EFOLDS
 
-from conftest import core_operators, random_state
+from conftest import core_operators, random_state, resolved
 
 
 def two_species_linear(gap=1.0, lam=1.0, rho=(1.0, 0.5)):
@@ -323,7 +324,7 @@ class TestRk4Step:
         # four stages guards its temperatures, calls the core once and the
         # heating once.
         scenario = replace(presets()[2], method="rk4")
-        cfg = resolve_integrator(scenario)
+        cfg = resolved(scenario)
         calls = dict.fromkeys(("_admissible_temperatures", "relaxation", "heating"), 0)
         for name in calls:
             def counted(*args, _name=name, _core=getattr(integrate_mod, name), **kwargs):
@@ -438,7 +439,7 @@ class TestSimulate:
 
         monkeypatch.setattr(integrate_mod, "run_constants", build)
         scenario = replace(presets()[2], method=method)
-        cfg = resolve_integrator(scenario)
+        cfg = resolved(scenario)
         simulate(scenario.initial_state(), replace(cfg, t_final=5 * cfg.dt), scenario.model)
         gc.collect()
         assert len(built) == 1 and built[0]() is None
@@ -465,7 +466,7 @@ def preset2_runs():
     for method in ("be", "rk4"):
         scenario = replace(presets()[2], method=method)
         state = scenario.initial_state()
-        runs[method] = simulate(state, resolve_integrator(scenario), scenario.model)
+        runs[method] = simulate(state, resolved(scenario), scenario.model)
     return runs
 
 
@@ -539,7 +540,7 @@ class TestOneSteppingPath:
         scenario = presets()[2]
         trajectory = preset2_runs["be"]
         state = scenario.initial_state()
-        cfg = resolve_integrator(scenario)
+        cfg = resolved(scenario)
         assert cfg.max_dt is not None  # error-controlled steps
         for r, h in enumerate(np.diff(trajectory.times).tolist(), start=1):
             state = one_step(state, replace(cfg, dt=h, max_dt=None), scenario.model)
@@ -568,7 +569,7 @@ class TestOneSteppingPath:
         if case.startswith("preset"):
             scenario = replace(presets()[int(case[-1])], method="rk4")
             state, model = scenario.initial_state(), scenario.model
-            cfg = resolve_integrator(scenario)
+            cfg = resolved(scenario)
             cfg = replace(cfg, t_final=20 * cfg.dt)
         else:
             state, model, cfg = self._power_of_two_case(case)
@@ -592,7 +593,7 @@ class TestOneSteppingPath:
             state, model = scenario.initial_state(), scenario.model
             dt = 0.05 / conservative_decay_rate(state, model)[0]
             scenario = replace(scenario, dt=dt, t_final=PAPER_HORIZONS[3])
-        cfg = resolve_integrator(scenario)
+        cfg = resolved(scenario)
         steps = [cfg.dt] * 200  # backward Euler: a period-2 cycle from record 6
         if case == "rk4":  # a fixed point from record 407, then a partial step
             cfg = replace(cfg, t_final=450.5 * cfg.dt)
@@ -640,7 +641,7 @@ class TestSteppersArePure:
         if case == "preset3":
             scenario = replace(presets()[3], method=method)
             state, model = scenario.initial_state(), scenario.model
-            cfg = resolve_integrator(scenario)
+            cfg = resolved(scenario)
         else:
             state, model = random_state(np.random.default_rng([30, 30]), 30), HardSphere()
             # One unit of the fastest rate: inside RK4's stability interval.
@@ -670,10 +671,10 @@ PAPER_HORIZONS = {1: 3.79478524801639778e-12, 2: 3.44652915625057957e-12,
                   3: 6.09327188605790957e-07}
 
 
-@pytest.fixture(scope="module")
-def controlled_runs():
+def _spied_runs(first_efolds=None):
     """Each be preset at its derived settings, with the (u, e, dt, result)
-    of every stepper call the run made."""
+    of every stepper call the run made; a first step of ``first_efolds``
+    e-folds of lambda_max at t = 0 replaces the derived one if given."""
     stepper, runs = integrate_mod._picard_solve, {}
     for k, scenario in presets().items():
         calls = []
@@ -685,10 +686,32 @@ def controlled_runs():
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(integrate_mod, "_picard_solve", spying)
-            cfg = resolve_integrator(scenario)
-            trajectory = simulate(scenario.initial_state(), cfg, scenario.model)
+            first = record_zero(scenario)
+            cfg = resolve_integrator(scenario, first)
+            if first_efolds is not None:
+                fastest = first.constants.fastest_rate_t0
+                cfg = replace(cfg, dt=first_efolds * scenario.eps / fastest)
+            trajectory = simulate(first.state, cfg, scenario.model)
         runs[k] = (scenario, cfg, trajectory, calls)
     return runs
+
+
+@pytest.fixture(scope="module")
+def controlled_runs():
+    """Each be preset at its derived settings, with every stepper call."""
+    return _spied_runs()
+
+
+# The first step derived before it fit the tolerance: 0.1 e-folds of
+# lambda_max at t = 0, whose error (0.1)^2 / 2 = 5e-3 on that mode exceeds
+# BE_ERROR_TOL, so each preset rejects it (err / tol 1.04, 1.25 and 1.59).
+REJECTED_FIRST_EFOLDS = 0.1
+
+
+@pytest.fixture(scope="module")
+def rejecting_runs():
+    """Each be preset at its derived settings but for that first step."""
+    return _spied_runs(REJECTED_FIRST_EFOLDS)
 
 
 def _deviation_scales(state):
@@ -705,7 +728,7 @@ def _relative_error(differences, scales):
 
 def _rk4_reference(scenario, times):
     """(velocities, energies) at ``times`` by RK4 at no more than 1/20 of its derived step."""
-    h = resolve_integrator(replace(scenario, method="rk4")).dt / 20.0
+    h = resolved(replace(scenario, method="rk4")).dt / 20.0
     state = scenario.initial_state()
     velocities, energies = [state.velocities], [state.energies]
     for start, end in zip(times[:-1], times[1:]):
@@ -735,10 +758,10 @@ class TestErrorControlledStep:
             assert trajectory.times[0] == 0.0 and np.all(np.diff(trajectory.times) > 0.0)
             assert trajectory.times[-1] == cfg.t_final
             # The horizon is RK4's: HORIZON_EFOLDS e-folds of the floor gap.
-            assert cfg.t_final == resolve_integrator(replace(scenario, method="rk4")).t_final
+            assert cfg.t_final == resolved(replace(scenario, method="rk4")).t_final
 
-    def test_rejected_steps_are_not_recorded(self, controlled_runs):
-        for _, _, trajectory, calls in controlled_runs.values():
+    def test_rejected_steps_are_not_recorded(self, rejecting_runs):
+        for _, _, trajectory, calls in rejecting_runs.values():
             records = len(trajectory.times)
             index = {
                 (u.tobytes(), e.tobytes()): r
@@ -769,6 +792,25 @@ class TestErrorControlledStep:
                 assert end is None
                 assert dt > (steps[start] if start else half_step)
             assert len(calls) == records - 1 + len(rejected) + 2
+
+    def test_the_derived_first_step_is_accepted_at_its_first_try(self, controlled_runs):
+        # BE_SAFETY (2 BE_ERROR_TOL)^(1/2) e-folds of lambda_max at t = 0: its
+        # full step and its two halves are the run's first three stepper
+        # calls, and the full one is record 1.
+        efolds = integrate_mod.BE_SAFETY * math.sqrt(2.0 * integrate_mod.BE_ERROR_TOL)
+        for scenario, cfg, trajectory, calls in controlled_runs.values():
+            fastest = record_zero(scenario).constants.fastest_rate_t0
+            assert cfg.dt == efolds * scenario.eps / fastest
+            assert cfg.dt < cfg.max_dt
+            assert trajectory.times[1] == cfg.dt
+            assert [dt for _, _, dt, _ in calls[:3]] == [cfg.dt, cfg.dt / 2.0, cfg.dt / 2.0]
+            u_1, e_1 = calls[0][3][:2]
+            assert (u_1.tobytes(), e_1.tobytes()) == (
+                trajectory.velocities[1].tobytes(), trajectory.energies[1].tobytes()
+            )
+            start = (trajectory.velocities[0].tobytes(), trajectory.energies[0].tobytes())
+            from_start = [dt for u, e, dt, _ in calls if (u.tobytes(), e.tobytes()) == start]
+            assert from_start == [cfg.dt, cfg.dt / 2.0]
 
     def test_every_step_is_within_the_bound(self, controlled_runs):
         for scenario, cfg, trajectory, _ in controlled_runs.values():
@@ -832,7 +874,7 @@ class TestErrorControlledStep:
             model=ConstantMatrix(np.array([[1e6, 1e6, 1e-6], [1e6, 1e6, 1e-6],
                                            [1e-6, 1e-6, 1e6]])),
         )
-        cfg = resolve_integrator(scenario)
+        cfg = resolved(scenario)
         stepper, calls = integrate_mod._picard_solve, []
 
         def counting(u, e, dt, eps, const):
@@ -863,7 +905,7 @@ class TestErrorControlledStep:
         # of eps = 1: 45, 43 and 56 records.
         for scenario, _, reference, _ in controlled_runs.values():
             scenario = replace(scenario, eps=eps)
-            cfg = resolve_integrator(scenario)
+            cfg = resolved(scenario)
             trajectory = simulate(scenario.initial_state(), cfg, scenario.model)
             assert len(trajectory.times) == len(reference.times)
             assert trajectory.times[-1] == cfg.t_final
@@ -1185,7 +1227,7 @@ class TestConvergenceTest:
         monkeypatch.setattr(integrate_mod, "_relative_changes", recording)
         monkeypatch.setattr(integrate_mod, "_picard_solve", stepping)
         scenario = presets()[2]
-        cfg = resolve_integrator(scenario)
+        cfg = resolved(scenario)
         simulate(scenario.initial_state(), cfg, scenario.model)
         assert computed and all(tests == sweeps >= 1 for tests, sweeps in computed)
         assert len(seen) == sum(sweeps for _, sweeps in computed)

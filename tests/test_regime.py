@@ -22,12 +22,13 @@ from mixbgk import (
     SpeciesParams,
     conservative_decay_rate,
     parse_config,
-    resolve_integrator,
     simulate,
     steady_state,
 )
 from mixbgk.integrate import BE_ERROR_TOL
 from mixbgk.output import monitor_block, record_monitors
+
+from conftest import resolved
 
 SPECIES_COUNTS = (2, 3, 5, 10, 30)
 RATE_DTS = (0.05, 5.0, 500.0, 5e4, 5e6, 5e8, 5e10)  # conservative velocity rate * dt
@@ -153,7 +154,7 @@ def _failing_monitors(trajectory, scenario):
 def test_survey_mixtures_at_derived_settings(draw):
     failed = {}
     for name, _, scenario in survey_scenarios(draw, DERIVED_SEED):
-        config = resolve_integrator(scenario)
+        config = resolved(scenario)
         assert config.max_dt is not None
         trajectory = simulate(scenario.initial_state(), config, scenario.model)
         assert trajectory.times[-1] == config.t_final
@@ -203,7 +204,7 @@ def test_survey_global_error(draw):
     errors = {}
     for name, rate_dt, scenario in survey_scenarios(draw, DERIVED_SEED):
         if rate_dt == RATE_DTS[0] and scenario.eps == EPSILONS[0]:
-            config = resolve_integrator(scenario)
+            config = resolved(scenario)
             trajectory = simulate(scenario.initial_state(), config, scenario.model)
             errors[name] = _global_error(scenario, trajectory) / BE_ERROR_TOL
     assert len(errors) == len(SPECIES_COUNTS)
@@ -219,7 +220,7 @@ def _trace_krypton(tmp_path, **overrides):
 def test_trace_krypton_file_at_its_derived_step(tmp_path):
     # The paper's horizon, 200 steps; the lambda_2 horizon is 2.2e-13 s, one short step.
     scenario = _trace_krypton(tmp_path, dt=TRACE_KRYPTON_DT_S, t_final=200 * TRACE_KRYPTON_DT_S)
-    config = resolve_integrator(scenario)
+    config = resolved(scenario)
     assert config.dt > 100.0  # the step this file exists for
     trajectory = simulate(scenario.initial_state(), config, scenario.model)
     assert _violations(trajectory) == []
@@ -230,7 +231,7 @@ def test_trace_krypton_file_at_its_derived_step(tmp_path):
 
 def test_trace_krypton_file_at_its_derived_settings(tmp_path):
     scenario = _trace_krypton(tmp_path)
-    config = resolve_integrator(scenario)
+    config = resolved(scenario)
     trajectory = simulate(scenario.initial_state(), config, scenario.model)
     assert trajectory.times[-1] == config.t_final
     assert _violations(trajectory) == []

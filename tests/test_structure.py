@@ -335,14 +335,26 @@ def test_only_simulate_keys_a_state_and_only_exactly():
 
 
 def test_scenarios_take_the_paper_rate_from_their_one_spectrum():
-    # decay_constants gives the step, the horizon and the rate of backward
-    # Euler's step bound from record 0's one spectrum; scenarios evaluates
-    # no part of the operator core itself.
-    referenced = set(_referenced_names(_modules()["scenarios.py"]))
-    assert "decay_constants" in referenced  # the guard reads the names
-    core = {"conservative_decay_rate", "operators", "relaxation", "run_constants",
-            "eigenvalue_brackets", "eigvalsh"}
-    assert sorted(core & referenced) == []
+    # record_zero builds record 0's run constants once and evaluates its
+    # decay constants with them, and resolve_integrator takes the step, the
+    # horizon and the rate of backward Euler's step bound from that one
+    # spectrum; scenarios evaluates no other part of the operator core.
+    tree = _modules()["scenarios.py"]
+    referenced = list(_referenced_names(tree))
+    for name in ("run_constants", "decay_constants"):  # the import and one call
+        assert referenced.count(name) == 2, name
+        assert [user for user in _top_level_users(name) if user[0] == "scenarios.py"] == [
+            ("scenarios.py", "record_zero")
+        ]
+    core = {"conservative_decay_rate", "operators", "relaxation", "eigenvalue_brackets",
+            "eigvalsh"}
+    assert sorted(core & set(referenced)) == []
+    [resolve] = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "resolve_integrator"
+    ]
+    evaluations = {"record_zero", "initial_state", "run_constants", "decay_constants"}
+    assert sorted(evaluations & set(_referenced_names(resolve))) == []
 
 
 def test_the_run_and_its_verifier_own_the_floating_point_policy():
@@ -415,20 +427,29 @@ def test_trajectory_table_is_the_state():
     assert sorted(name for name, text in texts.items() if "build_table" in text) == []
 
     # monitor_block and the helper that derives the bounds of record 0 each
-    # read some of those columns only.  write_output_set derives those
-    # bounds once and hands them to monitor_block, whose other callers
-    # leave them to it.
+    # read some of those columns only.  write_output_set takes those bounds
+    # from the record_zero its run was derived from and hands them to
+    # monitor_block, whose other callers leave them to the helper.
     readers = [
         node for node in _modules()["output.py"].body
         if isinstance(node, ast.FunctionDef) and node.name in (MONITOR_LINES, FIRST_RECORD)
     ]
     assert sorted(node.name for node in readers) == [FIRST_RECORD, MONITOR_LINES]
     assert _top_level_users(MONITOR_LINES) == [("output.py", "write_output_set")]
+    assert _top_level_users(FIRST_RECORD) == [("output.py", MONITOR_LINES)]
     # The helper builds the run constants once for the decay constants and
-    # the eigenvalue bracket, so it calls decay_constants' private twin.
-    assert _top_level_users("_decay_constants") == [
-        ("equilibrium.py", "decay_constants"), ("output.py", FIRST_RECORD)
+    # the eigenvalue bracket; a CLI run's record 0 is evaluated by
+    # record_zero, and the output set builds no state, run constants or
+    # decay constants of its own.
+    assert _top_level_users("decay_constants") == [
+        ("output.py", FIRST_RECORD), ("scenarios.py", "record_zero")
     ]
+    [writer] = [
+        node for node in _modules()["output.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "write_output_set"
+    ]
+    evaluations = {FIRST_RECORD, "MomentState", "run_constants", "decay_constants"}
+    assert sorted(evaluations & set(_referenced_names(writer))) == []
     state = {"times", "velocities", "energies"}
     # monitor_block also reads the table's mixture identity, the labels and
     # the temperature columns of a re-read CSV or a run's composition, to
@@ -448,9 +469,8 @@ def test_trajectory_table_is_the_state():
 
 def test_output_calls_equilibrium_through_public_names():
     # One function per verifier job: output reaches equilibrium through its
-    # public names, but for the decay constants from given run constants,
-    # and the private twins of monitor_block and velocity_component_bound
-    # stay gone.
+    # public names only, and the private twins of decay_constants,
+    # monitor_block and velocity_component_bound stay gone.
     modules = _modules()
     imported = [
         alias.name
@@ -459,12 +479,13 @@ def test_output_calls_equilibrium_through_public_names():
         for alias in node.names
     ]
     assert "velocity_component_bound" in imported
-    assert sorted(name for name in imported if name.startswith("_")) == ["_decay_constants"]
+    assert sorted(name for name in imported if name.startswith("_")) == []
     defined = sorted(
         (module, node.name)
         for module, tree in modules.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name in ("_monitor_lines", "_component_bound")
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_decay_constants", "_monitor_lines", "_component_bound")
     )
     assert defined == []
 
