@@ -9,12 +9,12 @@ mixture, and the decay constants), derives the settings from it
 (``resolve_integrator``), runs it, and hands the trajectory and the same
 record 0 to ``output.write_output_set``, which verifies the run and writes
 ``<name>_trajectory.csv``, ``<name>_envelopes.csv`` and
-``<name>_summary.txt`` into the output directory (``MIXBGK_OUT``
-overrides ``--out``), all three or none of them.  Exit codes: 0 all
-monitors pass, 1 configuration error, unusable output directory (found
-before the run) or unwritable output file, 2 monitor violation (the
-verdict ``write_output_set`` returns), 3 integrator failure (a typed
-error of ``simulate``, which lets no numpy warning out).
+``<name>_summary.txt`` into the output directory (a nonempty
+``MIXBGK_OUT`` overrides ``--out``), all three or none of them.  Exit
+codes: 0 all monitors pass, 1 configuration error, unusable output
+directory (found before the run) or unwritable output file, 2 monitor
+violation (the verdict ``write_output_set`` returns), 3 integrator
+failure (a typed error of ``simulate``, which lets no numpy warning out).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def run(args) -> int:
 
         first = record_zero(scenario)
         integrator = resolve_integrator(scenario, first)
-        out_dir = os.environ.get("MIXBGK_OUT", args.out)
+        out_dir = os.environ.get("MIXBGK_OUT") or args.out
         os.makedirs(out_dir, exist_ok=True)  # a bad directory fails before the run
     except (ValueError, OSError) as err:  # ScenarioError is a ValueError
         print(f"error: {err}", file=sys.stderr)

@@ -1,18 +1,20 @@
 """The one verifier and writer of a run: its gates, its verdict and its output set.
 
 The gates are DRIFT_LIMIT and the slacks FLOOR_SLACK, BOUND_SLACK,
-ENVELOPE_SLACK and BRACKET_SLACK; every bound derives from the first
-record.  The trajectory CSV carries, per recorded time: per-species
-velocities, temperatures (Kelvin), and energy densities, the conserved
-totals, the minimum temperature, and the three analytic decay envelopes
-on the same time grid (so plots overlay without interpolation).  Only the
-``t``, ``u`` and ``E`` columns are state: ``write_output_set``, the one
-writer of a run's files, and ``monitor_block``, the one source of the
-summary's ``[monitors]`` block, derive every other value from them plus
-the scenario.  A re-read table also keeps its labels and temperature
-columns, as the mixture's identity that ``monitor_block`` checks against
-the scenario.  Numbers are written in full round-trip precision, so the
-block reproduces bit-for-bit from a re-read file of the same mixture.
+ENVELOPE_SLACK and BRACKET_SLACK; every bound derives from the
+scenario's record 0, its ``record_zero``, and a table whose first record
+is not that state is refused.  The trajectory CSV carries, per recorded
+time: per-species velocities, temperatures (Kelvin), and energy
+densities, the conserved totals, the minimum temperature, and the three
+analytic decay envelopes on the same time grid (so plots overlay without
+interpolation).  Only the ``t``, ``u`` and ``E`` columns are state:
+``write_output_set``, the one writer of a run's files, and
+``monitor_block``, the one source of the summary's ``[monitors]`` block,
+derive every other value from them plus the scenario.  A re-read table
+also keeps its labels and temperature columns, as the mixture's identity
+that ``monitor_block`` checks against the scenario.  Numbers are written
+in full round-trip precision, so the block reproduces bit-for-bit from a
+re-read file of the same mixture.
 Conserved totals, the floor and the equilibrium plateau repeat down a
 table, and the time and envelope columns across the two CSVs of a run,
 so the CSV writer formats each distinct value of an output set once and
@@ -28,17 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import HardSphere, operators, run_constants
+from .collisions import HardSphere, operators
 from .equilibrium import (
     EquilibriumData,
-    decay_constants,
     decay_envelopes,
     eigenvalue_brackets,
     velocity_component_bound,
 )
 from .integrate import IntegratorConfig, Trajectory
-from .scenarios import RecordZero, ScenarioConfig
-from .species import MixtureComposition, MomentState, _temperatures, energy_to_kelvin
+from .scenarios import RecordZero, ScenarioConfig, record_zero
+from .species import MixtureComposition, _temperatures, energy_to_kelvin
 
 DRIFT_LIMIT = 1e-9
 # Relative slacks: a temperature may sit FLOOR_SLACK below the initial
@@ -154,11 +155,13 @@ def read_trajectory_csv(path) -> TrajectoryTable:
 
     species_end = 1 + n * (dimension + 2)
     per_species = data[:, 1:species_end].reshape(len(data), n, dimension + 2)
+    # The state columns take a run's contiguous layout: on a strided view,
+    # matmul and sum may add the species in another order.
     return TrajectoryTable(
         labels=labels,
-        times=data[:, 0],
-        velocities=per_species[..., :dimension],
-        energies=per_species[..., dimension + 1],
+        times=np.ascontiguousarray(data[:, 0]),
+        velocities=np.ascontiguousarray(per_species[..., :dimension]),
+        energies=np.ascontiguousarray(per_species[..., dimension + 1]),
         temperatures_kelvin=per_species[..., dimension],
     )
 
@@ -231,21 +234,9 @@ def record_monitors(
     )
 
 
-def _first_record_bounds(table, composition, config: ScenarioConfig):
-    """(decay constants, envelopes on ``table.times``, run constants) of
-    record 0, the one reference of every bound of a run; its temperatures
-    must be positive.  The decay constants carry the equilibrium.  The run
-    constants of the scenario's model, built once for the decay constants,
-    serve the eigenvalue bracket too."""
-    first = MomentState(composition, table.velocities[0], table.energies[0])
-    const = run_constants(composition, config.model, first.dimension)
-    constants = decay_constants(first, const)
-    return constants, decay_envelopes(constants, config.eps, table.times), const
-
-
 @np.errstate(all="ignore")
 def monitor_block(
-    table: TrajectoryTable | Trajectory, config: ScenarioConfig, first=None
+    table: TrajectoryTable | Trajectory, config: ScenarioConfig, first: RecordZero | None = None
 ) -> list[str]:
     """The ``[monitors]`` summary lines, a pure function of the state + scenario.
 
@@ -261,16 +252,16 @@ def monitor_block(
     the scenario's temperatures of the table's state bit for bit.  That
     check cannot reveal a wrong mass of a species at rest in every record
     of a table, as T = (2/(d n)) E - (m/d)|u|^2 does not involve m at
-    u = 0; a run's composition is compared whole.  Checks conservation
-    drift, the temperature floor, componentwise velocity bounds,
-    realizability, dominance of all three decay envelopes from the first
-    record, and the eigenvalue bracket at every recorded state, evaluated
-    once for consecutive records with equal temperatures.  As in a run,
-    numpy's floating-point errors are ignored: a value that overflows is
-    infinite and fails its comparison.  ``first`` is record 0's (decay
-    constants, envelopes on ``table.times``, run constants) if the caller
-    derived them; the bracket takes the operators with the same run
-    constants.
+    u = 0; a run's composition is compared whole.  Every bound derives
+    from ``first``, the scenario's ``record_zero`` (evaluated here when
+    ``None``): a table whose record 0 is not ``first.state``, bit for bit,
+    is refused with ``ValueError``.  Checks conservation drift, the
+    temperature floor, componentwise velocity bounds, realizability,
+    dominance of the three decay envelopes of ``first.constants``, and the
+    eigenvalue bracket at every recorded state, with the operators of
+    ``first.const``, evaluated once for consecutive records with equal
+    temperatures.  As in a run, numpy's floating-point errors are ignored:
+    a value that overflows is infinite and fails its comparison.
     """
     comp = MixtureComposition(config.species, config.number_densities)
     reread = isinstance(table, TrajectoryTable)
@@ -297,6 +288,11 @@ def monitor_block(
         raise ValueError(
             "table temperatures T_<label>_K are not the scenario's at the table's state"
         )
+    first = record_zero(config) if first is None else first
+    if (velocities[0].tobytes(), energies[0].tobytes()) != (
+        first.state.velocities.tobytes(), first.state.energies.tobytes()
+    ):
+        raise ValueError("record 0 of the table is not the state of its record_zero")
 
     lines = ["[monitors]"]
     checks: list[bool] = []
@@ -317,13 +313,8 @@ def monitor_block(
     report("velocity_bounds", bool(records.velocity_bounds_ok.all()))
     report("realizability", bool(records.realizable.all()))
 
-    if np.all(records.temperatures[0] > 0.0):  # False for a NaN too
-        first = first or _first_record_bounds(table, comp, config)
-        constants, envelopes, _ = first
-        dev_u, dev_e, dev_t = _deviations(table, temps_k, constants.equilibrium)
-    else:  # no decay rates without a positive floor; NaN fails every comparison
-        dev_u = dev_e = dev_t = np.nan
-        envelopes = np.full((3, len(times)), np.nan)
+    envelopes = decay_envelopes(first.constants, config.eps, times)
+    dev_u, dev_e, dev_t = _deviations(table, temps_k, first.constants.equilibrium)
     # A computed deviation also carries rounding that the exact one of the
     # theorem does not: k unit roundoffs of the run's own scale, k counting
     # the roundings between the stored state and the deviation (README).
@@ -349,8 +340,7 @@ def monitor_block(
         checked = np.all(temps > 0.0, axis=1)
         checked[1:] &= np.any(temps[1:] != temps[:-1], axis=1)
         temps = temps[checked]
-        const = first[2] if first else run_constants(comp, config.model, d)
-        coupling, z = operators(temps, const)
+        coupling, z = operators(temps, first.const)
         brackets = eigenvalue_brackets(coupling, rho, n)  # (R, operator, end)
         spectra = np.linalg.eigvalsh(z)[..., 1:]  # (R, operator, N - 1): drop the null mode
         lower, upper = brackets[..., :1], brackets[..., 1:]
@@ -371,25 +361,22 @@ def write_output_set(
     """Verify a run and write its trajectory, envelope and summary files, or none of them.
 
     ``first`` is the scenario's ``record_zero``, from which the run's
-    settings were derived: its decay constants and run constants are every
-    bound of the verdict, so the output set evaluates record 0 no more and
-    only the envelopes on the record times.  A trajectory whose record 0
-    is not ``first.state``, bit for bit, is refused with ``ValueError``.
-    Returns the verdict of the summary's ``[monitors]`` block.  Each file is
-    written to a temporary name beside its target, and the three are moved
-    into place only once all are written and no target is a directory, the
-    one case in which a rename within the directory fails after its files
-    could be created.  On failure no temporary file remains.
+    settings were derived; ``monitor_block`` takes every bound of the
+    verdict from it and refuses, with ``ValueError`` and before any file
+    is written, a trajectory whose record 0 is not ``first.state``.  The
+    output set evaluates record 0 no more, only the envelopes of the CSV
+    columns on the record times.  Returns the verdict of the summary's
+    ``[monitors]`` block.  Each file is written to a temporary name beside
+    its target, and the three are moved into place only once all are
+    written and no target is a directory, the one case in which a rename
+    within the directory fails after its files could be created.  On
+    failure no temporary file remains.
     """
     comp = trajectory.composition
-    if (trajectory.velocities[0].tobytes(), trajectory.energies[0].tobytes()) != (
-        first.state.velocities.tobytes(), first.state.energies.tobytes()
-    ):
-        raise ValueError("record 0 of the trajectory is not the state of its record_zero")
+    monitors = monitor_block(trajectory, config, first)
     constants = first.constants
     envelopes = decay_envelopes(constants, config.eps, trajectory.times)
     equilibrium = constants.equilibrium
-    monitors = monitor_block(trajectory, config, (constants, envelopes, first.const))
     model = "hard_sphere" if isinstance(config.model, HardSphere) else "constant"
     lines = [
         f"scenario = {config.name}",

@@ -129,7 +129,8 @@ class RecordZero:
     """Record 0 of a scenario's run, evaluated once: the initial state, the run
     constants of the scenario's model and the decay constants evaluated with
     them.  ``resolve_integrator`` derives the settings from it and
-    ``output.write_output_set`` every bound of the verdict."""
+    ``output.monitor_block`` every bound of the verdict, for a run and a
+    re-read CSV alike."""
 
     state: MomentState
     const: RunConstants

@@ -43,7 +43,7 @@ from mixbgk import (
     temperatures_of,
 )
 from mixbgk.cli import main
-from mixbgk.collisions import operators, run_constants
+from mixbgk.collisions import DENSE_OPERATOR_MAX_SPECIES, operators, run_constants
 from mixbgk.oracles import assemble, symmetric_eigenvalues
 from mixbgk.output import monitor_block, read_trajectory_csv, write_output_set
 from mixbgk.scenarios import BE_STEP_BOUND, HORIZON_EFOLDS, RK4_RATE_PER_STEP, ScenarioError
@@ -115,6 +115,9 @@ t_final_s = 1e-5
 """
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# Ten hard-sphere species drawn once (the seed is in the file): more than
+# DENSE_OPERATOR_MAX_SPECIES, so its runs take the elementwise operator core.
+TEN_SPECIES = Path(__file__).resolve().parent / "data" / "ten_species.cfg"
 
 
 def run_cli(args, cwd):
@@ -709,13 +712,28 @@ class TestCliRun:
         assert envelopes[0].startswith("t,dev_u_Ar")
         assert len(envelopes) == len(table.times) + 1
 
+    @pytest.mark.parametrize("method", ["be", "rk4"])
+    def test_a_ten_species_run_passes_and_round_trips(self, method, tmp_path):
+        # The elementwise core on stacked records, in the run and in the
+        # verifier of its re-read CSV.
+        scenario = parse_config(TEN_SPECIES)
+        const = record_zero(scenario).const
+        assert len(scenario.species) > DENSE_OPERATOR_MAX_SPECIES
+        assert const.operator_map is None
+        args = ["run", "--config", str(TEN_SPECIES), "--method", method]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "ten_species_summary.txt").read_text()
+        block = summary[summary.index("[monitors]"):].splitlines()
+        assert len(block) == 11 and all(line.endswith("-> PASS") for line in block[1:])
+        table = read_trajectory_csv(tmp_path / "ten_species_trajectory.csv")
+        assert monitor_block(table, parse_config(TEN_SPECIES)) == block
+
     def test_cli_verdict_comes_from_monitor_block(self, tmp_path, monkeypatch):
         # The run's [monitors] block and a re-read CSV's come from one public
-        # function; the run hands it the bounds of the record 0 that the CLI
-        # evaluated once: the decay constants and run constants of that
-        # record_zero, and their envelopes on the record times.  The output
-        # set builds no decay constants or run constants of its own.
-        calls = {"monitor_block": [], "decay_constants": [], "run_constants": []}
+        # function; the run hands it the record_zero that the CLI evaluated
+        # once, whose decay constants and run constants are every bound of
+        # the verdict.  The output set evaluates no record_zero of its own.
+        calls = {"monitor_block": [], "record_zero": []}
         for name in calls:
             original = getattr(output_mod, name)
 
@@ -729,23 +747,22 @@ class TestCliRun:
             cli_mod, "record_zero", lambda config: evaluated.append(record_zero(config)) or evaluated[-1]
         )
         assert main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)]) == 0
-        assert [len(made) for made in calls.values()] == [1, 0, 0]
+        assert [len(made) for made in calls.values()] == [1, 0]
         [first] = evaluated
         args, kwargs = calls["monitor_block"][0]
         given = inspect.signature(monitor_block).bind(*args, **kwargs).arguments
         assert isinstance(given["table"], Trajectory)
         assert given["config"].name == "example1"
-        constants, envelopes, const = given["first"]
-        assert constants is first.constants and const is first.const
-        expected = decay_envelopes(first.constants, given["config"].eps, given["table"].times)
-        assert np.array_equal(envelopes, expected)
+        assert given["first"] is first
 
     @pytest.mark.parametrize("method", ["be", "rk4"])
     def test_a_run_builds_its_run_constants_twice(self, method, tmp_path, monkeypatch):
         # Once for record 0, whose decay constants give the derived settings
-        # and every bound of the output set, and once for the stepping.
+        # and every bound of the output set, and once for the stepping; the
+        # output set takes its run constants from record_zero.
+        assert not hasattr(output_mod, "run_constants")
         built = []
-        for module in (integrate_mod, scenarios_mod, equilibrium_mod, output_mod):
+        for module in (integrate_mod, scenarios_mod, equilibrium_mod):
             def counted(*args, _module=module.__name__, _original=module.run_constants):
                 built.append(_module)
                 return _original(*args)
@@ -759,8 +776,9 @@ class TestCliRun:
     def test_a_run_evaluates_record_0_once(self, method, tmp_path, monkeypatch):
         # One initial state, one set of decay constants with one core call on
         # record 0's stack and one steady state, for the settings and the
-        # output set alike.  The bracket's call on the records is the only
-        # other core call of equilibrium or output.
+        # output set alike (output evaluates decay constants only through
+        # scenarios' record_zero).  The bracket's call on the records is the
+        # only other core call of equilibrium or output.
         calls = {"initial_state": [], "decay_constants": [], "record 0": [], "bracket": [],
                  "steady_state": []}
         initial_state = ScenarioConfig.initial_state
@@ -771,8 +789,7 @@ class TestCliRun:
 
         monkeypatch.setattr(ScenarioConfig, "initial_state", counted_state)
         _record_first_arguments(monkeypatch, calls, [
-            (scenarios_mod, "decay_constants", "decay_constants"),
-            (output_mod, "decay_constants", "decay_constants"), *RECORD_0_SPIES,
+            (scenarios_mod, "decay_constants", "decay_constants"), *RECORD_0_SPIES,
         ])
         args = ["run", "--example", "2", "--method", method]
         assert main([*args, "--out", str(tmp_path)]) == 0
@@ -813,7 +830,7 @@ class TestCliRun:
         velocities[0, 0] = np.nextafter(velocities[0, 0], np.inf)
         nudged = replace(first, state=replace(first.state, velocities=velocities))
         for other in (hotter, nudged):
-            with pytest.raises(ValueError, match="record 0 of the trajectory"):
+            with pytest.raises(ValueError, match="record 0 of the table"):
                 write_output_set(str(tmp_path / "set"), scenario, integrator, trajectory, other)
         assert sorted(tmp_path.iterdir()) == []
         assert write_output_set(str(tmp_path / "set"), scenario, integrator, trajectory, first)
@@ -893,6 +910,29 @@ class TestCliRun:
         summary = (tmp_path / "example1_summary.txt").read_text()
         assert "\n".join(monitor_block(table, example1)) in summary
 
+    @pytest.mark.parametrize("example, dt, column", [
+        (1, 1e-13, "energies"), (2, None, "velocities"),
+    ], ids=["energies", "velocities"])
+    def test_a_table_from_another_record_0_is_refused(self, example, dt, column, tmp_path):
+        # Every bound is the scenario's record 0's.  Row 0 moved away from
+        # equilibrium, to E_eq + 1.5 (E(0) - E_eq) or, keeping the momentum,
+        # to u_eq + 1.5 (u(0) - u_eq), with its temperatures derived again,
+        # would widen bounds taken from the table's own first row: so taken,
+        # they would let the failing energy run below read PASS on every line.
+        scenario = replace(presets()[example], dt=dt)
+        args = ["run", "--example", str(example), "--out", str(tmp_path)]
+        code = main(args + (["--dt", str(dt)] if dt else []))
+        assert code == (2 if column == "energies" else 0)
+        table = read_trajectory_csv(tmp_path / f"example{example}_trajectory.csv")
+        summary = (tmp_path / f"example{example}_summary.txt").read_text()
+        assert "\n".join(monitor_block(table, scenario)) in summary
+        equilibrium = steady_state(scenario.initial_state())
+        target = equilibrium.energies if column == "energies" else equilibrium.velocity
+        values = getattr(table, column)
+        values[0] = target + 1.5 * (values[0] - target)
+        with pytest.raises(ValueError, match="record 0 of the table"):
+            monitor_block(restate(table, scenario), scenario)
+
     def test_too_tight_bracket_fails(self, tmp_path, monkeypatch):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
@@ -942,33 +982,30 @@ class TestCliRun:
         assert "realizability -> FAIL" in block
         assert block[-1] == "overall -> FAIL"
 
-    def test_unrealizable_first_record_fails_without_raising(self, tmp_path):
-        # The envelopes derive from the first record, and a nonpositive
-        # temperature there has no decay rates: every envelope line fails.
+    def test_an_unrealizable_first_record_is_refused(self, tmp_path):
+        # Every bound derives from the scenario's record 0, which a first
+        # record with a nonpositive temperature is not: the table is refused,
+        # without a warning, rather than verified against another state.
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / "example1_trajectory.csv")
         table.energies[0, 0] *= -1.0
-        block = monitor_block(restate(table, presets()[1]), presets()[1])
-        for name in ("realizability", "envelope_velocity", "envelope_energy",
-                     "envelope_temperature"):
-            assert f"{name} -> FAIL" in block
-        assert block[-1] == "overall -> FAIL"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="record 0 of the table"):
+                monitor_block(restate(table, presets()[1]), presets()[1])
 
     @pytest.mark.parametrize("example", [1, 2])
-    def test_nan_in_first_record_fails_without_raising(self, tmp_path, example):
+    def test_a_nan_in_the_first_record_is_refused(self, tmp_path, example):
         # Preset 1 has zero momentum, preset 2 does not; either way a NaN
-        # there leaves no envelope or drift scale, and every line it feeds fails.
+        # there is not the scenario's record 0, and the table is refused
+        # without a warning.
         main(["run", "--example", str(example), "--t-final", "3e-13", "--out", str(tmp_path)])
         table = read_trajectory_csv(tmp_path / f"example{example}_trajectory.csv")
         table.energies[0, 0] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = monitor_block(restate(table, presets()[example]), presets()[example])
-        for name in ("momentum_drift_max", "energy_drift_max", "temperature_floor_min_K",
-                     "realizability", "envelope_velocity", "envelope_energy",
-                     "envelope_temperature"):
-            assert any(line.startswith(name) and line.endswith("-> FAIL") for line in block)
-        assert block[-1] == "overall -> FAIL"
+            with pytest.raises(ValueError, match="record 0 of the table"):
+                monitor_block(restate(table, presets()[example]), presets()[example])
 
     def test_temperature_below_floor_is_still_realizable(self, tmp_path):
         main(["run", "--example", "1", "--t-final", "3e-13", "--out", str(tmp_path)])
@@ -1295,6 +1332,18 @@ class TestCliRun:
         assert code == 0
         assert (env_dir / "example1_summary.txt").exists()
         assert not flag_dir.exists()
+
+    def test_an_empty_env_var_leaves_the_out_dir(self, tmp_path, monkeypatch, capsys):
+        # An empty MIXBGK_OUT counts as unset: the run writes into --out,
+        # not into a directory named ''.
+        flag_dir = tmp_path / "flag_out"
+        monkeypatch.setenv("MIXBGK_OUT", "")
+        code = main(
+            ["run", "--example", "1", "--t-final", "3e-13", "--out", str(flag_dir)]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (flag_dir / "example1_summary.txt").exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
     @pytest.mark.parametrize("via", ["--out", "MIXBGK_OUT"])

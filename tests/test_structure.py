@@ -49,9 +49,7 @@ STEPPERS = ("_picard_solve", "_rk4_advance")
 # velocity-bound, envelope and eigenvalue-bracket monitors.
 GATES = {"DRIFT_LIMIT", "FLOOR_SLACK", "BOUND_SLACK", "ENVELOPE_SLACK", "BRACKET_SLACK"}
 
-# The helper of ``output`` that derives every bound of a run from record 0,
-# and the public function that writes the [monitors] lines from it.
-FIRST_RECORD = "_first_record_bounds"
+# The public function of ``output`` that writes the [monitors] lines.
 MONITOR_LINES = "monitor_block"
 
 
@@ -426,45 +424,39 @@ def test_trajectory_table_is_the_state():
     texts.update({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))})
     assert sorted(name for name, text in texts.items() if "build_table" in text) == []
 
-    # monitor_block and the helper that derives the bounds of record 0 each
-    # read some of those columns only.  write_output_set takes those bounds
-    # from the record_zero its run was derived from and hands them to
-    # monitor_block, whose other callers leave them to the helper.
-    readers = [
+    # monitor_block reads some of those columns only.  Every bound derives
+    # from the scenario's record_zero: write_output_set hands monitor_block
+    # the one its run was derived from, and monitor_block evaluates it for
+    # its other callers.  record_zero is the one evaluation of record 0's
+    # decay constants, and the output set builds no state, run constants
+    # or decay constants of its own.
+    [reader] = [
         node for node in _modules()["output.py"].body
-        if isinstance(node, ast.FunctionDef) and node.name in (MONITOR_LINES, FIRST_RECORD)
+        if isinstance(node, ast.FunctionDef) and node.name == MONITOR_LINES
     ]
-    assert sorted(node.name for node in readers) == [FIRST_RECORD, MONITOR_LINES]
     assert _top_level_users(MONITOR_LINES) == [("output.py", "write_output_set")]
-    assert _top_level_users(FIRST_RECORD) == [("output.py", MONITOR_LINES)]
-    # The helper builds the run constants once for the decay constants and
-    # the eigenvalue bracket; a CLI run's record 0 is evaluated by
-    # record_zero, and the output set builds no state, run constants or
-    # decay constants of its own.
-    assert _top_level_users("decay_constants") == [
-        ("output.py", FIRST_RECORD), ("scenarios.py", "record_zero")
+    assert _top_level_users("decay_constants") == [("scenarios.py", "record_zero")]
+    assert [user for user in _top_level_users("record_zero") if user[0] == "output.py"] == [
+        ("output.py", MONITOR_LINES)
     ]
     [writer] = [
         node for node in _modules()["output.py"].body
         if isinstance(node, ast.FunctionDef) and node.name == "write_output_set"
     ]
-    evaluations = {FIRST_RECORD, "MomentState", "run_constants", "decay_constants"}
+    evaluations = {"MomentState", "run_constants", "decay_constants"}
     assert sorted(evaluations & set(_referenced_names(writer))) == []
-    state = {"times", "velocities", "energies"}
     # monitor_block also reads the table's mixture identity, the labels and
     # the temperature columns of a re-read CSV or a run's composition, to
     # refuse a table of another mixture; no verdict depends on it.
-    identity = {
-        MONITOR_LINES: {"labels", "temperatures_kelvin", "composition"}, FIRST_RECORD: set()
+    state = {"times", "velocities", "energies"}
+    identity = {"labels", "temperatures_kelvin", "composition"}
+    table = reader.args.args[0].arg
+    read = {
+        node.attr for node in ast.walk(reader)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == table
     }
-    for reader in readers:
-        table = reader.args.args[0].arg
-        read = {
-            node.attr for node in ast.walk(reader)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == table
-        }
-        assert read & state and read <= state | identity[reader.name], reader.name
+    assert read & state and read <= state | identity
 
 
 def test_output_calls_equilibrium_through_public_names():
