@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Cost of the two kernels of the operator core and of the heating, per mixture size.
+"""Cost of the two kernels of the operator core and of the heating's one, per mixture size.
 
 ``collisions.relaxation`` gives the thermal speeds and [Z, Z-hat] of a
 hard-sphere mixture from one dense linear map of the speeds when the
 mixture has at most DENSE_OPERATOR_MAX_SPECIES species, and from the
-elementwise Laplacian assembly otherwise.  ``collisions.heating`` takes
-the same threshold: one product of s |u_mix|^2 with a dense map, or one
-reduction over the pair grid.  This script times the core's kernels at
-N = 2..12, for one state (a Picard sweep or an RK4 stage) and for 1000
-stacked records (the verifier's eigenvalue bracket), and the heating's
-at N = 2..12 and 30 for one state, so the threshold can be measured
-again on another machine:
+elementwise Laplacian assembly otherwise.  ``collisions.heating`` is one
+product of s |u_mix|^2 with a dense (N * N, N) map at every N.  This
+script times the core's kernels at N = 2..12, for one state (a Picard
+sweep or an RK4 stage) and for 1000 stacked records (the verifier's
+eigenvalue bracket), so the threshold can be measured again on another
+machine, and the heating at N = 2..12 and 30 for one state:
 
     PYTHONPATH=src python demos/operator_kernels.py
 
@@ -25,8 +24,7 @@ import numpy as np
 from mixbgk import BOLTZMANN_J_PER_K, HardSphere, MixtureComposition, SpeciesParams
 from mixbgk.collisions import (
     DENSE_OPERATOR_MAX_SPECIES,
-    _dense_heating_map,  # to build the maps above the threshold too
-    _dense_operator_map,
+    _dense_operator_map,  # to build the map above the threshold too
     heating,
     relaxation,
     run_constants,
@@ -48,18 +46,15 @@ def mixture(rng, size):
     return MixtureComposition(species, rng.uniform(1e27, 3e28, size))
 
 
-def kernels(composition, operator=True):
-    """(dense, elementwise) run constants of one mixture; ``operator``
-    builds the dense map of [Z, Z-hat] too, not only that of the heating."""
+def kernels(composition):
+    """(dense, elementwise) run constants of one mixture: with and without
+    the dense map of [Z, Z-hat]."""
     const = run_constants(composition, HardSphere(), 3)
-    maps = {"heating_map": _dense_heating_map(const.heating_weights)}
-    if operator:
-        pair_sums, operator_map = _dense_operator_map(
-            const.unit_coupling, const.scale, const.identity
-        )
-        maps.update(pair_sums=pair_sums, operator_map=operator_map)
-    elementwise = dict.fromkeys(maps)
-    return dataclasses.replace(const, **maps), dataclasses.replace(const, **elementwise)
+    pair_sums, operator_map = _dense_operator_map(const.unit_coupling, const.scale, const.identity)
+    return (
+        dataclasses.replace(const, pair_sums=pair_sums, operator_map=operator_map),
+        dataclasses.replace(const, pair_sums=None, operator_map=None),
+    )
 
 
 def best_us(call):
@@ -93,17 +88,14 @@ def core_table(rng):
 def heating_table(rng):
     print()
     print("heating() per call, one state, µs")
-    print(f"{'N':>3} | {'dense':>8} {'elementwise':>12}")
+    print(f"{'N':>3} | {'map':>8}")
     for size in HEATING_SIZES:
-        dense, elementwise = kernels(mixture(rng, size), operator=False)
+        const = run_constants(mixture(rng, size), HardSphere(), 3)
         temps = rng.uniform(200.0, 3000.0, size) * BOLTZMANN_J_PER_K
         velocities = rng.uniform(-500.0, 500.0, (size, 3))
-        speeds, _ = relaxation(temps, elementwise)
-        times = [
-            best_us(lambda c=c: heating(speeds, velocities, c.mixing, c, 0.5))
-            for c in (dense, elementwise)
-        ]
-        print(f"{size:>3} | {times[0]:8.2f} {times[1]:12.2f} {winner(times):>4}")
+        speeds, _ = relaxation(temps, const)
+        time = best_us(lambda: heating(speeds, velocities, const.mixing, const, 0.5))
+        print(f"{size:>3} | {time:8.2f}")
 
 
 def main():

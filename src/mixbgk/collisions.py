@@ -53,16 +53,17 @@ sqrt(n_i) fixed per run.  :func:`relaxation` is the steppers' call: the
 speeds s and the stack [Z, Z-hat], (..., 2, N, N), at (..., N)
 temperatures.  :func:`heating` takes those speeds and the velocities.
 :func:`operators` adds the coupling stack [A, B] = C s for the
-verifiers.  For mixtures of at most DENSE_OPERATOR_MAX_SPECIES species
-:func:`run_constants` folds the linear maps into fixed matrices: for hard
-spheres s^2 = (T / m) @ E, E holding two unit entries per column (an
-exact sum), and [Z, Z-hat] = s @ K with K (N * N, 2 N * N), C, the
-scaling and the Laplacian's row sums folded in; for any model the
-heating is (s |u_mix|^2) @ H', H' (N * N, N) holding H.  The maps grow
-as N^4 and N^3 and the elementwise forms (s on the pair grid, the
-Laplacian degree I - C s and one division; the sum over j of H times
-s |u_mix|^2) as N^2, so larger mixtures keep the elementwise forms;
-both kernels stay, chosen by N.  A constant model has s = 1 and its
+verifiers.  :func:`run_constants` folds the heating's linear map into
+one fixed matrix for every mixture and either model: the heating is
+(s |u_mix|^2) @ H', H' (N * N, N) holding H, of the size of the
+pair-velocity map.  For hard-sphere mixtures of at most
+DENSE_OPERATOR_MAX_SPECIES species it folds [Z, Z-hat] too: s^2 =
+(T / m) @ E, E holding two unit entries per column (an exact sum), and
+[Z, Z-hat] = s @ K with K (N * N, 2 N * N), C, the scaling and the
+Laplacian's row sums folded in.  K grows as N^4 and the elementwise
+form (s on the pair grid, the Laplacian degree I - C s and one
+division) as N^2, so larger mixtures keep the elementwise form; that
+threshold chooses nothing else.  A constant model has s = 1 and its
 [Z, Z-hat] is a run constant, broadcast by a call.  Every runtime path
 goes through these calls; the cross-checks, the frequency evaluation
 among them, live in :mod:`mixbgk.oracles`.  Self pairs (i = j) are
@@ -82,17 +83,15 @@ from .species import _readonly, _temperature_weights
 # 32 pi^2 / (3 (2 pi)^{3/2}), evaluated in full float precision.
 HARD_SPHERE_PREFACTOR = 32.0 * np.pi**2 / (3.0 * (2.0 * np.pi) ** 1.5)
 
-# The largest mixture whose operator core (hard spheres) and heating (any
-# model) are dense maps.  Per call, map against elementwise, on one CPU of a
-# 2-core machine (Python 3.11, numpy 2.4, OpenBLAS): `relaxation` on one
-# state 2.2 against 6.8 us at N = 3 and 3.3 against 7.3 at N = 8, on 1000
-# stacked records 0.08 against 0.39 ms at N = 3 and 1.9 against 1.7 ms at
-# N = 8; `heating` on one state 2.8 against 4.4 us at N = 3 and 18 against
-# 17 at N = 30.  The value is set by `relaxation` on stacked records; the
-# heating inherits it unmeasured on any workload.  Its map is faster on one
-# state up to N = 12 (3.5 against 5.1 us at N = 10), so mixtures of 9 to 12
-# species, stiff_sweep's N = 10 among them, take its slower reduce.
-# `demos/operator_kernels.py` measures both again.
+# The largest hard-sphere mixture whose [Z, Z-hat] is one product with a
+# dense map (`RunConstants.operator_map`); larger ones take the Laplacian of
+# C s.  Per `relaxation` call, map against elementwise, on one CPU of a
+# 2-core machine (Python 3.11, numpy 2.4, OpenBLAS): on one state 2.2
+# against 6.8 us at N = 3 and 3.3 against 7.3 at N = 8, on 1000 stacked
+# records 0.08 against 0.39 ms at N = 3 and 1.9 against 1.7 ms at N = 8.
+# The value is set by the stacked records.  The heating's map, of the size
+# of the pair-velocity map, is built at every N.
+# `demos/operator_kernels.py` measures both calls again.
 DENSE_OPERATOR_MAX_SPECIES = 8
 
 
@@ -195,13 +194,13 @@ class RunConstants:
     unit null vectors sqrt(rho)/|sqrt(rho)| of Z and sqrt(n)/|sqrt(n)| of
     Z-hat.  The masses are the composition's own cached array.
     ``unit_relaxation`` is [Z, Z-hat] at unit thermal speed, the fixed
-    stack of a constant model.  ``heating_weights`` is H = C^B (m_i - m_j)
-    / sqrt(n_i), the kinetic heating per unit s_ij |u_mix,ij|^2.
-    ``pair_sums`` and ``operator_map`` are the dense map of [Z, Z-hat] of a
-    hard-sphere mixture, and ``heating_map`` the dense map of the heating
-    of any mixture (:func:`_dense_operator_map`, :func:`_dense_heating_map`),
-    for at most DENSE_OPERATOR_MAX_SPECIES species and None otherwise;
-    without them the calls take the elementwise forms.
+    stack of a constant model.  ``heating_map`` holds H = C^B (m_i - m_j)
+    / sqrt(n_i), the kinetic heating per unit s_ij |u_mix,ij|^2, as the
+    dense map of the heating (:func:`_dense_heating_map`), for every
+    mixture and either model.  ``pair_sums`` and ``operator_map`` are the
+    dense map of [Z, Z-hat] (:func:`_dense_operator_map`) of a hard-sphere
+    mixture of at most DENSE_OPERATOR_MAX_SPECIES species, and None
+    otherwise; without them :func:`relaxation` takes the Laplacian of C s.
     """
 
     hard_sphere: bool
@@ -218,12 +217,11 @@ class RunConstants:
     energy_map: np.ndarray  # (N, N) M_n = (I - n 1^T / sum n) Q^{1/2}
     scale: np.ndarray  # (2, N, N)
     kernels: np.ndarray  # (2, N, N)
-    heating_weights: np.ndarray  # (N, N) H = C^B (m_i - m_j) / sqrt(n_i)
     identity: np.ndarray  # (N, N)
     unit_relaxation: np.ndarray  # (2, N, N) [Z, Z-hat] of C, a constant model's
     pair_sums: np.ndarray | None  # (N, N * N): (T / m) @ pair_sums = s^2
     operator_map: np.ndarray | None  # (N * N, 2 N * N): s @ operator_map = [Z, Z-hat]
-    heating_map: np.ndarray | None  # (N * N, N): (s |u_mix|^2) @ heating_map = H (s |u_mix|^2)
+    heating_map: np.ndarray  # (N * N, N): (s |u_mix|^2) @ heating_map = H (s |u_mix|^2)
 
 
 def run_constants(composition, model: FrequencyModel, dimension: int) -> RunConstants:
@@ -271,10 +269,9 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
     energy_weight, speed_weight = _temperature_weights(masses, n, dimension)
     scale = np.stack([np.outer(sqrt_rho, sqrt_rho), np.outer(sqrt_n, sqrt_n)])
     heating_weights = unit_coupling[1] * ((masses[:, None] - masses) / sqrt_n[:, None])
-    dense = size <= DENSE_OPERATOR_MAX_SPECIES
     pair_sums, operator_map = (
-        _dense_operator_map(unit_coupling, scale, identity) if dense and hard_sphere
-        else (None, None)
+        _dense_operator_map(unit_coupling, scale, identity)
+        if hard_sphere and size <= DENSE_OPERATOR_MAX_SPECIES else (None, None)
     )
     return RunConstants(
         hard_sphere=hard_sphere,
@@ -291,12 +288,11 @@ def run_constants(composition, model: FrequencyModel, dimension: int) -> RunCons
         energy_map=(identity - n[:, None] / n.sum()) * sqrt_n,
         scale=scale,
         kernels=scale / np.stack([rho.sum(), n.sum()])[:, None, None],
-        heating_weights=heating_weights,
         identity=identity,
         unit_relaxation=_laplacian(unit_coupling, identity) / scale,
         pair_sums=pair_sums,
         operator_map=operator_map,
-        heating_map=_dense_heating_map(heating_weights) if dense else None,
+        heating_map=_dense_heating_map(heating_weights),
     )
 
 
@@ -355,23 +351,16 @@ def heating(speeds, velocities, mixing, const: RunConstants, rate):
     ``mixing`` @ v at the given (..., N, d) float velocities: ``const.mixing``
     takes the velocities u, ``const.scaled_mixing`` the scaled W.  With
     B = C^B s, ``speeds`` the s of :func:`relaxation`, it is applied to m
-    unformed, as sum_j H_ij s_ij |u_mix,ij|^2 with H =
-    ``const.heating_weights``: s times |u_mix|^2, then times H, then
+    unformed, as sum_j H_ij s_ij |u_mix,ij|^2: s times |u_mix|^2, then one
+    product with ``const.heating_map``, which holds H, per state, then
     times the rate, an order that fixes where an overflowing step fails.
-    With ``const.heating_map`` (N at most DENSE_OPERATOR_MAX_SPECIES) the
-    sum is one product with the map per state, and otherwise one
-    reduction of H times s |u_mix|^2.  rate is 1/(2 eps) in the ODE; the
-    Picard sweep passes dt/(2 eps), and an RK4 stage, whose rates carry
-    eps, 1/2.
+    Stacked vector-matrix products equal the single-state one bit for
+    bit.  rate is 1/(2 eps) in the ODE; the Picard sweep passes
+    dt/(2 eps), and an RK4 stage, whose rates carry eps, 1/2.
     """
     if velocities.ndim == 2:  # ndarray.dot: the same product as @ at half its call cost
         u_mix = mixing.dot(velocities)
-    else:
-        u_mix = mixing @ velocities
+        return rate * (speeds * (u_mix * u_mix).dot(const.ones)).dot(const.heating_map)
+    u_mix = mixing @ velocities
     weighted = speeds * (u_mix * u_mix).dot(const.ones)  # (..., N * N)
-    if const.heating_map is None:
-        weighted = weighted.reshape(weighted.shape[:-1] + const.identity.shape)
-        return rate * np.add.reduce(const.heating_weights * weighted, axis=-1)
-    if weighted.ndim == 1:
-        return rate * weighted.dot(const.heating_map)
     return rate * (weighted[..., None, :] @ const.heating_map)[..., 0, :]

@@ -38,7 +38,6 @@ The recorded :class:`Trajectory` is verified in ``output``, not here.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,6 +55,9 @@ PICARD_MAX_ITER = 100  # its cap on solve pairs
 BE_ERROR_TOL = 3e-3
 # The factor by which the error controller shortens every step it proposes.
 BE_SAFETY = 0.9
+# The most steps a run may plan: every step is recorded, held in memory
+# and written to the CSV files.
+MAX_STEPS = 10**6
 
 
 class IntegrationError(RuntimeError):
@@ -83,7 +85,7 @@ class IntegratorConfig:
     With ``max_dt`` (backward Euler only) dt is the first step of
     error-controlled steps of at most max_dt (:func:`simulate`).  Either
     way t_final over the longest step, dt or max_dt, the fewest steps the
-    run can take, must stay below ``sys.maxsize``.  Every accepted step is
+    run can take, must not exceed MAX_STEPS.  Every accepted step is
     recorded.  The Picard settings are the module constants PICARD_TOL
     and PICARD_MAX_ITER, and the error tolerance is BE_ERROR_TOL.
     """
@@ -106,7 +108,7 @@ class IntegratorConfig:
         if self.max_dt is not None and not (np.isfinite(self.max_dt) and self.max_dt > 0.0):
             raise ValueError(f"max_dt must be positive and finite, got {self.max_dt}")
         name, step = ("dt", self.dt) if self.max_dt is None else ("max_dt", self.max_dt)
-        if self.t_final / step >= sys.maxsize:
+        if self.t_final / step > MAX_STEPS:
             raise ValueError(f"t_final / {name} = {self.t_final / step:.3e} steps, too many")
         if self.method not in ("be", "rk4"):
             raise ValueError(f"method must be 'be' or 'rk4', got {self.method!r}")

@@ -120,7 +120,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TEN_SPECIES = Path(__file__).resolve().parent / "data" / "ten_species.cfg"
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     """``mixbgk`` in a fresh interpreter, so an uncaught exception shows as a traceback."""
     return subprocess.run(
         [sys.executable, "-m", "mixbgk.cli", *args],
@@ -128,6 +128,7 @@ def run_cli(args, cwd):
         text=True,
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=timeout,
     )
 
 
@@ -373,7 +374,8 @@ class TestRk4Settings:
         assert resolved(scenario) == derived
         with pytest.raises(ScenarioError, match="RK4_MAX_DERIVED_STEPS"):
             resolved(replace(scenario, dt=derived.dt / 2))
-        assert resolved(replace(scenario, dt=derived.dt / 2, t_final=1.0)).t_final == 1.0
+        # A given horizon of about 44 000 steps is kept.
+        assert resolved(replace(scenario, dt=derived.dt / 2, t_final=1e-9)).t_final == 1e-9
         monkeypatch.setattr(scenarios_mod, "RK4_MAX_DERIVED_STEPS", math.floor(steps))
         with pytest.raises(ScenarioError, match="RK4_MAX_DERIVED_STEPS"):
             resolved(scenario)
@@ -1321,6 +1323,20 @@ class TestCliRun:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: t_final / max_dt = ") and line.endswith(" steps, too many")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--example", "2", "--dt", "1e-30"], id="fixed-9e17"),
+        pytest.param(["--example", "1", "--t-final", "1e-3"], id="controlled-1e10"),
+        pytest.param(["--example", "1", "--method", "rk4", "--t-final", "1e-6"], id="rk4-2e7"),
+    ])
+    def test_a_run_beyond_the_step_budget_exits_1_before_it_starts(self, args, tmp_path):
+        # Each plans more than MAX_STEPS recorded steps; every step is held in
+        # memory, so without the budget each would run until it is killed.
+        result = run_cli(["run", *args, "--out", "."], tmp_path, timeout=30)
+        assert result.returncode == 1
+        [line] = result.stderr.splitlines()
+        assert re.fullmatch(r"error: t_final / (max_)?dt = \S+ steps, too many", line)
+        assert result.stdout == "" and not list(tmp_path.iterdir())
 
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"

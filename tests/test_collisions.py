@@ -21,7 +21,6 @@ from mixbgk import (
 )
 from mixbgk.collisions import (
     DENSE_OPERATOR_MAX_SPECIES,
-    _dense_heating_map,
     _laplacian,
     heating,
     operators,
@@ -92,13 +91,8 @@ def _assert_core_matches(const, coupling, relaxation, reference_alpha, reference
 
 
 def _elementwise(const):
-    """The run constants without the dense maps: the core and the heating go elementwise."""
-    return dataclasses.replace(const, pair_sums=None, operator_map=None, heating_map=None)
-
-
-def _with_heating_map(const):
-    """The run constants with the dense heating map, at any mixture size."""
-    return dataclasses.replace(const, heating_map=_dense_heating_map(const.heating_weights))
+    """The run constants without the dense map of [Z, Z-hat]: the core goes elementwise."""
+    return dataclasses.replace(const, pair_sums=None, operator_map=None)
 
 
 def _hard_sphere_pair(rng=None):
@@ -475,8 +469,10 @@ class TestOperatorKernels:
             np.testing.assert_array_equal(relaxation[index], single_relaxation)
 
     def test_the_map_is_built_up_to_its_threshold(self):
+        # The threshold chooses the map of [Z, Z-hat] of hard spheres alone;
+        # the heating's map is built for every mixture and either model.
         rng = np.random.default_rng(113)
-        for size in (1, DENSE_OPERATOR_MAX_SPECIES, DENSE_OPERATOR_MAX_SPECIES + 1):
+        for size in (1, DENSE_OPERATOR_MAX_SPECIES, DENSE_OPERATOR_MAX_SPECIES + 1, 30):
             comp = random_composition(rng, size)
             const = run_constants(comp, HardSphere(), 3)
             constant = run_constants(comp, ConstantMatrix(rng.uniform(1e9, 1e12, (size, size))), 3)
@@ -484,12 +480,10 @@ class TestOperatorKernels:
             if size <= DENSE_OPERATOR_MAX_SPECIES:
                 assert const.pair_sums.shape == (size, size * size)
                 assert const.operator_map.shape == (size * size, 2 * size * size)
-                # The heating map follows N alone, whatever the model.
-                for built in (const, constant):
-                    assert built.heating_map.shape == (size * size, size)
             else:
                 assert const.pair_sums is None and const.operator_map is None
-                assert const.heating_map is None and constant.heating_map is None
+            for built in (const, constant):
+                assert built.heating_map.shape == (size * size, size)
 
     def test_constant_stacks_are_the_laplacian_of_each_call(self):
         rng = np.random.default_rng(137)
@@ -502,53 +496,55 @@ class TestOperatorKernels:
 
 
 class TestHeatingKernels:
-    """The dense heating map against the reduction of H times s |u_mix|^2.
+    """The heating's one kernel, the dense map H', against the oracles.
 
-    Both kernels sum the same N products H_ij (s_ij |u_mix,ij|^2) over j,
-    in two orders, so each lies within gamma(N) of the exact sum of their
-    magnitudes, and the two within twice that.  Both are held to the
-    oracles' energy rates with the relaxation switched off (B = 0 there),
-    sum_j K_ij (m_i - m_j) / (2 eps), within the 1e-12 of the size of
-    their terms that :class:`TestStackedCore` allows.
+    Row (i, j) of the map holds H_ij = C^B_ij (m_i - m_j) / sqrt(n_i) in
+    column i and zeros elsewhere, so one product with it sums the N
+    products H_ij (s_ij |u_mix,ij|^2) of row i, in some order: within
+    gamma(N) of the exact sum of their magnitudes, and so within twice
+    that of a reduction over j.  It is held to the oracles' energy rates
+    with the relaxation switched off (B = 0 there), sum_j K_ij (m_i - m_j)
+    / (2 eps), within the 1e-12 of the size of their terms that
+    :class:`TestStackedCore` allows.
     """
 
     @staticmethod
-    def _assert_kernels_match_the_oracle(state, model, eps=0.3):
+    def _assert_matches_the_oracle(state, model, eps=0.3):
         comp = state.composition
+        m, sqrt_n = comp.masses, np.sqrt(comp.number_densities)
         const = run_constants(comp, model, 3)
+        weights = const.unit_coupling[1] * ((m[:, None] - m) / sqrt_n[:, None])
+        rows = np.zeros((comp.size, comp.size, comp.size))
+        rows[np.arange(comp.size), :, np.arange(comp.size)] = weights
+        np.testing.assert_array_equal(const.heating_map, rows.reshape(-1, comp.size))
         speeds, _ = relaxation(temperatures_of(state), const)
         rate = 0.5 / eps
-        reduced, mapped = (
-            heating(speeds, state.velocities, const.mixing, kernel, rate)
-            for kernel in (dataclasses.replace(const, heating_map=None), _with_heating_map(const))
-        )
+        mapped = heating(speeds, state.velocities, const.mixing, const, rate)
         u_mix = const.mixing @ state.velocities
-        products = speeds * (u_mix * u_mix).sum(axis=-1) * const.heating_weights.ravel()
-        magnitudes = rate * np.abs(products).reshape(comp.size, comp.size).sum(axis=1)
-        _assert_within(mapped, reduced, 2.0 * _gamma(comp.size) * magnitudes)
+        products = (speeds * (u_mix * u_mix).sum(axis=-1)).reshape(comp.size, comp.size) * weights
+        magnitudes = rate * np.abs(products).sum(axis=1)
+        _assert_within(mapped, rate * products.sum(axis=1), 2.0 * _gamma(comp.size) * magnitudes)
 
         mats = assemble(state, model)
         no_relaxation = dataclasses.replace(mats, energy_coupling=0.0 * mats.energy_coupling)
         reference = energy_rhs(state, no_relaxation, eps)
-        m, sqrt_n = comp.masses, np.sqrt(comp.number_densities)
         terms = rate * (mats.kinetic_coupling * (m[:, None] + m[None, :])).sum(axis=1)
-        for source in (reduced, mapped):
-            _assert_within(source * sqrt_n, reference, 1e-12 * terms)
+        _assert_within(mapped * sqrt_n, reference, 1e-12 * terms)
 
     @pytest.mark.parametrize("constant", [False, True])
-    @pytest.mark.parametrize("size", range(2, 13))
-    def test_kernels_agree_and_match_the_oracle(self, size, constant):
+    @pytest.mark.parametrize("size", [*range(2, 13), 30])
+    def test_matches_the_oracle(self, size, constant):
         rng = np.random.default_rng([149, size, constant])
         state = random_state(rng, size)
         model = ConstantMatrix(rng.uniform(1e9, 1e12, (size, size))) if constant else HardSphere()
-        self._assert_kernels_match_the_oracle(state, model)
+        self._assert_matches_the_oracle(state, model)
 
     @pytest.mark.parametrize("example", [1, 2, 3])
-    def test_kernels_agree_on_the_presets(self, example):
+    def test_matches_the_oracle_on_the_presets(self, example):
         scenario = presets()[example]
-        self._assert_kernels_match_the_oracle(scenario.initial_state(), scenario.model)
+        self._assert_matches_the_oracle(scenario.initial_state(), scenario.model)
 
-    @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES, 10])
+    @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES, 10, 30])
     def test_stacked_speeds_are_single_states_bit_for_bit(self, size):
         # Stacked vector-matrix products with the map, over any leading axes.
         rng = np.random.default_rng([151, size])
@@ -557,14 +553,13 @@ class TestHeatingKernels:
         velocities = rng.uniform(-500.0, 500.0, size=(4, 250, size, 3))
         speeds, _ = relaxation(temps, const)
         assert speeds.shape == (4, 250, size * size)
-        for kernel in (dataclasses.replace(const, heating_map=None), _with_heating_map(const)):
-            stacked = heating(speeds, velocities, const.mixing, kernel, 0.5)
-            assert stacked.shape == (4, 250, size)
-            for index in np.ndindex(4, 250):
-                single_speeds, _ = relaxation(temps[index], const)
-                np.testing.assert_array_equal(single_speeds, speeds[index])
-                single = heating(single_speeds, velocities[index], const.mixing, kernel, 0.5)
-                np.testing.assert_array_equal(stacked[index], single)
+        stacked = heating(speeds, velocities, const.mixing, const, 0.5)
+        assert stacked.shape == (4, 250, size)
+        for index in np.ndindex(4, 250):
+            single_speeds, _ = relaxation(temps[index], const)
+            np.testing.assert_array_equal(single_speeds, speeds[index])
+            single = heating(single_speeds, velocities[index], const.mixing, const, 0.5)
+            np.testing.assert_array_equal(stacked[index], single)
 
     @pytest.mark.parametrize("records", [(), (7,), (2, 3)])
     @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES, 10])

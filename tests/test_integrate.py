@@ -111,7 +111,7 @@ class TestBackwardEulerStep:
             state = random_state(rng, int(rng.integers(2, 5)))
             rho = state.composition.mass_densities
             z_scale = 1e12  # typical rate scale for these states
-            cfg = IntegratorConfig(dt=0.3 / z_scale, t_final=1.0)
+            cfg = IntegratorConfig(dt=0.3 / z_scale, t_final=1e-12)
             stepped = one_step(state, cfg, HardSphere())
             before = rho @ state.velocities
             after = rho @ stepped.velocities
@@ -1298,11 +1298,23 @@ class TestIntegratorConfigValidation:
             pytest.param(dict(dt=1e-300, t_final=1.0), id="steps_beyond_maxsize"),
             pytest.param(dict(dt=0.1, t_final=1.0, max_dt=1e-300), id="controlled_beyond_maxsize"),
             pytest.param(dict(dt=5e-324, t_final=1e300), id="steps_overflow_to_inf"),
+            pytest.param(dict(dt=1e-30, t_final=1e-12), id="steps_beyond_the_budget"),
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_a_run_may_plan_max_steps(self):
+        # Every step is recorded, so the fewest steps a run can take, t_final
+        # over dt or max_dt, is refused above MAX_STEPS and kept at it.
+        budget = integrate_mod.MAX_STEPS
+        assert budget == 10**6
+        IntegratorConfig(dt=1e-12, t_final=budget * 1e-12)
+        IntegratorConfig(dt=1.0, t_final=budget * 1e-12, max_dt=1e-12)
+        for settings in (dict(dt=1e-12), dict(dt=1.0, max_dt=1e-12)):
+            with pytest.raises(ValueError, match="steps, too many"):
+                IntegratorConfig(t_final=(budget + 1) * 1e-12, **settings)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("name", ["dt", "t_final", "eps"])

@@ -144,6 +144,39 @@ def test_every_run_constant_is_read_at_run_time():
     assert [name for name in fields if name not in read] == []
 
 
+def test_the_threshold_chooses_only_the_map_of_the_core():
+    # DENSE_OPERATOR_MAX_SPECIES decides one thing: whether [Z, Z-hat] is one
+    # product with operator_map or the Laplacian of C s.  The heating has one
+    # kernel, the product with heating_map, at every N and for either model.
+    threshold = "DENSE_OPERATOR_MAX_SPECIES"
+    modules = _modules()
+    readers = [
+        module
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == threshold and isinstance(node.ctx, ast.Load)
+    ]
+    assert readers == ["collisions.py"]
+    assert _top_level_users(threshold) == [("collisions.py", "run_constants")]
+    functions = {
+        node.name: node for node in modules["collisions.py"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    [choice] = [
+        node for node in ast.walk(functions["run_constants"])
+        if isinstance(node, ast.Assign) and threshold in set(_referenced_names(node.value))
+    ]
+    assert "operator_map" in set(_referenced_names(choice.targets[0]))
+    names = set(_referenced_names(functions["heating"]))
+    assert "heating_map" in names
+    assert names.isdisjoint({threshold, "heating_weights", "identity", "size"})
+    branches = [
+        node.test for node in ast.walk(functions["heating"]) if isinstance(node, (ast.If, ast.IfExp))
+    ]
+    assert all("heating_map" not in set(_referenced_names(test)) for test in branches)
+    assert "heating_weights" not in {field.name for field in dataclasses.fields(RunConstants)}
+
+
 def test_oracle_only_names_stay_out_of_the_runtime():
     modules = _modules()
     definers = sorted(
@@ -270,7 +303,7 @@ def test_steppers_never_form_the_coupling_stack():
     # integrate neither calls operators nor reads the couplings C.
     names = set(_referenced_names(_modules()["integrate.py"]))
     assert {"relaxation", "heating"} <= names
-    assert names.isdisjoint({"operators", "unit_coupling", "heating_weights"})
+    assert names.isdisjoint({"operators", "unit_coupling", "heating_map"})
     callers = [user for user in _top_level_users("relaxation") if user[0] == "integrate.py"]
     assert [name for _, name in callers] == ["_error_scales", *sorted(STEPPERS)]
 
