@@ -51,7 +51,7 @@ rho_i (n for Z-hat), and the heating sum_j B_ij |u_mix,ij|^2 (m_i - m_j)
 / sqrt(n_i) is sum_j H_ij s_ij |u_mix,ij|^2 with H = C^B (m_i - m_j) /
 sqrt(n_i) fixed per run.  :func:`relaxation` is the steppers' call: the
 speeds s and the stack [Z, Z-hat], (..., 2, N, N), at (..., N)
-temperatures.  :func:`heating` takes those speeds and the velocities.
+temperatures.  :func:`heating` takes one state's speeds and velocities.
 :func:`operators` adds the coupling stack [A, B] = C s for the
 verifiers.  :func:`run_constants` folds the heating's linear map into
 one fixed matrix for every mixture and either model: the heating is
@@ -345,22 +345,19 @@ def operators(temperatures, const: RunConstants):
 
 
 def heating(speeds, velocities, mixing, const: RunConstants, rate):
-    """rate * Q^{-1/2} (G - C) m, the kinetic heating of the scaled energies, (..., N).
+    """rate * Q^{-1/2} (G - C) m, the kinetic heating of one state's scaled energies, (N,).
 
     G - C is the Laplacian of the kinetic coupling K = B |u_mix|^2, u_mix =
-    ``mixing`` @ v at the given (..., N, d) float velocities: ``const.mixing``
+    ``mixing`` v at the given (N, d) float velocities: ``const.mixing``
     takes the velocities u, ``const.scaled_mixing`` the scaled W.  With
-    B = C^B s, ``speeds`` the s of :func:`relaxation`, it is applied to m
-    unformed, as sum_j H_ij s_ij |u_mix,ij|^2: s times |u_mix|^2, then one
-    product with ``const.heating_map``, which holds H, per state, then
-    times the rate, an order that fixes where an overflowing step fails.
-    Stacked vector-matrix products equal the single-state one bit for
-    bit.  rate is 1/(2 eps) in the ODE; the Picard sweep passes
-    dt/(2 eps), and an RK4 stage, whose rates carry eps, 1/2.
+    B = C^B s, ``speeds`` the (N * N,) s of :func:`relaxation` at the same
+    state (1.0 for a constant model), it is applied to m unformed, as
+    sum_j H_ij s_ij |u_mix,ij|^2: s times |u_mix|^2, then one product with
+    ``const.heating_map``, which holds H, then times the rate, an order
+    that fixes where an overflowing step fails.  The products are
+    ``ndarray.dot``, the same product as @ at half its call cost.  rate is
+    1/(2 eps) in the ODE; the Picard sweep passes dt/(2 eps), and an RK4
+    stage, whose rates carry eps, 1/2.
     """
-    if velocities.ndim == 2:  # ndarray.dot: the same product as @ at half its call cost
-        u_mix = mixing.dot(velocities)
-        return rate * (speeds * (u_mix * u_mix).dot(const.ones)).dot(const.heating_map)
-    u_mix = mixing @ velocities
-    weighted = speeds * (u_mix * u_mix).dot(const.ones)  # (..., N * N)
-    return rate * (weighted[..., None, :] @ const.heating_map)[..., 0, :]
+    u_mix = mixing.dot(velocities)
+    return rate * (speeds * (u_mix * u_mix).dot(const.ones)).dot(const.heating_map)

@@ -57,11 +57,12 @@ GASES = {
 # on the decay rate, whatever its step.  A derived backward-Euler step
 # follows its local error (integrate.BE_ERROR_TOL) up to
 # BE_STEP_BOUND * min(eps / r, t_final / HORIZON_EFOLDS), r the larger of
-# the paper's two rates.  The tolerance and this bound replace one fixed
-# rate per step, one constant more: the error alone lets the late steps
-# grow until 1/(1 + h lambda) falls behind exp(-h r) and the continuous
-# envelopes fail (the eps / r term), and lets a horizon pass in so few
-# steps that the run ends short of equilibrium (the t_final term).
+# the paper's two rates (t_final / HORIZON_EFOLDS alone for a single
+# species, which has no envelope to follow).  The tolerance and this bound
+# replace one fixed rate per step, one constant more: the error alone lets
+# the late steps grow until 1/(1 + h lambda) falls behind exp(-h r) and the
+# continuous envelopes fail (the eps / r term), and lets a horizon pass in
+# so few steps that the run ends short of equilibrium (the t_final term).
 BE_STEP_BOUND = 0.5
 RK4_RATE_PER_STEP = 0.5
 RK4_MAX_DERIVED_STEPS = 5_000
@@ -164,8 +165,10 @@ def resolve_integrator(config: ScenarioConfig, first: RecordZero) -> IntegratorC
     t_final / HORIZON_EFOLDS), r the larger of the paper's two rates: the
     eps / r term keeps each step's damping 1/(1 + h lambda) close enough
     to the continuous envelopes' exp(-h r), and the t_final term gives the
-    horizon at least 2 HORIZON_EFOLDS steps.  Everything is derived, even
-    when ``dt`` and ``t_final`` are both given.  A derived horizon that is
+    horizon at least 2 HORIZON_EFOLDS steps.  A single species, whose
+    brackets say nothing (no gap), has no envelope to follow and takes the
+    t_final term alone.  Everything is derived, even when ``dt`` and
+    ``t_final`` are both given.  A derived horizon that is
     not finite and nonnegative (a gap lost to roundoff), or an RK4 one not
     within RK4_MAX_DERIVED_STEPS steps of the step in use (a mixture too
     stiff for RK4), raises ScenarioError.
@@ -199,8 +202,11 @@ def resolve_integrator(config: ScenarioConfig, first: RecordZero) -> IntegratorC
         )
     max_dt = None
     if config.method == "be" and config.dt is None and t_final != 0.0:  # 0: no step to take
-        rate = max(constants.velocity_rate, constants.energy_rate)
-        max_dt = float(BE_STEP_BOUND * min(config.eps / rate, t_final / HORIZON_EFOLDS))
+        step = t_final / HORIZON_EFOLDS
+        if gap != np.inf:  # a single species (gap inf) has no envelope to follow
+            rate = max(constants.velocity_rate, constants.energy_rate)
+            step = min(config.eps / rate, step)
+        max_dt = float(BE_STEP_BOUND * step)
     return IntegratorConfig(
         dt=dt, t_final=float(t_final), eps=config.eps, method=config.method, max_dt=max_dt
     )

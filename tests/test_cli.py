@@ -67,6 +67,30 @@ constant_frequencies = 1e6 1e6 1e-6 1e6 1e6 1e-6 1e-6 1e-6 1e6
 method = rk4
 """
 
+# One species, whose brackets say nothing: argon alone, under hard
+# spheres (d = 3) and under a constant frequency (d = 1).
+ARGON_CONFIG = """\
+labels = Ar
+masses_kg = 66.335209e-27
+diameters_m = 3.659e-10
+number_densities_m3 = 1e28
+temperatures_K = 1000
+velocities_ms = 100 0 0
+name = one
+"""
+
+ONE_CONSTANT_SPECIES_CONFIG = """\
+labels = Ar
+masses_kg = 66.335209e-27
+diameters_m = 3.659e-10
+number_densities_m3 = 1e28
+temperatures_K = 1000
+velocities_ms = 100
+model = constant
+constant_frequencies = 1e9
+name = one
+"""
+
 GOOD_CONFIG = """\
 # argon-krypton drift relaxation
 labels = Ar Kr
@@ -319,6 +343,42 @@ class TestRk4Settings:
         assert "t_final_s = 0.00000000000000000e+00" in summary
         assert "records = 1" in summary
         assert len(read_trajectory_csv(tmp_path / "argon_trajectory.csv").times) == 1
+
+    @pytest.mark.parametrize("config, t_final", [
+        pytest.param(ARGON_CONFIG, "1e-9", id="argon-1e-9"),
+        pytest.param(ARGON_CONFIG, "1e-3", id="argon-1e-3"),
+        pytest.param(ONE_CONSTANT_SPECIES_CONFIG, "1e-6", id="constant-1e-6"),
+    ])
+    def test_a_single_species_with_a_given_horizon_takes_its_horizon_steps(
+        self, config, t_final, tmp_path, capsys
+    ):
+        # One species has no gap, so its brackets say nothing and its
+        # backward-Euler steps follow the horizon alone: 2 HORIZON_EFOLDS
+        # steps, and a last one where their sum rounds short of t_final.
+        # RK4 takes its one step of t_final.
+        path = tmp_path / "one.cfg"
+        path.write_text(config)
+        for method, least, most in (
+            ("be", 2 * HORIZON_EFOLDS + 1, 2 * HORIZON_EFOLDS + 2), ("rk4", 2, 2)
+        ):
+            out = tmp_path / method
+            argv = ["run", "--config", str(path), "--t-final", t_final, "--method", method]
+            assert main([*argv, "--out", str(out)]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == "verification: PASS"
+            times = read_trajectory_csv(out / "one_trajectory.csv").times
+            assert least <= len(times) <= most
+            assert times[-1] == float(t_final)
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(ARGON_CONFIG, id="argon"),
+        pytest.param(ONE_CONSTANT_SPECIES_CONFIG, id="constant"),
+    ])
+    def test_a_single_species_steps_by_its_horizon_alone(self, config, tmp_path):
+        # t_final / HORIZON_EFOLDS = 1e-7 s exceeds eps / r of either file.
+        path = tmp_path / "one.cfg"
+        path.write_text(config)
+        scenario = replace(parse_config(path), method="be", t_final=1e-6)
+        assert resolved(scenario).max_dt == BE_STEP_BOUND * 1e-6 / HORIZON_EFOLDS
 
     @pytest.mark.parametrize("argv", [
         ["--example", "1", "--method", "rk4"],

@@ -33,6 +33,7 @@ from mixbgk.oracles import (
     closed_form_couplings,
     energy_rhs,
     hard_sphere_frequencies,
+    momentum_rhs,
     pairwise_mixture,
     thermal_speed,
     weight_and_coupling,
@@ -279,6 +280,145 @@ class TestPairwiseMixture:
         )
 
 
+class TestKineticModel:
+    """The moment system against its kinetic model, on the presets' mixtures.
+
+    Species i relaxes towards M_ij, the Maxwellian of its own density and
+    mass at the pair velocity u_ij and temperature T_ij, at the rate
+    lambda_ij (Haack, Hauck & Murillo, J. Stat. Phys. 168, 2017):
+
+        df_i/dt = (1/eps) sum_j lambda_ij (M_ij - f_i).
+
+    M_ij has the moments rho_i u_ij and rho_i |u_ij|^2 / 2 + (d/2) n_i T_ij.
+    With u_ij = u_ji and T_ij = T_ji the pair's two terms conserve momentum
+    and energy when
+
+        lambda_ij rho_i (u_ij - u_i) + lambda_ji rho_j (u_ij - u_j) = 0,
+        lambda_ij (moment of M_ij - E_i) + lambda_ji (moment of M_ji - E_j) = 0,
+
+    linear in u_ij and then, with u_ij known, in T_ij: each is one division.
+
+    The bounds count roundings to first order in the unit roundoff u; k of
+    them bound a relative error by gamma_k.  lambda (from
+    ``hard_sphere_frequencies``), a = rho_i lambda_ij, p = n_i lambda_ij and
+    their pair sums S_rho = a + b, S_n = p + q (b and q the same for the
+    pair j, i) are the same floats here as in ``assemble``.
+    * Velocities, per component, against s = (a |u_i| + b |u_j|) / S_rho,
+      the largest a pair velocity can be.  The solved quotient rounds its
+      two products, their sum and the quotient, 3; ``pairwise_mixture``
+      rounds alpha = a / S_rho, its products and their sum, 3: gamma_6.
+    * Temperatures against M = 2 (lambda_ij E_i + lambda_ji E_j) / (d S_n),
+      the pair temperature if all of the energy were thermal.  With e_i =
+      2 E_i / (d n_i) = T_i + k_i, k_i = m_i |u_i|^2 / d, M is beta_ij e_i +
+      beta_ji e_j, so the beta-weighted T and k are each at most M, and so
+      are |u_ij|^2 S_rho / (d S_n) and m_i alpha_ji beta_ij |u_i - u_j|^2 /
+      d, both at most (a |u_i|^2 + b |u_j|^2) / (d S_n).  The solved form
+      rounds the sum of lambda E, 2; |u_ij|^2 S_rho / 2, 10 (twice u_ij's
+      3, the squares and their sum 3, S_rho 1); the difference, 1; the
+      divisor and the quotient, 2: 15.  ``pairwise_mixture``'s T_i is e_i
+      within 4 roundings and k_i within 6, and beta, its product and the
+      two sums add 4 on beta T_i: 14; its speed term 12 (m alpha beta 4,
+      the squared gaps and their sum 5, the product, /d and the last sum
+      3): 26.  The two forms agree for exact rho = m n, a, p and pair sums,
+      which the shared floats miss by 8: gamma_49.
+    * Rates, sum_j lambda_ij (moments of M_ij - those of f_i) / eps at
+      ``pairwise_mixture``'s pair values, over N species.  Momentum, per
+      component, against sum_j lambda_ij rho_i (s + |u_i|) / eps, which
+      bounds the terms of either side (A_ij |u_j| = lambda_ij rho_i
+      alpha_ji |u_j| <= lambda_ij rho_i s): the kinetic side carries u_ij's
+      3 and N + 3 of its own, ``momentum_rhs`` N + 4, and the identity
+      misses 2: gamma_{2N+12}.  Energy against the sum of the magnitudes of
+      both sides' terms, with s^2 and M for |u_ij|^2 and T_ij: the kinetic
+      side carries T_ij's 26 and N + 5 of its own, ``energy_rhs`` N + 15
+      (its kinetic coupling holds |u_mix|^2 within 9), and the identity
+      misses 14: gamma_{N+45}, the larger side's count and the identity's.
+    """
+
+    @staticmethod
+    def _states():
+        # Each preset's initial state and 50 random states of its mixture.
+        rng = np.random.default_rng(163)
+        for scenario in presets().values():
+            state = scenario.initial_state()
+            yield state
+            comp = state.composition
+            for _ in range(50):
+                velocities = rng.uniform(-500.0, 500.0, size=(comp.size, 3))
+                temperatures = rng.uniform(200.0, 3000.0, size=comp.size) * BOLTZMANN_J_PER_K
+                yield state_from_temperatures(comp, velocities, temperatures)
+
+    @staticmethod
+    def _pair_data(state):
+        """(lambda, a, S_rho, S_n, s) of a state, s the pair velocities' scale."""
+        comp = state.composition
+        lam = hard_sphere_frequencies(comp.species, comp.number_densities, temperatures_of(state))
+        a = comp.mass_densities[:, None] * lam
+        p = comp.number_densities[:, None] * lam
+        speeds = np.abs(state.velocities)
+        scale = (a[:, :, None] * speeds[:, None, :] + a.T[:, :, None] * speeds) / (a + a.T)[
+            :, :, None
+        ]
+        return lam, a, a + a.T, p + p.T, scale
+
+    def test_conservation_gives_the_pair_values(self):
+        for state in self._states():
+            d, u, energies = state.dimension, state.velocities, state.energies
+            lam, a, sum_rho, sum_n, scale = self._pair_data(state)
+            # Momentum: S_rho u_ij = a u_i + b u_j.
+            velocities = (a[:, :, None] * u[:, None, :] + a.T[:, :, None] * u) / sum_rho[
+                :, :, None
+            ]
+            # Energy: (d/2) S_n T_ij = lambda_ij E_i + lambda_ji E_j - |u_ij|^2 S_rho / 2.
+            held = lam * energies[:, None]
+            total = held + held.T
+            kinetic = 0.5 * (velocities * velocities).sum(axis=-1) * sum_rho
+            temperatures = (total - kinetic) / ((0.5 * d) * sum_n)
+            mats = assemble(state, HardSphere())
+            mix = pairwise_mixture(state, mats.velocity_weights, mats.temperature_weights)
+            _assert_within(velocities, mix.velocities, _gamma(6) * scale)
+            _assert_within(temperatures, mix.temperatures, _gamma(49) * total / ((0.5 * d) * sum_n))
+
+    def test_the_kinetic_rates_are_the_moment_rates(self):
+        eps = 0.3
+        for state in self._states():
+            comp, d = state.composition, state.dimension
+            rho, n, m = comp.mass_densities, comp.number_densities, comp.masses
+            u, energies = state.velocities, state.energies
+            lam, _, _, sum_n, scale = self._pair_data(state)
+            mats = assemble(state, HardSphere())
+            mix = pairwise_mixture(state, mats.velocity_weights, mats.temperature_weights)
+            pair_u, pair_t = mix.velocities, mix.temperatures
+
+            momentum = (
+                lam[:, :, None] * (rho[:, None, None] * pair_u - (rho[:, None] * u)[:, None, :])
+            ).sum(axis=1) / eps
+            momentum_scale = (
+                lam[:, :, None] * rho[:, None, None] * (scale + np.abs(u)[:, None, :])
+            ).sum(axis=1) / eps
+            _assert_within(
+                momentum,
+                momentum_rhs(state, mats, eps),
+                _gamma(2 * comp.size + 12) * momentum_scale,
+            )
+
+            kinetic = 0.5 * rho[:, None] * (pair_u * pair_u).sum(axis=-1)
+            thermal = (0.5 * d) * n[:, None] * pair_t
+            energy = (lam * (kinetic + thermal - energies[:, None])).sum(axis=1) / eps
+            held = lam * energies[:, None]
+            ceiling = (held + held.T) / ((0.5 * d) * sum_n)  # M, which bounds T_ij
+            square = (scale * scale).sum(axis=-1)  # which bounds |u_ij|^2
+            per_particle = energies / n
+            magnitudes = (
+                lam * (0.5 * rho[:, None] * square + (0.5 * d) * n[:, None] * ceiling
+                       + energies[:, None])
+                + mats.energy_coupling * (per_particle + per_particle[:, None])
+                + 0.5 * mats.energy_coupling * square * (m[:, None] + m)
+            ).sum(axis=1) / eps
+            _assert_within(
+                energy, energy_rhs(state, mats, eps), _gamma(comp.size + 45) * magnitudes
+            )
+
+
 class TestAssemble:
     def test_constant_frequencies_equal_densities(self):
         # lam = a and equal rho make every momentum coupling entry rho*a/2
@@ -342,7 +482,7 @@ class TestAssemble:
 
 
 class TestStackedRecords:
-    """The core broadcasts over a leading record axis, bit for bit."""
+    """`operators` broadcasts over a leading record axis, bit for bit."""
 
     @staticmethod
     def _records(rng, comp, count=6):
@@ -381,21 +521,6 @@ class TestStackedRecords:
                 _assert_core_matches(
                     const, coupling[r], relaxation[r], mats.velocity_weights, reference, comp
                 )
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 10, 30])
-    def test_heating_matches_per_record(self, size):
-        # One matmul with the mixing map over the record axis.
-        rng = np.random.default_rng([89, size])
-        comp = random_composition(rng, size)
-        states = self._records(rng, comp)
-        const = run_constants(comp, HardSphere(), 3)
-        velocities = np.array([s.velocities for s in states])
-        speeds, _ = relaxation(np.array([temperatures_of(s) for s in states]), const)
-        stacked = heating(speeds, velocities, const.mixing, const, 0.5)
-        assert stacked.shape == (6, size)
-        for r in range(len(states)):
-            single = heating(speeds[r], velocities[r], const.mixing, const, 0.5)
-            np.testing.assert_array_equal(stacked[r], single)
 
     def test_bad_temperature_names_its_species(self):
         comp = random_composition(np.random.default_rng(83), 3)
@@ -454,19 +579,24 @@ class TestOperatorKernels:
         self._assert_kernels_agree(const, temps)
         self._assert_kernels_agree(const, np.stack([temps, floor]))
 
-    @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES])
+    @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES, 10, 30])
     def test_stacked_states_are_single_states_bit_for_bit(self, size):
-        # Stacked vector-matrix products, over any leading axes; a plain
+        # Stacked vector-matrix products up to the threshold and the
+        # elementwise Laplacian beyond it, over any leading axes; a plain
         # matrix product over the states would round otherwise.
         rng = np.random.default_rng([109, size])
         const = run_constants(random_composition(rng, size), HardSphere(), 3)
         temps = self._temperatures(rng, (4, 250, size))
-        coupling, relaxation = operators(temps, const)
-        assert coupling.shape == relaxation.shape == (4, 250, 2, size, size)
+        speeds, _ = relaxation(temps, const)
+        coupling, stack = operators(temps, const)
+        assert speeds.shape == (4, 250, size * size)
+        assert coupling.shape == stack.shape == (4, 250, 2, size, size)
         for index in np.ndindex(4, 250):
-            single_coupling, single_relaxation = operators(temps[index], const)
+            single_speeds, _ = relaxation(temps[index], const)
+            single_coupling, single_stack = operators(temps[index], const)
+            np.testing.assert_array_equal(speeds[index], single_speeds)
             np.testing.assert_array_equal(coupling[index], single_coupling)
-            np.testing.assert_array_equal(relaxation[index], single_relaxation)
+            np.testing.assert_array_equal(stack[index], single_stack)
 
     def test_the_map_is_built_up_to_its_threshold(self):
         # The threshold chooses the map of [Z, Z-hat] of hard spheres alone;
@@ -543,23 +673,6 @@ class TestHeatingKernels:
     def test_matches_the_oracle_on_the_presets(self, example):
         scenario = presets()[example]
         self._assert_matches_the_oracle(scenario.initial_state(), scenario.model)
-
-    @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES, 10, 30])
-    def test_stacked_speeds_are_single_states_bit_for_bit(self, size):
-        # Stacked vector-matrix products with the map, over any leading axes.
-        rng = np.random.default_rng([151, size])
-        const = run_constants(random_composition(rng, size), HardSphere(), 3)
-        temps = rng.uniform(200.0, 3000.0, size=(4, 250, size)) * BOLTZMANN_J_PER_K
-        velocities = rng.uniform(-500.0, 500.0, size=(4, 250, size, 3))
-        speeds, _ = relaxation(temps, const)
-        assert speeds.shape == (4, 250, size * size)
-        stacked = heating(speeds, velocities, const.mixing, const, 0.5)
-        assert stacked.shape == (4, 250, size)
-        for index in np.ndindex(4, 250):
-            single_speeds, _ = relaxation(temps[index], const)
-            np.testing.assert_array_equal(single_speeds, speeds[index])
-            single = heating(single_speeds, velocities[index], const.mixing, const, 0.5)
-            np.testing.assert_array_equal(stacked[index], single)
 
     @pytest.mark.parametrize("records", [(), (7,), (2, 3)])
     @pytest.mark.parametrize("size", [1, 3, DENSE_OPERATOR_MAX_SPECIES, 10])
