@@ -59,11 +59,12 @@ one fixed matrix for every mixture and either model: the heating is
 pair-velocity map.  For hard-sphere mixtures of at most
 DENSE_OPERATOR_MAX_SPECIES species it folds [Z, Z-hat] too: s^2 =
 (T / m) @ E, E holding two unit entries per column (an exact sum), and
-[Z, Z-hat] = s @ K with K (N * N, 2 N * N), C, the scaling and the
-Laplacian's row sums folded in.  K grows as N^4 and the elementwise
-form (s on the pair grid, the Laplacian degree I - C s and one
-division) as N^2, so larger mixtures keep the elementwise form; that
-threshold chooses nothing else.  A constant model has s = 1 and its
+[Z, Z-hat] = s @ K with K (N * N, 2 N * N) the elementwise form (s on
+the pair grid, the Laplacian degree I - C s and one division) at each
+unit speed s = e_ij, so every [Z, Z-hat] of the runtime comes from
+:func:`_laplacian`.  K grows as N^4 and the elementwise form as N^2, so
+larger mixtures keep the elementwise form; that threshold chooses
+nothing else.  A constant model has s = 1 and its
 [Z, Z-hat] is a run constant, broadcast by a call.  Every runtime path
 goes through these calls; the cross-checks, the frequency evaluation
 among them, live in :mod:`mixbgk.oracles`.  Self pairs (i = j) are
@@ -146,18 +147,14 @@ def _laplacian(coupling, identity) -> np.ndarray:
 def _dense_operator_map(unit_coupling, scale, identity):
     """(E, K): s^2 = (T / m) @ E and [Z, Z-hat] = s @ K, flattened.
 
-    Row (i, j) of K, the speed s_ij, holds -C_ij / scale_ij in the columns
-    of Z_ij and Z-hat_ij (i != j), and C_ij / scale_ii in those of the
-    diagonal entries Z_ii and Z-hat_ii (j != i): the Laplacian's row sums
-    without the self pair, so a single species gets Z = 0.
+    [Z, Z-hat] is linear in s, so row (i, j) of K is the elementwise stack,
+    the Laplacian of C s over the scale, at the unit speed s = e_ij: -C_ij
+    / scale_ij at Z_ij and Z-hat_ij (i != j), C_ij / scale_ii at Z_ii and
+    Z-hat_ii, and 0 for a self pair, whose row sum and coupling cancel.
     """
     size = len(identity)
-    i, j = np.indices((size, size))
-    apart = identity == 0.0
-    rows = np.zeros((size, size, 2, size, size))  # (s_ij, stack entry)
-    rows[i, j, :, i, j] = np.where(apart, -unit_coupling / scale, 0.0).transpose(1, 2, 0)
-    degree = scale.diagonal(axis1=1, axis2=2)[:, :, None]
-    rows[i, j, :, i, i] = np.where(apart, unit_coupling / degree, 0.0).transpose(1, 2, 0)
+    unit_speeds = np.eye(size * size).reshape(size * size, 1, size, size)  # s = e_ij
+    rows = _laplacian(unit_coupling * unit_speeds, identity) / scale
     pair_sums = (identity[:, :, None] + identity[:, None, :]).reshape(size, size * size)
     return pair_sums, rows.reshape(size * size, 2 * size * size)
 

@@ -397,9 +397,12 @@ def _controlled_steps(cfg: IntegratorConfig, records, step, scales):
     BE_ERROR_TOL is taken again from the same record.  Either way the next
     step is h clip(BE_SAFETY (BE_ERROR_TOL / error)^(1/2), 0.2, 5) (Hairer &
     Wanner, Solving ODEs II, 2nd ed., section IV.8), at most cfg.max_dt,
-    and the last one lands on t_final exactly.  Each step is the
-    difference of its end time and its start time, so a record's own step
-    is the difference of its time and the one before.
+    and the last one lands on t_final exactly: a step that would leave at
+    most 1e-12 of itself to t_final (the tolerance of :func:`_schedule`'s
+    partial step), as steps of max_dt whose sum rounds short of it do,
+    ends there.  Each step is the difference of its end time and its start
+    time, so a record's own step is the difference of its time and the one
+    before.
     """
 
     def error(fields):
@@ -412,6 +415,8 @@ def _controlled_steps(cfg: IntegratorConfig, records, step, scales):
     u, e = records[0][1:3]
     while t < cfg.t_final:
         end = min(t + min(h, cfg.max_dt), cfg.t_final)
+        if cfg.t_final - end <= 1e-12 * (end - t):
+            end = cfg.t_final
         h = end - t
         if not h > 0.0:
             raise IntegrationError(f"error-controlled step vanished at t = {t:.9e} s", time=t)

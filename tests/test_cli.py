@@ -347,6 +347,7 @@ class TestRk4Settings:
     @pytest.mark.parametrize("config, t_final", [
         pytest.param(ARGON_CONFIG, "1e-9", id="argon-1e-9"),
         pytest.param(ARGON_CONFIG, "1e-3", id="argon-1e-3"),
+        pytest.param(ARGON_CONFIG, "1e-6", id="argon-1e-6"),
         pytest.param(ONE_CONSTANT_SPECIES_CONFIG, "1e-6", id="constant-1e-6"),
     ])
     def test_a_single_species_with_a_given_horizon_takes_its_horizon_steps(
@@ -354,19 +355,18 @@ class TestRk4Settings:
     ):
         # One species has no gap, so its brackets say nothing and its
         # backward-Euler steps follow the horizon alone: 2 HORIZON_EFOLDS
-        # steps, and a last one where their sum rounds short of t_final.
+        # steps, the last one ending on t_final where the sum of the steps
+        # of max_dt rounds short of it (at 1e-6 s), with no sliver after it.
         # RK4 takes its one step of t_final.
         path = tmp_path / "one.cfg"
         path.write_text(config)
-        for method, least, most in (
-            ("be", 2 * HORIZON_EFOLDS + 1, 2 * HORIZON_EFOLDS + 2), ("rk4", 2, 2)
-        ):
+        for method, records in (("be", 2 * HORIZON_EFOLDS + 1), ("rk4", 2)):
             out = tmp_path / method
             argv = ["run", "--config", str(path), "--t-final", t_final, "--method", method]
             assert main([*argv, "--out", str(out)]) == 0
             assert capsys.readouterr().out.splitlines()[-1] == "verification: PASS"
             times = read_trajectory_csv(out / "one_trajectory.csv").times
-            assert least <= len(times) <= most
+            assert len(times) == records
             assert times[-1] == float(t_final)
 
     @pytest.mark.parametrize("config", [
@@ -788,7 +788,7 @@ class TestCliRun:
         block = summary[summary.index("[monitors]"):].splitlines()
         assert len(block) == 11 and all(line.endswith("-> PASS") for line in block[1:])
         table = read_trajectory_csv(tmp_path / "ten_species_trajectory.csv")
-        assert monitor_block(table, parse_config(TEN_SPECIES)) == block
+        assert monitor_block(table, replace(scenario, method=method)) == block
 
     def test_cli_verdict_comes_from_monitor_block(self, tmp_path, monkeypatch):
         # The run's [monitors] block and a re-read CSV's come from one public

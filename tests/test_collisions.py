@@ -598,6 +598,37 @@ class TestOperatorKernels:
             np.testing.assert_array_equal(coupling[index], single_coupling)
             np.testing.assert_array_equal(stack[index], single_stack)
 
+    @staticmethod
+    def _indexed_map(const):
+        """K entry by entry: row (i, j), the speed s_ij, holds -C_ij / scale_ij
+        at Z_ij and Z-hat_ij (i != j) and C_ij / scale_ii at Z_ii and Z-hat_ii;
+        a self pair's row is 0."""
+        size = len(const.identity)
+        i, j = np.indices((size, size))
+        apart = i != j
+        rows = np.zeros((size, size, 2, size, size))  # (s_ij, stack entry)
+        coupling = const.unit_coupling
+        rows[i, j, :, i, j] = np.where(apart, -coupling / const.scale, 0.0).transpose(1, 2, 0)
+        degree = const.scale.diagonal(axis1=1, axis2=2)[:, :, None]
+        rows[i, j, :, i, i] = np.where(apart, coupling / degree, 0.0).transpose(1, 2, 0)
+        return rows.reshape(size * size, 2 * size * size)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, DENSE_OPERATOR_MAX_SPECIES])
+    def test_the_map_holds_each_entry_bit_for_bit(self, size):
+        # The map is the Laplacian of C s at the unit speeds, so each entry
+        # is the one quotient of the indexed statement, signed zeros too.
+        rng = np.random.default_rng([131, size])
+        compositions = [random_composition(rng, size) for _ in range(10)]
+        compositions += [
+            scenario.initial_state().composition
+            for scenario in presets().values() if len(scenario.species) == size
+        ]
+        for comp in compositions:
+            const = run_constants(comp, HardSphere(), 3)
+            np.testing.assert_array_equal(
+                const.operator_map.view(np.int64), self._indexed_map(const).view(np.int64)
+            )
+
     def test_the_map_is_built_up_to_its_threshold(self):
         # The threshold chooses the map of [Z, Z-hat] of hard spheres alone;
         # the heating's map is built for every mixture and either model.

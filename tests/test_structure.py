@@ -177,6 +177,23 @@ def test_the_threshold_chooses_only_the_map_of_the_core():
     assert "heating_weights" not in {field.name for field in dataclasses.fields(RunConstants)}
 
 
+def test_the_dense_map_is_the_laplacian_at_unit_speeds():
+    # K is the elementwise stack at each unit speed s = e_ij, so every
+    # [Z, Z-hat] of the runtime comes from _laplacian, with no second,
+    # hand-indexed assembly of its entries.
+    [function] = [
+        node for node in _modules()["collisions.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_dense_operator_map"
+    ]
+    names = set(_referenced_names(function))
+    assert "_laplacian" in names
+    assert "indices" not in names
+    assert not any(
+        isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(function)
+    )
+
+
 def test_oracle_only_names_stay_out_of_the_runtime():
     modules = _modules()
     definers = sorted(
